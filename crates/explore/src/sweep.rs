@@ -171,8 +171,11 @@ pub fn run_sweep(plan: &SweepPlan, cache: &ResultCache) -> SweepOutcome {
 /// [`plaid::pipeline::PlacementSeed`]: an exact replay for depth siblings
 /// (identical fabric signature), a capacity-certified replay for
 /// communication siblings, and a skipped ladder prefix where a shallower
-/// sibling proved its ladder infeasible. Groups still run in parallel;
-/// records come back in plan order.
+/// sibling proved its ladder infeasible. Groups still run in parallel:
+/// each worker claims the next unstarted group when it finishes one, so a
+/// few expensive groups do not leave the other workers idle. Hints never
+/// cross groups, so neither the records nor the seeding counters depend on
+/// which worker ran a group. Records come back in plan order.
 pub fn run_sweep_with(plan: &SweepPlan, cache: &ResultCache, policy: SeedPolicy) -> SweepOutcome {
     let start = Instant::now();
     cache.reset_counters();

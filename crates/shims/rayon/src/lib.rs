@@ -3,13 +3,15 @@
 //! The build container has no crates.io access, so parallel sweeps run on a
 //! scoped-thread fork/join implemented with the standard library. The API
 //! mirrors the `rayon` calls used by `plaid-explore` (`par_iter().map(..)
-//! .collect()`, `with_min_len`, `current_num_threads`) so the shim can be
-//! swapped for the real crate by flipping one `[workspace.dependencies]`
-//! entry.
+//! .collect()`, `current_num_threads`) so the shim can be swapped for the
+//! real crate by flipping one `[workspace.dependencies]` entry.
 //!
-//! Work is split into one contiguous chunk per worker thread; results are
-//! concatenated in input order, so `collect()` is order-preserving exactly
-//! like rayon's indexed parallel iterators.
+//! Work is self-scheduled: each worker thread claims the next unclaimed item
+//! from a shared cursor until none are left, so a worker that draws cheap
+//! items keeps going while another is busy with an expensive one (sweep
+//! points differ in cost by orders of magnitude). Every result is tagged
+//! with its item's index and put back in input order, so `collect()` is
+//! order-preserving exactly like rayon's indexed parallel iterators.
 
 #![forbid(unsafe_code)]
 
@@ -37,6 +39,8 @@ pub mod prelude {
 /// Parallel iterator adaptors.
 pub mod iter {
     use super::current_num_threads;
+    use std::panic;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::thread;
 
     /// Conversion of `&collection` into a parallel iterator.
@@ -55,10 +59,7 @@ pub mod iter {
         type Iter = ParSlice<'a, T>;
 
         fn par_iter(&'a self) -> ParSlice<'a, T> {
-            ParSlice {
-                items: self,
-                min_len: 1,
-            }
+            ParSlice { items: self }
         }
     }
 
@@ -109,15 +110,6 @@ pub mod iter {
     /// Parallel iterator over a slice.
     pub struct ParSlice<'a, T> {
         items: &'a [T],
-        min_len: usize,
-    }
-
-    impl<'a, T: Sync> ParSlice<'a, T> {
-        /// Lower bound on items per worker chunk (rayon's `with_min_len`).
-        pub fn with_min_len(mut self, min: usize) -> Self {
-            self.min_len = min.max(1);
-            self
-        }
     }
 
     impl<'a, T: Sync> ParallelIterator for ParSlice<'a, T> {
@@ -143,29 +135,53 @@ pub mod iter {
         type Item = R;
 
         fn run(self) -> Vec<R> {
-            let items = self.base.items;
-            let f = &self.f;
-            if items.is_empty() {
-                return Vec::new();
-            }
-            let workers = current_num_threads().max(1);
-            let chunk = items.len().div_ceil(workers).max(self.base.min_len);
-            if chunk >= items.len() {
-                return items.iter().map(f).collect();
-            }
-            let mut per_chunk: Vec<Vec<R>> = Vec::new();
-            thread::scope(|scope| {
-                let handles: Vec<_> = items
-                    .chunks(chunk)
-                    .map(|c| scope.spawn(move || c.iter().map(f).collect::<Vec<R>>()))
-                    .collect();
-                per_chunk = handles
-                    .into_iter()
-                    .map(|h| h.join().expect("rayon-shim worker panicked"))
-                    .collect();
-            });
-            per_chunk.into_iter().flatten().collect()
+            run_on(current_num_threads(), self.base.items, &self.f)
         }
+    }
+
+    /// Maps `items` through `f` on at most `workers` scoped threads and
+    /// returns the results in input order.
+    ///
+    /// Workers claim one item at a time from a shared cursor. The cursor is
+    /// `Relaxed`: `fetch_add` alone makes every index go to exactly one
+    /// worker, and results reach the caller through `join`, which
+    /// synchronizes with the worker's exit. A worker's panic is re-raised
+    /// on the caller with its original payload.
+    pub(crate) fn run_on<'a, T, R, F>(workers: usize, items: &'a [T], f: &F) -> Vec<R>
+    where
+        T: Sync,
+        R: Send,
+        F: Fn(&'a T) -> R + Sync,
+    {
+        let workers = workers.min(items.len());
+        if workers <= 1 {
+            return items.iter().map(f).collect();
+        }
+        let cursor = AtomicUsize::new(0);
+        let claim_until_empty = || {
+            let mut done = Vec::new();
+            loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(i) else {
+                    return done;
+                };
+                done.push((i, f(item)));
+            }
+        };
+        let mut tagged: Vec<(usize, R)> = Vec::with_capacity(items.len());
+        thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| scope.spawn(claim_until_empty))
+                .collect();
+            for handle in handles {
+                match handle.join() {
+                    Ok(done) => tagged.extend(done),
+                    Err(payload) => panic::resume_unwind(payload),
+                }
+            }
+        });
+        tagged.sort_unstable_by_key(|&(i, _)| i);
+        tagged.into_iter().map(|(_, r)| r).collect()
     }
 
     // One level of nesting (`par_iter().map(f).map(g)`) is enough for this
@@ -195,7 +211,21 @@ pub mod iter {
 
 #[cfg(test)]
 mod tests {
+    use super::iter::run_on;
     use super::prelude::*;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::thread;
+    use std::time::{Duration, Instant};
+
+    /// Spins until `done()` holds; fails the test after 10 s instead of
+    /// hanging it.
+    fn wait_for(done: impl Fn() -> bool, what: &str) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            thread::yield_now();
+        }
+    }
 
     #[test]
     fn map_collect_preserves_order() {
@@ -212,26 +242,72 @@ mod tests {
     }
 
     #[test]
-    fn actually_runs_on_multiple_threads() {
-        use std::collections::HashSet;
-        use std::sync::Mutex;
-        let seen = Mutex::new(HashSet::new());
-        let input: Vec<u32> = (0..4096).collect();
-        let _: Vec<()> = input
-            .par_iter()
-            .map(|_| {
-                seen.lock().unwrap().insert(std::thread::current().id());
-            })
-            .collect();
-        if super::current_num_threads() > 1 {
-            assert!(seen.lock().unwrap().len() > 1, "expected >1 worker thread");
-        }
-    }
-
-    #[test]
     fn chained_maps_fuse() {
         let input: Vec<u32> = (0..100).collect();
         let out: Vec<u32> = input.par_iter().map(|&x| x + 1).map(|x| x * 3).collect();
         assert_eq!(out[10], 33);
+    }
+
+    #[test]
+    fn an_idle_worker_takes_over_pending_items() {
+        // Item 0 blocks until item 1 has run. A contiguous split would give
+        // both to the same worker and never finish; self-scheduling hands
+        // item 1 to the other worker.
+        let item_1_ran = AtomicBool::new(false);
+        let input: Vec<u32> = (0..4).collect();
+        let out = run_on(2, &input, &|&x| {
+            match x {
+                0 => wait_for(|| item_1_ran.load(Ordering::Acquire), "item 1"),
+                1 => item_1_ran.store(true, Ordering::Release),
+                _ => {}
+            }
+            x * 10
+        });
+        assert_eq!(out, vec![0, 10, 20, 30]);
+    }
+
+    #[test]
+    fn order_survives_skewed_item_costs() {
+        // Item 0 finishes last of all: it waits until every other item is
+        // done, so results complete in an order far from input order.
+        for workers in [2, 3, 4] {
+            let finished = AtomicUsize::new(0);
+            let input: Vec<u64> = (0..64).collect();
+            let out = run_on(workers, &input, &|&x| {
+                if x == 0 {
+                    wait_for(|| finished.load(Ordering::Acquire) == 63, "items 1..64");
+                } else {
+                    finished.fetch_add(1, Ordering::Release);
+                }
+                x * x
+            });
+            assert_eq!(out, input.iter().map(|x| x * x).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "item 5 failed")]
+    fn a_panicking_item_panics_the_caller() {
+        let input: Vec<u32> = (0..16).collect();
+        run_on(2, &input, &|&x| {
+            assert!(x != 5, "item {x} failed");
+            x
+        });
+    }
+
+    #[test]
+    fn one_worker_runs_on_the_calling_thread() {
+        let caller = thread::current().id();
+        let input: Vec<u32> = (0..8).collect();
+        let ids = run_on(1, &input, &|_| thread::current().id());
+        assert!(ids.iter().all(|&id| id == caller));
+    }
+
+    #[test]
+    fn fewer_items_than_workers() {
+        let input = [10u32, 20, 30];
+        assert_eq!(run_on(8, &input, &|&x| x + 1), vec![11, 21, 31]);
+        let none: [u32; 0] = [];
+        assert!(run_on(8, &none, &|&x| x).is_empty());
     }
 }

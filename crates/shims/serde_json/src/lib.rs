@@ -42,14 +42,11 @@ pub fn from_str<T: serde::Deserialize>(text: &str) -> Result<T, Error> {
 
 /// Parses JSON text into a [`Value`] tree.
 pub fn parse_value(text: &str) -> Result<Value, Error> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
+    let mut p = Parser { text, pos: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != text.len() {
         return Err(Error::custom(format!(
             "trailing characters at byte {}",
             p.pos
@@ -153,22 +150,26 @@ fn write_escaped(out: &mut String, s: &str) {
 
 // ---- parsing ---------------------------------------------------------------
 
+/// Cursor over JSON text. `pos` only ever advances past ASCII bytes or
+/// whole string runs, so it always sits on a `char` boundary of `text`.
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
 impl<'a> Parser<'a> {
+    fn bytes(&self) -> &'a [u8] {
+        self.text.as_bytes()
+    }
+
     fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len()
-            && matches!(self.bytes[self.pos], b' ' | b'\t' | b'\n' | b'\r')
-        {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), Error> {
@@ -201,7 +202,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, text: &str, value: Value) -> Result<Value, Error> {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
+        if self.text[self.pos..].starts_with(text) {
             self.pos += text.len();
             Ok(value)
         } else {
@@ -299,7 +300,7 @@ impl<'a> Parser<'a> {
                                 // High surrogate: a low surrogate escape must
                                 // follow (JSON encodes non-BMP characters as
                                 // \uD8xx\uDCxx pairs).
-                                if self.bytes.get(self.pos + 1..self.pos + 3) != Some(b"\\u") {
+                                if self.bytes().get(self.pos + 1..self.pos + 3) != Some(b"\\u") {
                                     return Err(Error::custom("unpaired surrogate"));
                                 }
                                 self.pos += 2;
@@ -321,12 +322,12 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| Error::custom("invalid UTF-8 in string"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or escape in one go;
+                    // both are ASCII, so the run ends on a char boundary.
+                    let rest = &self.text[self.pos..];
+                    let run = rest.find(['"', '\\']).unwrap_or(rest.len());
+                    out.push_str(&rest[..run]);
+                    self.pos += run;
                 }
                 None => return Err(Error::custom("unterminated string")),
             }
@@ -337,7 +338,7 @@ impl<'a> Parser<'a> {
     /// leaving the cursor on the last digit.
     fn unicode_escape(&mut self) -> Result<u32, Error> {
         let hex = self
-            .bytes
+            .bytes()
             .get(self.pos + 1..self.pos + 5)
             .ok_or_else(|| Error::custom("truncated \\u escape"))?;
         let code = u32::from_str_radix(
@@ -365,8 +366,7 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error::custom("invalid number"))?;
+        let text = &self.text[start..self.pos];
         if is_float {
             text.parse::<f64>()
                 .map(Value::Float)
@@ -454,6 +454,21 @@ mod tests {
             parse_value("\"é 😀\"").unwrap(),
             Value::String("é 😀".to_string())
         );
+    }
+
+    #[test]
+    fn multi_byte_strings_round_trip_and_parse_in_linear_time() {
+        for s in ["é", "😀", "a😀b\\é\"", "\u{10FFFF}\u{7F}\u{80}\u{800}"] {
+            let v = Value::String(s.to_string());
+            assert_eq!(parse_value(&to_string(&v).unwrap()).unwrap(), v, "{s:?}");
+        }
+        // ~6 MB of mixed-width text with escapes: a parser that rescans the
+        // rest of the input per character never finishes this.
+        let big: String = "plain ascii, é ü, 𝄞 😀 \"q\" \\ \n".repeat(150_000);
+        let v = Value::String(big);
+        let text = to_string(&v).unwrap();
+        assert!(text.len() > 6_000_000);
+        assert_eq!(parse_value(&text).unwrap(), v);
     }
 
     #[test]
