@@ -776,6 +776,12 @@ mod tests {
             value: NodeId(0),
         };
         let mut scratch = RouterScratch::new();
+        // Control: with finite costs the same window routes, so only the
+        // NaN can make the assertion below hold.
+        assert!(
+            find_route_in(&mut scratch, &arch, &state, &request, &HardCapacityCost).is_some(),
+            "the 3 -> 4 window routes under finite costs"
+        );
         assert_eq!(
             find_route_in(&mut scratch, &arch, &state, &request, &NanInSlotZero),
             None,

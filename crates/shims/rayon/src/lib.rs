@@ -249,6 +249,29 @@ mod tests {
     }
 
     #[test]
+    fn par_iter_runs_on_multiple_threads() {
+        // Same hand-off as below, but through the public `par_iter` path:
+        // it only finishes if `run` starts a second worker to take item 1.
+        if super::current_num_threads() < 2 {
+            return;
+        }
+        let item_1_ran = AtomicBool::new(false);
+        let input: Vec<u32> = (0..4).collect();
+        let out: Vec<u32> = input
+            .par_iter()
+            .map(|&x| {
+                match x {
+                    0 => wait_for(|| item_1_ran.load(Ordering::Acquire), "item 1"),
+                    1 => item_1_ran.store(true, Ordering::Release),
+                    _ => {}
+                }
+                x * 10
+            })
+            .collect();
+        assert_eq!(out, vec![0, 10, 20, 30]);
+    }
+
+    #[test]
     fn an_idle_worker_takes_over_pending_items() {
         // Item 0 blocks until item 1 has run. A contiguous split would give
         // both to the same worker and never finish; self-scheduling hands
