@@ -36,7 +36,7 @@ fn bench(c: &mut Criterion) {
         .warm_up_time(Duration::from_secs(1));
     group.bench_function("cold_sweep_smoke_grid", |b| {
         // Pinned to SeedPolicy::Off so this keeps measuring the from-scratch
-        // sweep; the seeded_sweep bench covers the warm-start path.
+        // sweep; the seeded_sweep bench covers the seeded path.
         b.iter(|| {
             let cold = ResultCache::new();
             run_sweep_with(&plan, &cold, SeedPolicy::Off)

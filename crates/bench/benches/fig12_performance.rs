@@ -24,7 +24,9 @@ fn bench(c: &mut Criterion) {
         .warm_up_time(Duration::from_secs(1));
     let w = measurement_workload();
     group.bench_function("compile_dwconv_on_plaid", |b| {
-        b.iter(|| compile_workload(&w, ArchChoice::Plaid2x2, MapperChoice::Plaid).unwrap())
+        b.iter(|| {
+            compile_workload(&w, &ArchChoice::Plaid2x2.build(), MapperChoice::Plaid, None).unwrap()
+        })
     });
     group.finish();
 }

@@ -19,7 +19,15 @@ fn bench(c: &mut Criterion) {
         .warm_up_time(Duration::from_secs(1));
     let w = measurement_workload();
     group.bench_function("compile_dwconv_on_spatio_temporal", |b| {
-        b.iter(|| compile_workload(&w, ArchChoice::SpatioTemporal4x4, MapperChoice::Sa).unwrap())
+        b.iter(|| {
+            compile_workload(
+                &w,
+                &ArchChoice::SpatioTemporal4x4.build(),
+                MapperChoice::Sa,
+                None,
+            )
+            .unwrap()
+        })
     });
     group.finish();
 }

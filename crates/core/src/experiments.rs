@@ -191,11 +191,14 @@ impl ComparisonResult {
 
 /// Runs the three-way architecture comparison (Figures 12, 14, 15).
 pub fn architecture_comparison(scope: ExperimentScope) -> ComparisonResult {
+    let st_arch = ArchChoice::SpatioTemporal4x4.build();
+    let spatial_arch = ArchChoice::Spatial4x4.build();
+    let plaid_arch = ArchChoice::Plaid2x2.build();
     let mut rows = Vec::new();
     for workload in scope.workloads() {
-        let st = compile_workload(&workload, ArchChoice::SpatioTemporal4x4, MapperChoice::Sa);
-        let sp = compile_workload(&workload, ArchChoice::Spatial4x4, MapperChoice::Spatial);
-        let pl = compile_workload(&workload, ArchChoice::Plaid2x2, MapperChoice::Plaid);
+        let st = compile_workload(&workload, &st_arch, MapperChoice::Sa, None);
+        let sp = compile_workload(&workload, &spatial_arch, MapperChoice::Spatial, None);
+        let pl = compile_workload(&workload, &plaid_arch, MapperChoice::Plaid, None);
         let (Ok(st), Ok(sp), Ok(pl)) = (st, sp, pl) else {
             continue;
         };
@@ -320,11 +323,12 @@ pub struct MapperRow {
 
 /// Figure 18: mapper comparison on the Plaid architecture.
 pub fn mapper_comparison(scope: ExperimentScope) -> (Vec<MapperRow>, String) {
+    let arch = ArchChoice::Plaid2x2.build();
     let mut rows = Vec::new();
     for workload in scope.workloads() {
-        let pf = compile_workload(&workload, ArchChoice::Plaid2x2, MapperChoice::PathFinder);
-        let sa = compile_workload(&workload, ArchChoice::Plaid2x2, MapperChoice::Sa);
-        let pl = compile_workload(&workload, ArchChoice::Plaid2x2, MapperChoice::Plaid);
+        let pf = compile_workload(&workload, &arch, MapperChoice::PathFinder, None);
+        let sa = compile_workload(&workload, &arch, MapperChoice::Sa, None);
+        let pl = compile_workload(&workload, &arch, MapperChoice::Plaid, None);
         let Ok(pl) = pl else { continue };
         // Generic mappers may fail on the trimmed-down fabric for complex
         // DFGs — exactly the effect Figure 18 highlights. Failures are charged
@@ -379,17 +383,18 @@ pub struct ScalabilityRow {
 /// dependencies (RecMII ≥ ResMII on the 2×2 array) are excluded, because a
 /// larger array cannot help them.
 pub fn scalability(scope: ExperimentScope) -> (Vec<ScalabilityRow>, String) {
+    let small_arch = ArchChoice::Plaid2x2.build();
+    let large_arch = ArchChoice::Plaid3x3.build();
     let mut rows = Vec::new();
     for workload in scope.workloads() {
         let Ok(dfg) = workload.lower() else { continue };
-        let small_arch = ArchChoice::Plaid2x2.build();
         let res = plaid_mapper_res_mii(&dfg, &small_arch);
         let rec = plaid_mapper_rec_mii(&dfg);
         if rec >= res {
             continue;
         }
-        let small = compile_workload(&workload, ArchChoice::Plaid2x2, MapperChoice::Plaid);
-        let large = compile_workload(&workload, ArchChoice::Plaid3x3, MapperChoice::Plaid);
+        let small = compile_workload(&workload, &small_arch, MapperChoice::Plaid, None);
+        let large = compile_workload(&workload, &large_arch, MapperChoice::Plaid, None);
         let (Ok(small), Ok(large)) = (small, large) else {
             continue;
         };
@@ -466,8 +471,8 @@ pub fn dnn_comparison() -> (Vec<DnnRow>, String) {
                 kernel: layer.kernel.clone(),
                 unroll: layer.unroll,
             };
-            let sp = compile_workload(&workload, ArchChoice::Spatial4x4, MapperChoice::Spatial);
-            let pl = compile_workload(&workload, ArchChoice::Plaid2x2, MapperChoice::Plaid);
+            let sp = compile_workload(&workload, &spatial_arch, MapperChoice::Spatial, None);
+            let pl = compile_workload(&workload, &plaid_arch, MapperChoice::Plaid, None);
             let (Ok(sp), Ok(pl)) = (sp, pl) else { continue };
             spatial_cycles += sp.metrics.cycles * layer.invocations;
             plaid_cycles += pl.metrics.cycles * layer.invocations;
@@ -541,7 +546,7 @@ pub fn domain_specialization() -> (Vec<SpecializationRow>, String) {
         let arch = arch_choice.build();
         let mut cycles = 0u64;
         for w in &ml_workloads {
-            if let Ok(c) = compile_workload(w, arch_choice, mapper) {
+            if let Ok(c) = compile_workload(w, &arch, mapper, None) {
                 cycles += c.metrics.cycles;
             }
         }

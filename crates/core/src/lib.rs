@@ -19,7 +19,7 @@
 //! use plaid_workloads::table2_workloads;
 //!
 //! let workload = &table2_workloads()[0]; // atax_u2
-//! let result = compile_workload(workload, ArchChoice::Plaid2x2, MapperChoice::Plaid).unwrap();
+//! let result = compile_workload(workload, &ArchChoice::Plaid2x2.build(), MapperChoice::Plaid, None).unwrap();
 //! assert!(result.metrics.cycles > 0);
 //! assert!(result.mapping.is_some());
 //! ```
@@ -32,6 +32,6 @@ pub mod pipeline;
 pub mod report;
 
 pub use pipeline::{
-    compile_workload, compile_workload_on, default_mapper_for, ArchChoice, CompileSummary,
-    CompiledWorkload, MapperChoice, PipelineError,
+    compile_workload, default_mapper_for, ArchChoice, CompileSummary, CompiledWorkload,
+    MapperChoice, PipelineError,
 };

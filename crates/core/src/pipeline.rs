@@ -1,12 +1,18 @@
 //! The end-to-end compilation pipeline: kernel → DFG → motifs → mapping →
 //! configuration → metrics.
+//!
+//! [`compile_workload`] is the one entry point. It compiles onto any
+//! [`Architecture`] instance (a paper preset via [`ArchChoice::build`], or an
+//! enumerated design point) and takes an optional [`MapSeed`] hint, which
+//! lets a sweep replay or floor a point's II ladder without changing its
+//! result.
 
 use std::fmt;
 
 use plaid_arch::{plaid, spatial, spatio_temporal, specialize, Architecture};
 use plaid_dfg::Dfg;
 pub use plaid_mapper::{
-    dfg_fingerprint, fabric_signature, fabric_signature_nocap, InfeasiblePrefix, MapSeed,
+    dfg_fingerprint, fabric_signature, fabric_signature_nocap, fnv1a64, InfeasiblePrefix, MapSeed,
     PlacementSeed, SeedOutcome, SeededMapping,
 };
 use plaid_mapper::{
@@ -143,9 +149,9 @@ pub struct CompiledWorkload {
     /// Evaluation metrics.
     pub metrics: EvalMetrics,
     /// Placement seed captured from the mapping (absent for spatial
-    /// execution), reusable to warm-start neighbouring design points.
+    /// execution), reusable to seed neighbouring design points.
     pub placement_seed: Option<PlacementSeed>,
-    /// How warm-start seeding contributed to this compilation.
+    /// How seeding contributed to this compilation.
     pub seed_outcome: SeedOutcome,
 }
 
@@ -177,31 +183,22 @@ pub struct CompileSummary {
     pub coverage: CoverageStats,
     /// Evaluation metrics (cycles, power, energy, area).
     pub metrics: EvalMetrics,
-    /// Placement seed for warm-starting neighbouring design points (absent
-    /// for spatial execution and in records persisted before seeding
-    /// existed).
+    /// Placement seed for neighbouring design points (absent for spatial
+    /// execution and in records persisted before seeding existed).
     pub seed: Option<PlacementSeed>,
 }
 
-/// Compiles `workload` for `arch_choice` with `mapper_choice` and evaluates it
-/// with the default cost model.
-///
-/// # Errors
-///
-/// Returns a [`PipelineError`] if lowering, mapping or configuration
-/// generation fails.
-pub fn compile_workload(
-    workload: &Workload,
-    arch_choice: ArchChoice,
-    mapper_choice: MapperChoice,
-) -> Result<CompiledWorkload, PipelineError> {
-    compile_workload_on(workload, &arch_choice.build(), mapper_choice)
-}
-
-/// Compiles `workload` onto an arbitrary architecture instance — the entry
-/// point design-space sweeps use for architectures outside the paper's fixed
-/// [`ArchChoice`] set (e.g. points enumerated by
+/// Compiles `workload` onto `arch` with `mapper_choice` and evaluates it
+/// with the default cost model. Callers holding an [`ArchChoice`] pass
+/// `&choice.build()`; design-space sweeps pass enumerated points (see
 /// [`plaid_arch::enumerate::SpaceSpec`]).
+///
+/// `hint` threads seed information into the mapper: a canonical seed whose
+/// result provably transfers to `arch` replays exactly, and a
+/// proven-infeasible ladder prefix is skipped. Either way the result is the
+/// one a cold run produces. The produced [`CompiledWorkload`] carries its
+/// own [`PlacementSeed`] (via [`CompiledWorkload::summary`]) so sweeps can
+/// chain seeds across neighbouring design points.
 ///
 /// Takes only `&` references to plain data and allocates everything it needs
 /// per call, so it is safe to invoke concurrently from many threads.
@@ -210,27 +207,7 @@ pub fn compile_workload(
 ///
 /// Returns a [`PipelineError`] if lowering, mapping or configuration
 /// generation fails.
-pub fn compile_workload_on(
-    workload: &Workload,
-    arch: &Architecture,
-    mapper_choice: MapperChoice,
-) -> Result<CompiledWorkload, PipelineError> {
-    compile_workload_on_seeded(workload, arch, mapper_choice, None)
-}
-
-/// Like [`compile_workload_on`], but threads an optional warm-start hint
-/// into the mapper: a canonical seed from a structurally identical fabric
-/// replays exactly, a proven-infeasible ladder prefix is skipped, and a
-/// foreign-fabric seed warm-starts the search heuristically. The produced
-/// [`CompiledWorkload`] carries its own [`PlacementSeed`] (via
-/// [`CompiledWorkload::summary`]) so sweeps can chain seeds across
-/// neighbouring design points.
-///
-/// # Errors
-///
-/// Returns a [`PipelineError`] if lowering, mapping or configuration
-/// generation fails.
-pub fn compile_workload_on_seeded(
+pub fn compile_workload(
     workload: &Workload,
     arch: &Architecture,
     mapper_choice: MapperChoice,
@@ -334,7 +311,7 @@ mod tests {
             (ArchChoice::Spatial4x4, MapperChoice::Spatial),
             (ArchChoice::Plaid2x2, MapperChoice::Plaid),
         ] {
-            let result = compile_workload(&w, arch, mapper).unwrap();
+            let result = compile_workload(&w, &arch.build(), mapper, None).unwrap();
             assert!(result.metrics.cycles > 0, "{:?}", arch);
             assert!(result.metrics.power_uw > 0.0);
             if mapper == MapperChoice::Spatial {
@@ -349,8 +326,15 @@ mod tests {
     #[test]
     fn plaid_matches_spatio_temporal_performance_on_a_simple_kernel() {
         let w = workload("dwconv");
-        let st = compile_workload(&w, ArchChoice::SpatioTemporal4x4, MapperChoice::Sa).unwrap();
-        let pl = compile_workload(&w, ArchChoice::Plaid2x2, MapperChoice::Plaid).unwrap();
+        let st = compile_workload(
+            &w,
+            &ArchChoice::SpatioTemporal4x4.build(),
+            MapperChoice::Sa,
+            None,
+        )
+        .unwrap();
+        let pl =
+            compile_workload(&w, &ArchChoice::Plaid2x2.build(), MapperChoice::Plaid, None).unwrap();
         let ratio = pl.metrics.cycles as f64 / st.metrics.cycles as f64;
         assert!(ratio <= 1.5, "plaid/st cycle ratio {ratio}");
         // And Plaid consumes less power for the same work.
@@ -376,7 +360,8 @@ mod tests {
     #[test]
     fn coverage_statistics_accompany_every_compilation() {
         let w = workload("gemm_u2");
-        let result = compile_workload(&w, ArchChoice::Plaid2x2, MapperChoice::Plaid).unwrap();
+        let result =
+            compile_workload(&w, &ArchChoice::Plaid2x2.build(), MapperChoice::Plaid, None).unwrap();
         assert_eq!(result.coverage.total_nodes, result.dfg.node_count());
         assert!(result.coverage.covered_nodes <= result.coverage.compute_nodes);
         assert!(result.ii() >= 1);

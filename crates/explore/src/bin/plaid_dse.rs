@@ -62,12 +62,11 @@ OPTIONS:
                                   [default: rep8 — 4 workloads spanning domains]
     --passes <N>                  Sweep passes over the same plan [default: 2,
                                   demonstrating cold vs. cached performance]
-    --seed <off|exact|aggressive> Warm-start policy [default: exact — reuse
+    --seed <off|exact>            Seed policy [default: exact — reuse
                                   placement seeds across neighbouring design
-                                  points whenever results stay bit-identical
-                                  to a cold run]
-    --no-seed                     Disable warm-start seeding (same as
-                                  --seed off); every point maps from scratch
+                                  points; results stay bit-identical to a
+                                  cold run. off: every point maps from
+                                  scratch]
     --shard <I/N>                 Evaluate only shard I of an N-way
                                   content-hash partition of the plan
                                   (0-based). Disjoint and covering across
@@ -196,7 +195,6 @@ fn parse_args(args: Vec<String>) -> Result<Option<Options>, String> {
                 }
             }
             "--seed" => seed_policy = SeedPolicy::parse(&value("--seed")?)?,
-            "--no-seed" => seed_policy = SeedPolicy::Off,
             "--shard" => shard = Some(ShardSpec::parse(&value("--shard")?)?),
             "--cache" => cache_path = Some(PathBuf::from(value("--cache")?)),
             "--out" => out_path = Some(PathBuf::from(value("--out")?)),

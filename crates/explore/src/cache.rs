@@ -14,22 +14,14 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
 
+use plaid::pipeline::fnv1a64;
+
 use crate::record::EvalRecord;
 use crate::sweep::SweepPoint;
 
-/// FNV-1a 64-bit hash — stable across platforms and runs, unlike
-/// `DefaultHasher`, which makes keys safe to persist.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 /// Computes the raw 64-bit content hash of a sweep point — the number behind
-/// [`cache_key`].
+/// [`cache_key`]: FNV-1a ([`fnv1a64`]), stable across platforms and runs,
+/// so keys are safe to persist.
 ///
 /// The hash covers the workload identity (name, kernel, unroll, iteration
 /// count), the complete architecture parameterization (class, dimensions,
@@ -89,12 +81,9 @@ impl ResultCache {
         Self::default()
     }
 
-    /// Loads a cache persisted by [`ResultCache::save`]. A missing file
-    /// yields an empty cache; a malformed file is an error.
-    ///
-    /// Both the current bucketed format (`key -> [record, ...]`) and the
-    /// legacy single-record format (`key -> record`) are accepted, so cache
-    /// files written before collision buckets existed keep loading.
+    /// Loads a cache persisted by [`ResultCache::save`] (`key -> [record,
+    /// ...]`). A missing file yields an empty cache; a malformed file is an
+    /// error.
     ///
     /// # Errors
     ///
@@ -105,19 +94,8 @@ impl ResultCache {
             return Ok(Self::new());
         }
         let text = std::fs::read_to_string(path)?;
-        let invalid =
-            |e: serde_json::Error| io::Error::new(io::ErrorKind::InvalidData, e.to_string());
-        let raw: HashMap<String, serde_json::Value> =
-            serde_json::from_str(&text).map_err(invalid)?;
-        let mut entries: HashMap<String, Vec<EvalRecord>> = HashMap::with_capacity(raw.len());
-        for (key, value) in raw {
-            let bucket = if value.as_array().is_some() {
-                serde_json::from_value::<Vec<EvalRecord>>(&value).map_err(invalid)?
-            } else {
-                vec![serde_json::from_value::<EvalRecord>(&value).map_err(invalid)?]
-            };
-            entries.insert(key, bucket);
-        }
+        let entries: HashMap<String, Vec<EvalRecord>> = serde_json::from_str(&text)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
         Ok(ResultCache {
             entries: RwLock::new(entries),
             hits: AtomicU64::new(0),
@@ -353,6 +331,23 @@ mod tests {
     }
 
     #[test]
+    fn cache_key_hash_is_pinned_on_the_default_plan() {
+        // Shard assignment is `cache_key_hash % N`, so a change to the hash
+        // moves points between shards (and with them the intra-shard
+        // seeding of a sharded sweep) and orphans every persisted cache.
+        let workloads: Vec<_> = plaid_workloads::table2_workloads()
+            .into_iter()
+            .step_by(8)
+            .collect();
+        let plan =
+            crate::sweep::SweepPlan::cross(&workloads, &plaid_arch::SpaceSpec::default_grid());
+        let first = &plan.points[0];
+        assert_eq!(first.design.label(), "spatio-temporal-2x2/d8/lean");
+        assert_eq!(cache_key_hash(first), 0x550e_7203_6208_9ba5);
+        assert_eq!(cache_key(first), "v1:550e720362089ba5");
+    }
+
+    #[test]
     fn structured_comm_specs_never_alias_a_preset_key() {
         // Regression for the scalar-era latent bug: a key derived from a
         // 3-valued comm scalar cannot distinguish specs that share a
@@ -534,18 +529,47 @@ mod tests {
     }
 
     #[test]
-    fn legacy_single_record_format_still_loads() {
+    fn flat_and_truncated_cache_files_are_invalid_data() {
         let p = point("dwconv", CommLevel::Aligned);
         let key = cache_key(&p);
-        let record = EvalRecord::failed(&p, "legacy");
-        let legacy = format!("{{\"{key}\": {}}}", serde_json::to_string(&record).unwrap());
-        let dir = std::env::temp_dir().join("plaid-explore-legacy-test");
+        let record = serde_json::to_string(&EvalRecord::failed(&p, "flat")).unwrap();
+        let dir = std::env::temp_dir().join("plaid-explore-invalid-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("cache.json");
-        std::fs::write(&path, legacy).unwrap();
-        let cache = ResultCache::load(&path).unwrap();
-        assert_eq!(cache.len(), 1);
-        assert!(cache.lookup(&key, &p).is_some());
+        // The flat `key -> record` layout written before collision buckets
+        // existed, and a file cut off mid-record.
+        let bucketed = format!("{{\"{key}\": [{record}]}}");
+        for text in [
+            format!("{{\"{key}\": {record}}}"),
+            bucketed[..bucketed.len() / 2].to_string(),
+        ] {
+            std::fs::write(&path, text).unwrap();
+            let err = ResultCache::load(&path).expect_err("malformed cache loaded");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn seeds_with_fields_no_longer_captured_still_load() {
+        // A record cached while seeds still carried each placement's
+        // `fu_ordinal` and the seed's `fu_count`: loading reads declared
+        // fields only, so the stale extras are ignored.
+        let p = point("dwconv", CommLevel::Aligned);
+        let (record, _) = crate::sweep::evaluate_point(&p, &ResultCache::new(), None);
+        assert!(record.summary.as_ref().is_some_and(|s| s.seed.is_some()));
+        let stale = serde_json::to_string(&record)
+            .unwrap()
+            .replace("\"canonical\":", "\"fu_count\":16,\"canonical\":")
+            .replace("\"fu\":", "\"fu_ordinal\":0,\"fu\":");
+        assert!(stale.contains("fu_ordinal") && stale.contains("fu_count"));
+        let key = cache_key(&p);
+        let dir = std::env::temp_dir().join("plaid-explore-stale-seed-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cache.json");
+        std::fs::write(&path, format!("{{\"{key}\": [{stale}]}}")).unwrap();
+        let cache = ResultCache::load(&path).expect("stale seed fields are ignored");
+        assert_eq!(cache.lookup(&key, &p), Some(record));
         std::fs::remove_file(&path).ok();
     }
 

@@ -67,6 +67,6 @@ pub use shard::{
     merge_outcomes, partition_plan, run_sweep_sharded, shard_of, shard_plan, ShardSpec,
 };
 pub use sweep::{
-    default_mapper_for_class, evaluate_point, run_sweep, run_sweep_with, SweepOutcome, SweepPlan,
-    SweepPoint, SweepStats,
+    default_mapper_for_class, run_sweep, run_sweep_with, SweepOutcome, SweepPlan, SweepPoint,
+    SweepStats,
 };

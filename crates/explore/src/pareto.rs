@@ -99,7 +99,7 @@ impl FrontierReport {
         for record in records {
             match record.objectives() {
                 Some(obj) if obj.is_finite() => {
-                    // The captured warm-start seed is mapper-internal state:
+                    // The captured placement seed is mapper-internal state:
                     // its capacity certificate depends on how the II ladder
                     // was reached (cold vs. floored past a proven-infeasible
                     // prefix) even when the mapping itself is identical.

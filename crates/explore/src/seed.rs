@@ -1,4 +1,4 @@
-//! Cross-point seed management for warm-started sweeps.
+//! Cross-point seed management for seeded sweeps.
 //!
 //! A [`SeedStore`] indexes the [`PlacementSeed`]s captured by successful
 //! compilations (and the infeasibility proofs implied by failed ones) by
@@ -8,16 +8,12 @@
 //! the nearest cached neighbour under a provisioning distance metric and
 //! packages it as the [`MapSeed`] hint the mappers consume.
 //!
-//! Two retrieval policies exist (see [`SeedPolicy`]):
-//!
-//! * `Exact` only returns hints that are provably result-preserving — seeds
-//!   and infeasibility prefixes from the *same family* (identical fabric
-//!   structure, differing only in configuration depth). Sweeps stay
-//!   bit-identical to cold runs while skipping most of the mapping work on
-//!   the depth axis.
-//! * `Aggressive` additionally returns the nearest foreign-family seed as a
-//!   heuristic warm start, which can recover feasibility at lower IIs but
-//!   may produce different (never invalid) mappings than a cold run.
+//! Hints are only ever provably result-preserving: seeds that transfer to
+//! the target fabric (depth siblings with an identical signature, or
+//! communication siblings inside a seed's capacity certificate) and
+//! infeasibility prefixes from the same family. Seeded sweeps therefore stay
+//! bit-identical to cold runs while skipping most of the mapping work.
+//! [`SeedPolicy::Off`] turns the store off altogether.
 
 use std::collections::HashMap;
 use std::sync::RwLock;
@@ -34,12 +30,9 @@ use crate::sweep::SweepPoint;
 pub enum SeedPolicy {
     /// Never consult the seed store; every point maps from scratch.
     Off,
-    /// Only result-preserving reuse (same fabric structure, depth axis):
-    /// sweep results are bit-identical to a cold run.
+    /// Result-preserving reuse only: sweep results are bit-identical to a
+    /// cold run.
     Exact,
-    /// Exact reuse plus heuristic warm starts from the nearest foreign
-    /// design point (results remain valid but may differ from a cold run).
-    Aggressive,
 }
 
 impl SeedPolicy {
@@ -52,10 +45,7 @@ impl SeedPolicy {
         match name {
             "off" => Ok(SeedPolicy::Off),
             "exact" => Ok(SeedPolicy::Exact),
-            "aggressive" => Ok(SeedPolicy::Aggressive),
-            other => Err(format!(
-                "unknown seed policy `{other}` (off|exact|aggressive)"
-            )),
+            other => Err(format!("unknown seed policy `{other}` (off|exact)")),
         }
     }
 
@@ -64,7 +54,6 @@ impl SeedPolicy {
         match self {
             SeedPolicy::Off => "off",
             SeedPolicy::Exact => "exact",
-            SeedPolicy::Aggressive => "aggressive",
         }
     }
 }
@@ -215,15 +204,13 @@ impl SeedStore {
         true
     }
 
-    /// Builds the warm-start hint for a point about to compile on `arch`, or
+    /// Builds the seed hint for a point about to compile on `arch`, or
     /// `None` when the store has nothing useful (or the policy is `Off`).
     ///
-    /// Seed selection prefers provably transferable seeds — same fabric
-    /// signature (depth siblings) or a capacity certificate admitting this
-    /// fabric's switch capacities (communication siblings) — nearest first
-    /// under the provisioning distance. Under [`SeedPolicy::Aggressive`] the
-    /// nearest non-transferable seed is offered as a heuristic warm start
-    /// when no sound candidate exists.
+    /// Only provably transferable seeds are offered — same fabric signature
+    /// (depth siblings) or a capacity certificate admitting this fabric's
+    /// switch capacities (communication siblings) — nearest first under the
+    /// provisioning distance.
     pub fn hint_for(
         &self,
         point: &SweepPoint,
@@ -238,26 +225,19 @@ impl SeedStore {
         let nocap = plaid::pipeline::fabric_signature_nocap(arch);
         let capacities: Vec<u32> = arch.resources().iter().map(|r| r.kind.capacity()).collect();
         let inner = self.inner.read().expect("seed store lock poisoned");
-        let candidates = inner.seeds.get(&SeedFamily::super_of(point));
-        // The sound tier mirrors what `plan_ladder` will actually accept:
-        // only canonical seeds replay, so a nearer non-canonical seed must
-        // not shadow a replayable canonical sibling.
-        let mut seed = candidates.and_then(|entries| {
-            entries
-                .iter()
-                .filter(|(_, s)| s.canonical && s.transfers_to(fabric, nocap, &capacities))
-                .min_by_key(|(d, _)| provisioning_distance(d, &point.design))
-                .map(|(_, s)| s.clone())
-        });
-        if seed.is_none() && policy == SeedPolicy::Aggressive {
-            // Nearest seed regardless of transferability, as a warm start.
-            seed = candidates.and_then(|entries| {
+        // The filter mirrors what the mappers' ladder planner accepts: only
+        // canonical seeds replay (seeds from cache files may not be), so a
+        // nearer non-canonical seed must not shadow a replayable sibling.
+        let seed = inner
+            .seeds
+            .get(&SeedFamily::super_of(point))
+            .and_then(|entries| {
                 entries
                     .iter()
+                    .filter(|(_, s)| s.canonical && s.transfers_to(fabric, nocap, &capacities))
                     .min_by_key(|(d, _)| provisioning_distance(d, &point.design))
                     .map(|(_, s)| s.clone())
             });
-        }
         let infeasible = inner
             .infeasible
             .get(&SeedFamily::of(point))
@@ -269,11 +249,7 @@ impl SeedStore {
         if seed.is_none() && infeasible.is_none() {
             return None;
         }
-        Some(MapSeed {
-            seed,
-            infeasible,
-            allow_warm: policy == SeedPolicy::Aggressive,
-        })
+        Some(MapSeed { seed, infeasible })
     }
 
     /// Number of stored seeds across all families.
@@ -354,7 +330,8 @@ mod tests {
     fn store_absorbs_successes_and_serves_depth_sibling_hints() {
         let store = SeedStore::new();
         let p16 = point(16, CommLevel::Aligned);
-        let record = crate::sweep::evaluate_point(&p16, &crate::cache::ResultCache::new());
+        let (record, _) =
+            crate::sweep::evaluate_point(&p16, &crate::cache::ResultCache::new(), None);
         assert!(record.ok, "dwconv maps on the 2x2 baseline");
         store.absorb(&p16, &record);
         assert_eq!(store.seed_count(), 1);
@@ -367,16 +344,26 @@ mod tests {
             .hint_for(&p8, &arch8, fp(&p8), SeedPolicy::Exact)
             .expect("same family");
         assert!(hint.seed.is_some());
-        assert!(!hint.allow_warm);
         // Off never serves hints.
         assert!(store
             .hint_for(&p8, &arch8, fp(&p8), SeedPolicy::Off)
             .is_none());
-        // Aggressive mode always offers the nearest seed as a warm start.
+        // The lean sibling gets nothing: a PathFinder seed carries no
+        // capacity certificate, so it only transfers on an identical fabric.
         let lean = point(8, CommLevel::Lean);
         let lean_arch = lean.design.build();
-        let aggressive = store.hint_for(&lean, &lean_arch, fp(&lean), SeedPolicy::Aggressive);
-        assert!(aggressive.is_some_and(|h| h.seed.is_some() && h.allow_warm));
+        assert!(store
+            .hint_for(&lean, &lean_arch, fp(&lean), SeedPolicy::Exact)
+            .is_none());
+    }
+
+    #[test]
+    fn only_off_and_exact_parse() {
+        assert_eq!(SeedPolicy::parse("off"), Ok(SeedPolicy::Off));
+        assert_eq!(SeedPolicy::parse("exact"), Ok(SeedPolicy::Exact));
+        let err = SeedPolicy::parse("aggressive").unwrap_err();
+        assert!(err.contains("aggressive"), "{err}");
+        assert!(err.contains("off") && err.contains("exact"), "{err}");
     }
 
     #[test]
@@ -400,7 +387,8 @@ mod tests {
         };
         let store = SeedStore::new();
         let aligned = mk(CommLevel::Aligned);
-        let record = crate::sweep::evaluate_point(&aligned, &crate::cache::ResultCache::new());
+        let (record, _) =
+            crate::sweep::evaluate_point(&aligned, &crate::cache::ResultCache::new(), None);
         assert!(record.ok, "dwconv maps on plaid 2x2");
         store.absorb(&aligned, &record);
         let rich = mk(CommLevel::Rich);

@@ -16,7 +16,7 @@
 //! [`merge_outcomes`] reorders it into plan order, making the merged
 //! [`SweepOutcome`] — and, headline guarantee, the [`crate::FrontierReport`]
 //! JSON derived from it — byte-for-byte identical to an unsharded
-//! [`crate::run_sweep`]. Warm-start seeding stays *intra-shard* (each shard
+//! [`crate::run_sweep`]. Seeding stays *intra-shard* (each shard
 //! builds its own seed store), which is sound for [`SeedPolicy::Exact`]:
 //! exact seeding is result-preserving by contract, so per-shard seed
 //! visibility changes how much work is skipped, never what is produced. The
@@ -155,7 +155,7 @@ pub fn partition_plan(plan: &SweepPlan, count: u32) -> Vec<SweepPlan> {
 /// shard-local) cache.
 ///
 /// This is [`run_sweep_with`] over [`shard_plan`]: the shard gets its own
-/// seed store, so warm-start reuse never crosses shard boundaries — under
+/// seed store, so seed reuse never crosses shard boundaries — under
 /// [`SeedPolicy::Exact`] the mappings and metrics are identical to what an
 /// unsharded sweep produces for the same points (merely with fewer seeding
 /// opportunities); only the mapper-internal seed certificate inside each
@@ -424,7 +424,7 @@ mod tests {
         let a = run_sweep_with(&shards[0], &cache, SeedPolicy::Off);
         let b = run_sweep_with(&shards[1], &cache, SeedPolicy::Off);
         assert!(
-            merge_outcomes(&plan, &[a.clone()]).is_err(),
+            merge_outcomes(&plan, std::slice::from_ref(&a)).is_err(),
             "missing shard"
         );
         assert!(

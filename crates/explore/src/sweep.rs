@@ -7,10 +7,9 @@
 //! repeated sweeps only pay for points they have never seen.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use plaid::pipeline::{compile_workload_on, compile_workload_on_seeded, MapperChoice, SeedOutcome};
+use plaid::pipeline::{compile_workload, dfg_fingerprint, MapperChoice, SeedOutcome};
 use plaid_arch::{ArchClass, DesignPoint, SpaceSpec};
 use plaid_workloads::Workload;
 use rayon::prelude::*;
@@ -100,7 +99,7 @@ pub struct SweepStats {
     pub cache_hits: usize,
     /// Points whose compilation failed (counted within `compiled`).
     pub failures: usize,
-    /// Compiled points that had a warm-start hint available.
+    /// Compiled points that had a seed hint available.
     pub seeded: usize,
     /// Compiled points where seeding demonstrably skipped work: an exact
     /// replay, a floored (or fully skipped) II ladder.
@@ -130,31 +129,82 @@ pub struct SweepOutcome {
     pub stats: SweepStats,
 }
 
-/// Evaluates one sweep point, consulting (and populating) the cache.
-pub fn evaluate_point(point: &SweepPoint, cache: &ResultCache) -> EvalRecord {
+/// What seeding did for one evaluated point.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct SeedUse {
+    /// The point compiled with a hint available.
+    pub seeded: bool,
+    /// The hint demonstrably skipped work: an exact replay, a floored (or
+    /// fully skipped) II ladder.
+    pub hit: bool,
+}
+
+/// Evaluates one sweep point, consulting (and populating) the cache. With a
+/// seed store, the point also draws its hint from the store and feeds its
+/// outcome back into it; without one it maps from scratch.
+pub(crate) fn evaluate_point(
+    point: &SweepPoint,
+    cache: &ResultCache,
+    store: Option<&SeedStore>,
+) -> (EvalRecord, SeedUse) {
     let key = cache_key(point);
     if let Some(record) = cache.lookup(&key, point) {
-        return record;
+        // Cached successes still feed the store: their seeds warm the rest
+        // of the family (this is how a persisted cache seeds a new grid),
+        // and a replayed seed is re-validated on the target fabric. Cached
+        // *failures* are deliberately not absorbed: an infeasibility floor
+        // is trusted without re-validation, and a cache persisted by an
+        // older mapper could floor points the current mapper can map.
+        if let Some(store) = store {
+            store.absorb_seed(point, &record);
+        }
+        return (record, SeedUse::default());
     }
     let arch = point.design.build();
-    let record = match compile_workload_on(&point.workload, &arch, point.mapper) {
+    // Hints are stamped with the workload's DFG fingerprint so the mapper
+    // can verify they belong to the graph it is about to place (floors are
+    // keyed by workload name in the store; the mapper re-checks identity).
+    let hint = store.and_then(|store| {
+        let dfg = point.workload.lower().ok()?;
+        store.hint_for(point, &arch, dfg_fingerprint(&dfg), SeedPolicy::Exact)
+    });
+    let result = compile_workload(&point.workload, &arch, point.mapper, hint.as_ref());
+    let hit = match &result {
+        Ok(compiled) => matches!(
+            compiled.seed_outcome,
+            SeedOutcome::Replayed | SeedOutcome::Floored
+        ),
+        // A failure reached through a floored or fully skipped ladder also
+        // saved work (a canonical sibling seed above this point's II bound
+        // fast-fails the whole ladder).
+        Err(_) => hint.as_ref().is_some_and(|h| {
+            h.infeasible.is_some()
+                || h.seed
+                    .as_ref()
+                    .is_some_and(|s| s.canonical && s.ii > point.design.config_entries)
+        }),
+    };
+    let record = match result {
         Ok(compiled) => EvalRecord::succeeded(point, compiled.summary()),
         Err(e) => EvalRecord::failed(point, e.to_string()),
     };
     cache.insert(key, record.clone());
-    record
+    if let Some(store) = store {
+        store.absorb(point, &record);
+    }
+    let seeded = hint.is_some();
+    (record, SeedUse { seeded, hit })
 }
 
-/// Runs the plan with the default warm-start policy
-/// ([`SeedPolicy::Exact`], which preserves cold-run results bit-for-bit),
-/// returning records in plan order.
+/// Runs the plan with the default seed policy ([`SeedPolicy::Exact`], which
+/// preserves cold-run results bit-for-bit), returning records in plan order.
 ///
 /// Seeding changes the schedule, not the results: points sharing a seed
 /// super-family run sequentially (in depth order) so later points can reuse
 /// earlier seeds, and only distinct groups run in parallel. A plan that is
 /// one big family therefore trades per-point parallelism for seed reuse —
-/// pass [`SeedPolicy::Off`] to [`run_sweep_with`] to get the flat
-/// fully-parallel evaluation instead.
+/// pass [`SeedPolicy::Off`] to [`run_sweep_with`] to evaluate every point
+/// as its own parallel task instead.
 ///
 /// Cache hit/miss accounting in the returned [`SweepStats`] reflects only
 /// this pass (the cache's counters are reset on entry).
@@ -162,74 +212,51 @@ pub fn run_sweep(plan: &SweepPlan, cache: &ResultCache) -> SweepOutcome {
     run_sweep_with(plan, cache, SeedPolicy::Exact)
 }
 
-/// Runs the plan in parallel under an explicit warm-start policy.
+/// Runs the plan in parallel under an explicit seed policy.
 ///
-/// Points are grouped by seed *super-family* (workload × class × dimensions
-/// × mapper — the communication and depth axes erased) and each group is
-/// evaluated in ascending depth, aligned-communication-first order, so every
-/// group compiles one ladder cold and derives its siblings from the cached
+/// Under [`SeedPolicy::Exact`], points are grouped by seed *super-family*
+/// (workload × class × dimensions × mapper — the communication and depth
+/// axes erased) and each group is evaluated in ascending depth,
+/// aligned-communication-first order, so every group compiles one ladder
+/// cold and derives its siblings from the cached
 /// [`plaid::pipeline::PlacementSeed`]: an exact replay for depth siblings
 /// (identical fabric signature), a capacity-certified replay for
 /// communication siblings, and a skipped ladder prefix where a shallower
-/// sibling proved its ladder infeasible. Groups still run in parallel:
-/// each worker claims the next unstarted group when it finishes one, so a
-/// few expensive groups do not leave the other workers idle. Hints never
-/// cross groups, so neither the records nor the seeding counters depend on
-/// which worker ran a group. Records come back in plan order.
+/// sibling proved its ladder infeasible. Under [`SeedPolicy::Off`] there is
+/// no seed store and every point is a group of its own, so the sweep is the
+/// plain cold evaluation.
+///
+/// Groups run in parallel: each worker claims the next unstarted group when
+/// it finishes one, so a few expensive groups do not leave the other workers
+/// idle. Hints never cross groups, so neither the records nor the seeding
+/// counters depend on which worker ran a group. Records come back in plan
+/// order.
 pub fn run_sweep_with(plan: &SweepPlan, cache: &ResultCache, policy: SeedPolicy) -> SweepOutcome {
     let start = Instant::now();
     cache.reset_counters();
 
-    // The cold path stays flat: without seeding there is no reason to
-    // serialize points within a super-family, so every point is an
-    // independent parallel task (and the seed store is never built) — the
-    // `--no-seed` baseline measures exactly the pre-seeding sweep.
-    if policy == SeedPolicy::Off {
-        let records: Vec<EvalRecord> = plan
-            .points
-            .par_iter()
-            .map(|point| evaluate_point(point, cache))
-            .collect();
-        let cache_hits = cache.hits() as usize;
-        let failures = records.iter().filter(|r| !r.ok).count();
-        return SweepOutcome {
-            stats: SweepStats {
-                points: records.len(),
-                compiled: records.len() - cache_hits,
-                cache_hits,
-                failures,
-                seeded: 0,
-                seed_hits: 0,
-                wall_ms: start.elapsed().as_millis() as u64,
-            },
-            records,
-        };
-    }
-
-    let store = SeedStore::new();
-    let seeded = AtomicUsize::new(0);
-    let seed_hits = AtomicUsize::new(0);
-
-    let groups = group_points_for_seeding(plan);
-
-    let evaluated: Vec<Vec<(usize, EvalRecord)>> = groups
+    let (store, groups) = match policy {
+        SeedPolicy::Off => (None, (0..plan.len()).map(|i| vec![i]).collect()),
+        SeedPolicy::Exact => (Some(SeedStore::new()), group_points_for_seeding(plan)),
+    };
+    let evaluated: Vec<Vec<(usize, EvalRecord, SeedUse)>> = groups
         .par_iter()
         .map(|group| {
             group
                 .iter()
                 .map(|&i| {
-                    let point = &plan.points[i];
-                    (
-                        i,
-                        evaluate_point_seeded(point, cache, &store, policy, &seeded, &seed_hits),
-                    )
+                    let (record, used) = evaluate_point(&plan.points[i], cache, store.as_ref());
+                    (i, record, used)
                 })
                 .collect()
         })
         .collect();
 
     let mut slots: Vec<Option<EvalRecord>> = vec![None; plan.len()];
-    for (i, record) in evaluated.into_iter().flatten() {
+    let (mut seeded, mut seed_hits) = (0, 0);
+    for (i, record, used) in evaluated.into_iter().flatten() {
+        seeded += usize::from(used.seeded);
+        seed_hits += usize::from(used.hit);
         slots[i] = Some(record);
     }
     let records: Vec<EvalRecord> = slots
@@ -245,15 +272,15 @@ pub fn run_sweep_with(plan: &SweepPlan, cache: &ResultCache, policy: SeedPolicy)
             compiled: records.len() - cache_hits,
             cache_hits,
             failures,
-            seeded: seeded.load(Ordering::Relaxed),
-            seed_hits: seed_hits.load(Ordering::Relaxed),
+            seeded,
+            seed_hits,
             wall_ms: start.elapsed().as_millis() as u64,
         },
         records,
     }
 }
 
-/// Groups plan indices by seed super-family for a warm-started sweep,
+/// Groups plan indices by seed super-family for a seeded sweep,
 /// ordered by first appearance so the grouping is deterministic. Within a
 /// group: ascending depth (the cheap shallow ladder is a prefix of every
 /// deeper one), then the canonical communication scheduling order
@@ -281,69 +308,6 @@ fn group_points_for_seeding(plan: &SweepPlan) -> Vec<Vec<usize>> {
         });
     }
     groups
-}
-
-/// Evaluates one point with warm-start seeding, consulting (and feeding)
-/// both the result cache and the seed store.
-fn evaluate_point_seeded(
-    point: &SweepPoint,
-    cache: &ResultCache,
-    store: &SeedStore,
-    policy: SeedPolicy,
-    seeded: &AtomicUsize,
-    seed_hits: &AtomicUsize,
-) -> EvalRecord {
-    let key = cache_key(point);
-    if let Some(record) = cache.lookup(&key, point) {
-        // Cached successes still feed the store: their seeds warm the rest
-        // of the family (this is how a persisted cache seeds a new grid),
-        // and a replayed seed is re-validated on the target fabric. Cached
-        // *failures* are deliberately not absorbed: an infeasibility floor
-        // is trusted without re-validation, and a cache persisted by an
-        // older mapper could floor points the current mapper can map.
-        store.absorb_seed(point, &record);
-        return record;
-    }
-    let arch = point.design.build();
-    // Hints are stamped with the workload's DFG fingerprint so the mapper
-    // can verify they belong to the graph it is about to place (floors are
-    // keyed by workload name in the store; the mapper re-checks identity).
-    let hint = point.workload.lower().ok().and_then(|dfg| {
-        store.hint_for(point, &arch, plaid::pipeline::dfg_fingerprint(&dfg), policy)
-    });
-    if hint.is_some() {
-        seeded.fetch_add(1, Ordering::Relaxed);
-    }
-    let record =
-        match compile_workload_on_seeded(&point.workload, &arch, point.mapper, hint.as_ref()) {
-            Ok(compiled) => {
-                if matches!(
-                    compiled.seed_outcome,
-                    SeedOutcome::Replayed | SeedOutcome::Floored
-                ) {
-                    seed_hits.fetch_add(1, Ordering::Relaxed);
-                }
-                EvalRecord::succeeded(point, compiled.summary())
-            }
-            Err(e) => {
-                // A failure reached through a floored or fully skipped
-                // ladder also saved work (a canonical sibling seed above
-                // this point's II bound fast-fails the whole ladder).
-                let skipped_work = hint.as_ref().is_some_and(|h| {
-                    h.infeasible.is_some()
-                        || h.seed
-                            .as_ref()
-                            .is_some_and(|s| s.canonical && s.ii > point.design.config_entries)
-                });
-                if skipped_work {
-                    seed_hits.fetch_add(1, Ordering::Relaxed);
-                }
-                EvalRecord::failed(point, e.to_string())
-            }
-        };
-    cache.insert(key, record.clone());
-    store.absorb(point, &record);
-    record
 }
 
 #[cfg(test)]

@@ -67,7 +67,7 @@ pub use pathfinder::{PathFinderMapper, PathFinderOptions};
 pub use plaid::{PlaidMapper, PlaidMapperOptions};
 pub use sa::{SaMapper, SaOptions};
 pub use seed::{
-    dfg_fingerprint, fabric_signature, fabric_signature_nocap, InfeasiblePrefix, MapSeed,
+    dfg_fingerprint, fabric_signature, fabric_signature_nocap, fnv1a64, InfeasiblePrefix, MapSeed,
     PlacementSeed, SeedOutcome, SeededMapping,
 };
 pub use spatial::{SpatialMapper, SpatialOptions, SpatialSchedule};

@@ -14,13 +14,10 @@ use plaid_dfg::{Adjacency, Dfg, EdgeId, NodeId};
 
 use crate::error::MapError;
 use crate::mapping::Mapping;
-use crate::mii::mii;
-use crate::placement::{greedy_place, place_node_best_effort, MapState};
+use crate::placement::{greedy_place, MapState};
 use crate::route::{HardCapacityCost, NegotiatedCost};
-use crate::seed::{
-    apply_seed_placement, options_fingerprint, plan_ladder, LadderPlan, MapSeed, PlacementSeed,
-    SeedContext, SeedOutcome, SeededMapping,
-};
+use crate::seed::{map_seeded, options_fingerprint, LadderSearch, MapSeed, SeededMapping};
+use crate::state::CapacityCert;
 use crate::Mapper;
 
 /// Options of the PathFinder mapper.
@@ -58,37 +55,12 @@ impl PathFinderMapper {
         dfg: &'a Dfg,
         arch: &'a Architecture,
         ii: u32,
-        warm: Option<&PlacementSeed>,
         dfg_adj: &Arc<Adjacency>,
     ) -> Option<MapState<'a>> {
         let mut state = MapState::with_adjacency(dfg, arch, ii, Arc::clone(dfg_adj));
         // Placement uses the hard-capacity policy so the starting point is
-        // already congestion-aware; negotiation then owns the routing. A
-        // warm seed pre-places what translates onto the new fabric and the
-        // rest completes greedily; if the seeded start is unusable the
-        // attempt falls back to pure greedy placement.
-        let mut placed_ok = false;
-        if let Some(seed) = warm {
-            apply_seed_placement(&mut state, seed);
-            if let Ok(order) = dfg.topological_order() {
-                placed_ok = true;
-                for node in order {
-                    if !state.placements.contains_key(&node)
-                        && !place_node_best_effort(&mut state, node, &HardCapacityCost)
-                    {
-                        placed_ok = false;
-                        break;
-                    }
-                }
-            }
-            if placed_ok && !state.timing_ok() {
-                placed_ok = false;
-            }
-            if !placed_ok {
-                state = MapState::with_adjacency(dfg, arch, ii, Arc::clone(dfg_adj));
-            }
-        }
-        if !placed_ok && !greedy_place(&mut state, &HardCapacityCost) {
+        // already congestion-aware; negotiation then owns the routing.
+        if !greedy_place(&mut state, &HardCapacityCost) {
             return None;
         }
         if !state.timing_ok() {
@@ -116,13 +88,9 @@ impl PathFinderMapper {
 }
 
 impl PathFinderMapper {
-    /// Maps with an optional warm-start hint.
-    ///
-    /// A canonical same-fabric seed replays directly (bit-identical to the
-    /// cold result); a proven-infeasible ladder prefix raises the starting
-    /// II; a foreign-fabric seed warm-starts negotiation *after* the scratch
-    /// attempt fails at an II, so a seeded run never reaches a worse II than
-    /// the unseeded run on the same point.
+    /// Maps with an optional seed hint: a sound seed replays, a proven
+    /// infeasible prefix raises the starting II, and the result is always
+    /// the one a cold run of this point produces (see [`crate::seed`]).
     ///
     /// # Errors
     ///
@@ -133,76 +101,41 @@ impl PathFinderMapper {
         arch: &Architecture,
         hint: Option<&MapSeed>,
     ) -> Result<SeededMapping, MapError> {
-        if dfg.memory_node_count() > 0 && arch.memory_unit_count() == 0 {
-            return Err(MapError::UnsupportedDfg(
-                "DFG contains memory operations but the architecture has no memory-capable unit"
-                    .into(),
-            ));
-        }
-        let ctx = SeedContext::of(dfg, arch);
-        let fingerprint = options_fingerprint(&self.options);
-        let start = mii(dfg, arch);
-        let max_ii = self.options.max_ii.unwrap_or(arch.params().max_ii());
-        let infeasible = || MapError::NoValidMapping {
-            kernel: dfg.name().to_string(),
-            arch: arch.name().to_string(),
-            max_ii,
-        };
-        let (start, warm, floored) =
-            match plan_ladder(hint, &ctx, self.name(), fingerprint, start, max_ii) {
-                LadderPlan::Infeasible => return Err(infeasible()),
-                LadderPlan::Replay(seed) => {
-                    if let Some(mapping) = seed.replay(dfg, arch) {
-                        return Ok(SeededMapping {
-                            seed: PlacementSeed::capture_inherited(
-                                dfg,
-                                &mapping,
-                                arch,
-                                fingerprint,
-                                seed,
-                            ),
-                            mapping,
-                            outcome: SeedOutcome::Replayed,
-                        });
-                    }
-                    (start, None, false)
-                }
-                LadderPlan::Ladder {
-                    start,
-                    warm,
-                    floored,
-                } => (start, warm, floored),
-            };
-        // One adjacency index serves every II attempt of the ladder.
-        let dfg_adj = Arc::new(Adjacency::of(dfg));
-        for ii in start..=max_ii {
-            if let Some(state) = self.attempt_ii(dfg, arch, ii, None, &dfg_adj) {
-                let mapping = state.into_mapping(self.name());
-                mapping.validate(dfg, arch)?;
-                let outcome = if floored {
-                    SeedOutcome::Floored
-                } else {
-                    SeedOutcome::Scratch
-                };
-                return Ok(SeededMapping {
-                    seed: PlacementSeed::capture(dfg, &mapping, arch, fingerprint, true),
-                    mapping,
-                    outcome,
-                });
-            }
-            if let Some(seed) = warm {
-                if let Some(state) = self.attempt_ii(dfg, arch, ii, Some(seed), &dfg_adj) {
-                    let mapping = state.into_mapping(self.name());
-                    mapping.validate(dfg, arch)?;
-                    return Ok(SeededMapping {
-                        seed: PlacementSeed::capture(dfg, &mapping, arch, fingerprint, false),
-                        mapping,
-                        outcome: SeedOutcome::WarmStarted,
-                    });
-                }
-            }
-        }
-        Err(infeasible())
+        map_seeded(self, dfg, arch, hint)
+    }
+}
+
+impl LadderSearch for PathFinderMapper {
+    /// One adjacency index serves every II attempt of the ladder.
+    type Shared = Arc<Adjacency>;
+
+    fn fingerprint(&self) -> u64 {
+        options_fingerprint(&self.options)
+    }
+
+    fn max_ii(&self) -> Option<u32> {
+        self.options.max_ii
+    }
+
+    fn prepare(&self, dfg: &Dfg, _arch: &Architecture) -> Arc<Adjacency> {
+        Arc::new(Adjacency::of(dfg))
+    }
+
+    fn attempt(
+        &self,
+        shared: &Arc<Adjacency>,
+        dfg: &Dfg,
+        arch: &Architecture,
+        ii: u32,
+    ) -> Option<Mapping> {
+        self.attempt_ii(dfg, arch, ii, shared)
+            .map(|state| state.into_mapping(self.name()))
+    }
+
+    /// Negotiation costs read switch capacities directly, so a PathFinder
+    /// result never transfers across capacities.
+    fn certificate(_shared: &Arc<Adjacency>) -> Option<&CapacityCert> {
+        None
     }
 }
 
@@ -233,6 +166,7 @@ pub fn placements_are_exclusive(mapping: &Mapping) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mii::mii;
     use plaid_arch::{plaid, spatio_temporal};
     use plaid_dfg::kernel::{AffineExpr, Expr, KernelBuilder};
     use plaid_dfg::lower::{lower_kernel, LoweringOptions};

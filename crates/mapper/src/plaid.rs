@@ -22,16 +22,13 @@ use plaid_motif::{
 
 use crate::error::MapError;
 use crate::mapping::Mapping;
-use crate::mii::mii;
 use crate::placement::{place_node_best_effort, LadderShared, MapState};
 use crate::route::HardCapacityCost;
+use crate::state::CapacityCert;
 use std::sync::Arc;
 
 use crate::sa::attempt_rng;
-use crate::seed::{
-    options_fingerprint, plan_ladder, LadderPlan, MapSeed, PlacementSeed, SeedContext, SeedOutcome,
-    SeededMapping,
-};
+use crate::seed::{map_seeded, options_fingerprint, LadderSearch, MapSeed, SeededMapping};
 use crate::Mapper;
 
 /// Options of the Plaid mapper.
@@ -346,12 +343,9 @@ fn kind_matches(pattern: HardwiredPattern, kind: MotifKind) -> bool {
 }
 
 impl PlaidMapper {
-    /// Maps with an optional warm-start hint.
-    ///
-    /// The Plaid mapper consumes the two *sound* seeding tiers — exact
-    /// replay of a canonical same-fabric seed and ladder flooring past a
-    /// proven-infeasible prefix — and ignores heuristic foreign-fabric
-    /// seeds (motif templates do not translate across cluster layouts).
+    /// Maps with an optional seed hint: a sound seed replays, a proven
+    /// infeasible prefix raises the starting II, and the result is always
+    /// the one a cold run of this point produces (see [`crate::seed`]).
     ///
     /// # Errors
     ///
@@ -362,42 +356,25 @@ impl PlaidMapper {
         arch: &Architecture,
         hint: Option<&MapSeed>,
     ) -> Result<SeededMapping, MapError> {
-        if dfg.memory_node_count() > 0 && arch.memory_unit_count() == 0 {
-            return Err(MapError::UnsupportedDfg(
-                "DFG contains memory operations but the architecture has no memory-capable unit"
-                    .into(),
-            ));
-        }
-        let ctx = SeedContext::of(dfg, arch);
-        let fingerprint = options_fingerprint(&self.options);
-        let start = mii(dfg, arch);
-        let max_ii = self.options.max_ii.unwrap_or(arch.params().max_ii());
-        let infeasible = || MapError::NoValidMapping {
-            kernel: dfg.name().to_string(),
-            arch: arch.name().to_string(),
-            max_ii,
-        };
-        let (start, floored) =
-            match plan_ladder(hint, &ctx, self.name(), fingerprint, start, max_ii) {
-                LadderPlan::Infeasible => return Err(infeasible()),
-                LadderPlan::Replay(seed) => {
-                    if let Some(mapping) = seed.replay(dfg, arch) {
-                        return Ok(SeededMapping {
-                            seed: PlacementSeed::capture_inherited(
-                                dfg,
-                                &mapping,
-                                arch,
-                                fingerprint,
-                                seed,
-                            ),
-                            mapping,
-                            outcome: SeedOutcome::Replayed,
-                        });
-                    }
-                    (start, false)
-                }
-                LadderPlan::Ladder { start, floored, .. } => (start, floored),
-            };
+        map_seeded(self, dfg, arch, hint)
+    }
+}
+
+impl LadderSearch for PlaidMapper {
+    /// The hierarchical DFG plus the ladder's capacity certificate and
+    /// adjacency index. Motif identification runs here, after the replay
+    /// decision, so a replayed point never pays for it.
+    type Shared = (HierarchicalDfg, LadderShared);
+
+    fn fingerprint(&self) -> u64 {
+        options_fingerprint(&self.options)
+    }
+
+    fn max_ii(&self) -> Option<u32> {
+        self.options.max_ii
+    }
+
+    fn prepare(&self, dfg: &Dfg, arch: &Architecture) -> Self::Shared {
         // On non-Plaid fabrics every cluster has a single ALU, so motifs are
         // mapped node-by-node; the hierarchical strategy only pays off on the
         // PCU array, which is exactly the paper's observation in Figure 18.
@@ -406,40 +383,23 @@ impl PlaidMapper {
         } else {
             HierarchicalDfg::new(dfg, Vec::new())
         };
-        // One capacity certificate accumulates across the whole ladder so
-        // the captured seed can prove its result transfers to
-        // differently-provisioned networks.
-        let shared = LadderShared::of(dfg, arch);
-        for ii in start..=max_ii {
-            // Per-II RNG: each attempt is a pure function of
-            // (dfg, fabric, ii), which is what makes ladder prefixes
-            // transferable across configuration depths.
-            let mut rng = attempt_rng(self.options.seed, ii);
-            if let Some(state) = self.attempt_ii(dfg, arch, &hdfg, ii, &mut rng, &shared) {
-                let mapping = state.into_mapping(self.name());
-                mapping.validate(dfg, arch)?;
-                let (outcome, run_cert) = if floored {
-                    // Canonical but not transferable: the certificate does
-                    // not cover the skipped (proved-infeasible) prefix.
-                    (SeedOutcome::Floored, None)
-                } else {
-                    (SeedOutcome::Scratch, Some(&*shared.cert))
-                };
-                return Ok(SeededMapping {
-                    seed: PlacementSeed::capture_with_cert(
-                        dfg,
-                        &mapping,
-                        arch,
-                        fingerprint,
-                        true,
-                        run_cert,
-                    ),
-                    mapping,
-                    outcome,
-                });
-            }
-        }
-        Err(infeasible())
+        (hdfg, LadderShared::of(dfg, arch))
+    }
+
+    fn attempt(
+        &self,
+        (hdfg, shared): &Self::Shared,
+        dfg: &Dfg,
+        arch: &Architecture,
+        ii: u32,
+    ) -> Option<Mapping> {
+        let mut rng = attempt_rng(self.options.seed, ii);
+        self.attempt_ii(dfg, arch, hdfg, ii, &mut rng, shared)
+            .map(|state| state.into_mapping(self.name()))
+    }
+
+    fn certificate((_, shared): &Self::Shared) -> Option<&CapacityCert> {
+        Some(&shared.cert)
     }
 }
 
@@ -456,6 +416,7 @@ impl Mapper for PlaidMapper {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mii::mii;
     use plaid_arch::plaid as plaid_fabric;
     use plaid_arch::{spatio_temporal, specialize};
     use plaid_dfg::kernel::{AffineExpr, Expr, KernelBuilder};

@@ -15,15 +15,12 @@ use plaid_dfg::{Dfg, NodeId};
 
 use crate::error::MapError;
 use crate::mapping::Mapping;
-use crate::mii::mii;
-use crate::placement::{greedy_place, place_node_best_effort, LadderShared, MapState};
+use crate::placement::{greedy_place, LadderShared, MapState};
 use crate::route::HardCapacityCost;
+use crate::state::CapacityCert;
 use std::sync::Arc;
 
-use crate::seed::{
-    apply_seed_placement, options_fingerprint, plan_ladder, LadderPlan, MapSeed, PlacementSeed,
-    SeedContext, SeedOutcome, SeededMapping,
-};
+use crate::seed::{map_seeded, options_fingerprint, LadderSearch, MapSeed, SeededMapping};
 use crate::Mapper;
 
 /// Annealing move candidates considered per move. Kept small so a move stays
@@ -44,8 +41,8 @@ fn sample_move_candidates(rng: &mut SmallRng, len: usize) -> Vec<usize> {
 
 /// Derives the per-II RNG. Each II attempt gets an independent stream that
 /// depends only on `(seed, ii)`, making every attempt a pure function of
-/// `(dfg, fabric, ii)` — the property that lets warm-start seeding skip or
-/// replay ladder prefixes without changing results.
+/// `(dfg, fabric, ii)` — the property that lets seeding skip or replay
+/// ladder prefixes without changing results.
 pub(crate) fn attempt_rng(seed: u64, ii: u32) -> SmallRng {
     SmallRng::seed_from_u64(seed ^ (u64::from(ii) + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
@@ -90,16 +87,13 @@ impl SaMapper {
         SaMapper { options }
     }
 
-    /// Attempts a single II; returns a complete state on success. When
-    /// `warm` is given, the initial placement starts from the translated
-    /// seed (falling back to greedy for nodes the seed cannot place).
+    /// Attempts a single II; returns a complete state on success.
     fn attempt_ii<'a>(
         &self,
         dfg: &'a Dfg,
         arch: &'a Architecture,
         ii: u32,
         rng: &mut SmallRng,
-        warm: Option<&PlacementSeed>,
         shared: &LadderShared,
     ) -> Option<MapState<'a>> {
         let policy = HardCapacityCost;
@@ -110,20 +104,7 @@ impl SaMapper {
             Arc::clone(&shared.cert),
             Arc::clone(&shared.adj),
         );
-        let seeded_start = match warm {
-            Some(seed) => {
-                apply_seed_placement(&mut state, seed);
-                let order = dfg.topological_order().ok()?;
-                for node in order {
-                    if !state.placements.contains_key(&node) {
-                        let _ = place_node_best_effort(&mut state, node, &policy);
-                    }
-                }
-                true
-            }
-            None => false,
-        };
-        if !seeded_start && !greedy_place(&mut state, &policy) {
+        if !greedy_place(&mut state, &policy) {
             // Loose fallback: place the remaining nodes anywhere legal so that
             // annealing has a full (if poor) starting point.
             let unplaced: Vec<NodeId> = dfg
@@ -133,19 +114,6 @@ impl SaMapper {
             for node in unplaced {
                 let placed = place_anywhere(&mut state, node);
                 if !placed {
-                    return None;
-                }
-            }
-        }
-        if seeded_start {
-            // Any node neither the seed nor greedy completion could place
-            // still needs a slot before annealing can repair routes.
-            let unplaced: Vec<NodeId> = dfg
-                .node_ids()
-                .filter(|n| !state.placements.contains_key(n))
-                .collect();
-            for node in unplaced {
-                if !place_anywhere(&mut state, node) {
                     return None;
                 }
             }
@@ -252,13 +220,9 @@ fn place_anywhere(state: &mut MapState<'_>, node: NodeId) -> bool {
 }
 
 impl SaMapper {
-    /// Maps with an optional warm-start hint.
-    ///
-    /// A canonical same-fabric seed replays directly (bit-identical to the
-    /// cold result); a proven-infeasible ladder prefix raises the starting
-    /// II; a foreign-fabric seed warm-starts each annealing attempt *after*
-    /// the scratch attempt fails, so a seeded run never reaches a worse II
-    /// than the unseeded run on the same point.
+    /// Maps with an optional seed hint: a sound seed replays, a proven
+    /// infeasible prefix raises the starting II, and the result is always
+    /// the one a cold run of this point produces (see [`crate::seed`]).
     ///
     /// # Errors
     ///
@@ -269,96 +233,43 @@ impl SaMapper {
         arch: &Architecture,
         hint: Option<&MapSeed>,
     ) -> Result<SeededMapping, MapError> {
-        if dfg.memory_node_count() > 0 && arch.memory_unit_count() == 0 {
-            return Err(MapError::UnsupportedDfg(
-                "DFG contains memory operations but the architecture has no memory-capable unit"
-                    .into(),
-            ));
-        }
-        let ctx = SeedContext::of(dfg, arch);
-        let fingerprint = options_fingerprint(&self.options);
-        let start = mii(dfg, arch);
-        let max_ii = self.options.max_ii.unwrap_or(arch.params().max_ii());
-        let infeasible = || MapError::NoValidMapping {
-            kernel: dfg.name().to_string(),
-            arch: arch.name().to_string(),
-            max_ii,
-        };
-        let (start, warm, floored) =
-            match plan_ladder(hint, &ctx, self.name(), fingerprint, start, max_ii) {
-                LadderPlan::Infeasible => return Err(infeasible()),
-                LadderPlan::Replay(seed) => {
-                    if let Some(mapping) = seed.replay(dfg, arch) {
-                        return Ok(SeededMapping {
-                            seed: PlacementSeed::capture_inherited(
-                                dfg,
-                                &mapping,
-                                arch,
-                                fingerprint,
-                                seed,
-                            ),
-                            mapping,
-                            outcome: SeedOutcome::Replayed,
-                        });
-                    }
-                    // Corrupt or mismatched seed: fall back to the scratch
-                    // ladder, which is always sound.
-                    (start, None, false)
-                }
-                LadderPlan::Ladder {
-                    start,
-                    warm,
-                    floored,
-                } => (start, warm, floored),
-            };
-        // The capacity certificate accumulates across the entire ladder (all
-        // II attempts, including failed ones), so the captured seed can
-        // prove its result transfers to differently-provisioned networks;
-        // the adjacency index likewise serves every attempt.
-        let shared = LadderShared::of(dfg, arch);
-        for ii in start..=max_ii {
-            let mut rng = attempt_rng(self.options.seed, ii);
-            // Scratch attempt first: when it succeeds the result is exactly
-            // the unseeded one; the warm attempt only runs on IIs the
-            // scratch search cannot close.
-            if let Some(state) = self.attempt_ii(dfg, arch, ii, &mut rng, None, &shared) {
-                let mapping = state.into_mapping(self.name());
-                mapping.validate(dfg, arch)?;
-                // Floored results are canonical (the skipped prefix was
-                // proved infeasible on this fabric) but not transferable:
-                // the certificate does not cover the skipped attempts.
-                let (outcome, run_cert) = if floored {
-                    (SeedOutcome::Floored, None)
-                } else {
-                    (SeedOutcome::Scratch, Some(&*shared.cert))
-                };
-                return Ok(SeededMapping {
-                    seed: PlacementSeed::capture_with_cert(
-                        dfg,
-                        &mapping,
-                        arch,
-                        fingerprint,
-                        true,
-                        run_cert,
-                    ),
-                    mapping,
-                    outcome,
-                });
-            }
-            if let Some(seed) = warm {
-                let mut rng = attempt_rng(self.options.seed ^ 0x5EED_CAFE, ii);
-                if let Some(state) = self.attempt_ii(dfg, arch, ii, &mut rng, Some(seed), &shared) {
-                    let mapping = state.into_mapping(self.name());
-                    mapping.validate(dfg, arch)?;
-                    return Ok(SeededMapping {
-                        seed: PlacementSeed::capture(dfg, &mapping, arch, fingerprint, false),
-                        mapping,
-                        outcome: SeedOutcome::WarmStarted,
-                    });
-                }
-            }
-        }
-        Err(infeasible())
+        map_seeded(self, dfg, arch, hint)
+    }
+}
+
+impl LadderSearch for SaMapper {
+    /// The capacity certificate and adjacency index of the whole ladder:
+    /// the certificate accumulates across every attempt, failed ones
+    /// included, so the captured seed can prove its result transfers to
+    /// differently-provisioned networks.
+    type Shared = LadderShared;
+
+    fn fingerprint(&self) -> u64 {
+        options_fingerprint(&self.options)
+    }
+
+    fn max_ii(&self) -> Option<u32> {
+        self.options.max_ii
+    }
+
+    fn prepare(&self, dfg: &Dfg, arch: &Architecture) -> LadderShared {
+        LadderShared::of(dfg, arch)
+    }
+
+    fn attempt(
+        &self,
+        shared: &LadderShared,
+        dfg: &Dfg,
+        arch: &Architecture,
+        ii: u32,
+    ) -> Option<Mapping> {
+        let mut rng = attempt_rng(self.options.seed, ii);
+        self.attempt_ii(dfg, arch, ii, &mut rng, shared)
+            .map(|state| state.into_mapping(self.name()))
+    }
+
+    fn certificate(shared: &LadderShared) -> Option<&CapacityCert> {
+        Some(&shared.cert)
     }
 }
 
@@ -375,6 +286,7 @@ impl Mapper for SaMapper {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mii::mii;
     use plaid_arch::{plaid, spatio_temporal};
     use plaid_dfg::kernel::{AffineExpr, Expr, KernelBuilder};
     use plaid_dfg::lower::{lower_kernel, LoweringOptions};

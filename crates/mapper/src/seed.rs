@@ -1,5 +1,5 @@
-//! Warm-start placement seeds: serializable mapping snapshots that let a
-//! mapper skip work already done for a structurally related design point.
+//! Placement seeds: serializable mapping snapshots that let a mapper skip
+//! work already done for a structurally related design point.
 //!
 //! A [`PlacementSeed`] captures the full solution of one successful mapping —
 //! placements, routes and the achieved II — together with a *fabric
@@ -10,32 +10,31 @@
 //! the routing structure, so design points that differ only in depth share a
 //! signature.
 //!
-//! Two reuse tiers follow from that:
-//!
-//! * **Exact replay** — when the seed's signature, mapper and options match
-//!   the target and every per-II attempt is a pure function of
-//!   `(dfg, fabric, ii)` (the mappers reseed their RNG per II), the target's
-//!   ladder provably reproduces the seed's result. The seed is re-validated
-//!   on the target fabric and returned directly; sweep results are
-//!   bit-identical to a cold run.
-//! * **Heuristic warm start** — across signatures (neighbouring
-//!   communication levels or array dimensions) the seed's placement is
-//!   translated by functional-unit ordinal and used as the starting point of
-//!   annealing / negotiation, falling back to greedy placement whenever a
-//!   translated assignment is infeasible on the new fabric.
+//! One reuse tier follows from that: **exact replay**. When the seed's
+//! signature (or capacity certificate), mapper and options match the target
+//! and every per-II attempt is a pure function of `(dfg, fabric, ii)` (the
+//! mappers reseed their RNG per II), the target's ladder provably reproduces
+//! the seed's result. The seed is re-validated on the target fabric and
+//! returned directly; sweep results are bit-identical to a cold run.
 //!
 //! An [`InfeasiblePrefix`] transfers the complementary fact: a ladder that
 //! failed through II `k` on the same fabric structure proves every `ii <= k`
 //! infeasible, so a deeper configuration memory can start its ladder at
 //! `k + 1`.
+//!
+//! Both are applied by one ladder driver shared by the SA, PathFinder and
+//! Plaid mappers; each mapper supplies only its per-II attempt
+//! (`LadderSearch`).
 
 use serde::{Deserialize, Serialize};
 
 use plaid_arch::{Architecture, ResourceId, ResourceKind};
 use plaid_dfg::{Dfg, EdgeId, NodeId};
 
+use crate::error::MapError;
 use crate::mapping::{Mapping, Placement, Route, RouteHop};
-use crate::placement::MapState;
+use crate::state::CapacityCert;
+use crate::Mapper;
 
 /// FNV-1a over a stream of words (stable across platforms and runs).
 #[derive(Debug, Clone, Copy)]
@@ -59,6 +58,14 @@ impl Fnv {
             self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
         }
     }
+}
+
+/// FNV-1a, 64 bit, over a byte string. Stable across platforms and runs
+/// (unlike `DefaultHasher`), so the hash is safe to persist.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h = Fnv::new();
+    h.bytes(bytes);
+    h.0
 }
 
 /// Content hash of everything the mapping search can observe about a fabric:
@@ -156,9 +163,6 @@ pub struct SeedPlacement {
     pub node: u32,
     /// Functional-unit resource id on the source fabric.
     pub fu: u32,
-    /// Ordinal of `fu` among the source fabric's functional units, used to
-    /// translate the placement onto fabrics with a different layout.
-    pub fu_ordinal: u32,
     /// Absolute schedule cycle.
     pub cycle: u32,
 }
@@ -181,8 +185,8 @@ pub struct SeedRoute {
     pub hops: Vec<SeedHop>,
 }
 
-/// A serializable snapshot of one successful mapping, reusable as a
-/// warm-start seed for related design points.
+/// A serializable snapshot of one successful mapping, reusable as a seed
+/// for related design points.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PlacementSeed {
     /// Name of the mapper that produced the mapping (`Mapper::name`).
@@ -195,12 +199,9 @@ pub struct PlacementSeed {
     pub fabric: u64,
     /// Achieved initiation interval.
     pub ii: u32,
-    /// Functional units on the source fabric (for ordinal translation).
-    pub fu_count: u32,
     /// Whether the mapping is the canonical (scratch-equivalent) result for
-    /// its design point. Only canonical seeds are eligible for exact replay;
-    /// heuristically warm-started results are marked non-canonical so they
-    /// never masquerade as what a cold run would have produced.
+    /// its design point. Every capture is canonical; only canonical seeds
+    /// replay, which guards against seeds loaded from cache files.
     pub canonical: bool,
     /// Fabric signature with switch capacities erased (see
     /// [`fabric_signature_nocap`]).
@@ -224,14 +225,8 @@ impl PlacementSeed {
     /// Captures a seed from a finished mapping on the architecture it was
     /// produced for, without a capacity certificate (the seed replays only
     /// on fabrics with an identical full signature).
-    pub fn capture(
-        dfg: &Dfg,
-        mapping: &Mapping,
-        arch: &Architecture,
-        options: u64,
-        canonical: bool,
-    ) -> Self {
-        Self::capture_with_cert(dfg, mapping, arch, options, canonical, None)
+    pub fn capture(dfg: &Dfg, mapping: &Mapping, arch: &Architecture, options: u64) -> Self {
+        Self::capture_with_cert(dfg, mapping, arch, options, None)
     }
 
     /// Captures a seed carrying the capacity certificate of the ladder run
@@ -242,18 +237,14 @@ impl PlacementSeed {
         mapping: &Mapping,
         arch: &Architecture,
         options: u64,
-        canonical: bool,
-        cert: Option<&crate::state::CapacityCert>,
+        cert: Option<&CapacityCert>,
     ) -> Self {
-        let fus: Vec<ResourceId> = arch.functional_units().map(|r| r.id).collect();
-        let ordinal_of = |fu: ResourceId| fus.iter().position(|&f| f == fu).unwrap_or(0) as u32;
         let mut placements: Vec<SeedPlacement> = mapping
             .placements
             .iter()
             .map(|(&node, p)| SeedPlacement {
                 node: node.0,
                 fu: p.fu.0,
-                fu_ordinal: ordinal_of(p.fu),
                 cycle: p.cycle,
             })
             .collect();
@@ -280,8 +271,7 @@ impl PlacementSeed {
             dfg: dfg_fingerprint(dfg),
             fabric: fabric_signature(arch),
             ii: mapping.ii,
-            fu_count: fus.len() as u32,
-            canonical,
+            canonical: true,
             fabric_nocap: fabric_signature_nocap(arch),
             cap_need: cert.map(|c| c.need()).unwrap_or_default(),
             cap_ceil: cert.map(|c| c.ceil()).unwrap_or_default(),
@@ -302,17 +292,10 @@ impl PlacementSeed {
         options: u64,
         source: &PlacementSeed,
     ) -> Self {
-        let mut seed = Self::capture(dfg, mapping, arch, options, true);
+        let mut seed = Self::capture(dfg, mapping, arch, options);
         seed.cap_need = source.cap_need.clone();
         seed.cap_ceil = source.cap_ceil.clone();
         seed
-    }
-
-    /// Whether this seed is eligible for exact replay on a fabric with
-    /// signature `fabric` for a mapper named `mapper` running under options
-    /// fingerprint `options`.
-    pub fn replay_eligible(&self, fabric: u64, mapper: &str, options: u64) -> bool {
-        self.canonical && self.fabric == fabric && self.mapper == mapper && self.options == options
     }
 
     /// Whether the ladder run behind this seed provably reproduces on a
@@ -416,29 +399,14 @@ pub struct InfeasiblePrefix {
     pub through_ii: u32,
 }
 
-/// The warm-start hint threaded through `compile_workload_on` into the
-/// mappers: an optional placement seed plus an optional infeasibility proof.
+/// The hint threaded through `compile_workload` into the mappers: an
+/// optional placement seed plus an optional infeasibility proof.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MapSeed {
     /// Placement seed from the nearest cached design point.
     pub seed: Option<PlacementSeed>,
     /// Ladder prefix proved infeasible on this fabric structure.
     pub infeasible: Option<InfeasiblePrefix>,
-    /// Whether a seed that is not provably result-preserving may still be
-    /// used as a heuristic warm start. Exact-mode sweeps leave this off so
-    /// their results stay bit-identical to cold runs.
-    pub allow_warm: bool,
-}
-
-impl MapSeed {
-    /// A hint carrying only a placement seed (heuristic warm start allowed).
-    pub fn from_seed(seed: PlacementSeed) -> Self {
-        MapSeed {
-            seed: Some(seed),
-            infeasible: None,
-            allow_warm: true,
-        }
-    }
 }
 
 /// How a seeded mapping run arrived at its result.
@@ -450,9 +418,6 @@ pub enum SeedOutcome {
     Floored,
     /// The seed re-validated on the target fabric and was returned directly.
     Replayed,
-    /// The result was produced from a heuristically translated seed
-    /// placement (non-canonical).
-    WarmStarted,
 }
 
 /// A mapping plus the provenance of how seeding contributed to it.
@@ -473,13 +438,9 @@ pub(crate) enum LadderPlan<'a> {
     Infeasible,
     /// The seed replays exactly; no search needed.
     Replay(&'a PlacementSeed),
-    /// Run the ladder from `start` (>= mii), optionally warm-starting each
-    /// attempt from a translated seed placement.
-    Ladder {
-        start: u32,
-        warm: Option<&'a PlacementSeed>,
-        floored: bool,
-    },
+    /// Run the ladder from `start` (>= mii); `floored` when a proven
+    /// infeasible prefix raised it.
+    Ladder { start: u32, floored: bool },
 }
 
 /// Everything about the target fabric a ladder plan needs to decide seed
@@ -513,9 +474,8 @@ impl SeedContext {
 /// identical full signature, or identical no-capacity signature with every
 /// switch capacity inside the seed's certified window. The raised ladder
 /// `start` requires an infeasibility proof anchored to the target's full
-/// signature. Exact-mode sweeps therefore reproduce cold results
-/// bit-for-bit; anything weaker is demoted to a heuristic warm start (and
-/// only when the hint allows it).
+/// signature. Seeded runs therefore reproduce cold results bit-for-bit; a
+/// hint that proves nothing leaves the ladder untouched.
 pub(crate) fn plan_ladder<'a>(
     hint: Option<&'a MapSeed>,
     ctx: &SeedContext,
@@ -524,15 +484,11 @@ pub(crate) fn plan_ladder<'a>(
     mii: u32,
     max_ii: u32,
 ) -> LadderPlan<'a> {
-    let Some(hint) = hint else {
-        return LadderPlan::Ladder {
-            start: mii,
-            warm: None,
-            floored: false,
-        };
-    };
     let mut start = mii;
     let mut floored = false;
+    let Some(hint) = hint else {
+        return LadderPlan::Ladder { start, floored };
+    };
     if let Some(prefix) = &hint.infeasible {
         if prefix.dfg == ctx.dfg && prefix.fabric == ctx.fabric && prefix.through_ii >= start {
             if prefix.through_ii >= max_ii {
@@ -542,7 +498,6 @@ pub(crate) fn plan_ladder<'a>(
             floored = true;
         }
     }
-    let mut warm = None;
     if let Some(seed) = &hint.seed {
         let sound = seed.canonical
             && seed.dfg == ctx.dfg
@@ -558,56 +513,113 @@ pub(crate) fn plan_ladder<'a>(
             // the ladder that produced the seed).
             return LadderPlan::Infeasible;
         }
-        if hint.allow_warm {
-            warm = Some(seed);
-        }
     }
-    LadderPlan::Ladder {
-        start,
-        warm,
-        floored,
-    }
+    LadderPlan::Ladder { start, floored }
 }
 
 /// Fingerprint of a mapper's options, via its `Debug` rendering. Stable
 /// within a build, which is all replay needs: seeds produced under different
 /// options must not replay for each other.
 pub(crate) fn options_fingerprint(options: &impl std::fmt::Debug) -> u64 {
-    let mut h = Fnv::new();
-    h.bytes(format!("{options:?}").as_bytes());
-    h.0
+    fnv1a64(format!("{options:?}").as_bytes())
 }
 
-/// Applies a seed's placements to a fresh [`MapState`], translating
-/// functional units by ordinal when the target fabric differs from the
-/// source. Assignments that are infeasible on the target (capability
-/// mismatch, occupied modulo slot) are skipped — the caller completes the
-/// placement greedily. Returns the number of nodes placed.
-pub(crate) fn apply_seed_placement(state: &mut MapState<'_>, seed: &PlacementSeed) -> usize {
-    let target_fus: Vec<ResourceId> = state.arch.functional_units().map(|r| r.id).collect();
-    if target_fus.is_empty() {
-        return 0;
+/// The mapper-specific half of a seeded II ladder. [`map_seeded`] owns the
+/// rest — the hint, the replay decision, the II bounds and the seed capture
+/// — so a mapper supplies only its per-II attempt.
+pub(crate) trait LadderSearch: Mapper {
+    /// Search-wide state shared by every attempt of one ladder. It is built
+    /// after the replay decision, so a replayed point pays for none of it.
+    type Shared;
+
+    /// Fingerprint of the options the search runs under
+    /// ([`options_fingerprint`]).
+    fn fingerprint(&self) -> u64;
+
+    /// The options' explicit II cap; the fabric's configuration depth bounds
+    /// the ladder otherwise.
+    fn max_ii(&self) -> Option<u32>;
+
+    /// Builds the ladder's shared state.
+    fn prepare(&self, dfg: &Dfg, arch: &Architecture) -> Self::Shared;
+
+    /// One attempt at `ii`: a complete mapping, or `None` to climb the
+    /// ladder. Each attempt must be a pure function of `(dfg, fabric, ii)`
+    /// (stochastic searches draw from `attempt_rng(seed, ii)`), which is what
+    /// makes replayed seeds and skipped prefixes result-preserving.
+    fn attempt(
+        &self,
+        shared: &Self::Shared,
+        dfg: &Dfg,
+        arch: &Architecture,
+        ii: u32,
+    ) -> Option<Mapping>;
+
+    /// The capacity certificate the ladder's attempts accumulated, when the
+    /// search's results transfer across switch capacities.
+    fn certificate(shared: &Self::Shared) -> Option<&CapacityCert>;
+}
+
+/// Runs `search`'s II ladder under an optional hint: replays a sound seed,
+/// skips a proven-infeasible prefix, and otherwise climbs from `mii` to the
+/// II bound, capturing the seed of the first attempt that succeeds.
+pub(crate) fn map_seeded<S: LadderSearch>(
+    search: &S,
+    dfg: &Dfg,
+    arch: &Architecture,
+    hint: Option<&MapSeed>,
+) -> Result<SeededMapping, MapError> {
+    if dfg.memory_node_count() > 0 && arch.memory_unit_count() == 0 {
+        return Err(MapError::UnsupportedDfg(
+            "DFG contains memory operations but the architecture has no memory-capable unit".into(),
+        ));
     }
-    let same_fabric = seed.fabric == fabric_signature(state.arch);
-    let node_count = state.dfg.node_count() as u32;
-    let mut placed = 0;
-    for p in &seed.placements {
-        if p.node >= node_count {
+    let ctx = SeedContext::of(dfg, arch);
+    let options = search.fingerprint();
+    let mii = crate::mii::mii(dfg, arch);
+    let max_ii = search.max_ii().unwrap_or(arch.params().max_ii());
+    let infeasible = || MapError::NoValidMapping {
+        kernel: dfg.name().to_string(),
+        arch: arch.name().to_string(),
+        max_ii,
+    };
+    let (start, floored) = match plan_ladder(hint, &ctx, search.name(), options, mii, max_ii) {
+        LadderPlan::Infeasible => return Err(infeasible()),
+        LadderPlan::Replay(seed) => match seed.replay(dfg, arch) {
+            Some(mapping) => {
+                return Ok(SeededMapping {
+                    seed: PlacementSeed::capture_inherited(dfg, &mapping, arch, options, seed),
+                    mapping,
+                    outcome: SeedOutcome::Replayed,
+                })
+            }
+            // Corrupt or mismatched seed: fall back to the unfloored
+            // ladder, which is always sound.
+            None => (mii, false),
+        },
+        LadderPlan::Ladder { start, floored } => (start, floored),
+    };
+    let shared = search.prepare(dfg, arch);
+    for ii in start..=max_ii {
+        let Some(mapping) = search.attempt(&shared, dfg, arch, ii) else {
             continue;
-        }
-        let node = NodeId(p.node);
-        let fu = if same_fabric {
-            ResourceId(p.fu)
-        } else {
-            target_fus[p.fu_ordinal as usize % target_fus.len()]
         };
-        let cycle = p.cycle % (state.ii * 2).max(1);
-        if state.can_place(node, fu, cycle) {
-            state.place(node, fu, cycle);
-            placed += 1;
-        }
+        mapping.validate(dfg, arch)?;
+        // Floored results are canonical (the skipped prefix was proved
+        // infeasible on this fabric) but not transferable: the certificate
+        // does not cover the skipped attempts.
+        let (outcome, cert) = if floored {
+            (SeedOutcome::Floored, None)
+        } else {
+            (SeedOutcome::Scratch, S::certificate(&shared))
+        };
+        return Ok(SeededMapping {
+            seed: PlacementSeed::capture_with_cert(dfg, &mapping, arch, options, cert),
+            mapping,
+            outcome,
+        });
     }
-    placed
+    Err(infeasible())
 }
 
 #[cfg(test)]
@@ -619,7 +631,6 @@ mod tests {
     use plaid_dfg::Op;
 
     use crate::pathfinder::PathFinderMapper;
-    use crate::Mapper;
 
     fn small_dfg() -> Dfg {
         let kernel = KernelBuilder::new("axpy")
@@ -669,14 +680,48 @@ mod tests {
         assert_ne!(fabric_signature(&base), fabric_signature(&richer));
     }
 
+    /// Whether a hint carrying only `seed` replays for `mapper` under
+    /// options `options` when mapping `dfg` on `arch`. A seed that does not
+    /// replay must leave the ladder untouched: unfloored, starting at `mii`.
+    fn replays(
+        seed: &PlacementSeed,
+        dfg: &Dfg,
+        arch: &Architecture,
+        mapper: &str,
+        options: u64,
+    ) -> bool {
+        let hint = MapSeed {
+            seed: Some(seed.clone()),
+            infeasible: None,
+        };
+        let ctx = SeedContext::of(dfg, arch);
+        let mii = crate::mii::mii(dfg, arch);
+        match plan_ladder(
+            Some(&hint),
+            &ctx,
+            mapper,
+            options,
+            mii,
+            arch.params().max_ii(),
+        ) {
+            LadderPlan::Replay(_) => true,
+            LadderPlan::Ladder { start, floored } => {
+                assert_eq!((start, floored), (mii, false), "ladder moved");
+                false
+            }
+            LadderPlan::Infeasible => panic!("a seed below the II bound proved infeasibility"),
+        }
+    }
+
     #[test]
     fn capture_replay_round_trip() {
         let dfg = small_dfg();
         let arch = spatio_temporal::build(4, 4);
         let mapping = PathFinderMapper::default().map(&dfg, &arch).unwrap();
-        let seed = PlacementSeed::capture(&dfg, &mapping, &arch, 7, true);
+        let seed = PlacementSeed::capture(&dfg, &mapping, &arch, 7);
         assert_eq!(seed.ii, mapping.ii);
-        assert!(seed.replay_eligible(fabric_signature(&arch), "pathfinder", 7));
+        assert!(seed.canonical, "every capture is canonical");
+        assert!(replays(&seed, &dfg, &arch, "pathfinder", 7));
         let replayed = seed.replay(&dfg, &arch).expect("seed replays");
         assert_eq!(replayed.ii, mapping.ii);
         assert_eq!(replayed.placements, mapping.placements);
@@ -684,15 +729,18 @@ mod tests {
     }
 
     #[test]
-    fn replay_rejects_wrong_fabric_and_options() {
+    fn replay_rejects_wrong_fabric_mapper_options_and_dfg() {
         let dfg = small_dfg();
         let arch = spatio_temporal::build(4, 4);
         let mapping = PathFinderMapper::default().map(&dfg, &arch).unwrap();
-        let seed = PlacementSeed::capture(&dfg, &mapping, &arch, 7, true);
+        let seed = PlacementSeed::capture(&dfg, &mapping, &arch, 7);
         let other = spatio_temporal::build(3, 3);
-        assert!(!seed.replay_eligible(fabric_signature(&other), "pathfinder", 7));
-        assert!(!seed.replay_eligible(fabric_signature(&arch), "sa", 7));
-        assert!(!seed.replay_eligible(fabric_signature(&arch), "pathfinder", 8));
+        assert!(!replays(&seed, &dfg, &other, "pathfinder", 7));
+        assert!(!replays(&seed, &dfg, &arch, "sa", 7));
+        assert!(!replays(&seed, &dfg, &arch, "pathfinder", 8));
+        let mut foreign_dfg = seed.clone();
+        foreign_dfg.dfg ^= 1;
+        assert!(!replays(&foreign_dfg, &dfg, &arch, "pathfinder", 7));
         // Validation also refuses to materialize the seed on the wrong
         // fabric (resource ids out of range or links missing).
         assert!(seed.replay(&dfg, &other).is_none());
@@ -700,11 +748,14 @@ mod tests {
 
     #[test]
     fn non_canonical_seeds_never_replay() {
+        // Captures are always canonical, but seeds also arrive from cache
+        // files on disk, so the flag is still checked.
         let dfg = small_dfg();
         let arch = spatio_temporal::build(4, 4);
         let mapping = PathFinderMapper::default().map(&dfg, &arch).unwrap();
-        let seed = PlacementSeed::capture(&dfg, &mapping, &arch, 7, false);
-        assert!(!seed.replay_eligible(fabric_signature(&arch), "pathfinder", 7));
+        let mut seed = PlacementSeed::capture(&dfg, &mapping, &arch, 7);
+        seed.canonical = false;
+        assert!(!replays(&seed, &dfg, &arch, "pathfinder", 7));
     }
 
     #[test]
@@ -723,7 +774,6 @@ mod tests {
                 fabric,
                 through_ii: 8,
             }),
-            allow_warm: false,
         };
         match plan_ladder(Some(&hint), &ctx(fabric), "sa", 0, 2, 16) {
             LadderPlan::Ladder { start, floored, .. } => {
@@ -769,7 +819,7 @@ mod tests {
         let mapping = PathFinderMapper::default().map(&dfg, &arch).unwrap();
         let n = arch.resources().len();
         let cert = CapacityCert::new(n);
-        let seed = PlacementSeed::capture_with_cert(&dfg, &mapping, &arch, 1, true, Some(&cert));
+        let seed = PlacementSeed::capture_with_cert(&dfg, &mapping, &arch, 1, Some(&cert));
         let nocap = fabric_signature_nocap(&arch);
         // Same full signature always transfers.
         assert!(seed.transfers_to(fabric_signature(&arch), nocap, &vec![4; n]));
@@ -779,7 +829,7 @@ mod tests {
         // Wrong no-capacity signature never transfers.
         assert!(!seed.transfers_to(0, nocap ^ 1, &vec![1; n]));
         // A seed without a certificate only transfers on exact signature.
-        let bare = PlacementSeed::capture(&dfg, &mapping, &arch, 1, true);
+        let bare = PlacementSeed::capture(&dfg, &mapping, &arch, 1);
         assert!(bare.transfers_to(fabric_signature(&arch), nocap, &vec![4; n]));
         assert!(!bare.transfers_to(0, nocap, &vec![4; n]));
     }
@@ -789,7 +839,7 @@ mod tests {
         let dfg = small_dfg();
         let arch = spatio_temporal::build(4, 4);
         let mapping = PathFinderMapper::default().map(&dfg, &arch).unwrap();
-        let seed = PlacementSeed::capture(&dfg, &mapping, &arch, 1, true);
+        let seed = PlacementSeed::capture(&dfg, &mapping, &arch, 1);
         let json = serde_json::to_string(&seed).unwrap();
         let back: PlacementSeed = serde_json::from_str(&json).unwrap();
         assert_eq!(back, seed);

@@ -25,7 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rows = Vec::new();
     let mut baseline_cycles = None;
     for (arch, mapper) in configs {
-        let result = compile_workload(&workload, arch, mapper)?;
+        let result = compile_workload(&workload, &arch.build(), mapper, None)?;
         let cycles = result.metrics.cycles;
         let baseline = *baseline_cycles.get_or_insert(cycles);
         rows.push(vec![

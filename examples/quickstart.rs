@@ -15,7 +15,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         workload.iterations()
     );
 
-    let result = compile_workload(&workload, ArchChoice::Plaid2x2, MapperChoice::Plaid)?;
+    let arch = ArchChoice::Plaid2x2.build();
+    let result = compile_workload(&workload, &arch, MapperChoice::Plaid, None)?;
 
     println!(
         "DFG: {} nodes ({} compute, {} memory), {} edges",

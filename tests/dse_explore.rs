@@ -164,7 +164,8 @@ fn sweep_outcome_round_trips_through_json() {
 #[test]
 fn compile_summary_round_trips_through_json() {
     let w = find_workload("dwconv").unwrap();
-    let compiled = compile_workload(&w, ArchChoice::Plaid2x2, MapperChoice::Plaid).unwrap();
+    let compiled =
+        compile_workload(&w, &ArchChoice::Plaid2x2.build(), MapperChoice::Plaid, None).unwrap();
     let summary = compiled.summary();
     let json = serde_json::to_string(&summary).unwrap();
     let back: CompileSummary = serde_json::from_str(&json).unwrap();

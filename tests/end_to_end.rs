@@ -37,11 +37,11 @@ fn representative_workloads_map_on_all_architectures() {
             (ArchChoice::Spatial4x4, MapperChoice::Spatial),
             (ArchChoice::Plaid2x2, MapperChoice::Plaid),
         ] {
-            let compiled = compile_workload(&w, arch, mapper)
+            let built = arch.build();
+            let compiled = compile_workload(&w, &built, mapper, None)
                 .unwrap_or_else(|e| panic!("{name} on {arch:?}: {e}"));
             assert!(compiled.metrics.cycles > 0);
             if let Some(mapping) = &compiled.mapping {
-                let built = arch.build();
                 mapping.validate(&compiled.dfg, &built).unwrap();
             }
         }
@@ -50,11 +50,11 @@ fn representative_workloads_map_on_all_architectures() {
 
 #[test]
 fn mapped_execution_matches_reference_semantics() {
+    let arch = ArchChoice::Plaid2x2.build();
     for name in ["dwconv", "gesumm_u2", "fc"] {
         let w = workload(name);
-        let compiled = compile_workload(&w, ArchChoice::Plaid2x2, MapperChoice::Plaid)
+        let compiled = compile_workload(&w, &arch, MapperChoice::Plaid, None)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
-        let arch = ArchChoice::Plaid2x2.build();
         let mapping = compiled.mapping.as_ref().unwrap();
         let memory = MemoryImage::for_kernel(&w.kernel, |array, i| {
             (array.len() as i64 * 3 + i as i64) % 19 + 1
@@ -73,10 +73,11 @@ fn plaid_mapper_is_competitive_with_generic_mappers_on_plaid() {
     // search procedures. Here we only require that the motif-aware mapper
     // stays within a factor of two of the SA baseline on a couple of kernels;
     // the suite-level comparison lives in the fig18_mappers bench.
+    let arch = ArchChoice::Plaid2x2.build();
     for name in ["gemm_u2", "bicg_u2"] {
         let w = workload(name);
-        let plaid = compile_workload(&w, ArchChoice::Plaid2x2, MapperChoice::Plaid).unwrap();
-        if let Ok(sa) = compile_workload(&w, ArchChoice::Plaid2x2, MapperChoice::Sa) {
+        let plaid = compile_workload(&w, &arch, MapperChoice::Plaid, None).unwrap();
+        if let Ok(sa) = compile_workload(&w, &arch, MapperChoice::Sa, None) {
             assert!(
                 plaid.metrics.cycles <= sa.metrics.cycles * 2,
                 "{name}: plaid mapper much slower than SA ({} vs {})",
@@ -91,8 +92,9 @@ fn plaid_mapper_is_competitive_with_generic_mappers_on_plaid() {
 fn spatial_partitioning_pays_for_large_unrolled_kernels() {
     let small = workload("atax_u2");
     let large = workload("atax_u4");
-    let small_sp = compile_workload(&small, ArchChoice::Spatial4x4, MapperChoice::Spatial).unwrap();
-    let large_sp = compile_workload(&large, ArchChoice::Spatial4x4, MapperChoice::Spatial).unwrap();
+    let arch = ArchChoice::Spatial4x4.build();
+    let small_sp = compile_workload(&small, &arch, MapperChoice::Spatial, None).unwrap();
+    let large_sp = compile_workload(&large, &arch, MapperChoice::Spatial, None).unwrap();
     let small_parts = small_sp.spatial.as_ref().unwrap().partition_count();
     let large_parts = large_sp.spatial.as_ref().unwrap().partition_count();
     assert!(large_parts >= small_parts);

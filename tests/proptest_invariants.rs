@@ -297,7 +297,6 @@ mod warm_start_properties {
         let hint = MapSeed {
             seed: Some(cold.seed.clone()),
             infeasible: None,
-            allow_warm: false,
         };
         let warm = map(Some(&hint));
         prop_assert!(warm.is_ok(), "own seed must replay");
@@ -324,7 +323,6 @@ mod warm_start_properties {
         let hint = MapSeed {
             seed: Some(foreign.seed),
             infeasible: None,
-            allow_warm: false,
         };
         match (map(None), map(Some(&hint))) {
             (Ok(cold), Ok(warm)) => {
