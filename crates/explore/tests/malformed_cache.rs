@@ -1,0 +1,158 @@
+//! Malformed result caches are errors, never panics: a real saved cache
+//! truncated at any byte, or with any one value's JSON type flipped, must
+//! make `ResultCache::load` return `Err`, and `plaid-dse merge` must exit
+//! non-zero with a message instead of panicking.
+
+use std::path::{Path, PathBuf};
+use std::process::Command;
+use std::sync::OnceLock;
+
+use plaid_arch::SpaceSpec;
+use plaid_explore::{run_sweep, ResultCache, SweepPlan};
+use plaid_workloads::find_workload;
+use proptest::prelude::*;
+use serde_json::Value;
+
+/// Scratch directory private to this test process.
+fn scratch() -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("plaid-malformed-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// The text of a real cache: a smoke-grid sweep of one workload, saved
+/// through `ResultCache::save`. Built once per test binary.
+fn saved_cache() -> &'static str {
+    static TEXT: OnceLock<String> = OnceLock::new();
+    TEXT.get_or_init(|| {
+        let plan = SweepPlan::cross(
+            &[find_workload("dwconv").unwrap()],
+            &SpaceSpec::smoke_grid(),
+        );
+        let cache = ResultCache::new();
+        run_sweep(&plan, &cache);
+        let path = scratch().join("real.json");
+        cache.save(&path).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        ResultCache::load(&path).expect("the intact cache loads");
+        text
+    })
+}
+
+/// Writes `bytes` to a file named after `tag` and loads it.
+fn load_bytes(tag: &str, bytes: &[u8]) -> std::io::Result<ResultCache> {
+    let path = scratch().join(format!("{tag}.json"));
+    std::fs::write(&path, bytes).unwrap();
+    ResultCache::load(&path)
+}
+
+/// Counts the strings, numbers and objects in `value`: the values `flip`
+/// can target.
+fn flippable(value: &Value, count: &mut usize) {
+    match value {
+        Value::String(_) | Value::Int(_) | Value::UInt(_) | Value::Float(_) => *count += 1,
+        Value::Object(map) => {
+            *count += 1;
+            map.values().for_each(|v| flippable(v, count));
+        }
+        Value::Array(items) => items.iter().for_each(|v| flippable(v, count)),
+        Value::Null | Value::Bool(_) => {}
+    }
+}
+
+/// Flips the type of the `target`-th flippable value (pre-order):
+/// string → number, number → string, object → array of its values.
+/// Returns `true` once the flip is done.
+fn flip(value: &mut Value, target: usize, seen: &mut usize) -> bool {
+    let here = matches!(
+        value,
+        Value::String(_) | Value::Int(_) | Value::UInt(_) | Value::Float(_) | Value::Object(_)
+    );
+    if here {
+        if *seen == target {
+            *value = match std::mem::replace(value, Value::Null) {
+                Value::String(_) => Value::Int(7),
+                Value::Object(map) => Value::Array(map.into_values().collect()),
+                _ => Value::String("7".into()),
+            };
+            return true;
+        }
+        *seen += 1;
+    }
+    match value {
+        Value::Object(map) => map.values_mut().any(|v| flip(v, target, seen)),
+        Value::Array(items) => items.iter_mut().any(|v| flip(v, target, seen)),
+        _ => false,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn truncated_caches_fail_to_load(cut in 0usize..1_000_000) {
+        let bytes = saved_cache().trim_end().as_bytes();
+        let at = cut % bytes.len();
+        prop_assert!(
+            load_bytes("cut", &bytes[..at]).is_err(),
+            "a cache truncated to {at} of {} bytes loaded",
+            bytes.len()
+        );
+    }
+
+    #[test]
+    fn mistyped_caches_fail_to_load(pick in 0usize..1_000_000) {
+        let mut value = serde_json::parse_value(saved_cache()).unwrap();
+        let mut count = 0;
+        flippable(&value, &mut count);
+        let target = pick % count;
+        prop_assert!(flip(&mut value, target, &mut 0));
+        let text = serde_json::to_string(&value).unwrap();
+        prop_assert!(
+            load_bytes("flip", text.as_bytes()).is_err(),
+            "a cache with value {target} of {count} flipped loaded"
+        );
+    }
+}
+
+/// Runs `plaid-dse merge` over one malformed shard.
+fn merge_rejects(dir: &Path, tag: &str, shard: &[u8]) {
+    let input = dir.join(format!("{tag}-shard.json"));
+    std::fs::write(&input, shard).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_plaid-dse"))
+        .arg("merge")
+        .arg(dir.join(format!("{tag}-merged.json")))
+        .arg(&input)
+        .args(["--no-frontier-file", "--quiet"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        !out.status.success(),
+        "{tag}: merge accepted a malformed shard"
+    );
+    assert!(
+        !stderr.contains("panicked"),
+        "{tag}: merge panicked: {stderr}"
+    );
+    assert!(
+        stderr.contains("cannot load shard cache") && stderr.contains(&*input.to_string_lossy()),
+        "{tag}: unexpected error message: {stderr}"
+    );
+}
+
+#[test]
+fn merge_reports_malformed_shards_without_panicking() {
+    let dir = scratch();
+    let text = saved_cache();
+    merge_rejects(&dir, "truncated", &text.as_bytes()[..text.len() / 2]);
+    let mut value = serde_json::parse_value(text).unwrap();
+    let mut count = 0;
+    flippable(&value, &mut count);
+    assert!(flip(&mut value, count / 2, &mut 0));
+    merge_rejects(
+        &dir,
+        "mistyped",
+        serde_json::to_string(&value).unwrap().as_bytes(),
+    );
+}

@@ -14,6 +14,12 @@
 //! maintained by the primitives, making [`MapState::cost`] O(1), and edge
 //! queries go through a per-DFG [`Adjacency`] index instead of scanning the
 //! edge list.
+//!
+//! Placement heuristics reject a candidate position before placing it when
+//! one of the edges they would route is structurally dead
+//! (`MapState::edge_routable`): its route search would fail without
+//! probing occupancy, so the outcome is the same and the searches of the
+//! candidate's other edges are saved.
 
 use std::sync::Arc;
 
@@ -269,15 +275,68 @@ impl<'a> MapState<'a> {
         }
     }
 
+    /// Arrival cycle of an edge of `kind` whose consumer is scheduled on
+    /// `dst_cycle`: recurrences arrive `distance × II` later.
+    fn arrival(&self, kind: EdgeKind, dst_cycle: u32) -> u32 {
+        match kind {
+            EdgeKind::Data => dst_cycle,
+            EdgeKind::Recurrence { distance } => dst_cycle + distance * self.ii,
+        }
+    }
+
     /// Required arrival cycle of an edge given its endpoints' placements.
     fn arrival_cycle(&self, edge: &DfgEdge) -> Option<(u32, u32)> {
         let src = self.placements.get(&edge.src)?;
         let dst = self.placements.get(&edge.dst)?;
-        let arrival = match edge.kind {
-            EdgeKind::Data => dst.cycle,
-            EdgeKind::Recurrence { distance } => dst.cycle + distance * self.ii,
-        };
-        Some((src.cycle, arrival))
+        Some((src.cycle, self.arrival(edge.kind, dst.cycle)))
+    }
+
+    /// Whether `edge` could be routed with its producer at `src` and its
+    /// consumer at `dst`, ignoring occupancy. Edges that carry no data are
+    /// trivially routable, as in [`Self::route_edge`].
+    ///
+    /// A `false` answer means the timing budget is non-positive or no
+    /// switch path of exactly that length exists
+    /// ([`RouterScratch::structurally_routable`]). The route search then
+    /// returns `None` before its first occupancy probe, so rejecting such a
+    /// candidate up front gives the same result as trying it, without the
+    /// searches of its other edges. This is the one deadness test every
+    /// placement heuristic uses.
+    pub(crate) fn edge_routable(&mut self, edge: EdgeId, src: Placement, dst: Placement) -> bool {
+        let e = self.dfg.edge(edge);
+        if !self.dfg.edge_carries_data(e) {
+            return true;
+        }
+        let arrival = self.arrival(e.kind, dst.cycle);
+        arrival > src.cycle
+            && self
+                .scratch
+                .structurally_routable(self.arch, src.fu, dst.fu, arrival - src.cycle)
+    }
+
+    /// Whether every edge in `edges` whose endpoints would both be placed
+    /// passes [`Self::edge_routable`]. Nodes listed in `prospective` count
+    /// as placed there; every other node keeps its current placement, and
+    /// edges with an unplaced endpoint are skipped.
+    pub(crate) fn edges_routable(
+        &mut self,
+        edges: &[EdgeId],
+        prospective: &[(NodeId, Placement)],
+    ) -> bool {
+        edges.iter().all(|&e| {
+            let edge = self.dfg.edge(e);
+            let at = |n: NodeId| {
+                prospective
+                    .iter()
+                    .find(|&&(m, _)| m == n)
+                    .map(|&(_, p)| p)
+                    .or_else(|| self.placements.get(&n).copied())
+            };
+            match (at(edge.src), at(edge.dst)) {
+                (Some(src), Some(dst)) => self.edge_routable(e, src, dst),
+                _ => true,
+            }
+        })
     }
 
     /// Attempts to route `edge` under `policy`. Returns `true` on success.
@@ -401,60 +460,6 @@ impl<'a> MapState<'a> {
         fus
     }
 
-    /// Whether every data-carrying edge incident to `node` whose other
-    /// endpoint is already placed would admit a switch-level path of the
-    /// exact required length if `node` were placed at `(fu, cycle)`.
-    ///
-    /// Purely structural (occupancy is ignored): a `false` answer proves
-    /// that *no* route can ever exist while both endpoints keep these
-    /// placements — either the timing budget is non-positive or the
-    /// exact-time reachability table has no live cell. Placement heuristics
-    /// use this to skip provably dead `(fu, cycle)` candidates.
-    pub fn incident_edges_reachable(&mut self, node: NodeId, fu: ResourceId, cycle: u32) -> bool {
-        let adj = Arc::clone(&self.adj);
-        for &e in adj.ins(node) {
-            let edge = self.dfg.edge(e);
-            if !self.dfg.edge_carries_data(edge) {
-                continue;
-            }
-            let Some(src) = self.placements.get(&edge.src).copied() else {
-                continue;
-            };
-            let arrival = match edge.kind {
-                EdgeKind::Data => cycle,
-                EdgeKind::Recurrence { distance } => cycle + distance * self.ii,
-            };
-            if arrival <= src.cycle
-                || !self
-                    .scratch
-                    .structurally_routable(self.arch, src.fu, fu, arrival - src.cycle)
-            {
-                return false;
-            }
-        }
-        for &e in adj.outs(node) {
-            let edge = self.dfg.edge(e);
-            if !self.dfg.edge_carries_data(edge) {
-                continue;
-            }
-            let Some(dst) = self.placements.get(&edge.dst).copied() else {
-                continue;
-            };
-            let arrival = match edge.kind {
-                EdgeKind::Data => dst.cycle,
-                EdgeKind::Recurrence { distance } => dst.cycle + distance * self.ii,
-            };
-            if arrival <= cycle
-                || !self
-                    .scratch
-                    .structurally_routable(self.arch, fu, dst.fu, arrival - cycle)
-            {
-                return false;
-            }
-        }
-        true
-    }
-
     /// Converts the state into an immutable [`Mapping`].
     pub fn into_mapping(self, mapper_name: &str) -> Mapping {
         Mapping {
@@ -497,6 +502,11 @@ pub fn place_node_best_effort(
         let cycle = base + offset;
         for &fu in &candidates {
             if !state.can_place(node, fu, cycle) {
+                continue;
+            }
+            // Only the in-edges are routed below, so only they are checked:
+            // a structurally dead one would fail its search anyway.
+            if !state.edges_routable(adj.ins(node), &[(node, Placement { fu, cycle })]) {
                 continue;
             }
             state.place(node, fu, cycle);
@@ -584,6 +594,55 @@ mod tests {
             let dst = state.placements[&edge.dst].cycle;
             assert!(dst > src, "edge {} scheduled backwards", edge.id);
         }
+    }
+
+    #[test]
+    fn dead_edges_never_route() {
+        // Every placement pair `edges_routable` rejects must also fail to
+        // route once placed; pairs it accepts are left to the search.
+        let dfg = small_dfg();
+        let arch = spatio_temporal::build(4, 4);
+        let edge = dfg
+            .edges()
+            .find(|e| dfg.edge_carries_data(e))
+            .expect("a data edge");
+        let fus: Vec<ResourceId> = arch.functional_units().map(|r| r.id).collect();
+        let mut dead = 0;
+        for &src_fu in &fus {
+            for &dst_fu in &fus {
+                for dst_cycle in 0..3 {
+                    let mut state = MapState::new(&dfg, &arch, 2);
+                    let src = Placement {
+                        fu: src_fu,
+                        cycle: 1,
+                    };
+                    let dst = Placement {
+                        fu: dst_fu,
+                        cycle: dst_cycle,
+                    };
+                    // Unplaced endpoints are skipped.
+                    assert!(state.edges_routable(&[edge.id], &[(edge.src, src)]));
+                    let routable =
+                        state.edges_routable(&[edge.id], &[(edge.src, src), (edge.dst, dst)]);
+                    assert_eq!(routable, state.edge_routable(edge.id, src, dst));
+                    if routable {
+                        continue;
+                    }
+                    dead += 1;
+                    if !state.can_place(edge.src, src.fu, src.cycle) {
+                        continue;
+                    }
+                    state.place(edge.src, src.fu, src.cycle);
+                    // The placed producer now stands in for the prospective one.
+                    assert!(!state.edges_routable(&[edge.id], &[(edge.dst, dst)]));
+                    if state.can_place(edge.dst, dst.fu, dst.cycle) {
+                        state.place(edge.dst, dst.fu, dst.cycle);
+                        assert!(!state.route_edge(edge.id, &HardCapacityCost));
+                    }
+                }
+            }
+        }
+        assert!(dead > 0);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use plaid_motif::{
 };
 
 use crate::error::MapError;
-use crate::mapping::Mapping;
+use crate::mapping::{Mapping, Placement};
 use crate::placement::{place_node_best_effort, LadderShared, MapState};
 use crate::route::HardCapacityCost;
 use crate::state::CapacityCert;
@@ -86,35 +86,40 @@ impl PlaidMapper {
             return false;
         }
         // Check every slot is placeable before mutating.
+        let mut slots: Vec<(NodeId, Placement)> = Vec::with_capacity(template.slots.len());
         for slot in &template.slots {
             let node = motif.nodes[slot.node];
             let Some(&fu) = cluster.alus.get(slot.alu) else {
                 return false;
             };
-            if !state.can_place(node, fu, start + slot.cycle) {
+            let cycle = start + slot.cycle;
+            if !state.can_place(node, fu, cycle) {
                 return false;
             }
+            slots.push((node, Placement { fu, cycle }));
         }
-        // Place, then route the motif-internal edges plus any edge whose other
-        // endpoint is already placed.
-        let mut placed: Vec<NodeId> = Vec::new();
-        for slot in &template.slots {
-            let node = motif.nodes[slot.node];
-            let fu = cluster.alus[slot.alu];
-            state.place(node, fu, start + slot.cycle);
-            placed.push(node);
-        }
-        // Incident edges of the just-placed nodes whose endpoints are both
-        // placed, in ascending edge-id order (sort + dedup reproduces the
-        // order a full edge scan would yield; edges internal to the motif
-        // are seen from both endpoints and must route once).
+        // Incident edges of the motif's nodes, in ascending edge-id order
+        // (sort + dedup reproduces the order a full edge scan would yield;
+        // edges internal to the motif are seen from both endpoints and must
+        // route once).
         let adj = Arc::clone(state.adjacency());
-        let mut incident: Vec<EdgeId> = placed
+        let mut incident: Vec<EdgeId> = slots
             .iter()
-            .flat_map(|&n| adj.incident(n).iter().copied())
+            .flat_map(|&(n, _)| adj.incident(n).iter().copied())
             .collect();
         incident.sort_unstable();
         incident.dedup();
+        // A structurally dead edge would fail its route search before any
+        // occupancy probe, undoing every route found before it: reject the
+        // candidate before placing or searching anything.
+        if !state.edges_routable(&incident, &slots) {
+            return false;
+        }
+        // Place, then route every incident edge whose endpoints are both
+        // placed: the motif-internal edges plus those to placed neighbours.
+        for &(node, p) in &slots {
+            state.place(node, p.fu, p.cycle);
+        }
         for e in incident {
             let edge = state.dfg.edge(e);
             if !state.placements.contains_key(&edge.src)
@@ -123,7 +128,7 @@ impl PlaidMapper {
                 continue;
             }
             if !state.route_edge(e, &HardCapacityCost) {
-                for &n in &placed {
+                for &(n, _) in &slots {
                     state.unplace(n);
                 }
                 return false;

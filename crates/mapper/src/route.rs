@@ -746,6 +746,64 @@ mod tests {
     }
 
     #[test]
+    fn structurally_dead_requests_fail_without_probing_occupancy() {
+        // The premise of pruning placement candidates before routing: when
+        // `structurally_routable` says an edge is dead, the search returns
+        // `None` and records nothing in the capacity certificate, so
+        // skipping it changes neither the result nor any later decision.
+        use crate::state::CapacityCert;
+        use std::sync::Arc;
+        let ii = 2;
+        for arch in [spatio_temporal::build(4, 4), plaid::build(2, 2)] {
+            let cert = Arc::new(CapacityCert::new(arch.resources().len()));
+            let mut state = RoutingState::with_cert(&arch, ii, Arc::clone(&cert));
+            // Congest every third switch to capacity in slot 0.
+            for r in arch.resources().iter().filter(|r| !r.kind.is_func_unit()) {
+                if r.id.0 % 3 == 0 {
+                    for v in 0..state.capacity(r.id) {
+                        state.occupy(r.id, 0, NodeId(1_000 + v));
+                    }
+                }
+            }
+            let fus: Vec<ResourceId> = arch.functional_units().map(|r| r.id).collect();
+            let mut scratch = RouterScratch::new();
+            let (mut dead, mut dead_nonzero, mut live) = (0, 0, 0);
+            for &src in &fus {
+                for &dst in &fus {
+                    for budget in 0..=3 * ii {
+                        if scratch.structurally_routable(&arch, src, dst, budget) {
+                            live += 1;
+                            continue;
+                        }
+                        dead += 1;
+                        if budget > 0 {
+                            dead_nonzero += 1;
+                        }
+                        let request = RouteRequest {
+                            src_fu: src,
+                            src_cycle: 1,
+                            dst_fu: dst,
+                            arrival_cycle: 1 + budget,
+                            value: NodeId(src.0),
+                        };
+                        let (need, ceil) = (cert.need(), cert.ceil());
+                        assert_eq!(
+                            find_route_in(&mut scratch, &arch, &state, &request, &HardCapacityCost),
+                            None,
+                            "{}: dead request {request:?} routed",
+                            arch.name()
+                        );
+                        assert_eq!(cert.need(), need, "{}: dead search probed", arch.name());
+                        assert_eq!(cert.ceil(), ceil, "{}: dead search probed", arch.name());
+                    }
+                }
+            }
+            assert!(dead_nonzero > 0 && dead > dead_nonzero, "{}", arch.name());
+            assert!(live > 0, "{}", arch.name());
+        }
+    }
+
+    #[test]
     fn nan_hop_costs_are_rejected_not_propagated() {
         /// A policy that reports NaN for every switch in slot 0 and a valid
         /// cost elsewhere: routes through slot 0 must be avoided entirely

@@ -14,7 +14,7 @@ use plaid_arch::Architecture;
 use plaid_dfg::{Dfg, NodeId};
 
 use crate::error::MapError;
-use crate::mapping::Mapping;
+use crate::mapping::{Mapping, Placement};
 use crate::placement::{greedy_place, LadderShared, MapState};
 use crate::route::HardCapacityCost;
 use crate::state::CapacityCert;
@@ -192,6 +192,7 @@ impl SaMapper {
 fn place_anywhere(state: &mut MapState<'_>, node: NodeId) -> bool {
     let base = state.earliest_cycle(node);
     let candidates = state.candidate_fus(node);
+    let adj = Arc::clone(state.adjacency());
     // One scan: take the first free slot whose edges are reachable,
     // remembering the first merely-free slot as the fallback (the scan
     // only reads state, so the fallback is exactly what a second
@@ -203,7 +204,7 @@ fn place_anywhere(state: &mut MapState<'_>, node: NodeId) -> bool {
             if !state.can_place(node, fu, cycle) {
                 continue;
             }
-            if state.incident_edges_reachable(node, fu, cycle) {
+            if state.edges_routable(adj.incident(node), &[(node, Placement { fu, cycle })]) {
                 state.place(node, fu, cycle);
                 return true;
             }

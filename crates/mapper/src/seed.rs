@@ -17,6 +17,15 @@
 //! the seed's result. The seed is re-validated on the target fabric and
 //! returned directly; sweep results are bit-identical to a cold run.
 //!
+//! A seed's capacity certificate ([`CapacityCert`]) records only the
+//! capacity probes its ladder actually made. Candidates the placement layer
+//! prunes as structurally dead probe nothing, so the certificates of a
+//! pruning ladder are looser than or equal to those of one that tried them:
+//! they admit at least the same capacity windows, and remain sound because
+//! the search decided only on recorded answers. Seeds persisted with tighter
+//! certificates describe the same mappings and still replay, so no cache
+//! key changed when pruning arrived.
+//!
 //! An [`InfeasiblePrefix`] transfers the complementary fact: a ladder that
 //! failed through II `k` on the same fabric structure proves every `ii <= k`
 //! infeasible, so a deeper configuration memory can start its ladder at
@@ -832,6 +841,57 @@ mod tests {
         let bare = PlacementSeed::capture(&dfg, &mapping, &arch, 1);
         assert!(bare.transfers_to(fabric_signature(&arch), nocap, &vec![4; n]));
         assert!(!bare.transfers_to(0, nocap, &vec![4; n]));
+    }
+
+    #[test]
+    fn plaid_certificates_transfer_only_to_fabrics_that_reproduce() {
+        // Certificates record only the capacity probes the search made, and
+        // pruned candidates probe nothing. Whatever the certificate accepts
+        // must therefore still map cold to the very same result.
+        use crate::plaid::PlaidMapper;
+        use plaid_arch::rebuild_provisioned;
+        let dfg = small_dfg();
+        let base = plaid::build(2, 2);
+        let source = PlaidMapper::default()
+            .map_with_seed(&dfg, &base, None)
+            .unwrap();
+        assert_eq!(source.outcome, SeedOutcome::Scratch);
+        let seed = &source.seed;
+        assert!(!seed.cap_need.is_empty(), "the Plaid ladder is certified");
+        let (mut transferred, mut refused) = (0, 0);
+        for capacity in 1..=8 {
+            let fabric = rebuild_provisioned(
+                &base,
+                format!("cap{capacity}"),
+                base.params().clone(),
+                |_| capacity,
+            );
+            let capacities: Vec<u32> = fabric
+                .resources()
+                .iter()
+                .map(|r| r.kind.capacity())
+                .collect();
+            let signature = fabric_signature(&fabric);
+            if !seed.transfers_to(signature, fabric_signature_nocap(&fabric), &capacities) {
+                refused += 1;
+                continue;
+            }
+            if signature != seed.fabric {
+                transferred += 1;
+            }
+            let cold = PlaidMapper::default().map(&dfg, &fabric).unwrap();
+            assert_eq!(cold.ii, source.mapping.ii, "capacity {capacity}");
+            assert_eq!(
+                cold.placements, source.mapping.placements,
+                "capacity {capacity}"
+            );
+            assert_eq!(cold.routes, source.mapping.routes, "capacity {capacity}");
+        }
+        assert!(
+            transferred > 0,
+            "no differently provisioned fabric was accepted"
+        );
+        assert!(refused > 0, "the certificate bounds nothing");
     }
 
     #[test]

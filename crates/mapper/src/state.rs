@@ -42,6 +42,15 @@ use plaid_dfg::NodeId;
 /// The certificate is shared (`Arc`) across state clones: mappers snapshot
 /// and roll back states freely, but a rolled-back branch still *consulted*
 /// capacities, so its observations must survive the rollback.
+///
+/// Only the probes a search actually makes are recorded. Placement
+/// candidates rejected as structurally dead (`MapState::edge_routable`)
+/// probe nothing, so the certificate of a pruning search is looser than or
+/// equal to that of a search that tried them: `need` can only fall and
+/// `ceil` only rise. It is sound for the same reason as above: every
+/// decision the search makes depends only on the answers it recorded. A
+/// tighter certificate persisted by a search that did not prune describes
+/// the same mappings and stays valid, so pruning needs no cache-key change.
 #[derive(Debug, Default)]
 pub struct CapacityCert {
     need: Vec<AtomicU32>,
