@@ -1,12 +1,12 @@
 //! The structured communication axis: per-link-group bandwidth classes,
 //! NoC topology variants and select-bit policies.
 //!
-//! Historically the communication axis was a single 3-valued scalar
-//! ([`CommLevel`]) that scaled every switch capacity and every router select
-//! bit uniformly. That cannot express BandMap-style per-link bandwidth
-//! allocation (different provisioning for the intra-tile network and the
-//! global mesh) or NoC topology variants (torus wraparound, express links).
-//! [`CommSpec`] replaces it as the enumerable axis:
+//! Historically the communication axis was a single 3-valued scalar that
+//! scaled every switch capacity and every router select bit uniformly. That
+//! cannot express BandMap-style per-link bandwidth allocation (different
+//! provisioning for the intra-tile network and the global mesh) or NoC
+//! topology variants (torus wraparound, express links). [`CommSpec`] is the
+//! enumerable axis:
 //!
 //! * [`Topology`] — the inter-tile link structure: the published mesh, a
 //!   torus (wraparound links closing every row and column), or express
@@ -21,90 +21,27 @@
 //!   (`Proportional`, the historical behaviour) or stays at the published
 //!   budget (`Fixed`).
 //!
-//! # Lowering the legacy presets
+//! # The presets
 //!
-//! [`CommLevel`] survives as a set of named presets. Each lowers to a
-//! `CommSpec` via [`CommLevel::spec`]:
+//! The three scalar levels survive as the preset constants
+//! [`CommSpec::LEAN`], [`CommSpec::ALIGNED`] and [`CommSpec::RICH`]:
 //!
 //! | preset    | topology | local bw | global bw | select policy  |
 //! |-----------|----------|----------|-----------|----------------|
-//! | `Lean`    | mesh     | half     | half      | proportional   |
-//! | `Aligned` | mesh     | base     | base      | proportional   |
-//! | `Rich`    | mesh     | boost    | boost     | proportional   |
+//! | `LEAN`    | mesh     | half     | half      | proportional   |
+//! | `ALIGNED` | mesh     | base     | base      | proportional   |
+//! | `RICH`    | mesh     | boost    | boost     | proportional   |
 //!
-//! The lowering is *bit-identical*: a preset spec scales every switch with
-//! the same formula the scalar level used, adds no links, and reports the
-//! legacy label (`lean` / `aligned` / `rich`) and the legacy serialized form
-//! (`"Lean"` / `"Aligned"` / `"Rich"`), so design points, cache keys, fabric
-//! signatures and frontier JSON produced under the scalar encoding are
-//! byte-for-byte unchanged. Non-preset specs serialize as a structured
-//! object and label themselves by topology and bandwidth codes, so no two
-//! distinct specs can alias one cache key or one fabric.
+//! A preset scales every switch with the same formula the scalar level
+//! used, adds no links, and keeps the scalar label (`lean` / `aligned` /
+//! `rich`) and serialized form (`"Lean"` / `"Aligned"` / `"Rich"`), so
+//! design points, cache keys, fabric signatures and frontier JSON produced
+//! under the scalar encoding are byte-for-byte unchanged. Non-preset specs
+//! serialize as a structured object and label themselves by topology and
+//! bandwidth codes, so no two distinct specs can alias one cache key or one
+//! fabric.
 
 use serde::{Deserialize, Serialize};
-
-/// Communication provisioning level of a design point (legacy presets).
-///
-/// `Aligned` is the as-published network; `Lean` halves switch capacities and
-/// router select bits (an under-provisioned network that saves power but
-/// congests); `Rich` adds ~50% on both (an over-provisioned network that
-/// routes easily but pays for selects it rarely uses — the Figure 2
-/// pathology). Each preset lowers to a structured [`CommSpec`] via
-/// [`CommLevel::spec`]; the lowering produces bit-identical fabrics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub enum CommLevel {
-    /// Under-provisioned: half the switch capacity and router bits.
-    Lean,
-    /// The as-published provisioning for the class.
-    Aligned,
-    /// Over-provisioned: ~1.5× switch capacity and router bits.
-    Rich,
-}
-
-impl CommLevel {
-    /// All levels, in lean-to-rich order.
-    pub const ALL: [CommLevel; 3] = [CommLevel::Lean, CommLevel::Aligned, CommLevel::Rich];
-
-    /// Report label.
-    pub fn label(self) -> &'static str {
-        match self {
-            CommLevel::Lean => "lean",
-            CommLevel::Aligned => "aligned",
-            CommLevel::Rich => "rich",
-        }
-    }
-
-    /// The bandwidth class this preset applies to every link group.
-    pub fn bw(self) -> BwClass {
-        match self {
-            CommLevel::Lean => BwClass::Half,
-            CommLevel::Aligned => BwClass::Base,
-            CommLevel::Rich => BwClass::Boost,
-        }
-    }
-
-    /// Lowers the preset to its structured [`CommSpec`]: the published mesh
-    /// topology with this level's bandwidth class on both link groups and
-    /// proportional select bits. The lowered spec builds a fabric
-    /// bit-identical to what the scalar level produced.
-    pub fn spec(self) -> CommSpec {
-        CommSpec {
-            topology: Topology::Mesh,
-            link_bw: LinkBw::uniform(self.bw()),
-            select_policy: SelectPolicy::Proportional,
-        }
-    }
-
-    /// Scales a switch capacity for this provisioning level.
-    pub fn scale_capacity(self, capacity: u32) -> u32 {
-        self.bw().scale_capacity(capacity)
-    }
-
-    /// Scales a communication bit budget for this provisioning level.
-    pub fn scale_bits(self, bits: u32) -> u32 {
-        self.bw().scale_bits(bits)
-    }
-}
 
 /// A per-link-group bandwidth class: the multiplier applied to switch
 /// capacities (and, under [`SelectPolicy::Proportional`], to router select
@@ -178,9 +115,9 @@ impl BwClass {
         }
     }
 
-    /// Scales a switch capacity. Identical to the legacy
-    /// [`CommLevel::scale_capacity`] formulas for the preset classes, so the
-    /// lowering is bit-exact; monotone non-decreasing in [`BwClass::rank`].
+    /// Scales a switch capacity. Identical to the scalar levels' formulas for
+    /// the preset classes, so the presets are bit-exact; monotone
+    /// non-decreasing in [`BwClass::rank`].
     pub fn scale_capacity(self, capacity: u32) -> u32 {
         match self {
             BwClass::Half => (capacity / 2).max(1),
@@ -348,7 +285,7 @@ impl LinkBw {
         global: BwClass::Base,
     };
 
-    /// The same class on both groups (what the scalar presets lower to).
+    /// The same class on both groups (what the presets use).
     pub fn uniform(class: BwClass) -> Self {
         LinkBw {
             local: class,
@@ -368,12 +305,13 @@ impl LinkBw {
 /// A structured communication provisioning point: topology, per-link-group
 /// bandwidth and select-bit policy.
 ///
-/// The legacy [`CommLevel`] presets lower onto this type via
-/// [`CommLevel::spec`] (see the [module docs](self) for the exact table);
-/// preset specs label and serialize exactly as the scalar levels did, so
-/// every artifact keyed on the old encoding — design-point labels, cache
-/// keys, fabric signatures, frontier JSON — is unchanged for them, while any
-/// non-preset spec carries its full structure into all of those channels.
+/// The scalar levels survive as the preset constants [`CommSpec::LEAN`],
+/// [`CommSpec::ALIGNED`] and [`CommSpec::RICH`] (see the [module
+/// docs](self) for the exact table). Presets label and serialize exactly as
+/// the scalar levels did, so every artifact keyed on the old encoding —
+/// design-point labels, cache keys, fabric signatures, frontier JSON — is
+/// unchanged for them, while any non-preset spec carries its full structure
+/// into all of those channels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CommSpec {
     /// Inter-tile link structure.
@@ -385,7 +323,9 @@ pub struct CommSpec {
 }
 
 impl CommSpec {
-    /// The `Lean` preset (mesh, half bandwidth everywhere).
+    /// The `Lean` preset (mesh, half bandwidth everywhere): half the switch
+    /// capacities and router select bits, an under-provisioned network that
+    /// saves power but congests.
     pub const LEAN: CommSpec = CommSpec {
         topology: Topology::Mesh,
         link_bw: LinkBw {
@@ -400,7 +340,9 @@ impl CommSpec {
         link_bw: LinkBw::BASE,
         select_policy: SelectPolicy::Proportional,
     };
-    /// The `Rich` preset (mesh, ~1.5× bandwidth everywhere).
+    /// The `Rich` preset (mesh, ~1.5× bandwidth everywhere): an
+    /// over-provisioned network that routes easily but pays for selects it
+    /// rarely uses (the Figure 2 pathology).
     pub const RICH: CommSpec = CommSpec {
         topology: Topology::Mesh,
         link_bw: LinkBw {
@@ -410,10 +352,9 @@ impl CommSpec {
         select_policy: SelectPolicy::Proportional,
     };
 
-    /// The three legacy presets, in lean-to-rich order (mirrors
-    /// [`CommLevel::ALL`]).
+    /// The three presets, in lean-to-rich order.
     pub fn presets() -> Vec<CommSpec> {
-        CommLevel::ALL.iter().map(|l| l.spec()).collect()
+        vec![CommSpec::LEAN, CommSpec::ALIGNED, CommSpec::RICH]
     }
 
     /// A spec with the given topology, one bandwidth class on both groups
@@ -426,24 +367,22 @@ impl CommSpec {
         }
     }
 
-    /// The preset this spec is the lowering of, if any.
-    pub fn as_level(self) -> Option<CommLevel> {
-        CommLevel::ALL.iter().copied().find(|l| l.spec() == self)
-    }
-
     /// Whether the spec is structurally valid (see [`Topology::is_valid`]).
     pub fn is_valid(self) -> bool {
         self.topology.is_valid()
     }
 
-    /// Report label. Presets keep their legacy names (`lean` / `aligned` /
+    /// Report label. Presets keep their scalar names (`lean` / `aligned` /
     /// `rich`); structured specs read `{topology}[-{local}{global}][-fix]`,
     /// e.g. `torus`, `xp2-hr`, `torus-bb-fix` — with the bandwidth segment
     /// present whenever the allocation is not `Base`/`Base` (one-character
     /// [`BwClass::code`]s, local then global).
     pub fn label(&self) -> String {
-        if let Some(level) = self.as_level() {
-            return level.label().to_string();
+        match *self {
+            CommSpec::LEAN => return "lean".to_string(),
+            CommSpec::ALIGNED => return "aligned".to_string(),
+            CommSpec::RICH => return "rich".to_string(),
+            _ => {}
         }
         let mut out = self.topology.label();
         if self.link_bw != LinkBw::BASE {
@@ -548,7 +487,7 @@ impl CommSpec {
     /// erased, topology kept. Two specs share a family exactly when their
     /// fabrics are identical up to switch capacities — the set across which
     /// a capacity-certified placement seed can hope to transfer. All three
-    /// legacy presets collapse to [`CommSpec::ALIGNED`].
+    /// presets collapse to [`CommSpec::ALIGNED`].
     pub fn structural_family(self) -> CommSpec {
         CommSpec {
             topology: self.topology,
@@ -558,20 +497,20 @@ impl CommSpec {
     }
 }
 
-impl From<CommLevel> for CommSpec {
-    fn from(level: CommLevel) -> Self {
-        level.spec()
-    }
-}
-
-// Hand-written serde: presets must keep the legacy scalar encoding
+// Hand-written serde: presets must keep the scalar encoding
 // (`"Lean"` / `"Aligned"` / `"Rich"`) byte-for-byte so design points,
 // persisted caches and frontier JSON from before the refactor stay valid
 // and unchanged; structured specs serialize as a labelled object.
 impl Serialize for CommSpec {
     fn serialize(&self) -> serde::Value {
-        if let Some(level) = self.as_level() {
-            return level.serialize();
+        let preset = match *self {
+            CommSpec::LEAN => Some("Lean"),
+            CommSpec::ALIGNED => Some("Aligned"),
+            CommSpec::RICH => Some("Rich"),
+            _ => None,
+        };
+        if let Some(name) = preset {
+            return serde::Value::String(name.to_string());
         }
         let mut map = serde::Map::new();
         map.insert(
@@ -596,9 +535,16 @@ impl Serialize for CommSpec {
 
 impl Deserialize for CommSpec {
     fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
-        if value.as_str().is_some() {
-            let level = CommLevel::deserialize(value)?;
-            return Ok(level.spec());
+        match value.as_str() {
+            Some("Lean") => return Ok(CommSpec::LEAN),
+            Some("Aligned") => return Ok(CommSpec::ALIGNED),
+            Some("Rich") => return Ok(CommSpec::RICH),
+            Some(other) => {
+                return Err(serde::Error::custom(format!(
+                    "unknown CommSpec preset `{other}`"
+                )))
+            }
+            None => {}
         }
         let obj = value
             .as_object()
@@ -625,37 +571,51 @@ mod tests {
     use super::*;
 
     #[test]
-    fn presets_lower_to_the_legacy_scaling() {
-        for level in CommLevel::ALL {
-            let spec = level.spec();
-            assert_eq!(spec.as_level(), Some(level));
-            assert_eq!(spec.label(), level.label());
-            assert_eq!(spec.topology, Topology::Mesh);
+    fn presets_keep_the_scalar_scaling() {
+        let presets = [
+            (CommSpec::LEAN, BwClass::Half, "lean"),
+            (CommSpec::ALIGNED, BwClass::Base, "aligned"),
+            (CommSpec::RICH, BwClass::Boost, "rich"),
+        ];
+        assert_eq!(
+            CommSpec::presets(),
+            presets.iter().map(|p| p.0).collect::<Vec<_>>()
+        );
+        for (spec, bw, label) in presets {
+            assert_eq!(spec, CommSpec::uniform(Topology::Mesh, bw));
+            assert_eq!(spec.label(), label);
             for capacity in [1u32, 2, 5, 7, 8] {
                 assert_eq!(
                     spec.scale_capacity(LinkGroup::Local, capacity),
-                    level.scale_capacity(capacity)
+                    bw.scale_capacity(capacity)
                 );
                 assert_eq!(
                     spec.scale_capacity(LinkGroup::Global, capacity),
-                    level.scale_capacity(capacity)
+                    bw.scale_capacity(capacity)
                 );
             }
             for bits in [1u32, 23, 37, 44] {
-                assert_eq!(spec.select_bits(bits), level.scale_bits(bits));
+                assert_eq!(spec.select_bits(bits), bw.scale_bits(bits));
             }
         }
     }
 
     #[test]
     fn preset_serialization_matches_the_scalar_encoding() {
-        for level in CommLevel::ALL {
-            let legacy = serde_json::to_string(&level).unwrap();
-            let lowered = serde_json::to_string(&level.spec()).unwrap();
-            assert_eq!(legacy, lowered, "preset JSON changed");
-            let back: CommSpec = serde_json::from_str(&lowered).unwrap();
-            assert_eq!(back, level.spec());
+        for (spec, json) in [
+            (CommSpec::LEAN, r#""Lean""#),
+            (CommSpec::ALIGNED, r#""Aligned""#),
+            (CommSpec::RICH, r#""Rich""#),
+        ] {
+            assert_eq!(
+                serde_json::to_string(&spec).unwrap(),
+                json,
+                "preset JSON changed"
+            );
+            let back: CommSpec = serde_json::from_str(json).unwrap();
+            assert_eq!(back, spec);
         }
+        assert!(serde_json::from_str::<CommSpec>(r#""Medium""#).is_err());
     }
 
     #[test]
@@ -825,8 +785,8 @@ mod tests {
 
     #[test]
     fn structural_family_erases_bandwidth_but_keeps_topology() {
-        for level in CommLevel::ALL {
-            assert_eq!(level.spec().structural_family(), CommSpec::ALIGNED);
+        for spec in CommSpec::presets() {
+            assert_eq!(spec.structural_family(), CommSpec::ALIGNED);
         }
         let torus_lean = CommSpec::uniform(Topology::Torus, BwClass::Half);
         let torus_rich = CommSpec::uniform(Topology::Torus, BwClass::Boost);

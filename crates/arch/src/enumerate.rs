@@ -19,10 +19,9 @@
 //! * **communication** — a structured [`CommSpec`]: NoC topology (mesh,
 //!   torus wraparound, express links), a bandwidth class per link-direction
 //!   group (scaling switch capacities), and the select-bit policy that
-//!   drives the communication share of the [`crate::ConfigBudget`]. The
-//!   legacy scalar [`crate::comm::CommLevel`] presets lower onto this axis
-//!   bit-exactly
-//!   (see [`crate::comm`]).
+//!   drives the communication share of the [`crate::ConfigBudget`]. Its
+//!   presets reproduce the earlier scalar levels bit-exactly (see
+//!   [`crate::comm`]).
 
 use serde::{Deserialize, Serialize};
 
@@ -225,7 +224,7 @@ impl SpaceSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::comm::{BwClass, CommLevel, LinkBw, SelectPolicy, Topology};
+    use crate::comm::{BwClass, LinkBw, SelectPolicy, Topology};
 
     #[test]
     fn default_grid_enumerates_the_full_cross_product() {
@@ -374,10 +373,13 @@ mod tests {
 
     #[test]
     fn preset_lowering_reproduces_the_scalar_fabrics() {
-        // The legacy scalar levels and their lowered specs must build
-        // structurally identical fabrics: same resources, same capacities,
-        // same links, same parameters.
-        for level in CommLevel::ALL {
+        // Each preset must build the fabric its scalar level built:
+        // same resources, same capacities, same links, same parameters.
+        for (comm, bw) in [
+            (CommSpec::LEAN, BwClass::Half),
+            (CommSpec::ALIGNED, BwClass::Base),
+            (CommSpec::RICH, BwClass::Boost),
+        ] {
             for (class, rows, cols) in [(ArchClass::SpatioTemporal, 3, 3), (ArchClass::Plaid, 2, 2)]
             {
                 let point = DesignPoint {
@@ -385,7 +387,7 @@ mod tests {
                     rows,
                     cols,
                     config_entries: 16,
-                    comm: level.spec(),
+                    comm,
                 };
                 let built = point.build();
                 // Reference: the pre-refactor path — uniform capacity scale,
@@ -397,13 +399,12 @@ mod tests {
                 };
                 let mut params = base.params().clone();
                 params.config_entries = 16;
-                params.config.communication_bits =
-                    level.scale_bits(params.config.communication_bits);
+                params.config.communication_bits = bw.scale_bits(params.config.communication_bits);
                 let reference =
                     crate::architecture::rebuild_provisioned(&base, point.label(), params, |c| {
-                        level.scale_capacity(c)
+                        bw.scale_capacity(c)
                     });
-                assert_eq!(built, reference, "{level:?}/{class:?} lowering diverged");
+                assert_eq!(built, reference, "{}/{class:?} diverged", comm.label());
             }
         }
     }

@@ -28,7 +28,7 @@
 //! `plaid-explore` design-space exploration engine. The communication axis
 //! is the structured [`CommSpec`] of [`comm`]: NoC topology (mesh, torus,
 //! express links), a bandwidth class per link-direction group and a
-//! select-bit policy; the legacy scalar [`CommLevel`] presets lower onto it
+//! select-bit policy, whose presets reproduce the earlier scalar levels
 //! bit-exactly.
 //!
 //! # Example
@@ -58,7 +58,7 @@ pub mod specialize;
 pub use architecture::{
     rebuild_provisioned, rebuild_with_comm, ArchClass, Architecture, Cluster, Position,
 };
-pub use comm::{BwClass, CommLevel, CommSpec, LinkBw, LinkGroup, SelectPolicy, Topology};
+pub use comm::{BwClass, CommSpec, LinkBw, LinkGroup, SelectPolicy, Topology};
 pub use enumerate::{DesignPoint, SpaceSpec};
 pub use params::{ArchParams, ConfigBudget, Domain, HardwiredPattern};
 pub use resource::{FuCaps, Link, Resource, ResourceId, ResourceKind};

@@ -3,8 +3,7 @@
 //! Every runner returns structured rows plus a plain-text rendering that
 //! mirrors the corresponding table or figure series (normalized to the same
 //! baseline the paper uses). The Criterion benches in `crates/bench` invoke
-//! these runners and print their output, and EXPERIMENTS.md records the
-//! paper-reported versus measured values.
+//! these runners and print their output.
 
 use plaid_arch::Architecture;
 use plaid_motif::{coverage, identify_motifs, IdentifyOptions};
@@ -388,8 +387,8 @@ pub fn scalability(scope: ExperimentScope) -> (Vec<ScalabilityRow>, String) {
     let mut rows = Vec::new();
     for workload in scope.workloads() {
         let Ok(dfg) = workload.lower() else { continue };
-        let res = plaid_mapper_res_mii(&dfg, &small_arch);
-        let rec = plaid_mapper_rec_mii(&dfg);
+        let res = plaid_mapper::res_mii(&dfg, &small_arch);
+        let rec = plaid_mapper::rec_mii(&dfg);
         if rec >= res {
             continue;
         }
@@ -425,14 +424,6 @@ pub fn scalability(scope: ExperimentScope) -> (Vec<ScalabilityRow>, String) {
     );
     text.push_str(&format!("geomean speedup of 3x3 over 2x2: {speedup:.2}x\n"));
     (rows, text)
-}
-
-fn plaid_mapper_res_mii(dfg: &plaid_dfg::Dfg, arch: &Architecture) -> u32 {
-    plaid_mapper::res_mii(dfg, arch)
-}
-
-fn plaid_mapper_rec_mii(dfg: &plaid_dfg::Dfg) -> u32 {
-    plaid_mapper::rec_mii(dfg)
 }
 
 /// One row of the DNN application study (Figure 16).

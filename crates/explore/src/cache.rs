@@ -297,7 +297,7 @@ impl ResultCache {
 mod tests {
     use super::*;
     use plaid::pipeline::MapperChoice;
-    use plaid_arch::{ArchClass, BwClass, CommLevel, CommSpec, DesignPoint, Topology};
+    use plaid_arch::{ArchClass, BwClass, CommSpec, DesignPoint, Topology};
     use plaid_workloads::find_workload;
 
     fn spec_point(workload: &str, comm: CommSpec) -> SweepPoint {
@@ -314,18 +314,14 @@ mod tests {
         }
     }
 
-    fn point(workload: &str, comm: CommLevel) -> SweepPoint {
-        spec_point(workload, comm.spec())
-    }
-
     #[test]
     fn keys_are_stable_and_content_sensitive() {
-        let a = cache_key(&point("dwconv", CommLevel::Aligned));
-        let b = cache_key(&point("dwconv", CommLevel::Aligned));
+        let a = cache_key(&spec_point("dwconv", CommSpec::ALIGNED));
+        let b = cache_key(&spec_point("dwconv", CommSpec::ALIGNED));
         assert_eq!(a, b, "same content, same key");
-        let c = cache_key(&point("dwconv", CommLevel::Lean));
+        let c = cache_key(&spec_point("dwconv", CommSpec::LEAN));
         assert_ne!(a, c, "different comm level, different key");
-        let d = cache_key(&point("fc", CommLevel::Aligned));
+        let d = cache_key(&spec_point("fc", CommSpec::ALIGNED));
         assert_ne!(a, d, "different workload, different key");
         assert!(a.starts_with("v1:"));
     }
@@ -396,7 +392,7 @@ mod tests {
     #[test]
     fn hit_miss_accounting() {
         let cache = ResultCache::new();
-        let p = point("dwconv", CommLevel::Aligned);
+        let p = spec_point("dwconv", CommSpec::ALIGNED);
         let key = cache_key(&p);
         assert!(cache.lookup(&key, &p).is_none());
         assert_eq!(cache.misses(), 1);
@@ -415,8 +411,8 @@ mod tests {
         // Simulate a 64-bit hash collision: a record for a *different* point
         // stored under this point's key must not be returned.
         let cache = ResultCache::new();
-        let p = point("dwconv", CommLevel::Aligned);
-        let other = point("fc", CommLevel::Rich);
+        let p = spec_point("dwconv", CommSpec::ALIGNED);
+        let other = spec_point("fc", CommSpec::RICH);
         let key = cache_key(&p);
         cache.insert(key.clone(), EvalRecord::failed(&other, "imposter"));
         assert!(
@@ -433,8 +429,8 @@ mod tests {
         // a 64-bit collision `insert` overwrote the other point's entry and
         // the two points evicted each other forever.
         let cache = ResultCache::new();
-        let p = point("dwconv", CommLevel::Aligned);
-        let other = point("fc", CommLevel::Rich);
+        let p = spec_point("dwconv", CommSpec::ALIGNED);
+        let other = spec_point("fc", CommSpec::RICH);
         let key = cache_key(&p);
         cache.insert(key.clone(), EvalRecord::failed(&p, "mine"));
         cache.insert(key.clone(), EvalRecord::failed(&other, "collider"));
@@ -465,8 +461,8 @@ mod tests {
     #[test]
     fn union_merge_unions_buckets_and_self_merge_is_a_noop() {
         let cache = ResultCache::new();
-        let p = point("dwconv", CommLevel::Aligned);
-        let other_point = point("fc", CommLevel::Rich);
+        let p = spec_point("dwconv", CommSpec::ALIGNED);
+        let other_point = spec_point("fc", CommSpec::RICH);
         let key = cache_key(&p);
         cache.insert(key.clone(), EvalRecord::failed(&p, "mine"));
         // Self-merge must neither deadlock nor duplicate.
@@ -498,7 +494,7 @@ mod tests {
     #[test]
     fn save_is_atomic_and_leaves_no_temp_files() {
         let cache = ResultCache::new();
-        let p = point("dwconv", CommLevel::Lean);
+        let p = spec_point("dwconv", CommSpec::LEAN);
         cache.insert(cache_key(&p), EvalRecord::failed(&p, "v1"));
         let dir = std::env::temp_dir().join("plaid-explore-atomic-test");
         std::fs::create_dir_all(&dir).unwrap();
@@ -530,7 +526,7 @@ mod tests {
 
     #[test]
     fn flat_and_truncated_cache_files_are_invalid_data() {
-        let p = point("dwconv", CommLevel::Aligned);
+        let p = spec_point("dwconv", CommSpec::ALIGNED);
         let key = cache_key(&p);
         let record = serde_json::to_string(&EvalRecord::failed(&p, "flat")).unwrap();
         let dir = std::env::temp_dir().join("plaid-explore-invalid-test");
@@ -555,7 +551,7 @@ mod tests {
         // A record cached while seeds still carried each placement's
         // `fu_ordinal` and the seed's `fu_count`: loading reads declared
         // fields only, so the stale extras are ignored.
-        let p = point("dwconv", CommLevel::Aligned);
+        let p = spec_point("dwconv", CommSpec::ALIGNED);
         let (record, _) = crate::sweep::evaluate_point(&p, &ResultCache::new(), None);
         assert!(record.summary.as_ref().is_some_and(|s| s.seed.is_some()));
         let stale = serde_json::to_string(&record)
@@ -576,7 +572,7 @@ mod tests {
     #[test]
     fn save_and_load_round_trip() {
         let cache = ResultCache::new();
-        let p = point("dwconv", CommLevel::Rich);
+        let p = spec_point("dwconv", CommSpec::RICH);
         let key = cache_key(&p);
         cache.insert(key.clone(), EvalRecord::failed(&p, "persisted"));
         let dir = std::env::temp_dir().join("plaid-explore-cache-test");

@@ -276,14 +276,14 @@ impl SeedStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use plaid_arch::{ArchClass, CommLevel};
+    use plaid_arch::{ArchClass, CommSpec};
     use plaid_workloads::find_workload;
 
     fn fp(point: &SweepPoint) -> u64 {
         plaid::pipeline::dfg_fingerprint(&point.workload.lower().unwrap())
     }
 
-    fn point(depth: u32, comm: CommLevel) -> SweepPoint {
+    fn point(depth: u32, comm: CommSpec) -> SweepPoint {
         SweepPoint {
             workload: find_workload("dwconv").unwrap(),
             design: DesignPoint {
@@ -291,7 +291,7 @@ mod tests {
                 rows: 2,
                 cols: 2,
                 config_entries: depth,
-                comm: comm.spec(),
+                comm,
             },
             mapper: MapperChoice::PathFinder,
         }
@@ -299,13 +299,13 @@ mod tests {
 
     #[test]
     fn distance_orders_axes_dims_then_comm_then_depth() {
-        let base = point(16, CommLevel::Aligned).design;
+        let base = point(16, CommSpec::ALIGNED).design;
         let depth_only = DesignPoint {
             config_entries: 8,
             ..base
         };
         let comm_only = DesignPoint {
-            comm: CommLevel::Rich.spec(),
+            comm: CommSpec::RICH,
             ..base
         };
         let dims_only = DesignPoint {
@@ -329,7 +329,7 @@ mod tests {
     #[test]
     fn store_absorbs_successes_and_serves_depth_sibling_hints() {
         let store = SeedStore::new();
-        let p16 = point(16, CommLevel::Aligned);
+        let p16 = point(16, CommSpec::ALIGNED);
         let (record, _) =
             crate::sweep::evaluate_point(&p16, &crate::cache::ResultCache::new(), None);
         assert!(record.ok, "dwconv maps on the 2x2 baseline");
@@ -338,7 +338,7 @@ mod tests {
 
         // The 8-deep sibling retrieves the seed under Exact (identical
         // fabric signature — depth does not change structure).
-        let p8 = point(8, CommLevel::Aligned);
+        let p8 = point(8, CommSpec::ALIGNED);
         let arch8 = p8.design.build();
         let hint = store
             .hint_for(&p8, &arch8, fp(&p8), SeedPolicy::Exact)
@@ -350,7 +350,7 @@ mod tests {
             .is_none());
         // The lean sibling gets nothing: a PathFinder seed carries no
         // capacity certificate, so it only transfers on an identical fabric.
-        let lean = point(8, CommLevel::Lean);
+        let lean = point(8, CommSpec::LEAN);
         let lean_arch = lean.design.build();
         assert!(store
             .hint_for(&lean, &lean_arch, fp(&lean), SeedPolicy::Exact)
@@ -374,24 +374,24 @@ mod tests {
         // signatures match; a certified plaid/SA seed transfers. Use the
         // plaid mapper (certified) on a plaid fabric.
         let workload = find_workload("dwconv").unwrap();
-        let mk = |comm: CommLevel| SweepPoint {
+        let mk = |comm: CommSpec| SweepPoint {
             workload: workload.clone(),
             design: DesignPoint {
                 class: ArchClass::Plaid,
                 rows: 2,
                 cols: 2,
                 config_entries: 16,
-                comm: comm.spec(),
+                comm,
             },
             mapper: MapperChoice::Plaid,
         };
         let store = SeedStore::new();
-        let aligned = mk(CommLevel::Aligned);
+        let aligned = mk(CommSpec::ALIGNED);
         let (record, _) =
             crate::sweep::evaluate_point(&aligned, &crate::cache::ResultCache::new(), None);
         assert!(record.ok, "dwconv maps on plaid 2x2");
         store.absorb(&aligned, &record);
-        let rich = mk(CommLevel::Rich);
+        let rich = mk(CommSpec::RICH);
         let rich_arch = rich.design.build();
         if let Some(hint) = store.hint_for(&rich, &rich_arch, fp(&rich), SeedPolicy::Exact) {
             // Transfer is only offered when the certificate admits the rich
@@ -404,7 +404,7 @@ mod tests {
 
     #[test]
     fn topology_survives_super_family_erasure() {
-        use plaid_arch::{BwClass, CommSpec, Topology};
+        use plaid_arch::{BwClass, Topology};
         // Bandwidth is erased (all presets group together, as under the
         // scalar encoding) but topology is not: a torus fabric's links
         // differ from a mesh's, so their seeds must never share a family.
@@ -419,8 +419,8 @@ mod tests {
             },
             mapper: MapperChoice::PathFinder,
         };
-        let lean = mk(CommLevel::Lean.spec());
-        let rich = mk(CommLevel::Rich.spec());
+        let lean = mk(CommSpec::LEAN);
+        let rich = mk(CommSpec::RICH);
         let torus_half = mk(CommSpec::uniform(Topology::Torus, BwClass::Half));
         let torus_base = mk(CommSpec::uniform(Topology::Torus, BwClass::Base));
         assert_eq!(SeedFamily::super_of(&lean), SeedFamily::super_of(&rich));
@@ -451,21 +451,21 @@ mod tests {
     #[test]
     fn infeasible_failures_raise_the_family_floor() {
         let store = SeedStore::new();
-        let p8 = point(8, CommLevel::Lean);
+        let p8 = point(8, CommSpec::LEAN);
         let record = EvalRecord::failed(
             &p8,
             "mapping failed: no valid mapping of x onto y up to II=8",
         );
         store.absorb(&p8, &record);
         assert_eq!(store.infeasible_count(), 1);
-        let p16 = point(16, CommLevel::Lean);
+        let p16 = point(16, CommSpec::LEAN);
         let arch16 = p16.design.build();
         let hint = store
             .hint_for(&p16, &arch16, fp(&p16), SeedPolicy::Exact)
             .expect("floor transfers within the family");
         assert_eq!(hint.infeasible.map(|i| i.through_ii), Some(8));
         // The floor is comm-specific: the aligned sibling gets nothing.
-        let aligned = point(16, CommLevel::Aligned);
+        let aligned = point(16, CommSpec::ALIGNED);
         let aligned_arch = aligned.design.build();
         assert!(store
             .hint_for(&aligned, &aligned_arch, fp(&aligned), SeedPolicy::Exact)
@@ -483,14 +483,14 @@ mod tests {
         // which must ignore failures: a cache written by an older mapper
         // could otherwise floor points the current mapper maps.
         let store = SeedStore::new();
-        let p8 = point(8, CommLevel::Lean);
+        let p8 = point(8, CommSpec::LEAN);
         let stale = EvalRecord::failed(
             &p8,
             "mapping failed: no valid mapping of x onto y up to II=8",
         );
         assert!(!store.absorb_seed(&p8, &stale));
         assert_eq!(store.infeasible_count(), 0);
-        let p16 = point(16, CommLevel::Lean);
+        let p16 = point(16, CommSpec::LEAN);
         let arch16 = p16.design.build();
         assert!(store
             .hint_for(&p16, &arch16, fp(&p16), SeedPolicy::Exact)

@@ -54,15 +54,6 @@ impl SweepPlan {
     /// Crosses `workloads` with the enumerated `space`, assigning each point
     /// its class-default mapper.
     pub fn cross(workloads: &[Workload], space: &SpaceSpec) -> Self {
-        Self::cross_with(workloads, space, default_mapper_for_class)
-    }
-
-    /// Crosses `workloads` with `space` using an explicit mapper policy.
-    pub fn cross_with(
-        workloads: &[Workload],
-        space: &SpaceSpec,
-        mapper_for: impl Fn(ArchClass) -> MapperChoice,
-    ) -> Self {
         let designs = space.enumerate();
         let mut points = Vec::with_capacity(workloads.len() * designs.len());
         for workload in workloads {
@@ -70,7 +61,7 @@ impl SweepPlan {
                 points.push(SweepPoint {
                     workload: workload.clone(),
                     design,
-                    mapper: mapper_for(design.class),
+                    mapper: default_mapper_for_class(design.class),
                 });
             }
         }

@@ -16,7 +16,8 @@
 //! * [`spatial`] — the spatial-CGRA mapper, which partitions complex DFGs and
 //!   spills intermediate values to the scratch-pad.
 //!
-//! All stochastic mappers take explicit seeds and are fully deterministic.
+//! Every mapper runs at one fixed configuration (module constants), and the
+//! stochastic ones draw from fixed seeds, so mapping is fully deterministic.
 //!
 //! # Example
 //!
@@ -25,7 +26,7 @@
 //! use plaid_dfg::lower::{lower_kernel, LoweringOptions};
 //! use plaid_dfg::Op;
 //! use plaid_arch::spatio_temporal;
-//! use plaid_mapper::sa::{SaMapper, SaOptions};
+//! use plaid_mapper::sa::SaMapper;
 //! use plaid_mapper::Mapper;
 //!
 //! let kernel = KernelBuilder::new("axpy")
@@ -40,7 +41,7 @@
 //!     .build().unwrap();
 //! let dfg = lower_kernel(&kernel, &LoweringOptions::default()).unwrap();
 //! let arch = spatio_temporal::build(4, 4);
-//! let mapping = SaMapper::new(SaOptions::default()).map(&dfg, &arch).unwrap();
+//! let mapping = SaMapper::default().map(&dfg, &arch).unwrap();
 //! assert!(mapping.validate(&dfg, &arch).is_ok());
 //! ```
 
@@ -63,14 +64,14 @@ pub mod state;
 pub use error::MapError;
 pub use mapping::{Mapping, Placement, Route, RouteHop};
 pub use mii::{comm_mii, mii, rec_mii, res_mii};
-pub use pathfinder::{PathFinderMapper, PathFinderOptions};
-pub use plaid::{PlaidMapper, PlaidMapperOptions};
-pub use sa::{SaMapper, SaOptions};
+pub use pathfinder::PathFinderMapper;
+pub use plaid::PlaidMapper;
+pub use sa::SaMapper;
 pub use seed::{
     dfg_fingerprint, fabric_signature, fabric_signature_nocap, fnv1a64, InfeasiblePrefix, MapSeed,
     PlacementSeed, SeedOutcome, SeededMapping,
 };
-pub use spatial::{SpatialMapper, SpatialOptions, SpatialSchedule};
+pub use spatial::{SpatialMapper, SpatialSchedule};
 pub use state::CapacityCert;
 
 use plaid_arch::Architecture;

@@ -16,40 +16,21 @@ use crate::error::MapError;
 use crate::mapping::Mapping;
 use crate::placement::{greedy_place, MapState};
 use crate::route::{HardCapacityCost, NegotiatedCost};
-use crate::seed::{map_seeded, options_fingerprint, LadderSearch, MapSeed, SeededMapping};
+use crate::seed::{map_seeded, LadderSearch, MapSeed, SeededMapping};
 use crate::state::CapacityCert;
 use crate::Mapper;
 
-/// Options of the PathFinder mapper.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PathFinderOptions {
-    /// Maximum negotiation rounds per II.
-    pub max_rounds: usize,
-    /// Optional cap on the II explored.
-    pub max_ii: Option<u32>,
-}
+/// Maximum negotiation rounds per II.
+const MAX_ROUNDS: usize = 24;
 
-impl Default for PathFinderOptions {
-    fn default() -> Self {
-        PathFinderOptions {
-            max_rounds: 24,
-            max_ii: None,
-        }
-    }
-}
-
-/// The negotiation-based mapper.
+/// The negotiation-based mapper. It runs at one fixed configuration, this
+/// module's constants; outside this crate it is built with
+/// `PathFinderMapper::default()`.
 #[derive(Debug, Clone, Default)]
-pub struct PathFinderMapper {
-    options: PathFinderOptions,
-}
+#[non_exhaustive]
+pub struct PathFinderMapper;
 
 impl PathFinderMapper {
-    /// Creates a mapper with the given options.
-    pub fn new(options: PathFinderOptions) -> Self {
-        PathFinderMapper { options }
-    }
-
     fn attempt_ii<'a>(
         &self,
         dfg: &'a Dfg,
@@ -67,7 +48,7 @@ impl PathFinderMapper {
             return None;
         }
         let mut policy = NegotiatedCost::new(arch.resources().len());
-        for _round in 0..self.options.max_rounds {
+        for _round in 0..MAX_ROUNDS {
             // Rip up all routes and re-route under the current history costs.
             for e in 0..dfg.edge_count() as u32 {
                 state.unroute(EdgeId(e));
@@ -109,13 +90,7 @@ impl LadderSearch for PathFinderMapper {
     /// One adjacency index serves every II attempt of the ladder.
     type Shared = Arc<Adjacency>;
 
-    fn fingerprint(&self) -> u64 {
-        options_fingerprint(&self.options)
-    }
-
-    fn max_ii(&self) -> Option<u32> {
-        self.options.max_ii
-    }
+    const SETTINGS: u64 = 0x47d6_2018_1148_1cab;
 
     fn prepare(&self, dfg: &Dfg, _arch: &Architecture) -> Arc<Adjacency> {
         Arc::new(Adjacency::of(dfg))

@@ -119,17 +119,7 @@ impl<'a> MapState<'a> {
 
     /// Creates an empty state whose capacity decisions are recorded into an
     /// externally owned certificate (shared across all the states of one II
-    /// ladder).
-    pub fn with_cert(
-        dfg: &'a Dfg,
-        arch: &'a Architecture,
-        ii: u32,
-        cert: Arc<crate::state::CapacityCert>,
-    ) -> Self {
-        Self::with_cert_and_adjacency(dfg, arch, ii, cert, Arc::new(Adjacency::of(dfg)))
-    }
-
-    /// Like [`MapState::with_cert`], but reusing a prebuilt adjacency index.
+    /// ladder), reusing a prebuilt adjacency index.
     pub fn with_cert_and_adjacency(
         dfg: &'a Dfg,
         arch: &'a Architecture,

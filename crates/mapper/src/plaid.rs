@@ -28,45 +28,24 @@ use crate::state::CapacityCert;
 use std::sync::Arc;
 
 use crate::sa::attempt_rng;
-use crate::seed::{map_seeded, options_fingerprint, LadderSearch, MapSeed, SeededMapping};
+use crate::seed::{map_seeded, LadderSearch, MapSeed, SeededMapping};
 use crate::Mapper;
 
-/// Options of the Plaid mapper.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PlaidMapperOptions {
-    /// RNG seed for the repair phase.
-    pub seed: u64,
-    /// Motif-identification options (Algorithm 1).
-    pub identify: IdentifyOptions,
-    /// Repair attempts per II before increasing the II.
-    pub repair_attempts: usize,
-    /// Optional cap on the II explored.
-    pub max_ii: Option<u32>,
-}
+/// RNG seed of the repair phase (each II attempt draws from
+/// `attempt_rng(SEED, ii)`).
+const SEED: u64 = 0x9A1D_0002;
 
-impl Default for PlaidMapperOptions {
-    fn default() -> Self {
-        PlaidMapperOptions {
-            seed: 0x9A1D_0002,
-            identify: IdentifyOptions::default(),
-            repair_attempts: 200,
-            max_ii: None,
-        }
-    }
-}
+/// Repair attempts per II before increasing the II.
+const REPAIR_ATTEMPTS: usize = 200;
 
-/// The hierarchical motif mapper.
+/// The hierarchical motif mapper. It runs at one fixed configuration, this
+/// module's constants; outside this crate it is built with
+/// `PlaidMapper::default()`.
 #[derive(Debug, Clone, Default)]
-pub struct PlaidMapper {
-    options: PlaidMapperOptions,
-}
+#[non_exhaustive]
+pub struct PlaidMapper;
 
 impl PlaidMapper {
-    /// Creates a mapper with the given options.
-    pub fn new(options: PlaidMapperOptions) -> Self {
-        PlaidMapper { options }
-    }
-
     /// Maps one motif onto one cluster with one template at one start cycle.
     /// Returns `false` (leaving the state untouched) if anything fails.
     fn try_place_motif(
@@ -280,7 +259,7 @@ impl PlaidMapper {
     ) -> Option<MapState<'a>> {
         let policy = HardCapacityCost;
         let mut best_cost = state.cost();
-        for _ in 0..self.options.repair_attempts {
+        for _ in 0..REPAIR_ATTEMPTS {
             if state.is_complete() {
                 return Some(state);
             }
@@ -371,20 +350,14 @@ impl LadderSearch for PlaidMapper {
     /// decision, so a replayed point never pays for it.
     type Shared = (HierarchicalDfg, LadderShared);
 
-    fn fingerprint(&self) -> u64 {
-        options_fingerprint(&self.options)
-    }
-
-    fn max_ii(&self) -> Option<u32> {
-        self.options.max_ii
-    }
+    const SETTINGS: u64 = 0x7122_4eac_58eb_f14d;
 
     fn prepare(&self, dfg: &Dfg, arch: &Architecture) -> Self::Shared {
         // On non-Plaid fabrics every cluster has a single ALU, so motifs are
         // mapped node-by-node; the hierarchical strategy only pays off on the
         // PCU array, which is exactly the paper's observation in Figure 18.
         let hdfg = if arch.class() == ArchClass::Plaid {
-            identify_motifs(dfg, &self.options.identify)
+            identify_motifs(dfg, &IdentifyOptions::default())
         } else {
             HierarchicalDfg::new(dfg, Vec::new())
         };
@@ -398,7 +371,7 @@ impl LadderSearch for PlaidMapper {
         arch: &Architecture,
         ii: u32,
     ) -> Option<Mapping> {
-        let mut rng = attempt_rng(self.options.seed, ii);
+        let mut rng = attempt_rng(SEED, ii);
         self.attempt_ii(dfg, arch, hdfg, ii, &mut rng, shared)
             .map(|state| state.into_mapping(self.name()))
     }

@@ -20,7 +20,7 @@ use crate::route::HardCapacityCost;
 use crate::state::CapacityCert;
 use std::sync::Arc;
 
-use crate::seed::{map_seeded, options_fingerprint, LadderSearch, MapSeed, SeededMapping};
+use crate::seed::{map_seeded, LadderSearch, MapSeed, SeededMapping};
 use crate::Mapper;
 
 /// Annealing move candidates considered per move. Kept small so a move stays
@@ -47,46 +47,27 @@ pub(crate) fn attempt_rng(seed: u64, ii: u32) -> SmallRng {
     SmallRng::seed_from_u64(seed ^ (u64::from(ii) + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
-/// Options of the simulated-annealing mapper.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SaOptions {
-    /// RNG seed (the mapper is deterministic for a fixed seed).
-    pub seed: u64,
-    /// Annealing moves attempted per II before giving up.
-    pub moves_per_ii: usize,
-    /// Initial temperature.
-    pub initial_temperature: f64,
-    /// Multiplicative cooling factor applied after every move.
-    pub cooling: f64,
-    /// Optional cap on the II explored (defaults to the architecture's
-    /// configuration-memory depth).
-    pub max_ii: Option<u32>,
-}
+/// RNG seed of the annealing (each II attempt draws from
+/// `attempt_rng(SEED, ii)`).
+const SEED: u64 = 0x5EED_0001;
 
-impl Default for SaOptions {
-    fn default() -> Self {
-        SaOptions {
-            seed: 0x5EED_0001,
-            moves_per_ii: 600,
-            initial_temperature: 8.0,
-            cooling: 0.995,
-            max_ii: None,
-        }
-    }
-}
+/// Annealing moves attempted per II before giving up.
+const MOVES_PER_II: usize = 600;
 
-/// The simulated-annealing mapper.
+/// Initial annealing temperature.
+const INITIAL_TEMPERATURE: f64 = 8.0;
+
+/// Multiplicative cooling factor applied after every move.
+const COOLING: f64 = 0.995;
+
+/// The simulated-annealing mapper. It runs at one fixed configuration, this
+/// module's constants; outside this crate it is built with
+/// `SaMapper::default()`.
 #[derive(Debug, Clone, Default)]
-pub struct SaMapper {
-    options: SaOptions,
-}
+#[non_exhaustive]
+pub struct SaMapper;
 
 impl SaMapper {
-    /// Creates a mapper with the given options.
-    pub fn new(options: SaOptions) -> Self {
-        SaMapper { options }
-    }
-
     /// Attempts a single II; returns a complete state on success.
     fn attempt_ii<'a>(
         &self,
@@ -123,11 +104,11 @@ impl SaMapper {
             return Some(state);
         }
 
-        let mut temperature = self.options.initial_temperature;
+        let mut temperature = INITIAL_TEMPERATURE;
         let mut best_cost = state.cost();
         let nodes: Vec<NodeId> = dfg.node_ids().collect();
         let adj = Arc::clone(state.adjacency());
-        for _ in 0..self.options.moves_per_ii {
+        for _ in 0..MOVES_PER_II {
             if state.is_complete() {
                 return Some(state);
             }
@@ -169,7 +150,7 @@ impl SaMapper {
             } else {
                 state.rollback_txn();
             }
-            temperature *= self.options.cooling;
+            temperature *= COOLING;
         }
         if state.is_complete() {
             Some(state)
@@ -245,13 +226,7 @@ impl LadderSearch for SaMapper {
     /// differently-provisioned networks.
     type Shared = LadderShared;
 
-    fn fingerprint(&self) -> u64 {
-        options_fingerprint(&self.options)
-    }
-
-    fn max_ii(&self) -> Option<u32> {
-        self.options.max_ii
-    }
+    const SETTINGS: u64 = 0x40d7_f36d_778a_9cf7;
 
     fn prepare(&self, dfg: &Dfg, arch: &Architecture) -> LadderShared {
         LadderShared::of(dfg, arch)
@@ -264,7 +239,7 @@ impl LadderSearch for SaMapper {
         arch: &Architecture,
         ii: u32,
     ) -> Option<Mapping> {
-        let mut rng = attempt_rng(self.options.seed, ii);
+        let mut rng = attempt_rng(SEED, ii);
         self.attempt_ii(dfg, arch, ii, &mut rng, shared)
             .map(|state| state.into_mapping(self.name()))
     }

@@ -11,11 +11,12 @@
 //! signature.
 //!
 //! One reuse tier follows from that: **exact replay**. When the seed's
-//! signature (or capacity certificate), mapper and options match the target
-//! and every per-II attempt is a pure function of `(dfg, fabric, ii)` (the
-//! mappers reseed their RNG per II), the target's ladder provably reproduces
-//! the seed's result. The seed is re-validated on the target fabric and
-//! returned directly; sweep results are bit-identical to a cold run.
+//! signature (or capacity certificate), mapper and settings stamp match
+//! the target and every per-II attempt is a pure function of
+//! `(dfg, fabric, ii)` (the mappers reseed their RNG per II), the target's
+//! ladder provably reproduces the seed's result. The seed is re-validated
+//! on the target fabric and returned directly; sweep results are
+//! bit-identical to a cold run.
 //!
 //! A seed's capacity certificate ([`CapacityCert`]) records only the
 //! capacity probes its ladder actually made. Candidates the placement layer
@@ -32,8 +33,15 @@
 //! `k + 1`.
 //!
 //! Both are applied by one ladder driver shared by the SA, PathFinder and
-//! Plaid mappers; each mapper supplies only its per-II attempt
-//! (`LadderSearch`).
+//! Plaid mappers; each mapper supplies only its per-II attempt and its
+//! settings stamp (`LadderSearch`).
+//!
+//! The mappers' settings (RNG seeds, move and repair budgets, annealing
+//! schedule) are module constants, so one `u64` per mapper names them: the
+//! `LadderSearch::SETTINGS` stamp, stored in [`PlacementSeed::options`].
+//! The stamps are pinned literals, so seeds persisted by one build replay
+//! in the next; a change to a mapper's search that can change its mappings
+//! must bump its stamp.
 
 use serde::{Deserialize, Serialize};
 
@@ -200,7 +208,9 @@ pub struct SeedRoute {
 pub struct PlacementSeed {
     /// Name of the mapper that produced the mapping (`Mapper::name`).
     pub mapper: String,
-    /// Fingerprint of the mapper options the mapping was produced under.
+    /// Settings stamp of the mapper that produced the mapping (its
+    /// `LadderSearch::SETTINGS`); a seed replays only for a mapper with the
+    /// same stamp.
     pub options: u64,
     /// Fingerprint of the DFG the mapping places (see [`dfg_fingerprint`]).
     pub dfg: u64,
@@ -526,28 +536,20 @@ pub(crate) fn plan_ladder<'a>(
     LadderPlan::Ladder { start, floored }
 }
 
-/// Fingerprint of a mapper's options, via its `Debug` rendering. Stable
-/// within a build, which is all replay needs: seeds produced under different
-/// options must not replay for each other.
-pub(crate) fn options_fingerprint(options: &impl std::fmt::Debug) -> u64 {
-    fnv1a64(format!("{options:?}").as_bytes())
-}
-
 /// The mapper-specific half of a seeded II ladder. [`map_seeded`] owns the
 /// rest — the hint, the replay decision, the II bounds and the seed capture
-/// — so a mapper supplies only its per-II attempt.
+/// — so a mapper supplies only its settings stamp and its per-II attempt.
 pub(crate) trait LadderSearch: Mapper {
     /// Search-wide state shared by every attempt of one ladder. It is built
     /// after the replay decision, so a replayed point pays for none of it.
     type Shared;
 
-    /// Fingerprint of the options the search runs under
-    /// ([`options_fingerprint`]).
-    fn fingerprint(&self) -> u64;
-
-    /// The options' explicit II cap; the fabric's configuration depth bounds
-    /// the ladder otherwise.
-    fn max_ii(&self) -> Option<u32>;
+    /// Seed-compatibility stamp of the search's fixed settings, recorded
+    /// in every captured seed's [`PlacementSeed::options`]; a seed replays
+    /// only for a search with the same stamp. Bump it whenever a change to
+    /// the search (its constants or its algorithm) can change the mapping
+    /// a ladder produces, so seeds persisted by older builds stop replaying.
+    const SETTINGS: u64;
 
     /// Builds the ladder's shared state.
     fn prepare(&self, dfg: &Dfg, arch: &Architecture) -> Self::Shared;
@@ -584,9 +586,9 @@ pub(crate) fn map_seeded<S: LadderSearch>(
         ));
     }
     let ctx = SeedContext::of(dfg, arch);
-    let options = search.fingerprint();
+    let options = S::SETTINGS;
     let mii = crate::mii::mii(dfg, arch);
-    let max_ii = search.max_ii().unwrap_or(arch.params().max_ii());
+    let max_ii = arch.params().max_ii();
     let infeasible = || MapError::NoValidMapping {
         kernel: dfg.name().to_string(),
         arch: arch.name().to_string(),
@@ -892,6 +894,31 @@ mod tests {
             "no differently provisioned fabric was accepted"
         );
         assert!(refused > 0, "the certificate bounds nothing");
+    }
+
+    #[test]
+    fn settings_fingerprints_are_pinned() {
+        use crate::plaid::PlaidMapper;
+        use crate::sa::SaMapper;
+        // The stamps persist in seeds on disk: changing one silently
+        // invalidates every stored seed of that mapper, so it must only
+        // change on purpose (see `LadderSearch::SETTINGS`).
+        assert_eq!(SaMapper::SETTINGS, 0x40d7_f36d_778a_9cf7);
+        assert_eq!(PathFinderMapper::SETTINGS, 0x47d6_2018_1148_1cab);
+        assert_eq!(PlaidMapper::SETTINGS, 0x7122_4eac_58eb_f14d);
+        let dfg = small_dfg();
+        let st = spatio_temporal::build(4, 4);
+        let pcu = plaid::build(2, 2);
+        let sa = SaMapper::default().map_with_seed(&dfg, &st, None).unwrap();
+        assert_eq!(sa.seed.options, SaMapper::SETTINGS);
+        let pf = PathFinderMapper::default()
+            .map_with_seed(&dfg, &st, None)
+            .unwrap();
+        assert_eq!(pf.seed.options, PathFinderMapper::SETTINGS);
+        let pl = PlaidMapper::default()
+            .map_with_seed(&dfg, &pcu, None)
+            .unwrap();
+        assert_eq!(pl.seed.options, PlaidMapper::SETTINGS);
     }
 
     #[test]

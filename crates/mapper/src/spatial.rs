@@ -25,14 +25,6 @@ use plaid_dfg::{Dfg, NodeId};
 use crate::error::MapError;
 use crate::mii::rec_mii;
 
-/// Options of the spatial mapper.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SpatialOptions {
-    /// Maximum nodes (original plus spill operations) per partition; defaults
-    /// to the number of functional units of the fabric.
-    pub max_nodes_per_partition: Option<usize>,
-}
-
 /// One spatial partition of the DFG.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Partition {
@@ -100,18 +92,14 @@ impl SpatialSchedule {
     }
 }
 
-/// The spatial mapper.
+/// The spatial mapper. It has no settings (the partition cap is the
+/// fabric's functional-unit count); outside this crate it is built with
+/// `SpatialMapper::default()`.
 #[derive(Debug, Clone, Default)]
-pub struct SpatialMapper {
-    options: SpatialOptions,
-}
+#[non_exhaustive]
+pub struct SpatialMapper;
 
 impl SpatialMapper {
-    /// Creates a mapper with the given options.
-    pub fn new(options: SpatialOptions) -> Self {
-        SpatialMapper { options }
-    }
-
     /// Partitions `dfg` for spatial execution on `arch`.
     ///
     /// # Errors
@@ -130,10 +118,7 @@ impl SpatialMapper {
                 "DFG contains memory operations but the architecture has no memory port".into(),
             ));
         }
-        let fabric_nodes = self
-            .options
-            .max_nodes_per_partition
-            .unwrap_or_else(|| arch.functional_units().count());
+        let fabric_nodes = arch.functional_units().count();
         let memory_ports = arch.memory_unit_count().max(1);
         let order = dfg
             .topological_order()
@@ -275,13 +260,11 @@ mod tests {
     }
 
     #[test]
-    fn custom_partition_size_is_respected() {
+    fn partition_size_is_capped_by_the_fabric() {
         let dfg = mac_kernel(4);
-        let arch = spatial::build(4, 4);
-        let mapper = SpatialMapper::new(SpatialOptions {
-            max_nodes_per_partition: Some(6),
-        });
-        let schedule = mapper.map_spatial(&dfg, &arch).unwrap();
+        let arch = spatial::build(2, 3);
+        assert_eq!(arch.functional_units().count(), 6);
+        let schedule = SpatialMapper::default().map_spatial(&dfg, &arch).unwrap();
         assert!(schedule.partitions.iter().all(|p| p.nodes.len() <= 6));
         assert!(schedule.partition_count() >= 3);
     }
