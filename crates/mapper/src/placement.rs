@@ -19,7 +19,15 @@
 //! one of the edges they would route is structurally dead
 //! (`MapState::edge_routable`): its route search would fail without
 //! probing occupancy, so the outcome is the same and the searches of the
-//! candidate's other edges are saved.
+//! candidate's other edges are saved. They then reject it when one of those
+//! edges has no open first hop in the current occupancy
+//! (`MapState::first_hops_open`). While a candidate is tried, the heuristic
+//! only adds placements and routes, and under hard capacity a refused
+//! first hop stays refused, so that edge would fail whenever it is reached.
+//! This pre-check probes first hops through the ordinary `hop_cost` path,
+//! so its probes enter the capacity certificate like the search's own.
+//! SA's fallback placement keeps candidates whose edges fail to route, so
+//! it uses only the structural check.
 
 use std::sync::Arc;
 
@@ -29,7 +37,8 @@ use plaid_dfg::{Adjacency, Dfg, DfgEdge, EdgeId, EdgeKind, NodeId};
 use crate::dense::DenseMap;
 use crate::mapping::{Mapping, Placement, Route};
 use crate::route::{
-    commit_route, find_route_in, release_route, CostPolicy, RouteRequest, RouterScratch,
+    commit_route, find_route_in, first_hop_open, release_route, CostPolicy, RouteRequest,
+    RouterScratch,
 };
 use crate::state::RoutingState;
 
@@ -304,29 +313,83 @@ impl<'a> MapState<'a> {
                 .structurally_routable(self.arch, src.fu, dst.fu, arrival - src.cycle)
     }
 
+    /// Where `edge`'s endpoints would sit: nodes listed in `prospective`
+    /// count as placed there, every other node keeps its current placement.
+    /// `None` when an endpoint is unplaced.
+    fn prospective_endpoints(
+        &self,
+        edge: &DfgEdge,
+        prospective: &[(NodeId, Placement)],
+    ) -> Option<(Placement, Placement)> {
+        let at = |n: NodeId| {
+            prospective
+                .iter()
+                .find(|&&(m, _)| m == n)
+                .map(|&(_, p)| p)
+                .or_else(|| self.placements.get(&n).copied())
+        };
+        Some((at(edge.src)?, at(edge.dst)?))
+    }
+
     /// Whether every edge in `edges` whose endpoints would both be placed
-    /// passes [`Self::edge_routable`]. Nodes listed in `prospective` count
-    /// as placed there; every other node keeps its current placement, and
-    /// edges with an unplaced endpoint are skipped.
+    /// passes [`Self::edge_routable`]. Endpoints resolve as in
+    /// [`Self::prospective_endpoints`]; edges with an unplaced endpoint are
+    /// skipped.
     pub(crate) fn edges_routable(
         &mut self,
         edges: &[EdgeId],
         prospective: &[(NodeId, Placement)],
     ) -> bool {
+        edges.iter().all(
+            |&e| match self.prospective_endpoints(self.dfg.edge(e), prospective) {
+                Some((src, dst)) => self.edge_routable(e, src, dst),
+                None => true,
+            },
+        )
+    }
+
+    /// Whether every data edge in `edges` whose endpoints would both be
+    /// placed still has an open first hop under `policy` in the current
+    /// occupancy ([`crate::route::first_hop_open`]). Endpoints resolve as in
+    /// [`Self::edges_routable`]. Stops at the first closed edge.
+    ///
+    /// Heuristics call it before placing a candidate. Trying a candidate
+    /// only adds placements and routes, and under
+    /// [`crate::route::HardCapacityCost`] a refused first hop stays refused,
+    /// so a closed edge fails its search whenever it is reached. Rejecting
+    /// the candidate up front gives the same result without searching any
+    /// edge.
+    pub(crate) fn first_hops_open(
+        &mut self,
+        edges: &[EdgeId],
+        prospective: &[(NodeId, Placement)],
+        policy: &impl CostPolicy,
+    ) -> bool {
         edges.iter().all(|&e| {
             let edge = self.dfg.edge(e);
-            let at = |n: NodeId| {
-                prospective
-                    .iter()
-                    .find(|&&(m, _)| m == n)
-                    .map(|&(_, p)| p)
-                    .or_else(|| self.placements.get(&n).copied())
-            };
-            match (at(edge.src), at(edge.dst)) {
-                (Some(src), Some(dst)) => self.edge_routable(e, src, dst),
-                _ => true,
+            if !self.dfg.edge_carries_data(edge) {
+                return true;
+            }
+            match self.prospective_endpoints(edge, prospective) {
+                Some((src, dst)) => {
+                    let request = self.route_request(edge, src, dst);
+                    first_hop_open(&mut self.scratch, self.arch, &self.state, &request, policy)
+                }
+                None => true,
             }
         })
+    }
+
+    /// The route request of `edge` with its producer at `src` and its
+    /// consumer at `dst`.
+    fn route_request(&self, edge: &DfgEdge, src: Placement, dst: Placement) -> RouteRequest {
+        RouteRequest {
+            src_fu: src.fu,
+            src_cycle: src.cycle,
+            dst_fu: dst.fu,
+            arrival_cycle: self.arrival(edge.kind, dst.cycle),
+            value: edge.src,
+        }
     }
 
     /// Attempts to route `edge` under `policy`. Returns `true` on success.
@@ -339,20 +402,11 @@ impl<'a> MapState<'a> {
         if self.routes.contains_key(&edge) {
             return true;
         }
-        let (Some(src), Some(dst)) = (self.placements.get(&e.src), self.placements.get(&e.dst))
+        let (Some(&src), Some(&dst)) = (self.placements.get(&e.src), self.placements.get(&e.dst))
         else {
             return false;
         };
-        let Some((_, arrival)) = self.arrival_cycle(e) else {
-            return false;
-        };
-        let request = RouteRequest {
-            src_fu: src.fu,
-            src_cycle: src.cycle,
-            dst_fu: dst.fu,
-            arrival_cycle: arrival,
-            value: e.src,
-        };
+        let request = self.route_request(e, src, dst);
         match find_route_in(&mut self.scratch, self.arch, &self.state, &request, policy) {
             Some((route, _)) => {
                 commit_route(&mut self.state, &route, e.src);
@@ -478,7 +532,7 @@ pub fn greedy_place(state: &mut MapState<'_>, policy: &impl CostPolicy) -> bool 
     true
 }
 
-/// Places one node at its earliest feasible cycle (searching one full II of
+/// Places one node at its earliest feasible cycle (searching two IIs of
 /// offsets) on the cheapest FU that admits routing of its incoming data edges.
 pub fn place_node_best_effort(
     state: &mut MapState<'_>,
@@ -495,8 +549,12 @@ pub fn place_node_best_effort(
                 continue;
             }
             // Only the in-edges are routed below, so only they are checked:
-            // a structurally dead one would fail its search anyway.
-            if !state.edges_routable(adj.ins(node), &[(node, Placement { fu, cycle })]) {
+            // a structurally dead one, or one whose every first hop is
+            // refused, would fail its search anyway.
+            let at = [(node, Placement { fu, cycle })];
+            if !state.edges_routable(adj.ins(node), &at)
+                || !state.first_hops_open(adj.ins(node), &at, policy)
+            {
                 continue;
             }
             state.place(node, fu, cycle);
@@ -633,6 +691,100 @@ mod tests {
             }
         }
         assert!(dead > 0);
+    }
+
+    /// A DFG whose loads fan out to several consumers (`x[i]` to both
+    /// operands of one multiply), with a recurrence through the
+    /// accumulation into `y`.
+    fn fan_out_dfg() -> Dfg {
+        let x = || Expr::load("x", AffineExpr::var(0));
+        let y = || Expr::load("y", AffineExpr::var(0));
+        let kernel = KernelBuilder::new("fan_out")
+            .loop_var("i", 8)
+            .array("x", 8)
+            .array("y", 8)
+            .array("z", 8)
+            .store(
+                "z",
+                AffineExpr::var(0),
+                Expr::binary(
+                    Op::Add,
+                    Expr::binary(
+                        Op::Add,
+                        Expr::binary(Op::Mul, x(), x()),
+                        Expr::binary(Op::Mul, x(), Expr::Const(3)),
+                    ),
+                    Expr::binary(
+                        Op::Mul,
+                        Expr::binary(Op::Sub, x(), y()),
+                        Expr::binary(Op::Add, y(), Expr::Const(5)),
+                    ),
+                ),
+            )
+            .accumulate("y", AffineExpr::var(0), Op::Add, x())
+            .build()
+            .unwrap();
+        lower_kernel(&kernel, &LoweringOptions::unrolled(2)).unwrap()
+    }
+
+    #[test]
+    fn closed_first_hops_reject_exactly() {
+        // Every candidate `first_hops_open` rejects must also fail once
+        // placed with its in-edges routed in order, as
+        // `place_node_best_effort` would try it: a refused first hop stays
+        // refused while a candidate only adds placements and routes. The
+        // states are the prefixes of greedy runs on capacity-1 fabrics, so
+        // later nodes, recurrence producers and nodes that found no slot
+        // are unplaced. Fan-out leaves a producer's value in full switch
+        // cells, where it still fits.
+        let dfg = fan_out_dfg();
+        let adj = Adjacency::of(&dfg);
+        assert!(dfg.node_ids().any(|n| adj.outs(n).len() >= 3));
+        assert!(dfg.edges().any(|e| e.kind.is_recurrence()));
+        let order = dfg.topological_order().unwrap();
+        let lean = |base: Architecture| {
+            let params = base.params().clone();
+            plaid_arch::rebuild_provisioned(&base, format!("{}-lean", base.name()), params, |_| 1)
+        };
+        let mut rejected = 0;
+        for arch in [
+            lean(plaid_arch::plaid::build(2, 2)),
+            lean(spatio_temporal::build(4, 4)),
+        ] {
+            for ii in 1..=3 {
+                let mut state = MapState::new(&dfg, &arch, ii);
+                for &node in &order {
+                    let base = state.earliest_cycle(node);
+                    for cycle in base..base + 2 * ii {
+                        for fu in state.candidate_fus(node) {
+                            let at = [(node, Placement { fu, cycle })];
+                            if !state.can_place(node, fu, cycle)
+                                || !state.edges_routable(adj.ins(node), &at)
+                                || state.first_hops_open(adj.ins(node), &at, &HardCapacityCost)
+                            {
+                                continue;
+                            }
+                            rejected += 1;
+                            state.begin_txn();
+                            state.place(node, fu, cycle);
+                            let routed = adj.ins(node).iter().all(|&e| {
+                                !state.placements.contains_key(&dfg.edge(e).src)
+                                    || state.route_edge(e, &HardCapacityCost)
+                            });
+                            state.rollback_txn();
+                            assert!(
+                                !routed,
+                                "{} II {ii}: rejected {node} at {fu}@{cycle} routes",
+                                arch.name()
+                            );
+                        }
+                    }
+                    // A node that finds no slot stays unplaced.
+                    place_node_best_effort(&mut state, node, &HardCapacityCost);
+                }
+            }
+        }
+        assert!(rejected > 0);
     }
 
     #[test]

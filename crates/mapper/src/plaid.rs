@@ -88,10 +88,13 @@ impl PlaidMapper {
             .collect();
         incident.sort_unstable();
         incident.dedup();
-        // A structurally dead edge would fail its route search before any
-        // occupancy probe, undoing every route found before it: reject the
-        // candidate before placing or searching anything.
-        if !state.edges_routable(&incident, &slots) {
+        // A structurally dead edge, or one whose every first hop is refused,
+        // would fail its route search whenever it is reached, undoing every
+        // route found before it: reject the candidate before placing or
+        // searching anything.
+        if !state.edges_routable(&incident, &slots)
+            || !state.first_hops_open(&incident, &slots, &HardCapacityCost)
+        {
             return false;
         }
         // Place, then route every incident edge whose endpoints are both

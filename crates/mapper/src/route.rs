@@ -40,6 +40,16 @@ pub struct RouteRequest {
     pub value: NodeId,
 }
 
+impl RouteRequest {
+    /// Cycles the route must take, or `None` when the value would have to
+    /// arrive no later than it leaves (no route exists).
+    fn budget(&self) -> Option<u32> {
+        self.arrival_cycle
+            .checked_sub(self.src_cycle)
+            .filter(|&b| b > 0)
+    }
+}
+
 /// Per-hop cost policy.
 pub trait CostPolicy {
     /// Cost of occupying `(resource, slot)` with `value`, or `None` if the
@@ -426,10 +436,7 @@ pub fn find_route_in(
     request: &RouteRequest,
     policy: &impl CostPolicy,
 ) -> Option<(Route, f64)> {
-    if request.arrival_cycle <= request.src_cycle {
-        return None;
-    }
-    let budget = request.arrival_cycle - request.src_cycle;
+    let budget = request.budget()?;
     let n = arch.resources().len();
     let width = (budget + 1) as usize;
     let index = |r: u32, e: u32| r as usize * width + e as usize;
@@ -440,30 +447,14 @@ pub fn find_route_in(
     let reach = reach.table(arch, request.dst_fu, budget);
     core.begin(n * width);
 
-    // Seed: leave the source FU along each outgoing link.
-    for link in arch.out_links(request.src_fu) {
-        if arch.resource(link.to).kind.is_func_unit() {
-            // A route may only end at the destination FU, and entering it is
-            // handled at pop time below; other FUs are not usable as vias.
-            continue;
-        }
-        let elapsed = link.latency;
-        if elapsed > budget || !reach.alive(link.to.0, budget - elapsed) {
-            continue;
-        }
-        let slot = state.slot(request.src_cycle + elapsed);
-        let Some(cost) = policy
-            .hop_cost(state, link.to, slot, request.value)
-            .and_then(finite_or_reject)
-        else {
-            continue;
-        };
-        let idx = index(link.to.0, elapsed);
+    // Seed: leave the source FU along each open first hop.
+    for (to, elapsed, cost) in first_hops(arch, state, request, policy, reach, budget) {
+        let idx = index(to.0, elapsed);
         if cost < core.best(idx) {
             core.set(idx, cost, NO_PARENT);
             core.heap.push(QueueEntry {
                 cost,
-                resource: link.to.0,
+                resource: to.0,
                 elapsed,
             });
         }
@@ -526,6 +517,66 @@ pub fn find_route_in(
         }
     }
     None
+}
+
+/// The open first hops of `request`'s route, in link order: each switch
+/// leaving the producer's FU that is alive for the budget in `reach` and
+/// that `policy` admits, with its elapsed cycles and hop cost. This is the
+/// one definition of a first hop: the search seeds from it and
+/// [`first_hop_open`] asks whether it is empty. The iterator is lazy, so
+/// each hop's occupancy is probed, and recorded in the capacity
+/// certificate, only when the iterator reaches it.
+fn first_hops<'a>(
+    arch: &'a Architecture,
+    state: &'a RoutingState,
+    request: &'a RouteRequest,
+    policy: &'a impl CostPolicy,
+    reach: &'a ReachTable,
+    budget: u32,
+) -> impl Iterator<Item = (ResourceId, u32, f64)> + 'a {
+    arch.out_links(request.src_fu).filter_map(move |link| {
+        // A route may only end at the destination FU, and entering it is
+        // handled at pop time in the search; other FUs are not usable as
+        // vias.
+        if arch.resource(link.to).kind.is_func_unit() {
+            return None;
+        }
+        let elapsed = link.latency;
+        if elapsed > budget || !reach.alive(link.to.0, budget - elapsed) {
+            return None;
+        }
+        let slot = state.slot(request.src_cycle + elapsed);
+        let cost = policy
+            .hop_cost(state, link.to, slot, request.value)
+            .and_then(finite_or_reject)?;
+        Some((link.to, elapsed, cost))
+    })
+}
+
+/// Whether `request` has at least one open first hop (see [`first_hops`]).
+/// `false` means [`find_route_in`] would return `None` after probing
+/// exactly the first hops probed here.
+///
+/// Under [`HardCapacityCost`] a `false` answer also holds for every later
+/// state that only adds placements and routes. A switch cell that refuses
+/// the value is at capacity without it. Adding FU placements does not touch
+/// it, and a route could only bring the value into the cell by being
+/// admitted there first. Placement heuristics use this to reject a
+/// candidate before searching any of its edges.
+pub(crate) fn first_hop_open(
+    scratch: &mut RouterScratch,
+    arch: &Architecture,
+    state: &RoutingState,
+    request: &RouteRequest,
+    policy: &impl CostPolicy,
+) -> bool {
+    let Some(budget) = request.budget() else {
+        return false;
+    };
+    let reach = scratch.reach.table(arch, request.dst_fu, budget);
+    first_hops(arch, state, request, policy, reach, budget)
+        .next()
+        .is_some()
 }
 
 /// Commits a route to the occupancy table.
@@ -800,6 +851,82 @@ mod tests {
             }
             assert!(dead_nonzero > 0 && dead > dead_nonzero, "{}", arch.name());
             assert!(live > 0, "{}", arch.name());
+        }
+    }
+
+    #[test]
+    fn closed_first_hop_means_no_route() {
+        // The premise of the placement pre-check: when `first_hop_open`
+        // finds no open first hop, the search returns `None`, and it
+        // probes exactly the hops the check probed, so the certificate
+        // does not change.
+        use crate::state::CapacityCert;
+        use std::sync::Arc;
+        let ii = 2;
+        let present = NodeId(1_000);
+        for arch in [spatio_temporal::build(4, 4), plaid::build(2, 2)] {
+            let cert = Arc::new(CapacityCert::new(arch.resources().len()));
+            let mut state = RoutingState::with_cert(&arch, ii, Arc::clone(&cert));
+            // Fill every third switch to capacity in slot 0 with foreign
+            // values, `present` among them.
+            for r in arch.resources().iter().filter(|r| !r.kind.is_func_unit()) {
+                if r.id.0 % 3 == 0 {
+                    for v in 0..state.capacity(r.id) {
+                        state.occupy(r.id, 0, NodeId(present.0 + v));
+                    }
+                }
+            }
+            let fus: Vec<ResourceId> = arch.functional_units().map(|r| r.id).collect();
+            let mut scratch = RouterScratch::new();
+            let (mut open, mut closed_by_occupancy) = (0, 0);
+            for &src in &fus {
+                for &dst in &fus {
+                    for budget in 0..=3 * ii {
+                        for src_cycle in 0..ii {
+                            // `present` fits wherever it already sits; a
+                            // fresh value does not.
+                            for value in [present, NodeId(src.0)] {
+                                let request = RouteRequest {
+                                    src_fu: src,
+                                    src_cycle,
+                                    dst_fu: dst,
+                                    arrival_cycle: src_cycle + budget,
+                                    value,
+                                };
+                                if first_hop_open(
+                                    &mut scratch,
+                                    &arch,
+                                    &state,
+                                    &request,
+                                    &HardCapacityCost,
+                                ) {
+                                    open += 1;
+                                    continue;
+                                }
+                                if scratch.structurally_routable(&arch, src, dst, budget) {
+                                    closed_by_occupancy += 1;
+                                }
+                                let (need, ceil) = (cert.need(), cert.ceil());
+                                assert_eq!(
+                                    find_route_in(
+                                        &mut scratch,
+                                        &arch,
+                                        &state,
+                                        &request,
+                                        &HardCapacityCost
+                                    ),
+                                    None,
+                                    "{}: closed request {request:?} routed",
+                                    arch.name()
+                                );
+                                assert_eq!(cert.need(), need, "{}", arch.name());
+                                assert_eq!(cert.ceil(), ceil, "{}", arch.name());
+                            }
+                        }
+                    }
+                }
+            }
+            assert!(open > 0 && closed_by_occupancy > 0, "{}", arch.name());
         }
     }
 

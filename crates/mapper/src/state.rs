@@ -51,6 +51,11 @@ use plaid_dfg::NodeId;
 /// decision the search makes depends only on the answers it recorded. A
 /// tighter certificate persisted by a search that did not prune describes
 /// the same mappings and stays valid, so pruning needs no cache-key change.
+///
+/// The first-hop pre-check (`MapState::first_hops_open`) probes through
+/// the same `hop_cost` path as the route search, so its probes are
+/// recorded like any other. A candidate it rejects records only the first
+/// hops it probed, up to the first edge found closed, and no search.
 #[derive(Debug, Default)]
 pub struct CapacityCert {
     need: Vec<AtomicU32>,
