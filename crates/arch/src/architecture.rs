@@ -221,9 +221,11 @@ impl Architecture {
         self.resources.len() - self.functional_units().count()
     }
 
-    /// Checks internal consistency: link endpoints exist, every functional
-    /// unit has at least one incoming and one outgoing link, every cluster
-    /// references valid resources, and capacities are non-zero.
+    /// Checks internal consistency: link endpoints exist, no link joins two
+    /// functional units (values travel between units through switches only,
+    /// which the router's first-hop and reachability tables rely on), every
+    /// functional unit has at least one incoming and one outgoing link, every
+    /// cluster references valid resources, and capacities are non-zero.
     ///
     /// # Panics
     ///
@@ -240,6 +242,13 @@ impl Architecture {
             assert!(
                 (link.to.0 as usize) < self.resources.len(),
                 "link destination {} out of range",
+                link.to
+            );
+            assert!(
+                !(self.resource(link.from).kind.is_func_unit()
+                    && self.resource(link.to).kind.is_func_unit()),
+                "link {} -> {} joins two functional units",
+                link.from,
                 link.to
             );
         }
@@ -632,6 +641,32 @@ mod tests {
         });
         let arch = b.build();
         assert_eq!(arch.links().len(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "joins two functional units")]
+    fn links_between_functional_units_are_rejected() {
+        let mut b = ArchBuilder::new(
+            "fu2fu",
+            ArchClass::SpatioTemporal,
+            ArchParams::baseline(1, 1),
+        );
+        let t0 = b.add_tile(Position { x: 0, y: 0 });
+        let fu0 = b.add_func_unit(t0, "fu0", FuCaps::ALSU);
+        let fu1 = b.add_func_unit(t0, "fu1", FuCaps::ALU);
+        let r = b.add_switch(t0, "router", 2);
+        b.bidirectional(fu0, r, 0);
+        b.bidirectional(fu1, r, 0);
+        b.link(fu0, fu1, 1);
+        b.add_cluster(Cluster {
+            tile: t0,
+            alus: vec![fu0, fu1],
+            alsu: None,
+            local_router: None,
+            global_router: r,
+            hardwired: None,
+        });
+        let _ = b.build();
     }
 
     #[test]

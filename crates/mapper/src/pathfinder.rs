@@ -8,13 +8,12 @@
 //! overused; otherwise the II is increased.
 
 use plaid_arch::Architecture;
-use std::sync::Arc;
 
-use plaid_dfg::{Adjacency, Dfg, EdgeId, NodeId};
+use plaid_dfg::{Dfg, EdgeId, NodeId};
 
 use crate::error::MapError;
 use crate::mapping::Mapping;
-use crate::placement::{greedy_place, MapState};
+use crate::placement::{greedy_place, LadderShared, MapState};
 use crate::route::{HardCapacityCost, NegotiatedCost};
 use crate::seed::{map_seeded, LadderSearch, MapSeed, SeededMapping};
 use crate::state::CapacityCert;
@@ -36,9 +35,9 @@ impl PathFinderMapper {
         dfg: &'a Dfg,
         arch: &'a Architecture,
         ii: u32,
-        dfg_adj: &Arc<Adjacency>,
+        shared: &LadderShared,
     ) -> Option<MapState<'a>> {
-        let mut state = MapState::with_adjacency(dfg, arch, ii, Arc::clone(dfg_adj));
+        let mut state = MapState::for_ladder(dfg, arch, ii, shared);
         // Placement uses the hard-capacity policy so the starting point is
         // already congestion-aware; negotiation then owns the routing.
         if !greedy_place(&mut state, &HardCapacityCost) {
@@ -87,18 +86,19 @@ impl PathFinderMapper {
 }
 
 impl LadderSearch for PathFinderMapper {
-    /// One adjacency index serves every II attempt of the ladder.
-    type Shared = Arc<Adjacency>;
+    /// The same ladder state as the other mappers. Its certificate records
+    /// probes but is never reported (see `certificate` below).
+    type Shared = LadderShared;
 
     const SETTINGS: u64 = 0x47d6_2018_1148_1cab;
 
-    fn prepare(&self, dfg: &Dfg, _arch: &Architecture) -> Arc<Adjacency> {
-        Arc::new(Adjacency::of(dfg))
+    fn prepare(&self, dfg: &Dfg, arch: &Architecture) -> LadderShared {
+        LadderShared::of(dfg, arch)
     }
 
     fn attempt(
         &self,
-        shared: &Arc<Adjacency>,
+        shared: &LadderShared,
         dfg: &Dfg,
         arch: &Architecture,
         ii: u32,
@@ -109,7 +109,7 @@ impl LadderSearch for PathFinderMapper {
 
     /// Negotiation costs read switch capacities directly, so a PathFinder
     /// result never transfers across capacities.
-    fn certificate(_shared: &Arc<Adjacency>) -> Option<&CapacityCert> {
+    fn certificate(_shared: &LadderShared) -> Option<&CapacityCert> {
         None
     }
 }

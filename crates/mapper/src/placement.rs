@@ -15,19 +15,22 @@
 //! queries go through a per-DFG [`Adjacency`] index instead of scanning the
 //! edge list.
 //!
-//! Placement heuristics reject a candidate position before placing it when
-//! one of the edges they would route is structurally dead
-//! (`MapState::edge_routable`): its route search would fail without
-//! probing occupancy, so the outcome is the same and the searches of the
-//! candidate's other edges are saved. They then reject it when one of those
-//! edges has no open first hop in the current occupancy
-//! (`MapState::first_hops_open`). While a candidate is tried, the heuristic
-//! only adds placements and routes, and under hard capacity a refused
-//! first hop stays refused, so that edge would fail whenever it is reached.
-//! This pre-check probes first hops through the ordinary `hop_cost` path,
-//! so its probes enter the capacity certificate like the search's own.
-//! SA's fallback placement keeps candidates whose edges fail to route, so
-//! it uses only the structural check.
+//! Placement heuristics try a candidate — one node or a whole motif at
+//! given positions — through one primitive, `MapState::try_place`: check
+//! the slots, test the first hops of the edges it would route, place, route,
+//! and undo on failure. The first-hop test runs twice, both times through
+//! the router's own first hops (`MapState::first_hops_open`). Under the
+//! occupancy-blind `AnyHop` policy it rejects a candidate with a
+//! structurally dead edge, whose search would fail without probing
+//! occupancy, so nothing enters the capacity certificate. Under the
+//! heuristic's policy it then rejects a candidate with an edge whose every
+//! first hop is refused. While a candidate is tried, the heuristic only
+//! adds placements and routes, and under hard capacity a refused first hop
+//! stays refused, so that edge would fail whenever it is reached. These
+//! probes go through the ordinary `hop_cost` path, so they enter the
+//! certificate like the search's own. SA's fallback placement keeps
+//! candidates whose edges fail to route, so it uses only the structural
+//! test.
 
 use std::sync::Arc;
 
@@ -37,7 +40,7 @@ use plaid_dfg::{Adjacency, Dfg, DfgEdge, EdgeId, EdgeKind, NodeId};
 use crate::dense::DenseMap;
 use crate::mapping::{Mapping, Placement, Route};
 use crate::route::{
-    commit_route, find_route_in, first_hop_open, release_route, CostPolicy, RouteRequest,
+    commit_route, find_route_in, first_hop_open, release_route, AnyHop, CostPolicy, RouteRequest,
     RouterScratch,
 };
 use crate::state::RoutingState;
@@ -109,45 +112,23 @@ pub struct MapState<'a> {
 }
 
 impl<'a> MapState<'a> {
-    /// Creates an empty state for the given II.
+    /// Creates an empty state for the given II, with its own certificate
+    /// and adjacency index.
     pub fn new(dfg: &'a Dfg, arch: &'a Architecture, ii: u32) -> Self {
-        Self::with_adjacency(dfg, arch, ii, Arc::new(Adjacency::of(dfg)))
+        Self::for_ladder(dfg, arch, ii, &LadderShared::of(dfg, arch))
     }
 
-    /// Like [`MapState::new`], but reusing a prebuilt adjacency index —
-    /// mappers build the index once per search and share it across every II
-    /// attempt of a ladder instead of re-deriving it per attempt.
-    pub fn with_adjacency(
+    /// Creates an empty state for one II attempt of a ladder: capacity
+    /// decisions are recorded into the ladder's certificate, and the
+    /// ladder's adjacency index is reused instead of re-derived.
+    pub(crate) fn for_ladder(
         dfg: &'a Dfg,
         arch: &'a Architecture,
         ii: u32,
-        adj: Arc<Adjacency>,
-    ) -> Self {
-        Self::from_parts(dfg, arch, ii, RoutingState::new(arch, ii), adj)
-    }
-
-    /// Creates an empty state whose capacity decisions are recorded into an
-    /// externally owned certificate (shared across all the states of one II
-    /// ladder), reusing a prebuilt adjacency index.
-    pub fn with_cert_and_adjacency(
-        dfg: &'a Dfg,
-        arch: &'a Architecture,
-        ii: u32,
-        cert: Arc<crate::state::CapacityCert>,
-        adj: Arc<Adjacency>,
-    ) -> Self {
-        Self::from_parts(dfg, arch, ii, RoutingState::with_cert(arch, ii, cert), adj)
-    }
-
-    fn from_parts(
-        dfg: &'a Dfg,
-        arch: &'a Architecture,
-        ii: u32,
-        state: RoutingState,
-        adj: Arc<Adjacency>,
+        shared: &LadderShared,
     ) -> Self {
         debug_assert_eq!(
-            adj.node_count(),
+            shared.adj.node_count(),
             dfg.node_count(),
             "adjacency of another DFG"
         );
@@ -155,10 +136,10 @@ impl<'a> MapState<'a> {
             dfg,
             arch,
             ii,
-            state,
+            state: RoutingState::with_cert(arch, ii, Arc::clone(&shared.cert)),
             placements: DenseMap::for_universe(dfg.node_count()),
             routes: DenseMap::for_universe(dfg.edge_count()),
-            adj,
+            adj: Arc::clone(&shared.adj),
             scratch: RouterScratch::new(),
             journal: Vec::new(),
             in_txn: false,
@@ -290,29 +271,6 @@ impl<'a> MapState<'a> {
         Some((src.cycle, self.arrival(edge.kind, dst.cycle)))
     }
 
-    /// Whether `edge` could be routed with its producer at `src` and its
-    /// consumer at `dst`, ignoring occupancy. Edges that carry no data are
-    /// trivially routable, as in [`Self::route_edge`].
-    ///
-    /// A `false` answer means the timing budget is non-positive or no
-    /// switch path of exactly that length exists
-    /// ([`RouterScratch::structurally_routable`]). The route search then
-    /// returns `None` before its first occupancy probe, so rejecting such a
-    /// candidate up front gives the same result as trying it, without the
-    /// searches of its other edges. This is the one deadness test every
-    /// placement heuristic uses.
-    pub(crate) fn edge_routable(&mut self, edge: EdgeId, src: Placement, dst: Placement) -> bool {
-        let e = self.dfg.edge(edge);
-        if !self.dfg.edge_carries_data(e) {
-            return true;
-        }
-        let arrival = self.arrival(e.kind, dst.cycle);
-        arrival > src.cycle
-            && self
-                .scratch
-                .structurally_routable(self.arch, src.fu, dst.fu, arrival - src.cycle)
-    }
-
     /// Where `edge`'s endpoints would sit: nodes listed in `prospective`
     /// count as placed there, every other node keeps its current placement.
     /// `None` when an endpoint is unplaced.
@@ -331,34 +289,21 @@ impl<'a> MapState<'a> {
         Some((at(edge.src)?, at(edge.dst)?))
     }
 
-    /// Whether every edge in `edges` whose endpoints would both be placed
-    /// passes [`Self::edge_routable`]. Endpoints resolve as in
-    /// [`Self::prospective_endpoints`]; edges with an unplaced endpoint are
-    /// skipped.
-    pub(crate) fn edges_routable(
-        &mut self,
-        edges: &[EdgeId],
-        prospective: &[(NodeId, Placement)],
-    ) -> bool {
-        edges.iter().all(
-            |&e| match self.prospective_endpoints(self.dfg.edge(e), prospective) {
-                Some((src, dst)) => self.edge_routable(e, src, dst),
-                None => true,
-            },
-        )
-    }
-
     /// Whether every data edge in `edges` whose endpoints would both be
     /// placed still has an open first hop under `policy` in the current
     /// occupancy ([`crate::route::first_hop_open`]). Endpoints resolve as in
-    /// [`Self::edges_routable`]. Stops at the first closed edge.
-    ///
-    /// Heuristics call it before placing a candidate. Trying a candidate
-    /// only adds placements and routes, and under
-    /// [`crate::route::HardCapacityCost`] a refused first hop stays refused,
-    /// so a closed edge fails its search whenever it is reached. Rejecting
-    /// the candidate up front gives the same result without searching any
+    /// [`Self::prospective_endpoints`]; edges with an unplaced endpoint, and
+    /// edges that carry no data, are skipped. Stops at the first closed
     /// edge.
+    ///
+    /// Under [`AnyHop`] this is the structural test: a closed edge has a
+    /// non-positive timing budget or no switch path of exactly that length,
+    /// so its search fails before its first occupancy probe. Under
+    /// [`crate::route::HardCapacityCost`] a refused first hop stays refused
+    /// while a candidate only adds placements and routes, so a closed edge
+    /// fails its search whenever it is reached. Either way, rejecting the
+    /// candidate up front gives the same result as trying it, without
+    /// searching any edge.
     pub(crate) fn first_hops_open(
         &mut self,
         edges: &[EdgeId],
@@ -378,6 +323,48 @@ impl<'a> MapState<'a> {
                 None => true,
             }
         })
+    }
+
+    /// Tries one candidate: `slots` placed at once, then every edge of
+    /// `edges` whose endpoints are both placed routed in the given order.
+    /// Returns `true` with the candidate placed and routed, or `false` with
+    /// the state as before (apart from the certificate's probes).
+    ///
+    /// The steps run in this order: [`Self::can_place`] for every slot; the
+    /// structural first-hop test ([`Self::first_hops_open`] under
+    /// [`AnyHop`]) over all of `edges`; the same test under `policy`; place
+    /// all slots; route; on the first failed route, unplace every slot. The
+    /// two tests are separate passes so that a structurally dead candidate
+    /// probes no switch, whatever order its edges come in.
+    pub(crate) fn try_place(
+        &mut self,
+        slots: &[(NodeId, Placement)],
+        edges: &[EdgeId],
+        policy: &impl CostPolicy,
+    ) -> bool {
+        if !slots.iter().all(|&(n, p)| self.can_place(n, p.fu, p.cycle))
+            || !self.first_hops_open(edges, slots, &AnyHop)
+            || !self.first_hops_open(edges, slots, policy)
+        {
+            return false;
+        }
+        for &(node, p) in slots {
+            self.place(node, p.fu, p.cycle);
+        }
+        for &e in edges {
+            let edge = self.dfg.edge(e);
+            if !self.placements.contains_key(&edge.src) || !self.placements.contains_key(&edge.dst)
+            {
+                continue;
+            }
+            if !self.route_edge(e, policy) {
+                for &(node, _) in slots {
+                    self.unplace(node);
+                }
+                return false;
+            }
+        }
+        true
     }
 
     /// The route request of `edge` with its producer at `src` and its
@@ -545,34 +532,10 @@ pub fn place_node_best_effort(
     for offset in 0..(state.ii * 2) {
         let cycle = base + offset;
         for &fu in &candidates {
-            if !state.can_place(node, fu, cycle) {
-                continue;
-            }
-            // Only the in-edges are routed below, so only they are checked:
-            // a structurally dead one, or one whose every first hop is
-            // refused, would fail its search anyway.
-            let at = [(node, Placement { fu, cycle })];
-            if !state.edges_routable(adj.ins(node), &at)
-                || !state.first_hops_open(adj.ins(node), &at, policy)
-            {
-                continue;
-            }
-            state.place(node, fu, cycle);
             // Route the incoming data edges from already-placed producers.
-            let mut ok = true;
-            for &e in adj.ins(node) {
-                if !state.placements.contains_key(&state.dfg.edge(e).src) {
-                    continue;
-                }
-                if !state.route_edge(e, policy) {
-                    ok = false;
-                    break;
-                }
-            }
-            if ok {
+            if state.try_place(&[(node, Placement { fu, cycle })], adj.ins(node), policy) {
                 return true;
             }
-            state.unplace(node);
         }
     }
     false
@@ -646,8 +609,9 @@ mod tests {
 
     #[test]
     fn dead_edges_never_route() {
-        // Every placement pair `edges_routable` rejects must also fail to
-        // route once placed; pairs it accepts are left to the search.
+        // Every placement pair the structural test (`first_hops_open` under
+        // `AnyHop`) rejects must also fail to route once placed; pairs it
+        // accepts are left to the search.
         let dfg = small_dfg();
         let arch = spatio_temporal::build(4, 4);
         let edge = dfg
@@ -669,11 +633,12 @@ mod tests {
                         cycle: dst_cycle,
                     };
                     // Unplaced endpoints are skipped.
-                    assert!(state.edges_routable(&[edge.id], &[(edge.src, src)]));
-                    let routable =
-                        state.edges_routable(&[edge.id], &[(edge.src, src), (edge.dst, dst)]);
-                    assert_eq!(routable, state.edge_routable(edge.id, src, dst));
-                    if routable {
+                    assert!(state.first_hops_open(&[edge.id], &[(edge.src, src)], &AnyHop));
+                    if state.first_hops_open(
+                        &[edge.id],
+                        &[(edge.src, src), (edge.dst, dst)],
+                        &AnyHop,
+                    ) {
                         continue;
                     }
                     dead += 1;
@@ -682,7 +647,7 @@ mod tests {
                     }
                     state.place(edge.src, src.fu, src.cycle);
                     // The placed producer now stands in for the prospective one.
-                    assert!(!state.edges_routable(&[edge.id], &[(edge.dst, dst)]));
+                    assert!(!state.first_hops_open(&[edge.id], &[(edge.dst, dst)], &AnyHop));
                     if state.can_place(edge.dst, dst.fu, dst.cycle) {
                         state.place(edge.dst, dst.fu, dst.cycle);
                         assert!(!state.route_edge(edge.id, &HardCapacityCost));
@@ -759,7 +724,7 @@ mod tests {
                         for fu in state.candidate_fus(node) {
                             let at = [(node, Placement { fu, cycle })];
                             if !state.can_place(node, fu, cycle)
-                                || !state.edges_routable(adj.ins(node), &at)
+                                || !state.first_hops_open(adj.ins(node), &at, &AnyHop)
                                 || state.first_hops_open(adj.ins(node), &at, &HardCapacityCost)
                             {
                                 continue;
@@ -785,6 +750,56 @@ mod tests {
             }
         }
         assert!(rejected > 0);
+    }
+
+    #[test]
+    fn failed_candidates_leave_the_state_as_it_was() {
+        // `try_place` either places and routes the whole candidate or
+        // leaves placements, routes and occupancy as it found them. The
+        // states are the prefixes of greedy runs on a capacity-1 fabric,
+        // where many candidates fail.
+        let dfg = fan_out_dfg();
+        let adj = Adjacency::of(&dfg);
+        let order = dfg.topological_order().unwrap();
+        let base = plaid_arch::plaid::build(2, 2);
+        let params = base.params().clone();
+        let arch = plaid_arch::rebuild_provisioned(&base, "plaid-lean", params, |_| 1);
+        let (mut placed, mut failed) = (0, 0);
+        for ii in 1..=3 {
+            let mut state = MapState::new(&dfg, &arch, ii);
+            for &node in &order {
+                let base = state.earliest_cycle(node);
+                for cycle in base..base + 2 * ii {
+                    for fu in state.candidate_fus(node) {
+                        let before = (
+                            state.placements.clone(),
+                            state.routes.clone(),
+                            state.state.clone(),
+                        );
+                        let at = [(node, Placement { fu, cycle })];
+                        state.begin_txn();
+                        if state.try_place(&at, adj.ins(node), &HardCapacityCost) {
+                            placed += 1;
+                            assert_eq!(state.placements.get(&node), Some(&at[0].1));
+                            assert!(adj.ins(node).iter().all(|&e| {
+                                let edge = dfg.edge(e);
+                                !dfg.edge_carries_data(edge)
+                                    || !state.placements.contains_key(&edge.src)
+                                    || state.routes.contains_key(&e)
+                            }));
+                        } else {
+                            failed += 1;
+                            assert_eq!(state.placements, before.0);
+                            assert_eq!(state.routes, before.1);
+                            assert_eq!(state.state, before.2);
+                        }
+                        state.rollback_txn();
+                    }
+                }
+                place_node_best_effort(&mut state, node, &HardCapacityCost);
+            }
+        }
+        assert!(placed > 0 && failed > 0);
     }
 
     #[test]

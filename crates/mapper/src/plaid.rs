@@ -64,23 +64,23 @@ impl PlaidMapper {
         if cluster.alus.len() < 3 && motif.kind.node_count() > cluster.alus.len() {
             return false;
         }
-        // Check every slot is placeable before mutating.
-        let mut slots: Vec<(NodeId, Placement)> = Vec::with_capacity(template.slots.len());
-        for slot in &template.slots {
-            let node = motif.nodes[slot.node];
-            let Some(&fu) = cluster.alus.get(slot.alu) else {
-                return false;
-            };
-            let cycle = start + slot.cycle;
-            if !state.can_place(node, fu, cycle) {
-                return false;
-            }
-            slots.push((node, Placement { fu, cycle }));
-        }
+        let Some(slots) = template
+            .slots
+            .iter()
+            .map(|slot| {
+                let fu = *cluster.alus.get(slot.alu)?;
+                let cycle = start + slot.cycle;
+                Some((motif.nodes[slot.node], Placement { fu, cycle }))
+            })
+            .collect::<Option<Vec<_>>>()
+        else {
+            return false;
+        };
         // Incident edges of the motif's nodes, in ascending edge-id order
         // (sort + dedup reproduces the order a full edge scan would yield;
         // edges internal to the motif are seen from both endpoints and must
-        // route once).
+        // route once). Those with both endpoints placed are routed: the
+        // motif-internal edges plus those to placed neighbours.
         let adj = Arc::clone(state.adjacency());
         let mut incident: Vec<EdgeId> = slots
             .iter()
@@ -88,35 +88,7 @@ impl PlaidMapper {
             .collect();
         incident.sort_unstable();
         incident.dedup();
-        // A structurally dead edge, or one whose every first hop is refused,
-        // would fail its route search whenever it is reached, undoing every
-        // route found before it: reject the candidate before placing or
-        // searching anything.
-        if !state.edges_routable(&incident, &slots)
-            || !state.first_hops_open(&incident, &slots, &HardCapacityCost)
-        {
-            return false;
-        }
-        // Place, then route every incident edge whose endpoints are both
-        // placed: the motif-internal edges plus those to placed neighbours.
-        for &(node, p) in &slots {
-            state.place(node, p.fu, p.cycle);
-        }
-        for e in incident {
-            let edge = state.dfg.edge(e);
-            if !state.placements.contains_key(&edge.src)
-                || !state.placements.contains_key(&edge.dst)
-            {
-                continue;
-            }
-            if !state.route_edge(e, &HardCapacityCost) {
-                for &(n, _) in &slots {
-                    state.unplace(n);
-                }
-                return false;
-            }
-        }
-        true
+        state.try_place(&slots, &incident, &HardCapacityCost)
     }
 
     /// Earliest start cycle for a motif under a specific template, respecting
@@ -193,13 +165,7 @@ impl PlaidMapper {
         shared: &LadderShared,
     ) -> Option<MapState<'a>> {
         let policy = HardCapacityCost;
-        let mut state = MapState::with_cert_and_adjacency(
-            dfg,
-            arch,
-            ii,
-            Arc::clone(&shared.cert),
-            Arc::clone(&shared.adj),
-        );
+        let mut state = MapState::for_ladder(dfg, arch, ii, shared);
 
         // Line 1: sort motifs by data dependency (ASAP level of their nodes).
         let levels = dfg.asap_levels().ok()?;

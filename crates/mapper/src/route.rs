@@ -10,9 +10,8 @@
 //! The search itself is allocation-free on the hot path: a reusable
 //! [`RouterScratch`] owns the distance/parent tables (epoch-stamped, so
 //! clearing between searches is a counter bump, not a memset) and the
-//! priority queue. [`find_route`] remains as a convenience that allocates a
-//! fresh scratch per call; the mappers route thousands of edges per second
-//! through [`find_route_in`] with the scratch owned by their `MapState`.
+//! priority queue. The mappers route thousands of edges per second through
+//! [`find_route_in`] with the scratch owned by their `MapState`.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -84,6 +83,29 @@ impl CostPolicy for HardCapacityCost {
             return None;
         }
         Some(1.0 + 0.2 * f64::from(usage))
+    }
+}
+
+/// Unit cost policy that admits every hop and never reads occupancy.
+///
+/// Under it [`first_hop_open`] is the structural test: `false` means the
+/// timing budget is not positive or no switch path of exactly that many
+/// cycles leaves the producer's FU for the consumer's, so every search of
+/// the request returns `None` before its first occupancy probe. The
+/// placement layer runs this test before the occupancy one, so a
+/// structurally dead candidate records nothing in the capacity certificate.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct AnyHop;
+
+impl CostPolicy for AnyHop {
+    fn hop_cost(
+        &self,
+        _state: &RoutingState,
+        _resource: ResourceId,
+        _slot: u32,
+        _value: NodeId,
+    ) -> Option<f64> {
+        Some(1.0)
     }
 }
 
@@ -206,36 +228,6 @@ impl RouterScratch {
     /// Creates an empty scratch; tables grow on first use.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Whether a switch-only path of *exactly* `budget` cycles exists from
-    /// `src_fu` to `dst_fu`, ignoring occupancy — the structural
-    /// prerequisite for any route of that edge. Answered from the cached
-    /// per-destination exact-time reachability table, so repeated queries
-    /// against one fabric are table lookups. Used by the placement layer to
-    /// skip candidate slots whose incident edges provably cannot be routed.
-    pub fn structurally_routable(
-        &mut self,
-        arch: &Architecture,
-        src_fu: ResourceId,
-        dst_fu: ResourceId,
-        budget: u32,
-    ) -> bool {
-        if budget == 0 {
-            return false;
-        }
-        let reach = self.reach.table(arch, dst_fu, budget);
-        arch.out_links(src_fu).any(|link| {
-            if link.to == dst_fu {
-                // Direct FU-to-FU links do not exist on the modelled
-                // fabrics, but handle them soundly anyway.
-                return link.latency == budget;
-            }
-            if arch.resource(link.to).kind.is_func_unit() {
-                return false;
-            }
-            link.latency <= budget && reach.alive(link.to.0, budget - link.latency)
-        })
     }
 }
 
@@ -401,21 +393,6 @@ impl ReachCache {
     }
 }
 
-/// Finds the cheapest route satisfying `request`, or `None` if no route exists
-/// under the given cost policy.
-///
-/// Convenience wrapper over [`find_route_in`] that allocates a fresh
-/// [`RouterScratch`] per call; hot paths should own a scratch and reuse it.
-pub fn find_route(
-    arch: &Architecture,
-    state: &RoutingState,
-    request: &RouteRequest,
-    policy: &impl CostPolicy,
-) -> Option<(Route, f64)> {
-    let mut scratch = RouterScratch::new();
-    find_route_in(&mut scratch, arch, state, request, policy)
-}
-
 /// Finds the cheapest route satisfying `request` using a caller-owned
 /// [`RouterScratch`], or `None` if no route exists under the given cost
 /// policy.
@@ -555,7 +532,8 @@ fn first_hops<'a>(
 
 /// Whether `request` has at least one open first hop (see [`first_hops`]).
 /// `false` means [`find_route_in`] would return `None` after probing
-/// exactly the first hops probed here.
+/// exactly the first hops probed here. Under [`AnyHop`] this is the
+/// structural test, which probes nothing.
 ///
 /// Under [`HardCapacityCost`] a `false` answer also holds for every later
 /// state that only adds placements and routes. A switch cell that refuses
@@ -611,7 +589,14 @@ mod tests {
             arrival_cycle: 1,
             value: NodeId(0),
         };
-        let (route, cost) = find_route(&arch, &state, &request, &HardCapacityCost).unwrap();
+        let (route, cost) = find_route_in(
+            &mut RouterScratch::new(),
+            &arch,
+            &state,
+            &request,
+            &HardCapacityCost,
+        )
+        .unwrap();
         // fu0 -> router0 (0 cycles) -> router1 (1 cycle) -> fu1 (0 cycles).
         assert_eq!(route.hops.len(), 2);
         assert!(cost > 0.0);
@@ -630,7 +615,14 @@ mod tests {
             arrival_cycle: 3,
             value: NodeId(0),
         };
-        let (route, _) = find_route(&arch, &state, &request, &HardCapacityCost).unwrap();
+        let (route, _) = find_route_in(
+            &mut RouterScratch::new(),
+            &arch,
+            &state,
+            &request,
+            &HardCapacityCost,
+        )
+        .unwrap();
         // The value enters the router at cycle 0 and loops in its hold until it
         // is consumed at cycle 3, occupying the router in cycles 0 through 3.
         assert_eq!(route.hops.len(), 4);
@@ -652,7 +644,14 @@ mod tests {
             arrival_cycle: 5,
             value: NodeId(0),
         };
-        assert!(find_route(&arch, &state, &request, &HardCapacityCost).is_none());
+        assert!(find_route_in(
+            &mut RouterScratch::new(),
+            &arch,
+            &state,
+            &request,
+            &HardCapacityCost
+        )
+        .is_none());
     }
 
     #[test]
@@ -673,7 +672,14 @@ mod tests {
             arrival_cycle: 1,
             value: NodeId(0),
         };
-        assert!(find_route(&arch, &state, &request, &HardCapacityCost).is_none());
+        assert!(find_route_in(
+            &mut RouterScratch::new(),
+            &arch,
+            &state,
+            &request,
+            &HardCapacityCost
+        )
+        .is_none());
     }
 
     #[test]
@@ -694,7 +700,8 @@ mod tests {
             value: NodeId(0),
         };
         let policy = NegotiatedCost::new(arch.resources().len());
-        let (route, cost) = find_route(&arch, &state, &request, &policy).unwrap();
+        let (route, cost) =
+            find_route_in(&mut RouterScratch::new(), &arch, &state, &request, &policy).unwrap();
         assert!(!route.hops.is_empty());
         assert!(cost > 1.0);
     }
@@ -711,7 +718,14 @@ mod tests {
             arrival_cycle: 1,
             value: NodeId(0),
         };
-        let (route, _) = find_route(&arch, &state, &request, &HardCapacityCost).unwrap();
+        let (route, _) = find_route_in(
+            &mut RouterScratch::new(),
+            &arch,
+            &state,
+            &request,
+            &HardCapacityCost,
+        )
+        .unwrap();
         // Either the bypass path or the local router, but never the global
         // mesh, carries an intra-PCU dependency with slack 1.
         assert!(route
@@ -734,7 +748,14 @@ mod tests {
             arrival_cycle: 2,
             value: NodeId(0),
         };
-        let (route, _) = find_route(&arch, &state, &request, &HardCapacityCost).unwrap();
+        let (route, _) = find_route_in(
+            &mut RouterScratch::new(),
+            &arch,
+            &state,
+            &request,
+            &HardCapacityCost,
+        )
+        .unwrap();
         let crosses_global = route
             .hops
             .iter()
@@ -756,7 +777,14 @@ mod tests {
             arrival_cycle: 1,
             value: NodeId(7),
         };
-        let (route, _) = find_route(&arch, &state, &request, &HardCapacityCost).unwrap();
+        let (route, _) = find_route_in(
+            &mut RouterScratch::new(),
+            &arch,
+            &state,
+            &request,
+            &HardCapacityCost,
+        )
+        .unwrap();
         commit_route(&mut state, &route, NodeId(7));
         assert!(state.occupied_slots() > 0);
         release_route(&mut state, &route, NodeId(7));
@@ -783,7 +811,13 @@ mod tests {
                         arrival_cycle: i as u32 + budget,
                         value: NodeId(i as u32),
                     };
-                    let fresh = find_route(arch, &state, &request, &HardCapacityCost);
+                    let fresh = find_route_in(
+                        &mut RouterScratch::new(),
+                        arch,
+                        &state,
+                        &request,
+                        &HardCapacityCost,
+                    );
                     let reused =
                         find_route_in(&mut scratch, arch, &state, &request, &HardCapacityCost);
                     assert_eq!(fresh, reused, "scratch reuse changed a route");
@@ -799,8 +833,8 @@ mod tests {
     #[test]
     fn structurally_dead_requests_fail_without_probing_occupancy() {
         // The premise of pruning placement candidates before routing: when
-        // `structurally_routable` says an edge is dead, the search returns
-        // `None` and records nothing in the capacity certificate, so
+        // `first_hop_open` under `AnyHop` says an edge is dead, the search
+        // returns `None` and records nothing in the capacity certificate, so
         // skipping it changes neither the result nor any later decision.
         use crate::state::CapacityCert;
         use std::sync::Arc;
@@ -822,14 +856,6 @@ mod tests {
             for &src in &fus {
                 for &dst in &fus {
                     for budget in 0..=3 * ii {
-                        if scratch.structurally_routable(&arch, src, dst, budget) {
-                            live += 1;
-                            continue;
-                        }
-                        dead += 1;
-                        if budget > 0 {
-                            dead_nonzero += 1;
-                        }
                         let request = RouteRequest {
                             src_fu: src,
                             src_cycle: 1,
@@ -838,6 +864,17 @@ mod tests {
                             value: NodeId(src.0),
                         };
                         let (need, ceil) = (cert.need(), cert.ceil());
+                        let open = first_hop_open(&mut scratch, &arch, &state, &request, &AnyHop);
+                        assert_eq!(cert.need(), need, "{}: AnyHop probed", arch.name());
+                        assert_eq!(cert.ceil(), ceil, "{}: AnyHop probed", arch.name());
+                        if open {
+                            live += 1;
+                            continue;
+                        }
+                        dead += 1;
+                        if budget > 0 {
+                            dead_nonzero += 1;
+                        }
                         assert_eq!(
                             find_route_in(&mut scratch, &arch, &state, &request, &HardCapacityCost),
                             None,
@@ -903,7 +940,7 @@ mod tests {
                                     open += 1;
                                     continue;
                                 }
-                                if scratch.structurally_routable(&arch, src, dst, budget) {
+                                if first_hop_open(&mut scratch, &arch, &state, &request, &AnyHop) {
                                     closed_by_occupancy += 1;
                                 }
                                 let (need, ceil) = (cert.need(), cert.ceil());

@@ -16,7 +16,7 @@ use plaid_dfg::{Dfg, NodeId};
 use crate::error::MapError;
 use crate::mapping::{Mapping, Placement};
 use crate::placement::{greedy_place, LadderShared, MapState};
-use crate::route::HardCapacityCost;
+use crate::route::{AnyHop, HardCapacityCost};
 use crate::state::CapacityCert;
 use std::sync::Arc;
 
@@ -78,13 +78,7 @@ impl SaMapper {
         shared: &LadderShared,
     ) -> Option<MapState<'a>> {
         let policy = HardCapacityCost;
-        let mut state = MapState::with_cert_and_adjacency(
-            dfg,
-            arch,
-            ii,
-            Arc::clone(&shared.cert),
-            Arc::clone(&shared.adj),
-        );
+        let mut state = MapState::for_ladder(dfg, arch, ii, shared);
         if !greedy_place(&mut state, &policy) {
             // Loose fallback: place the remaining nodes anywhere legal so that
             // annealing has a full (if poor) starting point.
@@ -185,7 +179,8 @@ fn place_anywhere(state: &mut MapState<'_>, node: NodeId) -> bool {
             if !state.can_place(node, fu, cycle) {
                 continue;
             }
-            if state.edges_routable(adj.incident(node), &[(node, Placement { fu, cycle })]) {
+            let at = [(node, Placement { fu, cycle })];
+            if state.first_hops_open(adj.incident(node), &at, &AnyHop) {
                 state.place(node, fu, cycle);
                 return true;
             }

@@ -20,12 +20,14 @@
 //!
 //! A seed's capacity certificate ([`CapacityCert`]) records only the
 //! capacity probes its ladder actually made. Candidates the placement layer
-//! prunes as structurally dead probe nothing, so the certificates of a
-//! pruning ladder are looser than or equal to those of one that tried them:
-//! they admit at least the same capacity windows, and remain sound because
-//! the search decided only on recorded answers. Seeds persisted with tighter
-//! certificates describe the same mappings and still replay, so no cache
-//! key changed when pruning arrived.
+//! prunes as structurally dead probe no switch: `MapState::try_place` tests
+//! every edge of a candidate for a structural first hop before it probes
+//! any switch occupancy. So the certificates of a pruning ladder are looser
+//! than or equal to those of one that tried them: they admit at least the
+//! same capacity windows, and remain sound because the search decided only
+//! on recorded answers. Seeds persisted with tighter certificates describe
+//! the same mappings and still replay, so no cache key changed when pruning
+//! arrived.
 //!
 //! An [`InfeasiblePrefix`] transfers the complementary fact: a ladder that
 //! failed through II `k` on the same fabric structure proves every `ii <= k`

@@ -44,18 +44,20 @@ use plaid_dfg::NodeId;
 /// capacities, so its observations must survive the rollback.
 ///
 /// Only the probes a search actually makes are recorded. Placement
-/// candidates rejected as structurally dead (`MapState::edge_routable`)
-/// probe nothing, so the certificate of a pruning search is looser than or
-/// equal to that of a search that tried them: `need` can only fall and
-/// `ceil` only rise. It is sound for the same reason as above: every
-/// decision the search makes depends only on the answers it recorded. A
-/// tighter certificate persisted by a search that did not prune describes
-/// the same mappings and stays valid, so pruning needs no cache-key change.
+/// candidates rejected as structurally dead (`MapState::try_place`'s
+/// first-hop test under the occupancy-blind `AnyHop` policy) probe no
+/// switch, so the certificate of a pruning search is looser than or equal
+/// to that of a search that tried them: `need` can only fall and `ceil`
+/// only rise. It is sound for the same reason as above: every decision the
+/// search makes depends only on the answers it recorded. A tighter
+/// certificate persisted by a search that did not prune describes the same
+/// mappings and stays valid, so pruning needs no cache-key change.
 ///
-/// The first-hop pre-check (`MapState::first_hops_open`) probes through
-/// the same `hop_cost` path as the route search, so its probes are
-/// recorded like any other. A candidate it rejects records only the first
-/// hops it probed, up to the first edge found closed, and no search.
+/// The occupancy pre-check (the same test under the heuristic's policy)
+/// probes through the same `hop_cost` path as the route search, so its
+/// probes are recorded like any other. It runs as a second pass after the
+/// structural one, so a candidate it rejects records only the first hops
+/// it probed, up to the first edge found closed, and no search.
 #[derive(Debug, Default)]
 pub struct CapacityCert {
     need: Vec<AtomicU32>,
