@@ -77,23 +77,6 @@ impl Cluster {
     }
 }
 
-/// Process-unique identity of one built fabric, excluded from structural
-/// equality (clones share it; two separately built identical fabrics
-/// differ). Consumers cache derived data (e.g. the mapper's reachability
-/// tables) keyed by this id: ids are never reused, so a stale cache entry
-/// can never alias a new fabric, and clones — structurally identical by
-/// construction — share cache entries soundly.
-#[derive(Debug, Clone, Copy)]
-struct InstanceId(u64);
-
-impl PartialEq for InstanceId {
-    fn eq(&self, _: &Self) -> bool {
-        true // identity is not part of the structural value
-    }
-}
-
-static NEXT_INSTANCE_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
-
 /// A complete CGRA instance.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Architecture {
@@ -106,17 +89,9 @@ pub struct Architecture {
     tile_positions: Vec<Position>,
     out_adjacency: Vec<Vec<usize>>,
     in_adjacency: Vec<Vec<usize>>,
-    instance: InstanceId,
 }
 
 impl Architecture {
-    /// Process-unique id of this built fabric (shared by clones, never
-    /// reused). Lets consumers key caches of structure-derived data without
-    /// address-aliasing hazards; not part of structural equality.
-    pub fn instance_id(&self) -> u64 {
-        self.instance.0
-    }
-
     /// Architecture name, e.g. `"plaid-2x2"`.
     pub fn name(&self) -> &str {
         &self.name
@@ -216,6 +191,12 @@ impl Architecture {
             .map(move |&i| &self.links[i])
     }
 
+    /// Whether `id` can hold a value across cycles: it has a one-cycle
+    /// self-link.
+    pub fn holds(&self, id: ResourceId) -> bool {
+        self.out_links(id).any(|l| l.to == id && l.latency == 1)
+    }
+
     /// Total number of switch resources (routers, holds, bypasses).
     pub fn switch_count(&self) -> usize {
         self.resources.len() - self.functional_units().count()
@@ -224,8 +205,11 @@ impl Architecture {
     /// Checks internal consistency: link endpoints exist, no link joins two
     /// functional units (values travel between units through switches only,
     /// which the router's first-hop and reachability tables rely on), every
-    /// functional unit has at least one incoming and one outgoing link, every
-    /// cluster references valid resources, and capacities are non-zero.
+    /// switch a switch links into [`holds`](Self::holds) (so a route can
+    /// wait at any switch after its first, which the router's reachability
+    /// latencies rely on), every functional unit has at least one incoming
+    /// and one outgoing link, every cluster references valid resources, and
+    /// capacities are non-zero.
     ///
     /// # Panics
     ///
@@ -248,6 +232,14 @@ impl Architecture {
                 !(self.resource(link.from).kind.is_func_unit()
                     && self.resource(link.to).kind.is_func_unit()),
                 "link {} -> {} joins two functional units",
+                link.from,
+                link.to
+            );
+            assert!(
+                self.resource(link.from).kind.is_func_unit()
+                    || self.resource(link.to).kind.is_func_unit()
+                    || self.holds(link.to),
+                "switch {} links into switch {}, which has no one-cycle self-link",
                 link.from,
                 link.to
             );
@@ -542,9 +534,6 @@ impl ArchBuilder {
             tile_positions: self.tile_positions,
             out_adjacency,
             in_adjacency,
-            instance: InstanceId(
-                NEXT_INSTANCE_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
-            ),
         };
         arch.assert_consistent();
         arch
@@ -664,6 +653,30 @@ mod tests {
             alsu: None,
             local_router: None,
             global_router: r,
+            hardwired: None,
+        });
+        let _ = b.build();
+    }
+
+    #[test]
+    #[should_panic(expected = "has no one-cycle self-link")]
+    fn switch_links_into_switches_without_a_hold_are_rejected() {
+        let mut b = ArchBuilder::new("nohold", ArchClass::Plaid, ArchParams::baseline(1, 1));
+        let t0 = b.add_tile(Position { x: 0, y: 0 });
+        let fu = b.add_func_unit(t0, "fu", FuCaps::ALSU);
+        let router = b.add_switch(t0, "router", 2);
+        let bypass = b.add_switch(t0, "bypass", 1);
+        b.bidirectional(fu, router, 0);
+        b.link(router, router, 1);
+        b.link(bypass, fu, 0);
+        // The router feeds the bypass, which cannot hold the value.
+        b.link(router, bypass, 1);
+        b.add_cluster(Cluster {
+            tile: t0,
+            alus: vec![fu],
+            alsu: None,
+            local_router: None,
+            global_router: router,
             hardwired: None,
         });
         let _ = b.build();

@@ -18,7 +18,7 @@ use std::time::Duration;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use plaid_arch::spatio_temporal;
 use plaid_bench::kernel::{bench_dfg, measure_kernel, one_move, one_route, placed_state};
-use plaid_mapper::route::RouterScratch;
+use plaid_mapper::route::{Reach, RouterScratch};
 
 fn headline() {
     let report = measure_kernel(Duration::from_millis(400));
@@ -57,12 +57,14 @@ fn bench(c: &mut Criterion) {
         let route_state = placed_state(&dfg, &arch);
         let fus: Vec<_> = arch.functional_units().map(|r| r.id).collect();
         let mut scratch = RouterScratch::new();
+        let reach = Reach::of(&arch);
         let mut step = 0x00DD_5EED_u64;
         group.bench_function(&format!("routes/{label}"), |b| {
             b.iter(|| {
                 black_box(one_route(
                     &mut scratch,
                     &arch,
+                    &reach,
                     &route_state,
                     &fus,
                     &mut step,

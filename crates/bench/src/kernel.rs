@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 use plaid_arch::{spatio_temporal, Architecture};
 use plaid_dfg::{Dfg, NodeId};
 use plaid_mapper::placement::{greedy_place, MapState};
-use plaid_mapper::route::{find_route_in, HardCapacityCost, RouteRequest, RouterScratch};
+use plaid_mapper::route::{find_route_in, HardCapacityCost, Reach, RouteRequest, RouterScratch};
 use plaid_workloads::find_workload;
 
 /// Initiation interval the kernel operations run at.
@@ -75,6 +75,7 @@ pub fn one_move(state: &mut MapState<'_>, step: &mut u64) {
 pub fn one_route(
     scratch: &mut RouterScratch,
     arch: &Architecture,
+    reach: &Reach,
     state: &MapState<'_>,
     fus: &[plaid_arch::ResourceId],
     step: &mut u64,
@@ -91,7 +92,15 @@ pub fn one_route(
         arrival_cycle: src_cycle + budget,
         value: NodeId((*step >> 7) as u32 % state.dfg.node_count() as u32),
     };
-    find_route_in(scratch, arch, &state.state, &request, &HardCapacityCost).is_some()
+    find_route_in(
+        scratch,
+        arch,
+        reach,
+        &state.state,
+        &request,
+        &HardCapacityCost,
+    )
+    .is_some()
 }
 
 /// Runs `op` in batches for roughly `budget`, returning operations/second
@@ -165,12 +174,14 @@ pub fn measure_kernel(budget: Duration) -> KernelReport {
         let route_state = placed_state(&dfg, &arch);
         let fus: Vec<_> = arch.functional_units().map(|r| r.id).collect();
         let mut scratch = RouterScratch::new();
+        let reach = Reach::of(&arch);
         let mut step = 0x00DD_5EED_u64;
         let routes_per_sec = measure_rate(
             || {
                 std::hint::black_box(one_route(
                     &mut scratch,
                     &arch,
+                    &reach,
                     &route_state,
                     &fus,
                     &mut step,

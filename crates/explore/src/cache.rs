@@ -14,7 +14,9 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
 
-use plaid::pipeline::fnv1a64;
+use plaid::pipeline::{fnv1a64, MapperChoice};
+use plaid_arch::DesignPoint;
+use plaid_workloads::WorkloadDescriptor;
 
 use crate::record::EvalRecord;
 use crate::sweep::SweepPoint;
@@ -55,11 +57,10 @@ pub fn cache_key(point: &SweepPoint) -> String {
     format!("v1:{:016x}", cache_key_hash(point))
 }
 
-/// True when a cached record was produced for exactly this sweep point.
-fn record_matches(record: &EvalRecord, point: &SweepPoint) -> bool {
-    record.design == point.design
-        && record.mapper == point.mapper
-        && record.workload == point.workload.descriptor()
+/// The identity of a cached record: the sweep point it was evaluated for.
+/// A bucket holds at most one record per identity.
+fn identity(record: &EvalRecord) -> (&DesignPoint, &MapperChoice, &WorkloadDescriptor) {
+    (&record.design, &record.mapper, &record.workload)
 }
 
 /// Thread-safe, content-addressed result cache with hit/miss accounting.
@@ -169,11 +170,7 @@ impl ResultCache {
         for (key, bucket) in other_entries.iter() {
             let target = entries.entry(key.clone()).or_default();
             for record in bucket {
-                match target.iter_mut().find(|r| {
-                    r.workload == record.workload
-                        && r.design == record.design
-                        && r.mapper == record.mapper
-                }) {
+                match target.iter_mut().find(|r| identity(r) == identity(record)) {
                     Some(slot) => *slot = record.clone(),
                     None => {
                         target.push(record.clone());
@@ -216,10 +213,12 @@ impl ResultCache {
     /// cache file) is treated as a miss, so collisions degrade to
     /// recompilation instead of silently returning another point's result.
     pub fn lookup(&self, key: &str, point: &SweepPoint) -> Option<EvalRecord> {
+        let workload = point.workload.descriptor();
+        let wanted = (&point.design, &point.mapper, &workload);
         let entries = self.entries.read().expect("cache lock poisoned");
         match entries
             .get(key)
-            .and_then(|bucket| bucket.iter().find(|r| record_matches(r, point)))
+            .and_then(|bucket| bucket.iter().find(|r| identity(r) == wanted))
         {
             Some(record) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -240,9 +239,7 @@ impl ResultCache {
     pub fn insert(&self, key: String, record: EvalRecord) {
         let mut entries = self.entries.write().expect("cache lock poisoned");
         let bucket = entries.entry(key).or_default();
-        match bucket.iter_mut().find(|r| {
-            r.workload == record.workload && r.design == record.design && r.mapper == record.mapper
-        }) {
+        match bucket.iter_mut().find(|r| identity(r) == identity(&record)) {
             Some(slot) => *slot = record,
             None => bucket.push(record),
         }

@@ -40,8 +40,8 @@ use plaid_dfg::{Adjacency, Dfg, DfgEdge, EdgeId, EdgeKind, NodeId};
 use crate::dense::DenseMap;
 use crate::mapping::{Mapping, Placement, Route};
 use crate::route::{
-    commit_route, find_route_in, first_hop_open, release_route, AnyHop, CostPolicy, RouteRequest,
-    RouterScratch,
+    commit_route, find_route_in, first_hop_open, release_route, AnyHop, CostPolicy, Reach,
+    RouteRequest, RouterScratch,
 };
 use crate::state::RoutingState;
 
@@ -50,12 +50,16 @@ pub const UNROUTED_PENALTY: f64 = 1_000.0;
 
 /// Search-wide state shared by every II attempt of one ladder: the
 /// capacity certificate accumulating across attempts (including failed
-/// ones) and the DFG adjacency index, both built once per `map_with_seed`.
+/// ones), the DFG adjacency index and the fabric's exact-time reachability.
+/// It is built once per ladder, after the replay decision, so a replayed
+/// point builds none of it.
 pub(crate) struct LadderShared {
     /// Capacity-decision accumulator for the whole ladder.
     pub cert: Arc<crate::state::CapacityCert>,
     /// Incident-edge index of the DFG being mapped.
     pub adj: Arc<Adjacency>,
+    /// Exact-time reachability of every FU of the fabric being mapped.
+    pub reach: Arc<Reach>,
 }
 
 impl LadderShared {
@@ -64,6 +68,7 @@ impl LadderShared {
         LadderShared {
             cert: Arc::new(crate::state::CapacityCert::new(arch.resources().len())),
             adj: Arc::new(Adjacency::of(dfg)),
+            reach: Arc::new(Reach::of(arch)),
         }
     }
 }
@@ -101,6 +106,8 @@ pub struct MapState<'a> {
     /// Per-node incident-edge index, built once per DFG and shared across
     /// clones and II attempts.
     adj: Arc<Adjacency>,
+    /// Exact-time reachability of the fabric, shared like `adj`.
+    reach: Arc<Reach>,
     /// Reusable router search state (alloc-free routing on the hot path).
     scratch: RouterScratch,
     /// Inverse-delta log of the open transaction (empty outside one).
@@ -112,15 +119,16 @@ pub struct MapState<'a> {
 }
 
 impl<'a> MapState<'a> {
-    /// Creates an empty state for the given II, with its own certificate
-    /// and adjacency index.
+    /// Creates an empty state for the given II, with its own certificate,
+    /// adjacency index and reachability.
     pub fn new(dfg: &'a Dfg, arch: &'a Architecture, ii: u32) -> Self {
         Self::for_ladder(dfg, arch, ii, &LadderShared::of(dfg, arch))
     }
 
     /// Creates an empty state for one II attempt of a ladder: capacity
     /// decisions are recorded into the ladder's certificate, and the
-    /// ladder's adjacency index is reused instead of re-derived.
+    /// ladder's adjacency index and reachability are reused instead of
+    /// re-derived.
     pub(crate) fn for_ladder(
         dfg: &'a Dfg,
         arch: &'a Architecture,
@@ -140,6 +148,7 @@ impl<'a> MapState<'a> {
             placements: DenseMap::for_universe(dfg.node_count()),
             routes: DenseMap::for_universe(dfg.edge_count()),
             adj: Arc::clone(&shared.adj),
+            reach: Arc::clone(&shared.reach),
             scratch: RouterScratch::new(),
             journal: Vec::new(),
             in_txn: false,
@@ -305,7 +314,7 @@ impl<'a> MapState<'a> {
     /// candidate up front gives the same result as trying it, without
     /// searching any edge.
     pub(crate) fn first_hops_open(
-        &mut self,
+        &self,
         edges: &[EdgeId],
         prospective: &[(NodeId, Placement)],
         policy: &impl CostPolicy,
@@ -318,7 +327,7 @@ impl<'a> MapState<'a> {
             match self.prospective_endpoints(edge, prospective) {
                 Some((src, dst)) => {
                     let request = self.route_request(edge, src, dst);
-                    first_hop_open(&mut self.scratch, self.arch, &self.state, &request, policy)
+                    first_hop_open(self.arch, &self.reach, &self.state, &request, policy)
                 }
                 None => true,
             }
@@ -394,7 +403,14 @@ impl<'a> MapState<'a> {
             return false;
         };
         let request = self.route_request(e, src, dst);
-        match find_route_in(&mut self.scratch, self.arch, &self.state, &request, policy) {
+        match find_route_in(
+            &mut self.scratch,
+            self.arch,
+            &self.reach,
+            &self.state,
+            &request,
+            policy,
+        ) {
             Some((route, _)) => {
                 commit_route(&mut self.state, &route, e.src);
                 self.total_hops += route.hops.len();

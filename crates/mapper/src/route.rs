@@ -10,8 +10,12 @@
 //! The search itself is allocation-free on the hot path: a reusable
 //! [`RouterScratch`] owns the distance/parent tables (epoch-stamped, so
 //! clearing between searches is a counter bump, not a memset) and the
-//! priority queue. The mappers route thousands of edges per second through
-//! [`find_route_in`] with the scratch owned by their `MapState`.
+//! priority queue. It prunes search cells that cannot reach the consumer in
+//! exactly the remaining cycles, reading a [`Reach`]: two latencies per
+//! switch and destination FU, computed once per fabric. The mappers route
+//! thousands of edges per second through [`find_route_in`], with the scratch
+//! owned by their `MapState` and the `Reach` shared by every attempt of one
+//! II ladder.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -210,8 +214,7 @@ fn finite_or_reject(cost: f64) -> Option<f64> {
 const NO_PARENT: (u32, u32) = (u32::MAX, u32::MAX);
 
 /// Reusable search state of [`find_route_in`]: dense per-`(resource,
-/// elapsed)` best-cost and parent tables, the priority queue, and the
-/// exact-time reachability cache used to prune dead search cells.
+/// elapsed)` best-cost and parent tables and the priority queue.
 ///
 /// Tables are epoch-stamped: a cell is live only when its stamp matches the
 /// current epoch, so starting a new search is one counter increment and the
@@ -220,21 +223,6 @@ const NO_PARENT: (u32, u32) = (u32::MAX, u32::MAX);
 /// sequential searches over any architectures.
 #[derive(Debug, Clone, Default)]
 pub struct RouterScratch {
-    core: SearchCore,
-    reach: ReachCache,
-}
-
-impl RouterScratch {
-    /// Creates an empty scratch; tables grow on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// The Dijkstra working set (separate from the reachability cache so both
-/// can be borrowed independently during a search).
-#[derive(Debug, Clone, Default)]
-struct SearchCore {
     epoch: u32,
     stamp: Vec<u32>,
     best: Vec<f64>,
@@ -242,7 +230,12 @@ struct SearchCore {
     heap: BinaryHeap<QueueEntry>,
 }
 
-impl SearchCore {
+impl RouterScratch {
+    /// Creates an empty scratch; tables grow on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
     /// Starts a new search over `cells` table entries.
     fn begin(&mut self, cells: usize) {
         if self.stamp.len() < cells {
@@ -283,6 +276,9 @@ impl SearchCore {
     }
 }
 
+/// Latency standing for "no such path".
+const NEVER: u32 = u32::MAX;
+
 /// Exact-time reachability of one destination FU: `alive(r, t)` answers
 /// "does a switch-only path of *exactly* `t` cycles exist from switch `r`
 /// into the destination?". A Dijkstra cell `(r, elapsed)` with
@@ -293,122 +289,102 @@ impl SearchCore {
 /// update other dead cells, so the live computation (pop order, costs,
 /// tie-breaks, the returned route) is untouched.
 ///
-/// The table depends only on `(architecture, destination, budget)` — not on
-/// occupancy — so it is computed once and reused across every search a
-/// mapping attempt issues for that destination.
+/// Two latencies per switch answer every `t`: `alive(r, t) = t >=
+/// at_least || t == exactly`. `exactly` is the latency of `r`'s direct
+/// link into the destination. `at_least` is the shortest latency of a path
+/// into the destination after which the value can wait. For a switch that
+/// [holds](Architecture::holds) it is its own shortest latency; for any
+/// other switch it is the minimum, over its switch successors, of link
+/// latency plus the successor's `at_least`. This is exact:
+///
+/// * A holding switch pads its shortest path with waits at itself.
+/// * A non-holding switch only links into holding switches, an invariant
+///   of [`Architecture::assert_consistent`].
 #[derive(Debug, Clone, Default)]
 struct ReachTable {
-    width: usize,
-    live: Vec<bool>,
+    /// `(at_least, exactly)` per resource, indexed by resource id.
+    lat: Vec<(u32, u32)>,
 }
 
 impl ReachTable {
     #[inline]
     fn alive(&self, resource: u32, t: u32) -> bool {
-        self.live[resource as usize * self.width + t as usize]
+        let (at_least, exactly) = self.lat[resource as usize];
+        t >= at_least || t == exactly
     }
 
-    fn build(arch: &Architecture, dst: ResourceId, width: usize) -> Self {
-        let n = arch.resources().len();
-        let mut live = vec![false; n * width];
-        for t in 0..width as u32 {
-            // Layers with latency > 0 read earlier (already final) layers;
-            // zero-latency switch-to-switch links propagate within a layer,
-            // so iterate the layer to a fixpoint (one extra pass on the
-            // modelled fabrics).
-            loop {
-                let mut changed = false;
-                for r in 0..n as u32 {
-                    let idx = r as usize * width + t as usize;
-                    if live[idx] || arch.resource(ResourceId(r)).kind.is_func_unit() {
-                        continue;
-                    }
-                    let reaches = arch.out_links(ResourceId(r)).any(|link| {
-                        if link.latency > t {
-                            return false;
-                        }
-                        if link.to == dst {
-                            if link.latency == t {
-                                return true;
-                            }
-                            // Arriving early at the destination FU is not a
-                            // finish, and FUs are not vias.
-                            return false;
-                        }
-                        !arch.resource(link.to).kind.is_func_unit()
-                            && live[link.to.0 as usize * width + (t - link.latency) as usize]
-                    });
-                    if reaches {
-                        live[idx] = true;
-                        changed = true;
-                    }
+    /// Relaxes switch→switch links backwards from the destination's direct
+    /// predecessors until no `at_least` shrinks.
+    fn build(arch: &Architecture, dst: ResourceId) -> Self {
+        let mut lat = vec![(NEVER, NEVER); arch.resources().len()];
+        let mut work = Vec::new();
+        // Links into an FU leave switches only (FU→FU links are rejected).
+        for link in arch.in_links(dst) {
+            let entry = &mut lat[link.from.0 as usize];
+            entry.1 = link.latency;
+            if arch.holds(link.from) {
+                entry.0 = link.latency;
+                work.push(link.from);
+            }
+        }
+        while let Some(to) = work.pop() {
+            let via = lat[to.0 as usize].0;
+            for link in arch.in_links(to) {
+                if arch.resource(link.from).kind.is_func_unit() {
+                    continue;
                 }
-                if !changed {
-                    break;
+                let entry = &mut lat[link.from.0 as usize];
+                if link.latency + via < entry.0 {
+                    entry.0 = link.latency + via;
+                    work.push(link.from);
                 }
             }
         }
-        ReachTable { width, live }
+        ReachTable { lat }
     }
 }
 
-/// Per-destination [`ReachTable`]s, keyed by destination resource id and
-/// invalidated whenever the architecture changes.
-///
-/// Invalidation keys on [`Architecture::instance_id`], which is
-/// process-unique and never reused, so a scratch reused across many
-/// fabrics — even ones dropped and reallocated at the same address — can
-/// never serve a stale table; structurally identical clones share an id
-/// and therefore share tables, which is sound by construction.
-#[derive(Debug, Clone, Default)]
-struct ReachCache {
-    /// `Architecture::instance_id` the tables were built for (0 = none yet).
-    arch_instance: u64,
-    tables: Vec<Option<ReachTable>>,
+/// Exact-time reachability of every functional unit of one fabric: for each
+/// destination FU, two latencies per switch that tell whether the switch
+/// reaches the FU in exactly `t` cycles. Built once per fabric and shared
+/// by every search on it.
+#[derive(Debug, Clone)]
+pub struct Reach {
+    /// One table per resource id; switches, which are never destinations,
+    /// hold empty tables.
+    tables: Vec<ReachTable>,
 }
 
-impl ReachCache {
-    fn table(&mut self, arch: &Architecture, dst: ResourceId, budget: u32) -> &ReachTable {
-        if self.arch_instance != arch.instance_id() {
-            self.arch_instance = arch.instance_id();
-            self.tables.clear();
-            self.tables.resize(arch.resources().len(), None);
+impl Reach {
+    /// Computes the reachability of every functional unit of `arch`.
+    pub fn of(arch: &Architecture) -> Self {
+        let mut tables = vec![ReachTable::default(); arch.resources().len()];
+        for fu in arch.functional_units() {
+            tables[fu.id.0 as usize] = ReachTable::build(arch, fu.id);
         }
-        let slot = &mut self.tables[dst.0 as usize];
-        let width = (budget + 1) as usize;
-        let rebuild = match slot {
-            Some(t) => t.width < width,
-            None => true,
-        };
-        if rebuild {
-            // Grow geometrically so a rising budget ladder rebuilds O(log)
-            // times instead of once per budget.
-            let grown = match slot {
-                Some(t) => width.max(t.width * 2),
-                None => width,
-            };
-            *slot = Some(ReachTable::build(arch, dst, grown));
-        }
-        slot.as_ref().expect("table just ensured")
+        Reach { tables }
+    }
+
+    /// The table of destination `dst`, which must be a functional unit of
+    /// the fabric this was built for.
+    fn table(&self, arch: &Architecture, dst: ResourceId) -> &ReachTable {
+        debug_assert_eq!(self.tables.len(), arch.resources().len(), "another fabric");
+        &self.tables[dst.0 as usize]
     }
 }
 
 /// Finds the cheapest route satisfying `request` using a caller-owned
 /// [`RouterScratch`], or `None` if no route exists under the given cost
-/// policy.
+/// policy. `reach` must have been built for `arch` ([`Reach::of`]).
 ///
 /// The returned route contains only intermediate switch hops; both functional
 /// units are excluded. The route's cost (sum of hop costs) is returned
 /// alongside it. Apart from the returned `Route`'s hop vector, the search
 /// performs no heap allocation once the scratch has warmed up.
-///
-/// A scratch caches per-destination reachability tables for the
-/// architecture it last saw, keyed by [`Architecture::instance_id`]:
-/// passing a different (or rebuilt) architecture safely resets the cache,
-/// while structurally identical clones reuse it.
 pub fn find_route_in(
     scratch: &mut RouterScratch,
     arch: &Architecture,
+    reach: &Reach,
     state: &RoutingState,
     request: &RouteRequest,
     policy: &impl CostPolicy,
@@ -417,19 +393,18 @@ pub fn find_route_in(
     let n = arch.resources().len();
     let width = (budget + 1) as usize;
     let index = |r: u32, e: u32| r as usize * width + e as usize;
-    let RouterScratch { core, reach } = scratch;
     // Cells from which the destination is unreachable in exactly the
     // remaining cycles are dead: skip them before probing occupancy. See
     // [`ReachTable`] for why this cannot change the returned route.
-    let reach = reach.table(arch, request.dst_fu, budget);
-    core.begin(n * width);
+    let reach = reach.table(arch, request.dst_fu);
+    scratch.begin(n * width);
 
     // Seed: leave the source FU along each open first hop.
     for (to, elapsed, cost) in first_hops(arch, state, request, policy, reach, budget) {
         let idx = index(to.0, elapsed);
-        if cost < core.best(idx) {
-            core.set(idx, cost, NO_PARENT);
-            core.heap.push(QueueEntry {
+        if cost < scratch.best(idx) {
+            scratch.set(idx, cost, NO_PARENT);
+            scratch.heap.push(QueueEntry {
                 cost,
                 resource: to.0,
                 elapsed,
@@ -437,9 +412,9 @@ pub fn find_route_in(
         }
     }
 
-    while let Some(entry) = core.heap.pop() {
+    while let Some(entry) = scratch.heap.pop() {
         let idx = index(entry.resource, entry.elapsed);
-        if entry.cost > core.best(idx) {
+        if entry.cost > scratch.best(idx) {
             continue;
         }
         let here = ResourceId(entry.resource);
@@ -456,7 +431,7 @@ pub fn find_route_in(
                         resource: ResourceId(r),
                         cycle: request.src_cycle + e,
                     });
-                    cursor = core.parent(index(r, e));
+                    cursor = scratch.parent(index(r, e));
                 }
                 hops.reverse();
                 return Some((Route { hops }, entry.cost));
@@ -483,9 +458,9 @@ pub fn find_route_in(
             // re-visiting the same (resource, elapsed) at higher cost.
             let cost = entry.cost + hop_cost;
             let nidx = index(link.to.0, elapsed);
-            if cost < core.best(nidx) {
-                core.set(nidx, cost, (entry.resource, entry.elapsed));
-                core.heap.push(QueueEntry {
+            if cost < scratch.best(nidx) {
+                scratch.set(nidx, cost, (entry.resource, entry.elapsed));
+                scratch.heap.push(QueueEntry {
                     cost,
                     resource: link.to.0,
                     elapsed,
@@ -542,8 +517,8 @@ fn first_hops<'a>(
 /// admitted there first. Placement heuristics use this to reject a
 /// candidate before searching any of its edges.
 pub(crate) fn first_hop_open(
-    scratch: &mut RouterScratch,
     arch: &Architecture,
+    reach: &Reach,
     state: &RoutingState,
     request: &RouteRequest,
     policy: &impl CostPolicy,
@@ -551,7 +526,7 @@ pub(crate) fn first_hop_open(
     let Some(budget) = request.budget() else {
         return false;
     };
-    let reach = scratch.reach.table(arch, request.dst_fu, budget);
+    let reach = reach.table(arch, request.dst_fu);
     first_hops(arch, state, request, policy, reach, budget)
         .next()
         .is_some()
@@ -592,6 +567,7 @@ mod tests {
         let (route, cost) = find_route_in(
             &mut RouterScratch::new(),
             &arch,
+            &Reach::of(&arch),
             &state,
             &request,
             &HardCapacityCost,
@@ -618,6 +594,7 @@ mod tests {
         let (route, _) = find_route_in(
             &mut RouterScratch::new(),
             &arch,
+            &Reach::of(&arch),
             &state,
             &request,
             &HardCapacityCost,
@@ -647,6 +624,7 @@ mod tests {
         assert!(find_route_in(
             &mut RouterScratch::new(),
             &arch,
+            &Reach::of(&arch),
             &state,
             &request,
             &HardCapacityCost
@@ -675,6 +653,7 @@ mod tests {
         assert!(find_route_in(
             &mut RouterScratch::new(),
             &arch,
+            &Reach::of(&arch),
             &state,
             &request,
             &HardCapacityCost
@@ -700,8 +679,15 @@ mod tests {
             value: NodeId(0),
         };
         let policy = NegotiatedCost::new(arch.resources().len());
-        let (route, cost) =
-            find_route_in(&mut RouterScratch::new(), &arch, &state, &request, &policy).unwrap();
+        let (route, cost) = find_route_in(
+            &mut RouterScratch::new(),
+            &arch,
+            &Reach::of(&arch),
+            &state,
+            &request,
+            &policy,
+        )
+        .unwrap();
         assert!(!route.hops.is_empty());
         assert!(cost > 1.0);
     }
@@ -721,6 +707,7 @@ mod tests {
         let (route, _) = find_route_in(
             &mut RouterScratch::new(),
             &arch,
+            &Reach::of(&arch),
             &state,
             &request,
             &HardCapacityCost,
@@ -751,6 +738,7 @@ mod tests {
         let (route, _) = find_route_in(
             &mut RouterScratch::new(),
             &arch,
+            &Reach::of(&arch),
             &state,
             &request,
             &HardCapacityCost,
@@ -780,6 +768,7 @@ mod tests {
         let (route, _) = find_route_in(
             &mut RouterScratch::new(),
             &arch,
+            &Reach::of(&arch),
             &state,
             &request,
             &HardCapacityCost,
@@ -799,6 +788,7 @@ mod tests {
         let archs = [spatio_temporal::build(2, 2), plaid::build(2, 2)];
         let mut scratch = RouterScratch::new();
         for arch in &archs {
+            let reach = Reach::of(arch);
             let mut state = RoutingState::new(arch, 4);
             let fus: Vec<ResourceId> = arch.functional_units().map(|r| r.id).collect();
             for (i, &src) in fus.iter().enumerate() {
@@ -814,12 +804,19 @@ mod tests {
                     let fresh = find_route_in(
                         &mut RouterScratch::new(),
                         arch,
+                        &reach,
                         &state,
                         &request,
                         &HardCapacityCost,
                     );
-                    let reused =
-                        find_route_in(&mut scratch, arch, &state, &request, &HardCapacityCost);
+                    let reused = find_route_in(
+                        &mut scratch,
+                        arch,
+                        &reach,
+                        &state,
+                        &request,
+                        &HardCapacityCost,
+                    );
                     assert_eq!(fresh, reused, "scratch reuse changed a route");
                     if let Some((route, _)) = fresh {
                         // Mutate congestion so later searches see fresh state.
@@ -851,6 +848,7 @@ mod tests {
                 }
             }
             let fus: Vec<ResourceId> = arch.functional_units().map(|r| r.id).collect();
+            let reach = Reach::of(&arch);
             let mut scratch = RouterScratch::new();
             let (mut dead, mut dead_nonzero, mut live) = (0, 0, 0);
             for &src in &fus {
@@ -864,7 +862,7 @@ mod tests {
                             value: NodeId(src.0),
                         };
                         let (need, ceil) = (cert.need(), cert.ceil());
-                        let open = first_hop_open(&mut scratch, &arch, &state, &request, &AnyHop);
+                        let open = first_hop_open(&arch, &reach, &state, &request, &AnyHop);
                         assert_eq!(cert.need(), need, "{}: AnyHop probed", arch.name());
                         assert_eq!(cert.ceil(), ceil, "{}: AnyHop probed", arch.name());
                         if open {
@@ -876,7 +874,14 @@ mod tests {
                             dead_nonzero += 1;
                         }
                         assert_eq!(
-                            find_route_in(&mut scratch, &arch, &state, &request, &HardCapacityCost),
+                            find_route_in(
+                                &mut scratch,
+                                &arch,
+                                &reach,
+                                &state,
+                                &request,
+                                &HardCapacityCost
+                            ),
                             None,
                             "{}: dead request {request:?} routed",
                             arch.name()
@@ -914,6 +919,7 @@ mod tests {
                 }
             }
             let fus: Vec<ResourceId> = arch.functional_units().map(|r| r.id).collect();
+            let reach = Reach::of(&arch);
             let mut scratch = RouterScratch::new();
             let (mut open, mut closed_by_occupancy) = (0, 0);
             for &src in &fus {
@@ -931,8 +937,8 @@ mod tests {
                                     value,
                                 };
                                 if first_hop_open(
-                                    &mut scratch,
                                     &arch,
+                                    &reach,
                                     &state,
                                     &request,
                                     &HardCapacityCost,
@@ -940,7 +946,7 @@ mod tests {
                                     open += 1;
                                     continue;
                                 }
-                                if first_hop_open(&mut scratch, &arch, &state, &request, &AnyHop) {
+                                if first_hop_open(&arch, &reach, &state, &request, &AnyHop) {
                                     closed_by_occupancy += 1;
                                 }
                                 let (need, ceil) = (cert.need(), cert.ceil());
@@ -948,6 +954,7 @@ mod tests {
                                     find_route_in(
                                         &mut scratch,
                                         &arch,
+                                        &reach,
                                         &state,
                                         &request,
                                         &HardCapacityCost
@@ -998,14 +1005,30 @@ mod tests {
             value: NodeId(0),
         };
         let mut scratch = RouterScratch::new();
+        let reach = Reach::of(&arch);
         // Control: with finite costs the same window routes, so only the
         // NaN can make the assertion below hold.
         assert!(
-            find_route_in(&mut scratch, &arch, &state, &request, &HardCapacityCost).is_some(),
+            find_route_in(
+                &mut scratch,
+                &arch,
+                &reach,
+                &state,
+                &request,
+                &HardCapacityCost
+            )
+            .is_some(),
             "the 3 -> 4 window routes under finite costs"
         );
         assert_eq!(
-            find_route_in(&mut scratch, &arch, &state, &request, &NanInSlotZero),
+            find_route_in(
+                &mut scratch,
+                &arch,
+                &reach,
+                &state,
+                &request,
+                &NanInSlotZero
+            ),
             None,
             "NaN hops are filtered"
         );
@@ -1019,8 +1042,144 @@ mod tests {
             arrival_cycle: 3,
             value: NodeId(0),
         };
-        let (route, _) = find_route_in(&mut scratch, &arch, &state, &request, &NanInSlotZero)
-            .expect("clean-slot route exists");
+        let (route, _) = find_route_in(
+            &mut scratch,
+            &arch,
+            &reach,
+            &state,
+            &request,
+            &NanInSlotZero,
+        )
+        .expect("clean-slot route exists");
         assert!(route.hops.iter().all(|h| h.cycle % 4 != 0));
+    }
+
+    /// The layered exact-time table the two latencies replaced:
+    /// `live[r * width + t]` says whether a switch-only path of exactly `t`
+    /// cycles leads from switch `r` into `dst`, built one `t` at a time.
+    fn layered_reference(arch: &Architecture, dst: ResourceId, width: usize) -> Vec<bool> {
+        let n = arch.resources().len();
+        let mut live = vec![false; n * width];
+        for t in 0..width as u32 {
+            // Zero-latency switch-to-switch links propagate within a layer,
+            // so iterate each layer to a fixpoint.
+            loop {
+                let mut changed = false;
+                for r in 0..n as u32 {
+                    let idx = r as usize * width + t as usize;
+                    if live[idx] || arch.resource(ResourceId(r)).kind.is_func_unit() {
+                        continue;
+                    }
+                    let reaches = arch.out_links(ResourceId(r)).any(|link| {
+                        if link.latency > t {
+                            return false;
+                        }
+                        if link.to == dst {
+                            // Arriving early at the destination FU is not a
+                            // finish, and FUs are not vias.
+                            return link.latency == t;
+                        }
+                        !arch.resource(link.to).kind.is_func_unit()
+                            && live[link.to.0 as usize * width + (t - link.latency) as usize]
+                    });
+                    if reaches {
+                        live[idx] = true;
+                        changed = true;
+                    }
+                }
+                if !changed {
+                    break;
+                }
+            }
+        }
+        live
+    }
+
+    /// The named fabrics, every class over the full grid's dimensions (plus
+    /// 1x1 and 1x3) under the presets, and the topology × bandwidth grid on
+    /// the small dimensions.
+    fn fabric_zoo() -> Vec<Architecture> {
+        use plaid_arch::{spatial, specialize};
+        use plaid_arch::{ArchClass, BwClass, CommSpec, DesignPoint, Topology};
+        let mut archs = vec![
+            plaid::build(2, 2),
+            plaid::build(3, 3),
+            spatio_temporal::build(4, 4),
+            spatio_temporal::build(6, 6),
+            spatio_temporal::build(8, 8),
+            spatial::build(4, 4),
+            specialize::spatio_temporal_ml(4, 4),
+            specialize::plaid_ml_2x2(),
+        ];
+        let classes = [
+            ArchClass::SpatioTemporal,
+            ArchClass::Spatial,
+            ArchClass::Plaid,
+        ];
+        let full_dims = [
+            (1, 1),
+            (1, 3),
+            (2, 2),
+            (2, 4),
+            (3, 3),
+            (4, 4),
+            (3, 5),
+            (4, 6),
+            (6, 6),
+        ];
+        let topologies = [
+            Topology::Mesh,
+            Topology::Torus,
+            Topology::Express { stride: 2 },
+            Topology::Express { stride: 3 },
+        ];
+        let grid = topologies
+            .iter()
+            .flat_map(|&t| BwClass::ALL.map(|bw| CommSpec::uniform(t, bw)));
+        let specs = full_dims
+            .iter()
+            .flat_map(|&dims| CommSpec::presets().into_iter().map(move |c| (dims, c)))
+            .chain(grid.flat_map(|c| full_dims[..6].iter().map(move |&dims| (dims, c))));
+        for ((rows, cols), comm) in specs {
+            for class in classes {
+                let point = DesignPoint {
+                    class,
+                    rows,
+                    cols,
+                    config_entries: 16,
+                    comm,
+                };
+                if point.is_valid() {
+                    archs.push(point.build());
+                }
+            }
+        }
+        archs
+    }
+
+    #[test]
+    fn two_latencies_match_the_layered_reachability_table() {
+        const HORIZON: usize = 40;
+        let width = HORIZON + 1;
+        let mut cells = 0usize;
+        for arch in fabric_zoo() {
+            let reach = Reach::of(&arch);
+            for dst in arch.functional_units().map(|r| r.id) {
+                let reference = layered_reference(&arch, dst, width);
+                let table = reach.table(&arch, dst);
+                for (idx, &live) in reference.iter().enumerate() {
+                    let (r, t) = ((idx / width) as u32, (idx % width) as u32);
+                    assert_eq!(
+                        table.alive(r, t),
+                        live,
+                        "{}: {} into {dst} in {t} cycles",
+                        arch.name(),
+                        arch.resource(ResourceId(r)).name
+                    );
+                }
+                cells += reference.len();
+            }
+        }
+        assert!(cells > 1_000_000, "{cells} cells compared");
     }
 }

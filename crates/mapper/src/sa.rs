@@ -157,8 +157,8 @@ impl SaMapper {
 /// Places a node on any functional unit with a free modulo slot, ignoring
 /// *congestion* (annealing will repair overused routes) but not structural
 /// routability: candidate slots whose incident placed edges provably cannot
-/// be routed — the exact-time reachability table has no live path of the
-/// required length — are skipped, so the anneal never starts from a
+/// be routed — the fabric's exact-time reachability has no live path of
+/// the required length — are skipped, so the anneal never starts from a
 /// placement that could only ever persist in an incomplete state. When no
 /// reachable slot exists the old any-free-slot behaviour is the fallback
 /// (annealing can still repair such a state by moving the *other* endpoint).
