@@ -7,7 +7,6 @@
 //! here: the bench tracks them interactively, the gate compares a fresh
 //! run against the committed `BENCH_mapper.json` baseline.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use plaid_arch::{spatio_temporal, Architecture};
@@ -57,8 +56,8 @@ pub fn one_move(state: &mut MapState<'_>, step: &mut u64) {
         }
     }
     if placed {
-        let adj = Arc::clone(state.adjacency());
-        for &e in adj.incident(node) {
+        let dfg = state.dfg;
+        for &e in dfg.incident(node) {
             let _ = state.route_edge(e, &policy);
         }
     }

@@ -156,7 +156,8 @@ pub struct CompiledWorkload {
 }
 
 impl CompiledWorkload {
-    /// Achieved initiation interval (averaged per partition for spatial).
+    /// Achieved initiation interval; for a spatial schedule, the largest
+    /// partition II.
     pub fn ii(&self) -> u32 {
         self.metrics.ii
     }

@@ -10,6 +10,11 @@
 //! The graph also records the iteration space of the loop nest it was
 //! generated from, which the downstream simulator uses to compute total cycle
 //! counts from the initiation interval (II).
+//!
+//! Every node keeps an index of the edges that touch it, maintained as edges
+//! are added, so "which edges touch node n" costs `O(degree)` rather than a
+//! scan of the edge list. Edges are append-only, so each list ascends by edge
+//! id: the order a scan of [`Dfg::edges`] filtered to the node would yield.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -155,6 +160,15 @@ pub struct Dfg {
     name: String,
     nodes: Vec<DfgNode>,
     edges: Vec<DfgEdge>,
+    /// Per-node edge index: arriving, leaving and touching edges, each
+    /// ascending by edge id. A self-loop is in both `ins` and `outs` of its
+    /// node but listed once in `incident`.
+    ins: Vec<Vec<EdgeId>>,
+    outs: Vec<Vec<EdgeId>>,
+    incident: Vec<Vec<EdgeId>>,
+    /// Number of edges for which [`Dfg::edge_carries_data`] holds, counted as
+    /// edges are added.
+    data_edges: usize,
     iteration_space: Vec<IterationDim>,
 }
 
@@ -165,6 +179,10 @@ impl Dfg {
             name: name.into(),
             nodes: Vec::new(),
             edges: Vec::new(),
+            ins: Vec::new(),
+            outs: Vec::new(),
+            incident: Vec::new(),
+            data_edges: 0,
             iteration_space: Vec::new(),
         }
     }
@@ -209,6 +227,9 @@ impl Dfg {
             immediate: None,
             access: None,
         });
+        self.ins.push(Vec::new());
+        self.outs.push(Vec::new());
+        self.incident.push(Vec::new());
         id
     }
 
@@ -316,9 +337,8 @@ impl Dfg {
             }
             if kind == EdgeKind::Data
                 && self
-                    .edges
-                    .iter()
-                    .any(|e| e.dst == dst && e.operand == operand && e.kind == EdgeKind::Data)
+                    .in_edges(dst)
+                    .any(|e| e.operand == operand && e.kind == EdgeKind::Data)
             {
                 return Err(DfgError::OperandConflict {
                     node: dst.0,
@@ -327,13 +347,26 @@ impl Dfg {
             }
         }
         let id = EdgeId(self.edges.len() as u32);
-        self.edges.push(DfgEdge {
+        let edge = DfgEdge {
             id,
             src,
             dst,
             operand,
             kind,
-        });
+        };
+        // Exact for the graph's lifetime: whether an edge carries data depends
+        // only on its kind and its destination's op, and a node's op never
+        // changes after `add_node`.
+        if self.edge_carries_data(&edge) {
+            self.data_edges += 1;
+        }
+        self.edges.push(edge);
+        self.outs[src.0 as usize].push(id);
+        self.ins[dst.0 as usize].push(id);
+        self.incident[src.0 as usize].push(id);
+        if dst != src {
+            self.incident[dst.0 as usize].push(id);
+        }
         Ok(id)
     }
 
@@ -397,40 +430,36 @@ impl Dfg {
         self.nodes.iter().filter(|n| n.is_memory())
     }
 
-    /// Edges arriving at `node` (both data and recurrence).
+    /// Ids of the edges arriving at `node`, ascending.
+    pub fn ins(&self, node: NodeId) -> &[EdgeId] {
+        &self.ins[node.0 as usize]
+    }
+
+    /// Ids of the edges leaving `node`, ascending.
+    pub fn outs(&self, node: NodeId) -> &[EdgeId] {
+        &self.outs[node.0 as usize]
+    }
+
+    /// Ids of the edges touching `node` at either endpoint, ascending, with a
+    /// self-loop listed once.
+    pub fn incident(&self, node: NodeId) -> &[EdgeId] {
+        &self.incident[node.0 as usize]
+    }
+
+    /// Number of edges that transport a value between functional units (see
+    /// [`Dfg::edge_carries_data`]).
+    pub fn data_edge_count(&self) -> usize {
+        self.data_edges
+    }
+
+    /// Edges arriving at `node` (both data and recurrence), ascending by id.
     pub fn in_edges(&self, node: NodeId) -> impl Iterator<Item = &DfgEdge> {
-        self.edges.iter().filter(move |e| e.dst == node)
+        self.ins(node).iter().map(|&e| self.edge(e))
     }
 
-    /// Edges leaving `node` (both data and recurrence).
+    /// Edges leaving `node` (both data and recurrence), ascending by id.
     pub fn out_edges(&self, node: NodeId) -> impl Iterator<Item = &DfgEdge> {
-        self.edges.iter().filter(move |e| e.src == node)
-    }
-
-    /// Same-iteration predecessors of `node`.
-    pub fn data_predecessors(&self, node: NodeId) -> Vec<NodeId> {
-        self.in_edges(node)
-            .filter(|e| !e.kind.is_recurrence())
-            .map(|e| e.src)
-            .collect()
-    }
-
-    /// Same-iteration successors of `node`.
-    pub fn data_successors(&self, node: NodeId) -> Vec<NodeId> {
-        self.out_edges(node)
-            .filter(|e| !e.kind.is_recurrence())
-            .map(|e| e.dst)
-            .collect()
-    }
-
-    /// All predecessors of `node`, including across iterations.
-    pub fn predecessors(&self, node: NodeId) -> Vec<NodeId> {
-        self.in_edges(node).map(|e| e.src).collect()
-    }
-
-    /// All successors of `node`, including across iterations.
-    pub fn successors(&self, node: NodeId) -> Vec<NodeId> {
-        self.out_edges(node).map(|e| e.dst).collect()
+        self.outs(node).iter().map(|&e| self.edge(e))
     }
 
     /// Recurrence (inter-iteration) edges of the graph.
@@ -455,14 +484,13 @@ impl Dfg {
         let mut queue: VecDeque<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
         let mut order = Vec::with_capacity(n);
         while let Some(i) = queue.pop_front() {
-            order.push(NodeId(i as u32));
-            for e in &self.edges {
-                if !e.kind.is_recurrence() && e.src.0 as usize == i {
-                    let d = e.dst.0 as usize;
-                    indegree[d] -= 1;
-                    if indegree[d] == 0 {
-                        queue.push_back(d);
-                    }
+            let node = NodeId(i as u32);
+            order.push(node);
+            for e in self.out_edges(node).filter(|e| !e.kind.is_recurrence()) {
+                let d = e.dst.0 as usize;
+                indegree[d] -= 1;
+                if indegree[d] == 0 {
+                    queue.push_back(d);
                 }
             }
         }
@@ -738,6 +766,63 @@ mod tests {
             },
         ]);
         assert_eq!(dfg.total_iterations(), 32);
+    }
+
+    /// A load feeding a chain whose last node carries a self-loop recurrence.
+    fn with_self_loop() -> Dfg {
+        let mut dfg = Dfg::new("adj");
+        let ld = dfg.add_load("ld", "x", AffineExpr::var(0));
+        let a = dfg.add_compute_node("a", Op::Add);
+        let b = dfg.add_compute_node("b", Op::Mul);
+        dfg.set_immediate(a, 1).unwrap();
+        dfg.set_immediate(b, 2).unwrap();
+        dfg.add_edge(ld, a, Operand::Lhs, EdgeKind::Data).unwrap();
+        dfg.add_edge(a, b, Operand::Lhs, EdgeKind::Data).unwrap();
+        dfg.add_edge(b, b, Operand::Rhs, EdgeKind::Recurrence { distance: 1 })
+            .unwrap();
+        dfg
+    }
+
+    /// Reference for the edge index: edge ids selected by a scan of the
+    /// whole edge list.
+    fn scan(dfg: &Dfg, keep: impl Fn(&DfgEdge) -> bool) -> Vec<EdgeId> {
+        dfg.edges().filter(|e| keep(e)).map(|e| e.id).collect()
+    }
+
+    #[test]
+    fn edge_index_matches_linear_scans_on_every_node() {
+        for dfg in [with_self_loop(), diamond().0] {
+            for node in dfg.node_ids() {
+                assert_eq!(dfg.ins(node), scan(&dfg, |e| e.dst == node));
+                assert_eq!(dfg.outs(node), scan(&dfg, |e| e.src == node));
+                assert_eq!(
+                    dfg.incident(node),
+                    scan(&dfg, |e| e.src == node || e.dst == node)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn self_loop_listed_once_in_incident() {
+        let dfg = with_self_loop();
+        let b = NodeId(2);
+        assert_eq!(dfg.incident(b).len(), 2); // a->b plus the self recurrence
+        assert_eq!(dfg.ins(b).len(), 2);
+        assert_eq!(dfg.outs(b).len(), 1);
+    }
+
+    #[test]
+    fn counts_data_carrying_edges() {
+        let mut dfg = with_self_loop();
+        let expect = dfg.edges().filter(|e| dfg.edge_carries_data(e)).count();
+        assert_eq!(dfg.data_edge_count(), expect);
+        // An ordering edge into a load is an edge but carries no data.
+        let (a, ld) = (NodeId(1), NodeId(0));
+        dfg.add_edge(a, ld, Operand::Lhs, EdgeKind::Recurrence { distance: 1 })
+            .unwrap();
+        assert_eq!(dfg.edge_count(), 4);
+        assert_eq!(dfg.data_edge_count(), expect);
     }
 
     #[test]

@@ -6,14 +6,14 @@
 //! * [`op`] — the operation set supported by CGRA functional units
 //!   (16-bit ALU operations plus loads and stores handled by the ALSU).
 //! * [`graph`] — the [`Dfg`] itself: nodes, data edges, inter-iteration
-//!   (recurrence) edges, structural queries and validation.
+//!   (recurrence) edges, validation, and structural queries answered in
+//!   `O(degree)` from a per-node edge index the graph keeps as edges are
+//!   added.
 //! * [`kernel`] — a small loop-nest kernel IR standing in for the paper's
 //!   annotated C kernels, with affine array accesses and reductions.
 //! * [`lower`] — DFG generation from the kernel IR, including loop unrolling.
 //! * [`interp`] — reference interpreters for both the kernel IR and the DFG,
 //!   used to functionally verify mappings produced further up the stack.
-//! * [`adjacency`] — a per-node incident-edge index built once per graph,
-//!   giving mappers `O(degree)` edge queries in their move loops.
 //! * [`dot`] — Graphviz export for debugging and documentation.
 //!
 //! # Example
@@ -43,7 +43,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adjacency;
 pub mod dot;
 pub mod error;
 pub mod graph;
@@ -52,7 +51,6 @@ pub mod kernel;
 pub mod lower;
 pub mod op;
 
-pub use adjacency::Adjacency;
 pub use error::DfgError;
 pub use graph::{Dfg, DfgEdge, DfgNode, EdgeId, EdgeKind, NodeId, Operand};
 pub use kernel::{AffineExpr, ArrayDecl, Expr, Kernel, KernelBuilder, LoopVar, Stmt};

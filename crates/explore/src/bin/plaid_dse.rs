@@ -35,15 +35,14 @@ plaid-dse — parallel design-space exploration over CGRA provisioning points
 USAGE:
     plaid-dse [OPTIONS]
     plaid-dse merge <OUT_CACHE> <SHARD_CACHE>... [--frontier FILE] [--quiet]
-                    [--allow-overlap]
 
 SUBCOMMANDS:
     merge    Union shard caches into <OUT_CACHE> and emit the merged Pareto
              frontier JSON — byte-identical to a single-process sweep of the
              same points. Shard caches are disjoint by construction, so
-             inputs re-supplying an already-merged record identity are
+             an input re-supplying an already-merged record identity is
              rejected (duplicated shard run / mismatched sweep
-             configuration) unless --allow-overlap is given
+             configuration)
 
 OPTIONS:
     --grid <default|smoke|full>   Architecture grid to enumerate [default: default]
@@ -377,16 +376,14 @@ fn emit_frontier(
 /// Correct shard caches are *disjoint* (the partition is content-addressed),
 /// so an input contributing records whose identity is already present is a
 /// misconfiguration — the same `--shard` run twice, a file listed twice, or
-/// hosts that swept different grids — and is rejected by default: the
-/// last-input-wins resolution would otherwise silently produce a frontier
-/// over a point set no single plan describes. `--allow-overlap` opts into
-/// the general cache-union behaviour for deliberately overlapping caches.
+/// hosts that swept different grids — and is always rejected: a
+/// last-input-wins union would silently produce a frontier over a point set
+/// no single plan describes.
 fn run_merge(args: Vec<String>) -> Result<(), String> {
     let mut out_cache: Option<PathBuf> = None;
     let mut inputs: Vec<PathBuf> = Vec::new();
     let mut frontier_path = Some(PathBuf::from("dse_frontier.json"));
     let mut quiet = false;
-    let mut allow_overlap = false;
     let mut args = args.into_iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -397,7 +394,6 @@ fn run_merge(args: Vec<String>) -> Result<(), String> {
             }
             "--no-frontier-file" => frontier_path = None,
             "--quiet" => quiet = true,
-            "--allow-overlap" => allow_overlap = true,
             "-h" | "--help" => {
                 print!("{USAGE}");
                 return Ok(());
@@ -421,12 +417,12 @@ fn run_merge(args: Vec<String>) -> Result<(), String> {
         let loaded = shard.len();
         let added = merged.union_merge(&shard);
         let overlapping = loaded - added;
-        if overlapping > 0 && !allow_overlap {
+        if overlapping > 0 {
             return Err(format!(
                 "merge: {} contributes {overlapping} record(s) whose identity another input \
                  already supplied — shard caches are disjoint by construction, so this usually \
                  means the same shard ran twice, a file was listed twice, or the hosts swept \
-                 different configurations; pass --allow-overlap to union anyway (last input wins)",
+                 different configurations",
                 path.display()
             ));
         }

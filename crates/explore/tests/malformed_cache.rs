@@ -156,3 +156,30 @@ fn merge_reports_malformed_shards_without_panicking() {
         serde_json::to_string(&value).unwrap().as_bytes(),
     );
 }
+
+#[test]
+fn merge_rejects_a_shard_supplied_twice() {
+    // Two copies of one valid shard: every record of the second re-supplies
+    // an identity the first already contributed.
+    let dir = scratch();
+    let first = dir.join("twice-a.json");
+    let second = dir.join("twice-b.json");
+    std::fs::write(&first, saved_cache()).unwrap();
+    std::fs::write(&second, saved_cache()).unwrap();
+    let merged = dir.join("twice-merged.json");
+    let out = Command::new(env!("CARGO_BIN_EXE_plaid-dse"))
+        .arg("merge")
+        .arg(&merged)
+        .args([&first, &second])
+        .args(["--no-frontier-file", "--quiet"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "merge accepted a repeated shard");
+    assert!(!stderr.contains("panicked"), "merge panicked: {stderr}");
+    assert!(
+        stderr.contains(&format!("merge: {} contributes", second.display())),
+        "the error does not name the second shard: {stderr}"
+    );
+    assert!(!merged.exists(), "a rejected merge wrote its output");
+}

@@ -92,8 +92,8 @@ impl LadderSearch for PathFinderMapper {
 
     const SETTINGS: u64 = 0x47d6_2018_1148_1cab;
 
-    fn prepare(&self, dfg: &Dfg, arch: &Architecture) -> LadderShared {
-        LadderShared::of(dfg, arch)
+    fn prepare(&self, _dfg: &Dfg, arch: &Architecture) -> LadderShared {
+        LadderShared::of(arch)
     }
 
     fn attempt(

@@ -12,8 +12,8 @@
 //! / [`MapState::rollback_txn`]). Aggregates the move loop reads every
 //! iteration — unrouted-edge count, total hop count, total overuse — are
 //! maintained by the primitives, making [`MapState::cost`] O(1), and edge
-//! queries go through a per-DFG [`Adjacency`] index instead of scanning the
-//! edge list.
+//! queries read the [`Dfg`]'s own per-node edge index ([`Dfg::incident`],
+//! [`Dfg::ins`], [`Dfg::outs`]) instead of scanning the edge list.
 //!
 //! Placement heuristics try a candidate — one node or a whole motif at
 //! given positions — through one primitive, `MapState::try_place`: check
@@ -35,7 +35,7 @@
 use std::sync::Arc;
 
 use plaid_arch::{Architecture, ResourceId};
-use plaid_dfg::{Adjacency, Dfg, DfgEdge, EdgeId, EdgeKind, NodeId};
+use plaid_dfg::{Dfg, DfgEdge, EdgeId, EdgeKind, NodeId};
 
 use crate::dense::DenseMap;
 use crate::mapping::{Mapping, Placement, Route};
@@ -50,24 +50,21 @@ pub const UNROUTED_PENALTY: f64 = 1_000.0;
 
 /// Search-wide state shared by every II attempt of one ladder: the
 /// capacity certificate accumulating across attempts (including failed
-/// ones), the DFG adjacency index and the fabric's exact-time reachability.
-/// It is built once per ladder, after the replay decision, so a replayed
-/// point builds none of it.
+/// ones) and the fabric's exact-time reachability. It is built once per
+/// ladder, after the replay decision, so a replayed point builds none of it.
+/// It holds nothing of the DFG: the DFG answers its own edge queries.
 pub(crate) struct LadderShared {
     /// Capacity-decision accumulator for the whole ladder.
     pub cert: Arc<crate::state::CapacityCert>,
-    /// Incident-edge index of the DFG being mapped.
-    pub adj: Arc<Adjacency>,
     /// Exact-time reachability of every FU of the fabric being mapped.
     pub reach: Arc<Reach>,
 }
 
 impl LadderShared {
-    /// Builds the shared state for one search over `dfg` on `arch`.
-    pub fn of(dfg: &Dfg, arch: &Architecture) -> Self {
+    /// Builds the shared state for one search on `arch`.
+    pub fn of(arch: &Architecture) -> Self {
         LadderShared {
             cert: Arc::new(crate::state::CapacityCert::new(arch.resources().len())),
-            adj: Arc::new(Adjacency::of(dfg)),
             reach: Arc::new(Reach::of(arch)),
         }
     }
@@ -89,6 +86,10 @@ enum JournalOp {
 }
 
 /// Mutable mapping state for one II attempt.
+///
+/// Edge queries read the DFG's own index through `dfg`. A move loop that
+/// iterates a node's edges while mutating the state copies the reference
+/// out first (`let dfg = state.dfg;`), which borrows nothing of the state.
 #[derive(Debug, Clone)]
 pub struct MapState<'a> {
     /// The DFG being mapped.
@@ -103,10 +104,8 @@ pub struct MapState<'a> {
     pub placements: DenseMap<NodeId, Placement>,
     /// Current routes of data-carrying edges, indexed densely by edge id.
     pub routes: DenseMap<EdgeId, Route>,
-    /// Per-node incident-edge index, built once per DFG and shared across
-    /// clones and II attempts.
-    adj: Arc<Adjacency>,
-    /// Exact-time reachability of the fabric, shared like `adj`.
+    /// Exact-time reachability of the fabric, built once per ladder and
+    /// shared across clones and II attempts.
     reach: Arc<Reach>,
     /// Reusable router search state (alloc-free routing on the hot path).
     scratch: RouterScratch,
@@ -119,27 +118,21 @@ pub struct MapState<'a> {
 }
 
 impl<'a> MapState<'a> {
-    /// Creates an empty state for the given II, with its own certificate,
-    /// adjacency index and reachability.
+    /// Creates an empty state for the given II, with its own certificate
+    /// and reachability.
     pub fn new(dfg: &'a Dfg, arch: &'a Architecture, ii: u32) -> Self {
-        Self::for_ladder(dfg, arch, ii, &LadderShared::of(dfg, arch))
+        Self::for_ladder(dfg, arch, ii, &LadderShared::of(arch))
     }
 
     /// Creates an empty state for one II attempt of a ladder: capacity
     /// decisions are recorded into the ladder's certificate, and the
-    /// ladder's adjacency index and reachability are reused instead of
-    /// re-derived.
+    /// ladder's reachability is reused instead of re-derived.
     pub(crate) fn for_ladder(
         dfg: &'a Dfg,
         arch: &'a Architecture,
         ii: u32,
         shared: &LadderShared,
     ) -> Self {
-        debug_assert_eq!(
-            shared.adj.node_count(),
-            dfg.node_count(),
-            "adjacency of another DFG"
-        );
         MapState {
             dfg,
             arch,
@@ -147,20 +140,12 @@ impl<'a> MapState<'a> {
             state: RoutingState::with_cert(arch, ii, Arc::clone(&shared.cert)),
             placements: DenseMap::for_universe(dfg.node_count()),
             routes: DenseMap::for_universe(dfg.edge_count()),
-            adj: Arc::clone(&shared.adj),
             reach: Arc::clone(&shared.reach),
             scratch: RouterScratch::new(),
             journal: Vec::new(),
             in_txn: false,
             total_hops: 0,
         }
-    }
-
-    /// The per-node incident-edge index of the DFG being mapped. Mappers
-    /// clone the `Arc` once per search and iterate `incident(node)` in their
-    /// move loops instead of scanning every edge.
-    pub fn adjacency(&self) -> &Arc<Adjacency> {
-        &self.adj
     }
 
     /// Opens a transaction: subsequent place/unplace/route/unroute calls
@@ -247,8 +232,8 @@ impl<'a> MapState<'a> {
                 self.journal.push(JournalOp::Unplaced(node, p));
             }
         }
-        let adj = Arc::clone(&self.adj);
-        for &e in adj.incident(node) {
+        let dfg = self.dfg;
+        for &e in dfg.incident(node) {
             self.unroute(e);
         }
     }
@@ -437,10 +422,10 @@ impl<'a> MapState<'a> {
     }
 
     /// Number of data-carrying edges that currently have no route.
-    /// Maintained via the adjacency index's data-edge count; O(1).
+    /// Read from the DFG's data-edge count; O(1).
     pub fn unrouted_edges(&self) -> usize {
-        debug_assert!(self.routes.len() <= self.adj.data_carrying_edges());
-        self.adj.data_carrying_edges() - self.routes.len()
+        debug_assert!(self.routes.len() <= self.dfg.data_edge_count());
+        self.dfg.data_edge_count() - self.routes.len()
     }
 
     /// Whether timing constraints hold for every edge whose endpoints are
@@ -473,10 +458,8 @@ impl<'a> MapState<'a> {
     /// Earliest schedule cycle of `node` respecting its placed same-iteration
     /// predecessors (0 if none are placed).
     pub fn earliest_cycle(&self, node: NodeId) -> u32 {
-        self.adj
-            .ins(node)
-            .iter()
-            .map(|&e| self.dfg.edge(e))
+        self.dfg
+            .in_edges(node)
             .filter(|e| !e.kind.is_recurrence())
             .filter_map(|e| self.placements.get(&e.src).map(|p| p.cycle + 1))
             .max()
@@ -489,11 +472,10 @@ impl<'a> MapState<'a> {
         let needs_memory = self.dfg.node(node).op.is_memory();
         let mut fus = self.arch.units_supporting(needs_memory);
         let neighbour_positions: Vec<ResourceId> = self
-            .adj
-            .ins(node)
-            .iter()
-            .map(|&e| self.dfg.edge(e).src)
-            .chain(self.adj.outs(node).iter().map(|&e| self.dfg.edge(e).dst))
+            .dfg
+            .in_edges(node)
+            .map(|e| e.src)
+            .chain(self.dfg.out_edges(node).map(|e| e.dst))
             .filter_map(|n| self.placements.get(&n).map(|p| p.fu))
             .collect();
         fus.sort_by_key(|&fu| {
@@ -544,12 +526,12 @@ pub fn place_node_best_effort(
 ) -> bool {
     let base = state.earliest_cycle(node);
     let candidates = state.candidate_fus(node);
-    let adj = Arc::clone(state.adjacency());
+    let dfg = state.dfg;
     for offset in 0..(state.ii * 2) {
         let cycle = base + offset;
         for &fu in &candidates {
             // Route the incoming data edges from already-placed producers.
-            if state.try_place(&[(node, Placement { fu, cycle })], adj.ins(node), policy) {
+            if state.try_place(&[(node, Placement { fu, cycle })], dfg.ins(node), policy) {
                 return true;
             }
         }
@@ -719,8 +701,7 @@ mod tests {
         // are unplaced. Fan-out leaves a producer's value in full switch
         // cells, where it still fits.
         let dfg = fan_out_dfg();
-        let adj = Adjacency::of(&dfg);
-        assert!(dfg.node_ids().any(|n| adj.outs(n).len() >= 3));
+        assert!(dfg.node_ids().any(|n| dfg.outs(n).len() >= 3));
         assert!(dfg.edges().any(|e| e.kind.is_recurrence()));
         let order = dfg.topological_order().unwrap();
         let lean = |base: Architecture| {
@@ -740,15 +721,15 @@ mod tests {
                         for fu in state.candidate_fus(node) {
                             let at = [(node, Placement { fu, cycle })];
                             if !state.can_place(node, fu, cycle)
-                                || !state.first_hops_open(adj.ins(node), &at, &AnyHop)
-                                || state.first_hops_open(adj.ins(node), &at, &HardCapacityCost)
+                                || !state.first_hops_open(dfg.ins(node), &at, &AnyHop)
+                                || state.first_hops_open(dfg.ins(node), &at, &HardCapacityCost)
                             {
                                 continue;
                             }
                             rejected += 1;
                             state.begin_txn();
                             state.place(node, fu, cycle);
-                            let routed = adj.ins(node).iter().all(|&e| {
+                            let routed = dfg.ins(node).iter().all(|&e| {
                                 !state.placements.contains_key(&dfg.edge(e).src)
                                     || state.route_edge(e, &HardCapacityCost)
                             });
@@ -775,7 +756,6 @@ mod tests {
         // states are the prefixes of greedy runs on a capacity-1 fabric,
         // where many candidates fail.
         let dfg = fan_out_dfg();
-        let adj = Adjacency::of(&dfg);
         let order = dfg.topological_order().unwrap();
         let base = plaid_arch::plaid::build(2, 2);
         let params = base.params().clone();
@@ -794,10 +774,10 @@ mod tests {
                         );
                         let at = [(node, Placement { fu, cycle })];
                         state.begin_txn();
-                        if state.try_place(&at, adj.ins(node), &HardCapacityCost) {
+                        if state.try_place(&at, dfg.ins(node), &HardCapacityCost) {
                             placed += 1;
                             assert_eq!(state.placements.get(&node), Some(&at[0].1));
-                            assert!(adj.ins(node).iter().all(|&e| {
+                            assert!(dfg.ins(node).iter().all(|&e| {
                                 let edge = dfg.edge(e);
                                 !dfg.edge_carries_data(edge)
                                     || !state.placements.contains_key(&edge.src)

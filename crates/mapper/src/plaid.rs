@@ -25,7 +25,6 @@ use crate::mapping::{Mapping, Placement};
 use crate::placement::{place_node_best_effort, LadderShared, MapState};
 use crate::route::HardCapacityCost;
 use crate::state::CapacityCert;
-use std::sync::Arc;
 
 use crate::sa::attempt_rng;
 use crate::seed::{map_seeded, LadderSearch, MapSeed, SeededMapping};
@@ -81,10 +80,10 @@ impl PlaidMapper {
         // edges internal to the motif are seen from both endpoints and must
         // route once). Those with both endpoints placed are routed: the
         // motif-internal edges plus those to placed neighbours.
-        let adj = Arc::clone(state.adjacency());
+        let dfg = state.dfg;
         let mut incident: Vec<EdgeId> = slots
             .iter()
-            .flat_map(|&(n, _)| adj.incident(n).iter().copied())
+            .flat_map(|&(n, _)| dfg.incident(n).iter().copied())
             .collect();
         incident.sort_unstable();
         incident.dedup();
@@ -315,7 +314,7 @@ impl PlaidMapper {
 
 impl LadderSearch for PlaidMapper {
     /// The hierarchical DFG plus the ladder's capacity certificate and
-    /// adjacency index. Motif identification runs here, after the replay
+    /// reachability. Motif identification runs here, after the replay
     /// decision, so a replayed point never pays for it.
     type Shared = (HierarchicalDfg, LadderShared);
 
@@ -330,7 +329,7 @@ impl LadderSearch for PlaidMapper {
         } else {
             HierarchicalDfg::new(dfg, Vec::new())
         };
-        (hdfg, LadderShared::of(dfg, arch))
+        (hdfg, LadderShared::of(arch))
     }
 
     fn attempt(

@@ -18,7 +18,6 @@ use crate::mapping::{Mapping, Placement};
 use crate::placement::{greedy_place, LadderShared, MapState};
 use crate::route::{AnyHop, HardCapacityCost};
 use crate::state::CapacityCert;
-use std::sync::Arc;
 
 use crate::seed::{map_seeded, LadderSearch, MapSeed, SeededMapping};
 use crate::Mapper;
@@ -101,7 +100,6 @@ impl SaMapper {
         let mut temperature = INITIAL_TEMPERATURE;
         let mut best_cost = state.cost();
         let nodes: Vec<NodeId> = dfg.node_ids().collect();
-        let adj = Arc::clone(state.adjacency());
         for _ in 0..MOVES_PER_II {
             if state.is_complete() {
                 return Some(state);
@@ -132,7 +130,7 @@ impl SaMapper {
                 state.rollback_txn();
                 continue;
             }
-            for &e in adj.incident(node) {
+            for &e in dfg.incident(node) {
                 let _ = state.route_edge(e, &policy);
             }
             let new_cost = state.cost() + if state.timing_ok() { 0.0 } else { 500.0 };
@@ -167,7 +165,7 @@ impl SaMapper {
 fn place_anywhere(state: &mut MapState<'_>, node: NodeId) -> bool {
     let base = state.earliest_cycle(node);
     let candidates = state.candidate_fus(node);
-    let adj = Arc::clone(state.adjacency());
+    let dfg = state.dfg;
     // One scan: take the first free slot whose edges are reachable,
     // remembering the first merely-free slot as the fallback (the scan
     // only reads state, so the fallback is exactly what a second
@@ -180,7 +178,7 @@ fn place_anywhere(state: &mut MapState<'_>, node: NodeId) -> bool {
                 continue;
             }
             let at = [(node, Placement { fu, cycle })];
-            if state.first_hops_open(adj.incident(node), &at, &AnyHop) {
+            if state.first_hops_open(dfg.incident(node), &at, &AnyHop) {
                 state.place(node, fu, cycle);
                 return true;
             }
@@ -215,7 +213,7 @@ impl SaMapper {
 }
 
 impl LadderSearch for SaMapper {
-    /// The capacity certificate and adjacency index of the whole ladder:
+    /// The capacity certificate and reachability of the whole ladder:
     /// the certificate accumulates across every attempt, failed ones
     /// included, so the captured seed can prove its result transfers to
     /// differently-provisioned networks.
@@ -223,8 +221,8 @@ impl LadderSearch for SaMapper {
 
     const SETTINGS: u64 = 0x40d7_f36d_778a_9cf7;
 
-    fn prepare(&self, dfg: &Dfg, arch: &Architecture) -> LadderShared {
-        LadderShared::of(dfg, arch)
+    fn prepare(&self, _dfg: &Dfg, arch: &Architecture) -> LadderShared {
+        LadderShared::of(arch)
     }
 
     fn attempt(

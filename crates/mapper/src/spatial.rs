@@ -82,14 +82,6 @@ impl SpatialSchedule {
             .map(|p| iterations * u64::from(p.ii) + u64::from(p.nodes.len() as u32))
             .sum()
     }
-
-    /// Effective initiation interval averaged over partitions (for reports).
-    pub fn effective_ii(&self) -> f64 {
-        if self.partitions.is_empty() {
-            return 0.0;
-        }
-        self.partitions.iter().map(|p| f64::from(p.ii)).sum::<f64>()
-    }
 }
 
 /// The spatial mapper. It has no settings (the partition cap is the
@@ -256,7 +248,6 @@ mod tests {
         // 6 memory ops over 4 ports -> II >= 2 (and >= RecMII of the
         // reduction).
         assert!(schedule.partitions[0].ii >= 2);
-        assert!(schedule.effective_ii() >= 2.0);
     }
 
     #[test]

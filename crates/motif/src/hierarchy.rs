@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use plaid_dfg::{Dfg, DfgEdge, NodeId};
+use plaid_dfg::{Dfg, NodeId};
 
 use crate::motif::Motif;
 
@@ -88,31 +88,6 @@ impl HierarchicalDfg {
         self.covered_compute_nodes() as f64 / self.compute_nodes as f64
     }
 
-    /// Edges of `dfg` internal to some motif (routed by a local router).
-    pub fn internal_edges<'d>(&self, dfg: &'d Dfg) -> Vec<&'d DfgEdge> {
-        dfg.edges().filter(|e| self.is_internal_edge(e)).collect()
-    }
-
-    /// Edges of `dfg` between different motifs / standalone nodes (routed by
-    /// the global network), including recurrence edges.
-    pub fn external_edges<'d>(&self, dfg: &'d Dfg) -> Vec<&'d DfgEdge> {
-        dfg.edges().filter(|e| !self.is_internal_edge(e)).collect()
-    }
-
-    /// Whether an edge is covered by (internal to) a motif.
-    pub fn is_internal_edge(&self, edge: &DfgEdge) -> bool {
-        if edge.kind.is_recurrence() {
-            return false;
-        }
-        match (self.motif_of(edge.src), self.motif_of(edge.dst)) {
-            (Some(a), Some(b)) if a == b => self.motifs[a]
-                .internal_edges()
-                .iter()
-                .any(|&(s, d)| s == edge.src && d == edge.dst),
-            _ => false,
-        }
-    }
-
     /// Mapping-order key: motifs first (largest first), then standalone nodes.
     /// Used by Algorithm 2's dependency-aware sort.
     pub fn unit_count(&self) -> usize {
@@ -165,17 +140,6 @@ mod tests {
         assert_eq!(hdfg.motif_of(nodes[3]), None);
         assert!((hdfg.coverage_ratio() - 0.75).abs() < 1e-9);
         assert_eq!(hdfg.unit_count(), 6);
-    }
-
-    #[test]
-    fn internal_and_external_edges() {
-        let (dfg, nodes) = sample();
-        let motif = Motif::new(MotifKind::FanIn, vec![nodes[0], nodes[1], nodes[2]]);
-        let hdfg = HierarchicalDfg::new(&dfg, vec![motif]);
-        let internal = hdfg.internal_edges(&dfg);
-        assert_eq!(internal.len(), 2);
-        let external = hdfg.external_edges(&dfg);
-        assert_eq!(internal.len() + external.len(), dfg.edge_count());
     }
 
     #[test]

@@ -121,8 +121,8 @@ impl Motif {
             return false;
         }
         self.internal_edges().iter().all(|&(src, dst)| {
-            dfg.edges()
-                .any(|e| e.src == src && e.dst == dst && !e.kind.is_recurrence())
+            dfg.out_edges(src)
+                .any(|e| e.dst == dst && !e.kind.is_recurrence())
         })
     }
 }

@@ -89,8 +89,8 @@ fn random_move(state: &mut MapState<'_>, rng: &mut XorShift) {
     }
     // Route whatever can be routed again (failures are part of the test —
     // partial mutations must still roll back cleanly).
-    let adj = std::sync::Arc::clone(state.adjacency());
-    for &e in adj.incident(node) {
+    let dfg = state.dfg;
+    for &e in dfg.incident(node) {
         let _ = state.route_edge(e, &policy);
     }
 }
