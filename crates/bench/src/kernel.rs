@@ -1,11 +1,7 @@
-//! The mapper-kernel throughput measurement shared by the `mapper_kernel`
-//! Criterion bench and the `plaid-bench` regression-gate binary.
-//!
-//! Both consumers need the *same* operations measured the same way — an
-//! SA-style journalled move transaction and a scratch-backed router search
-//! on a 4×4 and an 8×8 spatio-temporal fabric — so the definitions live
-//! here: the bench tracks them interactively, the gate compares a fresh
-//! run against the committed `BENCH_mapper.json` baseline.
+//! The mapper-kernel throughput measurement behind the `plaid-bench`
+//! regression gate: an SA-style journalled move transaction and a
+//! scratch-backed router search on a 4×4 and an 8×8 spatio-temporal fabric,
+//! compared against the committed `BENCH_mapper.json` baseline.
 
 use std::time::{Duration, Instant};
 
@@ -20,7 +16,7 @@ pub const II: u32 = 4;
 
 /// The workload every kernel measurement maps: `dwconv`, small enough to
 /// perturb quickly and structured enough to exercise routing.
-pub fn bench_dfg() -> Dfg {
+fn bench_dfg() -> Dfg {
     find_workload("dwconv")
         .expect("dwconv is registered")
         .lower()
@@ -29,7 +25,7 @@ pub fn bench_dfg() -> Dfg {
 
 /// A placed state to perturb; greedy placement may be partial on the small
 /// fabric, which only makes the move mix more realistic.
-pub fn placed_state<'a>(dfg: &'a Dfg, arch: &'a Architecture) -> MapState<'a> {
+fn placed_state<'a>(dfg: &'a Dfg, arch: &'a Architecture) -> MapState<'a> {
     let mut state = MapState::new(dfg, arch, II);
     let _ = greedy_place(&mut state, &HardCapacityCost);
     state
@@ -38,7 +34,7 @@ pub fn placed_state<'a>(dfg: &'a Dfg, arch: &'a Architecture) -> MapState<'a> {
 /// One SA-style move transaction: rip up one node, re-place it on the first
 /// admitting candidate, re-route its incident edges, then roll back or
 /// commit. Mirrors the `SaMapper` inner loop on the public kernel API.
-pub fn one_move(state: &mut MapState<'_>, step: &mut u64) {
+fn one_move(state: &mut MapState<'_>, step: &mut u64) {
     let policy = HardCapacityCost;
     *step = step.wrapping_mul(6364136223846793005).wrapping_add(1);
     let node = NodeId((*step >> 33) as u32 % state.dfg.node_count() as u32);
@@ -71,7 +67,7 @@ pub fn one_move(state: &mut MapState<'_>, step: &mut u64) {
 /// One router search through the shared scratch, cycling over FU pairs and
 /// budgets; returns whether a route was found (both outcomes are the hot
 /// path in real mapping).
-pub fn one_route(
+fn one_route(
     scratch: &mut RouterScratch,
     arch: &Architecture,
     reach: &Reach,
@@ -104,7 +100,7 @@ pub fn one_route(
 
 /// Runs `op` in batches for roughly `budget`, returning operations/second
 /// (after a short warm-up for allocations and caches).
-pub fn measure_rate(mut op: impl FnMut(), budget: Duration) -> f64 {
+fn measure_rate(mut op: impl FnMut(), budget: Duration) -> f64 {
     for _ in 0..64 {
         op();
     }
@@ -158,7 +154,7 @@ impl KernelReport {
 }
 
 /// Measures mapper-kernel throughput on the standard fabrics, spending
-/// `budget` of wall time per rate (the bench headline uses 400 ms).
+/// `budget` of wall time per rate (the gate defaults to 400 ms).
 pub fn measure_kernel(budget: Duration) -> KernelReport {
     let dfg = bench_dfg();
     let mut fabrics = Vec::new();

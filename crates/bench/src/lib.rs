@@ -1,42 +1,44 @@
-//! Shared helpers for the benchmark harness.
+//! The paper's evaluation as one deterministic text artefact, plus the
+//! mapper-kernel throughput measurement behind the `plaid-bench` gate.
 //!
-//! Every bench target regenerates one table or figure of the paper: it runs
-//! the corresponding experiment from `plaid::experiments` once, prints the
-//! same rows/series the paper reports, and then registers a small Criterion
-//! measurement of the dominant algorithmic step so `cargo bench` also tracks
-//! compiler throughput over time.
+//! [`figures`] runs every experiment in `plaid::experiments` once over all
+//! 30 Table 2 workloads and the three DNN applications, and renders the
+//! tables in paper order. `plaid-bench figures` prints it; the output is
+//! committed as `FIGURES.txt` and CI compares a fresh run byte for byte.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod kernel;
 
-use plaid::experiments::ExperimentScope;
+use plaid::experiments::{self, ExperimentScope};
 
-/// Scope used by the benchmark harness.
-///
-/// Set `PLAID_BENCH_SCOPE=full` to run all 30 workloads, `smoke` for a quick
-/// check; the default is the representative 15-workload subset spanning all
-/// three domains.
-pub fn bench_scope() -> ExperimentScope {
-    match std::env::var("PLAID_BENCH_SCOPE").as_deref() {
-        Ok("full") => ExperimentScope::FULL,
-        Ok("representative") => ExperimentScope::REPRESENTATIVE,
-        Ok("smoke") => ExperimentScope::SMOKE,
-        // Default: every third workload (10 of 30, spanning all domains) so a
-        // plain `cargo bench` finishes quickly; use `full` to regenerate the
-        // complete figures.
-        _ => ExperimentScope {
-            workload_limit: None,
-            stride: 3,
-        },
+/// Every table and figure of the paper's evaluation, in paper order, each
+/// followed by its coverage line and, where the paper states one, its
+/// target.
+pub fn figures() -> String {
+    let scope = ExperimentScope::FULL;
+    let comparison = experiments::architecture_comparison(scope);
+    let sections = [
+        experiments::power_breakdown(),
+        experiments::table2_characteristics(scope).1,
+        comparison.render_performance(),
+        experiments::area_breakdown(),
+        comparison.render_energy(),
+        comparison.render_perf_per_area(),
+        experiments::dnn_comparison().1,
+        experiments::scalability(scope).2,
+        experiments::mapper_comparison(scope).2,
+        experiments::domain_specialization().1,
+        experiments::headline_summary(&comparison),
+    ];
+    let mut out = String::from(
+        "Plaid evaluation: all 30 Table 2 workloads and the 3 DNN applications.\n\
+         Regenerate with `cargo run --release -p plaid-bench --bin plaid-bench -- figures > FIGURES.txt`.\n",
+    );
+    for section in sections {
+        out.push('\n');
+        out.push_str(&section);
     }
-}
-
-/// A small, fast workload used for the Criterion measurement loops.
-pub fn measurement_workload() -> plaid_workloads::Workload {
-    plaid_workloads::table2_workloads()
-        .into_iter()
-        .find(|w| w.name == "dwconv")
-        .expect("dwconv is registered")
+    out
 }

@@ -2,19 +2,21 @@
 //!
 //! Every runner returns structured rows plus a plain-text rendering that
 //! mirrors the corresponding table or figure series (normalized to the same
-//! baseline the paper uses). The Criterion benches in `crates/bench` invoke
-//! these runners and print their output.
+//! baseline the paper uses). Every runner also reports its [`Coverage`]:
+//! the workloads missing from its table and why, printed under the table.
+//! `plaid-bench figures` runs them all once and prints the committed
+//! `FIGURES.txt`.
 
 use plaid_arch::Architecture;
-use plaid_motif::{coverage, identify_motifs, IdentifyOptions};
+use plaid_motif::{identify_motifs, IdentifyOptions};
 use plaid_sim::cost::CostModel;
 use plaid_workloads::{dnn_applications, table2_workloads, Workload};
 
-use crate::pipeline::{compile_workload, ArchChoice, MapperChoice};
+use crate::pipeline::{compile_workload, ArchChoice, CompiledWorkload, MapperChoice};
 use crate::report::{geomean, ratio, render_table};
 
 /// Selects how many of the 30 workloads an experiment runs over (useful to
-/// keep unit tests fast while benches run everything).
+/// keep unit tests fast while `plaid-bench figures` runs everything).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExperimentScope {
     /// Number of workloads (after striding); `None` keeps all.
@@ -29,13 +31,6 @@ impl ExperimentScope {
     pub const FULL: ExperimentScope = ExperimentScope {
         workload_limit: None,
         stride: 1,
-    };
-
-    /// Every other workload (15 of 30, spanning all three domains) — the
-    /// default for the benchmark harness.
-    pub const REPRESENTATIVE: ExperimentScope = ExperimentScope {
-        workload_limit: None,
-        stride: 2,
     };
 
     /// Reduced evaluation used by unit tests.
@@ -54,6 +49,144 @@ impl ExperimentScope {
         }
         all
     }
+}
+
+/// Why an experiment left a workload out of its table (or one row's sum).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum DropReason {
+    /// Lowering the workload to a DFG failed.
+    Lowering,
+    /// Compiling failed on each of these architecture/mapper pairs.
+    Compile(Vec<(ArchChoice, MapperChoice)>),
+    /// Left out by design, as in the paper's Figure 17: recurrence-bound
+    /// (RecMII ≥ ResMII on the 2×2 array), so a larger array cannot help.
+    RecurrenceBound,
+}
+
+/// A workload (or DNN layer) missing from an experiment's table.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Dropped {
+    /// Workload or layer name.
+    pub workload: String,
+    /// Why it is missing.
+    pub reason: DropReason,
+}
+
+/// The workloads an experiment (or one summed row of it) covers.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Coverage {
+    /// Workloads the experiment set out to cover.
+    pub total: usize,
+    /// Those missing from its table, in registry order.
+    pub dropped: Vec<Dropped>,
+}
+
+impl Coverage {
+    fn over(total: usize) -> Self {
+        Coverage {
+            total,
+            dropped: Vec::new(),
+        }
+    }
+
+    fn drop_workload(&mut self, workload: &Workload, reason: DropReason) {
+        self.dropped.push(Dropped {
+            workload: workload.name.clone(),
+            reason,
+        });
+    }
+
+    /// Compiles `workload` for each target. If any compile fails, records
+    /// the drop, naming every target that failed, and returns `None`.
+    fn compile<const N: usize>(
+        &mut self,
+        workload: &Workload,
+        targets: [(ArchChoice, &Architecture, MapperChoice); N],
+    ) -> Option<[CompiledWorkload; N]> {
+        let results = targets.map(|(choice, arch, mapper)| {
+            (
+                choice,
+                mapper,
+                compile_workload(workload, arch, mapper, None),
+            )
+        });
+        let failed: Vec<(ArchChoice, MapperChoice)> = results
+            .iter()
+            .filter(|(.., result)| result.is_err())
+            .map(|&(choice, mapper, _)| (choice, mapper))
+            .collect();
+        if !failed.is_empty() {
+            self.drop_workload(workload, DropReason::Compile(failed));
+            return None;
+        }
+        Some(results.map(|(.., result)| result.expect("every target compiled")))
+    }
+
+    /// `covered/total`, e.g. `23/30`.
+    fn fraction(&self) -> String {
+        format!("{}/{}", self.total - self.dropped.len(), self.total)
+    }
+
+    /// The lines printed under a table: `coverage: n/m <unit>`, then the
+    /// missing workloads by reason.
+    fn render(&self, unit: &str) -> String {
+        format!(
+            "coverage: {} {unit}\n{}",
+            self.fraction(),
+            render_drops(&self.dropped)
+        )
+    }
+}
+
+/// One line for the deliberate exclusions and one for the failures, each
+/// only when there are any.
+fn render_drops<'a>(dropped: impl IntoIterator<Item = &'a Dropped>) -> String {
+    let mut excluded = Vec::new();
+    let mut failed = Vec::new();
+    for d in dropped {
+        match &d.reason {
+            DropReason::RecurrenceBound => excluded.push(d.workload.clone()),
+            DropReason::Lowering => failed.push(format!("{} (lowering)", d.workload)),
+            DropReason::Compile(targets) => {
+                let targets: Vec<String> = targets
+                    .iter()
+                    .map(|(arch, mapper)| format!("{} / {}", arch.label(), mapper.label()))
+                    .collect();
+                failed.push(format!("{} ({})", d.workload, targets.join(", ")));
+            }
+        }
+    }
+    let mut out = String::new();
+    if !excluded.is_empty() {
+        out.push_str(&format!(
+            "  excluded by design, RecMII >= ResMII: {}\n",
+            excluded.join(", ")
+        ));
+    }
+    if !failed.is_empty() {
+        out.push_str(&format!(
+            "  dropped, failed to compile: {}\n",
+            failed.join(", ")
+        ));
+    }
+    out
+}
+
+/// The coverage of a figure whose rows each sum over the same workloads:
+/// `coverage: <row> n/m, ... <unit>`, then every row's drops.
+fn render_row_coverage<'a>(
+    rows: impl Iterator<Item = (&'a str, &'a Coverage)> + Clone,
+    unit: &str,
+) -> String {
+    let fractions: Vec<String> = rows
+        .clone()
+        .map(|(label, coverage)| format!("{label} {}", coverage.fraction()))
+        .collect();
+    format!(
+        "coverage: {} {unit}\n{}",
+        fractions.join(", "),
+        render_drops(rows.flat_map(|(_, coverage)| &coverage.dropped))
+    )
 }
 
 /// One row of the main performance/energy/efficiency comparison
@@ -87,6 +220,8 @@ pub struct ComparisonRow {
 pub struct ComparisonResult {
     /// Per-workload rows.
     pub rows: Vec<ComparisonRow>,
+    /// The workloads with no row: at least one of the three compiles failed.
+    pub coverage: Coverage,
 }
 
 impl ComparisonResult {
@@ -137,11 +272,18 @@ impl ComparisonResult {
                 ]
             })
             .collect();
-        render_table(
+        let mut text = render_table(
             "Figure 12: normalized cycles (lower is better, baseline = spatio-temporal)",
             &["kernel", "spatio-temporal", "spatial", "plaid"],
             &rows,
-        )
+        );
+        text.push_str(&self.coverage.render("workloads"));
+        text.push_str(&format!(
+            "geomean: plaid/spatio-temporal = {:.2}x cycles, spatial/plaid = {:.2}x cycles (paper: ~1.0x and ~1.4x)\n",
+            self.plaid_vs_st_cycles(),
+            self.spatial_vs_plaid_cycles()
+        ));
+        text
     }
 
     /// Figure 14 rendering: energy normalized to the spatio-temporal CGRA.
@@ -158,11 +300,18 @@ impl ComparisonResult {
                 ]
             })
             .collect();
-        render_table(
+        let mut text = render_table(
             "Figure 14: normalized total energy (lower is better, baseline = spatio-temporal)",
             &["kernel", "spatio-temporal", "spatial", "plaid"],
             &rows,
-        )
+        );
+        text.push_str(&self.coverage.render("workloads"));
+        text.push_str(&format!(
+            "geomean energy: plaid/spatio-temporal = {:.2}, plaid/spatial = {:.2} (paper: 0.58 and 0.72)\n",
+            self.plaid_vs_st_energy(),
+            self.plaid_vs_spatial_energy()
+        ));
+        text
     }
 
     /// Figure 15 rendering: performance per area normalized to the
@@ -180,11 +329,13 @@ impl ComparisonResult {
                 ]
             })
             .collect();
-        render_table(
+        let mut text = render_table(
             "Figure 15: normalized performance per area (higher is better, baseline = spatio-temporal)",
             &["kernel", "spatio-temporal", "spatial", "plaid"],
             &rows,
-        )
+        );
+        text.push_str(&self.coverage.render("workloads"));
+        text
     }
 }
 
@@ -193,12 +344,18 @@ pub fn architecture_comparison(scope: ExperimentScope) -> ComparisonResult {
     let st_arch = ArchChoice::SpatioTemporal4x4.build();
     let spatial_arch = ArchChoice::Spatial4x4.build();
     let plaid_arch = ArchChoice::Plaid2x2.build();
+    let workloads = scope.workloads();
     let mut rows = Vec::new();
-    for workload in scope.workloads() {
-        let st = compile_workload(&workload, &st_arch, MapperChoice::Sa, None);
-        let sp = compile_workload(&workload, &spatial_arch, MapperChoice::Spatial, None);
-        let pl = compile_workload(&workload, &plaid_arch, MapperChoice::Plaid, None);
-        let (Ok(st), Ok(sp), Ok(pl)) = (st, sp, pl) else {
+    let mut coverage = Coverage::over(workloads.len());
+    for workload in &workloads {
+        let Some([st, sp, pl]) = coverage.compile(
+            workload,
+            [
+                (ArchChoice::SpatioTemporal4x4, &st_arch, MapperChoice::Sa),
+                (ArchChoice::Spatial4x4, &spatial_arch, MapperChoice::Spatial),
+                (ArchChoice::Plaid2x2, &plaid_arch, MapperChoice::Plaid),
+            ],
+        ) else {
             continue;
         };
         rows.push(ComparisonRow {
@@ -214,7 +371,7 @@ pub fn architecture_comparison(scope: ExperimentScope) -> ComparisonResult {
             plaid_perf_per_area: pl.metrics.perf_per_area(),
         });
     }
-    ComparisonResult { rows }
+    ComparisonResult { rows, coverage }
 }
 
 /// Figure 2: fabric power breakdown of the spatio-temporal baseline and Plaid.
@@ -286,12 +443,17 @@ pub fn area_breakdown() -> String {
 
 /// Table 2: workload characteristics (nodes, compute nodes, motif-covered
 /// nodes).
-pub fn table2_characteristics(scope: ExperimentScope) -> String {
+pub fn table2_characteristics(scope: ExperimentScope) -> (Coverage, String) {
+    let workloads = scope.workloads();
     let mut rows = Vec::new();
-    for workload in scope.workloads() {
-        let Ok(dfg) = workload.lower() else { continue };
+    let mut coverage = Coverage::over(workloads.len());
+    for workload in &workloads {
+        let Ok(dfg) = workload.lower() else {
+            coverage.drop_workload(workload, DropReason::Lowering);
+            continue;
+        };
         let hdfg = identify_motifs(&dfg, &IdentifyOptions::default());
-        let stats = coverage(&dfg, &hdfg);
+        let stats = plaid_motif::coverage(&dfg, &hdfg);
         rows.push(vec![
             workload.name.clone(),
             workload.domain.label().to_string(),
@@ -300,11 +462,13 @@ pub fn table2_characteristics(scope: ExperimentScope) -> String {
             stats.covered_nodes.to_string(),
         ]);
     }
-    render_table(
+    let mut text = render_table(
         "Table 2: workload characteristics (nodes, compute nodes, motif-covered nodes)",
         &["kernel", "domain", "nodes", "compute", "covered"],
         &rows,
-    )
+    );
+    text.push_str(&coverage.render("workloads"));
+    (coverage, text)
 }
 
 /// One row of the mapper ablation (Figure 18).
@@ -320,24 +484,29 @@ pub struct MapperRow {
     pub plaid_cycles: u64,
 }
 
-/// Figure 18: mapper comparison on the Plaid architecture.
-pub fn mapper_comparison(scope: ExperimentScope) -> (Vec<MapperRow>, String) {
+/// Figure 18: mapper comparison on the Plaid architecture. A workload is
+/// dropped only when the Plaid mapper fails; the generic mappers' failures
+/// are charged a bound instead.
+pub fn mapper_comparison(scope: ExperimentScope) -> (Vec<MapperRow>, Coverage, String) {
     let arch = ArchChoice::Plaid2x2.build();
+    let workloads = scope.workloads();
     let mut rows = Vec::new();
-    for workload in scope.workloads() {
-        let pf = compile_workload(&workload, &arch, MapperChoice::PathFinder, None);
-        let sa = compile_workload(&workload, &arch, MapperChoice::Sa, None);
-        let pl = compile_workload(&workload, &arch, MapperChoice::Plaid, None);
-        let Ok(pl) = pl else { continue };
+    let mut coverage = Coverage::over(workloads.len());
+    for workload in &workloads {
+        let pf = compile_workload(workload, &arch, MapperChoice::PathFinder, None);
+        let sa = compile_workload(workload, &arch, MapperChoice::Sa, None);
+        let Some([pl]) = coverage.compile(
+            workload,
+            [(ArchChoice::Plaid2x2, &arch, MapperChoice::Plaid)],
+        ) else {
+            continue;
+        };
         // Generic mappers may fail on the trimmed-down fabric for complex
         // DFGs — exactly the effect Figure 18 highlights. Failures are charged
         // the configuration-memory bound (the mapper gave up at max II).
-        let fallback = |r: Result<crate::pipeline::CompiledWorkload, _>| match r {
+        let fallback = |r: Result<CompiledWorkload, _>| match r {
             Ok(c) => c.metrics.cycles,
-            Err(_) => {
-                let max_ii = u64::from(ArchChoice::Plaid2x2.build().params().max_ii());
-                pl.dfg.total_iterations() * max_ii
-            }
+            Err(_) => pl.dfg.total_iterations() * u64::from(arch.params().max_ii()),
         };
         rows.push(MapperRow {
             kernel: workload.name.clone(),
@@ -357,12 +526,24 @@ pub fn mapper_comparison(scope: ExperimentScope) -> (Vec<MapperRow>, String) {
             ]
         })
         .collect();
-    let text = render_table(
+    let mut text = render_table(
         "Figure 18: cycles on Plaid, normalized to the Plaid mapper (lower is better)",
         &["kernel", "PathFinder", "SA", "Plaid mapper"],
         &table_rows,
     );
-    (rows, text)
+    text.push_str(&coverage.render("workloads"));
+    let slowdown = |cycles: fn(&MapperRow) -> u64| {
+        geomean(
+            rows.iter()
+                .map(|r| cycles(r) as f64 / r.plaid_cycles as f64),
+        )
+    };
+    text.push_str(&format!(
+        "geomean slowdown vs Plaid mapper: PathFinder {:.2}x, SA {:.2}x (paper: 1.25x and 1.28x)\n",
+        slowdown(|r| r.pathfinder_cycles),
+        slowdown(|r| r.sa_cycles)
+    ));
+    (rows, coverage, text)
 }
 
 /// One row of the scalability study (Figure 17).
@@ -381,20 +562,30 @@ pub struct ScalabilityRow {
 /// As in the paper, workloads whose performance is limited by inter-iteration
 /// dependencies (RecMII ≥ ResMII on the 2×2 array) are excluded, because a
 /// larger array cannot help them.
-pub fn scalability(scope: ExperimentScope) -> (Vec<ScalabilityRow>, String) {
+pub fn scalability(scope: ExperimentScope) -> (Vec<ScalabilityRow>, Coverage, String) {
     let small_arch = ArchChoice::Plaid2x2.build();
     let large_arch = ArchChoice::Plaid3x3.build();
+    let workloads = scope.workloads();
     let mut rows = Vec::new();
-    for workload in scope.workloads() {
-        let Ok(dfg) = workload.lower() else { continue };
+    let mut coverage = Coverage::over(workloads.len());
+    for workload in &workloads {
+        let Ok(dfg) = workload.lower() else {
+            coverage.drop_workload(workload, DropReason::Lowering);
+            continue;
+        };
         let res = plaid_mapper::res_mii(&dfg, &small_arch);
         let rec = plaid_mapper::rec_mii(&dfg);
         if rec >= res {
+            coverage.drop_workload(workload, DropReason::RecurrenceBound);
             continue;
         }
-        let small = compile_workload(&workload, &small_arch, MapperChoice::Plaid, None);
-        let large = compile_workload(&workload, &large_arch, MapperChoice::Plaid, None);
-        let (Ok(small), Ok(large)) = (small, large) else {
+        let Some([small, large]) = coverage.compile(
+            workload,
+            [
+                (ArchChoice::Plaid2x2, &small_arch, MapperChoice::Plaid),
+                (ArchChoice::Plaid3x3, &large_arch, MapperChoice::Plaid),
+            ],
+        ) else {
             continue;
         };
         rows.push(ScalabilityRow {
@@ -422,8 +613,9 @@ pub fn scalability(scope: ExperimentScope) -> (Vec<ScalabilityRow>, String) {
         &["kernel", "2x2 (4 PCUs)", "3x3 (9 PCUs)"],
         &table_rows,
     );
+    text.push_str(&coverage.render("workloads"));
     text.push_str(&format!("geomean speedup of 3x3 over 2x2: {speedup:.2}x\n"));
-    (rows, text)
+    (rows, coverage, text)
 }
 
 /// One row of the DNN application study (Figure 16).
@@ -443,6 +635,8 @@ pub struct DnnRow {
     pub spatial_perf_per_area: f64,
     /// Performance per area on Plaid.
     pub plaid_perf_per_area: f64,
+    /// The layers left out of both sums: a compile failed on either fabric.
+    pub coverage: Coverage,
 }
 
 /// Figure 16: application-level comparison of the spatial baseline and Plaid
@@ -455,6 +649,7 @@ pub fn dnn_comparison() -> (Vec<DnnRow>, String) {
     for app in dnn_applications() {
         let mut spatial_cycles = 0u64;
         let mut plaid_cycles = 0u64;
+        let mut coverage = Coverage::over(app.layers.len());
         for layer in &app.layers {
             let workload = Workload {
                 name: layer.name.clone(),
@@ -462,9 +657,15 @@ pub fn dnn_comparison() -> (Vec<DnnRow>, String) {
                 kernel: layer.kernel.clone(),
                 unroll: layer.unroll,
             };
-            let sp = compile_workload(&workload, &spatial_arch, MapperChoice::Spatial, None);
-            let pl = compile_workload(&workload, &plaid_arch, MapperChoice::Plaid, None);
-            let (Ok(sp), Ok(pl)) = (sp, pl) else { continue };
+            let Some([sp, pl]) = coverage.compile(
+                &workload,
+                [
+                    (ArchChoice::Spatial4x4, &spatial_arch, MapperChoice::Spatial),
+                    (ArchChoice::Plaid2x2, &plaid_arch, MapperChoice::Plaid),
+                ],
+            ) else {
+                continue;
+            };
             spatial_cycles += sp.metrics.cycles * layer.invocations;
             plaid_cycles += pl.metrics.cycles * layer.invocations;
         }
@@ -480,6 +681,7 @@ pub fn dnn_comparison() -> (Vec<DnnRow>, String) {
             plaid_energy,
             spatial_perf_per_area: 1.0e9 / (spatial_cycles as f64 * spatial_area),
             plaid_perf_per_area: 1.0e9 / (plaid_cycles as f64 * plaid_area),
+            coverage,
         });
     }
     let table_rows: Vec<Vec<String>> = rows
@@ -492,7 +694,7 @@ pub fn dnn_comparison() -> (Vec<DnnRow>, String) {
             ]
         })
         .collect();
-    let text = render_table(
+    let mut text = render_table(
         "Figure 16: spatial CGRA vs Plaid on DNN applications (normalized to Plaid)",
         &[
             "application",
@@ -501,6 +703,10 @@ pub fn dnn_comparison() -> (Vec<DnnRow>, String) {
         ],
         &table_rows,
     );
+    text.push_str(&render_row_coverage(
+        rows.iter().map(|r| (r.application.as_str(), &r.coverage)),
+        "layers",
+    ));
     (rows, text)
 }
 
@@ -515,6 +721,8 @@ pub struct SpecializationRow {
     pub energy_nj: f64,
     /// Performance per area.
     pub perf_per_area: f64,
+    /// The ML kernels left out of the sums: their compile failed.
+    pub coverage: Coverage,
 }
 
 /// Figure 19: domain specialization comparison on the machine-learning
@@ -536,8 +744,9 @@ pub fn domain_specialization() -> (Vec<SpecializationRow>, String) {
     for (arch_choice, mapper, label) in configs {
         let arch = arch_choice.build();
         let mut cycles = 0u64;
+        let mut coverage = Coverage::over(ml_workloads.len());
         for w in &ml_workloads {
-            if let Ok(c) = compile_workload(w, &arch, mapper, None) {
+            if let Some([c]) = coverage.compile(w, [(arch_choice, &arch, mapper)]) {
                 cycles += c.metrics.cycles;
             }
         }
@@ -552,6 +761,7 @@ pub fn domain_specialization() -> (Vec<SpecializationRow>, String) {
             } else {
                 0.0
             },
+            coverage,
         });
     }
     let plaid_row = rows.iter().find(|r| r.arch == "Plaid").cloned();
@@ -568,22 +778,25 @@ pub fn domain_specialization() -> (Vec<SpecializationRow>, String) {
             vec![r.arch.clone(), ratio(e), ratio(p)]
         })
         .collect();
-    let text = render_table(
+    let mut text = render_table(
         "Figure 19: domain specialization on ML kernels (normalized to Plaid)",
         &["architecture", "energy", "perf/area"],
         &table_rows,
     );
+    text.push_str(&render_row_coverage(
+        rows.iter().map(|r| (r.arch.as_str(), &r.coverage)),
+        "ML kernels",
+    ));
     (rows, text)
 }
 
 /// Section 7 headline numbers: power/area/performance of Plaid versus both
-/// baselines.
-pub fn headline_summary(scope: ExperimentScope) -> String {
+/// baselines, the latter from the Figure 12/14 `comparison`.
+pub fn headline_summary(comparison: &ComparisonResult) -> String {
     let model = CostModel::default();
     let st = ArchChoice::SpatioTemporal4x4.build();
     let sp = ArchChoice::Spatial4x4.build();
     let pl = ArchChoice::Plaid2x2.build();
-    let comparison = architecture_comparison(scope);
     let power_red = 1.0 - model.fabric_power(&pl).total() / model.fabric_power(&st).total();
     let area_red_st = 1.0 - model.fabric_area(&pl).total() / model.fabric_area(&st).total();
     let area_red_sp = 1.0 - model.fabric_area(&pl).total() / model.fabric_area(&sp).total();
@@ -630,11 +843,16 @@ pub fn headline_summary(scope: ExperimentScope) -> String {
             "27.7% lower".into(),
         ],
     ];
-    render_table(
+    let mut text = render_table(
         "Headline summary (measured vs paper-reported)",
         &["metric", "measured", "paper"],
         &rows,
-    )
+    );
+    text.push_str(&format!(
+        "performance and energy over {} workloads, as in Figures 12 and 14\n",
+        comparison.coverage.fraction()
+    ));
+    text
 }
 
 #[cfg(test)]
@@ -652,9 +870,11 @@ mod tests {
 
     #[test]
     fn table2_renders_rows_for_the_scope() {
-        let t = table2_characteristics(ExperimentScope::SMOKE);
+        let (coverage, t) = table2_characteristics(ExperimentScope::SMOKE);
         assert!(t.contains("atax_u2"));
         assert!(t.contains("covered"));
+        assert!(coverage.dropped.is_empty());
+        assert!(t.contains("coverage: 4/4 workloads"));
     }
 
     #[test]
@@ -673,8 +893,39 @@ mod tests {
     }
 
     #[test]
+    fn architecture_comparison_names_every_dropped_workload() {
+        let scope = ExperimentScope {
+            workload_limit: Some(5),
+            stride: 1,
+        };
+        let result = architecture_comparison(scope);
+        let mut covered: Vec<&str> = result.rows.iter().map(|r| r.kernel.as_str()).collect();
+        covered.extend(result.coverage.dropped.iter().map(|d| d.workload.as_str()));
+        covered.sort_unstable();
+        let mut expected: Vec<String> = scope.workloads().into_iter().map(|w| w.name).collect();
+        expected.sort_unstable();
+        assert_eq!(covered, expected);
+        assert_eq!(result.coverage.total, 5);
+        // The Plaid mapper fails on gemver_u2, so the comparison drops it
+        // and says which compile failed.
+        let gemver = result
+            .coverage
+            .dropped
+            .iter()
+            .find(|d| d.workload == "gemver_u2")
+            .expect("gemver_u2 is dropped");
+        assert_eq!(
+            gemver.reason,
+            DropReason::Compile(vec![(ArchChoice::Plaid2x2, MapperChoice::Plaid)])
+        );
+        let text = result.render_performance();
+        assert!(text.contains(&format!("coverage: {}/5 workloads", result.rows.len())));
+        assert!(text.contains("gemver_u2 (Plaid 2x2 / Plaid mapper)"));
+    }
+
+    #[test]
     fn mapper_comparison_runs_on_a_subset() {
-        let (rows, text) = mapper_comparison(ExperimentScope {
+        let (rows, _, text) = mapper_comparison(ExperimentScope {
             workload_limit: Some(2),
             stride: 1,
         });

@@ -1,36 +1,5 @@
 //! Plain-text table rendering for experiment results.
 
-use serde::{Deserialize, Serialize};
-
-/// A rendered-result table in structured form: what the experiment runners
-/// produce before formatting, and what sweep tooling serializes to JSON.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Table {
-    /// Table caption.
-    pub title: String,
-    /// Column headers.
-    pub header: Vec<String>,
-    /// Row-major cells.
-    pub rows: Vec<Vec<String>>,
-}
-
-impl Table {
-    /// Builds a table from borrowed headers.
-    pub fn new(title: impl Into<String>, header: &[&str], rows: Vec<Vec<String>>) -> Self {
-        Table {
-            title: title.into(),
-            header: header.iter().map(|s| s.to_string()).collect(),
-            rows,
-        }
-    }
-
-    /// Renders the table as aligned plain text.
-    pub fn render(&self) -> String {
-        let header: Vec<&str> = self.header.iter().map(String::as_str).collect();
-        render_table(&self.title, &header, &self.rows)
-    }
-}
-
 /// Renders a table with a header row and aligned columns.
 pub fn render_table(title: &str, header: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
@@ -75,11 +44,6 @@ pub fn ratio(value: f64) -> String {
     format!("{value:.2}")
 }
 
-/// Formats a percentage with one decimal place.
-pub fn percent(value: f64) -> String {
-    format!("{:.1}%", value * 100.0)
-}
-
 /// Geometric-mean helper used for normalized summaries.
 pub fn geomean(values: impl IntoIterator<Item = f64>) -> f64 {
     let mut product = 0.0f64;
@@ -120,7 +84,6 @@ mod tests {
     #[test]
     fn formatting_helpers() {
         assert_eq!(ratio(1.379), "1.38");
-        assert_eq!(percent(0.431), "43.1%");
     }
 
     #[test]

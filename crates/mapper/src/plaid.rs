@@ -166,18 +166,6 @@ impl PlaidMapper {
         let policy = HardCapacityCost;
         let mut state = MapState::for_ladder(dfg, arch, ii, shared);
 
-        // Line 1: sort motifs by data dependency (ASAP level of their nodes).
-        let levels = dfg.asap_levels().ok()?;
-        let mut motif_order: Vec<usize> = (0..hdfg.motifs().len()).collect();
-        motif_order.sort_by_key(|&i| {
-            hdfg.motifs()[i]
-                .nodes
-                .iter()
-                .map(|n| levels.get(n).copied().unwrap_or(0))
-                .min()
-                .unwrap_or(0)
-        });
-
         // Interleave standalone nodes and motifs in global topological order so
         // producers are placed before consumers whenever possible.
         let order = dfg.topological_order().ok()?;

@@ -56,7 +56,7 @@ fn main() {
         )
     );
 
-    let (_rows, text) = scalability(ExperimentScope {
+    let (_, _, text) = scalability(ExperimentScope {
         workload_limit: Some(6),
         stride: 2,
     });
