@@ -162,10 +162,11 @@ impl Architecture {
             .count()
     }
 
-    /// Functional units able to execute a node with the given requirements.
-    pub fn units_supporting(&self, needs_memory: bool) -> Vec<ResourceId> {
+    /// Functional units able to execute a node with the given requirements,
+    /// ascending by id.
+    pub fn units_supporting(&self, needs_memory: bool) -> impl Iterator<Item = ResourceId> + '_ {
         self.functional_units()
-            .filter(|r| {
+            .filter(move |r| {
                 let caps = r.fu_caps().unwrap_or(FuCaps::ALU);
                 if needs_memory {
                     caps.memory
@@ -174,7 +175,6 @@ impl Architecture {
                 }
             })
             .map(|r| r.id)
-            .collect()
     }
 
     /// Links leaving `id`.
@@ -595,8 +595,8 @@ mod tests {
         let arch = tiny_arch();
         assert_eq!(arch.compute_unit_count(), 2);
         assert_eq!(arch.memory_unit_count(), 1);
-        assert_eq!(arch.units_supporting(true).len(), 1);
-        assert_eq!(arch.units_supporting(false).len(), 2);
+        assert_eq!(arch.units_supporting(true).count(), 1);
+        assert_eq!(arch.units_supporting(false).count(), 2);
     }
 
     #[test]

@@ -51,6 +51,7 @@ fn one_move(state: &mut MapState<'_>, step: &mut u64) {
             break;
         }
     }
+    state.recycle_candidates(candidates);
     if placed {
         let dfg = state.dfg;
         for &e in dfg.incident(node) {

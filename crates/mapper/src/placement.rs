@@ -31,6 +31,13 @@
 //! certificate like the search's own. SA's fallback placement keeps
 //! candidates whose edges fail to route, so it uses only the structural
 //! test.
+//!
+//! A probe allocates nothing beyond the routes it finds. Its caller builds
+//! the slots and the edge list once per placement, not once per probe: a
+//! node's in-edges are the DFG's own slice, and the Plaid mapper collects
+//! a motif's incident edges once per motif placement.
+//! [`MapState::candidate_fus`] lends its ordered list out of a buffer the
+//! state owns and computes each sort key once.
 
 use std::sync::Arc;
 
@@ -115,6 +122,26 @@ pub struct MapState<'a> {
     in_txn: bool,
     /// Sum of `hops.len()` over `routes` — route length in O(1).
     total_hops: usize,
+    /// The list [`Self::candidate_fus`] lends out (empty while lent).
+    candidates: Vec<ResourceId>,
+    /// Sort keys of [`Self::candidate_fus`], reused across calls.
+    candidate_keys: Vec<(CandidateKey, ResourceId)>,
+}
+
+/// Sort key of a candidate functional unit: summed distance to the node's
+/// placed neighbours, current load, then the unit's id.
+type CandidateKey = (u32, u32, u32);
+
+/// Sorts `keyed` by key alone. Each key was computed once, when `keyed` was
+/// filled, where `sort_by_key` would recompute two keys per comparison.
+/// Every key must end in a unique id; equal keys cannot occur, so the
+/// unstable sort gives the order a stable sort by key gives.
+pub(crate) fn sort_by_unique_key<K: Ord, T>(keyed: &mut [(K, T)]) {
+    keyed.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    debug_assert!(
+        keyed.windows(2).all(|w| w[0].0 < w[1].0),
+        "sort keys are not unique"
+    );
 }
 
 impl<'a> MapState<'a> {
@@ -145,6 +172,8 @@ impl<'a> MapState<'a> {
             journal: Vec::new(),
             in_txn: false,
             total_hops: 0,
+            candidates: Vec::new(),
+            candidate_keys: Vec::new(),
         }
     }
 
@@ -467,26 +496,44 @@ impl<'a> MapState<'a> {
     }
 
     /// Candidate functional units for `node`, cheapest tiles first: units are
-    /// sorted by current load and distance to the node's placed neighbours.
-    pub fn candidate_fus(&self, node: NodeId) -> Vec<ResourceId> {
-        let needs_memory = self.dfg.node(node).op.is_memory();
-        let mut fus = self.arch.units_supporting(needs_memory);
-        let neighbour_positions: Vec<ResourceId> = self
-            .dfg
-            .in_edges(node)
-            .map(|e| e.src)
-            .chain(self.dfg.out_edges(node).map(|e| e.dst))
-            .filter_map(|n| self.placements.get(&n).map(|p| p.fu))
-            .collect();
-        fus.sort_by_key(|&fu| {
-            let load = self.state.resource_load(fu);
-            let distance: u32 = neighbour_positions
+    /// sorted by summed distance to the node's placed neighbours, then by
+    /// current load, then by id.
+    ///
+    /// The list is lent out of a buffer the state owns. Hand it back with
+    /// [`Self::recycle_candidates`] and the next call allocates nothing; a
+    /// caller that drops it instead only costs the next call an allocation.
+    pub fn candidate_fus(&mut self, node: NodeId) -> Vec<ResourceId> {
+        let dfg = self.dfg;
+        let mut fus = std::mem::take(&mut self.candidates);
+        let mut keyed = std::mem::take(&mut self.candidate_keys);
+        // The lent buffer first holds the placed neighbours' positions.
+        fus.clear();
+        fus.extend(
+            dfg.in_edges(node)
+                .map(|e| e.src)
+                .chain(dfg.out_edges(node).map(|e| e.dst))
+                .filter_map(|n| self.placements.get(&n).map(|p| p.fu)),
+        );
+        keyed.clear();
+        let needs_memory = dfg.node(node).op.is_memory();
+        keyed.extend(self.arch.units_supporting(needs_memory).map(|fu| {
+            let distance: u32 = fus
                 .iter()
                 .map(|&other| self.arch.resource_distance(fu, other))
                 .sum();
-            (distance, load, fu.0)
-        });
+            ((distance, self.state.resource_load(fu), fu.0), fu)
+        }));
+        sort_by_unique_key(&mut keyed);
+        fus.clear();
+        fus.extend(keyed.iter().map(|&(_, fu)| fu));
+        self.candidate_keys = keyed;
         fus
+    }
+
+    /// Takes back a list [`Self::candidate_fus`] lent out, so that the next
+    /// call reuses its allocation.
+    pub fn recycle_candidates(&mut self, fus: Vec<ResourceId>) {
+        self.candidates = fus;
     }
 
     /// Converts the state into an immutable [`Mapping`].
@@ -527,16 +574,14 @@ pub fn place_node_best_effort(
     let base = state.earliest_cycle(node);
     let candidates = state.candidate_fus(node);
     let dfg = state.dfg;
-    for offset in 0..(state.ii * 2) {
-        let cycle = base + offset;
-        for &fu in &candidates {
-            // Route the incoming data edges from already-placed producers.
-            if state.try_place(&[(node, Placement { fu, cycle })], dfg.ins(node), policy) {
-                return true;
-            }
-        }
-    }
-    false
+    let placed = (base..base + state.ii * 2).any(|cycle| {
+        // Route the incoming data edges from already-placed producers.
+        candidates
+            .iter()
+            .any(|&fu| state.try_place(&[(node, Placement { fu, cycle })], dfg.ins(node), policy))
+    });
+    state.recycle_candidates(candidates);
+    placed
 }
 
 #[cfg(test)]
@@ -802,7 +847,7 @@ mod tests {
     fn candidate_fus_filter_memory_capability() {
         let dfg = small_dfg();
         let arch = spatio_temporal::build(4, 4);
-        let state = MapState::new(&dfg, &arch, 2);
+        let mut state = MapState::new(&dfg, &arch, 2);
         let load = dfg.memory_nodes().next().unwrap().id;
         let candidates = state.candidate_fus(load);
         assert_eq!(candidates.len(), 4);

@@ -22,7 +22,7 @@ use plaid_motif::{
 
 use crate::error::MapError;
 use crate::mapping::{Mapping, Placement};
-use crate::placement::{place_node_best_effort, LadderShared, MapState};
+use crate::placement::{place_node_best_effort, sort_by_unique_key, LadderShared, MapState};
 use crate::route::HardCapacityCost;
 use crate::state::CapacityCert;
 
@@ -47,12 +47,18 @@ pub struct PlaidMapper;
 impl PlaidMapper {
     /// Maps one motif onto one cluster with one template at one start cycle.
     /// Returns `false` (leaving the state untouched) if anything fails.
+    ///
+    /// `incident` is the motif's incident-edge list and `slots` a buffer for
+    /// the candidate's positions, both owned by [`Self::place_motif`], so a
+    /// probe allocates nothing.
     fn try_place_motif(
         state: &mut MapState<'_>,
         motif: &Motif,
         cluster: &Cluster,
         template: &MotifSchedule,
         start: u32,
+        incident: &[EdgeId],
+        slots: &mut Vec<(NodeId, Placement)>,
     ) -> bool {
         // Hardwired PCUs only execute their own motif kind.
         if let Some(pattern) = cluster.hardwired {
@@ -63,38 +69,22 @@ impl PlaidMapper {
         if cluster.alus.len() < 3 && motif.kind.node_count() > cluster.alus.len() {
             return false;
         }
-        let Some(slots) = template
-            .slots
-            .iter()
-            .map(|slot| {
-                let fu = *cluster.alus.get(slot.alu)?;
-                let cycle = start + slot.cycle;
-                Some((motif.nodes[slot.node], Placement { fu, cycle }))
-            })
-            .collect::<Option<Vec<_>>>()
-        else {
-            return false;
-        };
-        // Incident edges of the motif's nodes, in ascending edge-id order
-        // (sort + dedup reproduces the order a full edge scan would yield;
-        // edges internal to the motif are seen from both endpoints and must
-        // route once). Those with both endpoints placed are routed: the
-        // motif-internal edges plus those to placed neighbours.
-        let dfg = state.dfg;
-        let mut incident: Vec<EdgeId> = slots
-            .iter()
-            .flat_map(|&(n, _)| dfg.incident(n).iter().copied())
-            .collect();
-        incident.sort_unstable();
-        incident.dedup();
-        state.try_place(&slots, &incident, &HardCapacityCost)
+        slots.clear();
+        for slot in template.slots {
+            let Some(&fu) = cluster.alus.get(slot.alu) else {
+                return false;
+            };
+            let cycle = start + slot.cycle;
+            slots.push((motif.nodes[slot.node], Placement { fu, cycle }));
+        }
+        state.try_place(slots, incident, &HardCapacityCost)
     }
 
     /// Earliest start cycle for a motif under a specific template, respecting
     /// the already-placed external producers of its nodes.
     fn motif_earliest(state: &MapState<'_>, motif: &Motif, template: &MotifSchedule) -> u32 {
         let mut earliest = 0u32;
-        for slot in &template.slots {
+        for slot in template.slots {
             let node = motif.nodes[slot.node];
             let node_earliest = state.earliest_cycle(node);
             earliest = earliest.max(node_earliest.saturating_sub(slot.cycle));
@@ -113,39 +103,71 @@ impl PlaidMapper {
         let clusters = state.arch.clusters();
         // "Map the motif to a PE with the least routing resource [usage]":
         // prefer hardwired clusters matching the kind, then least-loaded
-        // ones. Sorting indices (tile ids make the key unique) avoids deep-
-        // cloning every `Cluster` per placement attempt.
-        let mut order: Vec<usize> = (0..clusters.len()).collect();
-        order.sort_by_key(|&i| {
-            let c = &clusters[i];
-            let load: u32 = c
-                .alus
-                .iter()
-                .map(|&fu| state.state.resource_load(fu))
-                .sum::<u32>()
-                + c.local_router
-                    .map(|r| state.state.resource_load(r))
-                    .unwrap_or(0);
-            let hardwired_bonus = match c.hardwired {
-                Some(p) if kind_matches(p, motif.kind) => 0u32,
-                Some(_) => 1_000,
-                None => 10,
-            };
-            (hardwired_bonus, load, c.tile as u32)
-        });
+        // ones. Each cluster's key is computed once and ends in its tile id,
+        // which makes it unique.
+        let mut order: Vec<((u32, u32, u32), usize)> = clusters
+            .iter()
+            .enumerate()
+            .map(|(i, c)| {
+                let load: u32 = c
+                    .alus
+                    .iter()
+                    .map(|&fu| state.state.resource_load(fu))
+                    .sum::<u32>()
+                    + c.local_router
+                        .map(|r| state.state.resource_load(r))
+                        .unwrap_or(0);
+                let hardwired_bonus = match c.hardwired {
+                    Some(p) if kind_matches(p, motif.kind) => 0u32,
+                    Some(_) => 1_000,
+                    None => 10,
+                };
+                ((hardwired_bonus, load, c.tile as u32), i)
+            })
+            .collect();
+        sort_by_unique_key(&mut order);
         if randomize && order.len() > 1 {
             let pick = rng.gen_range(0..order.len());
             order.swap(0, pick);
         }
-        // Templates are immutable per motif kind; materialise them once per
-        // placement instead of once per (cluster, template, offset) probe.
         let templates = schedule_templates(motif.kind);
-        for &ci in &order {
+        debug_assert!(
+            templates.iter().all(|t| t.slots.len() == motif.nodes.len()
+                && (0..motif.nodes.len())
+                    .all(|i| t.slots.iter().filter(|s| s.node == i).count() == 1)),
+            "a {:?} template does not place each motif node once",
+            motif.kind
+        );
+        // Incident edges of the motif's nodes, in ascending edge-id order
+        // (sort + dedup reproduces the order a full edge scan would yield;
+        // edges internal to the motif are seen from both endpoints and must
+        // route once). Every template places each motif node exactly once,
+        // so one list serves every probe. `try_place` routes those with both
+        // endpoints placed: the motif-internal edges plus those to placed
+        // neighbours.
+        let dfg = state.dfg;
+        let mut incident: Vec<EdgeId> = motif
+            .nodes
+            .iter()
+            .flat_map(|&n| dfg.incident(n).iter().copied())
+            .collect();
+        incident.sort_unstable();
+        incident.dedup();
+        let mut slots = Vec::with_capacity(motif.nodes.len());
+        for &(_, ci) in &order {
             let cluster = &clusters[ci];
-            for template in &templates {
+            for template in templates {
                 let base = Self::motif_earliest(state, motif, template);
                 for offset in 0..state.ii {
-                    if Self::try_place_motif(state, motif, cluster, template, base + offset) {
+                    if Self::try_place_motif(
+                        state,
+                        motif,
+                        cluster,
+                        template,
+                        base + offset,
+                        &incident,
+                        &mut slots,
+                    ) {
                         return true;
                     }
                 }
@@ -222,13 +244,13 @@ impl PlaidMapper {
             // Pick a random motif or standalone node to rip up.
             let unit_count = hdfg.unit_count().max(1);
             let pick = rng.gen_range(0..unit_count);
-            let ripped_nodes: Vec<NodeId> = if pick < hdfg.motifs().len() {
-                hdfg.motifs()[pick].nodes.clone()
+            let ripped_nodes: &[NodeId] = if pick < hdfg.motifs().len() {
+                &hdfg.motifs()[pick].nodes
             } else {
                 let idx = pick - hdfg.motifs().len();
                 hdfg.standalone_nodes()
                     .get(idx)
-                    .map(|&n| vec![n])
+                    .map(std::slice::from_ref)
                     .unwrap_or_default()
             };
             if ripped_nodes.is_empty() {
@@ -237,7 +259,7 @@ impl PlaidMapper {
             // Journalled repair attempt: a failed or rejected re-placement
             // rolls back in O(deltas) instead of restoring a snapshot.
             state.begin_txn();
-            for &n in &ripped_nodes {
+            for &n in ripped_nodes {
                 state.unplace(n);
             }
             // Re-place.
@@ -302,8 +324,10 @@ impl PlaidMapper {
 
 impl LadderSearch for PlaidMapper {
     /// The hierarchical DFG plus the ladder's capacity certificate and
-    /// reachability. Motif identification runs here, after the replay
-    /// decision, so a replayed point never pays for it.
+    /// reachability, built after the replay decision. The pipeline's
+    /// `compile_workload` also identifies motifs, for its coverage
+    /// statistics, on every compile, so a Plaid point that is not replayed
+    /// identifies them twice.
     type Shared = (HierarchicalDfg, LadderShared);
 
     const SETTINGS: u64 = 0x7122_4eac_58eb_f14d;

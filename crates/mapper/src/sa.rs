@@ -111,25 +111,18 @@ impl SaMapper {
             state.begin_txn();
             state.unplace(node);
             let candidates = state.candidate_fus(node);
-            if candidates.is_empty() {
-                state.rollback_txn();
-                continue;
-            }
             let base = state.earliest_cycle(node);
-            let mut placed = false;
-            for idx in sample_move_candidates(rng, candidates.len()) {
-                let pick = candidates[idx];
-                let cycle = base + rng.gen_range(0..ii);
-                if state.can_place(node, pick, cycle) {
-                    state.place(node, pick, cycle);
-                    placed = true;
-                    break;
-                }
-            }
-            if !placed {
+            // No candidates means no samples, and no draws.
+            let pick = sample_move_candidates(rng, candidates.len())
+                .into_iter()
+                .map(|idx| (candidates[idx], base + rng.gen_range(0..ii)))
+                .find(|&(fu, cycle)| state.can_place(node, fu, cycle));
+            state.recycle_candidates(candidates);
+            let Some((fu, cycle)) = pick else {
                 state.rollback_txn();
                 continue;
-            }
+            };
+            state.place(node, fu, cycle);
             for &e in dfg.incident(node) {
                 let _ = state.route_edge(e, &policy);
             }

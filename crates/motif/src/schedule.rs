@@ -20,22 +20,24 @@ pub struct ScheduleSlot {
 }
 
 /// A complete schedule template for one motif.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MotifSchedule {
     /// One slot per motif node.
-    pub slots: Vec<ScheduleSlot>,
+    pub slots: &'static [ScheduleSlot],
+}
+
+/// Shorthand for the template tables below: motif node `node` on ALU `alu`
+/// at offset `cycle`.
+const fn slot(node: usize, alu: usize, cycle: u32) -> ScheduleSlot {
+    ScheduleSlot { node, alu, cycle }
+}
+
+/// Shorthand for the template tables below.
+const fn template(slots: &'static [ScheduleSlot]) -> MotifSchedule {
+    MotifSchedule { slots }
 }
 
 impl MotifSchedule {
-    fn new(slots: &[(usize, usize, u32)]) -> Self {
-        MotifSchedule {
-            slots: slots
-                .iter()
-                .map(|&(node, alu, cycle)| ScheduleSlot { node, alu, cycle })
-                .collect(),
-        }
-    }
-
     /// Latest cycle offset used by the template.
     pub fn span(&self) -> u32 {
         self.slots.iter().map(|s| s.cycle).max().unwrap_or(0)
@@ -85,44 +87,53 @@ impl MotifSchedule {
     }
 }
 
+static FAN_OUT: [MotifSchedule; 6] = [
+    // Producer first, both consumers the next cycle.
+    template(&[slot(0, 0, 0), slot(1, 1, 1), slot(2, 2, 1)]),
+    template(&[slot(0, 0, 0), slot(1, 1, 1), slot(2, 2, 2)]),
+    template(&[slot(0, 0, 0), slot(1, 1, 2), slot(2, 2, 1)]),
+    // Reversed ALU order (producer on the rightmost ALU).
+    template(&[slot(0, 2, 0), slot(1, 1, 1), slot(2, 0, 1)]),
+    template(&[slot(0, 2, 0), slot(1, 1, 1), slot(2, 0, 2)]),
+    template(&[slot(0, 2, 0), slot(1, 1, 2), slot(2, 0, 1)]),
+];
+
+static FAN_IN: [MotifSchedule; 5] = [
+    // Both producers in the same cycle, consumer the next cycle.
+    template(&[slot(0, 0, 0), slot(1, 1, 0), slot(2, 2, 1)]),
+    template(&[slot(0, 1, 0), slot(1, 2, 0), slot(2, 0, 1)]),
+    template(&[slot(0, 0, 0), slot(1, 2, 0), slot(2, 1, 1)]),
+    // Staggered producers.
+    template(&[slot(0, 0, 0), slot(1, 1, 1), slot(2, 2, 2)]),
+    template(&[slot(0, 2, 0), slot(1, 1, 1), slot(2, 0, 2)]),
+];
+
+static UNICAST: [MotifSchedule; 4] = [
+    // Left-to-right pipeline (uses both bypass paths).
+    template(&[slot(0, 0, 0), slot(1, 1, 1), slot(2, 2, 2)]),
+    // Reversed order (no bypass, local router carries the edges).
+    template(&[slot(0, 2, 0), slot(1, 1, 1), slot(2, 0, 2)]),
+    // Folded variants freeing one ALU for another motif.
+    template(&[slot(0, 0, 0), slot(1, 1, 1), slot(2, 0, 2)]),
+    template(&[slot(0, 1, 0), slot(1, 2, 1), slot(2, 1, 2)]),
+];
+
+static PAIR: [MotifSchedule; 4] = [
+    template(&[slot(0, 0, 0), slot(1, 1, 1)]),
+    template(&[slot(0, 1, 0), slot(1, 2, 1)]),
+    template(&[slot(0, 2, 0), slot(1, 1, 1)]),
+    template(&[slot(0, 0, 0), slot(1, 0, 1)]),
+];
+
 /// Returns the schedule templates for a motif kind, in preference order
-/// (templates that finish earlier and use bypass paths come first).
-pub fn schedule_templates(kind: MotifKind) -> Vec<MotifSchedule> {
+/// (templates that finish earlier and use bypass paths come first). The
+/// tables are static, so a mapper probing them allocates nothing.
+pub fn schedule_templates(kind: MotifKind) -> &'static [MotifSchedule] {
     match kind {
-        MotifKind::FanOut => vec![
-            // Producer first, both consumers the next cycle.
-            MotifSchedule::new(&[(0, 0, 0), (1, 1, 1), (2, 2, 1)]),
-            MotifSchedule::new(&[(0, 0, 0), (1, 1, 1), (2, 2, 2)]),
-            MotifSchedule::new(&[(0, 0, 0), (1, 1, 2), (2, 2, 1)]),
-            // Reversed ALU order (producer on the rightmost ALU).
-            MotifSchedule::new(&[(0, 2, 0), (1, 1, 1), (2, 0, 1)]),
-            MotifSchedule::new(&[(0, 2, 0), (1, 1, 1), (2, 0, 2)]),
-            MotifSchedule::new(&[(0, 2, 0), (1, 1, 2), (2, 0, 1)]),
-        ],
-        MotifKind::FanIn => vec![
-            // Both producers in the same cycle, consumer the next cycle.
-            MotifSchedule::new(&[(0, 0, 0), (1, 1, 0), (2, 2, 1)]),
-            MotifSchedule::new(&[(0, 1, 0), (1, 2, 0), (2, 0, 1)]),
-            MotifSchedule::new(&[(0, 0, 0), (1, 2, 0), (2, 1, 1)]),
-            // Staggered producers.
-            MotifSchedule::new(&[(0, 0, 0), (1, 1, 1), (2, 2, 2)]),
-            MotifSchedule::new(&[(0, 2, 0), (1, 1, 1), (2, 0, 2)]),
-        ],
-        MotifKind::Unicast => vec![
-            // Left-to-right pipeline (uses both bypass paths).
-            MotifSchedule::new(&[(0, 0, 0), (1, 1, 1), (2, 2, 2)]),
-            // Reversed order (no bypass, local router carries the edges).
-            MotifSchedule::new(&[(0, 2, 0), (1, 1, 1), (2, 0, 2)]),
-            // Folded variants freeing one ALU for another motif.
-            MotifSchedule::new(&[(0, 0, 0), (1, 1, 1), (2, 0, 2)]),
-            MotifSchedule::new(&[(0, 1, 0), (1, 2, 1), (2, 1, 2)]),
-        ],
-        MotifKind::Pair => vec![
-            MotifSchedule::new(&[(0, 0, 0), (1, 1, 1)]),
-            MotifSchedule::new(&[(0, 1, 0), (1, 2, 1)]),
-            MotifSchedule::new(&[(0, 2, 0), (1, 1, 1)]),
-            MotifSchedule::new(&[(0, 0, 0), (1, 0, 1)]),
-        ],
+        MotifKind::FanOut => &FAN_OUT,
+        MotifKind::FanIn => &FAN_IN,
+        MotifKind::Unicast => &UNICAST,
+        MotifKind::Pair => &PAIR,
     }
 }
 
@@ -146,6 +157,29 @@ mod tests {
                     "{kind:?} template {i} violates a dependency"
                 );
                 assert_eq!(t.slots.len(), kind.node_count());
+            }
+        }
+    }
+
+    #[test]
+    fn every_template_places_each_motif_node_once() {
+        // A mapper derives a motif's incident edges from its nodes once per
+        // placement and reuses them for every template; that is exact only
+        // because every template places the same node set, each node once.
+        for kind in [
+            MotifKind::FanIn,
+            MotifKind::FanOut,
+            MotifKind::Unicast,
+            MotifKind::Pair,
+        ] {
+            for (i, t) in schedule_templates(kind).iter().enumerate() {
+                let mut nodes: Vec<usize> = t.slots.iter().map(|s| s.node).collect();
+                nodes.sort_unstable();
+                assert_eq!(
+                    nodes,
+                    (0..kind.node_count()).collect::<Vec<_>>(),
+                    "{kind:?} template {i} does not place each node once"
+                );
             }
         }
     }
@@ -195,7 +229,8 @@ mod tests {
 
     #[test]
     fn same_alu_same_cycle_is_rejected() {
-        let bad = MotifSchedule::new(&[(0, 0, 0), (1, 0, 0), (2, 1, 1)]);
+        const BAD: MotifSchedule = template(&[slot(0, 0, 0), slot(1, 0, 0), slot(2, 1, 1)]);
+        let bad = BAD;
         assert!(!bad.respects_dependencies(MotifKind::FanIn));
     }
 }

@@ -1,8 +1,9 @@
 //! Cross-crate integration tests: every registered workload flows through the
 //! full pipeline, and mappings are validated and functionally verified.
 
-use plaid::pipeline::{compile_workload, ArchChoice, MapperChoice};
+use plaid::pipeline::{compile_workload, ArchChoice, MapperChoice, PipelineError};
 use plaid_dfg::interp::MemoryImage;
+use plaid_mapper::MapError;
 use plaid_sim::engine::execute_mapping;
 use plaid_workloads::{table2_workloads, Workload};
 
@@ -11,6 +12,13 @@ fn workload(name: &str) -> Workload {
         .into_iter()
         .find(|w| w.name == name)
         .unwrap_or_else(|| panic!("workload {name} missing from registry"))
+}
+
+/// A deterministic, non-trivial initial memory image for `w`'s arrays.
+fn memory_for(w: &Workload) -> MemoryImage {
+    MemoryImage::for_kernel(&w.kernel, |array, i| {
+        (array.len() as i64 * 3 + i as i64) % 19 + 1
+    })
 }
 
 #[test]
@@ -56,13 +64,41 @@ fn mapped_execution_matches_reference_semantics() {
         let compiled = compile_workload(&w, &arch, MapperChoice::Plaid, None)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         let mapping = compiled.mapping.as_ref().unwrap();
-        let memory = MemoryImage::for_kernel(&w.kernel, |array, i| {
-            (array.len() as i64 * 3 + i as i64) % 19 + 1
-        });
-        let report = execute_mapping(&compiled.dfg, &arch, mapping, &memory)
+        let report = execute_mapping(&compiled.dfg, &arch, mapping, &memory_for(&w))
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         assert!(report.verified, "{name}: mapped execution diverged");
         assert_eq!(report.cycles, compiled.metrics.cycles);
+    }
+}
+
+#[test]
+fn every_plaid_mapping_of_the_suite_executes_correctly() {
+    // The functional oracle over the whole Table 2 suite: every workload the
+    // Plaid mapper maps on a Plaid fabric must compute what the reference
+    // interpreter computes. The mapped counts are pinned, so a mapper change
+    // that silently loses or gains a mapping fails here; the misses are
+    // heuristic misses (SA and PathFinder map them), not infeasible points.
+    for (choice, expected) in [(ArchChoice::Plaid2x2, 23), (ArchChoice::Plaid3x3, 21)] {
+        let arch = choice.build();
+        let mut mapped = 0;
+        for w in table2_workloads() {
+            let compiled = match compile_workload(&w, &arch, MapperChoice::Plaid, None) {
+                Ok(compiled) => compiled,
+                Err(PipelineError::Mapping(MapError::NoValidMapping { .. })) => continue,
+                Err(e) => panic!("{} on {choice:?}: {e}", w.name),
+            };
+            let mapping = compiled.mapping.as_ref().unwrap();
+            let report = execute_mapping(&compiled.dfg, &arch, mapping, &memory_for(&w))
+                .unwrap_or_else(|e| panic!("{} on {choice:?}: {e}", w.name));
+            assert!(
+                report.verified,
+                "{} on {choice:?}: mapped execution diverged",
+                w.name
+            );
+            assert_eq!(report.cycles, compiled.metrics.cycles, "{}", w.name);
+            mapped += 1;
+        }
+        assert_eq!(mapped, expected, "{choice:?}: Plaid mappings of the suite");
     }
 }
 
