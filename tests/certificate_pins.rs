@@ -9,7 +9,10 @@
 //! seed JSON, so such a change fails here.
 //!
 //! The suite is the default sweep plan's four workloads on the 2x2 Plaid
-//! fabric at both configuration depths and all three communication presets.
+//! fabric at both configuration depths and all three communication presets,
+//! plus Plaid ladders of other workloads that fail at least three II rungs
+//! before they map, so their seeds certify the repair loop's capacity probes
+//! on failing rungs.
 //!
 //! Run with `PLAID_PIN_PRINT=1` to print the current digests instead of
 //! asserting (the capture mode used to generate the table).
@@ -19,21 +22,36 @@ use plaid_dfg::Dfg;
 use plaid_mapper::{fnv1a64, MapError, PlaidMapper, SaMapper, SeededMapping};
 use plaid_workloads::table2_workloads;
 
+/// Plaid ladders outside the default plan's workloads whose mapping comes
+/// after three or more failed II rungs, as `(workload, rows, cols, depth,
+/// preset)`.
+const FAILING_LADDERS: &[(&str, u32, u32, u32, CommSpec)] = &[
+    ("atax_u4", 2, 2, 16, CommSpec::LEAN),
+    ("atax_u4", 2, 2, 16, CommSpec::RICH),
+    ("atax_u4", 3, 3, 16, CommSpec::ALIGNED),
+    ("gesumm_u4", 2, 4, 16, CommSpec::LEAN),
+    ("conv3x3", 2, 4, 8, CommSpec::LEAN),
+    ("dwconv_u5", 2, 4, 16, CommSpec::ALIGNED),
+];
+
 /// The default plan's workloads (every 8th registry entry) crossed with
-/// `plaid-2x2` at depths 8 and 16 under the lean, aligned and rich presets.
+/// `plaid-2x2` at depths 8 and 16 under the lean, aligned and rich presets,
+/// then [`FAILING_LADDERS`].
 fn suite() -> Vec<(String, Dfg, Architecture)> {
+    let point = |rows, cols, config_entries, comm| DesignPoint {
+        class: ArchClass::Plaid,
+        rows,
+        cols,
+        config_entries,
+        comm,
+    };
     let mut cases = Vec::new();
-    for w in table2_workloads().into_iter().step_by(8) {
+    let workloads = table2_workloads();
+    for w in workloads.iter().step_by(8) {
         let dfg = w.lower().expect("workload lowers");
         for config_entries in [8, 16] {
             for comm in CommSpec::presets() {
-                let point = DesignPoint {
-                    class: ArchClass::Plaid,
-                    rows: 2,
-                    cols: 2,
-                    config_entries,
-                    comm,
-                };
+                let point = point(2, 2, config_entries, comm);
                 cases.push((
                     format!("{}/{}", w.name, point.label()),
                     dfg.clone(),
@@ -41,6 +59,18 @@ fn suite() -> Vec<(String, Dfg, Architecture)> {
                 ));
             }
         }
+    }
+    for &(name, rows, cols, config_entries, comm) in FAILING_LADDERS {
+        let w = workloads
+            .iter()
+            .find(|w| w.name == name)
+            .unwrap_or_else(|| panic!("workload {name} is registered"));
+        let point = point(rows, cols, config_entries, comm);
+        cases.push((
+            format!("{name}/{}", point.label()),
+            w.lower().expect("workload lowers"),
+            point.build(),
+        ));
     }
     cases
 }
@@ -138,6 +168,28 @@ const PINNED: &[(&str, u64, u64)] = &[
         "gramsc_u4/plaid-2x2/d16/rich",
         0x5084742a318eeed8,
         0x6ba9b4f78a795a42,
+    ),
+    ("atax_u4/plaid-2x2/d16/lean", 0x0, 0x69dc24f4769c9fb7),
+    (
+        "atax_u4/plaid-2x2/d16/rich",
+        0x5570b74fef646bee,
+        0x2721a5558a4ae81,
+    ),
+    (
+        "atax_u4/plaid-3x3/d16/aligned",
+        0xaf1826754ed5b77f,
+        0x5926498bb813f693,
+    ),
+    ("gesumm_u4/plaid-2x4/d16/lean", 0x0, 0x5f2d84a3f2d50ec0),
+    (
+        "conv3x3/plaid-2x4/d8/lean",
+        0x44bd79cb8a1967ff,
+        0xdb311b990091f580,
+    ),
+    (
+        "dwconv_u5/plaid-2x4/d16/aligned",
+        0x53608314c2178cc7,
+        0x234bfa2cf11b96d,
     ),
 ];
 
