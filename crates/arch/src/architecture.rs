@@ -89,6 +89,10 @@ pub struct Architecture {
     tile_positions: Vec<Position>,
     out_adjacency: Vec<Vec<usize>>,
     in_adjacency: Vec<Vec<usize>>,
+    /// Compute-capable functional units, ascending by id.
+    compute_units: Vec<ResourceId>,
+    /// Memory-capable functional units, ascending by id.
+    memory_units: Vec<ResourceId>,
 }
 
 impl Architecture {
@@ -150,31 +154,22 @@ impl Architecture {
 
     /// Number of functional units capable of compute operations.
     pub fn compute_unit_count(&self) -> usize {
-        self.functional_units()
-            .filter(|r| r.fu_caps().is_some_and(|c| c.compute))
-            .count()
+        self.compute_units.len()
     }
 
     /// Number of functional units capable of memory operations.
     pub fn memory_unit_count(&self) -> usize {
-        self.functional_units()
-            .filter(|r| r.fu_caps().is_some_and(|c| c.memory))
-            .count()
+        self.memory_units.len()
     }
 
     /// Functional units able to execute a node with the given requirements,
-    /// ascending by id.
-    pub fn units_supporting(&self, needs_memory: bool) -> impl Iterator<Item = ResourceId> + '_ {
-        self.functional_units()
-            .filter(move |r| {
-                let caps = r.fu_caps().unwrap_or(FuCaps::ALU);
-                if needs_memory {
-                    caps.memory
-                } else {
-                    caps.compute
-                }
-            })
-            .map(|r| r.id)
+    /// ascending by id. Both lists are built once, with the fabric.
+    pub fn units_supporting(&self, needs_memory: bool) -> &[ResourceId] {
+        if needs_memory {
+            &self.memory_units
+        } else {
+            &self.compute_units
+        }
     }
 
     /// Links leaving `id`.
@@ -524,6 +519,15 @@ impl ArchBuilder {
             out_adjacency[link.from.0 as usize].push(i);
             in_adjacency[link.to.0 as usize].push(i);
         }
+        let units = |capable: fn(FuCaps) -> bool| {
+            self.resources
+                .iter()
+                .filter(|r| r.fu_caps().is_some_and(capable))
+                .map(|r| r.id)
+                .collect()
+        };
+        let compute_units = units(|c| c.compute);
+        let memory_units = units(|c| c.memory);
         let arch = Architecture {
             name: self.name,
             class: self.class.expect("class set in ArchBuilder::new"),
@@ -534,6 +538,8 @@ impl ArchBuilder {
             tile_positions: self.tile_positions,
             out_adjacency,
             in_adjacency,
+            compute_units,
+            memory_units,
         };
         arch.assert_consistent();
         arch
@@ -595,8 +601,11 @@ mod tests {
         let arch = tiny_arch();
         assert_eq!(arch.compute_unit_count(), 2);
         assert_eq!(arch.memory_unit_count(), 1);
-        assert_eq!(arch.units_supporting(true).count(), 1);
-        assert_eq!(arch.units_supporting(false).count(), 2);
+        assert_eq!(arch.units_supporting(true), &[ResourceId(0)]);
+        assert_eq!(
+            arch.units_supporting(false),
+            &[ResourceId(0), ResourceId(2)]
+        );
     }
 
     #[test]

@@ -17,16 +17,17 @@
 //!
 //! Placement heuristics try a candidate — one node or a whole motif at
 //! given positions — through one primitive, `MapState::try_place`: check
-//! the slots, test the first hops of the edges it would route, place, route,
-//! and undo on failure. The first-hop test runs twice, both times through
-//! the router's own first hops (`MapState::first_hops_open`). Under the
-//! occupancy-blind `AnyHop` policy it rejects a candidate with a
+//! the slots, test the edges it would route, place, route, and undo on
+//! failure. The edge test runs twice. The structural test
+//! (`MapState::structurally_open`) reads the fabric's per-FU-pair first-hop
+//! table in the ladder's [`Reach`]; it rejects a candidate with a
 //! structurally dead edge, whose search would fail without probing
-//! occupancy, so nothing enters the capacity certificate. Under the
-//! heuristic's policy it then rejects a candidate with an edge whose every
-//! first hop is refused. While a candidate is tried, the heuristic only
-//! adds placements and routes, and under hard capacity a refused first hop
-//! stays refused, so that edge would fail whenever it is reached. These
+//! occupancy, so nothing enters the capacity certificate. The occupancy
+//! test (`MapState::first_hops_open`) walks the router's own first hops
+//! under the heuristic's policy and rejects a candidate with an edge whose
+//! every first hop is refused. While a candidate is tried, the heuristic
+//! only adds placements and routes, and under hard capacity a refused first
+//! hop stays refused, so that edge would fail whenever it is reached. These
 //! probes go through the ordinary `hop_cost` path, so they enter the
 //! certificate like the search's own. SA's fallback placement keeps
 //! candidates whose edges fail to route, so it uses only the structural
@@ -47,8 +48,8 @@ use plaid_dfg::{Dfg, DfgEdge, EdgeId, EdgeKind, NodeId};
 use crate::dense::DenseMap;
 use crate::mapping::{Mapping, Placement, Route};
 use crate::route::{
-    commit_route, find_route_in, first_hop_open, release_route, AnyHop, CostPolicy, Reach,
-    RouteRequest, RouterScratch,
+    commit_route, find_route_in, first_hop_open, release_route, CostPolicy, Reach, RouteRequest,
+    RouterScratch,
 };
 use crate::state::RoutingState;
 
@@ -90,6 +91,16 @@ enum JournalOp {
     Routed(EdgeId),
     /// An edge was unrouted; undo re-commits the stored route.
     Unrouted(EdgeId, Route),
+}
+
+impl JournalOp {
+    /// The node or edge the entry is about.
+    fn subject(&self) -> (bool, u32) {
+        match self {
+            JournalOp::Placed(n) | JournalOp::Unplaced(n, _) => (true, n.0),
+            JournalOp::Routed(e) | JournalOp::Unrouted(e, _) => (false, e.0),
+        }
+    }
 }
 
 /// Mutable mapping state for one II attempt.
@@ -228,6 +239,29 @@ impl<'a> MapState<'a> {
         self.in_txn = false;
     }
 
+    /// Whether the open transaction left the state as [`Self::begin_txn`]
+    /// found it: every node and edge the journal touched holds the
+    /// placement or route it held then. A subject's first journal entry
+    /// says what that was: an `Unplaced` or `Unrouted` entry carries the old
+    /// value, and a `Placed` or `Routed` entry means there was none.
+    /// Occupancy and the cost aggregates follow from placements and routes,
+    /// so `true` means the transaction changed nothing a search reads.
+    pub(crate) fn txn_is_identity(&self) -> bool {
+        debug_assert!(self.in_txn, "txn_is_identity without begin_txn");
+        self.journal.iter().enumerate().all(|(i, op)| {
+            let subject = op.subject();
+            if self.journal[..i].iter().any(|e| e.subject() == subject) {
+                return true;
+            }
+            match op {
+                JournalOp::Placed(n) => !self.placements.contains_key(n),
+                JournalOp::Unplaced(n, p) => self.placements.get(n) == Some(p),
+                JournalOp::Routed(e) => !self.routes.contains_key(e),
+                JournalOp::Unrouted(e, route) => self.routes.get(e) == Some(route),
+            }
+        })
+    }
+
     /// Whether `fu` can host `node` (capability plus a free modulo slot).
     pub fn can_place(&self, node: NodeId, fu: ResourceId, cycle: u32) -> bool {
         let n = self.dfg.node(node);
@@ -313,25 +347,15 @@ impl<'a> MapState<'a> {
     }
 
     /// Whether every data edge in `edges` whose endpoints would both be
-    /// placed still has an open first hop under `policy` in the current
-    /// occupancy ([`crate::route::first_hop_open`]). Endpoints resolve as in
+    /// placed passes `open`. Endpoints resolve as in
     /// [`Self::prospective_endpoints`]; edges with an unplaced endpoint, and
     /// edges that carry no data, are skipped. Stops at the first closed
     /// edge.
-    ///
-    /// Under [`AnyHop`] this is the structural test: a closed edge has a
-    /// non-positive timing budget or no switch path of exactly that length,
-    /// so its search fails before its first occupancy probe. Under
-    /// [`crate::route::HardCapacityCost`] a refused first hop stays refused
-    /// while a candidate only adds placements and routes, so a closed edge
-    /// fails its search whenever it is reached. Either way, rejecting the
-    /// candidate up front gives the same result as trying it, without
-    /// searching any edge.
-    pub(crate) fn first_hops_open(
+    fn edges_open(
         &self,
         edges: &[EdgeId],
         prospective: &[(NodeId, Placement)],
-        policy: &impl CostPolicy,
+        open: impl Fn(&RouteRequest) -> bool,
     ) -> bool {
         edges.iter().all(|&e| {
             let edge = self.dfg.edge(e);
@@ -339,12 +363,43 @@ impl<'a> MapState<'a> {
                 return true;
             }
             match self.prospective_endpoints(edge, prospective) {
-                Some((src, dst)) => {
-                    let request = self.route_request(edge, src, dst);
-                    first_hop_open(self.arch, &self.reach, &self.state, &request, policy)
-                }
+                Some((src, dst)) => open(&self.route_request(edge, src, dst)),
                 None => true,
             }
+        })
+    }
+
+    /// The structural test over `edges` (see [`Self::edges_open`]): every
+    /// edge has a positive timing budget and a switch path of exactly that
+    /// length ([`Reach::structurally_open`]). A closed edge's search fails
+    /// before its first occupancy probe, so rejecting the candidate up
+    /// front gives the same result as trying it, without probing anything.
+    pub(crate) fn structurally_open(
+        &self,
+        edges: &[EdgeId],
+        prospective: &[(NodeId, Placement)],
+    ) -> bool {
+        self.edges_open(edges, prospective, |request| {
+            self.reach.structurally_open(request)
+        })
+    }
+
+    /// The occupancy test over `edges` (see [`Self::edges_open`]): every
+    /// edge still has an open first hop under `policy` in the current
+    /// occupancy ([`crate::route::first_hop_open`]). Under
+    /// [`crate::route::HardCapacityCost`] a refused first hop stays refused
+    /// while a candidate only adds placements and routes, so a closed edge
+    /// fails its search whenever it is reached, and rejecting the candidate
+    /// up front gives the same result as trying it, without searching any
+    /// edge.
+    pub(crate) fn first_hops_open(
+        &self,
+        edges: &[EdgeId],
+        prospective: &[(NodeId, Placement)],
+        policy: &impl CostPolicy,
+    ) -> bool {
+        self.edges_open(edges, prospective, |request| {
+            first_hop_open(self.arch, &self.reach, &self.state, request, policy)
         })
     }
 
@@ -354,8 +409,8 @@ impl<'a> MapState<'a> {
     /// the state as before (apart from the certificate's probes).
     ///
     /// The steps run in this order: [`Self::can_place`] for every slot; the
-    /// structural first-hop test ([`Self::first_hops_open`] under
-    /// [`AnyHop`]) over all of `edges`; the same test under `policy`; place
+    /// structural test ([`Self::structurally_open`]) over all of `edges`;
+    /// the occupancy test under `policy` ([`Self::first_hops_open`]); place
     /// all slots; route; on the first failed route, unplace every slot. The
     /// two tests are separate passes so that a structurally dead candidate
     /// probes no switch, whatever order its edges come in.
@@ -366,7 +421,7 @@ impl<'a> MapState<'a> {
         policy: &impl CostPolicy,
     ) -> bool {
         if !slots.iter().all(|&(n, p)| self.can_place(n, p.fu, p.cycle))
-            || !self.first_hops_open(edges, slots, &AnyHop)
+            || !self.structurally_open(edges, slots)
             || !self.first_hops_open(edges, slots, policy)
         {
             return false;
@@ -426,15 +481,21 @@ impl<'a> MapState<'a> {
             policy,
         ) {
             Some((route, _)) => {
-                commit_route(&mut self.state, &route, e.src);
-                self.total_hops += route.hops.len();
-                self.routes.insert(edge, route);
-                if self.in_txn {
-                    self.journal.push(JournalOp::Routed(edge));
-                }
+                self.add_route(edge, route);
                 true
             }
             None => false,
+        }
+    }
+
+    /// Records `route` as the route of `edge`, which has none, and occupies
+    /// its hops.
+    fn add_route(&mut self, edge: EdgeId, route: Route) {
+        commit_route(&mut self.state, &route, self.dfg.edge(edge).src);
+        self.total_hops += route.hops.len();
+        self.routes.insert(edge, route);
+        if self.in_txn {
+            self.journal.push(JournalOp::Routed(edge));
         }
     }
 
@@ -516,7 +577,7 @@ impl<'a> MapState<'a> {
         );
         keyed.clear();
         let needs_memory = dfg.node(node).op.is_memory();
-        keyed.extend(self.arch.units_supporting(needs_memory).map(|fu| {
+        keyed.extend(self.arch.units_supporting(needs_memory).iter().map(|&fu| {
             let distance: u32 = fus
                 .iter()
                 .map(|&other| self.arch.resource_distance(fu, other))
@@ -652,9 +713,9 @@ mod tests {
 
     #[test]
     fn dead_edges_never_route() {
-        // Every placement pair the structural test (`first_hops_open` under
-        // `AnyHop`) rejects must also fail to route once placed; pairs it
-        // accepts are left to the search.
+        // Every placement pair the structural test (`structurally_open`)
+        // rejects must also fail to route once placed; pairs it accepts are
+        // left to the search.
         let dfg = small_dfg();
         let arch = spatio_temporal::build(4, 4);
         let edge = dfg
@@ -676,12 +737,8 @@ mod tests {
                         cycle: dst_cycle,
                     };
                     // Unplaced endpoints are skipped.
-                    assert!(state.first_hops_open(&[edge.id], &[(edge.src, src)], &AnyHop));
-                    if state.first_hops_open(
-                        &[edge.id],
-                        &[(edge.src, src), (edge.dst, dst)],
-                        &AnyHop,
-                    ) {
+                    assert!(state.structurally_open(&[edge.id], &[(edge.src, src)]));
+                    if state.structurally_open(&[edge.id], &[(edge.src, src), (edge.dst, dst)]) {
                         continue;
                     }
                     dead += 1;
@@ -690,7 +747,7 @@ mod tests {
                     }
                     state.place(edge.src, src.fu, src.cycle);
                     // The placed producer now stands in for the prospective one.
-                    assert!(!state.first_hops_open(&[edge.id], &[(edge.dst, dst)], &AnyHop));
+                    assert!(!state.structurally_open(&[edge.id], &[(edge.dst, dst)]));
                     if state.can_place(edge.dst, dst.fu, dst.cycle) {
                         state.place(edge.dst, dst.fu, dst.cycle);
                         assert!(!state.route_edge(edge.id, &HardCapacityCost));
@@ -766,7 +823,7 @@ mod tests {
                         for fu in state.candidate_fus(node) {
                             let at = [(node, Placement { fu, cycle })];
                             if !state.can_place(node, fu, cycle)
-                                || !state.first_hops_open(dfg.ins(node), &at, &AnyHop)
+                                || !state.structurally_open(dfg.ins(node), &at)
                                 || state.first_hops_open(dfg.ins(node), &at, &HardCapacityCost)
                             {
                                 continue;
@@ -926,5 +983,131 @@ mod tests {
         state.commit_txn();
         assert_eq!(state.placements.len(), len_mid);
         assert!(!state.placements.contains_key(&node));
+    }
+
+    #[test]
+    fn identity_needs_every_touched_node_and_edge_as_it_was() {
+        let dfg = small_dfg();
+        let arch = spatio_temporal::build(4, 4);
+        let mut state = MapState::new(&dfg, &arch, 2);
+        assert!(greedy_place(&mut state, &HardCapacityCost));
+        let edge = dfg
+            .edges()
+            .find(|e| dfg.edge_carries_data(e))
+            .expect("a data edge");
+        let node = edge.dst;
+        let at = state.placements[&node];
+
+        // An empty transaction changes nothing.
+        state.begin_txn();
+        assert!(state.txn_is_identity());
+        state.rollback_txn();
+
+        // Re-place the node where it is and commit: its edges take the
+        // routes a search from this state finds.
+        state.begin_txn();
+        state.unplace(node);
+        state.place(node, at.fu, at.cycle);
+        state.route_all(&HardCapacityCost);
+        state.commit_txn();
+        assert!(state.is_complete());
+        let before = (state.placements.clone(), state.routes.clone());
+
+        // The same position and the same routes: identity.
+        state.begin_txn();
+        state.unplace(node);
+        state.place(node, at.fu, at.cycle);
+        state.route_all(&HardCapacityCost);
+        assert_eq!((&state.placements, &state.routes), (&before.0, &before.1));
+        assert!(state.txn_is_identity());
+        state.rollback_txn();
+
+        // Another FU, or the same modulo slot an II later: not identity.
+        let elsewhere = state
+            .candidate_fus(node)
+            .into_iter()
+            .find(|&fu| fu != at.fu && state.can_place(node, fu, at.cycle))
+            .expect("another free candidate");
+        for (fu, cycle) in [(elsewhere, at.cycle), (at.fu, at.cycle + state.ii)] {
+            state.begin_txn();
+            state.unplace(node);
+            assert!(state.can_place(node, fu, cycle));
+            state.place(node, fu, cycle);
+            state.route_all(&HardCapacityCost);
+            assert!(!state.txn_is_identity(), "{node} moved to {fu}@{cycle}");
+            state.rollback_txn();
+        }
+
+        // The same route back: identity; one hop moved by a cycle: not.
+        let route = state.routes[&edge.id].clone();
+        let mut moved = route.clone();
+        moved.hops.last_mut().expect("a routed hop").cycle += 1;
+        for (replacement, identity) in [(route, true), (moved, false)] {
+            state.begin_txn();
+            state.unroute(edge.id);
+            state.add_route(edge.id, replacement);
+            assert_eq!(state.txn_is_identity(), identity);
+            state.rollback_txn();
+        }
+
+        // A node that was unplaced when the transaction began, then placed:
+        // its rip-up journals nothing, so only its `Placed` entry tells.
+        state.begin_txn();
+        state.unplace(node);
+        state.commit_txn();
+        state.begin_txn();
+        state.unplace(node);
+        state.place(node, at.fu, at.cycle);
+        assert!(!state.txn_is_identity());
+        state.rollback_txn();
+        // Placed and unplaced again within the transaction: identity.
+        state.begin_txn();
+        state.place(node, at.fu, at.cycle);
+        state.unplace(node);
+        assert!(state.txn_is_identity());
+        state.rollback_txn();
+    }
+
+    #[test]
+    fn identity_agrees_with_comparing_whole_states() {
+        // Random rip-ups and re-placements on a capacity-1 fabric, where
+        // many candidates fail half-way: the journal check answers what a
+        // comparison of the placement and route tables answers.
+        use rand::{Rng, SeedableRng};
+        let dfg = fan_out_dfg();
+        let base = plaid_arch::plaid::build(2, 2);
+        let params = base.params().clone();
+        let arch = plaid_arch::rebuild_provisioned(&base, "plaid-lean", params, |_| 1);
+        let nodes: Vec<NodeId> = dfg.node_ids().collect();
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(7);
+        let (mut same, mut changed) = (0, 0);
+        for ii in 2..=4 {
+            let mut state = MapState::new(&dfg, &arch, ii);
+            greedy_place(&mut state, &HardCapacityCost);
+            for _ in 0..300 {
+                let before = (state.placements.clone(), state.routes.clone());
+                state.begin_txn();
+                let ripped = nodes[rng.gen_range(0..nodes.len())];
+                state.unplace(ripped);
+                place_node_best_effort(&mut state, ripped, &HardCapacityCost);
+                state.route_all(&HardCapacityCost);
+                let identity = (&state.placements, &state.routes) == (&before.0, &before.1);
+                assert_eq!(state.txn_is_identity(), identity);
+                if identity {
+                    same += 1;
+                } else {
+                    changed += 1;
+                }
+                if rng.gen::<f64>() < 0.5 {
+                    state.commit_txn();
+                } else {
+                    state.rollback_txn();
+                }
+            }
+        }
+        assert!(
+            same > 0 && changed > 0,
+            "{same} identities, {changed} changes"
+        );
     }
 }

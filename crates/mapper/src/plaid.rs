@@ -94,12 +94,12 @@ impl PlaidMapper {
 
     /// Places one motif, scanning clusters (least-loaded first), templates and
     /// start offsets. Returns `true` on success.
-    fn place_motif(
-        state: &mut MapState<'_>,
-        motif: &Motif,
-        rng: &mut SmallRng,
-        randomize: bool,
-    ) -> bool {
+    ///
+    /// `swap` randomises the scan: the cluster at that position of the
+    /// order is tried first, swapping places with the first one (0 keeps
+    /// the order). The repair loop draws it, so the draw is part of the
+    /// key under which the loop memoises the outcome.
+    fn place_motif(state: &mut MapState<'_>, motif: &Motif, swap: usize) -> bool {
         let clusters = state.arch.clusters();
         // "Map the motif to a PE with the least routing resource [usage]":
         // prefer hardwired clusters matching the kind, then least-loaded
@@ -126,10 +126,7 @@ impl PlaidMapper {
             })
             .collect();
         sort_by_unique_key(&mut order);
-        if randomize && order.len() > 1 {
-            let pick = rng.gen_range(0..order.len());
-            order.swap(0, pick);
-        }
+        order.swap(0, swap);
         let templates = schedule_templates(motif.kind);
         debug_assert!(
             templates.iter().all(|t| t.slots.len() == motif.nodes.len()
@@ -199,7 +196,7 @@ impl PlaidMapper {
             match hdfg.motif_of(node) {
                 Some(mi) if !placed_motifs[mi] => {
                     placed_motifs[mi] = true;
-                    if !Self::place_motif(&mut state, &hdfg.motifs()[mi], rng, false) {
+                    if !Self::place_motif(&mut state, &hdfg.motifs()[mi], 0) {
                         // Fall back to individual placement of the motif's
                         // nodes; generality is never lost (Section 3.1).
                         for &n in &hdfg.motifs()[mi].nodes {
@@ -229,6 +226,18 @@ impl PlaidMapper {
     /// Lines 5-11 of Algorithm 2: rip up one motif (or standalone node),
     /// re-place it with randomized candidates and keep the best outcome,
     /// occasionally accepting worse states.
+    ///
+    /// A re-placement is a pure function of the state, the unit and the
+    /// motif's cluster swap, so the loop memoises two of its outcomes per
+    /// `(unit, swap)`: it failed and rolled back, or it put every node and
+    /// edge it touched back as they were ([`MapState::txn_is_identity`]).
+    /// Both leave the state as it was, so the memo stays current until an
+    /// accepted iteration changes the state, which starts a new epoch. A
+    /// memoised iteration draws the same random numbers as the full one and
+    /// updates `best_cost` the same way, without ripping anything up. The
+    /// capacity probes it skips would repeat, on the same state, probes
+    /// already recorded, and the certificate keeps only a maximum and a
+    /// minimum per resource, so it is unchanged as well.
     fn repair<'a>(
         &self,
         mut state: MapState<'a>,
@@ -236,24 +245,46 @@ impl PlaidMapper {
         rng: &mut SmallRng,
     ) -> Option<MapState<'a>> {
         let policy = HardCapacityCost;
+        let unit_count = hdfg.unit_count().max(1);
+        let clusters = state.arch.clusters().len();
+        let swaps = clusters.max(1);
+        // One entry per (unit, swap), current while its stamp is `epoch`.
+        let mut memo = vec![(0u32, Replacement::Failed); unit_count * swaps];
+        let mut epoch = 1u32;
         let mut best_cost = state.cost();
         for _ in 0..REPAIR_ATTEMPTS {
             if state.is_complete() {
                 return Some(state);
             }
             // Pick a random motif or standalone node to rip up.
-            let unit_count = hdfg.unit_count().max(1);
             let pick = rng.gen_range(0..unit_count);
-            let ripped_nodes: &[NodeId] = if pick < hdfg.motifs().len() {
-                &hdfg.motifs()[pick].nodes
-            } else {
-                let idx = pick - hdfg.motifs().len();
-                hdfg.standalone_nodes()
-                    .get(idx)
-                    .map(std::slice::from_ref)
-                    .unwrap_or_default()
+            let motif = hdfg.motifs().get(pick);
+            let ripped_nodes: &[NodeId] = match motif {
+                Some(motif) => &motif.nodes,
+                None => {
+                    let idx = pick - hdfg.motifs().len();
+                    hdfg.standalone_nodes()
+                        .get(idx)
+                        .map(std::slice::from_ref)
+                        .unwrap_or_default()
+                }
             };
             if ripped_nodes.is_empty() {
+                continue;
+            }
+            let swap = if motif.is_some() && clusters > 1 {
+                rng.gen_range(0..clusters)
+            } else {
+                0
+            };
+            let key = pick * swaps + swap;
+            let (stamp, known) = memo[key];
+            if stamp == epoch {
+                if let Replacement::Identity { cost } = known {
+                    if cost <= best_cost || rng.gen::<f64>() < 0.05 {
+                        best_cost = cost;
+                    }
+                }
                 continue;
             }
             // Journalled repair attempt: a failed or rejected re-placement
@@ -263,19 +294,20 @@ impl PlaidMapper {
                 state.unplace(n);
             }
             // Re-place.
-            let ok = if pick < hdfg.motifs().len() {
-                Self::place_motif(&mut state, &hdfg.motifs()[pick], rng, true)
-            } else {
-                ripped_nodes
+            let ok = match motif {
+                Some(motif) => Self::place_motif(&mut state, motif, swap),
+                None => ripped_nodes
                     .iter()
-                    .all(|&n| place_node_best_effort(&mut state, n, &policy))
+                    .all(|&n| place_node_best_effort(&mut state, n, &policy)),
             };
             if !ok {
                 state.rollback_txn();
+                memo[key] = (epoch, Replacement::Failed);
                 continue;
             }
             // Re-route everything that is still missing.
             state.route_all(&policy);
+            let identity = state.txn_is_identity();
             let new_cost = state.cost() + if state.timing_ok() { 0.0 } else { 500.0 };
             let accept = new_cost <= best_cost || rng.gen::<f64>() < 0.05;
             if accept {
@@ -284,6 +316,11 @@ impl PlaidMapper {
             } else {
                 state.rollback_txn();
             }
+            if identity {
+                memo[key] = (epoch, Replacement::Identity { cost: new_cost });
+            } else if accept {
+                epoch += 1;
+            }
         }
         if state.is_complete() {
             Some(state)
@@ -291,6 +328,17 @@ impl PlaidMapper {
             None
         }
     }
+}
+
+/// A repair iteration's outcome that left the state as it was, memoised
+/// by [`PlaidMapper::repair`].
+#[derive(Debug, Clone, Copy)]
+enum Replacement {
+    /// The unit could not be re-placed; the iteration rolled back.
+    Failed,
+    /// The unit went back where it was, with every touched route; `cost` is
+    /// the state's cost with the timing penalty, as the iteration scored it.
+    Identity { cost: f64 },
 }
 
 /// Whether a hardwired pattern can execute a motif of the given kind.

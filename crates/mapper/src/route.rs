@@ -90,29 +90,6 @@ impl CostPolicy for HardCapacityCost {
     }
 }
 
-/// Unit cost policy that admits every hop and never reads occupancy.
-///
-/// Under it [`first_hop_open`] is the structural test: `false` means the
-/// timing budget is not positive or no switch path of exactly that many
-/// cycles leaves the producer's FU for the consumer's, so every search of
-/// the request returns `None` before its first occupancy probe. The
-/// placement layer runs this test before the occupancy one, so a
-/// structurally dead candidate records nothing in the capacity certificate.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct AnyHop;
-
-impl CostPolicy for AnyHop {
-    fn hop_cost(
-        &self,
-        _state: &RoutingState,
-        _resource: ResourceId,
-        _slot: u32,
-        _value: NodeId,
-    ) -> Option<f64> {
-        Some(1.0)
-    }
-}
-
 /// Negotiated-congestion cost policy (PathFinder): overuse is permitted but
 /// increasingly expensive, steered by per-resource history costs.
 #[derive(Debug, Clone)]
@@ -313,6 +290,13 @@ impl ReachTable {
         t >= at_least || t == exactly
     }
 
+    /// Latency of `resource`'s direct link into the destination, or
+    /// `NEVER` when it has none.
+    #[inline]
+    fn exactly(&self, resource: u32) -> u32 {
+        self.lat[resource as usize].1
+    }
+
     /// Relaxes switch→switch links backwards from the destination's direct
     /// predecessors until no `at_least` shrinks.
     fn build(arch: &Architecture, dst: ResourceId) -> Self {
@@ -344,25 +328,128 @@ impl ReachTable {
     }
 }
 
+/// The structural first-hop test of one (source FU, destination FU) pair,
+/// for every budget: a route of `budget` cycles can leave the source for
+/// the destination when `budget >= always`, or when bit `budget` of `exact`
+/// is set.
+///
+/// Each first hop is a switch `s` entered `latency` cycles after the
+/// producer, after which `s` reaches the destination in exactly `at_least(s)
+/// + k` cycles for every `k`, and in `exactly(s)` cycles ([`ReachTable`]).
+/// So the hop opens every budget from `latency + at_least(s)` on, plus the
+/// one budget `latency + exactly(s)`. `always` is the smallest of the
+/// former over the source's first hops; `exact` holds the latter below it.
+#[derive(Debug, Clone, Copy)]
+struct FirstHops {
+    always: u32,
+    exact: u64,
+}
+
+impl FirstHops {
+    #[inline]
+    fn open(self, budget: u32) -> bool {
+        budget >= self.always || (budget < u64::BITS && self.exact >> budget & 1 == 1)
+    }
+}
+
 /// Exact-time reachability of every functional unit of one fabric: for each
 /// destination FU, two latencies per switch that tell whether the switch
 /// reaches the FU in exactly `t` cycles. Built once per fabric and shared
 /// by every search on it.
+///
+/// It also keeps what every search would otherwise re-derive from the
+/// fabric's links: each resource's switch successors in link order, and
+/// the structural first-hop test of every FU pair (`FirstHops`).
 #[derive(Debug, Clone)]
 pub struct Reach {
     /// One table per resource id; switches, which are never destinations,
     /// hold empty tables.
     tables: Vec<ReachTable>,
+    /// `successors[starts[r]..starts[r + 1]]` are the `(switch, latency)`
+    /// out-links of resource `r`, in link order. A route's vias are
+    /// switches, so links into FUs are left out.
+    starts: Vec<u32>,
+    successors: Vec<(u32, u32)>,
+    /// Position of each FU among the fabric's FUs, by resource id (`NEVER`
+    /// for switches).
+    fu_index: Vec<u32>,
+    /// Number of functional units.
+    fus: usize,
+    /// The first-hop test of every FU pair, indexed `src * fus + dst` by
+    /// `fu_index`.
+    pairs: Vec<FirstHops>,
 }
 
 impl Reach {
     /// Computes the reachability of every functional unit of `arch`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a first hop reaches some destination in an exact number
+    /// of cycles, below every budget it always reaches, that does not fit a
+    /// 64-bit mask. The fabrics' link latencies are 0 or 1, so exact budgets
+    /// stay below 3.
     pub fn of(arch: &Architecture) -> Self {
-        let mut tables = vec![ReachTable::default(); arch.resources().len()];
-        for fu in arch.functional_units() {
-            tables[fu.id.0 as usize] = ReachTable::build(arch, fu.id);
+        let n = arch.resources().len();
+        let mut tables = vec![ReachTable::default(); n];
+        let mut starts = Vec::with_capacity(n + 1);
+        let mut successors = Vec::new();
+        let mut fu_index = vec![NEVER; n];
+        let mut fus = Vec::new();
+        for r in arch.resources() {
+            starts.push(successors.len() as u32);
+            successors.extend(
+                arch.out_links(r.id)
+                    .filter(|l| !arch.resource(l.to).kind.is_func_unit())
+                    .map(|l| (l.to.0, l.latency)),
+            );
+            if r.kind.is_func_unit() {
+                fu_index[r.id.0 as usize] = fus.len() as u32;
+                fus.push(r.id);
+                tables[r.id.0 as usize] = ReachTable::build(arch, r.id);
+            }
         }
-        Reach { tables }
+        starts.push(successors.len() as u32);
+        let mut reach = Reach {
+            tables,
+            starts,
+            successors,
+            fu_index,
+            fus: fus.len(),
+            pairs: Vec::with_capacity(fus.len() * fus.len()),
+        };
+        for &src in &fus {
+            for &dst in &fus {
+                let pair = reach.first_hops_of(src, dst);
+                reach.pairs.push(pair);
+            }
+        }
+        reach
+    }
+
+    /// Derives the [`FirstHops`] of `src` into `dst` from `dst`'s table.
+    fn first_hops_of(&self, src: ResourceId, dst: ResourceId) -> FirstHops {
+        let table = &self.tables[dst.0 as usize];
+        let hops = self.successors(src.0);
+        let always = hops
+            .iter()
+            .map(|&(to, latency)| latency.saturating_add(table.lat[to as usize].0))
+            .min()
+            .unwrap_or(NEVER);
+        let mut exact = 0u64;
+        for &(to, latency) in hops {
+            let exactly = table.exactly(to);
+            let budget = latency.saturating_add(exactly);
+            if exactly == NEVER || budget >= always {
+                continue;
+            }
+            assert!(
+                budget < u64::BITS,
+                "a first hop reaches {dst} in exactly {budget} cycles"
+            );
+            exact |= 1 << budget;
+        }
+        FirstHops { always, exact }
     }
 
     /// The table of destination `dst`, which must be a functional unit of
@@ -370,6 +457,29 @@ impl Reach {
     fn table(&self, arch: &Architecture, dst: ResourceId) -> &ReachTable {
         debug_assert_eq!(self.tables.len(), arch.resources().len(), "another fabric");
         &self.tables[dst.0 as usize]
+    }
+
+    /// The `(switch, latency)` out-links of `resource`, in link order.
+    #[inline]
+    fn successors(&self, resource: u32) -> &[(u32, u32)] {
+        let r = resource as usize;
+        &self.successors[self.starts[r] as usize..self.starts[r + 1] as usize]
+    }
+
+    /// The structural test of `request`: whether its budget is positive and
+    /// a switch path of exactly that many cycles leaves the producer's FU
+    /// for the consumer's. `false` means every search of the request returns
+    /// `None` before its first occupancy probe. It reads one table entry and
+    /// probes nothing, so the placement layer runs it before the occupancy
+    /// test and a structurally dead candidate records nothing in the
+    /// capacity certificate.
+    pub(crate) fn structurally_open(&self, request: &RouteRequest) -> bool {
+        let Some(budget) = request.budget() else {
+            return false;
+        };
+        let src = self.fu_index[request.src_fu.0 as usize] as usize;
+        let dst = self.fu_index[request.dst_fu.0 as usize] as usize;
+        self.pairs[src * self.fus + dst].open(budget)
     }
 }
 
@@ -396,17 +506,17 @@ pub fn find_route_in(
     // Cells from which the destination is unreachable in exactly the
     // remaining cycles are dead: skip them before probing occupancy. See
     // [`ReachTable`] for why this cannot change the returned route.
-    let reach = reach.table(arch, request.dst_fu);
+    let table = reach.table(arch, request.dst_fu);
     scratch.begin(n * width);
 
     // Seed: leave the source FU along each open first hop.
-    for (to, elapsed, cost) in first_hops(arch, state, request, policy, reach, budget) {
-        let idx = index(to.0, elapsed);
+    for (to, elapsed, cost) in first_hops(reach, state, request, policy, table, budget) {
+        let idx = index(to, elapsed);
         if cost < scratch.best(idx) {
             scratch.set(idx, cost, NO_PARENT);
             scratch.heap.push(QueueEntry {
                 cost,
-                resource: to.0,
+                resource: to,
                 elapsed,
             });
         }
@@ -417,38 +527,33 @@ pub fn find_route_in(
         if entry.cost > scratch.best(idx) {
             continue;
         }
-        let here = ResourceId(entry.resource);
-        // Try to finish: a link into the destination FU landing exactly on the
-        // arrival cycle.
-        if let Some(link) = arch.out_links(here).find(|l| l.to == request.dst_fu) {
-            if entry.elapsed + link.latency == budget {
-                // Reconstruct the hop chain.
-                let mut hops = Vec::new();
-                let mut cursor = (entry.resource, entry.elapsed);
-                while cursor != NO_PARENT {
-                    let (r, e) = cursor;
-                    hops.push(RouteHop {
-                        resource: ResourceId(r),
-                        cycle: request.src_cycle + e,
-                    });
-                    cursor = scratch.parent(index(r, e));
-                }
-                hops.reverse();
-                return Some((Route { hops }, entry.cost));
+        // Try to finish: the link into the destination FU, whose latency
+        // the table stores, lands exactly on the arrival cycle. Queued
+        // cells never overrun the budget.
+        if table.exactly(entry.resource) == budget - entry.elapsed {
+            // Reconstruct the hop chain.
+            let mut hops = Vec::new();
+            let mut cursor = (entry.resource, entry.elapsed);
+            while cursor != NO_PARENT {
+                let (r, e) = cursor;
+                hops.push(RouteHop {
+                    resource: ResourceId(r),
+                    cycle: request.src_cycle + e,
+                });
+                cursor = scratch.parent(index(r, e));
             }
+            hops.reverse();
+            return Some((Route { hops }, entry.cost));
         }
         // Expand.
-        for link in arch.out_links(here) {
-            if arch.resource(link.to).kind.is_func_unit() {
-                continue;
-            }
-            let elapsed = entry.elapsed + link.latency;
-            if elapsed > budget || !reach.alive(link.to.0, budget - elapsed) {
+        for &(to, latency) in reach.successors(entry.resource) {
+            let elapsed = entry.elapsed + latency;
+            if elapsed > budget || !table.alive(to, budget - elapsed) {
                 continue;
             }
             let slot = state.slot(request.src_cycle + elapsed);
             let Some(hop_cost) = policy
-                .hop_cost(state, link.to, slot, request.value)
+                .hop_cost(state, ResourceId(to), slot, request.value)
                 .and_then(finite_or_reject)
             else {
                 continue;
@@ -457,12 +562,12 @@ pub fn find_route_in(
             // holds have latency 1), so progress is guaranteed; still, avoid
             // re-visiting the same (resource, elapsed) at higher cost.
             let cost = entry.cost + hop_cost;
-            let nidx = index(link.to.0, elapsed);
+            let nidx = index(to, elapsed);
             if cost < scratch.best(nidx) {
                 scratch.set(nidx, cost, (entry.resource, entry.elapsed));
                 scratch.heap.push(QueueEntry {
                     cost,
-                    resource: link.to.0,
+                    resource: to,
                     elapsed,
                 });
             }
@@ -472,43 +577,40 @@ pub fn find_route_in(
 }
 
 /// The open first hops of `request`'s route, in link order: each switch
-/// leaving the producer's FU that is alive for the budget in `reach` and
+/// leaving the producer's FU that is alive for the budget in `table` and
 /// that `policy` admits, with its elapsed cycles and hop cost. This is the
 /// one definition of a first hop: the search seeds from it and
 /// [`first_hop_open`] asks whether it is empty. The iterator is lazy, so
 /// each hop's occupancy is probed, and recorded in the capacity
 /// certificate, only when the iterator reaches it.
 fn first_hops<'a>(
-    arch: &'a Architecture,
+    reach: &'a Reach,
     state: &'a RoutingState,
     request: &'a RouteRequest,
     policy: &'a impl CostPolicy,
-    reach: &'a ReachTable,
+    table: &'a ReachTable,
     budget: u32,
-) -> impl Iterator<Item = (ResourceId, u32, f64)> + 'a {
-    arch.out_links(request.src_fu).filter_map(move |link| {
-        // A route may only end at the destination FU, and entering it is
-        // handled at pop time in the search; other FUs are not usable as
-        // vias.
-        if arch.resource(link.to).kind.is_func_unit() {
-            return None;
-        }
-        let elapsed = link.latency;
-        if elapsed > budget || !reach.alive(link.to.0, budget - elapsed) {
-            return None;
-        }
-        let slot = state.slot(request.src_cycle + elapsed);
-        let cost = policy
-            .hop_cost(state, link.to, slot, request.value)
-            .and_then(finite_or_reject)?;
-        Some((link.to, elapsed, cost))
-    })
+) -> impl Iterator<Item = (u32, u32, f64)> + 'a {
+    // A route may only end at the destination FU, and entering it is
+    // handled at pop time in the search; the successor lists hold no FUs.
+    reach
+        .successors(request.src_fu.0)
+        .iter()
+        .filter_map(move |&(to, elapsed)| {
+            if elapsed > budget || !table.alive(to, budget - elapsed) {
+                return None;
+            }
+            let slot = state.slot(request.src_cycle + elapsed);
+            let cost = policy
+                .hop_cost(state, ResourceId(to), slot, request.value)
+                .and_then(finite_or_reject)?;
+            Some((to, elapsed, cost))
+        })
 }
 
-/// Whether `request` has at least one open first hop (see [`first_hops`]).
-/// `false` means [`find_route_in`] would return `None` after probing
-/// exactly the first hops probed here. Under [`AnyHop`] this is the
-/// structural test, which probes nothing.
+/// Whether `request` has at least one open first hop under `policy` (see
+/// [`first_hops`]). `false` means [`find_route_in`] would return `None`
+/// after probing exactly the first hops probed here.
 ///
 /// Under [`HardCapacityCost`] a `false` answer also holds for every later
 /// state that only adds placements and routes. A switch cell that refuses
@@ -526,8 +628,8 @@ pub(crate) fn first_hop_open(
     let Some(budget) = request.budget() else {
         return false;
     };
-    let reach = reach.table(arch, request.dst_fu);
-    first_hops(arch, state, request, policy, reach, budget)
+    let table = reach.table(arch, request.dst_fu);
+    first_hops(reach, state, request, policy, table, budget)
         .next()
         .is_some()
 }
@@ -830,7 +932,7 @@ mod tests {
     #[test]
     fn structurally_dead_requests_fail_without_probing_occupancy() {
         // The premise of pruning placement candidates before routing: when
-        // `first_hop_open` under `AnyHop` says an edge is dead, the search
+        // `Reach::structurally_open` says an edge is dead, the search
         // returns `None` and records nothing in the capacity certificate, so
         // skipping it changes neither the result nor any later decision.
         use crate::state::CapacityCert;
@@ -862,9 +964,9 @@ mod tests {
                             value: NodeId(src.0),
                         };
                         let (need, ceil) = (cert.need(), cert.ceil());
-                        let open = first_hop_open(&arch, &reach, &state, &request, &AnyHop);
-                        assert_eq!(cert.need(), need, "{}: AnyHop probed", arch.name());
-                        assert_eq!(cert.ceil(), ceil, "{}: AnyHop probed", arch.name());
+                        let open = reach.structurally_open(&request);
+                        assert_eq!(cert.need(), need, "{}: the table probed", arch.name());
+                        assert_eq!(cert.ceil(), ceil, "{}: the table probed", arch.name());
                         if open {
                             live += 1;
                             continue;
@@ -946,7 +1048,7 @@ mod tests {
                                     open += 1;
                                     continue;
                                 }
-                                if first_hop_open(&arch, &reach, &state, &request, &AnyHop) {
+                                if reach.structurally_open(&request) {
                                     closed_by_occupancy += 1;
                                 }
                                 let (need, ceil) = (cert.need(), cert.ceil());
@@ -1181,5 +1283,116 @@ mod tests {
             }
         }
         assert!(cells > 1_000_000, "{cells} cells compared");
+    }
+
+    /// The structural test as a scan of the producer's links, which
+    /// [`Reach::structurally_open`]'s per-pair table replaced: some switch
+    /// leaving the source FU, entered within the budget, is alive for the
+    /// rest of it.
+    fn scanned_open(arch: &Architecture, reach: &Reach, request: &RouteRequest) -> bool {
+        let Some(budget) = request.budget() else {
+            return false;
+        };
+        let table = reach.table(arch, request.dst_fu);
+        arch.out_links(request.src_fu).any(|link| {
+            !arch.resource(link.to).kind.is_func_unit()
+                && link.latency <= budget
+                && table.alive(link.to.0, budget - link.latency)
+        })
+    }
+
+    /// Two FUs joined by a non-holding bypass (one cycle) and by a mesh
+    /// path through two holding routers (two cycles or more), so the bypass
+    /// opens a budget below the always-open one. The shipped fabrics' first
+    /// hops never do: their always-open budget already covers every exact
+    /// one.
+    fn bypass_pair() -> Architecture {
+        use plaid_arch::architecture::ArchBuilder;
+        use plaid_arch::{ArchClass, ArchParams, FuCaps, Position};
+        let mut b = ArchBuilder::new(
+            "bypass-pair",
+            ArchClass::SpatioTemporal,
+            ArchParams::baseline(1, 2),
+        );
+        let t0 = b.add_tile(Position { x: 0, y: 0 });
+        let t1 = b.add_tile(Position { x: 1, y: 0 });
+        let fu0 = b.add_func_unit(t0, "fu0", FuCaps::ALSU);
+        let fu1 = b.add_func_unit(t1, "fu1", FuCaps::ALSU);
+        let bypass = b.add_switch(t0, "bypass", 1);
+        let r0 = b.add_switch(t0, "r0", 2);
+        let r1 = b.add_switch(t1, "r1", 2);
+        b.link(fu0, bypass, 0);
+        b.link(bypass, fu1, 1);
+        b.link(fu0, r0, 0);
+        b.bidirectional(r0, r1, 1);
+        b.link(r0, r0, 1);
+        b.link(r1, r1, 1);
+        b.link(r1, fu1, 1);
+        b.link(fu1, r1, 0);
+        b.link(r0, fu0, 0);
+        b.build()
+    }
+
+    #[test]
+    fn first_hop_table_matches_the_link_scan() {
+        use plaid_arch::{specialize, BwClass, SpaceSpec, Topology};
+        let grid = SpaceSpec::default_grid();
+        let topologies = grid.clone().with_comm_grid(
+            &[
+                Topology::Torus,
+                Topology::Express { stride: 2 },
+                Topology::Express { stride: 3 },
+            ],
+            &[BwClass::Base],
+        );
+        let archs = grid
+            .enumerate()
+            .into_iter()
+            .chain(topologies.enumerate())
+            .map(|point| point.build())
+            .chain([specialize::plaid_ml_2x2(), bypass_pair()]);
+        let (mut checked, mut open, mut exact_only) = (0usize, 0usize, 0usize);
+        for arch in archs {
+            let reach = Reach::of(&arch);
+            let fus: Vec<ResourceId> = arch.functional_units().map(|r| r.id).collect();
+            let horizon = 2 * arch.params().max_ii() + 4;
+            for &src in &fus {
+                for &dst in &fus {
+                    let pair = reach.pairs[reach.fu_index[src.0 as usize] as usize * reach.fus
+                        + reach.fu_index[dst.0 as usize] as usize];
+                    // Every exact budget a first hop offers below the
+                    // always-open one has its bit.
+                    let table = reach.table(&arch, dst);
+                    for &(to, latency) in reach.successors(src.0) {
+                        let budget = latency.saturating_add(table.exactly(to));
+                        if budget < pair.always {
+                            assert!(budget < u64::BITS, "{}: {budget}", arch.name());
+                            assert_eq!(pair.exact >> budget & 1, 1, "{}", arch.name());
+                        }
+                    }
+                    for budget in 0..=horizon {
+                        let request = RouteRequest {
+                            src_fu: src,
+                            src_cycle: 3,
+                            dst_fu: dst,
+                            arrival_cycle: 3 + budget,
+                            value: NodeId(0),
+                        };
+                        let scanned = scanned_open(&arch, &reach, &request);
+                        assert_eq!(
+                            reach.structurally_open(&request),
+                            scanned,
+                            "{}: {src} -> {dst} in {budget} cycles",
+                            arch.name()
+                        );
+                        checked += 1;
+                        open += usize::from(scanned);
+                        exact_only += usize::from(scanned && budget < pair.always);
+                    }
+                }
+            }
+        }
+        assert!(open > 0 && open < checked, "{open} of {checked} open");
+        assert!(exact_only > 0, "no budget opens through an exact hop alone");
     }
 }

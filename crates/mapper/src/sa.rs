@@ -16,7 +16,7 @@ use plaid_dfg::{Dfg, NodeId};
 use crate::error::MapError;
 use crate::mapping::{Mapping, Placement};
 use crate::placement::{greedy_place, LadderShared, MapState};
-use crate::route::{AnyHop, HardCapacityCost};
+use crate::route::HardCapacityCost;
 use crate::state::CapacityCert;
 
 use crate::seed::{map_seeded, LadderSearch, MapSeed, SeededMapping};
@@ -29,13 +29,20 @@ use crate::Mapper;
 const MOVE_SAMPLES: usize = 6;
 
 /// Draws up to [`MOVE_SAMPLES`] uniform indices over the full candidate list
-/// and returns them in draw order. Every candidate is reachable, unlike the
-/// historical `candidates[rng.gen_range(0..candidates.len().min(6))]`, which
-/// could only ever select the first six entries.
-fn sample_move_candidates(rng: &mut SmallRng, len: usize) -> Vec<usize> {
-    (0..MOVE_SAMPLES.min(len))
-        .map(|_| rng.gen_range(0..len))
-        .collect()
+/// into `samples` and returns them in draw order. Every candidate is
+/// reachable, unlike the historical
+/// `candidates[rng.gen_range(0..candidates.len().min(6))]`, which could only
+/// ever select the first six entries.
+fn sample_move_candidates<'s>(
+    rng: &mut SmallRng,
+    len: usize,
+    samples: &'s mut [usize; MOVE_SAMPLES],
+) -> &'s [usize] {
+    let drawn = &mut samples[..MOVE_SAMPLES.min(len)];
+    for idx in drawn.iter_mut() {
+        *idx = rng.gen_range(0..len);
+    }
+    drawn
 }
 
 /// Derives the per-II RNG. Each II attempt gets an independent stream that
@@ -100,6 +107,7 @@ impl SaMapper {
         let mut temperature = INITIAL_TEMPERATURE;
         let mut best_cost = state.cost();
         let nodes: Vec<NodeId> = dfg.node_ids().collect();
+        let mut samples = [0; MOVE_SAMPLES];
         for _ in 0..MOVES_PER_II {
             if state.is_complete() {
                 return Some(state);
@@ -112,10 +120,11 @@ impl SaMapper {
             state.unplace(node);
             let candidates = state.candidate_fus(node);
             let base = state.earliest_cycle(node);
-            // No candidates means no samples, and no draws.
-            let pick = sample_move_candidates(rng, candidates.len())
-                .into_iter()
-                .map(|idx| (candidates[idx], base + rng.gen_range(0..ii)))
+            // No candidates means no samples, and no draws. Every index is
+            // drawn before the first cycle; cycles are drawn lazily.
+            let pick = sample_move_candidates(rng, candidates.len(), &mut samples)
+                .iter()
+                .map(|&idx| (candidates[idx], base + rng.gen_range(0..ii)))
                 .find(|&(fu, cycle)| state.can_place(node, fu, cycle));
             state.recycle_candidates(candidates);
             let Some((fu, cycle)) = pick else {
@@ -171,7 +180,7 @@ fn place_anywhere(state: &mut MapState<'_>, node: NodeId) -> bool {
                 continue;
             }
             let at = [(node, Placement { fu, cycle })];
-            if state.first_hops_open(dfg.incident(node), &at, &AnyHop) {
+            if state.structurally_open(dfg.incident(node), &at) {
                 state.place(node, fu, cycle);
                 return true;
             }
@@ -323,10 +332,11 @@ mod tests {
         // list — on an 8x8 fabric that bars annealing from most of the
         // array. The fixed sampler draws indices over the full list.
         let mut rng = SmallRng::seed_from_u64(0x5EED_0001);
+        let mut samples = [0; MOVE_SAMPLES];
         let len = 64; // an 8x8 fabric's candidate list
         let mut seen = vec![false; len];
         for _ in 0..400 {
-            for idx in sample_move_candidates(&mut rng, len) {
+            for &idx in sample_move_candidates(&mut rng, len, &mut samples) {
                 assert!(idx < len);
                 seen[idx] = true;
             }
@@ -338,11 +348,12 @@ mod tests {
         );
         // Short lists still sample within bounds.
         for _ in 0..50 {
-            for idx in sample_move_candidates(&mut rng, 3) {
-                assert!(idx < 3);
-            }
+            let drawn = sample_move_candidates(&mut rng, 3, &mut samples);
+            assert_eq!(drawn.len(), 3);
+            assert!(drawn.iter().all(|&idx| idx < 3));
         }
-        assert!(sample_move_candidates(&mut rng, 1).iter().all(|&i| i == 0));
+        assert_eq!(sample_move_candidates(&mut rng, 1, &mut samples), &[0]);
+        assert!(sample_move_candidates(&mut rng, 0, &mut samples).is_empty());
     }
 
     #[test]

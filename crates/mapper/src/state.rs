@@ -45,19 +45,24 @@ use plaid_dfg::NodeId;
 ///
 /// Only the probes a search actually makes are recorded. Placement
 /// candidates rejected as structurally dead (`MapState::try_place`'s
-/// first-hop test under the occupancy-blind `AnyHop` policy) probe no
-/// switch, so the certificate of a pruning search is looser than or equal
-/// to that of a search that tried them: `need` can only fall and `ceil`
-/// only rise. It is sound for the same reason as above: every decision the
+/// structural test, one read of the ladder's per-FU-pair first-hop table)
+/// probe no switch, so the certificate of a pruning search is looser than
+/// or equal to that of a search that tried them: `need` can only fall and
+/// `ceil` only rise. It is sound for the same reason as above: every decision the
 /// search makes depends only on the answers it recorded. A tighter
 /// certificate persisted by a search that did not prune describes the same
 /// mappings and stays valid, so pruning needs no cache-key change.
 ///
-/// The occupancy pre-check (the same test under the heuristic's policy)
-/// probes through the same `hop_cost` path as the route search, so its
-/// probes are recorded like any other. It runs as a second pass after the
-/// structural one, so a candidate it rejects records only the first hops
-/// it probed, up to the first edge found closed, and no search.
+/// The occupancy pre-check (the router's first hops under the heuristic's
+/// policy) probes through the same `hop_cost` path as the route search, so
+/// its probes are recorded like any other. It runs as a second pass after
+/// the structural one, so a candidate it rejects records only the first
+/// hops it probed, up to the first edge found closed, and no search.
+///
+/// A search may also skip work whose probes it has already recorded: the
+/// Plaid repair loop skips a re-placement it has already run on the same
+/// state. Repeating a probe can only repeat its answer, and `need` and
+/// `ceil` are a maximum and a minimum, so the skip leaves them as they are.
 #[derive(Debug, Default)]
 pub struct CapacityCert {
     need: Vec<AtomicU32>,
