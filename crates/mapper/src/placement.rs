@@ -94,7 +94,7 @@ enum JournalOp {
 }
 
 impl JournalOp {
-    /// The node or edge the entry is about.
+    /// The node or edge the entry is about, as `(is_node, id)`.
     fn subject(&self) -> (bool, u32) {
         match self {
             JournalOp::Placed(n) | JournalOp::Unplaced(n, _) => (true, n.0),
@@ -246,6 +246,10 @@ impl<'a> MapState<'a> {
     /// value, and a `Placed` or `Routed` entry means there was none.
     /// Occupancy and the cost aggregates follow from placements and routes,
     /// so `true` means the transaction changed nothing a search reads.
+    ///
+    /// Each entry is compared with the ones before it. A repair
+    /// transaction's journal holds about eight entries on average, so the
+    /// quadratic scan needs no per-subject table.
     pub(crate) fn txn_is_identity(&self) -> bool {
         debug_assert!(self.in_txn, "txn_is_identity without begin_txn");
         self.journal.iter().enumerate().all(|(i, op)| {

@@ -334,11 +334,12 @@ impl ReachTable {
 /// is set.
 ///
 /// Each first hop is a switch `s` entered `latency` cycles after the
-/// producer, after which `s` reaches the destination in exactly `at_least(s)
-/// + k` cycles for every `k`, and in `exactly(s)` cycles ([`ReachTable`]).
-/// So the hop opens every budget from `latency + at_least(s)` on, plus the
-/// one budget `latency + exactly(s)`. `always` is the smallest of the
-/// former over the source's first hops; `exact` holds the latter below it.
+/// producer. From there `s` reaches the destination in `at_least(s)` cycles
+/// or any number more, and in `exactly(s)` cycles ([`ReachTable`]). So the
+/// hop opens every budget from `latency + at_least(s)` on, plus the one
+/// budget `latency + exactly(s)`. `always` is the smallest of the former
+/// over the source's first hops; `exact` holds the latter below it. Budget
+/// 0 never routes, and callers reject it first ([`RouteRequest::budget`]).
 #[derive(Debug, Clone, Copy)]
 struct FirstHops {
     always: u32,
