@@ -8,11 +8,12 @@
 //! `FIGURES.txt`.
 
 use plaid_arch::Architecture;
-use plaid_motif::{identify_motifs, IdentifyOptions};
 use plaid_sim::cost::CostModel;
 use plaid_workloads::{dnn_applications, table2_workloads, Workload};
 
-use crate::pipeline::{compile_workload, ArchChoice, CompiledWorkload, MapperChoice};
+use crate::pipeline::{
+    compile_workload, ArchChoice, CompiledWorkload, MapperChoice, PreparedWorkload,
+};
 use crate::report::{geomean, ratio, render_table};
 
 /// Selects how many of the 30 workloads an experiment runs over (useful to
@@ -89,18 +90,28 @@ impl Coverage {
         }
     }
 
-    fn drop_workload(&mut self, workload: &Workload, reason: DropReason) {
+    fn drop_workload(&mut self, workload: &str, reason: DropReason) {
         self.dropped.push(Dropped {
-            workload: workload.name.clone(),
+            workload: workload.to_string(),
             reason,
         });
+    }
+
+    /// Prepares `workload` for its compiles. If lowering fails, records the
+    /// drop and returns `None`.
+    fn prepare(&mut self, workload: &Workload) -> Option<PreparedWorkload> {
+        let prepared = PreparedWorkload::new(workload).ok();
+        if prepared.is_none() {
+            self.drop_workload(&workload.name, DropReason::Lowering);
+        }
+        prepared
     }
 
     /// Compiles `workload` for each target. If any compile fails, records
     /// the drop, naming every target that failed, and returns `None`.
     fn compile<const N: usize>(
         &mut self,
-        workload: &Workload,
+        workload: &PreparedWorkload,
         targets: [(ArchChoice, &Architecture, MapperChoice); N],
     ) -> Option<[CompiledWorkload; N]> {
         let results = targets.map(|(choice, arch, mapper)| {
@@ -116,7 +127,7 @@ impl Coverage {
             .map(|&(choice, mapper, _)| (choice, mapper))
             .collect();
         if !failed.is_empty() {
-            self.drop_workload(workload, DropReason::Compile(failed));
+            self.drop_workload(workload.name(), DropReason::Compile(failed));
             return None;
         }
         Some(results.map(|(.., result)| result.expect("every target compiled")))
@@ -348,8 +359,11 @@ pub fn architecture_comparison(scope: ExperimentScope) -> ComparisonResult {
     let mut rows = Vec::new();
     let mut coverage = Coverage::over(workloads.len());
     for workload in &workloads {
+        let Some(prepared) = coverage.prepare(workload) else {
+            continue;
+        };
         let Some([st, sp, pl]) = coverage.compile(
-            workload,
+            &prepared,
             [
                 (ArchChoice::SpatioTemporal4x4, &st_arch, MapperChoice::Sa),
                 (ArchChoice::Spatial4x4, &spatial_arch, MapperChoice::Spatial),
@@ -448,12 +462,10 @@ pub fn table2_characteristics(scope: ExperimentScope) -> (Coverage, String) {
     let mut rows = Vec::new();
     let mut coverage = Coverage::over(workloads.len());
     for workload in &workloads {
-        let Ok(dfg) = workload.lower() else {
-            coverage.drop_workload(workload, DropReason::Lowering);
+        let Some(prepared) = coverage.prepare(workload) else {
             continue;
         };
-        let hdfg = identify_motifs(&dfg, &IdentifyOptions::default());
-        let stats = plaid_motif::coverage(&dfg, &hdfg);
+        let stats = prepared.coverage();
         rows.push(vec![
             workload.name.clone(),
             workload.domain.label().to_string(),
@@ -493,10 +505,13 @@ pub fn mapper_comparison(scope: ExperimentScope) -> (Vec<MapperRow>, Coverage, S
     let mut rows = Vec::new();
     let mut coverage = Coverage::over(workloads.len());
     for workload in &workloads {
-        let pf = compile_workload(workload, &arch, MapperChoice::PathFinder, None);
-        let sa = compile_workload(workload, &arch, MapperChoice::Sa, None);
+        let Some(prepared) = coverage.prepare(workload) else {
+            continue;
+        };
+        let pf = compile_workload(&prepared, &arch, MapperChoice::PathFinder, None);
+        let sa = compile_workload(&prepared, &arch, MapperChoice::Sa, None);
         let Some([pl]) = coverage.compile(
-            workload,
+            &prepared,
             [(ArchChoice::Plaid2x2, &arch, MapperChoice::Plaid)],
         ) else {
             continue;
@@ -569,18 +584,17 @@ pub fn scalability(scope: ExperimentScope) -> (Vec<ScalabilityRow>, Coverage, St
     let mut rows = Vec::new();
     let mut coverage = Coverage::over(workloads.len());
     for workload in &workloads {
-        let Ok(dfg) = workload.lower() else {
-            coverage.drop_workload(workload, DropReason::Lowering);
+        let Some(prepared) = coverage.prepare(workload) else {
             continue;
         };
-        let res = plaid_mapper::res_mii(&dfg, &small_arch);
-        let rec = plaid_mapper::rec_mii(&dfg);
+        let res = plaid_mapper::res_mii(prepared.dfg(), &small_arch);
+        let rec = plaid_mapper::rec_mii(prepared.dfg());
         if rec >= res {
-            coverage.drop_workload(workload, DropReason::RecurrenceBound);
+            coverage.drop_workload(&workload.name, DropReason::RecurrenceBound);
             continue;
         }
         let Some([small, large]) = coverage.compile(
-            workload,
+            &prepared,
             [
                 (ArchChoice::Plaid2x2, &small_arch, MapperChoice::Plaid),
                 (ArchChoice::Plaid3x3, &large_arch, MapperChoice::Plaid),
@@ -657,8 +671,11 @@ pub fn dnn_comparison() -> (Vec<DnnRow>, String) {
                 kernel: layer.kernel.clone(),
                 unroll: layer.unroll,
             };
+            let Some(prepared) = coverage.prepare(&workload) else {
+                continue;
+            };
             let Some([sp, pl]) = coverage.compile(
-                &workload,
+                &prepared,
                 [
                     (ArchChoice::Spatial4x4, &spatial_arch, MapperChoice::Spatial),
                     (ArchChoice::Plaid2x2, &plaid_arch, MapperChoice::Plaid),
@@ -730,9 +747,13 @@ pub struct SpecializationRow {
 /// rendering.
 pub fn domain_specialization() -> (Vec<SpecializationRow>, String) {
     let model = CostModel::default();
-    let ml_workloads: Vec<Workload> = table2_workloads()
+    let ml_workloads: Vec<(Workload, Option<PreparedWorkload>)> = table2_workloads()
         .into_iter()
         .filter(|w| w.domain == plaid_workloads::Domain::MachineLearning)
+        .map(|w| {
+            let prepared = PreparedWorkload::new(&w).ok();
+            (w, prepared)
+        })
         .collect();
     let configs = [
         (ArchChoice::SpatioTemporal4x4, MapperChoice::Sa, "ST"),
@@ -745,8 +766,12 @@ pub fn domain_specialization() -> (Vec<SpecializationRow>, String) {
         let arch = arch_choice.build();
         let mut cycles = 0u64;
         let mut coverage = Coverage::over(ml_workloads.len());
-        for w in &ml_workloads {
-            if let Some([c]) = coverage.compile(w, [(arch_choice, &arch, mapper)]) {
+        for (w, prepared) in &ml_workloads {
+            let Some(prepared) = prepared else {
+                coverage.drop_workload(&w.name, DropReason::Lowering);
+                continue;
+            };
+            if let Some([c]) = coverage.compile(prepared, [(arch_choice, &arch, mapper)]) {
                 cycles += c.metrics.cycles;
             }
         }

@@ -32,6 +32,6 @@ pub mod pipeline;
 pub mod report;
 
 pub use pipeline::{
-    compile_workload, default_mapper_for, ArchChoice, CompileSummary, CompiledWorkload,
-    MapperChoice, PipelineError,
+    compile_workload, default_mapper_for, ArchChoice, Compilable, CompileSummary, CompiledWorkload,
+    MapperChoice, PipelineError, PreparedWorkload,
 };

@@ -6,8 +6,15 @@
 //! enumerated design point) and takes an optional [`MapSeed`] hint, which
 //! lets a sweep replay or floor a point's II ladder without changing its
 //! result.
+//!
+//! The fabric-independent stages (lowering, motif identification, coverage
+//! statistics) live in a [`PreparedWorkload`]. A caller compiling one
+//! workload onto many fabrics prepares it once and passes it to every
+//! compile; a plain [`Workload`] is prepared for the one call.
 
+use std::borrow::Cow;
 use std::fmt;
+use std::sync::Arc;
 
 use plaid_arch::{plaid, spatial, spatio_temporal, specialize, Architecture};
 use plaid_dfg::Dfg;
@@ -18,7 +25,7 @@ pub use plaid_mapper::{
 use plaid_mapper::{
     MapError, Mapping, PathFinderMapper, PlaidMapper, SaMapper, SpatialMapper, SpatialSchedule,
 };
-use plaid_motif::{coverage, identify_motifs, CoverageStats, IdentifyOptions};
+use plaid_motif::{coverage, identify_motifs, CoverageStats, HierarchicalDfg, IdentifyOptions};
 use plaid_sim::config::{generate_config, ConfigImage};
 use plaid_sim::cost::CostModel;
 use plaid_sim::metrics::EvalMetrics;
@@ -136,8 +143,8 @@ impl From<MapError> for PipelineError {
 pub struct CompiledWorkload {
     /// Workload name.
     pub name: String,
-    /// The lowered DFG.
-    pub dfg: Dfg,
+    /// The lowered DFG, shared with the [`PreparedWorkload`] it came from.
+    pub dfg: Arc<Dfg>,
     /// Motif coverage statistics (Table 2 columns).
     pub coverage: CoverageStats,
     /// The modulo-scheduled mapping (absent for spatial execution).
@@ -189,10 +196,92 @@ pub struct CompileSummary {
     pub seed: Option<PlacementSeed>,
 }
 
+/// A workload lowered and analysed once, ready to compile onto any number
+/// of fabrics: its DFG (whose fingerprint the graph memoises), the
+/// hierarchical DFG of motif identification, and the coverage statistics.
+/// None of it depends on the fabric.
+#[derive(Debug, Clone)]
+pub struct PreparedWorkload {
+    name: String,
+    dfg: Arc<Dfg>,
+    motifs: HierarchicalDfg,
+    coverage: CoverageStats,
+}
+
+impl PreparedWorkload {
+    /// Lowers `workload` and identifies its motifs.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PipelineError::Lowering`] if lowering fails.
+    pub fn new(workload: &Workload) -> Result<Self, PipelineError> {
+        let dfg = workload.lower()?;
+        let motifs = identify_motifs(&dfg, &IdentifyOptions::default());
+        let coverage = coverage(&dfg, &motifs);
+        Ok(PreparedWorkload {
+            name: workload.name.clone(),
+            dfg: Arc::new(dfg),
+            motifs,
+            coverage,
+        })
+    }
+
+    /// Workload name.
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// The lowered DFG.
+    pub fn dfg(&self) -> &Dfg {
+        &self.dfg
+    }
+
+    /// The DFG's fingerprint ([`dfg_fingerprint`]), hashed on the first
+    /// call.
+    pub fn fingerprint(&self) -> u64 {
+        self.dfg.fingerprint()
+    }
+
+    /// The hierarchical DFG of motif identification (Algorithm 1).
+    pub fn motifs(&self) -> &HierarchicalDfg {
+        &self.motifs
+    }
+
+    /// Motif coverage statistics (Table 2 columns).
+    pub fn coverage(&self) -> &CoverageStats {
+        &self.coverage
+    }
+}
+
+/// What [`compile_workload`] compiles: a [`PreparedWorkload`], or a
+/// [`Workload`], which is prepared for the one call.
+pub trait Compilable {
+    /// The prepared workload, borrowed or freshly built.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PipelineError::Lowering`] if preparing fails.
+    fn prepared(&self) -> Result<Cow<'_, PreparedWorkload>, PipelineError>;
+}
+
+impl Compilable for PreparedWorkload {
+    fn prepared(&self) -> Result<Cow<'_, PreparedWorkload>, PipelineError> {
+        Ok(Cow::Borrowed(self))
+    }
+}
+
+impl Compilable for Workload {
+    fn prepared(&self) -> Result<Cow<'_, PreparedWorkload>, PipelineError> {
+        PreparedWorkload::new(self).map(Cow::Owned)
+    }
+}
+
 /// Compiles `workload` onto `arch` with `mapper_choice` and evaluates it
 /// with the default cost model. Callers holding an [`ArchChoice`] pass
 /// `&choice.build()`; design-space sweeps pass enumerated points (see
-/// [`plaid_arch::enumerate::SpaceSpec`]).
+/// [`plaid_arch::enumerate::SpaceSpec`]). `workload` is a
+/// [`PreparedWorkload`], which many compiles share, or a [`Workload`],
+/// which this call prepares.
 ///
 /// `hint` threads seed information into the mapper: a canonical seed whose
 /// result provably transfers to `arch` replays exactly, and a
@@ -201,33 +290,33 @@ pub struct CompileSummary {
 /// own [`PlacementSeed`] (via [`CompiledWorkload::summary`]) so sweeps can
 /// chain seeds across neighbouring design points.
 ///
-/// Takes only `&` references to plain data and allocates everything it needs
-/// per call, so it is safe to invoke concurrently from many threads.
+/// Takes only `&` references and never writes to a prepared workload
+/// except its DFG's thread-safe fingerprint memo, so many threads may
+/// compile one prepared workload onto different fabrics at once.
 ///
 /// # Errors
 ///
 /// Returns a [`PipelineError`] if lowering, mapping or configuration
 /// generation fails.
-pub fn compile_workload(
-    workload: &Workload,
+pub fn compile_workload<W: Compilable>(
+    workload: &W,
     arch: &Architecture,
     mapper_choice: MapperChoice,
     hint: Option<&MapSeed>,
 ) -> Result<CompiledWorkload, PipelineError> {
     let model = CostModel::default();
-    let dfg = workload.lower()?;
-    let hdfg = identify_motifs(&dfg, &IdentifyOptions::default());
-    let stats = coverage(&dfg, &hdfg);
+    let prepared = workload.prepared()?;
+    let dfg = prepared.dfg();
     let iterations = dfg.total_iterations();
 
     if mapper_choice == MapperChoice::Spatial {
         let schedule = SpatialMapper::default()
-            .map_spatial(&dfg, arch)
+            .map_spatial(dfg, arch)
             .map_err(PipelineError::Mapping)?;
         let cycles = schedule.total_cycles(iterations);
         let ii = schedule.partitions.iter().map(|p| p.ii).max().unwrap_or(1);
         let metrics = EvalMetrics::from_cycles(
-            workload.name.clone(),
+            prepared.name.clone(),
             mapper_choice.label(),
             arch,
             &model,
@@ -235,9 +324,9 @@ pub fn compile_workload(
             cycles,
         );
         return Ok(CompiledWorkload {
-            name: workload.name.clone(),
-            dfg,
-            coverage: stats,
+            name: prepared.name.clone(),
+            dfg: Arc::clone(&prepared.dfg),
+            coverage: prepared.coverage.clone(),
             mapping: None,
             spatial: Some(schedule),
             config: None,
@@ -248,9 +337,11 @@ pub fn compile_workload(
     }
 
     let seeded = match mapper_choice {
-        MapperChoice::Sa => SaMapper::default().map_with_seed(&dfg, arch, hint),
-        MapperChoice::PathFinder => PathFinderMapper::default().map_with_seed(&dfg, arch, hint),
-        MapperChoice::Plaid => PlaidMapper::default().map_with_seed(&dfg, arch, hint),
+        MapperChoice::Sa => SaMapper::default().map_with_seed(dfg, arch, hint),
+        MapperChoice::PathFinder => PathFinderMapper::default().map_with_seed(dfg, arch, hint),
+        MapperChoice::Plaid => {
+            PlaidMapper::default().map_with_motifs(dfg, prepared.motifs(), arch, hint)
+        }
         MapperChoice::Spatial => unreachable!("handled above"),
     }?;
     let SeededMapping {
@@ -258,10 +349,10 @@ pub fn compile_workload(
         outcome,
         seed,
     } = seeded;
-    let config = generate_config(&dfg, arch, &mapping).map_err(PipelineError::Config)?;
+    let config = generate_config(dfg, arch, &mapping).map_err(PipelineError::Config)?;
     let cycles = mapping.total_cycles(iterations);
     let metrics = EvalMetrics::from_cycles(
-        workload.name.clone(),
+        prepared.name.clone(),
         mapper_choice.label(),
         arch,
         &model,
@@ -269,9 +360,9 @@ pub fn compile_workload(
         cycles,
     );
     Ok(CompiledWorkload {
-        name: workload.name.clone(),
-        dfg,
-        coverage: stats,
+        name: prepared.name.clone(),
+        dfg: Arc::clone(&prepared.dfg),
+        coverage: prepared.coverage.clone(),
         mapping: Some(mapping),
         spatial: None,
         config: Some(config),

@@ -15,11 +15,17 @@
 //! are added, so "which edges touch node n" costs `O(degree)` rather than a
 //! scan of the edge list. Edges are append-only, so each list ascends by edge
 //! id: the order a scan of [`Dfg::edges`] filtered to the node would yield.
+//!
+//! [`Dfg::fingerprint`] is computed once and memoised. Every `&mut` method
+//! clears the memo (the node adders through [`Dfg::add_node`]), and
+//! equality ignores it.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::sync::OnceLock;
 
 use crate::error::DfgError;
+use crate::fnv::Fnv;
 use crate::kernel::AffineExpr;
 use crate::op::Op;
 
@@ -155,7 +161,7 @@ pub struct IterationDim {
 }
 
 /// A dataflow graph: the unit of mapping in the Plaid toolchain.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Dfg {
     name: String,
     nodes: Vec<DfgNode>,
@@ -170,6 +176,33 @@ pub struct Dfg {
     /// edges are added.
     data_edges: usize,
     iteration_space: Vec<IterationDim>,
+    /// Memo of [`Dfg::fingerprint`]; cleared by every `&mut` method.
+    fingerprint: OnceLock<u64>,
+}
+
+/// Content equality: the fingerprint memo is a cache, not content.
+impl PartialEq for Dfg {
+    fn eq(&self, other: &Self) -> bool {
+        let Dfg {
+            name,
+            nodes,
+            edges,
+            ins,
+            outs,
+            incident,
+            data_edges,
+            iteration_space,
+            fingerprint: _,
+        } = self;
+        *name == other.name
+            && *nodes == other.nodes
+            && *edges == other.edges
+            && *ins == other.ins
+            && *outs == other.outs
+            && *incident == other.incident
+            && *data_edges == other.data_edges
+            && *iteration_space == other.iteration_space
+    }
 }
 
 impl Dfg {
@@ -184,6 +217,7 @@ impl Dfg {
             incident: Vec::new(),
             data_edges: 0,
             iteration_space: Vec::new(),
+            fingerprint: OnceLock::new(),
         }
     }
 
@@ -194,6 +228,7 @@ impl Dfg {
 
     /// Renames the DFG (used when deriving unrolled variants).
     pub fn set_name(&mut self, name: impl Into<String>) {
+        self.fingerprint.take();
         self.name = name.into();
     }
 
@@ -204,6 +239,7 @@ impl Dfg {
 
     /// Sets the iteration space of the originating loop nest.
     pub fn set_iteration_space(&mut self, dims: Vec<IterationDim>) {
+        self.fingerprint.take();
         self.iteration_space = dims;
     }
 
@@ -219,6 +255,7 @@ impl Dfg {
 
     /// Adds a node with an arbitrary operation and returns its id.
     pub fn add_node(&mut self, name: impl Into<String>, op: Op) -> NodeId {
+        self.fingerprint.take();
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(DfgNode {
             id,
@@ -282,6 +319,7 @@ impl Dfg {
     /// The immediate supplies the `Rhs` slot of binary operations, mirroring
     /// the 8-bit constant fields in the PCU configuration word.
     pub fn set_immediate(&mut self, node: NodeId, value: i64) -> Result<(), DfgError> {
+        self.fingerprint.take();
         let n = self
             .nodes
             .get_mut(node.0 as usize)
@@ -304,6 +342,7 @@ impl Dfg {
         operand: Operand,
         kind: EdgeKind,
     ) -> Result<EdgeId, DfgError> {
+        self.fingerprint.take();
         if src.0 as usize >= self.nodes.len() {
             return Err(DfgError::UnknownNode(src.0));
         }
@@ -614,6 +653,38 @@ impl Dfg {
         !(edge.kind.is_recurrence() && dst.op.is_memory())
     }
 
+    /// Content hash of what a mapping of the graph depends on: node
+    /// operations (with immediates) and edge topology. Names and the
+    /// iteration space do not enter it. Computed on the first call and
+    /// memoised until the next `&mut` call.
+    pub fn fingerprint(&self) -> u64 {
+        *self.fingerprint.get_or_init(|| self.hash_content())
+    }
+
+    fn hash_content(&self) -> u64 {
+        let mut h = Fnv::new();
+        h.word(self.node_count() as u64);
+        h.word(self.edge_count() as u64);
+        for node in &self.nodes {
+            h.word(u64::from(node.id.0));
+            h.bytes(format!("{:?}", node.op).as_bytes());
+            match node.immediate {
+                Some(imm) => {
+                    h.word(1);
+                    h.word(imm as u64);
+                }
+                None => h.word(0),
+            }
+        }
+        for edge in &self.edges {
+            h.word(u64::from(edge.id.0));
+            h.word(u64::from(edge.src.0));
+            h.word(u64::from(edge.dst.0));
+            h.bytes(format!("{:?}/{:?}", edge.operand, edge.kind).as_bytes());
+        }
+        h.finish()
+    }
+
     /// Multiset of operations in the graph, useful for unrolling tests.
     pub fn op_histogram(&self) -> HashMap<Op, usize> {
         let mut hist = HashMap::new();
@@ -648,6 +719,53 @@ mod tests {
         let ld = dfg.add_load("ld", "x", AffineExpr::constant(0));
         dfg.add_edge(ld, a, Operand::Lhs, EdgeKind::Data).unwrap();
         (dfg, a, b, c, d)
+    }
+
+    #[test]
+    fn every_mutator_clears_the_fingerprint_memo() {
+        let (mut dfg, a, b, ..) = diamond();
+        let sink = dfg.add_compute_node("sink", Op::Add);
+        let mutators: [&dyn Fn(&mut Dfg); 8] = [
+            &|g| g.set_name("renamed"),
+            &|g| {
+                g.set_iteration_space(vec![IterationDim {
+                    name: "i".into(),
+                    trip_count: 4,
+                }])
+            },
+            &|g| {
+                g.add_node("n", Op::Add);
+            },
+            &|g| {
+                g.add_compute_node("c", Op::Mul);
+            },
+            &|g| {
+                g.add_load("ld2", "y", AffineExpr::constant(1));
+            },
+            &|g| {
+                g.add_store("st", "y", AffineExpr::constant(2));
+            },
+            &|g| g.set_immediate(a, 7).unwrap(),
+            &|g| {
+                g.add_edge(b, sink, Operand::Lhs, EdgeKind::Data).unwrap();
+            },
+        ];
+        for mutate in mutators {
+            let before = dfg.fingerprint();
+            assert_eq!(dfg.fingerprint.get(), Some(&before));
+            mutate(&mut dfg);
+            assert_eq!(dfg.fingerprint.get(), None, "a mutator left the memo set");
+            assert_eq!(dfg.fingerprint(), dfg.hash_content());
+        }
+    }
+
+    #[test]
+    fn equality_ignores_the_fingerprint_memo() {
+        let (dfg, ..) = diamond();
+        let unhashed = dfg.clone();
+        let fingerprint = dfg.fingerprint();
+        assert_eq!(dfg, unhashed);
+        assert_eq!(unhashed.fingerprint(), fingerprint);
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //! * [`interp`] — reference interpreters for both the kernel IR and the DFG,
 //!   used to functionally verify mappings produced further up the stack.
 //! * [`dot`] — Graphviz export for debugging and documentation.
+//! * [`fnv`] — the stable content hash behind [`Dfg::fingerprint`].
 //!
 //! # Example
 //!
@@ -45,6 +46,7 @@
 
 pub mod dot;
 pub mod error;
+pub mod fnv;
 pub mod graph;
 pub mod interp;
 pub mod kernel;

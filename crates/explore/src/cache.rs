@@ -549,7 +549,8 @@ mod tests {
         // `fu_ordinal` and the seed's `fu_count`: loading reads declared
         // fields only, so the stale extras are ignored.
         let p = spec_point("dwconv", CommSpec::ALIGNED);
-        let (record, _) = crate::sweep::evaluate_point(&p, &ResultCache::new(), None);
+        let (record, _) =
+            crate::sweep::evaluate_point(&p, &Default::default(), &ResultCache::new(), None);
         assert!(record.summary.as_ref().is_some_and(|s| s.seed.is_some()));
         let stale = serde_json::to_string(&record)
             .unwrap()

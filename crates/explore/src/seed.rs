@@ -330,8 +330,12 @@ mod tests {
     fn store_absorbs_successes_and_serves_depth_sibling_hints() {
         let store = SeedStore::new();
         let p16 = point(16, CommSpec::ALIGNED);
-        let (record, _) =
-            crate::sweep::evaluate_point(&p16, &crate::cache::ResultCache::new(), None);
+        let (record, _) = crate::sweep::evaluate_point(
+            &p16,
+            &Default::default(),
+            &crate::cache::ResultCache::new(),
+            None,
+        );
         assert!(record.ok, "dwconv maps on the 2x2 baseline");
         store.absorb(&p16, &record);
         assert_eq!(store.seed_count(), 1);
@@ -387,8 +391,12 @@ mod tests {
         };
         let store = SeedStore::new();
         let aligned = mk(CommSpec::ALIGNED);
-        let (record, _) =
-            crate::sweep::evaluate_point(&aligned, &crate::cache::ResultCache::new(), None);
+        let (record, _) = crate::sweep::evaluate_point(
+            &aligned,
+            &Default::default(),
+            &crate::cache::ResultCache::new(),
+            None,
+        );
         assert!(record.ok, "dwconv maps on plaid 2x2");
         store.absorb(&aligned, &record);
         let rich = mk(CommSpec::RICH);

@@ -4,12 +4,17 @@
 //! design space, with one mapper per point (the class default unless
 //! overridden). [`run_sweep`] evaluates the plan in parallel with `rayon`,
 //! consulting the [`ResultCache`] before every compilation so overlapping or
-//! repeated sweeps only pay for points they have never seen.
+//! repeated sweeps only pay for points they have never seen. Each distinct
+//! workload of a plan is lowered and analysed once, on its first cache miss,
+//! and every point of it reuses that [`PreparedWorkload`].
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 use std::time::Instant;
 
-use plaid::pipeline::{compile_workload, dfg_fingerprint, MapperChoice, SeedOutcome};
+use plaid::pipeline::{
+    compile_workload, MapperChoice, PipelineError, PreparedWorkload, SeedOutcome,
+};
 use plaid_arch::{ArchClass, DesignPoint, SpaceSpec};
 use plaid_workloads::Workload;
 use rayon::prelude::*;
@@ -130,11 +135,19 @@ pub(crate) struct SeedUse {
     pub hit: bool,
 }
 
-/// Evaluates one sweep point, consulting (and populating) the cache. With a
-/// seed store, the point also draws its hint from the store and feeds its
-/// outcome back into it; without one it maps from scratch.
+/// A workload prepared on first use, shared by every point of it in one
+/// sweep. Preparation fails only when lowering does, and then every point
+/// records the same error.
+pub(crate) type WorkloadCell = OnceLock<Result<PreparedWorkload, PipelineError>>;
+
+/// Evaluates one sweep point, consulting (and populating) the cache. On a
+/// miss the point's workload is prepared in `workload`, unless an earlier
+/// point of it did so already. With a seed store, the point also draws its
+/// hint from the store and feeds its outcome back into it; without one it
+/// maps from scratch.
 pub(crate) fn evaluate_point(
     point: &SweepPoint,
+    workload: &WorkloadCell,
     cache: &ResultCache,
     store: Option<&SeedStore>,
 ) -> (EvalRecord, SeedUse) {
@@ -152,14 +165,22 @@ pub(crate) fn evaluate_point(
         return (record, SeedUse::default());
     }
     let arch = point.design.build();
+    let prepared = workload
+        .get_or_init(|| PreparedWorkload::new(&point.workload))
+        .as_ref()
+        .map_err(ToString::to_string);
     // Hints are stamped with the workload's DFG fingerprint so the mapper
     // can verify they belong to the graph it is about to place (floors are
     // keyed by workload name in the store; the mapper re-checks identity).
-    let hint = store.and_then(|store| {
-        let dfg = point.workload.lower().ok()?;
-        store.hint_for(point, &arch, dfg_fingerprint(&dfg), SeedPolicy::Exact)
+    let hint = match (store, &prepared) {
+        (Some(store), Ok(prepared)) => {
+            store.hint_for(point, &arch, prepared.fingerprint(), SeedPolicy::Exact)
+        }
+        _ => None,
+    };
+    let result = prepared.and_then(|prepared| {
+        compile_workload(prepared, &arch, point.mapper, hint.as_ref()).map_err(|e| e.to_string())
     });
-    let result = compile_workload(&point.workload, &arch, point.mapper, hint.as_ref());
     let hit = match &result {
         Ok(compiled) => matches!(
             compiled.seed_outcome,
@@ -177,7 +198,7 @@ pub(crate) fn evaluate_point(
     };
     let record = match result {
         Ok(compiled) => EvalRecord::succeeded(point, compiled.summary()),
-        Err(e) => EvalRecord::failed(point, e.to_string()),
+        Err(e) => EvalRecord::failed(point, e),
     };
     cache.insert(key, record.clone());
     if let Some(store) = store {
@@ -185,6 +206,31 @@ pub(crate) fn evaluate_point(
     }
     let seeded = hint.is_some();
     (record, SeedUse { seeded, hit })
+}
+
+/// One empty cell per distinct workload of the plan, and the index of each
+/// plan point's cell.
+fn workload_cells(plan: &SweepPlan) -> (Vec<WorkloadCell>, Vec<usize>) {
+    let mut distinct: Vec<&Workload> = Vec::new();
+    let cell_of = plan
+        .points
+        .iter()
+        .map(|point| {
+            // Plans are workload-major, so the latest distinct workload is
+            // the likeliest match.
+            distinct
+                .iter()
+                .rposition(|w| **w == point.workload)
+                .unwrap_or_else(|| {
+                    distinct.push(&point.workload);
+                    distinct.len() - 1
+                })
+        })
+        .collect();
+    (
+        distinct.iter().map(|_| WorkloadCell::new()).collect(),
+        cell_of,
+    )
 }
 
 /// Runs the plan with the default seed policy ([`SeedPolicy::Exact`], which
@@ -222,6 +268,11 @@ pub fn run_sweep(plan: &SweepPlan, cache: &ResultCache) -> SweepOutcome {
 /// idle. Hints never cross groups, so neither the records nor the seeding
 /// counters depend on which worker ran a group. Records come back in plan
 /// order.
+///
+/// Every distinct workload of the plan is prepared (lowered, fingerprinted
+/// and motif-identified) at most once per call, by the first point of it
+/// that misses the cache; a pass served wholly from the cache prepares
+/// none.
 pub fn run_sweep_with(plan: &SweepPlan, cache: &ResultCache, policy: SeedPolicy) -> SweepOutcome {
     let start = Instant::now();
     cache.reset_counters();
@@ -230,13 +281,19 @@ pub fn run_sweep_with(plan: &SweepPlan, cache: &ResultCache, policy: SeedPolicy)
         SeedPolicy::Off => (None, (0..plan.len()).map(|i| vec![i]).collect()),
         SeedPolicy::Exact => (Some(SeedStore::new()), group_points_for_seeding(plan)),
     };
+    let (workloads, cell_of) = workload_cells(plan);
     let evaluated: Vec<Vec<(usize, EvalRecord, SeedUse)>> = groups
         .par_iter()
         .map(|group| {
             group
                 .iter()
                 .map(|&i| {
-                    let (record, used) = evaluate_point(&plan.points[i], cache, store.as_ref());
+                    let (record, used) = evaluate_point(
+                        &plan.points[i],
+                        &workloads[cell_of[i]],
+                        cache,
+                        store.as_ref(),
+                    );
                     (i, record, used)
                 })
                 .collect()
@@ -350,6 +407,51 @@ mod tests {
         assert_eq!(second.stats.cache_hits, 2);
         assert!((second.stats.hit_rate() - 1.0).abs() < 1e-12);
         assert_eq!(second.records, first.records, "cached results identical");
+    }
+
+    /// `dwconv` with a body that reads a scalar it never defines, so
+    /// lowering fails.
+    fn unlowerable() -> Workload {
+        let mut bad = find_workload("dwconv").unwrap();
+        bad.name = "dwconv_broken".into();
+        bad.kernel.body.insert(
+            0,
+            plaid_dfg::Stmt::Let {
+                name: "t".into(),
+                value: plaid_dfg::Expr::Scalar("undefined".into()),
+            },
+        );
+        assert!(bad.lower().is_err());
+        bad
+    }
+
+    #[test]
+    fn a_workload_that_fails_to_lower_fails_every_point_alone() {
+        let spec = SpaceSpec {
+            classes: vec![ArchClass::Plaid, ArchClass::SpatioTemporal],
+            dims: vec![(2, 2)],
+            config_entries: vec![8, 16],
+            comm_specs: vec![CommSpec::ALIGNED, CommSpec::RICH],
+        };
+        let good = find_workload("dwconv").unwrap();
+        let bad = unlowerable();
+        let mixed = SweepPlan::cross(&[good.clone(), bad.clone()], &spec);
+        let alone = SweepPlan::cross(&[good], &spec);
+        for policy in [SeedPolicy::Off, SeedPolicy::Exact] {
+            let outcome = run_sweep_with(&mixed, &ResultCache::new(), policy);
+            let reference = run_sweep_with(&alone, &ResultCache::new(), policy);
+            let (good_records, bad_records) = outcome.records.split_at(alone.len());
+            assert_eq!(good_records, reference.records.as_slice(), "{policy:?}");
+            assert_eq!(bad_records.len(), spec.enumerate().len());
+            for (record, point) in bad_records.iter().zip(&mixed.points[alone.len()..]) {
+                let per_point = compile_workload(&bad, &point.design.build(), point.mapper, None)
+                    .expect_err("the workload does not lower")
+                    .to_string();
+                assert!(per_point.starts_with("lowering failed: "), "{per_point}");
+                assert!(!record.ok);
+                assert_eq!(record.error.as_deref(), Some(per_point.as_str()));
+            }
+        }
     }
 
     #[test]

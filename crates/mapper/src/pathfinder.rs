@@ -90,6 +90,8 @@ impl LadderSearch for PathFinderMapper {
     /// probes but is never reported (see `certificate` below).
     type Shared = LadderShared;
 
+    const NAME: &'static str = "pathfinder";
+
     const SETTINGS: u64 = 0x47d6_2018_1148_1cab;
 
     fn prepare(&self, _dfg: &Dfg, arch: &Architecture) -> LadderShared {
@@ -120,7 +122,7 @@ impl Mapper for PathFinderMapper {
     }
 
     fn name(&self) -> &'static str {
-        "pathfinder"
+        Self::NAME
     }
 }
 

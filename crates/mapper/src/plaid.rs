@@ -1,7 +1,7 @@
 //! Algorithm 2: the Plaid hierarchical, motif-aware mapper.
 //!
-//! The mapper first runs motif identification (Algorithm 1, `plaid-motif`),
-//! then maps the hierarchical DFG: whole motifs are placed onto PCUs using the
+//! The mapper maps the hierarchical DFG of motif identification
+//! (Algorithm 1, `plaid-motif`): whole motifs are placed onto PCUs using the
 //! flexible schedule templates of Section 5.2 (so their internal dependencies
 //! ride the local router / bypass paths), standalone nodes are placed
 //! individually, and all remaining (inter-motif) dependencies are routed over
@@ -9,6 +9,13 @@
 //! stuck the mapper rips up a random motif and retries alternative PCUs and
 //! templates, occasionally accepting worse states, in the spirit of simulated
 //! annealing. The II grows only when the repair budget is exhausted.
+//!
+//! The motifs depend only on the DFG, so a caller that maps one DFG onto
+//! many fabrics identifies them once and passes them to
+//! [`PlaidMapper::map_with_motifs`]; [`PlaidMapper::map_with_seed`]
+//! identifies them itself.
+
+use std::borrow::Cow;
 
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -356,6 +363,8 @@ impl PlaidMapper {
     /// Maps with an optional seed hint: a sound seed replays, a proven
     /// infeasible prefix raises the starting II, and the result is always
     /// the one a cold run of this point produces (see [`crate::seed`]).
+    /// Identifies the DFG's motifs, then maps through
+    /// [`Self::map_with_motifs`].
     ///
     /// # Errors
     ///
@@ -366,28 +375,60 @@ impl PlaidMapper {
         arch: &Architecture,
         hint: Option<&MapSeed>,
     ) -> Result<SeededMapping, MapError> {
-        map_seeded(self, dfg, arch, hint)
+        let motifs = identify_motifs(dfg, &IdentifyOptions::default());
+        self.map_with_motifs(dfg, &motifs, arch, hint)
+    }
+
+    /// [`Self::map_with_seed`] with the motifs identified by the caller:
+    /// `motifs` must be `identify_motifs(dfg, &IdentifyOptions::default())`.
+    /// On a non-Plaid fabric every cluster has a single ALU, so the motifs
+    /// are ignored and every node maps on its own; the hierarchical
+    /// strategy only pays off on the PCU array, which is exactly the
+    /// paper's observation in Figure 18.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MapError`] exactly as [`Mapper::map`] does.
+    pub fn map_with_motifs(
+        &self,
+        dfg: &Dfg,
+        motifs: &HierarchicalDfg,
+        arch: &Architecture,
+        hint: Option<&MapSeed>,
+    ) -> Result<SeededMapping, MapError> {
+        map_seeded(
+            &MotifLadder {
+                mapper: self,
+                motifs,
+            },
+            dfg,
+            arch,
+            hint,
+        )
     }
 }
 
-impl LadderSearch for PlaidMapper {
-    /// The hierarchical DFG plus the ladder's capacity certificate and
-    /// reachability, built after the replay decision. The pipeline's
-    /// `compile_workload` also identifies motifs, for its coverage
-    /// statistics, on every compile, so a Plaid point that is not replayed
-    /// identifies them twice.
-    type Shared = (HierarchicalDfg, LadderShared);
+/// The Plaid mapper's II ladder over one DFG's motifs.
+pub(crate) struct MotifLadder<'m> {
+    mapper: &'m PlaidMapper,
+    motifs: &'m HierarchicalDfg,
+}
+
+impl<'m> LadderSearch for MotifLadder<'m> {
+    const NAME: &'static str = "plaid";
+
+    /// The hierarchy the attempts map (the caller's motifs on a Plaid
+    /// fabric, none elsewhere) plus the ladder's capacity certificate and
+    /// reachability.
+    type Shared = (Cow<'m, HierarchicalDfg>, LadderShared);
 
     const SETTINGS: u64 = 0x7122_4eac_58eb_f14d;
 
     fn prepare(&self, dfg: &Dfg, arch: &Architecture) -> Self::Shared {
-        // On non-Plaid fabrics every cluster has a single ALU, so motifs are
-        // mapped node-by-node; the hierarchical strategy only pays off on the
-        // PCU array, which is exactly the paper's observation in Figure 18.
         let hdfg = if arch.class() == ArchClass::Plaid {
-            identify_motifs(dfg, &IdentifyOptions::default())
+            Cow::Borrowed(self.motifs)
         } else {
-            HierarchicalDfg::new(dfg, Vec::new())
+            Cow::Owned(HierarchicalDfg::new(dfg, Vec::new()))
         };
         (hdfg, LadderShared::of(arch))
     }
@@ -400,8 +441,9 @@ impl LadderSearch for PlaidMapper {
         ii: u32,
     ) -> Option<Mapping> {
         let mut rng = attempt_rng(SEED, ii);
-        self.attempt_ii(dfg, arch, hdfg, ii, &mut rng, shared)
-            .map(|state| state.into_mapping(self.name()))
+        self.mapper
+            .attempt_ii(dfg, arch, hdfg, ii, &mut rng, shared)
+            .map(|state| state.into_mapping(Self::NAME))
     }
 
     fn certificate((_, shared): &Self::Shared) -> Option<&CapacityCert> {
@@ -415,7 +457,7 @@ impl Mapper for PlaidMapper {
     }
 
     fn name(&self) -> &'static str {
-        "plaid"
+        MotifLadder::NAME
     }
 }
 

@@ -221,6 +221,8 @@ impl LadderSearch for SaMapper {
     /// differently-provisioned networks.
     type Shared = LadderShared;
 
+    const NAME: &'static str = "sa";
+
     const SETTINGS: u64 = 0x40d7_f36d_778a_9cf7;
 
     fn prepare(&self, _dfg: &Dfg, arch: &Architecture) -> LadderShared {
@@ -250,7 +252,7 @@ impl Mapper for SaMapper {
     }
 
     fn name(&self) -> &'static str {
-        "sa"
+        Self::NAME
     }
 }
 

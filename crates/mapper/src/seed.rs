@@ -48,44 +48,14 @@
 use serde::{Deserialize, Serialize};
 
 use plaid_arch::{Architecture, ResourceId, ResourceKind};
+use plaid_dfg::fnv::Fnv;
 use plaid_dfg::{Dfg, EdgeId, NodeId};
 
 use crate::error::MapError;
 use crate::mapping::{Mapping, Placement, Route, RouteHop};
 use crate::state::CapacityCert;
-use crate::Mapper;
 
-/// FNV-1a over a stream of words (stable across platforms and runs).
-#[derive(Debug, Clone, Copy)]
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn word(&mut self, w: u64) {
-        for b in w.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-}
-
-/// FNV-1a, 64 bit, over a byte string. Stable across platforms and runs
-/// (unlike `DefaultHasher`), so the hash is safe to persist.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = Fnv::new();
-    h.bytes(bytes);
-    h.0
-}
+pub use plaid_dfg::fnv::fnv1a64;
 
 /// Content hash of everything the mapping search can observe about a fabric:
 /// execution class, resources (kind, capabilities, switch capacity, tile),
@@ -113,28 +83,11 @@ pub fn fabric_signature_nocap(arch: &Architecture) -> u64 {
 /// DFG fingerprint does not match the
 /// graph being mapped — a caller passing a hint captured from a different
 /// workload gets a scratch run, never a spurious fast-fail.
+///
+/// This is [`Dfg::fingerprint`], which the graph memoises: a graph shared
+/// by many ladders is hashed once.
 pub fn dfg_fingerprint(dfg: &Dfg) -> u64 {
-    let mut h = Fnv::new();
-    h.word(dfg.node_count() as u64);
-    h.word(dfg.edge_count() as u64);
-    for node in dfg.nodes() {
-        h.word(u64::from(node.id.0));
-        h.bytes(format!("{:?}", node.op).as_bytes());
-        match node.immediate {
-            Some(imm) => {
-                h.word(1);
-                h.word(imm as u64);
-            }
-            None => h.word(0),
-        }
-    }
-    for edge in dfg.edges() {
-        h.word(u64::from(edge.id.0));
-        h.word(u64::from(edge.src.0));
-        h.word(u64::from(edge.dst.0));
-        h.bytes(format!("{:?}/{:?}", edge.operand, edge.kind).as_bytes());
-    }
-    h.0
+    dfg.fingerprint()
 }
 
 fn signature(arch: &Architecture, with_capacities: bool) -> u64 {
@@ -171,7 +124,7 @@ fn signature(arch: &Architecture, with_capacities: bool) -> u64 {
         }
         h.word(c.local_router.map(|r| u64::from(r.0) + 1).unwrap_or(0));
     }
-    h.0
+    h.finish()
 }
 
 /// One seeded node placement (IDs are raw `u32`s so the seed serializes with
@@ -260,6 +213,18 @@ impl PlacementSeed {
         options: u64,
         cert: Option<&CapacityCert>,
     ) -> Self {
+        let window = cert.map(|c| (c.need(), c.ceil())).unwrap_or_default();
+        Self::snapshot(mapping, &SeedContext::of(dfg, arch), options, window)
+    }
+
+    /// The seed of `mapping` on the graph and fabric `ctx` hashes, with the
+    /// capacity window `(cap_need, cap_ceil)` (both empty: no certificate).
+    fn snapshot(
+        mapping: &Mapping,
+        ctx: &SeedContext,
+        options: u64,
+        (cap_need, cap_ceil): (Vec<u32>, Vec<u32>),
+    ) -> Self {
         let mut placements: Vec<SeedPlacement> = mapping
             .placements
             .iter()
@@ -289,34 +254,16 @@ impl PlacementSeed {
         PlacementSeed {
             mapper: mapping.mapper_name.clone(),
             options,
-            dfg: dfg_fingerprint(dfg),
-            fabric: fabric_signature(arch),
+            dfg: ctx.dfg,
+            fabric: ctx.fabric,
             ii: mapping.ii,
             canonical: true,
-            fabric_nocap: fabric_signature_nocap(arch),
-            cap_need: cert.map(|c| c.need()).unwrap_or_default(),
-            cap_ceil: cert.map(|c| c.ceil()).unwrap_or_default(),
+            fabric_nocap: ctx.nocap,
+            cap_need,
+            cap_ceil,
             placements,
             routes,
         }
-    }
-
-    /// Captures the seed of a mapping obtained by *replaying* `source` on
-    /// `arch`: the capacity certificate is inherited verbatim — the original
-    /// ladder's decision proof remains valid for any further fabric inside
-    /// the same bounds — while the full-fabric signature is re-anchored to
-    /// the replay target.
-    pub fn capture_inherited(
-        dfg: &Dfg,
-        mapping: &Mapping,
-        arch: &Architecture,
-        options: u64,
-        source: &PlacementSeed,
-    ) -> Self {
-        let mut seed = Self::capture(dfg, mapping, arch, options);
-        seed.cap_need = source.cap_need.clone();
-        seed.cap_ceil = source.cap_ceil.clone();
-        seed
     }
 
     /// Whether the ladder run behind this seed provably reproduces on a
@@ -465,7 +412,7 @@ pub(crate) enum LadderPlan<'a> {
 }
 
 /// Everything about the target fabric a ladder plan needs to decide seed
-/// eligibility.
+/// eligibility. The ladder's seed capture reuses its hashes.
 #[derive(Debug)]
 pub(crate) struct SeedContext {
     pub dfg: u64,
@@ -541,7 +488,12 @@ pub(crate) fn plan_ladder<'a>(
 /// The mapper-specific half of a seeded II ladder. [`map_seeded`] owns the
 /// rest — the hint, the replay decision, the II bounds and the seed capture
 /// — so a mapper supplies only its settings stamp and its per-II attempt.
-pub(crate) trait LadderSearch: Mapper {
+pub(crate) trait LadderSearch {
+    /// The mapper's name (its `Mapper::name`), recorded in every mapping
+    /// and seed the ladder produces; a seed replays only for a search with
+    /// the same name.
+    const NAME: &'static str;
+
     /// Search-wide state shared by every attempt of one ladder. It is built
     /// after the replay decision, so a replayed point pays for none of it.
     type Shared;
@@ -596,15 +548,20 @@ pub(crate) fn map_seeded<S: LadderSearch>(
         arch: arch.name().to_string(),
         max_ii,
     };
-    let (start, floored) = match plan_ladder(hint, &ctx, search.name(), options, mii, max_ii) {
+    let (start, floored) = match plan_ladder(hint, &ctx, S::NAME, options, mii, max_ii) {
         LadderPlan::Infeasible => return Err(infeasible()),
         LadderPlan::Replay(seed) => match seed.replay(dfg, arch) {
             Some(mapping) => {
+                // The replay inherits the source's certificate verbatim: the
+                // original ladder's decision proof holds for any further
+                // fabric inside the same bounds. The full-fabric signature
+                // is re-anchored to the replay target.
+                let window = (seed.cap_need.clone(), seed.cap_ceil.clone());
                 return Ok(SeededMapping {
-                    seed: PlacementSeed::capture_inherited(dfg, &mapping, arch, options, seed),
+                    seed: PlacementSeed::snapshot(&mapping, &ctx, options, window),
                     mapping,
                     outcome: SeedOutcome::Replayed,
-                })
+                });
             }
             // Corrupt or mismatched seed: fall back to the unfloored
             // ladder, which is always sound.
@@ -626,8 +583,9 @@ pub(crate) fn map_seeded<S: LadderSearch>(
         } else {
             (SeedOutcome::Scratch, S::certificate(&shared))
         };
+        let window = cert.map(|c| (c.need(), c.ceil())).unwrap_or_default();
         return Ok(SeededMapping {
-            seed: PlacementSeed::capture_with_cert(dfg, &mapping, arch, options, cert),
+            seed: PlacementSeed::snapshot(&mapping, &ctx, options, window),
             mapping,
             outcome,
         });
@@ -644,6 +602,7 @@ mod tests {
     use plaid_dfg::Op;
 
     use crate::pathfinder::PathFinderMapper;
+    use crate::Mapper;
 
     fn small_dfg() -> Dfg {
         let kernel = KernelBuilder::new("axpy")
@@ -900,14 +859,14 @@ mod tests {
 
     #[test]
     fn settings_fingerprints_are_pinned() {
-        use crate::plaid::PlaidMapper;
+        use crate::plaid::{MotifLadder, PlaidMapper};
         use crate::sa::SaMapper;
         // The stamps persist in seeds on disk: changing one silently
         // invalidates every stored seed of that mapper, so it must only
         // change on purpose (see `LadderSearch::SETTINGS`).
         assert_eq!(SaMapper::SETTINGS, 0x40d7_f36d_778a_9cf7);
         assert_eq!(PathFinderMapper::SETTINGS, 0x47d6_2018_1148_1cab);
-        assert_eq!(PlaidMapper::SETTINGS, 0x7122_4eac_58eb_f14d);
+        assert_eq!(MotifLadder::SETTINGS, 0x7122_4eac_58eb_f14d);
         let dfg = small_dfg();
         let st = spatio_temporal::build(4, 4);
         let pcu = plaid::build(2, 2);
@@ -920,7 +879,7 @@ mod tests {
         let pl = PlaidMapper::default()
             .map_with_seed(&dfg, &pcu, None)
             .unwrap();
-        assert_eq!(pl.seed.options, PlaidMapper::SETTINGS);
+        assert_eq!(pl.seed.options, MotifLadder::SETTINGS);
     }
 
     #[test]
