@@ -5,14 +5,15 @@
 //! baseline the paper uses). Every runner also reports its [`Coverage`]:
 //! the workloads missing from its table and why, printed under the table.
 //! `plaid-bench figures` runs them all once and prints the committed
-//! `FIGURES.txt`.
+//! `FIGURES.txt`. A runner prepares each of its workloads and fabrics once
+//! ([`PreparedWorkload`], [`PreparedFabric`]) and compiles every pair.
 
 use plaid_arch::Architecture;
 use plaid_sim::cost::CostModel;
 use plaid_workloads::{dnn_applications, table2_workloads, Workload};
 
 use crate::pipeline::{
-    compile_workload, ArchChoice, CompiledWorkload, MapperChoice, PreparedWorkload,
+    compile_workload, ArchChoice, CompiledWorkload, MapperChoice, PreparedFabric, PreparedWorkload,
 };
 use crate::report::{geomean, ratio, render_table};
 
@@ -112,13 +113,13 @@ impl Coverage {
     fn compile<const N: usize>(
         &mut self,
         workload: &PreparedWorkload,
-        targets: [(ArchChoice, &Architecture, MapperChoice); N],
+        targets: [(ArchChoice, &PreparedFabric<'_>, MapperChoice); N],
     ) -> Option<[CompiledWorkload; N]> {
-        let results = targets.map(|(choice, arch, mapper)| {
+        let results = targets.map(|(choice, fabric, mapper)| {
             (
                 choice,
                 mapper,
-                compile_workload(workload, arch, mapper, None),
+                compile_workload(workload, fabric, mapper, None),
             )
         });
         let failed: Vec<(ArchChoice, MapperChoice)> = results
@@ -352,9 +353,9 @@ impl ComparisonResult {
 
 /// Runs the three-way architecture comparison (Figures 12, 14, 15).
 pub fn architecture_comparison(scope: ExperimentScope) -> ComparisonResult {
-    let st_arch = ArchChoice::SpatioTemporal4x4.build();
-    let spatial_arch = ArchChoice::Spatial4x4.build();
-    let plaid_arch = ArchChoice::Plaid2x2.build();
+    let st_arch = PreparedFabric::new(ArchChoice::SpatioTemporal4x4.build());
+    let spatial_arch = PreparedFabric::new(ArchChoice::Spatial4x4.build());
+    let plaid_arch = PreparedFabric::new(ArchChoice::Plaid2x2.build());
     let workloads = scope.workloads();
     let mut rows = Vec::new();
     let mut coverage = Coverage::over(workloads.len());
@@ -500,7 +501,7 @@ pub struct MapperRow {
 /// dropped only when the Plaid mapper fails; the generic mappers' failures
 /// are charged a bound instead.
 pub fn mapper_comparison(scope: ExperimentScope) -> (Vec<MapperRow>, Coverage, String) {
-    let arch = ArchChoice::Plaid2x2.build();
+    let fabric = PreparedFabric::new(ArchChoice::Plaid2x2.build());
     let workloads = scope.workloads();
     let mut rows = Vec::new();
     let mut coverage = Coverage::over(workloads.len());
@@ -508,11 +509,11 @@ pub fn mapper_comparison(scope: ExperimentScope) -> (Vec<MapperRow>, Coverage, S
         let Some(prepared) = coverage.prepare(workload) else {
             continue;
         };
-        let pf = compile_workload(&prepared, &arch, MapperChoice::PathFinder, None);
-        let sa = compile_workload(&prepared, &arch, MapperChoice::Sa, None);
+        let pf = compile_workload(&prepared, &fabric, MapperChoice::PathFinder, None);
+        let sa = compile_workload(&prepared, &fabric, MapperChoice::Sa, None);
         let Some([pl]) = coverage.compile(
             &prepared,
-            [(ArchChoice::Plaid2x2, &arch, MapperChoice::Plaid)],
+            [(ArchChoice::Plaid2x2, &fabric, MapperChoice::Plaid)],
         ) else {
             continue;
         };
@@ -521,7 +522,7 @@ pub fn mapper_comparison(scope: ExperimentScope) -> (Vec<MapperRow>, Coverage, S
         // the configuration-memory bound (the mapper gave up at max II).
         let fallback = |r: Result<CompiledWorkload, _>| match r {
             Ok(c) => c.metrics.cycles,
-            Err(_) => pl.dfg.total_iterations() * u64::from(arch.params().max_ii()),
+            Err(_) => pl.dfg.total_iterations() * u64::from(fabric.arch().params().max_ii()),
         };
         rows.push(MapperRow {
             kernel: workload.name.clone(),
@@ -578,8 +579,8 @@ pub struct ScalabilityRow {
 /// dependencies (RecMII ≥ ResMII on the 2×2 array) are excluded, because a
 /// larger array cannot help them.
 pub fn scalability(scope: ExperimentScope) -> (Vec<ScalabilityRow>, Coverage, String) {
-    let small_arch = ArchChoice::Plaid2x2.build();
-    let large_arch = ArchChoice::Plaid3x3.build();
+    let small_arch = PreparedFabric::new(ArchChoice::Plaid2x2.build());
+    let large_arch = PreparedFabric::new(ArchChoice::Plaid3x3.build());
     let workloads = scope.workloads();
     let mut rows = Vec::new();
     let mut coverage = Coverage::over(workloads.len());
@@ -587,7 +588,7 @@ pub fn scalability(scope: ExperimentScope) -> (Vec<ScalabilityRow>, Coverage, St
         let Some(prepared) = coverage.prepare(workload) else {
             continue;
         };
-        let res = plaid_mapper::res_mii(prepared.dfg(), &small_arch);
+        let res = plaid_mapper::res_mii(prepared.dfg(), small_arch.arch());
         let rec = plaid_mapper::rec_mii(prepared.dfg());
         if rec >= res {
             coverage.drop_workload(&workload.name, DropReason::RecurrenceBound);
@@ -657,8 +658,8 @@ pub struct DnnRow {
 /// on the three DNN applications.
 pub fn dnn_comparison() -> (Vec<DnnRow>, String) {
     let model = CostModel::default();
-    let spatial_arch = ArchChoice::Spatial4x4.build();
-    let plaid_arch = ArchChoice::Plaid2x2.build();
+    let spatial_arch = PreparedFabric::new(ArchChoice::Spatial4x4.build());
+    let plaid_arch = PreparedFabric::new(ArchChoice::Plaid2x2.build());
     let mut rows = Vec::new();
     for app in dnn_applications() {
         let mut spatial_cycles = 0u64;
@@ -686,10 +687,10 @@ pub fn dnn_comparison() -> (Vec<DnnRow>, String) {
             spatial_cycles += sp.metrics.cycles * layer.invocations;
             plaid_cycles += pl.metrics.cycles * layer.invocations;
         }
-        let spatial_energy = model.energy_nj(&spatial_arch, spatial_cycles);
-        let plaid_energy = model.energy_nj(&plaid_arch, plaid_cycles);
-        let spatial_area = model.fabric_area(&spatial_arch).total();
-        let plaid_area = model.fabric_area(&plaid_arch).total();
+        let spatial_energy = model.energy_nj(spatial_arch.arch(), spatial_cycles);
+        let plaid_energy = model.energy_nj(plaid_arch.arch(), plaid_cycles);
+        let spatial_area = model.fabric_area(spatial_arch.arch()).total();
+        let plaid_area = model.fabric_area(plaid_arch.arch()).total();
         rows.push(DnnRow {
             application: app.name.clone(),
             spatial_cycles,
@@ -763,7 +764,7 @@ pub fn domain_specialization() -> (Vec<SpecializationRow>, String) {
     ];
     let mut rows = Vec::new();
     for (arch_choice, mapper, label) in configs {
-        let arch = arch_choice.build();
+        let fabric = PreparedFabric::new(arch_choice.build());
         let mut cycles = 0u64;
         let mut coverage = Coverage::over(ml_workloads.len());
         for (w, prepared) in &ml_workloads {
@@ -771,12 +772,12 @@ pub fn domain_specialization() -> (Vec<SpecializationRow>, String) {
                 coverage.drop_workload(&w.name, DropReason::Lowering);
                 continue;
             };
-            if let Some([c]) = coverage.compile(prepared, [(arch_choice, &arch, mapper)]) {
+            if let Some([c]) = coverage.compile(prepared, [(arch_choice, &fabric, mapper)]) {
                 cycles += c.metrics.cycles;
             }
         }
-        let energy = model.energy_nj(&arch, cycles);
-        let area = model.fabric_area(&arch).total();
+        let energy = model.energy_nj(fabric.arch(), cycles);
+        let area = model.fabric_area(fabric.arch()).total();
         rows.push(SpecializationRow {
             arch: label.to_string(),
             cycles,

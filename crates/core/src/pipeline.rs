@@ -11,6 +11,11 @@
 //! statistics) live in a [`PreparedWorkload`]. A caller compiling one
 //! workload onto many fabrics prepares it once and passes it to every
 //! compile; a plain [`Workload`] is prepared for the one call.
+//!
+//! The workload-independent side is a [`PreparedFabric`]: the built
+//! architecture plus its signatures and routing reachability, each derived
+//! once however many workloads compile onto it. A plain [`Architecture`] is
+//! prepared for the one call.
 
 use std::borrow::Cow;
 use std::fmt;
@@ -20,7 +25,7 @@ use plaid_arch::{plaid, spatial, spatio_temporal, specialize, Architecture};
 use plaid_dfg::Dfg;
 pub use plaid_mapper::{
     dfg_fingerprint, fabric_signature, fabric_signature_nocap, fnv1a64, InfeasiblePrefix, MapSeed,
-    PlacementSeed, SeedOutcome, SeededMapping,
+    PlacementSeed, PreparedFabric, SeedOutcome, SeededMapping,
 };
 use plaid_mapper::{
     MapError, Mapping, PathFinderMapper, PlaidMapper, SaMapper, SpatialMapper, SpatialSchedule,
@@ -276,31 +281,53 @@ impl Compilable for Workload {
     }
 }
 
-/// Compiles `workload` onto `arch` with `mapper_choice` and evaluates it
+/// What [`compile_workload`] compiles onto: a [`PreparedFabric`], or an
+/// [`Architecture`], which is prepared for the one call.
+pub trait Fabric {
+    /// The prepared fabric, borrowed or freshly made.
+    fn prepared(&self) -> Cow<'_, PreparedFabric<'_>>;
+}
+
+impl Fabric for PreparedFabric<'_> {
+    fn prepared(&self) -> Cow<'_, PreparedFabric<'_>> {
+        Cow::Borrowed(self)
+    }
+}
+
+impl Fabric for Architecture {
+    fn prepared(&self) -> Cow<'_, PreparedFabric<'_>> {
+        Cow::Owned(PreparedFabric::borrowed(self))
+    }
+}
+
+/// Compiles `workload` onto `fabric` with `mapper_choice` and evaluates it
 /// with the default cost model. Callers holding an [`ArchChoice`] pass
 /// `&choice.build()`; design-space sweeps pass enumerated points (see
 /// [`plaid_arch::enumerate::SpaceSpec`]). `workload` is a
 /// [`PreparedWorkload`], which many compiles share, or a [`Workload`],
-/// which this call prepares.
+/// which this call prepares. Likewise `fabric` is a [`PreparedFabric`] or
+/// an [`Architecture`].
 ///
 /// `hint` threads seed information into the mapper: a canonical seed whose
-/// result provably transfers to `arch` replays exactly, and a
+/// result provably transfers to the fabric replays exactly, and a
 /// proven-infeasible ladder prefix is skipped. Either way the result is the
 /// one a cold run produces. The produced [`CompiledWorkload`] carries its
 /// own [`PlacementSeed`] (via [`CompiledWorkload::summary`]) so sweeps can
 /// chain seeds across neighbouring design points.
 ///
-/// Takes only `&` references and never writes to a prepared workload
-/// except its DFG's thread-safe fingerprint memo, so many threads may
-/// compile one prepared workload onto different fabrics at once.
+/// Takes only `&` references and writes to a prepared workload or fabric
+/// only through their thread-safe memos (the DFG's fingerprint, the
+/// fabric's signatures and reachability), so many threads may compile one
+/// prepared workload onto different fabrics, or different workloads onto
+/// one prepared fabric, at once.
 ///
 /// # Errors
 ///
 /// Returns a [`PipelineError`] if lowering, mapping or configuration
 /// generation fails.
-pub fn compile_workload<W: Compilable>(
+pub fn compile_workload<W: Compilable, F: Fabric>(
     workload: &W,
-    arch: &Architecture,
+    fabric: &F,
     mapper_choice: MapperChoice,
     hint: Option<&MapSeed>,
 ) -> Result<CompiledWorkload, PipelineError> {
@@ -308,6 +335,8 @@ pub fn compile_workload<W: Compilable>(
     let prepared = workload.prepared()?;
     let dfg = prepared.dfg();
     let iterations = dfg.total_iterations();
+    let fabric = fabric.prepared();
+    let arch = fabric.arch();
 
     if mapper_choice == MapperChoice::Spatial {
         let schedule = SpatialMapper::default()
@@ -337,10 +366,10 @@ pub fn compile_workload<W: Compilable>(
     }
 
     let seeded = match mapper_choice {
-        MapperChoice::Sa => SaMapper::default().map_with_seed(dfg, arch, hint),
-        MapperChoice::PathFinder => PathFinderMapper::default().map_with_seed(dfg, arch, hint),
+        MapperChoice::Sa => SaMapper::default().map_prepared(dfg, &fabric, hint),
+        MapperChoice::PathFinder => PathFinderMapper::default().map_prepared(dfg, &fabric, hint),
         MapperChoice::Plaid => {
-            PlaidMapper::default().map_with_motifs(dfg, prepared.motifs(), arch, hint)
+            PlaidMapper::default().map_with_motifs(dfg, prepared.motifs(), &fabric, hint)
         }
         MapperChoice::Spatial => unreachable!("handled above"),
     }?;

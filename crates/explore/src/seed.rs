@@ -4,7 +4,7 @@
 //! compilations (and the infeasibility proofs implied by failed ones) by
 //! workload and design-point *family* — the axes that determine fabric
 //! structure: execution class, array dimensions, communication level and
-//! mapper. Before a sweep point compiles, [`SeedStore::hint_for`] retrieves
+//! mapper. Before a sweep point compiles, [`SeedStore::hint_on`] retrieves
 //! the nearest cached neighbour under a provisioning distance metric and
 //! packages it as the [`MapSeed`] hint the mappers consume.
 //!
@@ -18,7 +18,7 @@
 use std::collections::HashMap;
 use std::sync::RwLock;
 
-use plaid::pipeline::{InfeasiblePrefix, MapSeed, MapperChoice, PlacementSeed};
+use plaid::pipeline::{InfeasiblePrefix, MapSeed, MapperChoice, PlacementSeed, PreparedFabric};
 use plaid_arch::DesignPoint;
 use serde::{Deserialize, Serialize};
 
@@ -206,11 +206,7 @@ impl SeedStore {
 
     /// Builds the seed hint for a point about to compile on `arch`, or
     /// `None` when the store has nothing useful (or the policy is `Off`).
-    ///
-    /// Only provably transferable seeds are offered — same fabric signature
-    /// (depth siblings) or a capacity certificate admitting this fabric's
-    /// switch capacities (communication siblings) — nearest first under the
-    /// provisioning distance.
+    /// This is [`Self::hint_on`] on a fabric prepared for the call.
     pub fn hint_for(
         &self,
         point: &SweepPoint,
@@ -221,9 +217,26 @@ impl SeedStore {
         if policy == SeedPolicy::Off {
             return None;
         }
-        let fabric = plaid::pipeline::fabric_signature(arch);
-        let nocap = plaid::pipeline::fabric_signature_nocap(arch);
-        let capacities: Vec<u32> = arch.resources().iter().map(|r| r.kind.capacity()).collect();
+        self.hint_on(point, &PreparedFabric::borrowed(arch), dfg)
+    }
+
+    /// Builds the seed hint for a point about to compile on `fabric`, or
+    /// `None` when the store has nothing useful. It reads the fabric's
+    /// memoised signatures, which the mapper's ladder planner then reuses.
+    ///
+    /// Only provably transferable seeds are offered — same fabric signature
+    /// (depth siblings) or a capacity certificate admitting this fabric's
+    /// switch capacities (communication siblings) — nearest first under the
+    /// provisioning distance.
+    pub fn hint_on(
+        &self,
+        point: &SweepPoint,
+        fabric: &PreparedFabric<'_>,
+        dfg: u64,
+    ) -> Option<MapSeed> {
+        let nocap = fabric.signature_nocap();
+        let capacities = fabric.capacities();
+        let fabric = fabric.signature();
         let inner = self.inner.read().expect("seed store lock poisoned");
         // The filter mirrors what the mappers' ladder planner accepts: only
         // canonical seeds replay (seeds from cache files may not be), so a
@@ -234,7 +247,7 @@ impl SeedStore {
             .and_then(|entries| {
                 entries
                     .iter()
-                    .filter(|(_, s)| s.canonical && s.transfers_to(fabric, nocap, &capacities))
+                    .filter(|(_, s)| s.canonical && s.transfers_to(fabric, nocap, capacities))
                     .min_by_key(|(d, _)| provisioning_distance(d, &point.design))
                     .map(|(_, s)| s.clone())
             });
@@ -333,6 +346,7 @@ mod tests {
         let (record, _) = crate::sweep::evaluate_point(
             &p16,
             &Default::default(),
+            &Default::default(),
             &crate::cache::ResultCache::new(),
             None,
         );
@@ -393,6 +407,7 @@ mod tests {
         let aligned = mk(CommSpec::ALIGNED);
         let (record, _) = crate::sweep::evaluate_point(
             &aligned,
+            &Default::default(),
             &Default::default(),
             &crate::cache::ResultCache::new(),
             None,

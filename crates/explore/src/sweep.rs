@@ -6,14 +6,20 @@
 //! consulting the [`ResultCache`] before every compilation so overlapping or
 //! repeated sweeps only pay for points they have never seen. Each distinct
 //! workload of a plan is lowered and analysed once, on its first cache miss,
-//! and every point of it reuses that [`PreparedWorkload`].
+//! and every point of it reuses that [`PreparedWorkload`]. Likewise each
+//! distinct design point is built once, on its first cache miss, and every
+//! point of it maps onto that [`PreparedFabric`]. The designs of one family
+//! (class, array size and topology) share the fabric's routing
+//! reachability, and their fabrics are dropped when the family's last point
+//! completes.
 
 use std::collections::HashMap;
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use plaid::pipeline::{
-    compile_workload, MapperChoice, PipelineError, PreparedWorkload, SeedOutcome,
+    compile_workload, MapperChoice, PipelineError, PreparedFabric, PreparedWorkload, SeedOutcome,
 };
 use plaid_arch::{ArchClass, DesignPoint, SpaceSpec};
 use plaid_workloads::Workload;
@@ -49,6 +55,11 @@ pub fn default_mapper_for_class(class: ArchClass) -> MapperChoice {
 }
 
 /// An ordered list of sweep points.
+///
+/// The order is the order of the records a sweep returns, not the order in
+/// which [`run_sweep_with`] evaluates the points: it claims the points of
+/// one design family together, so their prepared fabrics are dropped
+/// early.
 #[derive(Debug, Clone, Default)]
 pub struct SweepPlan {
     /// Points in deterministic (workload-major) order.
@@ -140,14 +151,70 @@ pub(crate) struct SeedUse {
 /// records the same error.
 pub(crate) type WorkloadCell = OnceLock<Result<PreparedWorkload, PipelineError>>;
 
+/// The family of a design point: its class, array size and topology, with
+/// configuration depth and bandwidth erased. The designs of one family
+/// differ in switch capacities and cost parameters, never in links.
+fn design_family(design: &DesignPoint) -> DesignPoint {
+    DesignPoint {
+        config_entries: 0,
+        comm: design.comm.structural_family(),
+        ..*design
+    }
+}
+
+/// The prepared fabrics of one design family. A design's fabric is built by
+/// the first point of it that misses the cache and shared by the rest; each
+/// later design of the family is prepared as a
+/// [sibling](PreparedFabric::sibling) of the first, so the family builds
+/// one routing reachability. [`Self::complete`] counts the family's points
+/// down and drops its fabrics after the last, so a sweep holds only the
+/// fabrics of the families it is working on.
+#[derive(Debug, Default)]
+pub(crate) struct FabricCell {
+    fabrics: Mutex<Vec<(DesignPoint, Arc<PreparedFabric<'static>>)>>,
+    /// Points of the family not yet completed.
+    pending: AtomicUsize,
+}
+
+impl FabricCell {
+    /// The prepared fabric of `design`, built on the design's first call.
+    fn get(&self, design: &DesignPoint) -> Arc<PreparedFabric<'static>> {
+        let mut fabrics = self.fabrics.lock().expect("fabric cell lock poisoned");
+        if let Some((_, fabric)) = fabrics.iter().find(|(d, _)| d == design) {
+            return Arc::clone(fabric);
+        }
+        let arch = design.build();
+        let fabric = Arc::new(match fabrics.first() {
+            Some((_, first)) => first.sibling(arch),
+            None => PreparedFabric::new(arch),
+        });
+        fabrics.push((*design, Arc::clone(&fabric)));
+        fabric
+    }
+
+    /// Records that one point of the family completed, hit or miss. After
+    /// the last one the cell drops its fabrics.
+    fn complete(&self) {
+        // The count publishes nothing (the mutex guards the fabrics); it
+        // only has to reach zero once, after every point's last use.
+        if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+            self.fabrics
+                .lock()
+                .expect("fabric cell lock poisoned")
+                .clear();
+        }
+    }
+}
+
 /// Evaluates one sweep point, consulting (and populating) the cache. On a
-/// miss the point's workload is prepared in `workload`, unless an earlier
-/// point of it did so already. With a seed store, the point also draws its
-/// hint from the store and feeds its outcome back into it; without one it
-/// maps from scratch.
+/// miss the point's workload is prepared in `workload` and its design in
+/// its family's `fabric` cell, unless an earlier point did so already. With a seed store, the
+/// point also draws its hint from the store and feeds its outcome back into
+/// it; without one it maps from scratch.
 pub(crate) fn evaluate_point(
     point: &SweepPoint,
     workload: &WorkloadCell,
+    fabric: &FabricCell,
     cache: &ResultCache,
     store: Option<&SeedStore>,
 ) -> (EvalRecord, SeedUse) {
@@ -164,7 +231,7 @@ pub(crate) fn evaluate_point(
         }
         return (record, SeedUse::default());
     }
-    let arch = point.design.build();
+    let fabric = fabric.get(&point.design);
     let prepared = workload
         .get_or_init(|| PreparedWorkload::new(&point.workload))
         .as_ref()
@@ -173,13 +240,11 @@ pub(crate) fn evaluate_point(
     // can verify they belong to the graph it is about to place (floors are
     // keyed by workload name in the store; the mapper re-checks identity).
     let hint = match (store, &prepared) {
-        (Some(store), Ok(prepared)) => {
-            store.hint_for(point, &arch, prepared.fingerprint(), SeedPolicy::Exact)
-        }
+        (Some(store), Ok(prepared)) => store.hint_on(point, &fabric, prepared.fingerprint()),
         _ => None,
     };
     let result = prepared.and_then(|prepared| {
-        compile_workload(prepared, &arch, point.mapper, hint.as_ref()).map_err(|e| e.to_string())
+        compile_workload(prepared, &*fabric, point.mapper, hint.as_ref()).map_err(|e| e.to_string())
     });
     let hit = match &result {
         Ok(compiled) => matches!(
@@ -233,6 +298,26 @@ fn workload_cells(plan: &SweepPlan) -> (Vec<WorkloadCell>, Vec<usize>) {
     )
 }
 
+/// One empty cell per distinct design family of the plan, numbered in order
+/// of first appearance and counting the family's points, and the index of
+/// each plan point's cell.
+fn fabric_cells(plan: &SweepPlan) -> (Vec<FabricCell>, Vec<usize>) {
+    let mut index: HashMap<DesignPoint, usize> = HashMap::new();
+    let cell_of: Vec<usize> = plan
+        .points
+        .iter()
+        .map(|point| {
+            let next = index.len();
+            *index.entry(design_family(&point.design)).or_insert(next)
+        })
+        .collect();
+    let mut cells: Vec<FabricCell> = (0..index.len()).map(|_| FabricCell::default()).collect();
+    for &c in &cell_of {
+        *cells[c].pending.get_mut() += 1;
+    }
+    (cells, cell_of)
+}
+
 /// Runs the plan with the default seed policy ([`SeedPolicy::Exact`], which
 /// preserves cold-run results bit-for-bit), returning records in plan order.
 ///
@@ -266,34 +351,51 @@ pub fn run_sweep(plan: &SweepPlan, cache: &ResultCache) -> SweepOutcome {
 /// Groups run in parallel: each worker claims the next unstarted group when
 /// it finishes one, so a few expensive groups do not leave the other workers
 /// idle. Hints never cross groups, so neither the records nor the seeding
-/// counters depend on which worker ran a group. Records come back in plan
-/// order.
+/// counters depend on which worker ran a group, or in which order the
+/// groups are claimed. Records come back in plan order.
 ///
 /// Every distinct workload of the plan is prepared (lowered, fingerprinted
 /// and motif-identified) at most once per call, by the first point of it
 /// that misses the cache; a pass served wholly from the cache prepares
-/// none.
+/// none. Every distinct design is prepared the same way (built, and its
+/// signatures derived on first use), the designs of one family (class,
+/// array size and topology) share one routing reachability, and their
+/// [`PreparedFabric`]s are dropped when the family's last point completes,
+/// hit or miss. So that a family's points complete close together, the
+/// workers claim them together: under [`SeedPolicy::Off`] family-major
+/// (families by first appearance, points of one family in plan order), and
+/// under [`SeedPolicy::Exact`] with the groups of every workload on one
+/// family, which visit the same designs, adjacent. Without that order
+/// every fabric would stay alive until the sweep ends.
 pub fn run_sweep_with(plan: &SweepPlan, cache: &ResultCache, policy: SeedPolicy) -> SweepOutcome {
     let start = Instant::now();
     cache.reset_counters();
 
+    let (workloads, workload_of) = workload_cells(plan);
+    let (fabrics, family_of) = fabric_cells(plan);
     let (store, groups) = match policy {
-        SeedPolicy::Off => (None, (0..plan.len()).map(|i| vec![i]).collect()),
+        SeedPolicy::Off => {
+            let mut order: Vec<usize> = (0..plan.len()).collect();
+            order.sort_by_key(|&i| family_of[i]);
+            (None, order.into_iter().map(|i| vec![i]).collect())
+        }
         SeedPolicy::Exact => (Some(SeedStore::new()), group_points_for_seeding(plan)),
     };
-    let (workloads, cell_of) = workload_cells(plan);
     let evaluated: Vec<Vec<(usize, EvalRecord, SeedUse)>> = groups
         .par_iter()
         .map(|group| {
             group
                 .iter()
                 .map(|&i| {
+                    let fabric = &fabrics[family_of[i]];
                     let (record, used) = evaluate_point(
                         &plan.points[i],
-                        &workloads[cell_of[i]],
+                        &workloads[workload_of[i]],
+                        fabric,
                         cache,
                         store.as_ref(),
                     );
+                    fabric.complete();
                     (i, record, used)
                 })
                 .collect()
@@ -328,10 +430,13 @@ pub fn run_sweep_with(plan: &SweepPlan, cache: &ResultCache, policy: SeedPolicy)
     }
 }
 
-/// Groups plan indices by seed super-family for a seeded sweep,
-/// ordered by first appearance so the grouping is deterministic. Within a
-/// group: ascending depth (the cheap shallow ladder is a prefix of every
-/// deeper one), then the canonical communication scheduling order
+/// Groups plan indices by seed super-family for a seeded sweep, in a
+/// deterministic order: groups on one design family (whatever the workload
+/// and mapper) are adjacent, families ordered by first appearance and their
+/// groups by first appearance too, so the points of one family are claimed
+/// close together. Within a group:
+/// ascending depth (the cheap shallow ladder is a prefix of every deeper
+/// one), then the canonical communication scheduling order
 /// ([`plaid_arch::CommSpec::order_rank`]): the as-published aligned network
 /// first within a depth — its certificate transfers to both the lean and
 /// rich variants when capacity never binds — then the remaining presets,
@@ -340,22 +445,32 @@ pub fn run_sweep_with(plan: &SweepPlan, cache: &ResultCache, policy: SeedPolicy)
 /// test).
 fn group_points_for_seeding(plan: &SweepPlan) -> Vec<Vec<usize>> {
     let mut group_of: HashMap<SeedFamily, usize> = HashMap::new();
-    let mut groups: Vec<Vec<usize>> = Vec::new();
+    let mut family_rank: HashMap<DesignPoint, usize> = HashMap::new();
+    let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
     for (i, point) in plan.points.iter().enumerate() {
-        let family = SeedFamily::super_of(point);
-        let g = *group_of.entry(family).or_insert_with(|| {
-            groups.push(Vec::new());
-            groups.len() - 1
-        });
-        groups[g].push(i);
+        let g = *group_of
+            .entry(SeedFamily::super_of(point))
+            .or_insert_with(|| {
+                let next = family_rank.len();
+                let rank = *family_rank
+                    .entry(design_family(&point.design))
+                    .or_insert(next);
+                groups.push((rank, Vec::new()));
+                groups.len() - 1
+            });
+        groups[g].1.push(i);
     }
-    for group in &mut groups {
-        group.sort_by_key(|&i| {
-            let d = &plan.points[i].design;
-            (d.config_entries, d.comm.order_rank(), i)
-        });
-    }
+    groups.sort_by_key(|&(rank, _)| rank);
     groups
+        .into_iter()
+        .map(|(_, mut group)| {
+            group.sort_by_key(|&i| {
+                let d = &plan.points[i].design;
+                (d.config_entries, d.comm.order_rank(), i)
+            });
+            group
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -452,6 +567,96 @@ mod tests {
                 assert_eq!(record.error.as_deref(), Some(per_point.as_str()));
             }
         }
+    }
+
+    #[test]
+    fn permuting_designs_within_workload_blocks_moves_no_record() {
+        // The sweep claims points by design (and, seeded, groups by design
+        // family) in order of first appearance, so a plan whose designs are
+        // permuted within each workload block, as the sweep benchmark's
+        // non-zero seeds make them, runs in another order and drops each
+        // fabric at another time. No record may change.
+        let spec = SpaceSpec {
+            classes: vec![ArchClass::SpatioTemporal, ArchClass::Plaid],
+            dims: vec![(2, 2)],
+            config_entries: vec![8, 16],
+            comm_specs: CommSpec::presets(),
+        };
+        let workloads = [
+            find_workload("dwconv").unwrap(),
+            find_workload("atax_u2").unwrap(),
+        ];
+        let canonical = SweepPlan::cross(&workloads, &spec);
+        let mut permuted = canonical.clone();
+        let block = spec.enumerate().len();
+        for (b, chunk) in permuted.points.chunks_mut(block).enumerate() {
+            // A different permutation per block: reverse, then rotate.
+            chunk.reverse();
+            chunk.rotate_left(5 * b + 1);
+        }
+        let designs = |plan: &SweepPlan| -> Vec<String> {
+            plan.points.iter().map(|p| p.design.label()).collect()
+        };
+        assert_ne!(designs(&permuted)[..block], designs(&canonical)[..block]);
+        assert_ne!(designs(&permuted)[block..], designs(&canonical)[block..]);
+        for policy in [SeedPolicy::Off, SeedPolicy::Exact] {
+            let reference = run_sweep_with(&canonical, &ResultCache::new(), policy);
+            let outcome = run_sweep_with(&permuted, &ResultCache::new(), policy);
+            assert_eq!(outcome.stats.failures, reference.stats.failures);
+            for (point, record) in permuted.points.iter().zip(&outcome.records) {
+                let same = canonical
+                    .points
+                    .iter()
+                    .position(|p| p.workload == point.workload && p.design == point.design)
+                    .expect("the plans hold the same points");
+                assert_eq!(
+                    record,
+                    &reference.records[same],
+                    "{policy:?} {}/{}",
+                    point.workload.name,
+                    point.design.label()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_fabric_cell_shares_reach_and_drops_its_fabrics_after_the_last_point() {
+        // The smoke grid has two families (spatio-temporal and Plaid 2x2),
+        // each of three designs; two workloads give each family six points.
+        let plan = SweepPlan::cross(
+            &[
+                find_workload("dwconv").unwrap(),
+                find_workload("fc").unwrap(),
+            ],
+            &SpaceSpec::smoke_grid(),
+        );
+        let (cells, cell_of) = fabric_cells(&plan);
+        assert_eq!(cells.len(), 2);
+        let points: Vec<usize> = (0..plan.len()).filter(|&i| cell_of[i] == 0).collect();
+        assert_eq!(points.len(), 6);
+        let (a, b) = (plan.points[0].design, plan.points[1].design);
+        assert_ne!(a, b);
+        assert!(points
+            .iter()
+            .all(|&i| plan.points[i].design.class == a.class));
+        let cell = &cells[0];
+        let fabric = cell.get(&a);
+        assert!(Arc::ptr_eq(&fabric, &cell.get(&a)), "built once");
+        assert_eq!(fabric.arch(), &a.build());
+        let sibling = cell.get(&b);
+        assert_eq!(sibling.arch(), &b.build());
+        assert!(Arc::ptr_eq(fabric.reach(), sibling.reach()), "one reach");
+        drop((fabric, sibling));
+        for _ in 1..points.len() {
+            cell.complete();
+        }
+        assert_eq!(cell.fabrics.lock().unwrap().len(), 2, "one point pending");
+        cell.complete();
+        assert!(
+            cell.fabrics.lock().unwrap().is_empty(),
+            "dropped after the last"
+        );
     }
 
     #[test]

@@ -50,6 +50,7 @@
 
 pub mod dense;
 pub mod error;
+pub mod fabric;
 pub mod mapping;
 pub mod mii;
 pub mod pathfinder;
@@ -62,6 +63,7 @@ pub mod spatial;
 pub mod state;
 
 pub use error::MapError;
+pub use fabric::PreparedFabric;
 pub use mapping::{Mapping, Placement, Route, RouteHop};
 pub use mii::{comm_mii, mii, rec_mii, res_mii};
 pub use pathfinder::PathFinderMapper;

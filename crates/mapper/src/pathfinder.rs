@@ -12,6 +12,7 @@ use plaid_arch::Architecture;
 use plaid_dfg::{Dfg, EdgeId, NodeId};
 
 use crate::error::MapError;
+use crate::fabric::PreparedFabric;
 use crate::mapping::Mapping;
 use crate::placement::{greedy_place, LadderShared, MapState};
 use crate::route::{HardCapacityCost, NegotiatedCost};
@@ -81,7 +82,22 @@ impl PathFinderMapper {
         arch: &Architecture,
         hint: Option<&MapSeed>,
     ) -> Result<SeededMapping, MapError> {
-        map_seeded(self, dfg, arch, hint)
+        self.map_prepared(dfg, &PreparedFabric::borrowed(arch), hint)
+    }
+
+    /// [`Self::map_with_seed`] on a prepared fabric, whose signatures and
+    /// reachability every ladder run on it shares.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MapError`] exactly as [`Mapper::map`] does.
+    pub fn map_prepared(
+        &self,
+        dfg: &Dfg,
+        fabric: &PreparedFabric<'_>,
+        hint: Option<&MapSeed>,
+    ) -> Result<SeededMapping, MapError> {
+        map_seeded(self, dfg, fabric, hint)
     }
 }
 
@@ -94,8 +110,8 @@ impl LadderSearch for PathFinderMapper {
 
     const SETTINGS: u64 = 0x47d6_2018_1148_1cab;
 
-    fn prepare(&self, _dfg: &Dfg, arch: &Architecture) -> LadderShared {
-        LadderShared::of(arch)
+    fn prepare(&self, _dfg: &Dfg, fabric: &PreparedFabric<'_>) -> LadderShared {
+        LadderShared::of(fabric)
     }
 
     fn attempt(

@@ -46,6 +46,7 @@ use plaid_arch::{Architecture, ResourceId};
 use plaid_dfg::{Dfg, DfgEdge, EdgeId, EdgeKind, NodeId};
 
 use crate::dense::DenseMap;
+use crate::fabric::PreparedFabric;
 use crate::mapping::{Mapping, Placement, Route};
 use crate::route::{
     commit_route, find_route_in, first_hop_open, release_route, CostPolicy, Reach, RouteRequest,
@@ -58,9 +59,12 @@ pub const UNROUTED_PENALTY: f64 = 1_000.0;
 
 /// Search-wide state shared by every II attempt of one ladder: the
 /// capacity certificate accumulating across attempts (including failed
-/// ones) and the fabric's exact-time reachability. It is built once per
-/// ladder, after the replay decision, so a replayed point builds none of it.
-/// It holds nothing of the DFG: the DFG answers its own edge queries.
+/// ones) and the fabric's exact-time reachability. The certificate is the
+/// ladder's own, made after the replay decision, so a replayed point makes
+/// none. The reachability is the prepared fabric's, built by the first
+/// ladder on the fabric (or on a sibling of the same topology) and shared
+/// by every later one. It holds nothing of the DFG: the DFG answers its own
+/// edge queries.
 pub(crate) struct LadderShared {
     /// Capacity-decision accumulator for the whole ladder.
     pub cert: Arc<crate::state::CapacityCert>,
@@ -69,11 +73,14 @@ pub(crate) struct LadderShared {
 }
 
 impl LadderShared {
-    /// Builds the shared state for one search on `arch`.
-    pub fn of(arch: &Architecture) -> Self {
+    /// The shared state of one search on `fabric`: a fresh certificate and
+    /// the fabric's reachability.
+    pub fn of(fabric: &PreparedFabric<'_>) -> Self {
         LadderShared {
-            cert: Arc::new(crate::state::CapacityCert::new(arch.resources().len())),
-            reach: Arc::new(Reach::of(arch)),
+            cert: Arc::new(crate::state::CapacityCert::new(
+                fabric.arch().resources().len(),
+            )),
+            reach: Arc::clone(fabric.reach()),
         }
     }
 }
@@ -122,8 +129,9 @@ pub struct MapState<'a> {
     pub placements: DenseMap<NodeId, Placement>,
     /// Current routes of data-carrying edges, indexed densely by edge id.
     pub routes: DenseMap<EdgeId, Route>,
-    /// Exact-time reachability of the fabric, built once per ladder and
-    /// shared across clones and II attempts.
+    /// Exact-time reachability of the fabric, built once per prepared
+    /// fabric and its siblings, and shared across clones, II attempts and
+    /// ladders.
     reach: Arc<Reach>,
     /// Reusable router search state (alloc-free routing on the hot path).
     scratch: RouterScratch,
@@ -159,7 +167,8 @@ impl<'a> MapState<'a> {
     /// Creates an empty state for the given II, with its own certificate
     /// and reachability.
     pub fn new(dfg: &'a Dfg, arch: &'a Architecture, ii: u32) -> Self {
-        Self::for_ladder(dfg, arch, ii, &LadderShared::of(arch))
+        let shared = LadderShared::of(&PreparedFabric::borrowed(arch));
+        Self::for_ladder(dfg, arch, ii, &shared)
     }
 
     /// Creates an empty state for one II attempt of a ladder: capacity

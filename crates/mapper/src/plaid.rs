@@ -12,8 +12,10 @@
 //!
 //! The motifs depend only on the DFG, so a caller that maps one DFG onto
 //! many fabrics identifies them once and passes them to
-//! [`PlaidMapper::map_with_motifs`]; [`PlaidMapper::map_with_seed`]
-//! identifies them itself.
+//! [`PlaidMapper::map_with_motifs`], together with a [`PreparedFabric`]
+//! that a caller mapping many DFGs onto one fabric prepares once;
+//! [`PlaidMapper::map_with_seed`] identifies the motifs and prepares the
+//! fabric itself.
 
 use std::borrow::Cow;
 
@@ -28,6 +30,7 @@ use plaid_motif::{
 };
 
 use crate::error::MapError;
+use crate::fabric::PreparedFabric;
 use crate::mapping::{Mapping, Placement};
 use crate::placement::{place_node_best_effort, sort_by_unique_key, LadderShared, MapState};
 use crate::route::HardCapacityCost;
@@ -376,15 +379,17 @@ impl PlaidMapper {
         hint: Option<&MapSeed>,
     ) -> Result<SeededMapping, MapError> {
         let motifs = identify_motifs(dfg, &IdentifyOptions::default());
-        self.map_with_motifs(dfg, &motifs, arch, hint)
+        self.map_with_motifs(dfg, &motifs, &PreparedFabric::borrowed(arch), hint)
     }
 
-    /// [`Self::map_with_seed`] with the motifs identified by the caller:
-    /// `motifs` must be `identify_motifs(dfg, &IdentifyOptions::default())`.
-    /// On a non-Plaid fabric every cluster has a single ALU, so the motifs
-    /// are ignored and every node maps on its own; the hierarchical
-    /// strategy only pays off on the PCU array, which is exactly the
-    /// paper's observation in Figure 18.
+    /// [`Self::map_with_seed`] with the motifs identified by the caller, on
+    /// a prepared fabric whose signatures and reachability every ladder run
+    /// on it shares: `motifs` must be
+    /// `identify_motifs(dfg, &IdentifyOptions::default())`. On a non-Plaid
+    /// fabric every cluster has a single ALU, so the motifs are ignored and
+    /// every node maps on its own; the hierarchical strategy only pays off
+    /// on the PCU array, which is exactly the paper's observation in
+    /// Figure 18.
     ///
     /// # Errors
     ///
@@ -393,7 +398,7 @@ impl PlaidMapper {
         &self,
         dfg: &Dfg,
         motifs: &HierarchicalDfg,
-        arch: &Architecture,
+        fabric: &PreparedFabric<'_>,
         hint: Option<&MapSeed>,
     ) -> Result<SeededMapping, MapError> {
         map_seeded(
@@ -402,7 +407,7 @@ impl PlaidMapper {
                 motifs,
             },
             dfg,
-            arch,
+            fabric,
             hint,
         )
     }
@@ -424,13 +429,13 @@ impl<'m> LadderSearch for MotifLadder<'m> {
 
     const SETTINGS: u64 = 0x7122_4eac_58eb_f14d;
 
-    fn prepare(&self, dfg: &Dfg, arch: &Architecture) -> Self::Shared {
-        let hdfg = if arch.class() == ArchClass::Plaid {
+    fn prepare(&self, dfg: &Dfg, fabric: &PreparedFabric<'_>) -> Self::Shared {
+        let hdfg = if fabric.arch().class() == ArchClass::Plaid {
             Cow::Borrowed(self.motifs)
         } else {
             Cow::Owned(HierarchicalDfg::new(dfg, Vec::new()))
         };
-        (hdfg, LadderShared::of(arch))
+        (hdfg, LadderShared::of(fabric))
     }
 
     fn attempt(

@@ -14,8 +14,10 @@
 //! exactly the remaining cycles, reading a [`Reach`]: two latencies per
 //! switch and destination FU, computed once per fabric. The mappers route
 //! thousands of edges per second through [`find_route_in`], with the scratch
-//! owned by their `MapState` and the `Reach` shared by every attempt of one
-//! II ladder.
+//! owned by their `MapState` and the `Reach` owned by the
+//! [`PreparedFabric`](crate::PreparedFabric): built by the first ladder on a
+//! fabric, or on a sibling of the same topology, and shared by every
+//! attempt of every ladder on them.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;

@@ -14,6 +14,7 @@ use plaid_arch::Architecture;
 use plaid_dfg::{Dfg, NodeId};
 
 use crate::error::MapError;
+use crate::fabric::PreparedFabric;
 use crate::mapping::{Mapping, Placement};
 use crate::placement::{greedy_place, LadderShared, MapState};
 use crate::route::HardCapacityCost;
@@ -210,7 +211,22 @@ impl SaMapper {
         arch: &Architecture,
         hint: Option<&MapSeed>,
     ) -> Result<SeededMapping, MapError> {
-        map_seeded(self, dfg, arch, hint)
+        self.map_prepared(dfg, &PreparedFabric::borrowed(arch), hint)
+    }
+
+    /// [`Self::map_with_seed`] on a prepared fabric, whose signatures and
+    /// reachability every ladder run on it shares.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MapError`] exactly as [`Mapper::map`] does.
+    pub fn map_prepared(
+        &self,
+        dfg: &Dfg,
+        fabric: &PreparedFabric<'_>,
+        hint: Option<&MapSeed>,
+    ) -> Result<SeededMapping, MapError> {
+        map_seeded(self, dfg, fabric, hint)
     }
 }
 
@@ -225,8 +241,8 @@ impl LadderSearch for SaMapper {
 
     const SETTINGS: u64 = 0x40d7_f36d_778a_9cf7;
 
-    fn prepare(&self, _dfg: &Dfg, arch: &Architecture) -> LadderShared {
-        LadderShared::of(arch)
+    fn prepare(&self, _dfg: &Dfg, fabric: &PreparedFabric<'_>) -> LadderShared {
+        LadderShared::of(fabric)
     }
 
     fn attempt(

@@ -52,6 +52,7 @@ use plaid_dfg::fnv::Fnv;
 use plaid_dfg::{Dfg, EdgeId, NodeId};
 
 use crate::error::MapError;
+use crate::fabric::PreparedFabric;
 use crate::mapping::{Mapping, Placement, Route, RouteHop};
 use crate::state::CapacityCert;
 
@@ -214,7 +215,8 @@ impl PlacementSeed {
         cert: Option<&CapacityCert>,
     ) -> Self {
         let window = cert.map(|c| (c.need(), c.ceil())).unwrap_or_default();
-        Self::snapshot(mapping, &SeedContext::of(dfg, arch), options, window)
+        let fabric = PreparedFabric::borrowed(arch);
+        Self::snapshot(mapping, &SeedContext::of(dfg, &fabric), options, window)
     }
 
     /// The seed of `mapping` on the graph and fabric `ctx` hashes, with the
@@ -412,22 +414,23 @@ pub(crate) enum LadderPlan<'a> {
 }
 
 /// Everything about the target fabric a ladder plan needs to decide seed
-/// eligibility. The ladder's seed capture reuses its hashes.
+/// eligibility, read from the DFG's and the prepared fabric's memoised
+/// hashes. The ladder's seed capture reuses them.
 #[derive(Debug)]
-pub(crate) struct SeedContext {
+pub(crate) struct SeedContext<'f> {
     pub dfg: u64,
     pub fabric: u64,
     pub nocap: u64,
-    pub capacities: Vec<u32>,
+    pub capacities: &'f [u32],
 }
 
-impl SeedContext {
-    pub fn of(dfg: &Dfg, arch: &Architecture) -> Self {
+impl<'f> SeedContext<'f> {
+    pub fn of(dfg: &Dfg, fabric: &'f PreparedFabric<'_>) -> Self {
         SeedContext {
             dfg: dfg_fingerprint(dfg),
-            fabric: fabric_signature(arch),
-            nocap: fabric_signature_nocap(arch),
-            capacities: arch.resources().iter().map(|r| r.kind.capacity()).collect(),
+            fabric: fabric.signature(),
+            nocap: fabric.signature_nocap(),
+            capacities: fabric.capacities(),
         }
     }
 }
@@ -471,7 +474,7 @@ pub(crate) fn plan_ladder<'a>(
             && seed.dfg == ctx.dfg
             && seed.mapper == mapper
             && seed.options == options
-            && seed.transfers_to(ctx.fabric, ctx.nocap, &ctx.capacities);
+            && seed.transfers_to(ctx.fabric, ctx.nocap, ctx.capacities);
         if sound {
             if seed.ii <= max_ii {
                 return LadderPlan::Replay(seed);
@@ -495,7 +498,9 @@ pub(crate) trait LadderSearch {
     const NAME: &'static str;
 
     /// Search-wide state shared by every attempt of one ladder. It is built
-    /// after the replay decision, so a replayed point pays for none of it.
+    /// after the replay decision, so a replayed point pays for none of it
+    /// (nor for the fabric's [`Reach`](crate::route::Reach), which the
+    /// prepared fabric builds on the first ladder that asks for it).
     type Shared;
 
     /// Seed-compatibility stamp of the search's fixed settings, recorded
@@ -505,8 +510,8 @@ pub(crate) trait LadderSearch {
     /// a ladder produces, so seeds persisted by older builds stop replaying.
     const SETTINGS: u64;
 
-    /// Builds the ladder's shared state.
-    fn prepare(&self, dfg: &Dfg, arch: &Architecture) -> Self::Shared;
+    /// Builds the ladder's shared state on `fabric`.
+    fn prepare(&self, dfg: &Dfg, fabric: &PreparedFabric<'_>) -> Self::Shared;
 
     /// One attempt at `ii`: a complete mapping, or `None` to climb the
     /// ladder. Each attempt must be a pure function of `(dfg, fabric, ii)`
@@ -525,21 +530,24 @@ pub(crate) trait LadderSearch {
     fn certificate(shared: &Self::Shared) -> Option<&CapacityCert>;
 }
 
-/// Runs `search`'s II ladder under an optional hint: replays a sound seed,
-/// skips a proven-infeasible prefix, and otherwise climbs from `mii` to the
-/// II bound, capturing the seed of the first attempt that succeeds.
+/// Runs `search`'s II ladder on `fabric` under an optional hint: replays a
+/// sound seed, skips a proven-infeasible prefix, and otherwise climbs from
+/// `mii` to the II bound, capturing the seed of the first attempt that
+/// succeeds. The fabric's signatures and reachability come from `fabric`,
+/// which derives each once however many ladders run on it.
 pub(crate) fn map_seeded<S: LadderSearch>(
     search: &S,
     dfg: &Dfg,
-    arch: &Architecture,
+    fabric: &PreparedFabric<'_>,
     hint: Option<&MapSeed>,
 ) -> Result<SeededMapping, MapError> {
+    let arch = fabric.arch();
     if dfg.memory_node_count() > 0 && arch.memory_unit_count() == 0 {
         return Err(MapError::UnsupportedDfg(
             "DFG contains memory operations but the architecture has no memory-capable unit".into(),
         ));
     }
-    let ctx = SeedContext::of(dfg, arch);
+    let ctx = SeedContext::of(dfg, fabric);
     let options = S::SETTINGS;
     let mii = crate::mii::mii(dfg, arch);
     let max_ii = arch.params().max_ii();
@@ -569,7 +577,7 @@ pub(crate) fn map_seeded<S: LadderSearch>(
         },
         LadderPlan::Ladder { start, floored } => (start, floored),
     };
-    let shared = search.prepare(dfg, arch);
+    let shared = search.prepare(dfg, fabric);
     for ii in start..=max_ii {
         let Some(mapping) = search.attempt(&shared, dfg, arch, ii) else {
             continue;
@@ -666,7 +674,8 @@ mod tests {
             seed: Some(seed.clone()),
             infeasible: None,
         };
-        let ctx = SeedContext::of(dfg, arch);
+        let fabric = PreparedFabric::borrowed(arch);
+        let ctx = SeedContext::of(dfg, &fabric);
         let mii = crate::mii::mii(dfg, arch);
         match plan_ladder(
             Some(&hint),
@@ -736,7 +745,7 @@ mod tests {
             dfg: 7,
             fabric,
             nocap: 0,
-            capacities: Vec::new(),
+            capacities: &[],
         };
         let fabric = 42u64;
         let hint = MapSeed {
@@ -772,7 +781,7 @@ mod tests {
             dfg: 8,
             fabric,
             nocap: 0,
-            capacities: Vec::new(),
+            capacities: &[],
         };
         match plan_ladder(Some(&hint), &other_dfg, "sa", 0, 2, 8) {
             LadderPlan::Ladder { start, floored, .. } => {
