@@ -23,7 +23,7 @@ use plaid_arch::DesignPoint;
 use serde::{Deserialize, Serialize};
 
 use crate::record::EvalRecord;
-use crate::sweep::SweepPoint;
+use crate::sweep::{design_family, SweepPoint};
 
 /// How a sweep uses cached seeds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -94,11 +94,7 @@ impl SeedFamily {
     pub fn super_of(point: &SweepPoint) -> Self {
         SeedFamily {
             workload: point.workload.name.clone(),
-            family: DesignPoint {
-                config_entries: 0,
-                comm: point.design.comm.structural_family(),
-                ..point.design
-            },
+            family: design_family(&point.design),
             mapper: point.mapper,
         }
     }

@@ -153,8 +153,9 @@ pub(crate) type WorkloadCell = OnceLock<Result<PreparedWorkload, PipelineError>>
 
 /// The family of a design point: its class, array size and topology, with
 /// configuration depth and bandwidth erased. The designs of one family
-/// differ in switch capacities and cost parameters, never in links.
-fn design_family(design: &DesignPoint) -> DesignPoint {
+/// differ in switch capacities and cost parameters, never in links; it is
+/// the design half of a seed super-family ([`SeedFamily::super_of`]).
+pub(crate) fn design_family(design: &DesignPoint) -> DesignPoint {
     DesignPoint {
         config_entries: 0,
         comm: design.comm.structural_family(),
@@ -450,11 +451,9 @@ fn group_points_for_seeding(plan: &SweepPlan) -> Vec<Vec<usize>> {
     for (i, point) in plan.points.iter().enumerate() {
         let g = *group_of
             .entry(SeedFamily::super_of(point))
-            .or_insert_with(|| {
+            .or_insert_with_key(|family| {
                 let next = family_rank.len();
-                let rank = *family_rank
-                    .entry(design_family(&point.design))
-                    .or_insert(next);
+                let rank = *family_rank.entry(family.family).or_insert(next);
                 groups.push((rank, Vec::new()));
                 groups.len() - 1
             });
