@@ -570,13 +570,17 @@ mod tests {
 
     #[test]
     fn permuting_designs_within_workload_blocks_moves_no_record() {
-        // The sweep claims points by design (and, seeded, groups by design
-        // family) in order of first appearance, so a plan whose designs are
-        // permuted within each workload block, as the sweep benchmark's
-        // non-zero seeds make them, runs in another order and drops each
-        // fabric at another time. No record may change.
+        // The sweep claims points by design family in order of first
+        // appearance, so a plan whose designs are permuted within each
+        // workload block, as the sweep benchmark's non-zero seeds make
+        // them, runs in another order and prepares and drops each fabric
+        // at another time. No record may change.
         let spec = SpaceSpec {
-            classes: vec![ArchClass::SpatioTemporal, ArchClass::Plaid],
+            classes: vec![
+                ArchClass::SpatioTemporal,
+                ArchClass::Spatial,
+                ArchClass::Plaid,
+            ],
             dims: vec![(2, 2)],
             config_entries: vec![8, 16],
             comm_specs: CommSpec::presets(),
@@ -598,6 +602,21 @@ mod tests {
         };
         assert_ne!(designs(&permuted)[..block], designs(&canonical)[..block]);
         assert_ne!(designs(&permuted)[block..], designs(&canonical)[block..]);
+        let families = |plan: &SweepPlan| -> Vec<DesignPoint> {
+            let mut seen = Vec::new();
+            for point in &plan.points {
+                let family = design_family(&point.design);
+                if !seen.contains(&family) {
+                    seen.push(family);
+                }
+            }
+            seen
+        };
+        assert_ne!(
+            families(&permuted),
+            families(&canonical),
+            "same claim order"
+        );
         for policy in [SeedPolicy::Off, SeedPolicy::Exact] {
             let reference = run_sweep_with(&canonical, &ResultCache::new(), policy);
             let outcome = run_sweep_with(&permuted, &ResultCache::new(), policy);
