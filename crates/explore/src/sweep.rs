@@ -209,9 +209,9 @@ impl FabricCell {
 
 /// Evaluates one sweep point, consulting (and populating) the cache. On a
 /// miss the point's workload is prepared in `workload` and its design in
-/// its family's `fabric` cell, unless an earlier point did so already. With a seed store, the
-/// point also draws its hint from the store and feeds its outcome back into
-/// it; without one it maps from scratch.
+/// its family's `fabric` cell, unless an earlier point did so already.
+/// With a seed store, the point also draws its hint from the store and
+/// feeds its outcome back into it; without one it maps from scratch.
 pub(crate) fn evaluate_point(
     point: &SweepPoint,
     workload: &WorkloadCell,
@@ -380,7 +380,10 @@ pub fn run_sweep_with(plan: &SweepPlan, cache: &ResultCache, policy: SeedPolicy)
             order.sort_by_key(|&i| family_of[i]);
             (None, order.into_iter().map(|i| vec![i]).collect())
         }
-        SeedPolicy::Exact => (Some(SeedStore::new()), group_points_for_seeding(plan)),
+        SeedPolicy::Exact => (
+            Some(SeedStore::new()),
+            group_points_for_seeding(plan, &family_of),
+        ),
     };
     let evaluated: Vec<Vec<(usize, EvalRecord, SeedUse)>> = groups
         .par_iter()
@@ -432,10 +435,10 @@ pub fn run_sweep_with(plan: &SweepPlan, cache: &ResultCache, policy: SeedPolicy)
 }
 
 /// Groups plan indices by seed super-family for a seeded sweep, in a
-/// deterministic order: groups on one design family (whatever the workload
-/// and mapper) are adjacent, families ordered by first appearance and their
-/// groups by first appearance too, so the points of one family are claimed
-/// close together. Within a group:
+/// deterministic order: the groups on one design family (whatever the
+/// workload and mapper) are adjacent, ordered by `family_of`, the family
+/// index of each point ([`fabric_cells`]), then by first appearance, so the
+/// points of one family are claimed close together. Within a group:
 /// ascending depth (the cheap shallow ladder is a prefix of every deeper
 /// one), then the canonical communication scheduling order
 /// ([`plaid_arch::CommSpec::order_rank`]): the as-published aligned network
@@ -444,22 +447,19 @@ pub fn run_sweep_with(plan: &SweepPlan, cache: &ResultCache, policy: SeedPolicy)
 /// then structured specs by topology and bandwidth. This is the single
 /// grouping used by [`run_sweep_with`] (and pinned by the stable-grouping
 /// test).
-fn group_points_for_seeding(plan: &SweepPlan) -> Vec<Vec<usize>> {
+fn group_points_for_seeding(plan: &SweepPlan, family_of: &[usize]) -> Vec<Vec<usize>> {
     let mut group_of: HashMap<SeedFamily, usize> = HashMap::new();
-    let mut family_rank: HashMap<DesignPoint, usize> = HashMap::new();
     let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
     for (i, point) in plan.points.iter().enumerate() {
         let g = *group_of
             .entry(SeedFamily::super_of(point))
-            .or_insert_with_key(|family| {
-                let next = family_rank.len();
-                let rank = *family_rank.entry(family.family).or_insert(next);
-                groups.push((rank, Vec::new()));
+            .or_insert_with(|| {
+                groups.push((family_of[i], Vec::new()));
                 groups.len() - 1
             });
         groups[g].1.push(i);
     }
-    groups.sort_by_key(|&(rank, _)| rank);
+    groups.sort_by_key(|&(family, _)| family);
     groups
         .into_iter()
         .map(|(_, mut group)| {
@@ -716,7 +716,7 @@ mod tests {
         // Exercises the production grouping (`group_points_for_seeding`,
         // the one `run_sweep_with` schedules by), not a private re-derivation.
         let order_of = |plan: &SweepPlan| -> Vec<Vec<String>> {
-            group_points_for_seeding(plan)
+            group_points_for_seeding(plan, &fabric_cells(plan).1)
                 .iter()
                 .map(|g| g.iter().map(|&i| plan.points[i].design.label()).collect())
                 .collect()
