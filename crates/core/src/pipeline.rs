@@ -106,6 +106,12 @@ impl MapperChoice {
             MapperChoice::Spatial => "Spatial partitioner",
         }
     }
+
+    /// Whether the mapper reads seed hints. The spatial partitioner maps
+    /// without an II ladder, so it neither replays seeds nor skips rungs.
+    pub fn takes_hints(self) -> bool {
+        self != MapperChoice::Spatial
+    }
 }
 
 /// Errors produced by the pipeline.

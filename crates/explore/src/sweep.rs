@@ -211,7 +211,9 @@ impl FabricCell {
 /// miss the point's workload is prepared in `workload` and its design in
 /// its family's `fabric` cell, unless an earlier point did so already.
 /// With a seed store, the point also draws its hint from the store and
-/// feeds its outcome back into it; without one it maps from scratch.
+/// feeds its outcome back into it; without one, or when its mapper reads
+/// no hints ([`MapperChoice::takes_hints`]), it maps from scratch and
+/// leaves the store alone.
 pub(crate) fn evaluate_point(
     point: &SweepPoint,
     workload: &WorkloadCell,
@@ -219,6 +221,7 @@ pub(crate) fn evaluate_point(
     cache: &ResultCache,
     store: Option<&SeedStore>,
 ) -> (EvalRecord, SeedUse) {
+    let store = store.filter(|_| point.mapper.takes_hints());
     let key = cache_key(point);
     if let Some(record) = cache.lookup(&key, point) {
         // Cached successes still feed the store: their seeds warm the rest
@@ -566,6 +569,45 @@ mod tests {
                 assert_eq!(record.error.as_deref(), Some(per_point.as_str()));
             }
         }
+    }
+
+    #[test]
+    fn spatial_points_neither_draw_nor_feed_hints() {
+        // The spatial partitioner ignores hints, so a spatial point neither
+        // looks one up nor counts as seeded, even with a floor on file for
+        // its family, and its outcome stays out of the store.
+        let point = SweepPoint {
+            workload: find_workload("dwconv").unwrap(),
+            design: DesignPoint {
+                class: ArchClass::Spatial,
+                rows: 2,
+                cols: 2,
+                config_entries: 16,
+                comm: CommSpec::ALIGNED,
+            },
+            mapper: MapperChoice::Spatial,
+        };
+        let store = SeedStore::new();
+        let floor = EvalRecord::failed(
+            &point,
+            "mapping failed: no valid mapping of dwconv up to II=8".to_string(),
+        );
+        store.absorb(&point, &floor);
+        assert_eq!(store.infeasible_count(), 1);
+        let cache = ResultCache::new();
+        for _ in 0..2 {
+            // A miss, then a hit on the cached record.
+            let (record, used) = evaluate_point(
+                &point,
+                &Default::default(),
+                &Default::default(),
+                &cache,
+                Some(&store),
+            );
+            assert!(record.ok, "dwconv maps on the spatial 2x2");
+            assert!(!used.seeded && !used.hit);
+        }
+        assert_eq!((store.seed_count(), store.infeasible_count()), (0, 1));
     }
 
     #[test]

@@ -18,9 +18,12 @@
 //! Placement heuristics try a candidate — one node or a whole motif at
 //! given positions — through one primitive, `MapState::try_place`: check
 //! the slots, test the edges it would route, place, route, and undo on
-//! failure. The edge test runs twice. The structural test
-//! (`MapState::structurally_open`) reads the fabric's per-FU-pair first-hop
-//! table in the ladder's [`Reach`]; it rejects a candidate with a
+//! failure. The slot check (`MapState::can_place`) reads functional-unit
+//! occupancy without recording it in the capacity certificate: a unit's
+//! capacity is 1 on every fabric, so its answers carry nothing a
+//! certificate could transfer. The edge test runs twice. The structural
+//! test (`MapState::structurally_open`) reads the fabric's per-FU-pair
+//! first-hop table in the ladder's [`Reach`]; it rejects a candidate with a
 //! structurally dead edge, whose search would fail without probing
 //! occupancy, so nothing enters the capacity certificate. The occupancy
 //! test (`MapState::first_hops_open`) walks the router's own first hops
@@ -33,12 +36,24 @@
 //! candidates whose edges fail to route, so it uses only the structural
 //! test.
 //!
+//! Most candidates a heuristic scans are structurally dead, and most of
+//! those are never tried. A heuristic scans shifts of one candidate shape:
+//! a node on one FU at successive cycles, or a motif on one cluster and
+//! template at successive start offsets. Each edge's route budget is affine
+//! in the shift, and the first-hop table admits a half-line of budgets per
+//! FU pair, so `MapState::structural_window` bounds the shifts that can
+//! pass the structural test, once per shape and in closed form. The scan
+//! tries only the shifts inside, in its usual order. A skipped candidate
+//! would have failed the structural test having recorded nothing, so the
+//! window changes no mapping and no certificate.
+//!
 //! A probe allocates nothing beyond the routes it finds. Its caller builds
 //! the slots and the edge list once per placement, not once per probe: a
 //! node's in-edges are the DFG's own slice, and the Plaid mapper collects
 //! a motif's incident edges once per motif placement.
 //! [`MapState::candidate_fus`] lends its ordered list out of a buffer the
-//! state owns and computes each sort key once.
+//! state owns and computes each sort key once, and the per-FU window
+//! bounds of [`place_node_best_effort`] live in a buffer beside it.
 
 use std::sync::Arc;
 
@@ -145,6 +160,9 @@ pub struct MapState<'a> {
     candidates: Vec<ResourceId>,
     /// Sort keys of [`Self::candidate_fus`], reused across calls.
     candidate_keys: Vec<(CandidateKey, ResourceId)>,
+    /// First structurally open cycle of each candidate of
+    /// [`place_node_best_effort`], reused across calls.
+    candidate_bounds: Vec<u32>,
 }
 
 /// Sort key of a candidate functional unit: summed distance to the node's
@@ -194,6 +212,7 @@ impl<'a> MapState<'a> {
             total_hops: 0,
             candidates: Vec::new(),
             candidate_keys: Vec::new(),
+            candidate_bounds: Vec::new(),
         }
     }
 
@@ -276,6 +295,8 @@ impl<'a> MapState<'a> {
     }
 
     /// Whether `fu` can host `node` (capability plus a free modulo slot).
+    /// Records nothing in the capacity certificate
+    /// (`RoutingState::fu_fits`).
     pub fn can_place(&self, node: NodeId, fu: ResourceId, cycle: u32) -> bool {
         let n = self.dfg.node(node);
         let Some(caps) = self.arch.resource(fu).fu_caps() else {
@@ -287,7 +308,7 @@ impl<'a> MapState<'a> {
         if n.op.is_compute() && !caps.compute {
             return false;
         }
-        self.state.fits(fu, cycle % self.ii, node)
+        self.state.fu_fits(fu, cycle % self.ii, node)
     }
 
     /// Places `node` on `(fu, cycle)`, occupying the FU's modulo slot.
@@ -397,6 +418,71 @@ impl<'a> MapState<'a> {
         })
     }
 
+    /// The structural window of a candidate shape: the inclusive range of
+    /// shifts `s` for which `slots`, each moved `s` cycles later, can pass
+    /// [`Self::structurally_open`] over `edges`, or `None` when no shift
+    /// can. Endpoints resolve as there, and every shift outside the window
+    /// fails the test.
+    ///
+    /// An edge's route budget is affine in `s` with slope +1, -1 or 0:
+    ///
+    /// * from a placed producer into a slot, it grows with `s`, so the
+    ///   pair's [`Reach::min_open_budget`] bounds `s` from below;
+    /// * from a slot to a placed consumer, it shrinks, and bounds `s` from
+    ///   above;
+    /// * between two slots, it is constant, and the edge's own test keeps
+    ///   or closes every shift.
+    ///
+    /// Where no pair opens a budget through an exact hop alone (every
+    /// shipped fabric), every shift inside the window passes the test.
+    pub(crate) fn structural_window(
+        &self,
+        edges: &[EdgeId],
+        slots: &[(NodeId, Placement)],
+    ) -> Option<(u32, u32)> {
+        let slot = |n: NodeId| slots.iter().find(|&&(m, _)| m == n).map(|&(_, p)| p);
+        let (mut lo, mut hi) = (0i64, i64::from(u32::MAX));
+        for &e in edges {
+            let edge = self.dfg.edge(e);
+            if !self.dfg.edge_carries_data(edge) {
+                continue;
+            }
+            // The consumer's arrival cycle minus its schedule cycle.
+            let shift = i64::from(self.arrival(edge.kind, 0));
+            match (slot(edge.src), slot(edge.dst)) {
+                (Some(src), Some(dst)) => {
+                    if !self
+                        .reach
+                        .structurally_open(&self.route_request(edge, src, dst))
+                    {
+                        return None;
+                    }
+                }
+                (None, Some(dst)) => {
+                    let Some(src) = self.placements.get(&edge.src) else {
+                        continue;
+                    };
+                    let min = self.reach.min_open_budget(src.fu, dst.fu)?;
+                    // budget = s + dst.cycle + shift - src.cycle >= min
+                    lo = lo
+                        .max(i64::from(src.cycle) + i64::from(min) - i64::from(dst.cycle) - shift);
+                }
+                (Some(src), None) => {
+                    let Some(dst) = self.placements.get(&edge.dst) else {
+                        continue;
+                    };
+                    let min = self.reach.min_open_budget(src.fu, dst.fu)?;
+                    // budget = dst.cycle + shift - (s + src.cycle) >= min
+                    hi = hi
+                        .min(i64::from(dst.cycle) + shift - i64::from(src.cycle) - i64::from(min));
+                }
+                (None, None) => {}
+            }
+        }
+        // Both bounds lie in `0..=u32::MAX` when they meet.
+        (lo <= hi).then_some((lo as u32, hi as u32))
+    }
+
     /// The occupancy test over `edges` (see [`Self::edges_open`]): every
     /// edge still has an open first hop under `policy` in the current
     /// occupancy ([`crate::route::first_hop_open`]). Under
@@ -427,6 +513,11 @@ impl<'a> MapState<'a> {
     /// all slots; route; on the first failed route, unplace every slot. The
     /// two tests are separate passes so that a structurally dead candidate
     /// probes no switch, whatever order its edges come in.
+    ///
+    /// Heuristics that scan many shifts of one candidate shape call this
+    /// only inside the shape's [`Self::structural_window`]: a candidate
+    /// outside it fails the structural test, having recorded nothing, so
+    /// skipping it changes neither the outcome nor the certificate.
     pub(crate) fn try_place(
         &mut self,
         slots: &[(NodeId, Placement)],
@@ -640,6 +731,11 @@ pub fn greedy_place(state: &mut MapState<'_>, policy: &impl CostPolicy) -> bool 
 
 /// Places one node at its earliest feasible cycle (searching two IIs of
 /// offsets) on the cheapest FU that admits routing of its incoming data edges.
+///
+/// Each candidate FU is tried only from its first structurally open cycle
+/// on (`MapState::structural_window` of the node alone over its
+/// in-edges); the `(cycle, FU)` pairs it skips would fail the structural
+/// test. The rest are tried in the same order, cycle-major.
 pub fn place_node_best_effort(
     state: &mut MapState<'_>,
     node: NodeId,
@@ -648,12 +744,21 @@ pub fn place_node_best_effort(
     let base = state.earliest_cycle(node);
     let candidates = state.candidate_fus(node);
     let dfg = state.dfg;
+    let mut bounds = std::mem::take(&mut state.candidate_bounds);
+    bounds.clear();
+    bounds.extend(candidates.iter().map(|&fu| {
+        state
+            .structural_window(dfg.ins(node), &[(node, Placement { fu, cycle: 0 })])
+            .map_or(u32::MAX, |(from, _)| from)
+    }));
     let placed = (base..base + state.ii * 2).any(|cycle| {
         // Route the incoming data edges from already-placed producers.
-        candidates
-            .iter()
-            .any(|&fu| state.try_place(&[(node, Placement { fu, cycle })], dfg.ins(node), policy))
+        candidates.iter().zip(&bounds).any(|(&fu, &from)| {
+            cycle >= from
+                && state.try_place(&[(node, Placement { fu, cycle })], dfg.ins(node), policy)
+        })
     });
+    state.candidate_bounds = bounds;
     state.recycle_candidates(candidates);
     placed
 }
@@ -911,6 +1016,37 @@ mod tests {
             }
         }
         assert!(placed > 0 && failed > 0);
+    }
+
+    #[test]
+    fn slot_probes_record_nothing_in_the_certificate() {
+        // `can_place` answers every (node, FU, cycle), admitted and refused
+        // alike, without touching the certificate, and no search records a
+        // functional unit: routes run through switches only.
+        let dfg = small_dfg();
+        let arch = spatio_temporal::build(4, 4);
+        let shared = LadderShared::of(&PreparedFabric::borrowed(&arch));
+        let mut state = MapState::for_ladder(&dfg, &arch, 2, &shared);
+        assert!(greedy_place(&mut state, &HardCapacityCost));
+        let before = (shared.cert.need(), shared.cert.ceil());
+        let (mut admitted, mut refused) = (0, 0);
+        for node in dfg.node_ids() {
+            for fu in arch.functional_units().map(|r| r.id) {
+                for cycle in 0..4 {
+                    if state.can_place(node, fu, cycle) {
+                        admitted += 1;
+                    } else {
+                        refused += 1;
+                    }
+                }
+            }
+        }
+        assert!(admitted > 0 && refused > 0);
+        assert_eq!((shared.cert.need(), shared.cert.ceil()), before);
+        for fu in arch.functional_units() {
+            let id = fu.id.0 as usize;
+            assert_eq!((before.0[id], before.1[id]), (0, u32::MAX), "{}", fu.name);
+        }
     }
 
     #[test]

@@ -55,39 +55,32 @@ const REPAIR_ATTEMPTS: usize = 200;
 pub struct PlaidMapper;
 
 impl PlaidMapper {
-    /// Maps one motif onto one cluster with one template at one start cycle.
-    /// Returns `false` (leaving the state untouched) if anything fails.
-    ///
-    /// `incident` is the motif's incident-edge list and `slots` a buffer for
-    /// the candidate's positions, both owned by [`Self::place_motif`], so a
-    /// probe allocates nothing.
-    fn try_place_motif(
-        state: &mut MapState<'_>,
+    /// Whether `cluster` can host a motif of `kind` at all: hardwired PCUs
+    /// only execute their own motif kind, and a cluster of fewer than three
+    /// ALUs must hold every node.
+    fn hosts(cluster: &Cluster, kind: MotifKind) -> bool {
+        cluster.hardwired.is_none_or(|p| kind_matches(p, kind))
+            && (cluster.alus.len() >= 3 || kind.node_count() <= cluster.alus.len())
+    }
+
+    /// Fills `slots` with the positions `template` gives `motif`'s nodes on
+    /// `cluster`, at start cycle 0. Returns `false` when the template names
+    /// an ALU the cluster lacks.
+    fn template_slots(
         motif: &Motif,
         cluster: &Cluster,
         template: &MotifSchedule,
-        start: u32,
-        incident: &[EdgeId],
         slots: &mut Vec<(NodeId, Placement)>,
     ) -> bool {
-        // Hardwired PCUs only execute their own motif kind.
-        if let Some(pattern) = cluster.hardwired {
-            if !kind_matches(pattern, motif.kind) {
-                return false;
-            }
-        }
-        if cluster.alus.len() < 3 && motif.kind.node_count() > cluster.alus.len() {
-            return false;
-        }
         slots.clear();
         for slot in template.slots {
             let Some(&fu) = cluster.alus.get(slot.alu) else {
                 return false;
             };
-            let cycle = start + slot.cycle;
+            let cycle = slot.cycle;
             slots.push((motif.nodes[slot.node], Placement { fu, cycle }));
         }
-        state.try_place(slots, incident, &HardCapacityCost)
+        true
     }
 
     /// Earliest start cycle for a motif under a specific template, respecting
@@ -104,6 +97,11 @@ impl PlaidMapper {
 
     /// Places one motif, scanning clusters (least-loaded first), templates and
     /// start offsets. Returns `true` on success.
+    ///
+    /// The offsets of one (cluster, template) run from the template's
+    /// earliest start over one II, less those outside the pair's
+    /// [`MapState::structural_window`]: the window skips only candidates
+    /// whose structural test fails, and keeps the order of the rest.
     ///
     /// `swap` randomises the scan: the cluster at that position of the
     /// order is tried first, swapping places with the first one (0 keeps
@@ -160,21 +158,36 @@ impl PlaidMapper {
             .collect();
         incident.sort_unstable();
         incident.dedup();
+        // Each (cluster, template) is one candidate shape, shifted by the
+        // start cycle. Its structural window bounds the starts once, so the
+        // offset scan only tries those the first-hop table leaves open.
+        let mut shape = Vec::with_capacity(motif.nodes.len());
         let mut slots = Vec::with_capacity(motif.nodes.len());
         for &(_, ci) in &order {
             let cluster = &clusters[ci];
+            if !Self::hosts(cluster, motif.kind) {
+                continue;
+            }
             for template in templates {
+                if !Self::template_slots(motif, cluster, template, &mut shape) {
+                    continue;
+                }
+                let Some((lo, hi)) = state.structural_window(&incident, &shape) else {
+                    continue;
+                };
                 let base = Self::motif_earliest(state, motif, template);
-                for offset in 0..state.ii {
-                    if Self::try_place_motif(
-                        state,
-                        motif,
-                        cluster,
-                        template,
-                        base + offset,
-                        &incident,
-                        &mut slots,
-                    ) {
+                for start in base.max(lo)..=(base + state.ii - 1).min(hi) {
+                    slots.clear();
+                    slots.extend(shape.iter().map(|&(node, p)| {
+                        (
+                            node,
+                            Placement {
+                                cycle: p.cycle + start,
+                                ..p
+                            },
+                        )
+                    }));
+                    if state.try_place(&slots, &incident, &HardCapacityCost) {
                         return true;
                     }
                 }
@@ -427,7 +440,7 @@ impl<'m> LadderSearch for MotifLadder<'m> {
     /// reachability.
     type Shared = (Cow<'m, HierarchicalDfg>, LadderShared);
 
-    const SETTINGS: u64 = 0x7122_4eac_58eb_f14d;
+    const SETTINGS: u64 = 0xb1ac_ba4b_8c80_ff2a;
 
     fn prepare(&self, dfg: &Dfg, fabric: &PreparedFabric<'_>) -> Self::Shared {
         let hdfg = if fabric.arch().class() == ArchClass::Plaid {
@@ -558,6 +571,139 @@ mod tests {
         assert!(kind_matches(HardwiredPattern::FanIn, MotifKind::FanIn));
         assert!(!kind_matches(HardwiredPattern::FanIn, MotifKind::FanOut));
         assert!(kind_matches(HardwiredPattern::Unicast, MotifKind::Pair));
+    }
+
+    /// Checks the structural windows of every candidate shape `state` can
+    /// try next: each motif's (cluster, template) shapes and each node's
+    /// per-FU shapes, over every shift up to `horizon`. A shift outside a
+    /// window must fail `structurally_open`; with `exact`, a shift inside
+    /// must pass it. Returns the (inside, outside) counts.
+    fn check_windows(
+        state: &MapState<'_>,
+        hdfg: &HierarchicalDfg,
+        horizon: u32,
+        exact: bool,
+    ) -> (usize, usize) {
+        let dfg = state.dfg;
+        let (mut inside, mut outside) = (0, 0);
+        let mut check = |edges: &[EdgeId], shape: &[(NodeId, Placement)]| {
+            let window = state.structural_window(edges, shape);
+            for shift in 0..horizon {
+                let slots: Vec<(NodeId, Placement)> = shape
+                    .iter()
+                    .map(|&(n, p)| {
+                        (
+                            n,
+                            Placement {
+                                cycle: p.cycle + shift,
+                                ..p
+                            },
+                        )
+                    })
+                    .collect();
+                let open = state.structurally_open(edges, &slots);
+                let within = window.is_some_and(|(lo, hi)| lo <= shift && shift <= hi);
+                let at = format!("{} II {}: {slots:?}", state.arch.name(), state.ii);
+                assert!(within || !open, "{at} passes outside {window:?}");
+                assert!(!exact || !within || open, "{at} fails inside {window:?}");
+                inside += usize::from(within);
+                outside += usize::from(!within);
+            }
+        };
+        let mut shape = Vec::new();
+        for motif in hdfg.motifs() {
+            if motif.nodes.iter().any(|n| state.placements.contains_key(n)) {
+                continue;
+            }
+            let mut incident: Vec<EdgeId> = motif
+                .nodes
+                .iter()
+                .flat_map(|&n| dfg.incident(n).iter().copied())
+                .collect();
+            incident.sort_unstable();
+            incident.dedup();
+            for cluster in state.arch.clusters() {
+                if !PlaidMapper::hosts(cluster, motif.kind) {
+                    continue;
+                }
+                for template in schedule_templates(motif.kind) {
+                    if PlaidMapper::template_slots(motif, cluster, template, &mut shape) {
+                        check(&incident, &shape);
+                    }
+                }
+            }
+        }
+        for node in dfg.node_ids() {
+            if state.placements.contains_key(&node) {
+                continue;
+            }
+            for fu in state.arch.functional_units().map(|r| r.id) {
+                check(dfg.ins(node), &[(node, Placement { fu, cycle: 0 })]);
+            }
+        }
+        (inside, outside)
+    }
+
+    #[test]
+    fn structural_windows_are_sound_and_exact() {
+        // The states are the prefixes of greedy runs, as in
+        // `placement`'s `closed_first_hops_reject_exactly`, plus each
+        // motif and node of the full run ripped up again, so that placed
+        // consumers bound windows from above. On the hand-built bypass pair
+        // a budget opens through an exact hop alone, so only soundness
+        // holds there.
+        let lean = |base: Architecture| {
+            let params = base.params().clone();
+            plaid_arch::rebuild_provisioned(&base, format!("{}-lean", base.name()), params, |_| 1)
+        };
+        let fabrics = [
+            (plaid_fabric::build(2, 2), true),
+            (plaid_fabric::build(3, 3), true),
+            (lean(plaid_fabric::build(2, 2)), true),
+            (crate::route::tests::bypass_pair(), false),
+        ];
+        let (mut inside, mut outside) = (0, 0);
+        for dfg in [gemm_like(2), gemm_like(4)] {
+            let hdfg = identify_motifs(&dfg, &IdentifyOptions::default());
+            assert!(!hdfg.motifs().is_empty());
+            let order = dfg.topological_order().unwrap();
+            for (arch, exact) in &fabrics {
+                for ii in 1..=3 {
+                    let mut state = MapState::new(&dfg, arch, ii);
+                    let horizon = |state: &MapState<'_>| {
+                        let last = state.placements.values().map(|p| p.cycle).max();
+                        last.unwrap_or(0) + 2 * ii + 6
+                    };
+                    let mut count = |state: &MapState<'_>| {
+                        let (i, o) = check_windows(state, &hdfg, horizon(state), *exact);
+                        inside += i;
+                        outside += o;
+                    };
+                    for &node in &order {
+                        count(&state);
+                        // A node that finds no slot stays unplaced.
+                        place_node_best_effort(&mut state, node, &HardCapacityCost);
+                    }
+                    let units = hdfg
+                        .motifs()
+                        .iter()
+                        .map(|m| m.nodes.as_slice())
+                        .chain(order.iter().map(std::slice::from_ref));
+                    for nodes in units {
+                        state.begin_txn();
+                        for &n in nodes {
+                            state.unplace(n);
+                        }
+                        count(&state);
+                        state.rollback_txn();
+                    }
+                }
+            }
+        }
+        assert!(
+            inside > 0 && outside > 0,
+            "{inside} inside, {outside} outside"
+        );
     }
 
     #[test]

@@ -353,6 +353,18 @@ impl FirstHops {
     fn open(self, budget: u32) -> bool {
         budget >= self.always || (budget < u64::BITS && self.exact >> budget & 1 == 1)
     }
+
+    /// The smallest positive budget that [`Self::open`] admits, or `NEVER`.
+    #[inline]
+    fn min_open(self) -> u32 {
+        let positive = self.exact & !1;
+        let lowest_exact = if positive == 0 {
+            NEVER
+        } else {
+            positive.trailing_zeros()
+        };
+        self.always.max(1).min(lowest_exact)
+    }
 }
 
 /// Exact-time reachability of every functional unit of one fabric: for each
@@ -480,9 +492,26 @@ impl Reach {
         let Some(budget) = request.budget() else {
             return false;
         };
-        let src = self.fu_index[request.src_fu.0 as usize] as usize;
-        let dst = self.fu_index[request.dst_fu.0 as usize] as usize;
-        self.pairs[src * self.fus + dst].open(budget)
+        self.pair(request.src_fu, request.dst_fu).open(budget)
+    }
+
+    /// The smallest positive budget of a route from `src_fu` to `dst_fu`
+    /// that passes [`Self::structurally_open`], or `None` when none does.
+    /// Every budget below it fails the test. When the pair opens no budget
+    /// through an exact hop alone (on every shipped fabric; the test
+    /// `first_hop_table_matches_the_link_scan` checks this), every budget
+    /// from it on passes, so the admissible budgets are exactly a
+    /// half-line; otherwise the half-line is a superset of them.
+    pub(crate) fn min_open_budget(&self, src_fu: ResourceId, dst_fu: ResourceId) -> Option<u32> {
+        Some(self.pair(src_fu, dst_fu).min_open()).filter(|&b| b != NEVER)
+    }
+
+    /// The first-hop test of the FU pair `(src_fu, dst_fu)`.
+    #[inline]
+    fn pair(&self, src_fu: ResourceId, dst_fu: ResourceId) -> FirstHops {
+        let src = self.fu_index[src_fu.0 as usize] as usize;
+        let dst = self.fu_index[dst_fu.0 as usize] as usize;
+        self.pairs[src * self.fus + dst]
     }
 }
 
@@ -652,7 +681,7 @@ pub fn release_route(state: &mut RoutingState, route: &Route, value: NodeId) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use plaid_arch::{plaid, spatio_temporal};
 
@@ -1309,7 +1338,7 @@ mod tests {
     /// opens a budget below the always-open one. The shipped fabrics' first
     /// hops never do: their always-open budget already covers every exact
     /// one.
-    fn bypass_pair() -> Architecture {
+    pub(crate) fn bypass_pair() -> Architecture {
         use plaid_arch::architecture::ArchBuilder;
         use plaid_arch::{ArchClass, ArchParams, FuCaps, Position};
         let mut b = ArchBuilder::new(
@@ -1373,6 +1402,10 @@ mod tests {
                             assert_eq!(pair.exact >> budget & 1, 1, "{}", arch.name());
                         }
                     }
+                    // Only the hand-built pair opens a budget through an
+                    // exact hop alone.
+                    assert!(pair.exact == 0 || arch.name() == "bypass-pair");
+                    let min = reach.min_open_budget(src, dst);
                     for budget in 0..=horizon {
                         let request = RouteRequest {
                             src_fu: src,
@@ -1388,6 +1421,13 @@ mod tests {
                             "{}: {src} -> {dst} in {budget} cycles",
                             arch.name()
                         );
+                        // No budget below the pair's minimum opens; without
+                        // exact-only budgets, every budget from it on does.
+                        let above = min.is_some_and(|m| budget >= m);
+                        assert!(above || !scanned, "{}: {budget}", arch.name());
+                        if pair.exact == 0 {
+                            assert_eq!(above, scanned, "{}: {budget}", arch.name());
+                        }
                         checked += 1;
                         open += usize::from(scanned);
                         exact_only += usize::from(scanned && budget < pair.always);

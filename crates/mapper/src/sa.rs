@@ -239,7 +239,7 @@ impl LadderSearch for SaMapper {
 
     const NAME: &'static str = "sa";
 
-    const SETTINGS: u64 = 0x40d7_f36d_778a_9cf7;
+    const SETTINGS: u64 = 0x6fbd_94f7_0d05_5256;
 
     fn prepare(&self, _dfg: &Dfg, fabric: &PreparedFabric<'_>) -> LadderShared {
         LadderShared::of(fabric)

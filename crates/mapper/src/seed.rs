@@ -18,16 +18,16 @@
 //! on the target fabric and returned directly; sweep results are
 //! bit-identical to a cold run.
 //!
-//! A seed's capacity certificate ([`CapacityCert`]) records only the
-//! capacity probes its ladder actually made. Candidates the placement layer
-//! prunes as structurally dead probe no switch: `MapState::try_place` tests
-//! every edge of a candidate for a structural first hop before it probes
-//! any switch occupancy. So the certificates of a pruning ladder are looser
-//! than or equal to those of one that tried them: they admit at least the
-//! same capacity windows, and remain sound because the search decided only
-//! on recorded answers. Seeds persisted with tighter certificates describe
-//! the same mappings and still replay, so no cache key changed when pruning
-//! arrived.
+//! A seed's capacity certificate ([`CapacityCert`]) records only the switch
+//! capacity probes its ladder actually made; functional-unit slot probes
+//! are never recorded, so every unit's entry is the open window
+//! `(0, u32::MAX)`. Candidates the placement layer prunes as structurally
+//! dead probe no switch: `MapState::try_place` tests every edge of a
+//! candidate for a structural first hop before it probes any switch
+//! occupancy, and the heuristics skip most such candidates outright. So
+//! the certificates of a pruning ladder are looser than or equal to those
+//! of one that tried them: they admit at least the same capacity windows,
+//! and remain sound because the search decided only on recorded answers.
 //!
 //! An [`InfeasiblePrefix`] transfers the complementary fact: a ladder that
 //! failed through II `k` on the same fabric structure proves every `ii <= k`
@@ -873,9 +873,9 @@ mod tests {
         // The stamps persist in seeds on disk: changing one silently
         // invalidates every stored seed of that mapper, so it must only
         // change on purpose (see `LadderSearch::SETTINGS`).
-        assert_eq!(SaMapper::SETTINGS, 0x40d7_f36d_778a_9cf7);
+        assert_eq!(SaMapper::SETTINGS, 0x6fbd_94f7_0d05_5256);
         assert_eq!(PathFinderMapper::SETTINGS, 0x47d6_2018_1148_1cab);
-        assert_eq!(MotifLadder::SETTINGS, 0x7122_4eac_58eb_f14d);
+        assert_eq!(MotifLadder::SETTINGS, 0xb1ac_ba4b_8c80_ff2a);
         let dfg = small_dfg();
         let st = spatio_temporal::build(4, 4);
         let pcu = plaid::build(2, 2);

@@ -22,7 +22,8 @@ use std::sync::Arc;
 use plaid_arch::{Architecture, ResourceId};
 use plaid_dfg::NodeId;
 
-/// A monotone record of every capacity decision a mapping search made.
+/// A monotone record of every switch-capacity decision a mapping search
+/// made.
 ///
 /// `fits` is the *only* way the hard-capacity mappers observe switch
 /// capacities, so the search's entire decision sequence is a pure function
@@ -43,21 +44,24 @@ use plaid_dfg::NodeId;
 /// and roll back states freely, but a rolled-back branch still *consulted*
 /// capacities, so its observations must survive the rollback.
 ///
+/// Functional-unit occupancy is never recorded: slot probes go through
+/// `RoutingState::fu_fits`, so every unit's entry stays the open window
+/// `(0, u32::MAX)`. A unit's capacity is 1 on every fabric (a functional
+/// unit's kind carries no capacity), so no transfer decision ever reads
+/// those entries, and recording them would only tie the certificate to how
+/// many candidate slots a heuristic happened to probe.
+///
 /// Only the probes a search actually makes are recorded. Placement
 /// candidates rejected as structurally dead (`MapState::try_place`'s
 /// structural test, one read of the ladder's per-FU-pair first-hop table)
-/// probe no switch, so the certificate of a pruning search is looser than
-/// or equal to that of a search that tried them: `need` can only fall and
-/// `ceil` only rise. It is sound for the same reason as above: every decision the
-/// search makes depends only on the answers it recorded. A tighter
-/// certificate persisted by a search that did not prune describes the same
-/// mappings and stays valid, so pruning needs no cache-key change.
-///
-/// The occupancy pre-check (the router's first hops under the heuristic's
-/// policy) probes through the same `hop_cost` path as the route search, so
-/// its probes are recorded like any other. It runs as a second pass after
-/// the structural one, so a candidate it rejects records only the first
-/// hops it probed, up to the first edge found closed, and no search.
+/// probe no switch, and the placement heuristics skip most of them before
+/// trying them at all (`MapState::structural_window`), so neither pruning
+/// nor skipping them records anything. The occupancy pre-check (the
+/// router's first hops under the heuristic's policy) probes through the
+/// same `hop_cost` path as the route search, so its probes are recorded
+/// like any other. It runs as a second pass after the structural one, so a
+/// candidate it rejects records only the first hops it probed, up to the
+/// first edge found closed, and no search.
 ///
 /// A search may also skip work whose probes it has already recorded: the
 /// Plaid repair loop skips a re-placement it has already run on the same
@@ -332,6 +336,15 @@ impl RoutingState {
     /// value is already present) are not.
     pub fn fits(&self, resource: ResourceId, slot: u32, value: NodeId) -> bool {
         self.admission(resource, slot, value).0
+    }
+
+    /// [`RoutingState::fits`] for a functional unit, recording nothing in
+    /// the [`CapacityCert`]: a functional unit's capacity is 1 on every
+    /// fabric, so its answers carry nothing a certificate could transfer
+    /// (see [`CapacityCert`]).
+    pub(crate) fn fu_fits(&self, fu: ResourceId, slot: u32, value: NodeId) -> bool {
+        let cell = &self.slots[self.index(fu.0, slot)];
+        cell.distinct() < self.capacities[fu.0 as usize] || cell.contains(value.0)
     }
 
     /// Fused `fits` + `usage` probe for the routing hot path: one cell

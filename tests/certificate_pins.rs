@@ -6,7 +6,10 @@
 //! keep every mapping and still probe capacities in a different order or
 //! number, which moves a seed's `cap_need` / `cap_ceil` window and with it
 //! the set of fabrics the seed transfers to. This table hashes the whole
-//! seed JSON, so such a change fails here.
+//! seed JSON, so such a change fails here. Each seed's functional-unit
+//! entries must also be the open window `(0, u32::MAX)`: unit occupancy
+//! probes are never recorded, which is what lets the placement heuristics
+//! skip structurally dead candidates without moving a certificate.
 //!
 //! The suite is the default sweep plan's four workloads on the 2x2 Plaid
 //! fabric at both configuration depths and all three communication presets,
@@ -19,7 +22,7 @@
 
 use plaid_arch::{ArchClass, Architecture, CommSpec, DesignPoint};
 use plaid_dfg::Dfg;
-use plaid_mapper::{fnv1a64, MapError, PlaidMapper, SaMapper, SeededMapping};
+use plaid_mapper::{fnv1a64, MapError, PlacementSeed, PlaidMapper, SaMapper, SeededMapping};
 use plaid_workloads::table2_workloads;
 
 /// Plaid ladders outside the default plan's workloads whose mapping comes
@@ -87,109 +90,124 @@ fn seed_digest(result: Result<SeededMapping, MapError>) -> u64 {
     })
 }
 
+/// The functional units whose certificate entry in `seed` is not the open
+/// window `(0, u32::MAX)`. A unit's capacity is 1 on every fabric, so its
+/// occupancy probes are never recorded (`MapState::can_place`).
+fn closed_unit_entries(seed: &PlacementSeed, arch: &Architecture) -> Vec<u32> {
+    assert!(
+        !seed.cap_need.is_empty(),
+        "{} seeds are certified",
+        seed.mapper
+    );
+    arch.functional_units()
+        .map(|r| r.id.0)
+        .filter(|&fu| (seed.cap_need[fu as usize], seed.cap_ceil[fu as usize]) != (0, u32::MAX))
+        .collect()
+}
+
 /// `(case, sa, plaid)` seed digests.
 const PINNED: &[(&str, u64, u64)] = &[
     ("atax_u2/plaid-2x2/d8/lean", 0x0, 0x0),
-    ("atax_u2/plaid-2x2/d8/aligned", 0x3a5f135e80d5d48f, 0x0),
-    ("atax_u2/plaid-2x2/d8/rich", 0xb6b6fe1f61c55d93, 0x0),
+    ("atax_u2/plaid-2x2/d8/aligned", 0xeedb89d5201e8fd7, 0x0),
+    ("atax_u2/plaid-2x2/d8/rich", 0x61a8749b2d10e51b, 0x0),
     (
         "atax_u2/plaid-2x2/d16/lean",
-        0xbe1c9b6f655b6c5c,
-        0x25b96b7c6170b7d7,
+        0x8accc4e22edd7068,
+        0xce2a529d1007700f,
     ),
     (
         "atax_u2/plaid-2x2/d16/aligned",
-        0x3a5f135e80d5d48f,
-        0x815a780d4814b9ec,
+        0xeedb89d5201e8fd7,
+        0x87aa30235edd7f68,
     ),
     (
         "atax_u2/plaid-2x2/d16/rich",
-        0xb6b6fe1f61c55d93,
-        0x3a016dfebf18074,
+        0x61a8749b2d10e51b,
+        0x9d2802fd266d0830,
     ),
     ("doitgen_u4/plaid-2x2/d8/lean", 0x0, 0x0),
     ("doitgen_u4/plaid-2x2/d8/aligned", 0x0, 0x0),
     ("doitgen_u4/plaid-2x2/d8/rich", 0x0, 0x0),
     (
         "doitgen_u4/plaid-2x2/d16/lean",
-        0xda98d4c079d1996e,
-        0xa64687fe1f9a3b33,
+        0xeb40f367e09b307c,
+        0xf091160cf0e93ea7,
     ),
     (
         "doitgen_u4/plaid-2x2/d16/aligned",
-        0x9962443e1efffb82,
-        0xdb5f7d2befbebfa9,
+        0xaff9381e00ed40bc,
+        0xeb24d2b092f9ccc9,
     ),
     (
         "doitgen_u4/plaid-2x2/d16/rich",
-        0xa66bad68b02d40c2,
-        0x61ccbd4761899141,
+        0xb46b07e838932f08,
+        0xfaf4c8b4ea13b311,
     ),
     (
         "fc/plaid-2x2/d8/lean",
-        0xdb40bd70e67238af,
-        0xb55a72d6059a1408,
+        0xcd5afbbde8c5a2b,
+        0x93899dc126b4440e,
     ),
     (
         "fc/plaid-2x2/d8/aligned",
-        0xcd99504b6518884c,
-        0x82b89814015d2bd8,
+        0x53fa08ab853a3ef4,
+        0x4b13dc3f99494fee,
     ),
     (
         "fc/plaid-2x2/d8/rich",
-        0xcd63ea2f2e7d15c0,
-        0xa5dd77efe163d10,
+        0x31f780167e1f3688,
+        0x392837b81635bfc6,
     ),
     (
         "fc/plaid-2x2/d16/lean",
-        0xdb40bd70e67238af,
-        0xb55a72d6059a1408,
+        0xcd5afbbde8c5a2b,
+        0x93899dc126b4440e,
     ),
     (
         "fc/plaid-2x2/d16/aligned",
-        0xcd99504b6518884c,
-        0x82b89814015d2bd8,
+        0x53fa08ab853a3ef4,
+        0x4b13dc3f99494fee,
     ),
     (
         "fc/plaid-2x2/d16/rich",
-        0xcd63ea2f2e7d15c0,
-        0xa5dd77efe163d10,
+        0x31f780167e1f3688,
+        0x392837b81635bfc6,
     ),
     ("gramsc_u4/plaid-2x2/d8/lean", 0x0, 0x0),
     ("gramsc_u4/plaid-2x2/d8/aligned", 0x0, 0x0),
     ("gramsc_u4/plaid-2x2/d8/rich", 0x0, 0x0),
-    ("gramsc_u4/plaid-2x2/d16/lean", 0x11132c8674a822ec, 0x0),
+    ("gramsc_u4/plaid-2x2/d16/lean", 0xb801a775e3c3fdc8, 0x0),
     (
         "gramsc_u4/plaid-2x2/d16/aligned",
-        0x7db1a75b7bde590c,
-        0x2b8f9fc694a9a0da,
+        0xafdf3dac165351ea,
+        0x2a0cf5cd2d7636ea,
     ),
     (
         "gramsc_u4/plaid-2x2/d16/rich",
-        0x5084742a318eeed8,
-        0x6ba9b4f78a795a42,
+        0x5ae9298a60ea5d0e,
+        0x4f6ad5ccbfca9c42,
     ),
-    ("atax_u4/plaid-2x2/d16/lean", 0x0, 0x69dc24f4769c9fb7),
+    ("atax_u4/plaid-2x2/d16/lean", 0x0, 0x68e972e703f89ba5),
     (
         "atax_u4/plaid-2x2/d16/rich",
-        0x5570b74fef646bee,
-        0x2721a5558a4ae81,
+        0x9a1a76bc611f36c4,
+        0x8633c6819ab03f4b,
     ),
     (
         "atax_u4/plaid-3x3/d16/aligned",
-        0xaf1826754ed5b77f,
-        0x5926498bb813f693,
+        0xab66860255ea724f,
+        0xed6e1d0b400511fe,
     ),
-    ("gesumm_u4/plaid-2x4/d16/lean", 0x0, 0x5f2d84a3f2d50ec0),
+    ("gesumm_u4/plaid-2x4/d16/lean", 0x0, 0xc527cd8b5513b196),
     (
         "conv3x3/plaid-2x4/d8/lean",
-        0x44bd79cb8a1967ff,
-        0xdb311b990091f580,
+        0x5ef2858ede742039,
+        0xae85c1b42d7a0800,
     ),
     (
         "dwconv_u5/plaid-2x4/d16/aligned",
-        0x53608314c2178cc7,
-        0x234bfa2cf11b96d,
+        0x78214dc81856434b,
+        0x7a1ebac7053c5fbd,
     ),
 ];
 
@@ -200,10 +218,19 @@ fn captured_seeds_and_certificates_are_pinned() {
     let plaid = PlaidMapper::default();
     let mut failures = Vec::new();
     for (case, dfg, arch) in suite() {
-        let got = (
-            seed_digest(sa.map_with_seed(&dfg, &arch, None)),
-            seed_digest(plaid.map_with_seed(&dfg, &arch, None)),
+        let seeds = (
+            sa.map_with_seed(&dfg, &arch, None),
+            plaid.map_with_seed(&dfg, &arch, None),
         );
+        for seeded in [&seeds.0, &seeds.1].into_iter().flatten() {
+            let closed = closed_unit_entries(&seeded.seed, &arch);
+            assert!(
+                closed.is_empty(),
+                "{case}: {} certifies functional units {closed:?}",
+                seeded.seed.mapper
+            );
+        }
+        let got = (seed_digest(seeds.0), seed_digest(seeds.1));
         if print_mode {
             println!("    (\"{case}\", {:#x}, {:#x}),", got.0, got.1);
             continue;
