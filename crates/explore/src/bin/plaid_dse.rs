@@ -172,6 +172,9 @@ fn parse_args(args: Vec<String>) -> Result<Option<Options>, String> {
     let mut frontier_path = Some(PathBuf::from("dse_frontier.json"));
     let mut quiet = false;
     let mut list = false;
+    // The flags that shape the architecture grid, as given, for the error
+    // of an empty design space.
+    let mut space_flags = Vec::new();
 
     let mut args = args.into_iter();
     while let Some(arg) = args.next() {
@@ -179,11 +182,16 @@ fn parse_args(args: Vec<String>) -> Result<Option<Options>, String> {
             args.next()
                 .ok_or_else(|| format!("missing value for {name}"))
         };
+        let mut space_value = |name: &str| {
+            let v = value(name)?;
+            space_flags.push(format!("{name} {v}"));
+            Ok::<_, String>(v)
+        };
         match arg.as_str() {
-            "--grid" => grid = parse_grid(&value("--grid")?)?,
-            "--topology" => topologies = Some(parse_topologies(&value("--topology")?)?),
-            "--bw" => bw_classes = Some(parse_bw_classes(&value("--bw")?)?),
-            "--dims" => dims = Some(parse_dims(&value("--dims")?)?),
+            "--grid" => grid = parse_grid(&space_value("--grid")?)?,
+            "--topology" => topologies = Some(parse_topologies(&space_value("--topology")?)?),
+            "--bw" => bw_classes = Some(parse_bw_classes(&space_value("--bw")?)?),
+            "--dims" => dims = Some(parse_dims(&space_value("--dims")?)?),
             "--workloads" => workloads = parse_workloads(&value("--workloads")?)?,
             "--passes" => {
                 passes = value("--passes")?
@@ -220,6 +228,16 @@ fn parse_args(args: Vec<String>) -> Result<Option<Options>, String> {
     }
     if let Some(dims) = dims {
         grid.dims = dims;
+    }
+    // A grid whose every point is invalid (say, an express stride that no
+    // array of the grid fits) would sweep nothing and write an empty
+    // frontier. An empty shard of a non-empty plan is still a valid run.
+    if grid.enumerate().is_empty() {
+        return Err(format!(
+            "`{}` selects no valid architecture point (an express stride \
+             must be below the larger array dimension)",
+            space_flags.join(" ")
+        ));
     }
 
     let options = Options {

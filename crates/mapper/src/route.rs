@@ -8,18 +8,25 @@
 //! register/hold resource (the self-links the architectures provide).
 //!
 //! The search itself is allocation-free on the hot path: a reusable
-//! [`RouterScratch`] owns the distance/parent tables (epoch-stamped, so
-//! clearing between searches is a counter bump, not a memset) and the
-//! priority queue. It prunes search cells that cannot reach the consumer in
-//! exactly the remaining cycles, reading a [`Reach`]: two latencies per
-//! switch and destination FU, computed once per fabric. The mappers route
+//! [`RouterScratch`] owns one table of search cells (epoch-stamped, so
+//! clearing between searches is a counter bump, not a memset), the modulo
+//! slot of every elapsed cycle and the priority queue. A cell holds its best
+//! cost, its parent and the cost policy's answer for it, so the search
+//! probes each cell's occupancy once however many predecessors reach it.
+//! The queue holds plain integers: an order-preserving image of the cost
+//! followed by `resource << 32 | elapsed`, which pops in cost order and
+//! breaks ties by resource, then elapsed.
+//!
+//! The search prunes cells that cannot reach the consumer in exactly the
+//! remaining cycles, reading a [`Reach`]: two latencies per switch and
+//! destination FU, computed once per fabric. The mappers route
 //! thousands of edges per second through [`find_route_in`], with the scratch
 //! owned by their `MapState` and the `Reach` owned by the
 //! [`PreparedFabric`](crate::PreparedFabric): built by the first ladder on a
 //! fabric, or on a sibling of the same topology, and shared by every
 //! attempt of every ladder on them.
 
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use plaid_arch::{Architecture, ResourceId};
@@ -56,6 +63,9 @@ impl RouteRequest {
 }
 
 /// Per-hop cost policy.
+///
+/// The answer must depend only on the arguments: [`find_route_in`] asks once
+/// per search cell and reuses the answer for every predecessor of the cell.
 pub trait CostPolicy {
     /// Cost of occupying `(resource, slot)` with `value`, or `None` if the
     /// resource may not be used (hard capacity). Finite costs only: the
@@ -151,62 +161,112 @@ impl CostPolicy for NegotiatedCost {
     }
 }
 
-#[derive(Debug, Clone, PartialEq)]
-struct QueueEntry {
-    cost: f64,
-    resource: u32,
-    elapsed: u32,
-}
-
-impl Eq for QueueEntry {}
-
-impl Ord for QueueEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap on cost. Entries are guaranteed finite at insertion
-        // (`finite_or_reject` below), so `total_cmp` agrees with the IEEE
-        // partial order here while staying total for safety.
-        other
-            .cost
-            .total_cmp(&self.cost)
-            .then_with(|| other.resource.cmp(&self.resource))
-            .then_with(|| other.elapsed.cmp(&self.elapsed))
-    }
-}
-
-impl PartialOrd for QueueEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 /// Rejects non-finite hop costs before they can enter the priority queue: a
-/// NaN compares `Equal` to everything under a naive partial comparison and
-/// silently corrupts heap order. A non-finite hop is treated like an
-/// unusable one, in every build profile.
+/// NaN has no place in the cost order and would corrupt every comparison
+/// with it. A non-finite hop is treated like an unusable one, in every build
+/// profile.
 #[inline]
 fn finite_or_reject(cost: f64) -> Option<f64> {
     cost.is_finite().then_some(cost)
 }
 
-/// Sentinel for "no parent" in the dense predecessor table (no resource has
-/// id `u32::MAX`).
-const NO_PARENT: (u32, u32) = (u32::MAX, u32::MAX);
+/// The order-preserving `u64` image of a cost: `cost_key(a).cmp(&cost_key(b))`
+/// equals `a.total_cmp(&b)`. Flipping the sign bit of a non-negative float
+/// and every bit of a negative one turns the IEEE layout into an unsigned
+/// integer order.
+#[inline]
+fn cost_key(cost: f64) -> u64 {
+    let bits = cost.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
 
-/// Reusable search state of [`find_route_in`]: dense per-`(resource,
-/// elapsed)` best-cost and parent tables and the priority queue.
+/// The cost whose [`cost_key`] is `key`.
+#[inline]
+fn key_cost(key: u64) -> f64 {
+    f64::from_bits(if key >> 63 == 1 {
+        key & !(1 << 63)
+    } else {
+        !key
+    })
+}
+
+/// A queue entry of the search: cell `(resource, elapsed)` reached at
+/// `cost`, as one integer. The cost's key fills the high 64 bits and
+/// `resource << 32 | elapsed` the low ones, so integer order is cost first
+/// (in [`f64::total_cmp`] order), then resource, then elapsed.
+#[inline]
+fn queue_key(cost: f64, resource: u32, elapsed: u32) -> u128 {
+    u128::from(cost_key(cost)) << 64 | u128::from(resource) << 32 | u128::from(elapsed)
+}
+
+/// The `(cost, resource, elapsed)` of a [`queue_key`].
+#[inline]
+fn queue_entry(key: u128) -> (f64, u32, u32) {
+    (key_cost((key >> 64) as u64), (key >> 32) as u32, key as u32)
+}
+
+/// Sentinel for "no parent" in the cell table, which [`RouterScratch::begin`]
+/// keeps below `u32::MAX` cells.
+const NO_PARENT: u32 = u32::MAX;
+
+/// The hop cost the cell table caches for a cell its policy refuses. Every
+/// admitted hop cost is finite ([`finite_or_reject`]).
+const REFUSED: f64 = f64::INFINITY;
+
+/// One `(resource, elapsed)` cell of the search. The other fields hold for
+/// the current search only when `stamp` is its epoch.
+#[derive(Debug, Clone, Copy)]
+struct SearchCell {
+    /// Epoch of the last search that probed the cell.
+    stamp: u32,
+    /// Table index of the cell the best cost came from, or `NO_PARENT` for
+    /// a first hop.
+    parent: u32,
+    /// The policy's hop cost of the cell, or `REFUSED`.
+    hop: f64,
+    /// Lowest cost the search has reached the cell at (infinite when it has
+    /// only probed it).
+    best: f64,
+}
+
+impl SearchCell {
+    /// A cell first reached in search `epoch`, whose hop the policy
+    /// answered with `hop`.
+    #[inline]
+    fn probed(epoch: u32, hop: Option<f64>) -> Self {
+        SearchCell {
+            stamp: epoch,
+            parent: NO_PARENT,
+            hop: hop.unwrap_or(REFUSED),
+            best: f64::INFINITY,
+        }
+    }
+}
+
+/// Reusable search state of [`find_route_in`]: one table of search cells,
+/// indexed `resource * (budget + 1) + elapsed`, the modulo slot of every
+/// elapsed cycle, and the priority queue.
 ///
-/// Tables are epoch-stamped: a cell is live only when its stamp matches the
-/// current epoch, so starting a new search is one counter increment and the
-/// tables are never re-initialised (they only grow, to the largest
-/// `resources × (budget + 1)` seen). One scratch serves any number of
-/// sequential searches over any architectures.
+/// Each cell holds its best cost, its parent and the policy's hop cost for
+/// it. It is stamped with the epoch of the search that first reached it,
+/// and its fields count only when the stamp is the current epoch, so
+/// starting a new search is one counter increment and the table
+/// is never re-initialised (it only grows, to the largest
+/// `resources × (budget + 1)` seen). When the epoch wraps, every stamp is
+/// reset, which forgets the cached hop costs along with the best costs. One
+/// scratch serves any number of sequential searches over any architectures.
 #[derive(Debug, Clone, Default)]
 pub struct RouterScratch {
     epoch: u32,
-    stamp: Vec<u32>,
-    best: Vec<f64>,
-    parent: Vec<(u32, u32)>,
-    heap: BinaryHeap<QueueEntry>,
+    cells: Vec<SearchCell>,
+    /// `slots[elapsed]` is the modulo slot of `src_cycle + elapsed`.
+    slots: Vec<u32>,
+    /// Min-queue of [`queue_key`]s.
+    heap: BinaryHeap<Reverse<u128>>,
 }
 
 impl RouterScratch {
@@ -215,43 +275,39 @@ impl RouterScratch {
         Self::default()
     }
 
-    /// Starts a new search over `cells` table entries.
-    fn begin(&mut self, cells: usize) {
-        if self.stamp.len() < cells {
-            self.stamp.resize(cells, 0);
-            self.best.resize(cells, f64::INFINITY);
-            self.parent.resize(cells, NO_PARENT);
+    /// This scratch with its epoch set to `epoch`, so that tests can cross
+    /// the wrap without running four billion searches.
+    #[cfg(test)]
+    pub(crate) fn starting_at(mut self, epoch: u32) -> Self {
+        self.epoch = epoch;
+        self
+    }
+
+    /// Starts a new search over `cells` table entries whose route leaves at
+    /// `src_cycle` and takes `budget` cycles.
+    fn begin(&mut self, cells: usize, state: &RoutingState, src_cycle: u32, budget: u32) {
+        assert!(cells < NO_PARENT as usize, "{cells} search cells");
+        if self.cells.len() < cells {
+            self.cells.resize(cells, SearchCell::probed(0, None));
         }
         self.heap.clear();
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
             // Wrapped: stale stamps could collide with the new epoch.
-            self.stamp.fill(0);
+            for cell in &mut self.cells {
+                cell.stamp = 0;
+            }
             self.epoch = 1;
         }
-    }
-
-    /// Best cost recorded for `idx` in the current search.
-    #[inline]
-    fn best(&self, idx: usize) -> f64 {
-        if self.stamp[idx] == self.epoch {
-            self.best[idx]
-        } else {
-            f64::INFINITY
+        self.slots.clear();
+        let mut slot = state.slot(src_cycle);
+        for _ in 0..=budget {
+            self.slots.push(slot);
+            slot += 1;
+            if slot == state.ii() {
+                slot = 0;
+            }
         }
-    }
-
-    #[inline]
-    fn set(&mut self, idx: usize, cost: f64, parent: (u32, u32)) {
-        self.stamp[idx] = self.epoch;
-        self.best[idx] = cost;
-        self.parent[idx] = parent;
-    }
-
-    #[inline]
-    fn parent(&self, idx: usize) -> (u32, u32) {
-        debug_assert_eq!(self.stamp[idx], self.epoch);
-        self.parent[idx]
     }
 }
 
@@ -521,8 +577,20 @@ impl Reach {
 ///
 /// The returned route contains only intermediate switch hops; both functional
 /// units are excluded. The route's cost (sum of hop costs) is returned
-/// alongside it. Apart from the returned `Route`'s hop vector, the search
-/// performs no heap allocation once the scratch has warmed up.
+/// alongside it. Apart from the returned `Route`'s hop vector, which is
+/// allocated at the route's length, the search performs no heap allocation
+/// once the scratch has warmed up.
+///
+/// The search is Dijkstra over `(resource, elapsed)` cells. Its queue pops
+/// the cheapest cell first and breaks ties by the lower resource id, then
+/// the fewer elapsed cycles, so equal-cost routes resolve the same way on
+/// every run. It asks `policy` for a cell's hop cost once, when the search
+/// first reaches the cell, and reuses the answer for every later
+/// predecessor. That changes nothing: the occupancy cannot change during a
+/// search, a cell's hop cost does not depend on the predecessor, and a
+/// repeated probe would only repeat its record in the
+/// [`CapacityCert`](crate::state::CapacityCert), which keeps a maximum and a
+/// minimum per resource.
 pub fn find_route_in(
     scratch: &mut RouterScratch,
     arch: &Architecture,
@@ -539,82 +607,103 @@ pub fn find_route_in(
     // remaining cycles are dead: skip them before probing occupancy. See
     // [`ReachTable`] for why this cannot change the returned route.
     let table = reach.table(arch, request.dst_fu);
-    scratch.begin(n * width);
+    scratch.begin(n * width, state, request.src_cycle, budget);
+    let RouterScratch {
+        epoch,
+        cells,
+        slots,
+        heap,
+    } = scratch;
+    let epoch = *epoch;
 
     // Seed: leave the source FU along each open first hop.
-    for (to, elapsed, cost) in first_hops(reach, state, request, policy, table, budget) {
-        let idx = index(to, elapsed);
-        if cost < scratch.best(idx) {
-            scratch.set(idx, cost, NO_PARENT);
-            scratch.heap.push(QueueEntry {
-                cost,
-                resource: to,
-                elapsed,
-            });
+    for (to, elapsed, hop) in first_hops(reach, state, request, policy, table, budget) {
+        let cell = &mut cells[index(to, elapsed)];
+        if cell.stamp != epoch {
+            *cell = SearchCell::probed(epoch, hop);
+        }
+        if let Some(cost) = hop.filter(|&cost| cost < cell.best) {
+            cell.best = cost;
+            cell.parent = NO_PARENT;
+            heap.push(Reverse(queue_key(cost, to, elapsed)));
         }
     }
 
-    while let Some(entry) = scratch.heap.pop() {
-        let idx = index(entry.resource, entry.elapsed);
-        if entry.cost > scratch.best(idx) {
+    while let Some(Reverse(key)) = heap.pop() {
+        let (cost, resource, elapsed) = queue_entry(key);
+        let idx = index(resource, elapsed);
+        if cost > cells[idx].best {
             continue;
         }
         // Try to finish: the link into the destination FU, whose latency
         // the table stores, lands exactly on the arrival cycle. Queued
         // cells never overrun the budget.
-        if table.exactly(entry.resource) == budget - entry.elapsed {
-            // Reconstruct the hop chain.
-            let mut hops = Vec::new();
-            let mut cursor = (entry.resource, entry.elapsed);
-            while cursor != NO_PARENT {
-                let (r, e) = cursor;
-                hops.push(RouteHop {
-                    resource: ResourceId(r),
-                    cycle: request.src_cycle + e,
-                });
-                cursor = scratch.parent(index(r, e));
-            }
-            hops.reverse();
-            return Some((Route { hops }, entry.cost));
+        if table.exactly(resource) == budget - elapsed {
+            return Some((rebuild(cells, idx, width, request.src_cycle), cost));
         }
         // Expand.
-        for &(to, latency) in reach.successors(entry.resource) {
-            let elapsed = entry.elapsed + latency;
-            if elapsed > budget || !table.alive(to, budget - elapsed) {
+        for &(to, latency) in reach.successors(resource) {
+            let next = elapsed + latency;
+            if next > budget || !table.alive(to, budget - next) {
                 continue;
             }
-            let slot = state.slot(request.src_cycle + elapsed);
-            let Some(hop_cost) = policy
-                .hop_cost(state, ResourceId(to), slot, request.value)
-                .and_then(finite_or_reject)
-            else {
+            let cell = &mut cells[index(to, next)];
+            if cell.stamp != epoch {
+                let hop = policy
+                    .hop_cost(state, ResourceId(to), slots[next as usize], request.value)
+                    .and_then(finite_or_reject);
+                *cell = SearchCell::probed(epoch, hop);
+            }
+            if cell.hop == REFUSED {
                 continue;
-            };
+            }
             // Zero-latency self-loops cannot exist (links are deduplicated and
             // holds have latency 1), so progress is guaranteed; still, avoid
             // re-visiting the same (resource, elapsed) at higher cost.
-            let cost = entry.cost + hop_cost;
-            let nidx = index(to, elapsed);
-            if cost < scratch.best(nidx) {
-                scratch.set(nidx, cost, (entry.resource, entry.elapsed));
-                scratch.heap.push(QueueEntry {
-                    cost,
-                    resource: to,
-                    elapsed,
-                });
+            let next_cost = cost + cell.hop;
+            if next_cost < cell.best {
+                cell.best = next_cost;
+                cell.parent = idx as u32;
+                heap.push(Reverse(queue_key(next_cost, to, next)));
             }
         }
     }
     None
 }
 
-/// The open first hops of `request`'s route, in link order: each switch
-/// leaving the producer's FU that is alive for the budget in `table` and
-/// that `policy` admits, with its elapsed cycles and hop cost. This is the
-/// one definition of a first hop: the search seeds from it and
-/// [`first_hop_open`] asks whether it is empty. The iterator is lazy, so
-/// each hop's occupancy is probed, and recorded in the capacity
-/// certificate, only when the iterator reaches it.
+/// The route ending at cell `last`, rebuilt from the parent chain into a
+/// vector of exactly its length, first hop first.
+fn rebuild(cells: &[SearchCell], last: usize, width: usize, src_cycle: u32) -> Route {
+    let chain = |from: usize| {
+        std::iter::successors(Some(from), |&idx| {
+            Some(cells[idx].parent)
+                .filter(|&p| p != NO_PARENT)
+                .map(|p| p as usize)
+        })
+    };
+    let mut hops = vec![
+        RouteHop {
+            resource: ResourceId(0),
+            cycle: 0,
+        };
+        chain(last).count()
+    ];
+    for (hop, idx) in hops.iter_mut().rev().zip(chain(last)) {
+        *hop = RouteHop {
+            resource: ResourceId((idx / width) as u32),
+            cycle: src_cycle + (idx % width) as u32,
+        };
+    }
+    Route { hops }
+}
+
+/// The first hops of `request`'s route, in link order: each switch leaving
+/// the producer's FU that is alive for the budget in `table`, with its
+/// elapsed cycles and its hop cost under `policy` (`None` where the policy
+/// refuses it). This is the one definition of a first hop: the search seeds
+/// from it and [`first_hop_open`] asks whether any of them is admitted. The
+/// iterator is lazy, so each hop's occupancy is probed, and recorded in the
+/// capacity certificate, only when the iterator reaches it.
 fn first_hops<'a>(
     reach: &'a Reach,
     state: &'a RoutingState,
@@ -622,21 +711,19 @@ fn first_hops<'a>(
     policy: &'a impl CostPolicy,
     table: &'a ReachTable,
     budget: u32,
-) -> impl Iterator<Item = (u32, u32, f64)> + 'a {
+) -> impl Iterator<Item = (u32, u32, Option<f64>)> + 'a {
     // A route may only end at the destination FU, and entering it is
     // handled at pop time in the search; the successor lists hold no FUs.
     reach
         .successors(request.src_fu.0)
         .iter()
-        .filter_map(move |&(to, elapsed)| {
-            if elapsed > budget || !table.alive(to, budget - elapsed) {
-                return None;
-            }
+        .filter(move |&&(to, elapsed)| elapsed <= budget && table.alive(to, budget - elapsed))
+        .map(move |&(to, elapsed)| {
             let slot = state.slot(request.src_cycle + elapsed);
             let cost = policy
                 .hop_cost(state, ResourceId(to), slot, request.value)
-                .and_then(finite_or_reject)?;
-            Some((to, elapsed, cost))
+                .and_then(finite_or_reject);
+            (to, elapsed, cost)
         })
 }
 
@@ -661,9 +748,7 @@ pub(crate) fn first_hop_open(
         return false;
     };
     let table = reach.table(arch, request.dst_fu);
-    first_hops(reach, state, request, policy, table, budget)
-        .next()
-        .is_some()
+    first_hops(reach, state, request, policy, table, budget).any(|(_, _, cost)| cost.is_some())
 }
 
 /// Commits a route to the occupancy table.
@@ -1437,5 +1522,453 @@ pub(crate) mod tests {
         }
         assert!(open > 0 && open < checked, "{open} of {checked} open");
         assert!(exact_only > 0, "no budget opens through an exact hop alone");
+    }
+
+    /// The search as it stood before the cell table, kept verbatim as the
+    /// oracle of [`find_route_in`]: a `QueueEntry` heap ordered by
+    /// `total_cmp`, parallel `stamp`/`best`/`parent` tables, a `hop_cost`
+    /// probe on every expansion and a reversed route.
+    mod reference {
+        use std::cmp::Ordering;
+        use std::collections::BinaryHeap;
+
+        use plaid_arch::{Architecture, ResourceId};
+
+        use super::super::{finite_or_reject, CostPolicy, Reach, ReachTable, RouteRequest};
+        use crate::mapping::{Route, RouteHop};
+        use crate::state::RoutingState;
+
+        #[derive(Debug, Clone, PartialEq)]
+        struct QueueEntry {
+            cost: f64,
+            resource: u32,
+            elapsed: u32,
+        }
+
+        impl Eq for QueueEntry {}
+
+        impl Ord for QueueEntry {
+            fn cmp(&self, other: &Self) -> Ordering {
+                // Min-heap on cost. Entries are guaranteed finite at insertion
+                // (`finite_or_reject` below), so `total_cmp` agrees with the IEEE
+                // partial order here while staying total for safety.
+                other
+                    .cost
+                    .total_cmp(&self.cost)
+                    .then_with(|| other.resource.cmp(&self.resource))
+                    .then_with(|| other.elapsed.cmp(&self.elapsed))
+            }
+        }
+
+        impl PartialOrd for QueueEntry {
+            fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+                Some(self.cmp(other))
+            }
+        }
+
+        /// Sentinel for "no parent" in the dense predecessor table (no resource has
+        /// id `u32::MAX`).
+        const NO_PARENT: (u32, u32) = (u32::MAX, u32::MAX);
+
+        #[derive(Debug, Clone, Default)]
+        pub(super) struct RouterScratch {
+            epoch: u32,
+            stamp: Vec<u32>,
+            best: Vec<f64>,
+            parent: Vec<(u32, u32)>,
+            heap: BinaryHeap<QueueEntry>,
+        }
+
+        impl RouterScratch {
+            /// Starts a new search over `cells` table entries.
+            fn begin(&mut self, cells: usize) {
+                if self.stamp.len() < cells {
+                    self.stamp.resize(cells, 0);
+                    self.best.resize(cells, f64::INFINITY);
+                    self.parent.resize(cells, NO_PARENT);
+                }
+                self.heap.clear();
+                self.epoch = self.epoch.wrapping_add(1);
+                if self.epoch == 0 {
+                    // Wrapped: stale stamps could collide with the new epoch.
+                    self.stamp.fill(0);
+                    self.epoch = 1;
+                }
+            }
+
+            /// Best cost recorded for `idx` in the current search.
+            #[inline]
+            fn best(&self, idx: usize) -> f64 {
+                if self.stamp[idx] == self.epoch {
+                    self.best[idx]
+                } else {
+                    f64::INFINITY
+                }
+            }
+
+            #[inline]
+            fn set(&mut self, idx: usize, cost: f64, parent: (u32, u32)) {
+                self.stamp[idx] = self.epoch;
+                self.best[idx] = cost;
+                self.parent[idx] = parent;
+            }
+
+            #[inline]
+            fn parent(&self, idx: usize) -> (u32, u32) {
+                debug_assert_eq!(self.stamp[idx], self.epoch);
+                self.parent[idx]
+            }
+        }
+
+        pub(super) fn find_route_in(
+            scratch: &mut RouterScratch,
+            arch: &Architecture,
+            reach: &Reach,
+            state: &RoutingState,
+            request: &RouteRequest,
+            policy: &impl CostPolicy,
+        ) -> Option<(Route, f64)> {
+            let budget = request.budget()?;
+            let n = arch.resources().len();
+            let width = (budget + 1) as usize;
+            let index = |r: u32, e: u32| r as usize * width + e as usize;
+            // Cells from which the destination is unreachable in exactly the
+            // remaining cycles are dead: skip them before probing occupancy. See
+            // [`ReachTable`] for why this cannot change the returned route.
+            let table = reach.table(arch, request.dst_fu);
+            scratch.begin(n * width);
+
+            // Seed: leave the source FU along each open first hop.
+            for (to, elapsed, cost) in first_hops(reach, state, request, policy, table, budget) {
+                let idx = index(to, elapsed);
+                if cost < scratch.best(idx) {
+                    scratch.set(idx, cost, NO_PARENT);
+                    scratch.heap.push(QueueEntry {
+                        cost,
+                        resource: to,
+                        elapsed,
+                    });
+                }
+            }
+
+            while let Some(entry) = scratch.heap.pop() {
+                let idx = index(entry.resource, entry.elapsed);
+                if entry.cost > scratch.best(idx) {
+                    continue;
+                }
+                // Try to finish: the link into the destination FU, whose latency
+                // the table stores, lands exactly on the arrival cycle. Queued
+                // cells never overrun the budget.
+                if table.exactly(entry.resource) == budget - entry.elapsed {
+                    // Reconstruct the hop chain.
+                    let mut hops = Vec::new();
+                    let mut cursor = (entry.resource, entry.elapsed);
+                    while cursor != NO_PARENT {
+                        let (r, e) = cursor;
+                        hops.push(RouteHop {
+                            resource: ResourceId(r),
+                            cycle: request.src_cycle + e,
+                        });
+                        cursor = scratch.parent(index(r, e));
+                    }
+                    hops.reverse();
+                    return Some((Route { hops }, entry.cost));
+                }
+                // Expand.
+                for &(to, latency) in reach.successors(entry.resource) {
+                    let elapsed = entry.elapsed + latency;
+                    if elapsed > budget || !table.alive(to, budget - elapsed) {
+                        continue;
+                    }
+                    let slot = state.slot(request.src_cycle + elapsed);
+                    let Some(hop_cost) = policy
+                        .hop_cost(state, ResourceId(to), slot, request.value)
+                        .and_then(finite_or_reject)
+                    else {
+                        continue;
+                    };
+                    // Zero-latency self-loops cannot exist (links are deduplicated and
+                    // holds have latency 1), so progress is guaranteed; still, avoid
+                    // re-visiting the same (resource, elapsed) at higher cost.
+                    let cost = entry.cost + hop_cost;
+                    let nidx = index(to, elapsed);
+                    if cost < scratch.best(nidx) {
+                        scratch.set(nidx, cost, (entry.resource, entry.elapsed));
+                        scratch.heap.push(QueueEntry {
+                            cost,
+                            resource: to,
+                            elapsed,
+                        });
+                    }
+                }
+            }
+            None
+        }
+
+        fn first_hops<'a>(
+            reach: &'a Reach,
+            state: &'a RoutingState,
+            request: &'a RouteRequest,
+            policy: &'a impl CostPolicy,
+            table: &'a ReachTable,
+            budget: u32,
+        ) -> impl Iterator<Item = (u32, u32, f64)> + 'a {
+            // A route may only end at the destination FU, and entering it is
+            // handled at pop time in the search; the successor lists hold no FUs.
+            reach
+                .successors(request.src_fu.0)
+                .iter()
+                .filter_map(move |&(to, elapsed)| {
+                    if elapsed > budget || !table.alive(to, budget - elapsed) {
+                        return None;
+                    }
+                    let slot = state.slot(request.src_cycle + elapsed);
+                    let cost = policy
+                        .hop_cost(state, ResourceId(to), slot, request.value)
+                        .and_then(finite_or_reject)?;
+                    Some((to, elapsed, cost))
+                })
+        }
+    }
+
+    /// A policy that counts its `hop_cost` calls.
+    struct Counted<'p, P> {
+        policy: &'p P,
+        calls: std::cell::Cell<u64>,
+    }
+
+    impl<'p, P: CostPolicy> Counted<'p, P> {
+        fn new(policy: &'p P) -> Self {
+            Counted {
+                policy,
+                calls: std::cell::Cell::new(0),
+            }
+        }
+    }
+
+    impl<P: CostPolicy> CostPolicy for Counted<'_, P> {
+        fn hop_cost(
+            &self,
+            state: &RoutingState,
+            resource: ResourceId,
+            slot: u32,
+            value: NodeId,
+        ) -> Option<f64> {
+            self.calls.set(self.calls.get() + 1);
+            self.policy.hop_cost(state, resource, slot, value)
+        }
+    }
+
+    /// SplitMix64: the tests' deterministic random stream.
+    fn next(rng: &mut u64) -> u64 {
+        *rng = rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *rng;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Values the random occupancies draw from; requests route one of them,
+    /// so a request sometimes finds its own value already in a cell.
+    const VALUES: u32 = 6;
+
+    /// Random `(resource, cycle, value)` occupancy of the switches of
+    /// `arch` at `ii`: about a third of the switch slots hold between one
+    /// value and one more than the switch's capacity.
+    fn random_occupancy(
+        arch: &Architecture,
+        ii: u32,
+        rng: &mut u64,
+    ) -> Vec<(ResourceId, u32, NodeId)> {
+        let mut ops = Vec::new();
+        for r in arch.resources().iter().filter(|r| !r.kind.is_func_unit()) {
+            for slot in 0..ii {
+                if !next(rng).is_multiple_of(3) {
+                    continue;
+                }
+                let values = 1 + next(rng) % u64::from(r.kind.capacity() + 1);
+                for _ in 0..values {
+                    ops.push((r.id, slot, NodeId((next(rng) % u64::from(VALUES)) as u32)));
+                }
+            }
+        }
+        ops
+    }
+
+    /// `request` through the kernel on `states[0]` and through the
+    /// reference on `states[1]` under `policy`: each side's route with its
+    /// cost bits, and its `hop_cost` call count.
+    fn both<P: CostPolicy>(
+        policy: &P,
+        (scratch, reference_scratch): (&mut RouterScratch, &mut reference::RouterScratch),
+        (arch, reach): (&Architecture, &Reach),
+        states: &[RoutingState; 2],
+        request: &RouteRequest,
+    ) -> [(Option<(Route, u64)>, u64); 2] {
+        let bits = |r: Option<(Route, f64)>| r.map(|(route, cost)| (route, cost.to_bits()));
+        let counted = [Counted::new(policy), Counted::new(policy)];
+        let got = find_route_in(scratch, arch, reach, &states[0], request, &counted[0]);
+        let want = reference::find_route_in(
+            reference_scratch,
+            arch,
+            reach,
+            &states[1],
+            request,
+            &counted[1],
+        );
+        [
+            (bits(got), counted[0].calls.get()),
+            (bits(want), counted[1].calls.get()),
+        ]
+    }
+
+    #[test]
+    fn kernel_matches_the_reference_search() {
+        // Every fabric of the zoo, at a random II with a random partial
+        // occupancy, under the hard-capacity and the negotiated policy
+        // (with random history): the kernel and the reference, each on
+        // its own certificate, must return the same route at the same
+        // cost bits and record the same certificate, and the kernel must
+        // never probe more often than the reference.
+        use crate::state::CapacityCert;
+        use std::sync::Arc;
+        let mut rng = 22;
+        let (mut searches, mut routed) = (0usize, 0usize);
+        let (mut probes, mut reference_probes, mut fewer) = (0u64, 0u64, 0usize);
+        for arch in fabric_zoo() {
+            let reach = Reach::of(&arch);
+            let n = arch.resources().len();
+            let fus: Vec<ResourceId> = arch.functional_units().map(|r| r.id).collect();
+            for negotiated in [false, true] {
+                let ii = 1 + (next(&mut rng) % 5) as u32;
+                let certs = [(); 2].map(|_| Arc::new(CapacityCert::new(n)));
+                let mut states = certs
+                    .each_ref()
+                    .map(|cert| RoutingState::with_cert(&arch, ii, Arc::clone(cert)));
+                for (r, cycle, value) in random_occupancy(&arch, ii, &mut rng) {
+                    states.iter_mut().for_each(|s| s.occupy(r, cycle, value));
+                }
+                let mut history = NegotiatedCost::new(n);
+                for h in &mut history.history {
+                    *h = (next(&mut rng) % 4) as f64 * 0.5;
+                }
+                let (mut scratch, mut reference_scratch) =
+                    (RouterScratch::new(), reference::RouterScratch::default());
+                for _ in 0..6 {
+                    let src = fus[next(&mut rng) as usize % fus.len()];
+                    let dst = fus[next(&mut rng) as usize % fus.len()];
+                    let src_cycle = (next(&mut rng) % u64::from(2 * ii)) as u32;
+                    let value = NodeId((next(&mut rng) % u64::from(VALUES)) as u32);
+                    for budget in 0..=2 * ii + 4 {
+                        let request = RouteRequest {
+                            src_fu: src,
+                            src_cycle,
+                            dst_fu: dst,
+                            arrival_cycle: src_cycle + budget,
+                            value,
+                        };
+                        let (scratches, fabric) =
+                            ((&mut scratch, &mut reference_scratch), (&arch, &reach));
+                        let [(got, calls), (want, reference_calls)] = if negotiated {
+                            both(&history, scratches, fabric, &states, &request)
+                        } else {
+                            both(&HardCapacityCost, scratches, fabric, &states, &request)
+                        };
+                        routed += usize::from(want.is_some());
+                        assert_eq!(got, want, "{}: {request:?}", arch.name());
+                        assert!(calls <= reference_calls, "{}: {request:?}", arch.name());
+                        fewer += usize::from(calls < reference_calls);
+                        probes += calls;
+                        reference_probes += reference_calls;
+                        searches += 1;
+                    }
+                    assert_eq!(certs[0].need(), certs[1].need(), "{}", arch.name());
+                    assert_eq!(certs[0].ceil(), certs[1].ceil(), "{}", arch.name());
+                }
+            }
+        }
+        assert!(
+            routed > searches / 4 && routed < searches,
+            "{routed} of {searches} routed"
+        );
+        assert!(
+            fewer > 0 && probes < reference_probes,
+            "{probes} of {reference_probes} probes"
+        );
+    }
+
+    #[test]
+    fn searches_across_the_epoch_wrap_match_fresh_scratches() {
+        // The wrap resets every cell's stamp, which guards the cached hop
+        // cost as well as the best cost. A scratch that searched at low
+        // epochs and then wraps meets its own stale stamps again at epochs
+        // 1, 2, ...; a stale cell must not pass for probed or reached.
+        let arch = plaid::build(2, 2);
+        let reach = Reach::of(&arch);
+        let ii = 3;
+        let mut rng = 7;
+        let mut before = RoutingState::new(&arch, ii);
+        let mut after = RoutingState::new(&arch, ii);
+        for (state, ops) in [&mut before, &mut after]
+            .into_iter()
+            .map(|s| (s, random_occupancy(&arch, ii, &mut rng)))
+        {
+            for (r, cycle, value) in ops {
+                state.occupy(r, cycle, value);
+            }
+        }
+        let fus: Vec<ResourceId> = arch.functional_units().map(|r| r.id).collect();
+        let requests: Vec<RouteRequest> = (0..24)
+            .map(|i| {
+                let src_cycle = (next(&mut rng) % u64::from(ii)) as u32;
+                RouteRequest {
+                    src_fu: fus[next(&mut rng) as usize % fus.len()],
+                    src_cycle,
+                    dst_fu: fus[next(&mut rng) as usize % fus.len()],
+                    arrival_cycle: src_cycle + 1 + i % (2 * ii + 3),
+                    value: NodeId((next(&mut rng) % u64::from(VALUES)) as u32),
+                }
+            })
+            .collect();
+        let search = |scratch: &mut RouterScratch, state: &RoutingState, request| {
+            let policy = Counted::new(&HardCapacityCost);
+            let found = find_route_in(scratch, &arch, &reach, state, request, &policy);
+            (found, policy.calls.get())
+        };
+        // A fresh scratch just below the wrap crosses it on its fourth
+        // search.
+        let mut scratch = RouterScratch::new().starting_at(u32::MAX - 3);
+        for request in &requests {
+            let fresh = search(&mut RouterScratch::new(), &after, request);
+            assert_eq!(search(&mut scratch, &after, request), fresh, "{request:?}");
+        }
+        assert_eq!(scratch.epoch, requests.len() as u32 - 3);
+        // A scratch warmed at epochs 1..=24 on other occupancies, moved to
+        // the last epoch before the wrap: its first search wraps, and its
+        // later ones reuse the epochs of the warm-up.
+        let mut scratch = RouterScratch::new();
+        for request in &requests {
+            search(&mut scratch, &before, request);
+        }
+        let later_epochs = 1..requests.len() as u32;
+        assert!(
+            scratch
+                .cells
+                .iter()
+                .any(|c| later_epochs.contains(&c.stamp)),
+            "no warm-up stamp lies on a later epoch"
+        );
+        let mut scratch = scratch.starting_at(u32::MAX);
+        for request in &requests {
+            let fresh = search(&mut RouterScratch::new(), &after, request);
+            assert_eq!(search(&mut scratch, &after, request), fresh, "{request:?}");
+            if scratch.epoch == 1 {
+                assert!(
+                    scratch.cells.iter().all(|c| c.stamp <= 1),
+                    "the wrap left stale stamps"
+                );
+            }
+        }
+        assert_eq!(scratch.epoch, later_epochs.end);
     }
 }
