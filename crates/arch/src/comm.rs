@@ -644,6 +644,29 @@ mod tests {
     }
 
     #[test]
+    fn reads_both_the_string_and_the_object_form() {
+        let preset: CommSpec = serde_json::from_str(r#""Rich""#).unwrap();
+        assert_eq!(preset, CommSpec::RICH);
+        let text = r#"{"select": "fixed", "topology": "torus", "note": [1, {}],
+                       "local_bw": "half", "global_bw": "boost"}"#;
+        let spec: CommSpec = serde_json::from_str(text).unwrap();
+        assert_eq!(
+            spec,
+            CommSpec {
+                topology: Topology::Torus,
+                link_bw: LinkBw {
+                    local: BwClass::Half,
+                    global: BwClass::Boost,
+                },
+                select_policy: SelectPolicy::Fixed,
+            }
+        );
+        let err = serde_json::from_str::<CommSpec>(r#"{"topology": "torus"}"#).unwrap_err();
+        assert!(err.to_string().contains("local_bw"), "{err}");
+        assert!(serde_json::from_str::<CommSpec>("3").is_err());
+    }
+
+    #[test]
     fn labels_are_unique_across_a_mixed_axis() {
         let mut specs = CommSpec::presets();
         specs.push(CommSpec::uniform(Topology::Torus, BwClass::Base));
