@@ -502,7 +502,7 @@ impl CommSpec {
 // persisted caches and frontier JSON from before the refactor stay valid
 // and unchanged; structured specs serialize as a labelled object.
 impl Serialize for CommSpec {
-    fn serialize(&self) -> serde::Value {
+    fn serialize(&self, s: &mut serde::Serializer) {
         let preset = match *self {
             CommSpec::LEAN => Some("Lean"),
             CommSpec::ALIGNED => Some("Aligned"),
@@ -510,54 +510,58 @@ impl Serialize for CommSpec {
             _ => None,
         };
         if let Some(name) = preset {
-            return serde::Value::String(name.to_string());
+            return s.str(name);
         }
-        let mut map = serde::Map::new();
-        map.insert(
-            "topology".to_string(),
-            serde::Value::String(self.topology.label()),
-        );
-        map.insert(
-            "local_bw".to_string(),
-            serde::Value::String(self.link_bw.local.label().to_string()),
-        );
-        map.insert(
-            "global_bw".to_string(),
-            serde::Value::String(self.link_bw.global.label().to_string()),
-        );
-        map.insert(
-            "select".to_string(),
-            serde::Value::String(self.select_policy.label().to_string()),
-        );
-        serde::Value::Object(map)
+        // Keys in sorted order, like every object the shim writes.
+        s.begin_object();
+        s.field("global_bw", self.link_bw.global.label());
+        s.field("local_bw", self.link_bw.local.label());
+        s.field("select", self.select_policy.label());
+        s.field("topology", &self.topology.label());
+        s.end_object();
     }
 }
 
 impl Deserialize for CommSpec {
-    fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
-        match value.as_str() {
-            Some("Lean") => return Ok(CommSpec::LEAN),
-            Some("Aligned") => return Ok(CommSpec::ALIGNED),
-            Some("Rich") => return Ok(CommSpec::RICH),
-            Some(other) => {
-                return Err(serde::Error::custom(format!(
-                    "unknown CommSpec preset `{other}`"
-                )))
+    fn deserialize(d: &mut serde::Deserializer<'_>) -> Result<Self, serde::Error> {
+        match d.peek() {
+            Some(b'"') => {
+                return match &*d.str()? {
+                    "Lean" => Ok(CommSpec::LEAN),
+                    "Aligned" => Ok(CommSpec::ALIGNED),
+                    "Rich" => Ok(CommSpec::RICH),
+                    other => Err(serde::Error::custom(format!(
+                        "unknown CommSpec preset `{other}`"
+                    ))),
+                }
             }
-            None => {}
+            Some(b'{') => {}
+            _ => return Err(d.expected("CommSpec string or object")),
         }
-        let obj = value
-            .as_object()
-            .ok_or_else(|| serde::Error::expected("CommSpec string or object", value))?;
-        let field = |name: &str| -> Result<&str, serde::Error> {
-            obj.get(name)
-                .and_then(|v| v.as_str())
-                .ok_or_else(|| serde::Error::missing_field("CommSpec", name))
+        let [mut topology, mut local, mut global, mut select] = [None, None, None, None];
+        d.begin_object()?;
+        while let Some(key) = d.next_key()? {
+            let slot = match &*key {
+                "topology" => &mut topology,
+                "local_bw" => &mut local,
+                "global_bw" => &mut global,
+                "select" => &mut select,
+                _ => {
+                    d.skip()?;
+                    continue;
+                }
+            };
+            *slot = Some(d.str()?);
+        }
+        let field = |slot: Option<_>, name: &str| {
+            slot.ok_or_else(|| serde::Error::missing_field("CommSpec", name))
         };
-        let topology = Topology::parse(field("topology")?).map_err(serde::Error::custom)?;
-        let local = BwClass::parse(field("local_bw")?).map_err(serde::Error::custom)?;
-        let global = BwClass::parse(field("global_bw")?).map_err(serde::Error::custom)?;
-        let select_policy = SelectPolicy::parse(field("select")?).map_err(serde::Error::custom)?;
+        let topology =
+            Topology::parse(&field(topology, "topology")?).map_err(serde::Error::custom)?;
+        let local = BwClass::parse(&field(local, "local_bw")?).map_err(serde::Error::custom)?;
+        let global = BwClass::parse(&field(global, "global_bw")?).map_err(serde::Error::custom)?;
+        let select_policy =
+            SelectPolicy::parse(&field(select, "select")?).map_err(serde::Error::custom)?;
         Ok(CommSpec {
             topology,
             link_bw: LinkBw { local, global },

@@ -199,7 +199,7 @@ impl ResultCache {
                 records.extend(bucket.iter().cloned());
             } else {
                 let mut sorted: Vec<EvalRecord> = bucket.clone();
-                sorted.sort_by_key(|r| serde_json::to_string(r).expect("record serializes"));
+                sorted.sort_by_cached_key(|r| serde_json::to_string(r).expect("record serializes"));
                 records.extend(sorted);
             }
         }

@@ -1,7 +1,8 @@
 //! Malformed result caches are errors, never panics: a real saved cache
 //! truncated at any byte, or with any one value's JSON type flipped, must
 //! make `ResultCache::load` return `Err`, and `plaid-dse merge` must exit
-//! non-zero with a message instead of panicking.
+//! non-zero with a message instead of panicking. A two-record cache is
+//! tried at every byte and every flip; the full one at random samples.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -37,6 +38,36 @@ fn saved_cache() -> &'static str {
         ResultCache::load(&path).expect("the intact cache loads");
         text
     })
+}
+
+/// A two-record cache cut from the real one: its smallest failed record
+/// and its smallest record carrying a placement seed, small enough to try
+/// every prefix and every flip of.
+fn small_cache() -> String {
+    let Value::Object(buckets) = serde_json::parse_value(saved_cache()).unwrap() else {
+        panic!("a saved cache is an object");
+    };
+    let record = |bucket: &Value| bucket.as_array().unwrap()[0].clone();
+    let has_seed = |bucket: &Value| {
+        record(bucket)
+            .get("summary")
+            .and_then(|s| s.get("seed"))
+            .is_some_and(|seed| *seed != Value::Null)
+    };
+    let failed = |bucket: &Value| record(bucket).get("ok") == Some(&Value::Bool(false));
+    let smallest = |keep: &dyn Fn(&Value) -> bool| {
+        buckets
+            .iter()
+            .filter(|(_, bucket)| keep(bucket))
+            .min_by_key(|(_, bucket)| serde_json::to_string(bucket).unwrap().len())
+            .map(|(key, bucket)| (key.clone(), bucket.clone()))
+            .expect("the smoke sweep has such a record")
+    };
+    let small: serde_json::Map = [smallest(&failed), smallest(&has_seed)].into();
+    let text = serde_json::to_string_pretty(&Value::Object(small)).unwrap();
+    let cache = load_bytes("small", text.as_bytes()).expect("the small cache loads");
+    assert_eq!(cache.len(), 2);
+    text
 }
 
 /// Writes `bytes` to a file named after `tag` and loads it.
@@ -111,6 +142,30 @@ proptest! {
         prop_assert!(
             load_bytes("flip", text.as_bytes()).is_err(),
             "a cache with value {target} of {count} flipped loaded"
+        );
+    }
+}
+
+#[test]
+fn every_prefix_and_every_flip_of_a_small_cache_fails_to_load() {
+    let text = small_cache();
+    for at in 0..text.len() {
+        assert!(
+            load_bytes("prefix", &text.as_bytes()[..at]).is_err(),
+            "the small cache truncated to {at} of {} bytes loaded",
+            text.len()
+        );
+    }
+    let value = serde_json::parse_value(&text).unwrap();
+    let mut count = 0;
+    flippable(&value, &mut count);
+    for target in 0..count {
+        let mut flipped = value.clone();
+        assert!(flip(&mut flipped, target, &mut 0));
+        let flipped = serde_json::to_string_pretty(&flipped).unwrap();
+        assert!(
+            load_bytes("every-flip", flipped.as_bytes()).is_err(),
+            "the small cache with value {target} of {count} flipped loaded"
         );
     }
 }

@@ -1,14 +1,22 @@
 //! Offline stand-in for the subset of `serde` this workspace uses.
 //!
 //! The build container has no crates.io access, so the workspace vendors a
-//! value-tree serialization framework with the same *surface* as serde:
-//! `#[derive(Serialize, Deserialize)]` (provided by the sibling
+//! small streaming serialization framework with the same *surface* as
+//! serde: `#[derive(Serialize, Deserialize)]` (provided by the sibling
 //! `serde_derive` shim) plus `serde_json::{to_string, to_string_pretty,
-//! from_str}`. Instead of serde's visitor architecture, [`Serialize`] lowers
-//! a value to a [`Value`] tree and [`Deserialize`] rebuilds it from one;
-//! `serde_json` renders and parses that tree. Swap the
+//! from_str}`. JSON is the only format, so instead of serde's
+//! format-agnostic `Serializer`/`Deserializer` traits the two directions
+//! are concrete types: [`Serialize`] writes JSON text straight into a
+//! [`Serializer`], and [`Deserialize`] reads straight from the
+//! [`Deserializer`] pull parser. Neither direction builds an intermediate
+//! tree; [`Value`] is an ordinary type with its own impls, for callers that
+//! want a document they can inspect or edit. Swap the
 //! `[workspace.dependencies]` path entries for the real crates to get the
 //! upstream implementation.
+//!
+//! Output is deterministic: derived structs write their fields in sorted
+//! key order and maps sort their keys, so every object's keys appear in
+//! byte order — a property the explore cache's content hashes rely on.
 
 #![forbid(unsafe_code)]
 
@@ -17,90 +25,14 @@ use std::fmt;
 
 pub use serde_derive::{Deserialize, Serialize};
 
-/// Map type used for JSON objects. `BTreeMap` keeps field order stable so
-/// serialized output is deterministic.
-pub type Map = BTreeMap<String, Value>;
+mod de;
+mod ser;
+mod value;
 
-/// An owned, self-describing value tree (the shim's data model; mirrors
-/// `serde_json::Value`).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// JSON `null`.
-    Null,
-    /// JSON boolean.
-    Bool(bool),
-    /// Signed integer.
-    Int(i64),
-    /// Unsigned integer too large for `i64`.
-    UInt(u64),
-    /// Floating-point number.
-    Float(f64),
-    /// JSON string.
-    String(String),
-    /// JSON array.
-    Array(Vec<Value>),
-    /// JSON object with deterministic (sorted) key order.
-    Object(Map),
-}
-
-impl Value {
-    /// Borrows the object map if this value is an object.
-    pub fn as_object(&self) -> Option<&Map> {
-        match self {
-            Value::Object(m) => Some(m),
-            _ => None,
-        }
-    }
-
-    /// Borrows the array if this value is an array.
-    pub fn as_array(&self) -> Option<&Vec<Value>> {
-        match self {
-            Value::Array(a) => Some(a),
-            _ => None,
-        }
-    }
-
-    /// Borrows the string if this value is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::String(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Returns the numeric value as `f64` if this value is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match *self {
-            Value::Int(i) => Some(i as f64),
-            Value::UInt(u) => Some(u as f64),
-            Value::Float(f) => Some(f),
-            _ => None,
-        }
-    }
-
-    /// Returns the numeric value as `u64` if losslessly representable.
-    pub fn as_u64(&self) -> Option<u64> {
-        match *self {
-            Value::Int(i) if i >= 0 => Some(i as u64),
-            Value::UInt(u) => Some(u),
-            _ => None,
-        }
-    }
-
-    /// Returns the numeric value as `i64` if losslessly representable.
-    pub fn as_i64(&self) -> Option<i64> {
-        match *self {
-            Value::Int(i) => Some(i),
-            Value::UInt(u) => i64::try_from(u).ok(),
-            _ => None,
-        }
-    }
-
-    /// Looks up a field of an object (`None` for non-objects/missing keys).
-    pub fn get(&self, key: &str) -> Option<&Value> {
-        self.as_object().and_then(|m| m.get(key))
-    }
-}
+pub use de::Deserializer;
+use de::Number;
+pub use ser::Serializer;
+pub use value::{Map, Value};
 
 /// Serialization/deserialization error.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -112,20 +44,6 @@ impl Error {
     /// Creates an error with the given message.
     pub fn custom(msg: impl Into<String>) -> Self {
         Error { msg: msg.into() }
-    }
-
-    /// Error for a type mismatch at `what`.
-    pub fn expected(what: &str, got: &Value) -> Self {
-        let kind = match got {
-            Value::Null => "null",
-            Value::Bool(_) => "bool",
-            Value::Int(_) | Value::UInt(_) => "integer",
-            Value::Float(_) => "float",
-            Value::String(_) => "string",
-            Value::Array(_) => "array",
-            Value::Object(_) => "object",
-        };
-        Error::custom(format!("expected {what}, got {kind}"))
     }
 
     /// Error for a missing struct field.
@@ -142,16 +60,31 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-/// Types that can lower themselves to a [`Value`] tree.
+/// Types that can write themselves as JSON.
 pub trait Serialize {
-    /// Lowers `self` to a value tree.
-    fn serialize(&self) -> Value;
+    /// Writes `self` into `s`.
+    fn serialize(&self, s: &mut Serializer);
 }
 
-/// Types that can be rebuilt from a [`Value`] tree.
+/// Types that can be read from JSON.
 pub trait Deserialize: Sized {
-    /// Rebuilds `Self` from a value tree.
-    fn deserialize(value: &Value) -> Result<Self, Error>;
+    /// Reads one value from `d`.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the JSON is malformed or does not describe a
+    /// `Self`.
+    fn deserialize(d: &mut Deserializer<'_>) -> Result<Self, Error>;
+
+    /// The value of a field of struct `ty` that the input leaves out: an
+    /// error naming it, except for `Option`, which reads as `None`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the missing-field error unless `Self` has a default.
+    fn absent_field(ty: &str, field: &str) -> Result<Self, Error> {
+        Err(Error::missing_field(ty, field))
+    }
 }
 
 // ---- primitive impls -------------------------------------------------------
@@ -159,18 +92,20 @@ pub trait Deserialize: Sized {
 macro_rules! impl_serde_int {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn serialize(&self) -> Value {
-                Value::Int(*self as i64)
+            fn serialize(&self, s: &mut Serializer) {
+                s.i64(*self as i64);
             }
         }
         impl Deserialize for $t {
-            fn deserialize(value: &Value) -> Result<Self, Error> {
-                let i = value
-                    .as_i64()
-                    .ok_or_else(|| Error::expected(stringify!($t), value))?;
-                <$t>::try_from(i).map_err(|_| Error::custom(format!(
-                    "{i} out of range for {}", stringify!($t)
-                )))
+            fn deserialize(d: &mut Deserializer<'_>) -> Result<Self, Error> {
+                match d.number(stringify!($t))? {
+                    Number::Int(i) => <$t>::try_from(i).map_err(|_| Error::custom(format!(
+                        "{i} out of range for {}", stringify!($t)
+                    ))),
+                    other => Err(Error::custom(format!(
+                        "expected {}, got {}", stringify!($t), other.kind()
+                    ))),
+                }
             }
         }
     )*};
@@ -179,95 +114,88 @@ macro_rules! impl_serde_int {
 impl_serde_int!(i8, i16, i32, i64, u8, u16, u32, usize, isize);
 
 impl Serialize for u64 {
-    fn serialize(&self) -> Value {
-        if let Ok(i) = i64::try_from(*self) {
-            Value::Int(i)
-        } else {
-            Value::UInt(*self)
-        }
+    fn serialize(&self, s: &mut Serializer) {
+        s.u64(*self);
     }
 }
 
 impl Deserialize for u64 {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        value.as_u64().ok_or_else(|| Error::expected("u64", value))
-    }
-}
-
-impl Serialize for f64 {
-    fn serialize(&self) -> Value {
-        Value::Float(*self)
-    }
-}
-
-impl Deserialize for f64 {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        value.as_f64().ok_or_else(|| Error::expected("f64", value))
-    }
-}
-
-impl Serialize for f32 {
-    fn serialize(&self) -> Value {
-        Value::Float(f64::from(*self))
-    }
-}
-
-impl Deserialize for f32 {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        value
-            .as_f64()
-            .map(|f| f as f32)
-            .ok_or_else(|| Error::expected("f32", value))
-    }
-}
-
-impl Serialize for bool {
-    fn serialize(&self) -> Value {
-        Value::Bool(*self)
-    }
-}
-
-impl Deserialize for bool {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::Bool(b) => Ok(*b),
-            _ => Err(Error::expected("bool", value)),
+    fn deserialize(d: &mut Deserializer<'_>) -> Result<Self, Error> {
+        match d.number("u64")? {
+            Number::Int(i) if i >= 0 => Ok(i as u64),
+            Number::UInt(u) => Ok(u),
+            other => Err(Error::custom(format!("expected u64, got {}", other.kind()))),
         }
     }
 }
 
+impl Serialize for f64 {
+    fn serialize(&self, s: &mut Serializer) {
+        s.f64(*self);
+    }
+}
+
+impl Deserialize for f64 {
+    fn deserialize(d: &mut Deserializer<'_>) -> Result<Self, Error> {
+        Ok(match d.number("f64")? {
+            Number::Int(i) => i as f64,
+            Number::UInt(u) => u as f64,
+            Number::Float(f) => f,
+        })
+    }
+}
+
+impl Serialize for f32 {
+    fn serialize(&self, s: &mut Serializer) {
+        s.f64(f64::from(*self));
+    }
+}
+
+impl Deserialize for f32 {
+    fn deserialize(d: &mut Deserializer<'_>) -> Result<Self, Error> {
+        f64::deserialize(d).map(|f| f as f32)
+    }
+}
+
+impl Serialize for bool {
+    fn serialize(&self, s: &mut Serializer) {
+        s.bool(*self);
+    }
+}
+
+impl Deserialize for bool {
+    fn deserialize(d: &mut Deserializer<'_>) -> Result<Self, Error> {
+        d.bool()
+    }
+}
+
 impl Serialize for String {
-    fn serialize(&self) -> Value {
-        Value::String(self.clone())
+    fn serialize(&self, s: &mut Serializer) {
+        s.str(self);
     }
 }
 
 impl Deserialize for String {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        value
-            .as_str()
-            .map(str::to_string)
-            .ok_or_else(|| Error::expected("string", value))
+    fn deserialize(d: &mut Deserializer<'_>) -> Result<Self, Error> {
+        d.str().map(|s| s.into_owned())
     }
 }
 
 impl Serialize for str {
-    fn serialize(&self) -> Value {
-        Value::String(self.to_string())
+    fn serialize(&self, s: &mut Serializer) {
+        s.str(self);
     }
 }
 
 impl Serialize for char {
-    fn serialize(&self) -> Value {
-        Value::String(self.to_string())
+    fn serialize(&self, s: &mut Serializer) {
+        s.str(self.encode_utf8(&mut [0; 4]));
     }
 }
 
 impl Deserialize for char {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        let s = value
-            .as_str()
-            .ok_or_else(|| Error::expected("char", value))?;
+    fn deserialize(d: &mut Deserializer<'_>) -> Result<Self, Error> {
+        let s = d.str()?;
         let mut chars = s.chars();
         match (chars.next(), chars.next()) {
             (Some(c), None) => Ok(c),
@@ -279,127 +207,139 @@ impl Deserialize for char {
 // ---- container impls -------------------------------------------------------
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn serialize(&self) -> Value {
-        (**self).serialize()
+    fn serialize(&self, s: &mut Serializer) {
+        (**self).serialize(s);
     }
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn serialize(&self) -> Value {
+    fn serialize(&self, s: &mut Serializer) {
         match self {
-            Some(v) => v.serialize(),
-            None => Value::Null,
+            Some(v) => v.serialize(s),
+            None => s.null(),
         }
     }
 }
 
 impl<T: Deserialize> Deserialize for Option<T> {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::Null => Ok(None),
-            other => T::deserialize(other).map(Some),
+    fn deserialize(d: &mut Deserializer<'_>) -> Result<Self, Error> {
+        if d.peek() == Some(b'n') {
+            d.null().map(|()| None)
+        } else {
+            T::deserialize(d).map(Some)
         }
+    }
+
+    fn absent_field(_: &str, _: &str) -> Result<Self, Error> {
+        Ok(None)
     }
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
-    fn serialize(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::serialize).collect())
+    fn serialize(&self, s: &mut Serializer) {
+        self.as_slice().serialize(s);
     }
 }
 
 impl<T: Deserialize> Deserialize for Vec<T> {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        value
-            .as_array()
-            .ok_or_else(|| Error::expected("array", value))?
-            .iter()
-            .map(T::deserialize)
-            .collect()
+    fn deserialize(d: &mut Deserializer<'_>) -> Result<Self, Error> {
+        let mut items = Vec::new();
+        d.begin_array()?;
+        while d.next_element()? {
+            items.push(T::deserialize(d)?);
+        }
+        Ok(items)
     }
 }
 
 impl<T: Serialize> Serialize for [T] {
-    fn serialize(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::serialize).collect())
+    fn serialize(&self, s: &mut Serializer) {
+        s.begin_array();
+        for item in self {
+            s.element(item);
+        }
+        s.end_array();
     }
 }
 
+/// Writes `(key, value)` pairs, already in sorted key order, as an object.
+fn serialize_entries<'a, V: Serialize + 'a>(
+    s: &mut Serializer,
+    entries: impl IntoIterator<Item = (&'a String, &'a V)>,
+) {
+    s.begin_object();
+    for (key, value) in entries {
+        s.field(key, value);
+    }
+    s.end_object();
+}
+
+/// Reads an object into a map; a repeated key is inserted again, so the
+/// map keeps its last value.
+fn deserialize_entries<V: Deserialize, M: Default + Extend<(String, V)>>(
+    d: &mut Deserializer<'_>,
+) -> Result<M, Error> {
+    let mut map = M::default();
+    d.begin_object()?;
+    while let Some(key) = d.next_key()? {
+        let value = V::deserialize(d)?;
+        map.extend([(key.into_owned(), value)]);
+    }
+    Ok(map)
+}
+
 impl<V: Serialize> Serialize for BTreeMap<String, V> {
-    fn serialize(&self) -> Value {
-        Value::Object(
-            self.iter()
-                .map(|(k, v)| (k.clone(), v.serialize()))
-                .collect(),
-        )
+    fn serialize(&self, s: &mut Serializer) {
+        serialize_entries(s, self);
     }
 }
 
 impl<V: Deserialize> Deserialize for BTreeMap<String, V> {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        value
-            .as_object()
-            .ok_or_else(|| Error::expected("object", value))?
-            .iter()
-            .map(|(k, v)| Ok((k.clone(), V::deserialize(v)?)))
-            .collect()
+    fn deserialize(d: &mut Deserializer<'_>) -> Result<Self, Error> {
+        deserialize_entries(d)
     }
 }
 
 impl<V: Serialize, S: std::hash::BuildHasher> Serialize for HashMap<String, V, S> {
-    fn serialize(&self) -> Value {
+    fn serialize(&self, s: &mut Serializer) {
         // Sort keys so output is deterministic regardless of hasher state.
         let mut entries: Vec<(&String, &V)> = self.iter().collect();
-        entries.sort_by(|a, b| a.0.cmp(b.0));
-        Value::Object(
-            entries
-                .into_iter()
-                .map(|(k, v)| (k.clone(), v.serialize()))
-                .collect(),
-        )
+        entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        serialize_entries(s, entries);
     }
 }
 
 impl<V: Deserialize, S: std::hash::BuildHasher + Default> Deserialize for HashMap<String, V, S> {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        value
-            .as_object()
-            .ok_or_else(|| Error::expected("object", value))?
-            .iter()
-            .map(|(k, v)| Ok((k.clone(), V::deserialize(v)?)))
-            .collect()
-    }
-}
-
-impl Serialize for Value {
-    fn serialize(&self) -> Value {
-        self.clone()
-    }
-}
-
-impl Deserialize for Value {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        Ok(value.clone())
+    fn deserialize(d: &mut Deserializer<'_>) -> Result<Self, Error> {
+        deserialize_entries(d)
     }
 }
 
 macro_rules! impl_serde_tuple {
     ($(($($name:ident : $idx:tt),+))*) => {$(
         impl<$($name: Serialize),+> Serialize for ($($name,)+) {
-            fn serialize(&self) -> Value {
-                Value::Array(vec![$(self.$idx.serialize()),+])
+            fn serialize(&self, s: &mut Serializer) {
+                s.begin_array();
+                $(s.element(&self.$idx);)+
+                s.end_array();
             }
         }
         impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
-            fn deserialize(value: &Value) -> Result<Self, Error> {
-                let arr = value.as_array().ok_or_else(|| Error::expected("tuple array", value))?;
-                let expected = [$($idx,)+].len();
-                if arr.len() != expected {
-                    return Err(Error::custom(format!(
-                        "expected tuple of {expected}, got array of {}", arr.len()
-                    )));
+            fn deserialize(d: &mut Deserializer<'_>) -> Result<Self, Error> {
+                let len = [$($idx,)+].len();
+                let wrong_length = || Error::custom(format!("expected an array of {len}"));
+                d.begin_array()?;
+                let tuple = ($(
+                    if d.next_element()? {
+                        $name::deserialize(d)?
+                    } else {
+                        return Err(wrong_length());
+                    },
+                )+);
+                if d.next_element()? {
+                    return Err(wrong_length());
                 }
-                Ok(($($name::deserialize(&arr[$idx])?,)+))
+                Ok(tuple)
             }
         }
     )*};
@@ -416,41 +356,64 @@ impl_serde_tuple! {
 mod tests {
     use super::*;
 
+    fn compact<T: Serialize + ?Sized>(value: &T) -> String {
+        let mut s = Serializer::compact();
+        value.serialize(&mut s);
+        s.into_string()
+    }
+
+    fn read<T: Deserialize>(text: &str) -> Result<T, Error> {
+        let mut d = Deserializer::new(text);
+        let value = T::deserialize(&mut d)?;
+        d.end()?;
+        Ok(value)
+    }
+
+    fn round_trip<T: Serialize + Deserialize>(value: &T) -> T {
+        read(&compact(value)).unwrap()
+    }
+
     #[test]
     fn primitives_round_trip() {
-        for v in [0i64, -3, i64::MAX] {
-            assert_eq!(i64::deserialize(&v.serialize()).unwrap(), v);
+        for v in [0i64, -3, i64::MIN, i64::MAX] {
+            assert_eq!(round_trip(&v), v);
         }
-        assert_eq!(u64::deserialize(&u64::MAX.serialize()).unwrap(), u64::MAX);
-        assert!(bool::deserialize(&true.serialize()).unwrap());
-        assert_eq!(
-            String::deserialize(&"hi".to_string().serialize()).unwrap(),
-            "hi"
-        );
-        let f = 1.5f64;
-        assert_eq!(f64::deserialize(&f.serialize()).unwrap(), f);
+        assert_eq!(round_trip(&u64::MAX), u64::MAX);
+        assert!(round_trip(&true));
+        assert_eq!(round_trip(&"hi".to_string()), "hi");
+        assert_eq!(round_trip(&1.5f64), 1.5);
+        assert_eq!(round_trip(&'é'), 'é');
     }
 
     #[test]
     fn containers_round_trip() {
         let v = vec![1u32, 2, 3];
-        assert_eq!(Vec::<u32>::deserialize(&v.serialize()).unwrap(), v);
+        assert_eq!(round_trip(&v), v);
+        assert_eq!(round_trip(&Vec::<u32>::new()), Vec::<u32>::new());
         let o: Option<u32> = None;
-        assert_eq!(Option::<u32>::deserialize(&o.serialize()).unwrap(), None);
+        assert_eq!(round_trip(&o), None);
         let mut m = BTreeMap::new();
         m.insert("a".to_string(), 1u32);
-        assert_eq!(
-            BTreeMap::<String, u32>::deserialize(&m.serialize()).unwrap(),
-            m
-        );
+        assert_eq!(round_trip(&m), m);
         let t = (1u32, "x".to_string());
-        assert_eq!(<(u32, String)>::deserialize(&t.serialize()).unwrap(), t);
+        assert_eq!(round_trip(&t), t);
+    }
+
+    #[test]
+    fn maps_write_sorted_keys() {
+        let m: HashMap<String, u32> = ["b", "c", "a"]
+            .iter()
+            .enumerate()
+            .map(|(i, k)| (k.to_string(), i as u32))
+            .collect();
+        assert_eq!(compact(&m), r#"{"a":2,"b":0,"c":1}"#);
     }
 
     #[test]
     fn type_mismatch_errors() {
-        assert!(u32::deserialize(&Value::String("x".into())).is_err());
-        assert!(u32::deserialize(&Value::Int(-1)).is_err());
-        assert!(Vec::<u32>::deserialize(&Value::Null).is_err());
+        assert!(read::<u32>(r#""x""#).is_err());
+        assert!(read::<u32>("-1").is_err());
+        assert!(read::<Vec<u32>>("null").is_err());
+        assert!(read::<(u32,)>("[]").is_err());
     }
 }

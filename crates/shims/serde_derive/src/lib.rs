@@ -13,6 +13,12 @@
 //!
 //! Tuple structs, generic types and data-carrying enum variants are rejected
 //! with a compile error naming the limitation.
+//!
+//! The generated impls drive the shim's streaming `serde::Serializer` and
+//! `serde::Deserializer` directly. A struct writes its fields in sorted key
+//! order, so its bytes do not depend on declaration order; it reads its
+//! fields in any order, keeps the last value of a repeated key, skips
+//! unknown keys, and reads an omitted `Option` field as `None`.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -207,107 +213,114 @@ fn parse_unit_variants(stream: TokenStream) -> Result<Vec<String>, String> {
 }
 
 fn gen_serialize(shape: &Shape) -> String {
-    match shape {
+    let (name, body) = match shape {
         Shape::Struct { name, fields } => {
-            let inserts: String = fields
+            // Fields go out in sorted key order, the order every object is
+            // written in.
+            let mut sorted: Vec<&String> = fields.iter().collect();
+            sorted.sort();
+            let writes: String = sorted
                 .iter()
-                .map(|f| {
-                    format!(
-                        "map.insert({f:?}.to_string(), serde::Serialize::serialize(&self.{f}));\n"
-                    )
-                })
+                .map(|f| format!("__s.field({f:?}, &self.{f});\n"))
                 .collect();
-            format!(
-                "impl serde::Serialize for {name} {{\n\
-                     fn serialize(&self) -> serde::Value {{\n\
-                         let mut map = serde::Map::new();\n\
-                         {inserts}\
-                         serde::Value::Object(map)\n\
-                     }}\n\
-                 }}"
+            (
+                name,
+                format!("__s.begin_object();\n{writes}__s.end_object();"),
             )
         }
-        Shape::UnitStruct { name } => format!(
-            "impl serde::Serialize for {name} {{\n\
-                 fn serialize(&self) -> serde::Value {{\n\
-                     serde::Value::Object(serde::Map::new())\n\
-                 }}\n\
-             }}"
-        ),
+        Shape::UnitStruct { name } => (name, "__s.begin_object();\n__s.end_object();".into()),
         Shape::Enum { name, variants } => {
             let arms: String = variants
                 .iter()
-                .map(|v| format!("{name}::{v} => serde::Value::String({v:?}.to_string()),\n"))
+                .map(|v| format!("{name}::{v} => {v:?},\n"))
                 .collect();
-            format!(
-                "impl serde::Serialize for {name} {{\n\
-                     fn serialize(&self) -> serde::Value {{\n\
-                         match self {{ {arms} }}\n\
-                     }}\n\
-                 }}"
-            )
+            (name, format!("__s.str(match self {{ {arms} }});"))
         }
-    }
+    };
+    format!(
+        "impl serde::Serialize for {name} {{\n\
+             fn serialize(&self, __s: &mut serde::Serializer) {{\n\
+                 {body}\n\
+             }}\n\
+         }}"
+    )
 }
 
 fn gen_deserialize(shape: &Shape) -> String {
-    match shape {
+    let (name, body) = match shape {
         Shape::Struct { name, fields } => {
-            // Missing fields deserialize from `Null`, so `Option<T>` fields
-            // may be omitted (matching serde's behaviour); non-optional
-            // fields still produce a missing-field error.
-            let extracts: String = fields
+            // Each field's slot takes the last value the input gives it;
+            // unknown keys are skipped, and a field the input leaves out
+            // takes the value its type gives an absent field.
+            let slots: String = fields
+                .iter()
+                .map(|f| format!("let mut __field_{f} = None;\n"))
+                .collect();
+            let arms: String = fields
+                .iter()
+                .map(|f| {
+                    format!("{f:?} => __field_{f} = Some(serde::Deserialize::deserialize(__d)?),\n")
+                })
+                .collect();
+            let inits: String = fields
                 .iter()
                 .map(|f| {
                     format!(
-                        "{f}: match obj.get({f:?}) {{\n\
-                             Some(v) => serde::Deserialize::deserialize(v)?,\n\
-                             None => serde::Deserialize::deserialize(&serde::Value::Null)\n\
-                                 .map_err(|_| serde::Error::missing_field({name:?}, {f:?}))?,\n\
+                        "{f}: match __field_{f} {{\n\
+                             Some(v) => v,\n\
+                             None => serde::Deserialize::absent_field({name:?}, {f:?})?,\n\
                          }},\n"
                     )
                 })
                 .collect();
-            format!(
-                "impl serde::Deserialize for {name} {{\n\
-                     fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {{\n\
-                         let obj = value\n\
-                             .as_object()\n\
-                             .ok_or_else(|| serde::Error::expected({name:?}, value))?;\n\
-                         Ok({name} {{ {extracts} }})\n\
+            (
+                name,
+                format!(
+                    "{slots}\
+                     __d.begin_object()?;\n\
+                     while let Some(__key) = __d.next_key()? {{\n\
+                         match &*__key {{\n\
+                             {arms}\
+                             _ => __d.skip()?,\n\
+                         }}\n\
                      }}\n\
-                 }}"
+                     Ok({name} {{ {inits} }})"
+                ),
             )
         }
-        Shape::UnitStruct { name } => format!(
-            "impl serde::Deserialize for {name} {{\n\
-                 fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {{\n\
-                     value.as_object()\n\
-                         .map(|_| {name})\n\
-                         .ok_or_else(|| serde::Error::expected({name:?}, value))\n\
+        Shape::UnitStruct { name } => (
+            name,
+            format!(
+                "__d.begin_object()?;\n\
+                 while __d.next_key()?.is_some() {{\n\
+                     __d.skip()?;\n\
                  }}\n\
-             }}"
+                 Ok({name})"
+            ),
         ),
         Shape::Enum { name, variants } => {
             let arms: String = variants
                 .iter()
                 .map(|v| format!("{v:?} => Ok({name}::{v}),\n"))
                 .collect();
-            format!(
-                "impl serde::Deserialize for {name} {{\n\
-                     fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {{\n\
-                         let s = value\n\
-                             .as_str()\n\
-                             .ok_or_else(|| serde::Error::expected({name:?}, value))?;\n\
-                         match s {{\n\
-                             {arms}\
-                             other => Err(serde::Error::custom(format!(\n\
-                                 \"unknown variant `{{other}}` of {name}\"\n\
-                             ))),\n\
-                         }}\n\
-                     }}\n\
-                 }}"
+            (
+                name,
+                format!(
+                    "match &*__d.str()? {{\n\
+                         {arms}\
+                         other => Err(serde::Error::custom(format!(\n\
+                             \"unknown variant `{{other}}` of {name}\"\n\
+                         ))),\n\
+                     }}"
+                ),
             )
         }
-    }
+    };
+    format!(
+        "impl serde::Deserialize for {name} {{\n\
+             fn deserialize(__d: &mut serde::Deserializer<'_>) -> Result<Self, serde::Error> {{\n\
+                 {body}\n\
+             }}\n\
+         }}"
+    )
 }

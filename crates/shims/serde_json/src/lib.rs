@@ -1,386 +1,63 @@
 //! Offline stand-in for the subset of `serde_json` this workspace uses:
-//! [`to_string`], [`to_string_pretty`], [`from_str`], [`to_value`],
-//! [`from_value`] and the re-exported [`Value`] tree.
+//! [`to_string`], [`to_string_pretty`], [`from_str`], [`parse_value`] and
+//! the re-exported [`Value`].
 //!
-//! Works with the sibling `serde` shim: serialization lowers through
-//! `serde::Serialize` to a [`Value`] and renders it; parsing produces a
-//! [`Value`] and rebuilds the target via `serde::Deserialize`. Object keys
-//! are emitted in sorted order, so output is deterministic and stable across
-//! runs — a property the explore cache relies on.
+//! A thin front end over the sibling `serde` shim, which does the work in
+//! one pass each way: writing walks the value into a `serde::Serializer`,
+//! which appends JSON text as it goes, and reading drives the target's
+//! `serde::Deserialize` impl over a `serde::Deserializer` pull parser. No
+//! intermediate tree is built in either direction. Object keys are written
+//! in sorted order, so output is deterministic and stable across runs — a
+//! property the explore cache relies on.
 
 #![forbid(unsafe_code)]
 
 pub use serde::{Error, Map, Value};
 
-use std::fmt::Write as _;
+use serde::{Deserializer, Serializer};
 
 /// Serializes `value` to a compact JSON string.
+///
+/// # Errors
+///
+/// Never fails; the `Result` mirrors `serde_json`'s signature.
 pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    Ok(render(&value.serialize(), None, 0))
+    let mut s = Serializer::compact();
+    value.serialize(&mut s);
+    Ok(s.into_string())
 }
 
 /// Serializes `value` to a human-readable, two-space-indented JSON string.
+///
+/// # Errors
+///
+/// Never fails; the `Result` mirrors `serde_json`'s signature.
 pub fn to_string_pretty<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    Ok(render(&value.serialize(), Some(2), 0))
+    let mut s = Serializer::pretty();
+    value.serialize(&mut s);
+    Ok(s.into_string())
 }
 
-/// Lowers `value` to the [`Value`] tree without rendering it.
-pub fn to_value<T: serde::Serialize + ?Sized>(value: &T) -> Result<Value, Error> {
-    Ok(value.serialize())
-}
-
-/// Rebuilds a `T` from a [`Value`] tree.
-pub fn from_value<T: serde::Deserialize>(value: &Value) -> Result<T, Error> {
-    T::deserialize(value)
-}
-
-/// Parses JSON text and rebuilds a `T` from it.
+/// Parses JSON text into a `T`.
+///
+/// # Errors
+///
+/// Returns an error if the text is not one well-formed JSON value
+/// describing a `T`.
 pub fn from_str<T: serde::Deserialize>(text: &str) -> Result<T, Error> {
-    let value = parse_value(text)?;
-    T::deserialize(&value)
+    let mut d = Deserializer::new(text);
+    let value = T::deserialize(&mut d)?;
+    d.end()?;
+    Ok(value)
 }
 
-/// Parses JSON text into a [`Value`] tree.
+/// Parses JSON text into a [`Value`].
+///
+/// # Errors
+///
+/// Returns an error if the text is not one well-formed JSON value.
 pub fn parse_value(text: &str) -> Result<Value, Error> {
-    let mut p = Parser { text, pos: 0 };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != text.len() {
-        return Err(Error::custom(format!(
-            "trailing characters at byte {}",
-            p.pos
-        )));
-    }
-    Ok(v)
-}
-
-// ---- rendering -------------------------------------------------------------
-
-fn render(value: &Value, indent: Option<usize>, depth: usize) -> String {
-    let mut out = String::new();
-    write_value(&mut out, value, indent, depth);
-    out
-}
-
-fn write_value(out: &mut String, value: &Value, indent: Option<usize>, depth: usize) {
-    match value {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(i) => {
-            let _ = write!(out, "{i}");
-        }
-        Value::UInt(u) => {
-            let _ = write!(out, "{u}");
-        }
-        Value::Float(f) => write_float(out, *f),
-        Value::String(s) => write_escaped(out, s),
-        Value::Array(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, depth + 1);
-                write_value(out, item, indent, depth + 1);
-            }
-            if !items.is_empty() {
-                newline_indent(out, indent, depth);
-            }
-            out.push(']');
-        }
-        Value::Object(map) => {
-            out.push('{');
-            for (i, (key, item)) in map.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, depth + 1);
-                write_escaped(out, key);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_value(out, item, indent, depth + 1);
-            }
-            if !map.is_empty() {
-                newline_indent(out, indent, depth);
-            }
-            out.push('}');
-        }
-    }
-}
-
-fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
-    if let Some(width) = indent {
-        out.push('\n');
-        out.push_str(&" ".repeat(width * depth));
-    }
-}
-
-fn write_float(out: &mut String, f: f64) {
-    if f.is_nan() || f.is_infinite() {
-        // JSON has no NaN/Inf; serde_json emits null.
-        out.push_str("null");
-    } else if f == f.trunc() && f.abs() < 1e15 {
-        // Keep a trailing .0 so the value parses back as a float.
-        let _ = write!(out, "{f:.1}");
-    } else {
-        let _ = write!(out, "{f}");
-    }
-}
-
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-// ---- parsing ---------------------------------------------------------------
-
-/// Cursor over JSON text. `pos` only ever advances past ASCII bytes or
-/// whole string runs, so it always sits on a `char` boundary of `text`.
-struct Parser<'a> {
-    text: &'a str,
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn bytes(&self) -> &'a [u8] {
-        self.text.as_bytes()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes().get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), Error> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(Error::custom(format!(
-                "expected `{}` at byte {}",
-                b as char, self.pos
-            )))
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, Error> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Value::String(self.string()?)),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            Some(c) => Err(Error::custom(format!(
-                "unexpected `{}` at byte {}",
-                c as char, self.pos
-            ))),
-            None => Err(Error::custom("unexpected end of input")),
-        }
-    }
-
-    fn literal(&mut self, text: &str, value: Value) -> Result<Value, Error> {
-        if self.text[self.pos..].starts_with(text) {
-            self.pos += text.len();
-            Ok(value)
-        } else {
-            Err(Error::custom(format!(
-                "invalid literal at byte {}",
-                self.pos
-            )))
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, Error> {
-        self.expect(b'{')?;
-        let mut map = Map::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            map.insert(key, value);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(map));
-                }
-                _ => {
-                    return Err(Error::custom(format!(
-                        "expected `,` or `}}` at byte {}",
-                        self.pos
-                    )))
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, Error> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => {
-                    return Err(Error::custom(format!(
-                        "expected `,` or `]` at byte {}",
-                        self.pos
-                    )))
-                }
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, Error> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let code = self.unicode_escape()?;
-                            let c = if (0xD800..=0xDBFF).contains(&code) {
-                                // High surrogate: a low surrogate escape must
-                                // follow (JSON encodes non-BMP characters as
-                                // \uD8xx\uDCxx pairs).
-                                if self.bytes().get(self.pos + 1..self.pos + 3) != Some(b"\\u") {
-                                    return Err(Error::custom("unpaired surrogate"));
-                                }
-                                self.pos += 2;
-                                let low = self.unicode_escape()?;
-                                if !(0xDC00..=0xDFFF).contains(&low) {
-                                    return Err(Error::custom("invalid low surrogate"));
-                                }
-                                let combined = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
-                                char::from_u32(combined)
-                                    .ok_or_else(|| Error::custom("invalid surrogate pair"))?
-                            } else {
-                                char::from_u32(code)
-                                    .ok_or_else(|| Error::custom("invalid \\u code point"))?
-                            };
-                            out.push(c);
-                        }
-                        _ => return Err(Error::custom("invalid escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Copy the run up to the next quote or escape in one go;
-                    // both are ASCII, so the run ends on a char boundary.
-                    let rest = &self.text[self.pos..];
-                    let run = rest.find(['"', '\\']).unwrap_or(rest.len());
-                    out.push_str(&rest[..run]);
-                    self.pos += run;
-                }
-                None => return Err(Error::custom("unterminated string")),
-            }
-        }
-    }
-
-    /// Reads the four hex digits of a `\u` escape (cursor on the `u`),
-    /// leaving the cursor on the last digit.
-    fn unicode_escape(&mut self) -> Result<u32, Error> {
-        let hex = self
-            .bytes()
-            .get(self.pos + 1..self.pos + 5)
-            .ok_or_else(|| Error::custom("truncated \\u escape"))?;
-        let code = u32::from_str_radix(
-            std::str::from_utf8(hex).map_err(|_| Error::custom("invalid \\u escape"))?,
-            16,
-        )
-        .map_err(|_| Error::custom("invalid \\u escape"))?;
-        self.pos += 4;
-        Ok(code)
-    }
-
-    fn number(&mut self) -> Result<Value, Error> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let mut is_float = false;
-        while let Some(c) = self.peek() {
-            match c {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = &self.text[start..self.pos];
-        if is_float {
-            text.parse::<f64>()
-                .map(Value::Float)
-                .map_err(|_| Error::custom(format!("invalid number `{text}`")))
-        } else if let Ok(i) = text.parse::<i64>() {
-            Ok(Value::Int(i))
-        } else if let Ok(u) = text.parse::<u64>() {
-            Ok(Value::UInt(u))
-        } else {
-            text.parse::<f64>()
-                .map(Value::Float)
-                .map_err(|_| Error::custom(format!("invalid number `{text}`")))
-        }
-    }
+    from_str(text)
 }
 
 #[cfg(test)]

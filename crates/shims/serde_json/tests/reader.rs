@@ -96,3 +96,25 @@ fn an_unknown_enum_variant_is_an_error() {
     let err = serde_json::from_str::<Shade>(r#""Dim""#).unwrap_err();
     assert!(err.to_string().contains("Dim"), "{err}");
 }
+
+#[test]
+fn numbers_read_as_the_narrowest_kind_that_holds_them() {
+    use serde_json::{parse_value, Value};
+    let cases = [
+        ("0", Value::Int(0)),
+        ("-0", Value::Int(0)),
+        ("007", Value::Int(7)),
+        ("-9223372036854775808", Value::Int(i64::MIN)),
+        ("9223372036854775808", Value::UInt(1 << 63)),
+        ("-9223372036854775809", Value::Float(-9223372036854775809.0)),
+        ("18446744073709551616", Value::Float(18446744073709551616.0)),
+        ("-1.5e-3", Value::Float(-0.0015)),
+        ("2E2", Value::Float(200.0)),
+    ];
+    for (text, value) in cases {
+        assert_eq!(parse_value(text).unwrap(), value, "{text}");
+    }
+    for bad in ["-", "--1", "1-2", "1.2.3", "+1", ".5"] {
+        assert!(parse_value(bad).is_err(), "{bad}");
+    }
+}
