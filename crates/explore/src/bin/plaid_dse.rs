@@ -72,6 +72,8 @@ OPTIONS:
                                   shards, stable under point reordering;
                                   combine shard caches with `plaid-dse merge`
     --cache <FILE>                Load/save the content-addressed result cache
+                                  (compact JSON; an existing file is rewritten
+                                  only when a pass compiles a point)
     --out <FILE>                  Write all sweep records as JSON
     --frontier <FILE>             Write the Pareto frontier as JSON
                                   [default: dse_frontier.json]
@@ -273,6 +275,10 @@ fn parse_args(args: Vec<String>) -> Result<Option<Options>, String> {
 }
 
 fn run(options: &Options) -> Result<(), String> {
+    // A cache file that does not exist yet is written even when nothing
+    // compiles (an empty shard still leaves its `{}`); one that does is
+    // rewritten only when a pass added records to it.
+    let cache_existed = options.cache_path.as_ref().is_some_and(|p| p.exists());
     let cache = match &options.cache_path {
         Some(path) => ResultCache::load(path)
             .map_err(|e| format!("cannot load cache {}: {e}", path.display()))?,
@@ -317,9 +323,11 @@ fn run(options: &Options) -> Result<(), String> {
     }
 
     let mut last_outcome = None;
+    let mut compiled = 0;
     for pass in 1..=options.passes {
         let outcome = run_sweep_with(&plan, &cache, options.seed_policy);
         let s = &outcome.stats;
+        compiled += s.compiled;
         eprintln!(
             "pass {pass}: {} points in {} ms — {} compiled, {} cache hits ({:.0}% hit rate), \
              {} seeded ({} seed hits), {} infeasible",
@@ -337,10 +345,18 @@ fn run(options: &Options) -> Result<(), String> {
     let outcome = last_outcome.expect("at least one pass");
 
     if let Some(path) = &options.cache_path {
-        cache
-            .save(path)
-            .map_err(|e| format!("cannot save cache {}: {e}", path.display()))?;
-        eprintln!("saved {} results to {}", cache.len(), path.display());
+        if compiled > 0 || !cache_existed {
+            cache
+                .save(path)
+                .map_err(|e| format!("cannot save cache {}: {e}", path.display()))?;
+            eprintln!("saved {} results to {}", cache.len(), path.display());
+        } else {
+            eprintln!(
+                "cache unchanged: {} results in {}",
+                cache.len(),
+                path.display()
+            );
+        }
     }
     if let Some(path) = &options.out_path {
         let json =

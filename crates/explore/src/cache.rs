@@ -84,7 +84,9 @@ impl ResultCache {
 
     /// Loads a cache persisted by [`ResultCache::save`] (`key -> [record,
     /// ...]`). A missing file yields an empty cache; a malformed file is an
-    /// error.
+    /// error. Whitespace between tokens is free, so a file saved in the
+    /// earlier pretty-printed form, or re-indented by hand, loads to the
+    /// same records.
     ///
     /// # Errors
     ///
@@ -104,8 +106,11 @@ impl ResultCache {
         })
     }
 
-    /// Persists the cache as JSON (object keyed by content hash, one bucket
-    /// of identity-verified records per key).
+    /// Persists the cache as compact JSON (object keyed by content hash, one
+    /// bucket of identity-verified records per key, no whitespace): the
+    /// bytes of `serde_json::to_string` of the entries. A cache is read by
+    /// programs far more often than by eye, and indentation would make the
+    /// file about three times as large; `jq .` pretty-prints it.
     ///
     /// The write is atomic: the JSON goes to a temporary file in the target's
     /// own directory which is then renamed over `path`, so a crash mid-save
@@ -122,7 +127,7 @@ impl ResultCache {
     /// Returns an [`io::Error`] if the file cannot be written or renamed.
     pub fn save(&self, path: &Path) -> io::Result<()> {
         let entries = self.entries.read().expect("cache lock poisoned");
-        let text = serde_json::to_string_pretty(&*entries)
+        let text = serde_json::to_string(&*entries)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
         drop(entries);
         let file_name = path.file_name().and_then(|n| n.to_str()).ok_or_else(|| {
@@ -570,6 +575,66 @@ mod tests {
         let cache = ResultCache::load(&path).expect("stale seed fields are ignored");
         assert_eq!(cache.lookup(&key, &p), Some(record));
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A cache of a mapped point, placement seed included, and a failed one.
+    fn evaluated_cache() -> ResultCache {
+        let cache = ResultCache::new();
+        let mapped = spec_point("dwconv", CommSpec::ALIGNED);
+        let (record, _) = crate::sweep::evaluate_point(
+            &mapped,
+            &Default::default(),
+            &Default::default(),
+            &cache,
+            None,
+        );
+        assert!(record.summary.as_ref().is_some_and(|s| s.seed.is_some()));
+        cache.insert(cache_key(&mapped), record);
+        let failed = spec_point("fc", CommSpec::LEAN);
+        cache.insert(cache_key(&failed), EvalRecord::failed(&failed, "lean"));
+        cache
+    }
+
+    #[test]
+    fn save_writes_the_compact_json_of_the_entries() {
+        let cache = evaluated_cache();
+        let dir = std::env::temp_dir().join("plaid-explore-compact-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cache.json");
+        cache.save(&path).unwrap();
+        let compact = serde_json::to_string(&*cache.entries.read().unwrap()).unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), compact);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn pretty_caches_load_unchanged_and_resave_compact() {
+        // Caches were saved two-space indented before the compact form.
+        let cache = evaluated_cache();
+        let dir = std::env::temp_dir().join("plaid-explore-pretty-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let (pretty, compact, resaved) = (
+            dir.join("pretty.json"),
+            dir.join("compact.json"),
+            dir.join("resaved.json"),
+        );
+        let old = serde_json::to_string_pretty(&*cache.entries.read().unwrap()).unwrap();
+        std::fs::write(&pretty, old).unwrap();
+        cache.save(&compact).unwrap();
+        let from_pretty = ResultCache::load(&pretty).unwrap();
+        assert_eq!(
+            from_pretty.canonical_records(),
+            ResultCache::load(&compact).unwrap().canonical_records()
+        );
+        assert_eq!(from_pretty.canonical_records(), cache.canonical_records());
+        from_pretty.save(&resaved).unwrap();
+        assert_eq!(
+            std::fs::read(&resaved).unwrap(),
+            std::fs::read(&compact).unwrap()
+        );
+        for path in [pretty, compact, resaved] {
+            std::fs::remove_file(path).ok();
+        }
     }
 
     #[test]

@@ -386,6 +386,16 @@ mod tests {
     }
 
     #[test]
+    fn integers_write_like_format() {
+        for u in [0, 9, 10, u64::from(u32::MAX), u64::MAX] {
+            assert_eq!(compact(&u), format!("{u}"));
+        }
+        for i in [0, 9, 10, -1, -10, i64::MIN, i64::MAX] {
+            assert_eq!(compact(&i), format!("{i}"));
+        }
+    }
+
+    #[test]
     fn containers_round_trip() {
         let v = vec![1u32, 2, 3];
         assert_eq!(round_trip(&v), v);

@@ -62,12 +62,35 @@ impl Serializer {
 
     /// Writes a signed integer.
     pub fn i64(&mut self, i: i64) {
-        let _ = write!(self.out, "{i}");
+        self.decimal(i.unsigned_abs(), i < 0);
     }
 
     /// Writes an unsigned integer.
     pub fn u64(&mut self, u: u64) {
-        let _ = write!(self.out, "{u}");
+        self.decimal(u, false);
+    }
+
+    /// Writes `n` in decimal, after a minus sign if `negative`, from a
+    /// stack buffer: the same text as `write!`, without the formatting
+    /// machinery per number, and cache files are mostly numbers.
+    fn decimal(&mut self, mut n: u64, negative: bool) {
+        // `-` and the 20 digits of `u64::MAX`.
+        let mut buf = [0u8; 21];
+        let mut at = buf.len();
+        loop {
+            at -= 1;
+            buf[at] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        if negative {
+            at -= 1;
+            buf[at] = b'-';
+        }
+        self.out
+            .push_str(std::str::from_utf8(&buf[at..]).expect("digits and `-` are ASCII"));
     }
 
     /// Writes a float. Integral values keep a `.0` so they read back as
