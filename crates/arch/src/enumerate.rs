@@ -152,6 +152,22 @@ impl SpaceSpec {
         }
     }
 
+    /// The full grid: all three classes, seven array sizes from 2×2 up to
+    /// 6×6, configuration memories of 4 to 32 entries, and the three legacy
+    /// communication presets (1008 points).
+    pub fn full_grid() -> Self {
+        SpaceSpec {
+            classes: vec![
+                ArchClass::SpatioTemporal,
+                ArchClass::Spatial,
+                ArchClass::Plaid,
+            ],
+            dims: vec![(2, 2), (2, 4), (3, 3), (4, 4), (3, 5), (4, 6), (6, 6)],
+            config_entries: vec![4, 8, 16, 32],
+            comm_specs: CommSpec::presets(),
+        }
+    }
+
     /// A minimal grid used by smoke tests and benches: one dimension per
     /// class at the published depth, the three legacy presets.
     pub fn smoke_grid() -> Self {

@@ -1,17 +1,29 @@
-//! The paper's evaluation as one deterministic text artefact, plus the
-//! mapper-kernel throughput measurement behind the `plaid-bench` gate.
+//! The repository's two deterministic text artefacts, each committed and
+//! compared byte for byte by CI with a fresh run.
 //!
 //! [`figures`] runs every experiment in `plaid::experiments` once over all
 //! 30 Table 2 workloads and the three DNN applications, and renders the
 //! tables in paper order. `plaid-bench figures` prints it; the output is
-//! committed as `FIGURES.txt` and CI compares a fresh run byte for byte.
+//! committed as `FIGURES.txt`.
+//!
+//! [`counts`] sweeps the default plan and the whole suite's full grid under
+//! both seed policies and renders the mappers' exact work counts
+//! ([`WorkCounts`]). `plaid-bench counts` prints it; the output is
+//! committed as `BENCH_sweep.json`. The counts depend only on the code and
+//! the plans, never on the host, the thread count or the build profile, so
+//! any change in the work the mappers do shows up as a diff.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod kernel;
+use std::collections::BTreeMap;
+use std::time::Instant;
 
 use plaid::experiments::{self, ExperimentScope};
+use plaid::pipeline::WorkCounts;
+use plaid_arch::SpaceSpec;
+use plaid_explore::{run_sweep_with, ResultCache, SeedPolicy, SweepPlan};
+use plaid_workloads::table2_workloads;
 
 /// Every table and figure of the paper's evaluation, in paper order, each
 /// followed by its coverage line and, where the paper states one, its
@@ -41,4 +53,45 @@ pub fn figures() -> String {
         out.push_str(&section);
     }
     out
+}
+
+/// The mappers' work, as pretty JSON, over two plans: `default_plan`
+/// (`plaid-dse`'s default, every eighth Table 2 workload on the default
+/// grid) and `all_suite_full` (all 30 workloads on the full grid), each
+/// swept once from an empty cache under seeding `off` and `exact`. Each
+/// sweep's wall time goes to stderr; it is advisory and not part of the
+/// output.
+pub fn counts() -> String {
+    let suite = table2_workloads();
+    let default_plan: Vec<_> = suite.iter().step_by(8).cloned().collect();
+    let plans = [
+        (
+            "default_plan",
+            SweepPlan::cross(&default_plan, &SpaceSpec::default_grid()),
+        ),
+        (
+            "all_suite_full",
+            SweepPlan::cross(&suite, &SpaceSpec::full_grid()),
+        ),
+    ];
+    let mut counts: BTreeMap<String, BTreeMap<String, WorkCounts>> = BTreeMap::new();
+    for (name, plan) in &plans {
+        for policy in [SeedPolicy::Off, SeedPolicy::Exact] {
+            let start = Instant::now();
+            let outcome = run_sweep_with(plan, &ResultCache::new(), policy);
+            eprintln!(
+                "{name} {}: {} points in {} ms",
+                policy.label(),
+                plan.len(),
+                start.elapsed().as_millis()
+            );
+            counts
+                .entry(name.to_string())
+                .or_default()
+                .insert(policy.label().to_string(), outcome.stats.work);
+        }
+    }
+    let mut json = serde_json::to_string_pretty(&counts).expect("counts serialize");
+    json.push('\n');
+    json
 }

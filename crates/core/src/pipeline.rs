@@ -25,7 +25,7 @@ use plaid_arch::{plaid, spatial, spatio_temporal, specialize, Architecture};
 use plaid_dfg::Dfg;
 pub use plaid_mapper::{
     dfg_fingerprint, fabric_signature, fabric_signature_nocap, fnv1a64, InfeasiblePrefix, MapSeed,
-    PlacementSeed, PreparedFabric, SeedOutcome, SeededMapping,
+    PlacementSeed, PreparedFabric, SeedOutcome, SeededMapping, WorkCounts,
 };
 use plaid_mapper::{
     MapError, Mapping, PathFinderMapper, PlaidMapper, SaMapper, SpatialMapper, SpatialSchedule,

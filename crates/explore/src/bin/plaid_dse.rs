@@ -6,12 +6,12 @@
 //!
 //! By default the sweep runs twice — a cold pass and a warm pass — so the
 //! cache behaviour is visible in one invocation: the second pass reports a
-//! 100% hit rate and a correspondingly lower wall time.
+//! 100% hit rate, no mapper work and a correspondingly lower wall time.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use plaid_arch::{ArchClass, BwClass, CommSpec, SpaceSpec, Topology};
+use plaid_arch::{BwClass, SpaceSpec, Topology};
 use plaid_explore::{
     run_sweep_with, shard_plan, FrontierReport, ResultCache, SeedPolicy, ShardSpec, SweepPlan,
 };
@@ -87,16 +87,7 @@ fn parse_grid(name: &str) -> Result<SpaceSpec, String> {
     match name {
         "default" => Ok(SpaceSpec::default_grid()),
         "smoke" => Ok(SpaceSpec::smoke_grid()),
-        "full" => Ok(SpaceSpec {
-            classes: vec![
-                ArchClass::SpatioTemporal,
-                ArchClass::Spatial,
-                ArchClass::Plaid,
-            ],
-            dims: vec![(2, 2), (2, 4), (3, 3), (4, 4), (3, 5), (4, 6), (6, 6)],
-            config_entries: vec![4, 8, 16, 32],
-            comm_specs: CommSpec::presets(),
-        }),
+        "full" => Ok(SpaceSpec::full_grid()),
         other => Err(format!("unknown grid `{other}` (default|smoke|full)")),
     }
 }
@@ -330,7 +321,8 @@ fn run(options: &Options) -> Result<(), String> {
         compiled += s.compiled;
         eprintln!(
             "pass {pass}: {} points in {} ms — {} compiled, {} cache hits ({:.0}% hit rate), \
-             {} seeded ({} seed hits), {} infeasible",
+             {} seeded ({} seed hits), {} infeasible; {} rungs ({} failed), \
+             {} repair iterations, {} route searches",
             s.points,
             s.wall_ms,
             s.compiled,
@@ -339,6 +331,10 @@ fn run(options: &Options) -> Result<(), String> {
             s.seeded,
             s.seed_hits,
             s.failures,
+            s.work.rungs,
+            s.work.failed_rungs,
+            s.work.repair_iterations,
+            s.work.route_searches,
         );
         last_outcome = Some(outcome);
     }

@@ -202,9 +202,10 @@ fn identity_of(
 /// result-preserving policies), up to the mapper-internal seed certificate
 /// in each summary — strip with [`EvalRecord::without_seed`] to compare, as
 /// frontier extraction already does. Of the summed stats, `points`, `compiled`,
-/// `cache_hits` and `failures` equal the unsharded totals; `seeded` /
-/// `seed_hits` reflect intra-shard seeding (a whole-plan sweep sees more
-/// reuse opportunities) and `wall_ms` is the *aggregate* shard wall time,
+/// `cache_hits` and `failures` equal the unsharded totals; `seeded`,
+/// `seed_hits` and `work` reflect intra-shard seeding (a whole-plan sweep
+/// sees more reuse opportunities; under [`SeedPolicy::Off`] `work` equals
+/// the unsharded total) and `wall_ms` is the *aggregate* shard wall time,
 /// not the elapsed time of a parallel shard fleet.
 ///
 /// # Errors
@@ -256,6 +257,7 @@ pub fn merge_outcomes(plan: &SweepPlan, shards: &[SweepOutcome]) -> Result<Sweep
         failures: 0,
         seeded: 0,
         seed_hits: 0,
+        work: Default::default(),
         wall_ms: 0,
     };
     for outcome in shards {
@@ -265,6 +267,7 @@ pub fn merge_outcomes(plan: &SweepPlan, shards: &[SweepOutcome]) -> Result<Sweep
         stats.failures += outcome.stats.failures;
         stats.seeded += outcome.stats.seeded;
         stats.seed_hits += outcome.stats.seed_hits;
+        stats.work += outcome.stats.work;
         stats.wall_ms += outcome.stats.wall_ms;
     }
     Ok(SweepOutcome { records, stats })

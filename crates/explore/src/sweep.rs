@@ -20,6 +20,7 @@ use std::time::Instant;
 
 use plaid::pipeline::{
     compile_workload, MapperChoice, PipelineError, PreparedFabric, PreparedWorkload, SeedOutcome,
+    WorkCounts,
 };
 use plaid_arch::{ArchClass, DesignPoint, SpaceSpec};
 use plaid_workloads::Workload;
@@ -111,6 +112,9 @@ pub struct SweepStats {
     /// Compiled points where seeding demonstrably skipped work: an exact
     /// replay, a floored (or fully skipped) II ladder.
     pub seed_hits: usize,
+    /// The mappers' work over the pass's compiled points. Exact: the same
+    /// plan, policy and cache give the same counts on any thread count.
+    pub work: WorkCounts,
     /// Wall-clock time of the pass in milliseconds.
     pub wall_ms: u64,
 }
@@ -136,14 +140,16 @@ pub struct SweepOutcome {
     pub stats: SweepStats,
 }
 
-/// What seeding did for one evaluated point.
+/// What seeding did for one evaluated point, and the mappers' work on it.
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct SeedUse {
+pub(crate) struct PointUse {
     /// The point compiled with a hint available.
     pub seeded: bool,
     /// The hint demonstrably skipped work: an exact replay, a floored (or
     /// fully skipped) II ladder.
     pub hit: bool,
+    /// The mappers' work compiling the point (none on a cache hit).
+    pub work: WorkCounts,
 }
 
 /// A workload prepared on first use, shared by every point of it in one
@@ -220,7 +226,7 @@ pub(crate) fn evaluate_point(
     fabric: &FabricCell,
     cache: &ResultCache,
     store: Option<&SeedStore>,
-) -> (EvalRecord, SeedUse) {
+) -> (EvalRecord, PointUse) {
     let store = store.filter(|_| point.mapper.takes_hints());
     let key = cache_key(point);
     if let Some(record) = cache.lookup(&key, point) {
@@ -233,7 +239,7 @@ pub(crate) fn evaluate_point(
         if let Some(store) = store {
             store.absorb_seed(point, &record);
         }
-        return (record, SeedUse::default());
+        return (record, PointUse::default());
     }
     let fabric = fabric.get(&point.design);
     let prepared = workload
@@ -247,9 +253,11 @@ pub(crate) fn evaluate_point(
         (Some(store), Ok(prepared)) => store.hint_on(point, &fabric, prepared.fingerprint()),
         _ => None,
     };
+    let before = WorkCounts::thread_total();
     let result = prepared.and_then(|prepared| {
         compile_workload(prepared, &*fabric, point.mapper, hint.as_ref()).map_err(|e| e.to_string())
     });
+    let work = WorkCounts::thread_total() - before;
     let hit = match &result {
         Ok(compiled) => matches!(
             compiled.seed_outcome,
@@ -274,7 +282,7 @@ pub(crate) fn evaluate_point(
         store.absorb(point, &record);
     }
     let seeded = hint.is_some();
-    (record, SeedUse { seeded, hit })
+    (record, PointUse { seeded, hit, work })
 }
 
 /// One empty cell per distinct workload of the plan, and the index of each
@@ -388,7 +396,7 @@ pub fn run_sweep_with(plan: &SweepPlan, cache: &ResultCache, policy: SeedPolicy)
             group_points_for_seeding(plan, &family_of),
         ),
     };
-    let evaluated: Vec<Vec<(usize, EvalRecord, SeedUse)>> = groups
+    let evaluated: Vec<Vec<(usize, EvalRecord, PointUse)>> = groups
         .par_iter()
         .map(|group| {
             group
@@ -410,10 +418,11 @@ pub fn run_sweep_with(plan: &SweepPlan, cache: &ResultCache, policy: SeedPolicy)
         .collect();
 
     let mut slots: Vec<Option<EvalRecord>> = vec![None; plan.len()];
-    let (mut seeded, mut seed_hits) = (0, 0);
+    let (mut seeded, mut seed_hits, mut work) = (0, 0, WorkCounts::default());
     for (i, record, used) in evaluated.into_iter().flatten() {
         seeded += usize::from(used.seeded);
         seed_hits += usize::from(used.hit);
+        work += used.work;
         slots[i] = Some(record);
     }
     let records: Vec<EvalRecord> = slots
@@ -431,6 +440,7 @@ pub fn run_sweep_with(plan: &SweepPlan, cache: &ResultCache, policy: SeedPolicy)
             failures,
             seeded,
             seed_hits,
+            work,
             wall_ms: start.elapsed().as_millis() as u64,
         },
         records,

@@ -4,15 +4,20 @@
 //! non-zero with a message instead of panicking. A two-record cache is
 //! tried at every byte and every flip; the full one at random samples.
 
+use std::collections::BTreeMap;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::OnceLock;
 
 use plaid_arch::SpaceSpec;
-use plaid_explore::{run_sweep, ResultCache, SweepPlan};
+use plaid_explore::{run_sweep, EvalRecord, ResultCache, SweepPlan};
 use plaid_workloads::find_workload;
 use proptest::prelude::*;
-use serde_json::Value;
+
+/// A cache file's content, read through the same types `ResultCache::load`
+/// uses: records bucketed by cache key.
+type Buckets = BTreeMap<String, Vec<EvalRecord>>;
 
 /// Scratch directory private to this test process.
 fn scratch() -> PathBuf {
@@ -44,18 +49,11 @@ fn saved_cache() -> &'static str {
 /// and its smallest record carrying a placement seed, small enough to try
 /// every prefix and every flip of.
 fn small_cache() -> String {
-    let Value::Object(buckets) = serde_json::parse_value(saved_cache()).unwrap() else {
-        panic!("a saved cache is an object");
-    };
-    let record = |bucket: &Value| bucket.as_array().unwrap()[0].clone();
-    let has_seed = |bucket: &Value| {
-        record(bucket)
-            .get("summary")
-            .and_then(|s| s.get("seed"))
-            .is_some_and(|seed| *seed != Value::Null)
-    };
-    let failed = |bucket: &Value| record(bucket).get("ok") == Some(&Value::Bool(false));
-    let smallest = |keep: &dyn Fn(&Value) -> bool| {
+    let buckets: Buckets = serde_json::from_str(saved_cache()).unwrap();
+    let has_seed =
+        |bucket: &[EvalRecord]| bucket[0].summary.as_ref().is_some_and(|s| s.seed.is_some());
+    let failed = |bucket: &[EvalRecord]| !bucket[0].ok;
+    let smallest = |keep: &dyn Fn(&[EvalRecord]) -> bool| {
         buckets
             .iter()
             .filter(|(_, bucket)| keep(bucket))
@@ -63,8 +61,8 @@ fn small_cache() -> String {
             .map(|(key, bucket)| (key.clone(), bucket.clone()))
             .expect("the smoke sweep has such a record")
     };
-    let small: serde_json::Map = [smallest(&failed), smallest(&has_seed)].into();
-    let text = serde_json::to_string_pretty(&Value::Object(small)).unwrap();
+    let small: Buckets = [smallest(&failed), smallest(&has_seed)].into();
+    let text = serde_json::to_string_pretty(&small).unwrap();
     let cache = load_bytes("small", text.as_bytes()).expect("the small cache loads");
     assert_eq!(cache.len(), 2);
     text
@@ -77,44 +75,110 @@ fn load_bytes(tag: &str, bytes: &[u8]) -> std::io::Result<ResultCache> {
     ResultCache::load(&path)
 }
 
-/// Counts the strings, numbers and objects in `value`: the values `flip`
-/// can target.
-fn flippable(value: &Value, count: &mut usize) {
-    match value {
-        Value::String(_) | Value::Int(_) | Value::UInt(_) | Value::Float(_) => *count += 1,
-        Value::Object(map) => {
-            *count += 1;
-            map.values().for_each(|v| flippable(v, count));
-        }
-        Value::Array(items) => items.iter().for_each(|v| flippable(v, count)),
-        Value::Null | Value::Bool(_) => {}
-    }
+/// A value of a JSON text that `flip` can target: a string, a number, or
+/// an object with the spans of its members' values.
+struct Flippable {
+    span: Range<usize>,
+    members: Option<Vec<Range<usize>>>,
 }
 
-/// Flips the type of the `target`-th flippable value (pre-order):
-/// string → number, number → string, object → array of its values.
-/// Returns `true` once the flip is done.
-fn flip(value: &mut Value, target: usize, seen: &mut usize) -> bool {
-    let here = matches!(
-        value,
-        Value::String(_) | Value::Int(_) | Value::UInt(_) | Value::Float(_) | Value::Object(_)
-    );
-    if here {
-        if *seen == target {
-            *value = match std::mem::replace(value, Value::Null) {
-                Value::String(_) => Value::Int(7),
-                Value::Object(map) => Value::Array(map.into_values().collect()),
-                _ => Value::String("7".into()),
-            };
-            return true;
+/// The strings, numbers and objects of the well-formed JSON `text`, in
+/// pre-order (an object before its members).
+fn flippable(text: &str) -> Vec<Flippable> {
+    fn skip_space(text: &[u8], at: &mut usize) {
+        while text[*at].is_ascii_whitespace() {
+            *at += 1;
         }
-        *seen += 1;
     }
-    match value {
-        Value::Object(map) => map.values_mut().any(|v| flip(v, target, seen)),
-        Value::Array(items) => items.iter_mut().any(|v| flip(v, target, seen)),
-        _ => false,
+    /// Scans the value at `at`, returning its span.
+    fn value(text: &[u8], at: &mut usize, out: &mut Vec<Flippable>) -> Range<usize> {
+        skip_space(text, at);
+        let start = *at;
+        match text[start] {
+            open @ (b'{' | b'[') => {
+                let object = open == b'{';
+                let index = out.len();
+                if object {
+                    let members = Some(Vec::new());
+                    out.push(Flippable {
+                        span: 0..0,
+                        members,
+                    });
+                }
+                *at += 1;
+                skip_space(text, at);
+                while !matches!(text[*at], b'}' | b']') {
+                    if object {
+                        value(text, at, &mut Vec::new()); // the key
+                        skip_space(text, at);
+                        *at += 1; // the colon
+                    }
+                    let member = value(text, at, out);
+                    if object {
+                        out[index].members.as_mut().unwrap().push(member);
+                    }
+                    skip_space(text, at);
+                    if text[*at] == b',' {
+                        *at += 1;
+                        skip_space(text, at);
+                    }
+                }
+                *at += 1;
+                if object {
+                    out[index].span = start..*at;
+                }
+            }
+            b'"' => {
+                *at += 1;
+                while text[*at] != b'"' {
+                    *at += if text[*at] == b'\\' { 2 } else { 1 };
+                }
+                *at += 1;
+                out.push(Flippable {
+                    span: start..*at,
+                    members: None,
+                });
+            }
+            b'-' | b'0'..=b'9' => {
+                while matches!(text[*at], b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9') {
+                    *at += 1;
+                }
+                out.push(Flippable {
+                    span: start..*at,
+                    members: None,
+                });
+            }
+            _ => {
+                while text[*at].is_ascii_alphabetic() {
+                    *at += 1;
+                }
+            }
+        }
+        start..*at
     }
+    let mut out = Vec::new();
+    // A trailing space stops the scans at the end of the text.
+    value(format!("{text} ").as_bytes(), &mut 0, &mut out);
+    out
+}
+
+/// `text` with the type of its `target`-th flippable value flipped:
+/// string → number, number → string, object → array of its values.
+fn flip(text: &str, target: usize) -> String {
+    let value = flippable(text).swap_remove(target);
+    let replacement = match value.members {
+        Some(members) => {
+            let values: Vec<&str> = members.into_iter().map(|m| &text[m]).collect();
+            format!("[{}]", values.join(","))
+        }
+        None if text[value.span.clone()].starts_with('"') => "7".to_string(),
+        None => "\"7\"".to_string(),
+    };
+    format!(
+        "{}{replacement}{}",
+        &text[..value.span.start],
+        &text[value.span.end..]
+    )
 }
 
 proptest! {
@@ -133,12 +197,9 @@ proptest! {
 
     #[test]
     fn mistyped_caches_fail_to_load(pick in 0usize..1_000_000) {
-        let mut value = serde_json::parse_value(saved_cache()).unwrap();
-        let mut count = 0;
-        flippable(&value, &mut count);
+        let count = flippable(saved_cache()).len();
         let target = pick % count;
-        prop_assert!(flip(&mut value, target, &mut 0));
-        let text = serde_json::to_string(&value).unwrap();
+        let text = flip(saved_cache(), target);
         prop_assert!(
             load_bytes("flip", text.as_bytes()).is_err(),
             "a cache with value {target} of {count} flipped loaded"
@@ -156,13 +217,9 @@ fn every_prefix_and_every_flip_of_a_small_cache_fails_to_load() {
             text.len()
         );
     }
-    let value = serde_json::parse_value(&text).unwrap();
-    let mut count = 0;
-    flippable(&value, &mut count);
+    let count = flippable(&text).len();
     for target in 0..count {
-        let mut flipped = value.clone();
-        assert!(flip(&mut flipped, target, &mut 0));
-        let flipped = serde_json::to_string_pretty(&flipped).unwrap();
+        let flipped = flip(&text, target);
         assert!(
             load_bytes("every-flip", flipped.as_bytes()).is_err(),
             "the small cache with value {target} of {count} flipped loaded"
@@ -201,15 +258,8 @@ fn merge_reports_malformed_shards_without_panicking() {
     let dir = scratch();
     let text = saved_cache();
     merge_rejects(&dir, "truncated", &text.as_bytes()[..text.len() / 2]);
-    let mut value = serde_json::parse_value(text).unwrap();
-    let mut count = 0;
-    flippable(&value, &mut count);
-    assert!(flip(&mut value, count / 2, &mut 0));
-    merge_rejects(
-        &dir,
-        "mistyped",
-        serde_json::to_string(&value).unwrap().as_bytes(),
-    );
+    let count = flippable(text).len();
+    merge_rejects(&dir, "mistyped", flip(text, count / 2).as_bytes());
 }
 
 #[test]

@@ -61,6 +61,7 @@ pub mod sa;
 pub mod seed;
 pub mod spatial;
 pub mod state;
+pub mod work;
 
 pub use error::MapError;
 pub use fabric::PreparedFabric;
@@ -75,6 +76,7 @@ pub use seed::{
 };
 pub use spatial::{SpatialMapper, SpatialSchedule};
 pub use state::CapacityCert;
+pub use work::WorkCounts;
 
 use plaid_arch::Architecture;
 use plaid_dfg::Dfg;

@@ -55,6 +55,7 @@
 //! state owns and computes each sort key once, and the per-FU window
 //! bounds of [`place_node_best_effort`] live in a buffer beside it.
 
+use std::cell::Cell;
 use std::sync::Arc;
 
 use plaid_arch::{Architecture, ResourceId};
@@ -68,6 +69,7 @@ use crate::route::{
     RouterScratch,
 };
 use crate::state::RoutingState;
+use crate::work::WorkCounts;
 
 /// Cost charged for every data-carrying edge that could not be routed.
 pub const UNROUTED_PENALTY: f64 = 1_000.0;
@@ -163,6 +165,10 @@ pub struct MapState<'a> {
     /// First structurally open cycle of each candidate of
     /// [`place_node_best_effort`], reused across calls.
     candidate_bounds: Vec<u32>,
+    /// The attempt's work outside the router, which counts its own in
+    /// `scratch`. Both go to the thread's running total when the state is
+    /// dropped. The mappers never clone a state, so nothing counts twice.
+    work: Cell<WorkCounts>,
 }
 
 /// Sort key of a candidate functional unit: summed distance to the node's
@@ -213,7 +219,15 @@ impl<'a> MapState<'a> {
             candidates: Vec::new(),
             candidate_keys: Vec::new(),
             candidate_bounds: Vec::new(),
+            work: Cell::default(),
         }
+    }
+
+    /// Adds to the attempt's work counts.
+    pub(crate) fn count(&self, add: impl FnOnce(&mut WorkCounts)) {
+        let mut work = self.work.get();
+        add(&mut work);
+        self.work.set(work);
     }
 
     /// Opens a transaction: subsequent place/unplace/route/unroute calls
@@ -524,6 +538,7 @@ impl<'a> MapState<'a> {
         edges: &[EdgeId],
         policy: &impl CostPolicy,
     ) -> bool {
+        self.count(|w| w.place_probes += 1);
         if !slots.iter().all(|&(n, p)| self.can_place(n, p.fu, p.cycle))
             || !self.structurally_open(edges, slots)
             || !self.first_hops_open(edges, slots, policy)
@@ -606,8 +621,10 @@ impl<'a> MapState<'a> {
     /// Routes every currently unrouted data-carrying edge whose endpoints are
     /// placed; returns the number of edges that remain unrouted.
     pub fn route_all(&mut self, policy: &impl CostPolicy) -> usize {
+        let edges = self.dfg.edge_count();
+        self.count(|w| w.edge_scans += edges as u64);
         let mut failures = 0;
-        for e in 0..self.dfg.edge_count() as u32 {
+        for e in 0..edges as u32 {
             if !self.route_edge(EdgeId(e), policy) {
                 failures += 1;
             }
@@ -626,10 +643,16 @@ impl<'a> MapState<'a> {
     /// placed (consumer strictly after producer, recurrences shifted by
     /// `distance × II`).
     pub fn timing_ok(&self) -> bool {
-        self.dfg.edges().all(|e| match self.arrival_cycle(e) {
-            Some((src_cycle, arrival)) => arrival > src_cycle,
-            None => true,
-        })
+        let mut walked = 0;
+        let ok = self.dfg.edges().all(|e| {
+            walked += 1;
+            match self.arrival_cycle(e) {
+                Some((src_cycle, arrival)) => arrival > src_cycle,
+                None => true,
+            }
+        });
+        self.count(|w| w.edge_scans += walked);
+        ok
     }
 
     /// Scalar quality: lower is better. Unrouted edges dominate, then total
@@ -702,14 +725,26 @@ impl<'a> MapState<'a> {
     }
 
     /// Converts the state into an immutable [`Mapping`].
-    pub fn into_mapping(self, mapper_name: &str) -> Mapping {
+    pub fn into_mapping(mut self, mapper_name: &str) -> Mapping {
+        let placements = std::mem::replace(&mut self.placements, DenseMap::for_universe(0));
+        let routes = std::mem::replace(&mut self.routes, DenseMap::for_universe(0));
         Mapping {
             arch_name: self.arch.name().to_string(),
             mapper_name: mapper_name.to_string(),
             ii: self.ii,
-            placements: self.placements.into_entries().collect(),
-            routes: self.routes.into_entries().collect(),
+            placements: placements.into_entries().collect(),
+            routes: routes.into_entries().collect(),
         }
+    }
+}
+
+impl Drop for MapState<'_> {
+    /// Adds the attempt's work to the calling thread's running total.
+    fn drop(&mut self) {
+        let mut work = self.work.get();
+        work.route_searches += self.scratch.searches;
+        work.route_pops += self.scratch.pops;
+        work.fold();
     }
 }
 

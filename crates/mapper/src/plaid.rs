@@ -303,6 +303,7 @@ impl PlaidMapper {
             let key = pick * swaps + swap;
             let (stamp, known) = memo[key];
             if stamp == epoch {
+                state.count(|w| w.repair_memo_skips += 1);
                 if let Replacement::Identity { cost } = known {
                     if cost <= best_cost || rng.gen::<f64>() < 0.05 {
                         best_cost = cost;
@@ -312,6 +313,7 @@ impl PlaidMapper {
             }
             // Journalled repair attempt: a failed or rejected re-placement
             // rolls back in O(deltas) instead of restoring a snapshot.
+            state.count(|w| w.repair_iterations += 1);
             state.begin_txn();
             for &n in ripped_nodes {
                 state.unplace(n);

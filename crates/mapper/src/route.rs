@@ -267,6 +267,10 @@ pub struct RouterScratch {
     slots: Vec<u32>,
     /// Min-queue of [`queue_key`]s.
     heap: BinaryHeap<Reverse<u128>>,
+    /// Searches run through this scratch (`WorkCounts::route_searches`).
+    pub(crate) searches: u64,
+    /// Cells those searches popped (`WorkCounts::route_pops`).
+    pub(crate) pops: u64,
 }
 
 impl RouterScratch {
@@ -599,6 +603,7 @@ pub fn find_route_in(
     request: &RouteRequest,
     policy: &impl CostPolicy,
 ) -> Option<(Route, f64)> {
+    scratch.searches += 1;
     let budget = request.budget()?;
     let n = arch.resources().len();
     let width = (budget + 1) as usize;
@@ -613,6 +618,8 @@ pub fn find_route_in(
         cells,
         slots,
         heap,
+        pops,
+        ..
     } = scratch;
     let epoch = *epoch;
 
@@ -630,6 +637,7 @@ pub fn find_route_in(
     }
 
     while let Some(Reverse(key)) = heap.pop() {
+        *pops += 1;
         let (cost, resource, elapsed) = queue_entry(key);
         let idx = index(resource, elapsed);
         if cost > cells[idx].best {

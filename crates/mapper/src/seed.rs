@@ -55,6 +55,7 @@ use crate::error::MapError;
 use crate::fabric::PreparedFabric;
 use crate::mapping::{Mapping, Placement, Route, RouteHop};
 use crate::state::CapacityCert;
+use crate::work::WorkCounts;
 
 pub use plaid_dfg::fnv::fnv1a64;
 
@@ -578,27 +579,30 @@ pub(crate) fn map_seeded<S: LadderSearch>(
         LadderPlan::Ladder { start, floored } => (start, floored),
     };
     let shared = search.prepare(dfg, fabric);
-    for ii in start..=max_ii {
-        let Some(mapping) = search.attempt(&shared, dfg, arch, ii) else {
-            continue;
-        };
-        mapping.validate(dfg, arch)?;
-        // Floored results are canonical (the skipped prefix was proved
-        // infeasible on this fabric) but not transferable: the certificate
-        // does not cover the skipped attempts.
-        let (outcome, cert) = if floored {
-            (SeedOutcome::Floored, None)
-        } else {
-            (SeedOutcome::Scratch, S::certificate(&shared))
-        };
-        let window = cert.map(|c| (c.need(), c.ceil())).unwrap_or_default();
-        return Ok(SeededMapping {
-            seed: PlacementSeed::snapshot(&mapping, &ctx, options, window),
-            mapping,
-            outcome,
-        });
-    }
-    Err(infeasible())
+    let mut work = WorkCounts::default();
+    let found = (start..=max_ii).find_map(|ii| {
+        let mapping = search.attempt(&shared, dfg, arch, ii);
+        work.rungs += 1;
+        work.failed_rungs += u64::from(mapping.is_none());
+        mapping
+    });
+    work.fold();
+    let mapping = found.ok_or_else(infeasible)?;
+    mapping.validate(dfg, arch)?;
+    // Floored results are canonical (the skipped prefix was proved
+    // infeasible on this fabric) but not transferable: the certificate
+    // does not cover the skipped attempts.
+    let (outcome, cert) = if floored {
+        (SeedOutcome::Floored, None)
+    } else {
+        (SeedOutcome::Scratch, S::certificate(&shared))
+    };
+    let window = cert.map(|c| (c.need(), c.ceil())).unwrap_or_default();
+    Ok(SeededMapping {
+        seed: PlacementSeed::snapshot(&mapping, &ctx, options, window),
+        mapping,
+        outcome,
+    })
 }
 
 #[cfg(test)]

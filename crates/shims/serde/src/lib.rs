@@ -9,10 +9,9 @@
 //! are concrete types: [`Serialize`] writes JSON text straight into a
 //! [`Serializer`], and [`Deserialize`] reads straight from the
 //! [`Deserializer`] pull parser. Neither direction builds an intermediate
-//! tree; [`Value`] is an ordinary type with its own impls, for callers that
-//! want a document they can inspect or edit. Swap the
-//! `[workspace.dependencies]` path entries for the real crates to get the
-//! upstream implementation.
+//! tree, and there is no untyped document type: every read names the Rust
+//! type it expects. Swap the `[workspace.dependencies]` path entries for
+//! the real crates to get the upstream implementation.
 //!
 //! Output is deterministic: derived structs write their fields in sorted
 //! key order and maps sort their keys, so every object's keys appear in
@@ -27,12 +26,10 @@ pub use serde_derive::{Deserialize, Serialize};
 
 mod de;
 mod ser;
-mod value;
 
 pub use de::Deserializer;
 use de::Number;
 pub use ser::Serializer;
-pub use value::{Map, Value};
 
 /// Serialization/deserialization error.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -99,22 +99,39 @@ fn an_unknown_enum_variant_is_an_error() {
 
 #[test]
 fn numbers_read_as_the_narrowest_kind_that_holds_them() {
-    use serde_json::{parse_value, Value};
+    use serde_json::from_str;
+    // Each number's kind, seen through the typed reads: an integer that
+    // fits `i64` reads as every type, one above `i64::MAX` only as `u64`
+    // and `f64`, and anything else only as `f64`.
     let cases = [
-        ("0", Value::Int(0)),
-        ("-0", Value::Int(0)),
-        ("007", Value::Int(7)),
-        ("-9223372036854775808", Value::Int(i64::MIN)),
-        ("9223372036854775808", Value::UInt(1 << 63)),
-        ("-9223372036854775809", Value::Float(-9223372036854775809.0)),
-        ("18446744073709551616", Value::Float(18446744073709551616.0)),
-        ("-1.5e-3", Value::Float(-0.0015)),
-        ("2E2", Value::Float(200.0)),
+        ("0", Some(0), Some(0), 0.0),
+        ("-0", Some(0), Some(0), 0.0),
+        ("007", Some(7), Some(7), 7.0),
+        (
+            "-9223372036854775808",
+            Some(i64::MIN),
+            None,
+            i64::MIN as f64,
+        ),
+        (
+            "9223372036854775808",
+            None,
+            Some(1 << 63),
+            9223372036854775808.0,
+        ),
+        ("-9223372036854775809", None, None, -9223372036854775809.0),
+        ("18446744073709551616", None, None, 18446744073709551616.0),
+        ("-1.5e-3", None, None, -0.0015),
+        ("2E2", None, None, 200.0),
     ];
-    for (text, value) in cases {
-        assert_eq!(parse_value(text).unwrap(), value, "{text}");
+    for (text, int, uint, float) in cases {
+        assert_eq!(from_str::<i64>(text).ok(), int, "{text}");
+        assert_eq!(from_str::<u64>(text).ok(), uint, "{text}");
+        assert_eq!(from_str::<f64>(text).unwrap(), float, "{text}");
     }
     for bad in ["-", "--1", "1-2", "1.2.3", "+1", ".5"] {
-        assert!(parse_value(bad).is_err(), "{bad}");
+        assert!(from_str::<i64>(bad).is_err(), "{bad}");
+        assert!(from_str::<u64>(bad).is_err(), "{bad}");
+        assert!(from_str::<f64>(bad).is_err(), "{bad}");
     }
 }
