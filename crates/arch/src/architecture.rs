@@ -283,32 +283,25 @@ impl Architecture {
 /// ([`crate::enumerate`]): the fabric topology is preserved while the sizing
 /// knobs change. Rebuilding goes through [`ArchBuilder`] so the consistency
 /// checks re-run; resource ids are preserved because the original builder
-/// allocated them densely. For structured re-provisioning (per-link-group
-/// capacities, torus/express topology links) see [`rebuild_with_comm`].
+/// allocated them densely. For re-provisioning under a communication spec
+/// (torus/express topology links) see [`rebuild_with_comm`].
 pub fn rebuild_provisioned(
     arch: &Architecture,
     name: impl Into<String>,
     params: ArchParams,
     scale_capacity: impl Fn(u32) -> u32,
 ) -> Architecture {
-    rebuild_scaled(arch, name, params, |r| match r.kind {
-        crate::resource::ResourceKind::FuncUnit(_) => 0,
-        crate::resource::ResourceKind::Switch { capacity } => scale_capacity(capacity),
-    })
-    .build()
+    rebuild_scaled(arch, name, params, scale_capacity).build()
 }
 
-/// Clones an architecture under a structured [`crate::comm::CommSpec`]:
-/// every switch
-/// capacity is scaled by the bandwidth class of its link-direction group
-/// (local intra-tile switches vs. the mesh-facing global router), and the
-/// spec's [`crate::comm::Topology`] contributes its extra inter-tile links
+/// Clones an architecture under a [`crate::comm::CommSpec`]: every switch
+/// capacity is scaled by the spec's bandwidth class, and the spec's
+/// [`crate::comm::Topology`] contributes its extra inter-tile links
 /// (torus wraparound closing every row and column, or express links skipping
 /// `stride` tiles) between cluster global routers, registered at one cycle
 /// like the mesh links they augment.
 ///
-/// For the legacy preset specs (mesh topology, one class on both groups)
-/// this is bit-identical to [`rebuild_provisioned`] with the scalar scaling
+/// For the legacy preset specs (mesh topology) this is bit-identical to [`rebuild_provisioned`] with the scalar scaling
 /// closure: the same capacities in the same resource order, no extra links.
 pub fn rebuild_with_comm(
     arch: &Architecture,
@@ -316,23 +309,8 @@ pub fn rebuild_with_comm(
     params: ArchParams,
     spec: &crate::comm::CommSpec,
 ) -> Architecture {
-    use crate::comm::{LinkGroup, Topology};
-    // A switch belongs to the global group iff it is some cluster's
-    // mesh-facing router (Plaid global routers, baseline PE crossbars);
-    // everything else — Plaid local routers, ALU bypass paths — is local.
-    let global: std::collections::HashSet<u32> =
-        arch.clusters().iter().map(|c| c.global_router.0).collect();
-    let mut b = rebuild_scaled(arch, name, params, |r| match r.kind {
-        crate::resource::ResourceKind::FuncUnit(_) => 0,
-        crate::resource::ResourceKind::Switch { capacity } => {
-            let group = if global.contains(&r.id.0) {
-                LinkGroup::Global
-            } else {
-                LinkGroup::Local
-            };
-            spec.scale_capacity(group, capacity)
-        }
-    });
+    use crate::comm::Topology;
+    let mut b = rebuild_scaled(arch, name, params, |c| spec.bw.scale_capacity(c));
     // Topology links run between cluster global routers, addressed by grid
     // position. Appended after the copied links so preset (mesh) rebuilds
     // keep the exact legacy link order; the builder deduplicates, so a
@@ -392,14 +370,14 @@ pub fn rebuild_with_comm(
 }
 
 /// Shared clone loop of [`rebuild_provisioned`] and [`rebuild_with_comm`]:
-/// copies tiles, resources (switch capacities through `switch_capacity`,
+/// copies tiles, resources (switch capacities through `scale_capacity`,
 /// clamped to 1), links and clusters into a fresh builder, which the caller
 /// finalizes (optionally after adding topology links).
 fn rebuild_scaled(
     arch: &Architecture,
     name: impl Into<String>,
     params: ArchParams,
-    switch_capacity: impl Fn(&Resource) -> u32,
+    scale_capacity: impl Fn(u32) -> u32,
 ) -> ArchBuilder {
     let mut b = ArchBuilder::new(name, arch.class(), params);
     for tile in 0..arch.tile_positions.len() {
@@ -410,8 +388,8 @@ fn rebuild_scaled(
             crate::resource::ResourceKind::FuncUnit(caps) => {
                 b.add_func_unit(r.tile, r.name.clone(), caps);
             }
-            crate::resource::ResourceKind::Switch { .. } => {
-                b.add_switch(r.tile, r.name.clone(), switch_capacity(r).max(1));
+            crate::resource::ResourceKind::Switch { capacity } => {
+                b.add_switch(r.tile, r.name.clone(), scale_capacity(capacity).max(1));
             }
         }
     }

@@ -1,51 +1,42 @@
-//! The structured communication axis: per-link-group bandwidth classes,
-//! NoC topology variants and select-bit policies.
+//! The communication axis: NoC topology variants and bandwidth classes.
 //!
 //! Historically the communication axis was a single 3-valued scalar that
 //! scaled every switch capacity and every router select bit uniformly. That
-//! cannot express BandMap-style per-link bandwidth allocation (different
-//! provisioning for the intra-tile network and the global mesh) or NoC
-//! topology variants (torus wraparound, express links). [`CommSpec`] is the
-//! enumerable axis:
+//! cannot express NoC topology variants (torus wraparound, express links)
+//! or bandwidths beyond the three levels. [`CommSpec`] is the enumerable
+//! axis, two fields:
 //!
 //! * [`Topology`] — the inter-tile link structure: the published mesh, a
 //!   torus (wraparound links closing every row and column), or express
 //!   links (additional links skipping `stride` tiles along rows and
 //!   columns);
-//! * [`LinkBw`] — one [`BwClass`] per link-direction *group*: the local
-//!   group (intra-tile switches: Plaid local routers and ALU bypass paths)
-//!   and the global group (the per-tile router that faces the mesh —
-//!   Plaid global routers and baseline PE crossbars);
-//! * [`SelectPolicy`] — whether the router select-bit budget in the
-//!   [`crate::ConfigBudget`] tracks the provisioned bandwidth
-//!   (`Proportional`, the historical behaviour) or stays at the published
-//!   budget (`Fixed`).
+//! * [`BwClass`] — the bandwidth class that scales every switch capacity
+//!   and the router select-bit budget in the [`crate::ConfigBudget`].
 //!
 //! # The presets
 //!
 //! The three scalar levels survive as the preset constants
 //! [`CommSpec::LEAN`], [`CommSpec::ALIGNED`] and [`CommSpec::RICH`]:
 //!
-//! | preset    | topology | local bw | global bw | select policy  |
-//! |-----------|----------|----------|-----------|----------------|
-//! | `LEAN`    | mesh     | half     | half      | proportional   |
-//! | `ALIGNED` | mesh     | base     | base      | proportional   |
-//! | `RICH`    | mesh     | boost    | boost     | proportional   |
+//! | preset    | topology | bandwidth |
+//! |-----------|----------|-----------|
+//! | `LEAN`    | mesh     | half      |
+//! | `ALIGNED` | mesh     | base      |
+//! | `RICH`    | mesh     | boost     |
 //!
 //! A preset scales every switch with the same formula the scalar level
 //! used, adds no links, and keeps the scalar label (`lean` / `aligned` /
 //! `rich`) and serialized form (`"Lean"` / `"Aligned"` / `"Rich"`), so
 //! design points, cache keys, fabric signatures and frontier JSON produced
-//! under the scalar encoding are byte-for-byte unchanged. Non-preset specs
-//! serialize as a structured object and label themselves by topology and
-//! bandwidth codes, so no two distinct specs can alias one cache key or one
-//! fabric.
+//! under the scalar encoding are byte-for-byte unchanged. Other specs
+//! serialize as an object and label themselves `{topology}` or
+//! `{topology}-{c}{c}` (see [`CommSpec::label`]), so no two distinct specs
+//! can alias one cache key or one fabric.
 
 use serde::{Deserialize, Serialize};
 
-/// A per-link-group bandwidth class: the multiplier applied to switch
-/// capacities (and, under [`SelectPolicy::Proportional`], to router select
-/// bits) of the links in that group.
+/// A bandwidth class: the multiplier applied to switch capacities and to
+/// router select bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum BwClass {
     /// Half the published bandwidth (never below 1).
@@ -115,9 +106,9 @@ impl BwClass {
         }
     }
 
-    /// Scales a switch capacity. Identical to the scalar levels' formulas for
-    /// the preset classes, so the presets are bit-exact; monotone
-    /// non-decreasing in [`BwClass::rank`].
+    /// Scales a switch capacity or a select-bit budget. Identical to the
+    /// scalar levels' formulas for the preset classes, so the presets are
+    /// bit-exact; monotone non-decreasing in [`BwClass::rank`].
     pub fn scale_capacity(self, capacity: u32) -> u32 {
         match self {
             BwClass::Half => (capacity / 2).max(1),
@@ -125,11 +116,6 @@ impl BwClass {
             BwClass::Boost => capacity + capacity.div_ceil(2),
             BwClass::Double => capacity * 2,
         }
-    }
-
-    /// Scales a select-bit budget; same formulas as [`Self::scale_capacity`].
-    pub fn scale_bits(self, bits: u32) -> u32 {
-        self.scale_capacity(bits)
     }
 }
 
@@ -221,150 +207,44 @@ impl Topology {
     }
 }
 
-/// Select-bit policy: how the communication configuration budget follows the
-/// provisioned bandwidth.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum SelectPolicy {
-    /// Select bits scale with the bandwidth classes (the historical
-    /// behaviour of the scalar levels): leaner networks also spend fewer
-    /// configuration bits per cycle.
-    Proportional,
-    /// Select bits stay at the published budget regardless of bandwidth —
-    /// models a fixed encoding that cannot shrink with the datapath.
-    Fixed,
-}
-
-impl SelectPolicy {
-    /// Label used in structured serialization.
-    pub fn label(self) -> &'static str {
-        match self {
-            SelectPolicy::Proportional => "proportional",
-            SelectPolicy::Fixed => "fixed",
-        }
-    }
-
-    /// Parses a serialized policy label.
-    ///
-    /// # Errors
-    ///
-    /// Returns the unknown name.
-    pub fn parse(name: &str) -> Result<Self, String> {
-        match name {
-            "proportional" => Ok(SelectPolicy::Proportional),
-            "fixed" => Ok(SelectPolicy::Fixed),
-            other => Err(format!(
-                "unknown select policy `{other}` (proportional|fixed)"
-            )),
-        }
-    }
-}
-
-/// A link-direction group: which part of the fabric a switch serves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum LinkGroup {
-    /// Intra-tile switches: Plaid local routers and ALU bypass paths.
-    Local,
-    /// The per-tile mesh-facing router: Plaid global routers and baseline PE
-    /// crossbars.
-    Global,
-}
-
-/// One bandwidth class per link-direction group.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct LinkBw {
-    /// Bandwidth class of the local (intra-tile) group.
-    pub local: BwClass,
-    /// Bandwidth class of the global (inter-tile) group.
-    pub global: BwClass,
-}
-
-impl LinkBw {
-    /// The as-published allocation (`Base` on both groups).
-    pub const BASE: LinkBw = LinkBw {
-        local: BwClass::Base,
-        global: BwClass::Base,
-    };
-
-    /// The same class on both groups (what the presets use).
-    pub fn uniform(class: BwClass) -> Self {
-        LinkBw {
-            local: class,
-            global: class,
-        }
-    }
-
-    /// The class of one group.
-    pub fn class(self, group: LinkGroup) -> BwClass {
-        match group {
-            LinkGroup::Local => self.local,
-            LinkGroup::Global => self.global,
-        }
-    }
-}
-
-/// A structured communication provisioning point: topology, per-link-group
-/// bandwidth and select-bit policy.
+/// A communication provisioning point: NoC topology and one bandwidth class
+/// for every switch.
 ///
 /// The scalar levels survive as the preset constants [`CommSpec::LEAN`],
 /// [`CommSpec::ALIGNED`] and [`CommSpec::RICH`] (see the [module
 /// docs](self) for the exact table). Presets label and serialize exactly as
 /// the scalar levels did, so every artifact keyed on the old encoding —
 /// design-point labels, cache keys, fabric signatures, frontier JSON — is
-/// unchanged for them, while any non-preset spec carries its full structure
+/// unchanged for them, while any other spec carries its topology and class
 /// into all of those channels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CommSpec {
     /// Inter-tile link structure.
     pub topology: Topology,
-    /// Bandwidth class per link-direction group.
-    pub link_bw: LinkBw,
-    /// How select bits follow bandwidth.
-    pub select_policy: SelectPolicy,
+    /// Bandwidth class of every switch.
+    pub bw: BwClass,
 }
 
 impl CommSpec {
-    /// The `Lean` preset (mesh, half bandwidth everywhere): half the switch
-    /// capacities and router select bits, an under-provisioned network that
-    /// saves power but congests.
-    pub const LEAN: CommSpec = CommSpec {
-        topology: Topology::Mesh,
-        link_bw: LinkBw {
-            local: BwClass::Half,
-            global: BwClass::Half,
-        },
-        select_policy: SelectPolicy::Proportional,
-    };
+    /// The `Lean` preset (mesh, half bandwidth): half the switch capacities
+    /// and router select bits, an under-provisioned network that saves power
+    /// but congests.
+    pub const LEAN: CommSpec = CommSpec::uniform(Topology::Mesh, BwClass::Half);
     /// The `Aligned` preset (the as-published network).
-    pub const ALIGNED: CommSpec = CommSpec {
-        topology: Topology::Mesh,
-        link_bw: LinkBw::BASE,
-        select_policy: SelectPolicy::Proportional,
-    };
-    /// The `Rich` preset (mesh, ~1.5× bandwidth everywhere): an
-    /// over-provisioned network that routes easily but pays for selects it
-    /// rarely uses (the Figure 2 pathology).
-    pub const RICH: CommSpec = CommSpec {
-        topology: Topology::Mesh,
-        link_bw: LinkBw {
-            local: BwClass::Boost,
-            global: BwClass::Boost,
-        },
-        select_policy: SelectPolicy::Proportional,
-    };
+    pub const ALIGNED: CommSpec = CommSpec::uniform(Topology::Mesh, BwClass::Base);
+    /// The `Rich` preset (mesh, ~1.5× bandwidth): an over-provisioned network
+    /// that routes easily but pays for selects it rarely uses (the Figure 2
+    /// pathology).
+    pub const RICH: CommSpec = CommSpec::uniform(Topology::Mesh, BwClass::Boost);
 
     /// The three presets, in lean-to-rich order.
     pub fn presets() -> Vec<CommSpec> {
         vec![CommSpec::LEAN, CommSpec::ALIGNED, CommSpec::RICH]
     }
 
-    /// A spec with the given topology, one bandwidth class on both groups
-    /// and proportional select bits.
-    pub fn uniform(topology: Topology, bw: BwClass) -> Self {
-        CommSpec {
-            topology,
-            link_bw: LinkBw::uniform(bw),
-            select_policy: SelectPolicy::Proportional,
-        }
+    /// A spec with the given topology and bandwidth class.
+    pub const fn uniform(topology: Topology, bw: BwClass) -> Self {
+        CommSpec { topology, bw }
     }
 
     /// Whether the spec is structurally valid (see [`Topology::is_valid`]).
@@ -373,10 +253,10 @@ impl CommSpec {
     }
 
     /// Report label. Presets keep their scalar names (`lean` / `aligned` /
-    /// `rich`); structured specs read `{topology}[-{local}{global}][-fix]`,
-    /// e.g. `torus`, `xp2-hr`, `torus-bb-fix` — with the bandwidth segment
-    /// present whenever the allocation is not `Base`/`Base` (one-character
-    /// [`BwClass::code`]s, local then global).
+    /// `rich`); other specs read `{topology}` at `Base` bandwidth and
+    /// `{topology}-{c}{c}` otherwise, `c` the class's [`BwClass::code`]
+    /// (doubled, as when the axis carried one class per link group), e.g.
+    /// `torus`, `torus-hh`, `xp2-rr`.
     pub fn label(&self) -> String {
         match *self {
             CommSpec::LEAN => return "lean".to_string(),
@@ -385,45 +265,19 @@ impl CommSpec {
             _ => {}
         }
         let mut out = self.topology.label();
-        if self.link_bw != LinkBw::BASE {
-            out.push('-');
-            out.push(self.link_bw.local.code());
-            out.push(self.link_bw.global.code());
-        }
-        if self.select_policy == SelectPolicy::Fixed {
-            out.push_str("-fix");
+        if self.bw != BwClass::Base {
+            let code = self.bw.code();
+            out.extend(['-', code, code]);
         }
         out
     }
 
-    /// Scales the published capacity of a switch in `group`.
-    pub fn scale_capacity(self, group: LinkGroup, capacity: u32) -> u32 {
-        self.link_bw.class(group).scale_capacity(capacity).max(1)
-    }
-
     /// The per-tile router select-bit budget under this spec, from the
-    /// published budget `base`.
-    ///
-    /// Under [`SelectPolicy::Proportional`] a uniform allocation applies the
-    /// class's legacy formula directly (bit-exact with the scalar levels); a
-    /// split allocation charges each group its own class over half the
-    /// budget. [`SelectPolicy::Fixed`] keeps `base`. Express topologies add
-    /// [`Topology::select_bit_overhead`] on top for their extra ports.
+    /// published budget `base`: the bandwidth class scales it like a switch
+    /// capacity (bit-exact with the scalar levels), and express topologies
+    /// add [`Topology::select_bit_overhead`] for their extra ports.
     pub fn select_bits(self, base: u32) -> u32 {
-        let scaled = match self.select_policy {
-            SelectPolicy::Fixed => base,
-            SelectPolicy::Proportional => {
-                if self.link_bw.local == self.link_bw.global {
-                    self.link_bw.local.scale_bits(base)
-                } else {
-                    let local_share = base / 2;
-                    let global_share = base - local_share;
-                    self.link_bw.local.scale_bits(local_share)
-                        + self.link_bw.global.scale_bits(global_share)
-                }
-            }
-        };
-        scaled + self.topology.select_bit_overhead()
+        self.bw.scale_capacity(base) + self.topology.select_bit_overhead()
     }
 
     /// Canonical *scheduling* order of the communication axis, used by
@@ -436,71 +290,57 @@ impl CommSpec {
     /// The as-published `Aligned` preset comes first (its capacity
     /// certificates transfer to both the lean and rich variants when
     /// capacity never binds), then `Lean`, then `Rich` — the historical
-    /// schedule. Structured specs follow, ordered by topology rank, then
-    /// local and global bandwidth, then select policy, so grouping is total
-    /// and deterministic for any mix of specs.
+    /// schedule. Other specs follow, ordered by topology rank, then
+    /// bandwidth, so grouping is total and deterministic for any mix of
+    /// specs.
     pub fn order_rank(self) -> u32 {
-        if self == CommSpec::ALIGNED {
-            return 0;
+        match self {
+            CommSpec::ALIGNED => 0,
+            CommSpec::LEAN => 1,
+            CommSpec::RICH => 2,
+            // 36 = 32 + 4: the weights of the two link groups the axis once
+            // ranked separately, kept so the ranks do not move.
+            _ => 3u32
+                .saturating_add(self.topology.rank().saturating_mul(256))
+                .saturating_add(self.bw.rank() * 36),
         }
-        if self == CommSpec::LEAN {
-            return 1;
-        }
-        if self == CommSpec::RICH {
-            return 2;
-        }
-        3u32.saturating_add(self.topology.rank().saturating_mul(256))
-            .saturating_add(self.link_bw.local.rank() * 32)
-            .saturating_add(self.link_bw.global.rank() * 4)
-            .saturating_add(match self.select_policy {
-                SelectPolicy::Proportional => 0,
-                SelectPolicy::Fixed => 1,
-            })
     }
 
     /// Canonical *proximity* of two communication specs, used by the
     /// seed-store provisioning distance: how different the fabrics (and
     /// hence their good placements) are expected to be.
     ///
-    /// Bandwidth proximity is the summed *per-group* [`BwClass::rank`]
-    /// difference — each group compared on its own, so an asymmetric
-    /// half/boost allocation is never distance 0 from the uniform base
-    /// allocation — which on the uniform presets makes `aligned` nearer to
-    /// `rich` than `lean` is, matching the scalar-era metric exactly (one
-    /// preset step = 2 units). A topology mismatch adds a large constant
-    /// (the link structures differ, so mappings do not translate) and a
-    /// select-policy mismatch a small one (cost-only difference).
+    /// Bandwidth proximity is twice the [`BwClass::rank`] difference, which
+    /// on the presets makes `aligned` nearer to `rich` than `lean` is,
+    /// matching the scalar-era metric exactly (one preset step = 2 units).
+    /// A topology mismatch adds a large constant (the link structures
+    /// differ, so mappings do not translate).
     pub fn distance(self, other: CommSpec) -> u32 {
-        let group = |a: BwClass, b: BwClass| a.rank().abs_diff(b.rank());
-        let bw = group(self.link_bw.local, other.link_bw.local)
-            + group(self.link_bw.global, other.link_bw.global);
+        let bw = 2 * self.bw.rank().abs_diff(other.bw.rank());
         let topology = if self.topology == other.topology {
             0
         } else {
             24
         };
-        let select = u32::from(self.select_policy != other.select_policy);
-        bw.saturating_add(topology).saturating_add(select)
+        bw + topology
     }
 
-    /// The structural family of this spec: bandwidth and select policy
-    /// erased, topology kept. Two specs share a family exactly when their
-    /// fabrics are identical up to switch capacities — the set across which
-    /// a capacity-certified placement seed can hope to transfer. All three
-    /// presets collapse to [`CommSpec::ALIGNED`].
+    /// The structural family of this spec: bandwidth erased, topology kept.
+    /// Two specs share a family exactly when their fabrics are identical up
+    /// to switch capacities — the set across which a capacity-certified
+    /// placement seed can hope to transfer. All three presets collapse to
+    /// [`CommSpec::ALIGNED`].
     pub fn structural_family(self) -> CommSpec {
-        CommSpec {
-            topology: self.topology,
-            link_bw: LinkBw::BASE,
-            select_policy: SelectPolicy::Proportional,
-        }
+        CommSpec::uniform(self.topology, BwClass::Base)
     }
 }
 
 // Hand-written serde: presets must keep the scalar encoding
 // (`"Lean"` / `"Aligned"` / `"Rich"`) byte-for-byte so design points,
 // persisted caches and frontier JSON from before the refactor stay valid
-// and unchanged; structured specs serialize as a labelled object.
+// and unchanged; other specs serialize as an object in the encoding of the
+// once per-link-group axis (both groups at the spec's class, proportional
+// select bits), so their cache keys do not move either.
 impl Serialize for CommSpec {
     fn serialize(&self, s: &mut serde::Serializer) {
         let preset = match *self {
@@ -514,9 +354,9 @@ impl Serialize for CommSpec {
         }
         // Keys in sorted order, like every object the shim writes.
         s.begin_object();
-        s.field("global_bw", self.link_bw.global.label());
-        s.field("local_bw", self.link_bw.local.label());
-        s.field("select", self.select_policy.label());
+        s.field("global_bw", self.bw.label());
+        s.field("local_bw", self.bw.label());
+        s.field("select", "proportional");
         s.field("topology", &self.topology.label());
         s.end_object();
     }
@@ -560,13 +400,21 @@ impl Deserialize for CommSpec {
             Topology::parse(&field(topology, "topology")?).map_err(serde::Error::custom)?;
         let local = BwClass::parse(&field(local, "local_bw")?).map_err(serde::Error::custom)?;
         let global = BwClass::parse(&field(global, "global_bw")?).map_err(serde::Error::custom)?;
-        let select_policy =
-            SelectPolicy::parse(&field(select, "select")?).map_err(serde::Error::custom)?;
-        Ok(CommSpec {
-            topology,
-            link_bw: LinkBw { local, global },
-            select_policy,
-        })
+        if local != global {
+            return Err(serde::Error::custom(format!(
+                "CommSpec `local_bw` ({}) differs from `global_bw` ({}): \
+                 one bandwidth class covers every switch",
+                local.label(),
+                global.label()
+            )));
+        }
+        let select = field(select, "select")?;
+        if select != "proportional" {
+            return Err(serde::Error::custom(format!(
+                "CommSpec `select` must be `proportional` (got `{select}`)"
+            )));
+        }
+        Ok(CommSpec::uniform(topology, global))
     }
 }
 
@@ -588,18 +436,8 @@ mod tests {
         for (spec, bw, label) in presets {
             assert_eq!(spec, CommSpec::uniform(Topology::Mesh, bw));
             assert_eq!(spec.label(), label);
-            for capacity in [1u32, 2, 5, 7, 8] {
-                assert_eq!(
-                    spec.scale_capacity(LinkGroup::Local, capacity),
-                    bw.scale_capacity(capacity)
-                );
-                assert_eq!(
-                    spec.scale_capacity(LinkGroup::Global, capacity),
-                    bw.scale_capacity(capacity)
-                );
-            }
             for bits in [1u32, 23, 37, 44] {
-                assert_eq!(spec.select_bits(bits), bw.scale_bits(bits));
+                assert_eq!(spec.select_bits(bits), bw.scale_capacity(bits));
             }
         }
     }
@@ -627,14 +465,7 @@ mod tests {
         let specs = [
             CommSpec::uniform(Topology::Torus, BwClass::Base),
             CommSpec::uniform(Topology::Express { stride: 3 }, BwClass::Double),
-            CommSpec {
-                topology: Topology::Torus,
-                link_bw: LinkBw {
-                    local: BwClass::Half,
-                    global: BwClass::Boost,
-                },
-                select_policy: SelectPolicy::Fixed,
-            },
+            CommSpec::uniform(Topology::Mesh, BwClass::Double),
         ];
         for spec in specs {
             let json = serde_json::to_string(&spec).unwrap();
@@ -651,23 +482,30 @@ mod tests {
     fn reads_both_the_string_and_the_object_form() {
         let preset: CommSpec = serde_json::from_str(r#""Rich""#).unwrap();
         assert_eq!(preset, CommSpec::RICH);
-        let text = r#"{"select": "fixed", "topology": "torus", "note": [1, {}],
-                       "local_bw": "half", "global_bw": "boost"}"#;
+        let text = r#"{"select": "proportional", "topology": "torus", "note": [1, {}],
+                       "local_bw": "half", "global_bw": "half"}"#;
         let spec: CommSpec = serde_json::from_str(text).unwrap();
-        assert_eq!(
-            spec,
-            CommSpec {
-                topology: Topology::Torus,
-                link_bw: LinkBw {
-                    local: BwClass::Half,
-                    global: BwClass::Boost,
-                },
-                select_policy: SelectPolicy::Fixed,
-            }
-        );
+        assert_eq!(spec, CommSpec::uniform(Topology::Torus, BwClass::Half));
         let err = serde_json::from_str::<CommSpec>(r#"{"topology": "torus"}"#).unwrap_err();
         assert!(err.to_string().contains("local_bw"), "{err}");
         assert!(serde_json::from_str::<CommSpec>("3").is_err());
+    }
+
+    #[test]
+    fn split_bandwidths_and_fixed_selects_are_rejected_by_name() {
+        let split = r#"{"global_bw": "boost", "local_bw": "half",
+                        "select": "proportional", "topology": "torus"}"#;
+        let err = serde_json::from_str::<CommSpec>(split).unwrap_err();
+        assert!(err.to_string().contains("local_bw"), "{err}");
+        let fixed = r#"{"global_bw": "base", "local_bw": "base",
+                        "select": "fixed", "topology": "torus"}"#;
+        let err = serde_json::from_str::<CommSpec>(fixed).unwrap_err();
+        assert!(err.to_string().contains("select"), "{err}");
+        let err = serde_json::from_str::<CommSpec>(
+            r#"{"global_bw": "base", "local_bw": "base", "topology": "torus"}"#,
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains("select"), "{err}");
     }
 
     #[test]
@@ -684,11 +522,6 @@ mod tests {
             BwClass::Base,
         ));
         specs.push(CommSpec::uniform(Topology::Mesh, BwClass::Double));
-        specs.push(CommSpec {
-            topology: Topology::Torus,
-            link_bw: LinkBw::BASE,
-            select_policy: SelectPolicy::Fixed,
-        });
         let mut labels: Vec<String> = specs.iter().map(CommSpec::label).collect();
         labels.sort();
         labels.dedup();
@@ -712,11 +545,6 @@ mod tests {
             torus,
             express,
             CommSpec::uniform(Topology::Torus, BwClass::Double),
-            CommSpec {
-                topology: Topology::Torus,
-                link_bw: LinkBw::BASE,
-                select_policy: SelectPolicy::Fixed,
-            },
         ]
         .iter()
         .map(|s| s.order_rank())
@@ -750,25 +578,6 @@ mod tests {
         // Same-topology bandwidth siblings stay near across topologies.
         let torus_half = CommSpec::uniform(Topology::Torus, BwClass::Half);
         assert_eq!(torus.distance(torus_half), 2);
-        // Per-group comparison: an asymmetric half/boost allocation is NOT
-        // distance 0 from the uniform base one (their rank *sums* tie).
-        let skewed = CommSpec {
-            topology: Topology::Mesh,
-            link_bw: LinkBw {
-                local: BwClass::Half,
-                global: BwClass::Boost,
-            },
-            select_policy: SelectPolicy::Proportional,
-        };
-        assert_eq!(CommSpec::ALIGNED.distance(skewed), 2);
-        let mirrored = CommSpec {
-            link_bw: LinkBw {
-                local: BwClass::Boost,
-                global: BwClass::Half,
-            },
-            ..skewed
-        };
-        assert_eq!(skewed.distance(mirrored), 4);
     }
 
     #[test]
@@ -778,7 +587,6 @@ mod tests {
             assert!(lo.rank() < hi.rank());
             for value in [1u32, 2, 5, 7, 23, 44] {
                 assert!(lo.scale_capacity(value) <= hi.scale_capacity(value));
-                assert!(lo.scale_bits(value) <= hi.scale_bits(value));
             }
         }
         // Never scales to zero.
@@ -786,28 +594,11 @@ mod tests {
     }
 
     #[test]
-    fn split_allocations_price_each_group() {
-        let asymmetric = CommSpec {
-            topology: Topology::Mesh,
-            link_bw: LinkBw {
-                local: BwClass::Half,
-                global: BwClass::Double,
-            },
-            select_policy: SelectPolicy::Proportional,
-        };
-        let bits = asymmetric.select_bits(44);
-        // Between the uniform extremes.
-        assert!(bits > CommSpec::LEAN.select_bits(44));
-        assert!(bits < CommSpec::uniform(Topology::Mesh, BwClass::Double).select_bits(44));
-        // Fixed policy pins the budget regardless of bandwidth.
-        let fixed = CommSpec {
-            select_policy: SelectPolicy::Fixed,
-            ..asymmetric
-        };
-        assert_eq!(fixed.select_bits(44), 44);
-        // Express ports cost extra selects.
+    fn express_ports_cost_extra_select_bits() {
         let express = CommSpec::uniform(Topology::Express { stride: 2 }, BwClass::Base);
         assert_eq!(express.select_bits(44), 44 + 4);
+        let torus = CommSpec::uniform(Topology::Torus, BwClass::Double);
+        assert_eq!(torus.select_bits(44), 88);
     }
 
     #[test]

@@ -16,11 +16,10 @@
 //! * **compute** — array dimensions (PE/PCU counts) and configuration-memory
 //!   depth (`config_entries`, the spatio-temporal axis that bounds the
 //!   maximum initiation interval);
-//! * **communication** — a structured [`CommSpec`]: NoC topology (mesh,
-//!   torus wraparound, express links), a bandwidth class per link-direction
-//!   group (scaling switch capacities), and the select-bit policy that
-//!   drives the communication share of the [`crate::ConfigBudget`]. Its
-//!   presets reproduce the earlier scalar levels bit-exactly (see
+//! * **communication** — a [`CommSpec`]: NoC topology (mesh, torus
+//!   wraparound, express links) and a bandwidth class that scales switch
+//!   capacities and the communication share of the [`crate::ConfigBudget`].
+//!   Its presets reproduce the earlier scalar levels bit-exactly (see
 //!   [`crate::comm`]).
 
 use serde::{Deserialize, Serialize};
@@ -41,13 +40,13 @@ pub struct DesignPoint {
     pub cols: u32,
     /// Configuration-memory depth (bounds the maximum initiation interval).
     pub config_entries: u32,
-    /// Communication provisioning (topology + per-link-group bandwidth).
+    /// Communication provisioning (topology + bandwidth class).
     pub comm: CommSpec,
 }
 
 impl DesignPoint {
     /// Canonical label, e.g. `plaid-2x2/d16/aligned` or
-    /// `plaid-2x2/d16/torus-hb`. Stable across runs — the explore cache keys
+    /// `plaid-2x2/d16/torus-hh`. Stable across runs — the explore cache keys
     /// include it, and legacy preset specs keep their scalar-era labels.
     pub fn label(&self) -> String {
         format!(
@@ -180,8 +179,7 @@ impl SpaceSpec {
     }
 
     /// Replaces the communication axis with the cross product of the given
-    /// topologies and uniform bandwidth classes (proportional select bits),
-    /// in topology-major order.
+    /// topologies and bandwidth classes, in topology-major order.
     pub fn with_comm_grid(
         mut self,
         topologies: &[crate::comm::Topology],
@@ -240,7 +238,7 @@ impl SpaceSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::comm::{BwClass, LinkBw, SelectPolicy, Topology};
+    use crate::comm::{BwClass, Topology};
 
     #[test]
     fn default_grid_enumerates_the_full_cross_product() {
@@ -415,7 +413,8 @@ mod tests {
                 };
                 let mut params = base.params().clone();
                 params.config_entries = 16;
-                params.config.communication_bits = bw.scale_bits(params.config.communication_bits);
+                params.config.communication_bits =
+                    bw.scale_capacity(params.config.communication_bits);
                 let reference =
                     crate::architecture::rebuild_provisioned(&base, point.label(), params, |c| {
                         bw.scale_capacity(c)
@@ -479,38 +478,6 @@ mod tests {
     }
 
     #[test]
-    fn split_bandwidth_scales_groups_independently() {
-        let point = |link_bw| DesignPoint {
-            class: ArchClass::Plaid,
-            rows: 2,
-            cols: 2,
-            config_entries: 16,
-            comm: CommSpec {
-                topology: Topology::Mesh,
-                link_bw,
-                select_policy: SelectPolicy::Proportional,
-            },
-        };
-        let lean_local = point(LinkBw {
-            local: BwClass::Half,
-            global: BwClass::Base,
-        })
-        .build();
-        // Global routers keep the published capacity; local routers halve.
-        for cluster in lean_local.clusters() {
-            assert_eq!(
-                lean_local.resource(cluster.global_router).kind.capacity(),
-                plaid::GLOBAL_ROUTER_CAPACITY
-            );
-            let local = cluster.local_router.unwrap();
-            assert_eq!(
-                lean_local.resource(local).kind.capacity(),
-                plaid::LOCAL_ROUTER_CAPACITY / 2
-            );
-        }
-    }
-
-    #[test]
     fn design_points_serialize_round_trip() {
         let mut points = SpaceSpec::default_grid().enumerate();
         points.push(DesignPoint {
@@ -518,14 +485,7 @@ mod tests {
             rows: 2,
             cols: 3,
             config_entries: 8,
-            comm: CommSpec {
-                topology: Topology::Express { stride: 2 },
-                link_bw: LinkBw {
-                    local: BwClass::Base,
-                    global: BwClass::Double,
-                },
-                select_policy: SelectPolicy::Fixed,
-            },
+            comm: CommSpec::uniform(Topology::Express { stride: 2 }, BwClass::Double),
         });
         for point in points {
             let json = serde_json::to_string(&point).unwrap();

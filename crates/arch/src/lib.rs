@@ -26,10 +26,9 @@
 //! depth × communication spec) grids and [`DesignPoint::build`] materializes
 //! any point as a mapper-ready [`Architecture`] — the substrate of the
 //! `plaid-explore` design-space exploration engine. The communication axis
-//! is the structured [`CommSpec`] of [`comm`]: NoC topology (mesh, torus,
-//! express links), a bandwidth class per link-direction group and a
-//! select-bit policy, whose presets reproduce the earlier scalar levels
-//! bit-exactly.
+//! is the [`CommSpec`] of [`comm`]: NoC topology (mesh, torus, express
+//! links) and a bandwidth class, whose presets reproduce the earlier scalar
+//! levels bit-exactly.
 //!
 //! # Example
 //!
@@ -58,7 +57,7 @@ pub mod specialize;
 pub use architecture::{
     rebuild_provisioned, rebuild_with_comm, ArchClass, Architecture, Cluster, Position,
 };
-pub use comm::{BwClass, CommSpec, LinkBw, LinkGroup, SelectPolicy, Topology};
+pub use comm::{BwClass, CommSpec, Topology};
 pub use enumerate::{DesignPoint, SpaceSpec};
 pub use params::{ArchParams, ConfigBudget, Domain, HardwiredPattern};
 pub use resource::{FuCaps, Link, Resource, ResourceId, ResourceKind};

@@ -21,31 +21,23 @@ use crate::report::{geomean, ratio, render_table};
 /// keep unit tests fast while `plaid-bench figures` runs everything).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExperimentScope {
-    /// Number of workloads (after striding); `None` keeps all.
+    /// Number of workloads, in registry order; `None` keeps all.
     pub workload_limit: Option<usize>,
-    /// Keep every `stride`-th workload of the registry (1 keeps all). Striding
-    /// preserves the domain mix while shrinking the run.
-    pub stride: usize,
 }
 
 impl ExperimentScope {
     /// Full evaluation (all 30 workloads).
     pub const FULL: ExperimentScope = ExperimentScope {
         workload_limit: None,
-        stride: 1,
     };
 
     /// Reduced evaluation used by unit tests.
     pub const SMOKE: ExperimentScope = ExperimentScope {
         workload_limit: Some(4),
-        stride: 1,
     };
 
     fn workloads(&self) -> Vec<Workload> {
-        let mut all: Vec<Workload> = table2_workloads()
-            .into_iter()
-            .step_by(self.stride.max(1))
-            .collect();
+        let mut all = table2_workloads();
         if let Some(limit) = self.workload_limit {
             all.truncate(limit);
         }
@@ -922,7 +914,6 @@ mod tests {
     fn architecture_comparison_names_every_dropped_workload() {
         let scope = ExperimentScope {
             workload_limit: Some(5),
-            stride: 1,
         };
         let result = architecture_comparison(scope);
         let mut covered: Vec<&str> = result.rows.iter().map(|r| r.kernel.as_str()).collect();
@@ -953,7 +944,6 @@ mod tests {
     fn mapper_comparison_runs_on_a_subset() {
         let (rows, _, text) = mapper_comparison(ExperimentScope {
             workload_limit: Some(2),
-            stride: 1,
         });
         assert!(!rows.is_empty());
         assert!(text.contains("Figure 18"));

@@ -337,7 +337,7 @@ pub fn check_lowering_equivalence(
 mod tests {
     use super::*;
     use crate::kernel::{AffineExpr, KernelBuilder};
-    use crate::lower::{lower_kernel, LoweringOptions};
+    use crate::lower::lower_kernel;
 
     fn axpy() -> Kernel {
         KernelBuilder::new("axpy")
@@ -400,14 +400,14 @@ mod tests {
     #[test]
     fn dfg_matches_kernel_for_axpy() {
         let k = axpy();
-        let dfg = lower_kernel(&k, &LoweringOptions::default()).unwrap();
+        let dfg = lower_kernel(&k, 1).unwrap();
         check_lowering_equivalence(&k, &dfg, &seeded_memory(&k)).unwrap();
     }
 
     #[test]
     fn dfg_matches_kernel_for_reduction() {
         let k = dot();
-        let dfg = lower_kernel(&k, &LoweringOptions::default()).unwrap();
+        let dfg = lower_kernel(&k, 1).unwrap();
         check_lowering_equivalence(&k, &dfg, &seeded_memory(&k)).unwrap();
     }
 
@@ -415,7 +415,7 @@ mod tests {
     fn dfg_matches_kernel_after_unrolling() {
         let k = dot();
         for factor in [2, 4] {
-            let dfg = lower_kernel(&k, &LoweringOptions::unrolled(factor)).unwrap();
+            let dfg = lower_kernel(&k, factor).unwrap();
             check_lowering_equivalence(&k, &dfg, &seeded_memory(&k)).unwrap();
         }
     }
@@ -444,7 +444,7 @@ mod tests {
             .store("y", AffineExpr::var(0), Expr::Index(0))
             .build()
             .unwrap();
-        let dfg = lower_kernel(&kernel, &LoweringOptions::default()).unwrap();
+        let dfg = lower_kernel(&kernel, 1).unwrap();
         let mut mem = MemoryImage::for_kernel(&kernel, |_, _| 0);
         run_dfg(&dfg, &mut mem).unwrap();
         assert_eq!(mem.array("y").unwrap(), &[0, 1, 2, 3, 4]);
@@ -469,7 +469,7 @@ mod tests {
             )
             .build()
             .unwrap();
-        let dfg = lower_kernel(&kernel, &LoweringOptions::default()).unwrap();
+        let dfg = lower_kernel(&kernel, 1).unwrap();
         check_lowering_equivalence(&kernel, &dfg, &seeded_memory(&kernel)).unwrap();
     }
 

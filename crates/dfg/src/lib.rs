@@ -56,5 +56,5 @@ pub mod op;
 pub use error::DfgError;
 pub use graph::{Dfg, DfgEdge, DfgNode, EdgeId, EdgeKind, NodeId, Operand};
 pub use kernel::{AffineExpr, ArrayDecl, Expr, Kernel, KernelBuilder, LoopVar, Stmt};
-pub use lower::{lower_kernel, LoweringOptions};
+pub use lower::lower_kernel;
 pub use op::{Op, OpClass};

@@ -6,6 +6,11 @@
 //! become loads from implicit iterator streams, and reductions become
 //! load-op-store chains with an inter-iteration recurrence edge between the
 //! store and the next iteration's load.
+//!
+//! Within one body, repeated loads of the same `array[index]` share one load
+//! node (simple CSE, as the Morpher front end does), and a load of a
+//! location the body already stored to is forwarded from the stored value.
+//! The only setting is the unroll factor of the innermost loop.
 
 use std::collections::HashMap;
 
@@ -17,46 +22,17 @@ use crate::op::Op;
 /// Name prefix of the implicit arrays that deliver loop-index values as data.
 pub const ITERATOR_ARRAY_PREFIX: &str = "__iter_";
 
-/// Options controlling DFG generation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LoweringOptions {
-    /// Unroll factor applied to the innermost loop before lowering.
-    pub unroll: u64,
-    /// Whether to reuse an existing load of the same `array[index]` within the
-    /// body instead of emitting a fresh load node (simple CSE, on by default —
-    /// the Morpher front end does the same).
-    pub reuse_loads: bool,
-}
-
-impl Default for LoweringOptions {
-    fn default() -> Self {
-        LoweringOptions {
-            unroll: 1,
-            reuse_loads: true,
-        }
-    }
-}
-
-impl LoweringOptions {
-    /// Options with a specific unroll factor and load reuse enabled.
-    pub fn unrolled(factor: u64) -> Self {
-        LoweringOptions {
-            unroll: factor,
-            ..Self::default()
-        }
-    }
-}
-
-/// Lowers a kernel into a dataflow graph.
+/// Lowers a kernel into a dataflow graph, after unrolling its innermost
+/// loop `unroll` times (1 lowers it as written).
 ///
 /// # Errors
 ///
 /// Returns an error if the kernel fails validation, the unroll factor is
 /// invalid, or an internal graph-construction invariant is violated (the
 /// latter indicates a bug in the lowering itself).
-pub fn lower_kernel(kernel: &Kernel, options: &LoweringOptions) -> Result<Dfg, DfgError> {
+pub fn lower_kernel(kernel: &Kernel, unroll: u64) -> Result<Dfg, DfgError> {
     kernel.validate()?;
-    let kernel = kernel.unroll_innermost(options.unroll)?;
+    let kernel = kernel.unroll_innermost(unroll)?;
     let mut ctx = LoweringContext {
         dfg: Dfg::new(kernel.name.clone()),
         scalars: HashMap::new(),
@@ -65,7 +41,6 @@ pub fn lower_kernel(kernel: &Kernel, options: &LoweringOptions) -> Result<Dfg, D
         stored_arrays: Vec::new(),
         acc_loads: Vec::new(),
         last_store: HashMap::new(),
-        options: options.clone(),
         kernel: &kernel,
     };
     for stmt in &kernel.body {
@@ -113,7 +88,6 @@ struct LoweringContext<'k> {
     acc_loads: Vec<(String, NodeId)>,
     /// array name -> most recent store node (for reduction recurrences).
     last_store: HashMap<String, NodeId>,
-    options: LoweringOptions,
     kernel: &'k Kernel,
 }
 
@@ -209,10 +183,8 @@ impl LoweringContext<'_> {
                 if let Some(&node) = self.forwarded.get(&key) {
                     return Ok(node);
                 }
-                if self.options.reuse_loads {
-                    if let Some(&node) = self.loads.get(&key) {
-                        return Ok(node);
-                    }
+                if let Some(&node) = self.loads.get(&key) {
+                    return Ok(node);
                 }
                 let node = self
                     .dfg
@@ -225,9 +197,7 @@ impl LoweringContext<'_> {
                             .add_edge(prev_store, node, Operand::Lhs, EdgeKind::Data)?;
                     }
                 }
-                if self.options.reuse_loads {
-                    self.loads.insert(key, node);
-                }
+                self.loads.insert(key, node);
                 Ok(node)
             }
             Expr::Scalar(name) => self.scalars.get(name).copied().ok_or_else(|| {
@@ -238,17 +208,13 @@ impl LoweringContext<'_> {
                 let array = format!("{ITERATOR_ARRAY_PREFIX}{loop_name}");
                 let index = crate::kernel::AffineExpr::var(*var);
                 let key = (array.clone(), format!("{:?}", index));
-                if self.options.reuse_loads {
-                    if let Some(&node) = self.loads.get(&key) {
-                        return Ok(node);
-                    }
+                if let Some(&node) = self.loads.get(&key) {
+                    return Ok(node);
                 }
                 let node = self
                     .dfg
                     .add_load(format!("ld_{loop_name}"), array.clone(), index);
-                if self.options.reuse_loads {
-                    self.loads.insert(key, node);
-                }
+                self.loads.insert(key, node);
                 Ok(node)
             }
             Expr::Const(value) => {
@@ -352,7 +318,7 @@ mod tests {
 
     #[test]
     fn axpy_lowering_shape() {
-        let dfg = lower_kernel(&axpy(), &LoweringOptions::default()).unwrap();
+        let dfg = lower_kernel(&axpy(), 1).unwrap();
         // loads: x[i], y[i]; computes: mul (imm 3), add; store y[i].
         assert_eq!(dfg.memory_node_count(), 3);
         assert_eq!(dfg.compute_node_count(), 2);
@@ -362,14 +328,14 @@ mod tests {
 
     #[test]
     fn constant_folds_into_immediate() {
-        let dfg = lower_kernel(&axpy(), &LoweringOptions::default()).unwrap();
+        let dfg = lower_kernel(&axpy(), 1).unwrap();
         let mul = dfg.nodes().find(|n| n.op == Op::Mul).unwrap();
         assert_eq!(mul.immediate, Some(3));
     }
 
     #[test]
     fn accumulate_creates_recurrence() {
-        let dfg = lower_kernel(&dot_product(), &LoweringOptions::default()).unwrap();
+        let dfg = lower_kernel(&dot_product(), 1).unwrap();
         assert_eq!(dfg.recurrence_edges().count(), 1);
         let rec = dfg.recurrence_edges().next().unwrap();
         assert_eq!(dfg.node(rec.src).op, Op::Store);
@@ -379,8 +345,8 @@ mod tests {
 
     #[test]
     fn unrolling_scales_node_count() {
-        let base = lower_kernel(&axpy(), &LoweringOptions::default()).unwrap();
-        let unrolled = lower_kernel(&axpy(), &LoweringOptions::unrolled(2)).unwrap();
+        let base = lower_kernel(&axpy(), 1).unwrap();
+        let unrolled = lower_kernel(&axpy(), 2).unwrap();
         assert_eq!(unrolled.node_count(), 2 * base.node_count());
         assert_eq!(unrolled.total_iterations(), base.total_iterations() / 2);
         assert_eq!(unrolled.name(), "axpy_u2");
@@ -403,17 +369,8 @@ mod tests {
             )
             .build()
             .unwrap();
-        let reused = lower_kernel(&kernel, &LoweringOptions::default()).unwrap();
-        let duplicated = lower_kernel(
-            &kernel,
-            &LoweringOptions {
-                reuse_loads: false,
-                ..LoweringOptions::default()
-            },
-        )
-        .unwrap();
+        let reused = lower_kernel(&kernel, 1).unwrap();
         assert_eq!(reused.memory_node_count(), 2);
-        assert_eq!(duplicated.memory_node_count(), 3);
     }
 
     #[test]
@@ -433,7 +390,7 @@ mod tests {
             )
             .build()
             .unwrap();
-        let dfg = lower_kernel(&kernel, &LoweringOptions::default()).unwrap();
+        let dfg = lower_kernel(&kernel, 1).unwrap();
         // The second statement's load is forwarded from the first store, so
         // only a single load node exists, and both stores remain.
         assert_eq!(dfg.nodes().filter(|n| n.op == Op::Load).count(), 1);
@@ -464,7 +421,7 @@ mod tests {
             )
             .build()
             .unwrap();
-        let dfg = lower_kernel(&kernel, &LoweringOptions::default()).unwrap();
+        let dfg = lower_kernel(&kernel, 1).unwrap();
         let store_x = dfg
             .nodes()
             .find(|n| n.op == Op::Store && n.access.as_ref().unwrap().array == "x")
@@ -497,7 +454,7 @@ mod tests {
             )
             .build()
             .unwrap();
-        let dfg = lower_kernel(&kernel, &LoweringOptions::default()).unwrap();
+        let dfg = lower_kernel(&kernel, 1).unwrap();
         assert!(dfg.memory_nodes().any(|n| n
             .access
             .as_ref()
@@ -519,7 +476,7 @@ mod tests {
             .store("z", AffineExpr::var(0), Expr::Scalar("t".into()))
             .build()
             .unwrap();
-        let dfg = lower_kernel(&kernel, &LoweringOptions::default()).unwrap();
+        let dfg = lower_kernel(&kernel, 1).unwrap();
         // Only one add node feeds both stores.
         assert_eq!(dfg.nodes().filter(|n| n.op == Op::Add).count(), 1);
         let add = dfg.nodes().find(|n| n.op == Op::Add).unwrap().id;

@@ -211,7 +211,7 @@ fn parse_args(args: Vec<String>) -> Result<Option<Options>, String> {
     }
 
     // --topology / --bw replace the grid's communication axis with the
-    // cross product of the requested topologies and (uniform) bandwidth
+    // cross product of the requested topologies and bandwidth
     // classes; --dims overrides the array dimensions. `--bw` without
     // `--topology` varies bandwidth on the mesh.
     if topologies.is_some() || bw_classes.is_some() {

@@ -349,30 +349,20 @@ mod tests {
     fn structured_comm_specs_never_alias_a_preset_key() {
         // Regression for the scalar-era latent bug: a key derived from a
         // 3-valued comm scalar cannot distinguish specs that share a
-        // bandwidth level but differ in topology or per-group allocation.
-        // The key must cover the *full* comm structure.
+        // bandwidth level but differ in topology. The key must cover the
+        // whole comm spec.
         let aligned = spec_point("dwconv", CommSpec::ALIGNED);
         let torus = spec_point("dwconv", CommSpec::uniform(Topology::Torus, BwClass::Base));
         let express = spec_point(
             "dwconv",
             CommSpec::uniform(Topology::Express { stride: 2 }, BwClass::Base),
         );
-        let split = spec_point(
-            "dwconv",
-            CommSpec {
-                topology: Topology::Mesh,
-                link_bw: plaid_arch::LinkBw {
-                    local: BwClass::Half,
-                    global: BwClass::Base,
-                },
-                select_policy: plaid_arch::SelectPolicy::Proportional,
-            },
-        );
+        let torus_half = spec_point("dwconv", CommSpec::uniform(Topology::Torus, BwClass::Half));
         let keys = [
             cache_key(&aligned),
             cache_key(&torus),
             cache_key(&express),
-            cache_key(&split),
+            cache_key(&torus_half),
         ];
         for (i, a) in keys.iter().enumerate() {
             for (j, b) in keys.iter().enumerate() {

@@ -8,9 +8,9 @@
 //!
 //! 1. [`plaid_arch::enumerate::SpaceSpec`] enumerates architecture points
 //!    across the compute axis (array dimensions, configuration-memory depth)
-//!    and the structured communication axis ([`plaid_arch::CommSpec`]:
-//!    topology × per-link-group bandwidth × select policy, whose presets
-//!    reproduce the earlier scalar levels bit-exactly);
+//!    and the communication axis ([`plaid_arch::CommSpec`]: topology ×
+//!    bandwidth class, whose presets reproduce the earlier scalar levels
+//!    bit-exactly);
 //! 2. [`sweep::SweepPlan`] crosses those points with workloads and
 //!    [`sweep::run_sweep`] evaluates them in parallel through the
 //!    `plaid::pipeline`, memoizing every result in a content-addressed

@@ -110,9 +110,8 @@ impl SeedFamily {
 /// [`plaid_arch::CommSpec::distance`] metric: bandwidth-magnitude
 /// proximity (one preset step = 2 units, so on the legacy presets this
 /// reproduces the scalar-era metric exactly — `aligned` is nearer to
-/// `rich` than `lean` is), a large constant for a topology mismatch
-/// (mappings do not translate across link structures) and a small one for
-/// a select-policy mismatch. Note this is deliberately *not* the
+/// `rich` than `lean` is) plus a large constant for a topology mismatch
+/// (mappings do not translate across link structures). Note this is deliberately *not* the
 /// scheduling order [`plaid_arch::CommSpec::order_rank`] that
 /// `run_sweep_with` groups by: aligned-first is the right evaluation
 /// order, but it is not a proximity scale.

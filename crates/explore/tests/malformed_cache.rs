@@ -10,7 +10,7 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::OnceLock;
 
-use plaid_arch::SpaceSpec;
+use plaid_arch::{ArchClass, BwClass, CommSpec, SpaceSpec, Topology};
 use plaid_explore::{run_sweep, EvalRecord, ResultCache, SweepPlan};
 use plaid_workloads::find_workload;
 use proptest::prelude::*;
@@ -260,6 +260,55 @@ fn merge_reports_malformed_shards_without_panicking() {
     merge_rejects(&dir, "truncated", &text.as_bytes()[..text.len() / 2]);
     let count = flippable(text).len();
     merge_rejects(&dir, "mistyped", flip(text, count / 2).as_bytes());
+}
+
+/// The text of a real cache holding one torus point, whose design carries
+/// its comm spec as an object (`"select":"proportional"`, both bandwidths
+/// `base`) rather than a preset name.
+fn torus_cache() -> String {
+    let plan = SweepPlan::cross(
+        &[find_workload("dwconv").unwrap()],
+        &SpaceSpec {
+            classes: vec![ArchClass::SpatioTemporal],
+            dims: vec![(2, 2)],
+            config_entries: vec![16],
+            comm_specs: vec![CommSpec::uniform(Topology::Torus, BwClass::Base)],
+        },
+    );
+    let cache = ResultCache::new();
+    run_sweep(&plan, &cache);
+    let path = scratch().join("torus.json");
+    cache.save(&path).unwrap();
+    std::fs::read_to_string(&path).unwrap()
+}
+
+#[test]
+fn split_bandwidths_and_fixed_selects_fail_to_load() {
+    // The comm axis has one bandwidth class and proportional select bits;
+    // a record naming anything else is not a point the program can build.
+    let text = torus_cache();
+    load_bytes("torus", text.as_bytes()).expect("the intact torus cache loads");
+    let dir = scratch();
+    for (tag, from, to, field) in [
+        (
+            "split",
+            r#""local_bw":"base""#,
+            r#""local_bw":"half""#,
+            "local_bw",
+        ),
+        (
+            "fixed",
+            r#""select":"proportional""#,
+            r#""select":"fixed""#,
+            "select",
+        ),
+    ] {
+        assert!(text.contains(from), "{tag}: the cache has no {from}");
+        let edited = text.replacen(from, to, 1);
+        let err = load_bytes(tag, edited.as_bytes()).expect_err(tag);
+        assert!(err.to_string().contains(field), "{tag}: {err}");
+        merge_rejects(&dir, tag, edited.as_bytes());
+    }
 }
 
 #[test]

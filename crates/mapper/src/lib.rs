@@ -23,7 +23,7 @@
 //!
 //! ```
 //! use plaid_dfg::kernel::{AffineExpr, Expr, KernelBuilder};
-//! use plaid_dfg::lower::{lower_kernel, LoweringOptions};
+//! use plaid_dfg::lower::lower_kernel;
 //! use plaid_dfg::Op;
 //! use plaid_arch::spatio_temporal;
 //! use plaid_mapper::sa::SaMapper;
@@ -39,7 +39,7 @@
 //!         Expr::load("y", AffineExpr::var(0)),
 //!     ))
 //!     .build().unwrap();
-//! let dfg = lower_kernel(&kernel, &LoweringOptions::default()).unwrap();
+//! let dfg = lower_kernel(&kernel, 1).unwrap();
 //! let arch = spatio_temporal::build(4, 4);
 //! let mapping = SaMapper::default().map(&dfg, &arch).unwrap();
 //! assert!(mapping.validate(&dfg, &arch).is_ok());

@@ -74,8 +74,8 @@ pub fn rec_mii(dfg: &Dfg) -> u32 {
 /// not edges: an edge count would overestimate and make the ladder skip
 /// feasible IIs. The table has `total switch capacity × II` cells, so
 /// `II >= ceil(routed_values / total_capacity)`. Keys on the link structure
-/// the structured [`plaid_arch::CommSpec`] axis provisions: halving
-/// per-link bandwidth halves the denominator.
+/// the [`plaid_arch::CommSpec`] axis provisions: halving the bandwidth
+/// halves the denominator.
 pub fn comm_mii(dfg: &Dfg, arch: &Architecture) -> u32 {
     let routed_values = dfg
         .node_ids()
@@ -128,7 +128,7 @@ mod tests {
     use super::*;
     use plaid_arch::{plaid, spatio_temporal};
     use plaid_dfg::kernel::{AffineExpr, Expr, KernelBuilder};
-    use plaid_dfg::lower::{lower_kernel, LoweringOptions};
+    use plaid_dfg::lower::lower_kernel;
     use plaid_dfg::Op;
 
     fn reduction_dfg(unroll: u64) -> Dfg {
@@ -149,7 +149,7 @@ mod tests {
             )
             .build()
             .unwrap();
-        lower_kernel(&kernel, &LoweringOptions::unrolled(unroll)).unwrap()
+        lower_kernel(&kernel, unroll).unwrap()
     }
 
     fn streaming_dfg() -> Dfg {
@@ -168,7 +168,7 @@ mod tests {
             )
             .build()
             .unwrap();
-        lower_kernel(&kernel, &LoweringOptions::default()).unwrap()
+        lower_kernel(&kernel, 1).unwrap()
     }
 
     #[test]

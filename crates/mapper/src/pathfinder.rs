@@ -162,7 +162,7 @@ mod tests {
     use crate::mii::mii;
     use plaid_arch::{plaid, spatio_temporal};
     use plaid_dfg::kernel::{AffineExpr, Expr, KernelBuilder};
-    use plaid_dfg::lower::{lower_kernel, LoweringOptions};
+    use plaid_dfg::lower::lower_kernel;
     use plaid_dfg::Op;
 
     fn stencil_kernel() -> Dfg {
@@ -185,7 +185,7 @@ mod tests {
             )
             .build()
             .unwrap();
-        lower_kernel(&kernel, &LoweringOptions::default()).unwrap()
+        lower_kernel(&kernel, 1).unwrap()
     }
 
     #[test]

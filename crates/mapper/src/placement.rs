@@ -804,7 +804,7 @@ mod tests {
     use crate::route::HardCapacityCost;
     use plaid_arch::spatio_temporal;
     use plaid_dfg::kernel::{AffineExpr, Expr, KernelBuilder};
-    use plaid_dfg::lower::{lower_kernel, LoweringOptions};
+    use plaid_dfg::lower::lower_kernel;
     use plaid_dfg::Op;
 
     fn small_dfg() -> Dfg {
@@ -823,7 +823,7 @@ mod tests {
             )
             .build()
             .unwrap();
-        lower_kernel(&kernel, &LoweringOptions::default()).unwrap()
+        lower_kernel(&kernel, 1).unwrap()
     }
 
     #[test]
@@ -942,7 +942,7 @@ mod tests {
             .accumulate("y", AffineExpr::var(0), Op::Add, x())
             .build()
             .unwrap();
-        lower_kernel(&kernel, &LoweringOptions::unrolled(2)).unwrap()
+        lower_kernel(&kernel, 2).unwrap()
     }
 
     #[test]

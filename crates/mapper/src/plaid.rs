@@ -56,11 +56,11 @@ pub struct PlaidMapper;
 
 impl PlaidMapper {
     /// Whether `cluster` can host a motif of `kind` at all: hardwired PCUs
-    /// only execute their own motif kind, and a cluster of fewer than three
-    /// ALUs must hold every node.
+    /// only execute their own motif kind, and the cluster needs an ALU for
+    /// every node.
     fn hosts(cluster: &Cluster, kind: MotifKind) -> bool {
         cluster.hardwired.is_none_or(|p| kind_matches(p, kind))
-            && (cluster.alus.len() >= 3 || kind.node_count() <= cluster.alus.len())
+            && cluster.alus.len() >= MotifKind::NODE_COUNT
     }
 
     /// Fills `slots` with the positions `template` gives `motif`'s nodes on
@@ -373,7 +373,6 @@ fn kind_matches(pattern: HardwiredPattern, kind: MotifKind) -> bool {
         (HardwiredPattern::FanIn, MotifKind::FanIn)
             | (HardwiredPattern::FanOut, MotifKind::FanOut)
             | (HardwiredPattern::Unicast, MotifKind::Unicast)
-            | (_, MotifKind::Pair)
     )
 }
 
@@ -488,7 +487,7 @@ mod tests {
     use plaid_arch::plaid as plaid_fabric;
     use plaid_arch::{spatio_temporal, specialize};
     use plaid_dfg::kernel::{AffineExpr, Expr, KernelBuilder};
-    use plaid_dfg::lower::{lower_kernel, LoweringOptions};
+    use plaid_dfg::lower::lower_kernel;
     use plaid_dfg::Op;
 
     fn gemm_like(unroll: u64) -> Dfg {
@@ -511,7 +510,7 @@ mod tests {
             )
             .build()
             .unwrap();
-        lower_kernel(&kernel, &LoweringOptions::unrolled(unroll)).unwrap()
+        lower_kernel(&kernel, unroll).unwrap()
     }
 
     #[test]
@@ -572,7 +571,7 @@ mod tests {
     fn hardwired_pattern_matching() {
         assert!(kind_matches(HardwiredPattern::FanIn, MotifKind::FanIn));
         assert!(!kind_matches(HardwiredPattern::FanIn, MotifKind::FanOut));
-        assert!(kind_matches(HardwiredPattern::Unicast, MotifKind::Pair));
+        assert!(!kind_matches(HardwiredPattern::Unicast, MotifKind::FanIn));
     }
 
     /// Checks the structural windows of every candidate shape `state` can

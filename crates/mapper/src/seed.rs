@@ -610,7 +610,7 @@ mod tests {
     use super::*;
     use plaid_arch::{plaid, spatio_temporal};
     use plaid_dfg::kernel::{AffineExpr, Expr, KernelBuilder};
-    use plaid_dfg::lower::{lower_kernel, LoweringOptions};
+    use plaid_dfg::lower::lower_kernel;
     use plaid_dfg::Op;
 
     use crate::pathfinder::PathFinderMapper;
@@ -632,7 +632,7 @@ mod tests {
             )
             .build()
             .unwrap();
-        lower_kernel(&kernel, &LoweringOptions::default()).unwrap()
+        lower_kernel(&kernel, 1).unwrap()
     }
 
     #[test]

@@ -183,7 +183,7 @@ mod tests {
     use super::*;
     use plaid_arch::{spatial, spatio_temporal};
     use plaid_dfg::kernel::{AffineExpr, Expr, KernelBuilder};
-    use plaid_dfg::lower::{lower_kernel, LoweringOptions};
+    use plaid_dfg::lower::lower_kernel;
     use plaid_dfg::Op;
 
     fn mac_kernel(unroll: u64) -> Dfg {
@@ -204,7 +204,7 @@ mod tests {
             )
             .build()
             .unwrap();
-        lower_kernel(&kernel, &LoweringOptions::unrolled(unroll)).unwrap()
+        lower_kernel(&kernel, unroll).unwrap()
     }
 
     #[test]

@@ -147,7 +147,7 @@ mod tests {
     fn overlapping_motifs_panic() {
         let (dfg, nodes) = sample();
         let m1 = Motif::new(MotifKind::FanIn, vec![nodes[0], nodes[1], nodes[2]]);
-        let m2 = Motif::new(MotifKind::Pair, vec![nodes[0], nodes[2]]);
+        let m2 = Motif::new(MotifKind::FanIn, vec![nodes[1], nodes[0], nodes[2]]);
         let _ = HierarchicalDfg::new(&dfg, vec![m1, m2]);
     }
 

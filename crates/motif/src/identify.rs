@@ -7,6 +7,11 @@
 //! no longer improves (or a patience budget is exhausted), or when motifs
 //! outnumber standalone nodes — the latter keeps the PCU's ALSU busy, as
 //! discussed in Section 5.2.
+//!
+//! The search runs at one fixed configuration, this module's constants:
+//! the generator's seed, the round budget and the patience. Identical DFGs
+//! therefore always get identical covers. Every [`MotifKind`] has three
+//! nodes, so coverage counts three-node motifs, as Table 2 does.
 
 use std::collections::HashSet;
 
@@ -19,36 +24,25 @@ use plaid_dfg::{Dfg, NodeId};
 use crate::hierarchy::HierarchicalDfg;
 use crate::motif::{Motif, MotifKind};
 
-/// Options for [`identify_motifs`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IdentifyOptions {
-    /// Seed of the pseudo-random generator used by the iterative phase;
-    /// identical seeds give identical covers.
-    pub seed: u64,
-    /// Maximum break-and-regrow rounds.
-    pub max_rounds: usize,
-    /// Rounds without improvement tolerated before stopping.
-    pub patience: usize,
-    /// Also form two-node pair motifs from leftover standalone compute nodes.
-    /// Disabled by default so that coverage statistics count three-node
-    /// motifs, as Table 2 does.
-    pub allow_pairs: bool,
-}
+/// Seed of the pseudo-random generator used by the iterative phase.
+const SEED: u64 = 0xC0FF_EE00;
 
-impl Default for IdentifyOptions {
-    fn default() -> Self {
-        IdentifyOptions {
-            seed: 0xC0FF_EE00,
-            max_rounds: 64,
-            patience: 8,
-            allow_pairs: false,
-        }
-    }
-}
+/// Maximum break-and-regrow rounds.
+const MAX_ROUNDS: usize = 64;
+
+/// Rounds without improvement tolerated before stopping.
+const PATIENCE: usize = 8;
+
+/// The argument [`identify_motifs`] takes; it has no settings. Kept until
+/// ROADMAP item 6, because the sweep benchmark calls
+/// `identify_motifs(dfg, &IdentifyOptions::default())`.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[non_exhaustive]
+pub struct IdentifyOptions {}
 
 /// Runs Algorithm 1 on `dfg` and returns the hierarchical DFG.
-pub fn identify_motifs(dfg: &Dfg, options: &IdentifyOptions) -> HierarchicalDfg {
-    let mut rng = SmallRng::seed_from_u64(options.seed);
+pub fn identify_motifs(dfg: &Dfg, _options: &IdentifyOptions) -> HierarchicalDfg {
+    let mut rng = SmallRng::seed_from_u64(SEED);
 
     // Line 1: greedy initial cover in topological order.
     let order = dfg
@@ -58,8 +52,8 @@ pub fn identify_motifs(dfg: &Dfg, options: &IdentifyOptions) -> HierarchicalDfg 
 
     // Lines 2-7: iterative break-and-regrow refinement.
     let mut stale = 0usize;
-    for _ in 0..options.max_rounds {
-        if stale >= options.patience {
+    for _ in 0..MAX_ROUNDS {
+        if stale >= PATIENCE {
             break;
         }
         let standalone_count =
@@ -98,10 +92,6 @@ pub fn identify_motifs(dfg: &Dfg, options: &IdentifyOptions) -> HierarchicalDfg 
         } else {
             stale += 1;
         }
-    }
-
-    if options.allow_pairs {
-        append_pairs(dfg, &mut motifs);
     }
     HierarchicalDfg::new(dfg, motifs)
 }
@@ -208,33 +198,11 @@ pub(crate) fn match_pattern(dfg: &Dfg, node: NodeId, covered: &HashSet<NodeId>) 
     None
 }
 
-/// Greedily appends two-node pair motifs over the remaining standalone nodes.
-fn append_pairs(dfg: &Dfg, motifs: &mut Vec<Motif>) {
-    let mut covered: HashSet<NodeId> = motifs
-        .iter()
-        .flat_map(|m| m.nodes.iter().copied())
-        .collect();
-    let order = dfg
-        .topological_order()
-        .unwrap_or_else(|_| dfg.node_ids().collect());
-    for &node in &order {
-        if covered.contains(&node) || !dfg.node(node).is_compute() {
-            continue;
-        }
-        let succs = free_succs(dfg, node, &covered);
-        if let Some(&s) = succs.first() {
-            covered.insert(node);
-            covered.insert(s);
-            motifs.push(Motif::new(MotifKind::Pair, vec![node, s]));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use plaid_dfg::kernel::{AffineExpr, Expr, KernelBuilder};
-    use plaid_dfg::lower::{lower_kernel, LoweringOptions};
+    use plaid_dfg::lower::lower_kernel;
     use plaid_dfg::{EdgeKind, Op, Operand};
 
     /// The Figure 4 body: c = b[i]*k + a[i]*j; k = d[i] >> 4; out += c + f[j].
@@ -275,7 +243,7 @@ mod tests {
             )
             .build()
             .unwrap();
-        lower_kernel(&kernel, &LoweringOptions::default()).unwrap()
+        lower_kernel(&kernel, 1).unwrap()
     }
 
     #[test]
@@ -337,7 +305,7 @@ mod tests {
     }
 
     #[test]
-    fn pairs_extend_coverage_when_enabled() {
+    fn lone_compute_nodes_stay_standalone() {
         // Two independent producer/consumer pairs cannot form a 3-node motif.
         let mut dfg = Dfg::new("pairs");
         for i in 0..2 {
@@ -348,41 +316,8 @@ mod tests {
             dfg.add_edge(ld, a, Operand::Lhs, EdgeKind::Data).unwrap();
             dfg.add_edge(a, st, Operand::Lhs, EdgeKind::Data).unwrap();
         }
-        let without = identify_motifs(&dfg, &IdentifyOptions::default());
-        assert_eq!(without.covered_compute_nodes(), 0);
-        let with = identify_motifs(
-            &dfg,
-            &IdentifyOptions {
-                allow_pairs: true,
-                ..IdentifyOptions::default()
-            },
-        );
-        // Each single compute node has no compute partner, so even pairs stay
-        // empty here; the option must not create invalid motifs.
-        assert!(with.motifs().iter().all(|m| m.is_valid_in(&dfg)));
-    }
-
-    #[test]
-    fn pair_motifs_cover_two_node_chains() {
-        let mut dfg = Dfg::new("two_chain");
-        let ld = dfg.add_load("ld", "x", AffineExpr::var(0));
-        let a = dfg.add_compute_node("a", Op::Add);
-        let b = dfg.add_compute_node("b", Op::Mul);
-        dfg.set_immediate(a, 1).unwrap();
-        dfg.set_immediate(b, 2).unwrap();
-        let st = dfg.add_store("st", "y", AffineExpr::var(0));
-        dfg.add_edge(ld, a, Operand::Lhs, EdgeKind::Data).unwrap();
-        dfg.add_edge(a, b, Operand::Lhs, EdgeKind::Data).unwrap();
-        dfg.add_edge(b, st, Operand::Lhs, EdgeKind::Data).unwrap();
-        let hdfg = identify_motifs(
-            &dfg,
-            &IdentifyOptions {
-                allow_pairs: true,
-                ..IdentifyOptions::default()
-            },
-        );
-        assert_eq!(hdfg.covered_compute_nodes(), 2);
-        assert_eq!(hdfg.motifs()[0].kind, MotifKind::Pair);
+        let hdfg = identify_motifs(&dfg, &IdentifyOptions::default());
+        assert_eq!(hdfg.covered_compute_nodes(), 0);
     }
 
     #[test]
@@ -408,7 +343,7 @@ mod tests {
             )
             .build()
             .unwrap();
-        let dfg = lower_kernel(&kernel, &LoweringOptions::unrolled(2)).unwrap();
+        let dfg = lower_kernel(&kernel, 2).unwrap();
         let hdfg = identify_motifs(&dfg, &IdentifyOptions::default());
         assert!(
             hdfg.coverage_ratio() > 0.4,

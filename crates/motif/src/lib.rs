@@ -6,9 +6,10 @@
 //! several powerful per-PE crossbars (Section 3). This crate provides:
 //!
 //! * [`motif`] — the three fundamental three-node motifs (fan-in, fan-out,
-//!   unicast) plus two-node pairs and standalone nodes.
+//!   unicast).
 //! * [`identify`] — Algorithm 1: greedy seeding followed by iterative
-//!   break-and-regrow refinement of the motif cover.
+//!   break-and-regrow refinement of the motif cover, at one fixed seed and
+//!   round budget.
 //! * [`hierarchy`] — the hierarchical DFG: motifs, standalone nodes and the
 //!   inter-motif edges that the global network must carry.
 //! * [`schedule`] — the flexible per-motif schedule templates of Section 5.2.

@@ -6,8 +6,7 @@ use plaid_dfg::{Dfg, NodeId};
 ///
 /// Any three-node DAG can be composed from fan-in, fan-out and unicast (the
 /// acyclic triangle adds one edge to a fan-in or fan-out, and is therefore not
-/// fundamental). Two-node pairs are also executed on the motif compute unit
-/// (Section 6.4) and standalone nodes are degenerate single-node motifs.
+/// fundamental). Nodes no motif covers stay standalone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MotifKind {
     /// Two producers feed a single consumer: `n1 -> n2 <- n3`.
@@ -16,26 +15,15 @@ pub enum MotifKind {
     FanOut,
     /// A sequential chain: `n1 -> n2 -> n3`.
     Unicast,
-    /// A two-node producer/consumer pair (`n1 -> n2`).
-    Pair,
 }
 
 impl MotifKind {
-    /// Number of DFG nodes in a motif of this kind.
-    pub fn node_count(self) -> usize {
-        match self {
-            MotifKind::Pair => 2,
-            _ => 3,
-        }
-    }
+    /// Number of DFG nodes in a motif of any kind.
+    pub const NODE_COUNT: usize = 3;
 
-    /// Number of internal edges routed collectively by the local router.
-    pub fn internal_edge_count(self) -> usize {
-        match self {
-            MotifKind::Pair => 1,
-            _ => 2,
-        }
-    }
+    /// Number of internal edges of a motif of any kind, routed collectively
+    /// by the local router.
+    pub const INTERNAL_EDGE_COUNT: usize = 2;
 
     /// Short label used in reports.
     pub fn label(self) -> &'static str {
@@ -43,7 +31,6 @@ impl MotifKind {
             MotifKind::FanIn => "fan-in",
             MotifKind::FanOut => "fan-out",
             MotifKind::Unicast => "unicast",
-            MotifKind::Pair => "pair",
         }
     }
 
@@ -59,7 +46,6 @@ impl MotifKind {
 /// * `FanIn` — `[producer_a, producer_b, consumer]`
 /// * `FanOut` — `[producer, consumer_a, consumer_b]`
 /// * `Unicast` — `[first, middle, last]` of the chain
-/// * `Pair` — `[producer, consumer]`
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Motif {
     /// Pattern of the motif.
@@ -73,13 +59,13 @@ impl Motif {
     ///
     /// # Panics
     ///
-    /// Panics if `nodes.len()` does not match [`MotifKind::node_count`].
+    /// Panics if `nodes.len()` is not [`MotifKind::NODE_COUNT`].
     pub fn new(kind: MotifKind, nodes: Vec<NodeId>) -> Self {
         assert_eq!(
             nodes.len(),
-            kind.node_count(),
+            MotifKind::NODE_COUNT,
             "motif {kind:?} requires {} nodes",
-            kind.node_count()
+            MotifKind::NODE_COUNT
         );
         Motif { kind, nodes }
     }
@@ -99,7 +85,6 @@ impl Motif {
                 (self.nodes[0], self.nodes[1]),
                 (self.nodes[1], self.nodes[2]),
             ],
-            MotifKind::Pair => vec![(self.nodes[0], self.nodes[1])],
         }
     }
 
@@ -149,11 +134,11 @@ mod tests {
 
     #[test]
     fn kind_properties() {
-        assert_eq!(MotifKind::FanIn.node_count(), 3);
-        assert_eq!(MotifKind::Pair.node_count(), 2);
-        assert_eq!(MotifKind::Unicast.internal_edge_count(), 2);
-        assert_eq!(MotifKind::Pair.internal_edge_count(), 1);
         assert_eq!(MotifKind::THREE_NODE.len(), 3);
+        for kind in MotifKind::THREE_NODE {
+            let motif = Motif::new(kind, vec![NodeId(0), NodeId(1), NodeId(2)]);
+            assert_eq!(motif.internal_edges().len(), MotifKind::INTERNAL_EDGE_COUNT);
+        }
         assert_eq!(MotifKind::FanOut.label(), "fan-out");
     }
 
@@ -192,13 +177,5 @@ mod tests {
     #[should_panic(expected = "requires")]
     fn node_count_mismatch_panics() {
         let _ = Motif::new(MotifKind::FanIn, vec![NodeId(0), NodeId(1)]);
-    }
-
-    #[test]
-    fn pair_motif() {
-        let (dfg, a, b, _c) = chain_dfg();
-        let motif = Motif::new(MotifKind::Pair, vec![a, b]);
-        assert!(motif.is_valid_in(&dfg));
-        assert_eq!(motif.internal_edges().len(), 1);
     }
 }

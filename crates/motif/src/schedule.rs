@@ -56,7 +56,6 @@ impl MotifSchedule {
             MotifKind::FanIn => vec![(0, 2), (1, 2)],
             MotifKind::FanOut => vec![(0, 1), (0, 2)],
             MotifKind::Unicast => vec![(0, 1), (1, 2)],
-            MotifKind::Pair => vec![(0, 1)],
         };
         for (producer, consumer) in dep_pairs {
             let (Some(p), Some(c)) = (self.slot_of(producer), self.slot_of(consumer)) else {
@@ -118,13 +117,6 @@ static UNICAST: [MotifSchedule; 4] = [
     template(&[slot(0, 1, 0), slot(1, 2, 1), slot(2, 1, 2)]),
 ];
 
-static PAIR: [MotifSchedule; 4] = [
-    template(&[slot(0, 0, 0), slot(1, 1, 1)]),
-    template(&[slot(0, 1, 0), slot(1, 2, 1)]),
-    template(&[slot(0, 2, 0), slot(1, 1, 1)]),
-    template(&[slot(0, 0, 0), slot(1, 0, 1)]),
-];
-
 /// Returns the schedule templates for a motif kind, in preference order
 /// (templates that finish earlier and use bypass paths come first). The
 /// tables are static, so a mapper probing them allocates nothing.
@@ -133,7 +125,6 @@ pub fn schedule_templates(kind: MotifKind) -> &'static [MotifSchedule] {
         MotifKind::FanOut => &FAN_OUT,
         MotifKind::FanIn => &FAN_IN,
         MotifKind::Unicast => &UNICAST,
-        MotifKind::Pair => &PAIR,
     }
 }
 
@@ -143,12 +134,7 @@ mod tests {
 
     #[test]
     fn every_template_respects_dependencies() {
-        for kind in [
-            MotifKind::FanIn,
-            MotifKind::FanOut,
-            MotifKind::Unicast,
-            MotifKind::Pair,
-        ] {
+        for kind in MotifKind::THREE_NODE {
             let templates = schedule_templates(kind);
             assert!(!templates.is_empty());
             for (i, t) in templates.iter().enumerate() {
@@ -156,7 +142,7 @@ mod tests {
                     t.respects_dependencies(kind),
                     "{kind:?} template {i} violates a dependency"
                 );
-                assert_eq!(t.slots.len(), kind.node_count());
+                assert_eq!(t.slots.len(), MotifKind::NODE_COUNT);
             }
         }
     }
@@ -166,18 +152,13 @@ mod tests {
         // A mapper derives a motif's incident edges from its nodes once per
         // placement and reuses them for every template; that is exact only
         // because every template places the same node set, each node once.
-        for kind in [
-            MotifKind::FanIn,
-            MotifKind::FanOut,
-            MotifKind::Unicast,
-            MotifKind::Pair,
-        ] {
+        for kind in MotifKind::THREE_NODE {
             for (i, t) in schedule_templates(kind).iter().enumerate() {
                 let mut nodes: Vec<usize> = t.slots.iter().map(|s| s.node).collect();
                 nodes.sort_unstable();
                 assert_eq!(
                     nodes,
-                    (0..kind.node_count()).collect::<Vec<_>>(),
+                    (0..MotifKind::NODE_COUNT).collect::<Vec<_>>(),
                     "{kind:?} template {i} does not place each node once"
                 );
             }
@@ -191,12 +172,7 @@ mod tests {
 
     #[test]
     fn templates_fit_within_three_alus() {
-        for kind in [
-            MotifKind::FanIn,
-            MotifKind::FanOut,
-            MotifKind::Unicast,
-            MotifKind::Pair,
-        ] {
+        for kind in MotifKind::THREE_NODE {
             for t in schedule_templates(kind) {
                 assert!(t.slots.iter().all(|s| s.alu < 3));
             }

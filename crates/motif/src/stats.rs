@@ -26,7 +26,8 @@ pub struct CoverageStats {
     pub fan_out: usize,
     /// Number of unicast motifs.
     pub unicast: usize,
-    /// Number of two-node pair motifs.
+    /// Always 0: pairs are not a motif kind. Kept because pinned frontier
+    /// JSON carries `"pairs": 0` (ROADMAP item 6 deletes it).
     pub pairs: usize,
 }
 
@@ -42,7 +43,7 @@ impl CoverageStats {
 
     /// Total number of motifs.
     pub fn motif_count(&self) -> usize {
-        self.fan_in + self.fan_out + self.unicast + self.pairs
+        self.fan_in + self.fan_out + self.unicast
     }
 }
 
@@ -50,15 +51,14 @@ impl fmt::Display for CoverageStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{:<16} nodes={:<3} compute={:<3} covered={:<3} (fan-in {}, fan-out {}, unicast {}, pairs {})",
+            "{:<16} nodes={:<3} compute={:<3} covered={:<3} (fan-in {}, fan-out {}, unicast {})",
             self.name,
             self.total_nodes,
             self.compute_nodes,
             self.covered_nodes,
             self.fan_in,
             self.fan_out,
-            self.unicast,
-            self.pairs
+            self.unicast
         )
     }
 }
@@ -74,7 +74,7 @@ pub fn coverage(dfg: &Dfg, hdfg: &HierarchicalDfg) -> CoverageStats {
         fan_in: count_kind(MotifKind::FanIn),
         fan_out: count_kind(MotifKind::FanOut),
         unicast: count_kind(MotifKind::Unicast),
-        pairs: count_kind(MotifKind::Pair),
+        pairs: 0,
     }
 }
 
@@ -83,7 +83,7 @@ mod tests {
     use super::*;
     use crate::identify::{identify_motifs, IdentifyOptions};
     use plaid_dfg::kernel::{AffineExpr, Expr, KernelBuilder};
-    use plaid_dfg::lower::{lower_kernel, LoweringOptions};
+    use plaid_dfg::lower::lower_kernel;
     use plaid_dfg::Op;
 
     #[test]
@@ -105,7 +105,7 @@ mod tests {
             )
             .build()
             .unwrap();
-        let dfg = lower_kernel(&kernel, &LoweringOptions::unrolled(2)).unwrap();
+        let dfg = lower_kernel(&kernel, 2).unwrap();
         let hdfg = identify_motifs(&dfg, &IdentifyOptions::default());
         let stats = coverage(&dfg, &hdfg);
         assert_eq!(stats.total_nodes, dfg.node_count());

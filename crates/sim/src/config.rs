@@ -108,7 +108,7 @@ mod tests {
     use super::*;
     use plaid_arch::{plaid, spatio_temporal};
     use plaid_dfg::kernel::{AffineExpr, Expr, KernelBuilder};
-    use plaid_dfg::lower::{lower_kernel, LoweringOptions};
+    use plaid_dfg::lower::lower_kernel;
     use plaid_dfg::Op;
     use plaid_mapper::{Mapper, SaMapper};
 
@@ -128,7 +128,7 @@ mod tests {
             )
             .build()
             .unwrap();
-        let dfg = lower_kernel(&kernel, &LoweringOptions::default()).unwrap();
+        let dfg = lower_kernel(&kernel, 1).unwrap();
         let mapping = SaMapper::default().map(&dfg, arch).unwrap();
         (dfg, mapping)
     }

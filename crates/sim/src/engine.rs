@@ -76,7 +76,7 @@ mod tests {
     use super::*;
     use plaid_arch::{plaid, spatio_temporal};
     use plaid_dfg::kernel::{AffineExpr, Expr, Kernel, KernelBuilder};
-    use plaid_dfg::lower::{lower_kernel, LoweringOptions};
+    use plaid_dfg::lower::lower_kernel;
     use plaid_dfg::Op;
     use plaid_mapper::{Mapper, PlaidMapper, SaMapper};
 
@@ -103,7 +103,7 @@ mod tests {
     #[test]
     fn executes_and_verifies_on_spatio_temporal() {
         let kernel = dot_kernel();
-        let dfg = lower_kernel(&kernel, &LoweringOptions::default()).unwrap();
+        let dfg = lower_kernel(&kernel, 1).unwrap();
         let arch = spatio_temporal::build(4, 4);
         let mapping = SaMapper::default().map(&dfg, &arch).unwrap();
         let memory = MemoryImage::for_kernel(&kernel, |_, i| i as i64 % 7);
@@ -116,7 +116,7 @@ mod tests {
     #[test]
     fn executes_and_verifies_on_plaid() {
         let kernel = dot_kernel();
-        let dfg = lower_kernel(&kernel, &LoweringOptions::unrolled(2)).unwrap();
+        let dfg = lower_kernel(&kernel, 2).unwrap();
         let arch = plaid::build(2, 2);
         let mapping = PlaidMapper::default().map(&dfg, &arch).unwrap();
         let memory = MemoryImage::for_kernel(&kernel, |_, i| (i as i64 * 3) % 11);
@@ -128,7 +128,7 @@ mod tests {
     #[test]
     fn rejects_inconsistent_mapping() {
         let kernel = dot_kernel();
-        let dfg = lower_kernel(&kernel, &LoweringOptions::default()).unwrap();
+        let dfg = lower_kernel(&kernel, 1).unwrap();
         let arch = spatio_temporal::build(4, 4);
         let mut mapping = SaMapper::default().map(&dfg, &arch).unwrap();
         // Corrupt the mapping: drop one route.

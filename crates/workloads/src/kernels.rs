@@ -498,7 +498,7 @@ pub fn seidel() -> Kernel {
 mod tests {
     use super::*;
     use plaid_dfg::interp::{check_lowering_equivalence, MemoryImage};
-    use plaid_dfg::lower::{lower_kernel, LoweringOptions};
+    use plaid_dfg::lower::lower_kernel;
 
     fn all_kernels() -> Vec<Kernel> {
         vec![
@@ -527,8 +527,7 @@ mod tests {
             kernel
                 .validate()
                 .unwrap_or_else(|e| panic!("{}: {e}", kernel.name));
-            let dfg = lower_kernel(&kernel, &LoweringOptions::default())
-                .unwrap_or_else(|e| panic!("{}: {e}", kernel.name));
+            let dfg = lower_kernel(&kernel, 1).unwrap_or_else(|e| panic!("{}: {e}", kernel.name));
             assert!(dfg.node_count() >= 5, "{} suspiciously small", kernel.name);
             assert!(dfg.compute_node_count() >= 1);
             dfg.validate_structure().unwrap();
@@ -538,7 +537,7 @@ mod tests {
     #[test]
     fn lowering_matches_reference_interpretation() {
         for kernel in all_kernels() {
-            let dfg = lower_kernel(&kernel, &LoweringOptions::default()).unwrap();
+            let dfg = lower_kernel(&kernel, 1).unwrap();
             let memory = MemoryImage::for_kernel(&kernel, |name, i| {
                 (name.len() as i64 * 5 + i as i64 * 3) % 17 + 1
             });
@@ -554,7 +553,7 @@ mod tests {
                 if kernel.loops.last().unwrap().trip_count % factor != 0 {
                     continue;
                 }
-                let dfg = lower_kernel(&kernel, &LoweringOptions::unrolled(factor)).unwrap();
+                let dfg = lower_kernel(&kernel, factor).unwrap();
                 let memory = MemoryImage::for_kernel(&kernel, |_, i| (i as i64 % 13) + 1);
                 check_lowering_equivalence(&kernel, &dfg, &memory)
                     .unwrap_or_else(|e| panic!("{}_u{factor}: {e}", kernel.name));
@@ -564,8 +563,8 @@ mod tests {
 
     #[test]
     fn conv_kernels_scale_with_window_size() {
-        let small = lower_kernel(&conv2x2(), &LoweringOptions::default()).unwrap();
-        let large = lower_kernel(&conv3x3(), &LoweringOptions::default()).unwrap();
+        let small = lower_kernel(&conv2x2(), 1).unwrap();
+        let large = lower_kernel(&conv3x3(), 1).unwrap();
         assert!(large.node_count() > small.node_count());
         assert!(large.compute_node_count() > small.compute_node_count());
     }
@@ -575,19 +574,19 @@ mod tests {
         // Table 2: conv2x2 has ~20 nodes / ~12 compute; conv3x3 ~37 / ~26;
         // dwconv is tiny (~7 nodes / ~3 compute). Allow generous bands: the
         // exact front-end differs, the structure should not.
-        let c22 = lower_kernel(&conv2x2(), &LoweringOptions::default()).unwrap();
+        let c22 = lower_kernel(&conv2x2(), 1).unwrap();
         assert!(
             (12..=26).contains(&c22.node_count()),
             "conv2x2 {} nodes",
             c22.node_count()
         );
-        let c33 = lower_kernel(&conv3x3(), &LoweringOptions::default()).unwrap();
+        let c33 = lower_kernel(&conv3x3(), 1).unwrap();
         assert!(
             (26..=48).contains(&c33.node_count()),
             "conv3x3 {} nodes",
             c33.node_count()
         );
-        let dw = lower_kernel(&dwconv(), &LoweringOptions::default()).unwrap();
+        let dw = lower_kernel(&dwconv(), 1).unwrap();
         assert!(
             (5..=10).contains(&dw.node_count()),
             "dwconv {} nodes",

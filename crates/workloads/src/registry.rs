@@ -1,7 +1,7 @@
 //! The workload registry: the 30 DFG variants of Table 2.
 
 use plaid_dfg::kernel::Kernel;
-use plaid_dfg::lower::{lower_kernel, LoweringOptions};
+use plaid_dfg::lower::lower_kernel;
 use plaid_dfg::{Dfg, DfgError};
 
 use crate::kernels;
@@ -62,7 +62,7 @@ impl Workload {
     ///
     /// Propagates lowering errors (none are expected for registry workloads).
     pub fn lower(&self) -> Result<Dfg, DfgError> {
-        lower_kernel(&self.kernel, &LoweringOptions::unrolled(self.unroll))
+        lower_kernel(&self.kernel, self.unroll)
     }
 
     /// Total loop iterations of the (unrolled) kernel.

@@ -58,7 +58,6 @@ fn main() {
 
     let (_, _, text) = scalability(ExperimentScope {
         workload_limit: Some(6),
-        stride: 2,
     });
     println!("{text}");
 }

@@ -9,7 +9,7 @@ use proptest::prelude::*;
 
 use plaid_arch::{plaid, spatio_temporal, Architecture};
 use plaid_dfg::kernel::{AffineExpr, Expr, KernelBuilder};
-use plaid_dfg::lower::{lower_kernel, LoweringOptions};
+use plaid_dfg::lower::lower_kernel;
 use plaid_dfg::{Dfg, NodeId, Op};
 use plaid_mapper::placement::{greedy_place, MapState};
 use plaid_mapper::route::HardCapacityCost;
@@ -51,7 +51,7 @@ fn kernel_dfg(variant: u8) -> Dfg {
         )
         .build()
         .unwrap();
-    lower_kernel(&kernel, &LoweringOptions::unrolled(unroll)).unwrap()
+    lower_kernel(&kernel, unroll).unwrap()
 }
 
 fn fabric(variant: u8) -> Architecture {

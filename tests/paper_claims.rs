@@ -45,12 +45,7 @@ fn plaid_saves_area_versus_the_spatial_baseline_at_similar_power() {
 
 #[test]
 fn plaid_tracks_spatio_temporal_performance_and_beats_spatial() {
-    // A stride-5 subset (6 workloads across domains) keeps the test fast.
-    let scope = ExperimentScope {
-        workload_limit: None,
-        stride: 5,
-    };
-    let result = architecture_comparison(scope);
+    let result = architecture_comparison(ExperimentScope::FULL);
     assert!(result.rows.len() >= 4);
     let plaid_vs_st = result.plaid_vs_st_cycles();
     // Paper: average performance is almost the same (Plaid within a few

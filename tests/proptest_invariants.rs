@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 
 use plaid_dfg::kernel::{AffineExpr, Expr, KernelBuilder};
-use plaid_dfg::lower::{lower_kernel, LoweringOptions};
+use plaid_dfg::lower::lower_kernel;
 use plaid_dfg::{Dfg, EdgeKind, Op, Operand};
 use plaid_motif::{identify_motifs, IdentifyOptions};
 
@@ -125,8 +125,8 @@ proptest! {
             )
             .build()
             .unwrap();
-        let base = lower_kernel(&kernel, &LoweringOptions::default()).unwrap();
-        let unrolled = lower_kernel(&kernel, &LoweringOptions::unrolled(factor)).unwrap();
+        let base = lower_kernel(&kernel, 1).unwrap();
+        let unrolled = lower_kernel(&kernel, factor).unwrap();
         prop_assert_eq!(unrolled.node_count() as u64, base.node_count() as u64 * factor);
         prop_assert_eq!(unrolled.total_iterations() * factor, base.total_iterations());
         // The operation mix is preserved (each op count scales by the factor).
@@ -144,28 +144,18 @@ proptest! {
 /// bandwidth class.
 mod comm_spec_properties {
     use super::*;
-    use plaid_arch::{ArchClass, BwClass, CommSpec, DesignPoint, LinkBw, SelectPolicy, Topology};
+    use plaid_arch::{ArchClass, BwClass, CommSpec, DesignPoint, Topology};
     use plaid_mapper::{fabric_signature, fabric_signature_nocap};
 
     fn arbitrary_comm_spec() -> impl Strategy<Value = CommSpec> {
-        (0u32..4, 0usize..4, 0usize..4, any::<bool>()).prop_map(|(topo, local, global, fixed)| {
-            CommSpec {
-                topology: match topo {
-                    0 => Topology::Mesh,
-                    1 => Topology::Torus,
-                    2 => Topology::Express { stride: 2 },
-                    _ => Topology::Express { stride: 3 },
-                },
-                link_bw: LinkBw {
-                    local: BwClass::ALL[local],
-                    global: BwClass::ALL[global],
-                },
-                select_policy: if fixed {
-                    SelectPolicy::Fixed
-                } else {
-                    SelectPolicy::Proportional
-                },
-            }
+        (0u32..4, 0usize..4).prop_map(|(topo, bw)| {
+            let topology = match topo {
+                0 => Topology::Mesh,
+                1 => Topology::Torus,
+                2 => Topology::Express { stride: 2 },
+                _ => Topology::Express { stride: 3 },
+            };
+            CommSpec::uniform(topology, BwClass::ALL[bw])
         })
     }
 
