@@ -301,8 +301,9 @@ pub fn rebuild_provisioned(
 /// `stride` tiles) between cluster global routers, registered at one cycle
 /// like the mesh links they augment.
 ///
-/// For the legacy preset specs (mesh topology) this is bit-identical to [`rebuild_provisioned`] with the scalar scaling
-/// closure: the same capacities in the same resource order, no extra links.
+/// For the legacy preset specs (mesh topology) this is bit-identical to
+/// [`rebuild_provisioned`] with the scalar scaling closure: the same
+/// capacities in the same resource order, no extra links.
 pub fn rebuild_with_comm(
     arch: &Architecture,
     name: impl Into<String>,
