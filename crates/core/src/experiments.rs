@@ -105,7 +105,7 @@ impl Coverage {
     fn compile<const N: usize>(
         &mut self,
         workload: &PreparedWorkload,
-        targets: [(ArchChoice, &PreparedFabric<'_>, MapperChoice); N],
+        targets: [(ArchChoice, &PreparedFabric, MapperChoice); N],
     ) -> Option<[CompiledWorkload; N]> {
         let results = targets.map(|(choice, fabric, mapper)| {
             (

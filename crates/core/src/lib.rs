@@ -15,11 +15,14 @@
 //! # Quickstart
 //!
 //! ```
-//! use plaid::pipeline::{compile_workload, ArchChoice, MapperChoice};
+//! use plaid::pipeline::{
+//!     compile_workload, ArchChoice, MapperChoice, PreparedFabric, PreparedWorkload,
+//! };
 //! use plaid_workloads::table2_workloads;
 //!
-//! let workload = &table2_workloads()[0]; // atax_u2
-//! let result = compile_workload(workload, &ArchChoice::Plaid2x2.build(), MapperChoice::Plaid, None).unwrap();
+//! let workload = PreparedWorkload::new(&table2_workloads()[0]).unwrap(); // atax_u2
+//! let fabric = PreparedFabric::new(ArchChoice::Plaid2x2.build());
+//! let result = compile_workload(&workload, &fabric, MapperChoice::Plaid, None).unwrap();
 //! assert!(result.metrics.cycles > 0);
 //! assert!(result.mapping.is_some());
 //! ```
@@ -32,6 +35,6 @@ pub mod pipeline;
 pub mod report;
 
 pub use pipeline::{
-    compile_workload, default_mapper_for, ArchChoice, Compilable, CompileSummary, CompiledWorkload,
+    compile_workload, default_mapper_for, ArchChoice, CompileSummary, CompiledWorkload,
     MapperChoice, PipelineError, PreparedWorkload,
 };

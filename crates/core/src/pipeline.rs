@@ -1,23 +1,21 @@
 //! The end-to-end compilation pipeline: kernel → DFG → motifs → mapping →
 //! configuration → metrics.
 //!
-//! [`compile_workload`] is the one entry point. It compiles onto any
-//! [`Architecture`] instance (a paper preset via [`ArchChoice::build`], or an
-//! enumerated design point) and takes an optional [`MapSeed`] hint, which
-//! lets a sweep replay or floor a point's II ladder without changing its
-//! result.
+//! [`compile_workload`] is the one entry point. It compiles a
+//! [`PreparedWorkload`] onto a [`PreparedFabric`] and takes an optional
+//! [`MapSeed`] hint, which lets a sweep replay or floor a point's II ladder
+//! without changing its result.
 //!
 //! The fabric-independent stages (lowering, motif identification, coverage
 //! statistics) live in a [`PreparedWorkload`]. A caller compiling one
 //! workload onto many fabrics prepares it once and passes it to every
-//! compile; a plain [`Workload`] is prepared for the one call.
+//! compile.
 //!
 //! The workload-independent side is a [`PreparedFabric`]: the built
-//! architecture plus its signatures and routing reachability, each derived
-//! once however many workloads compile onto it. A plain [`Architecture`] is
-//! prepared for the one call.
+//! [`Architecture`] (a paper preset via [`ArchChoice::build`], or an
+//! enumerated design point) plus its signatures and routing reachability,
+//! each derived once however many workloads compile onto it.
 
-use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
@@ -264,55 +262,11 @@ impl PreparedWorkload {
     }
 }
 
-/// What [`compile_workload`] compiles: a [`PreparedWorkload`], or a
-/// [`Workload`], which is prepared for the one call.
-pub trait Compilable {
-    /// The prepared workload, borrowed or freshly built.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PipelineError::Lowering`] if preparing fails.
-    fn prepared(&self) -> Result<Cow<'_, PreparedWorkload>, PipelineError>;
-}
-
-impl Compilable for PreparedWorkload {
-    fn prepared(&self) -> Result<Cow<'_, PreparedWorkload>, PipelineError> {
-        Ok(Cow::Borrowed(self))
-    }
-}
-
-impl Compilable for Workload {
-    fn prepared(&self) -> Result<Cow<'_, PreparedWorkload>, PipelineError> {
-        PreparedWorkload::new(self).map(Cow::Owned)
-    }
-}
-
-/// What [`compile_workload`] compiles onto: a [`PreparedFabric`], or an
-/// [`Architecture`], which is prepared for the one call.
-pub trait Fabric {
-    /// The prepared fabric, borrowed or freshly made.
-    fn prepared(&self) -> Cow<'_, PreparedFabric<'_>>;
-}
-
-impl Fabric for PreparedFabric<'_> {
-    fn prepared(&self) -> Cow<'_, PreparedFabric<'_>> {
-        Cow::Borrowed(self)
-    }
-}
-
-impl Fabric for Architecture {
-    fn prepared(&self) -> Cow<'_, PreparedFabric<'_>> {
-        Cow::Owned(PreparedFabric::borrowed(self))
-    }
-}
-
 /// Compiles `workload` onto `fabric` with `mapper_choice` and evaluates it
-/// with the default cost model. Callers holding an [`ArchChoice`] pass
-/// `&choice.build()`; design-space sweeps pass enumerated points (see
-/// [`plaid_arch::enumerate::SpaceSpec`]). `workload` is a
-/// [`PreparedWorkload`], which many compiles share, or a [`Workload`],
-/// which this call prepares. Likewise `fabric` is a [`PreparedFabric`] or
-/// an [`Architecture`].
+/// with the default cost model. Callers holding an [`ArchChoice`] prepare
+/// `choice.build()`; design-space sweeps prepare enumerated points (see
+/// [`plaid_arch::enumerate::SpaceSpec`]). Many compiles may share one
+/// prepared workload or fabric.
 ///
 /// `hint` threads seed information into the mapper: a canonical seed whose
 /// result provably transfers to the fabric replays exactly, and a
@@ -329,19 +283,17 @@ impl Fabric for Architecture {
 ///
 /// # Errors
 ///
-/// Returns a [`PipelineError`] if lowering, mapping or configuration
-/// generation fails.
-pub fn compile_workload<W: Compilable, F: Fabric>(
-    workload: &W,
-    fabric: &F,
+/// Returns a [`PipelineError`] if mapping or configuration generation
+/// fails.
+pub fn compile_workload(
+    workload: &PreparedWorkload,
+    fabric: &PreparedFabric,
     mapper_choice: MapperChoice,
     hint: Option<&MapSeed>,
 ) -> Result<CompiledWorkload, PipelineError> {
     let model = CostModel::default();
-    let prepared = workload.prepared()?;
-    let dfg = prepared.dfg();
+    let dfg = workload.dfg();
     let iterations = dfg.total_iterations();
-    let fabric = fabric.prepared();
     let arch = fabric.arch();
 
     if mapper_choice == MapperChoice::Spatial {
@@ -351,7 +303,7 @@ pub fn compile_workload<W: Compilable, F: Fabric>(
         let cycles = schedule.total_cycles(iterations);
         let ii = schedule.partitions.iter().map(|p| p.ii).max().unwrap_or(1);
         let metrics = EvalMetrics::from_cycles(
-            prepared.name.clone(),
+            workload.name.clone(),
             mapper_choice.label(),
             arch,
             &model,
@@ -359,9 +311,9 @@ pub fn compile_workload<W: Compilable, F: Fabric>(
             cycles,
         );
         return Ok(CompiledWorkload {
-            name: prepared.name.clone(),
-            dfg: Arc::clone(&prepared.dfg),
-            coverage: prepared.coverage.clone(),
+            name: workload.name.clone(),
+            dfg: Arc::clone(&workload.dfg),
+            coverage: workload.coverage.clone(),
             mapping: None,
             spatial: Some(schedule),
             config: None,
@@ -372,10 +324,10 @@ pub fn compile_workload<W: Compilable, F: Fabric>(
     }
 
     let seeded = match mapper_choice {
-        MapperChoice::Sa => SaMapper::default().map_prepared(dfg, &fabric, hint),
-        MapperChoice::PathFinder => PathFinderMapper::default().map_prepared(dfg, &fabric, hint),
+        MapperChoice::Sa => SaMapper::default().map_prepared(dfg, fabric, hint),
+        MapperChoice::PathFinder => PathFinderMapper::default().map_prepared(dfg, fabric, hint),
         MapperChoice::Plaid => {
-            PlaidMapper::default().map_with_motifs(dfg, prepared.motifs(), &fabric, hint)
+            PlaidMapper::default().map_with_motifs(dfg, workload.motifs(), fabric, hint)
         }
         MapperChoice::Spatial => unreachable!("handled above"),
     }?;
@@ -387,7 +339,7 @@ pub fn compile_workload<W: Compilable, F: Fabric>(
     let config = generate_config(dfg, arch, &mapping).map_err(PipelineError::Config)?;
     let cycles = mapping.total_cycles(iterations);
     let metrics = EvalMetrics::from_cycles(
-        prepared.name.clone(),
+        workload.name.clone(),
         mapper_choice.label(),
         arch,
         &model,
@@ -395,9 +347,9 @@ pub fn compile_workload<W: Compilable, F: Fabric>(
         cycles,
     );
     Ok(CompiledWorkload {
-        name: prepared.name.clone(),
-        dfg: Arc::clone(&prepared.dfg),
-        coverage: prepared.coverage.clone(),
+        name: workload.name.clone(),
+        dfg: Arc::clone(&workload.dfg),
+        coverage: workload.coverage.clone(),
         mapping: Some(mapping),
         spatial: None,
         config: Some(config),
@@ -423,11 +375,16 @@ mod tests {
     use super::*;
     use plaid_workloads::table2_workloads;
 
-    fn workload(name: &str) -> Workload {
-        table2_workloads()
+    fn workload(name: &str) -> PreparedWorkload {
+        let w = table2_workloads()
             .into_iter()
             .find(|w| w.name == name)
-            .unwrap_or_else(|| panic!("workload {name} not in registry"))
+            .unwrap_or_else(|| panic!("workload {name} not in registry"));
+        PreparedWorkload::new(&w).unwrap()
+    }
+
+    fn fabric(arch: ArchChoice) -> PreparedFabric {
+        PreparedFabric::new(arch.build())
     }
 
     #[test]
@@ -438,7 +395,7 @@ mod tests {
             (ArchChoice::Spatial4x4, MapperChoice::Spatial),
             (ArchChoice::Plaid2x2, MapperChoice::Plaid),
         ] {
-            let result = compile_workload(&w, &arch.build(), mapper, None).unwrap();
+            let result = compile_workload(&w, &fabric(arch), mapper, None).unwrap();
             assert!(result.metrics.cycles > 0, "{:?}", arch);
             assert!(result.metrics.power_uw > 0.0);
             if mapper == MapperChoice::Spatial {
@@ -455,13 +412,13 @@ mod tests {
         let w = workload("dwconv");
         let st = compile_workload(
             &w,
-            &ArchChoice::SpatioTemporal4x4.build(),
+            &fabric(ArchChoice::SpatioTemporal4x4),
             MapperChoice::Sa,
             None,
         )
         .unwrap();
         let pl =
-            compile_workload(&w, &ArchChoice::Plaid2x2.build(), MapperChoice::Plaid, None).unwrap();
+            compile_workload(&w, &fabric(ArchChoice::Plaid2x2), MapperChoice::Plaid, None).unwrap();
         let ratio = pl.metrics.cycles as f64 / st.metrics.cycles as f64;
         assert!(ratio <= 1.5, "plaid/st cycle ratio {ratio}");
         // And Plaid consumes less power for the same work.
@@ -488,7 +445,7 @@ mod tests {
     fn coverage_statistics_accompany_every_compilation() {
         let w = workload("gemm_u2");
         let result =
-            compile_workload(&w, &ArchChoice::Plaid2x2.build(), MapperChoice::Plaid, None).unwrap();
+            compile_workload(&w, &fabric(ArchChoice::Plaid2x2), MapperChoice::Plaid, None).unwrap();
         assert_eq!(result.coverage.total_nodes, result.dfg.node_count());
         assert!(result.coverage.covered_nodes <= result.coverage.compute_nodes);
         assert!(result.ii() >= 1);

@@ -31,7 +31,7 @@ use crate::sweep::SweepPoint;
 /// form, which includes every `ArchParams` knob the builders consume) and the
 /// mapper. It depends only on the point's *content*, never on its position in
 /// a sweep plan, which is what makes it usable both as a cache key and as the
-/// shard-assignment hash of [`crate::shard::partition_plan`] (stable under
+/// shard-assignment hash of [`crate::ShardSpec::contains`] (stable under
 /// point reordering).
 pub fn cache_key_hash(point: &SweepPoint) -> u64 {
     let descriptor = point.workload.descriptor();
@@ -159,7 +159,7 @@ impl ResultCache {
     /// points sharing a 64-bit key never evict each other during a merge.
     ///
     /// This is the merge layer of sharded sweeps: shard-local caches are
-    /// disjoint by construction ([`crate::shard::partition_plan`] assigns
+    /// disjoint by construction ([`crate::ShardSpec::contains`] assigns
     /// each point to exactly one shard), so unioning them reconstructs the
     /// record set an unsharded sweep would have produced.
     pub fn union_merge(&self, other: &ResultCache) -> usize {

@@ -18,12 +18,13 @@
 //!    near-free;
 //! 3. [`pareto::FrontierReport`] extracts the per-workload Pareto frontier
 //!    over {cycles, area, energy} and serializes it to JSON;
-//! 4. [`shard`] scales a sweep *out*: [`shard::partition_plan`] splits a
-//!    plan across processes or hosts by the cache's own content hashes
-//!    (stable under reordering, so uncoordinated hosts agree), and
-//!    [`cache::ResultCache::union_merge`] + [`shard::merge_outcomes`]
-//!    reassemble shard results into the byte-identical single-process
-//!    outcome (`plaid-dse --shard I/N` / `plaid-dse merge`).
+//! 4. [`shard`] scales a sweep *out*: [`shard::shard_plan`] splits a plan
+//!    across processes or hosts by the cache's own content hashes (stable
+//!    under reordering, so uncoordinated hosts agree), and
+//!    [`cache::ResultCache::union_merge`] +
+//!    [`cache::ResultCache::canonical_records`] reassemble the shard caches
+//!    into the single-process record set, whose frontier is byte-identical
+//!    (`plaid-dse --shard I/N` / `plaid-dse merge`).
 //!
 //! The `plaid-dse` binary drives all three stages from the command line; the
 //! `provisioning_frontier` example reproduces the paper's aligned-versus-
@@ -63,9 +64,7 @@ pub use cache::{cache_key, cache_key_hash, ResultCache};
 pub use pareto::{pareto_indices, FrontierReport, Objectives, WorkloadFrontier};
 pub use record::EvalRecord;
 pub use seed::{provisioning_distance, SeedFamily, SeedPolicy, SeedStore};
-pub use shard::{
-    merge_outcomes, partition_plan, run_sweep_sharded, shard_of, shard_plan, ShardSpec,
-};
+pub use shard::{run_sweep_sharded, shard_plan, ShardSpec};
 pub use sweep::{
     default_mapper_for_class, run_sweep, run_sweep_with, SweepOutcome, SweepPlan, SweepPoint,
     SweepStats,

@@ -212,7 +212,7 @@ impl SeedStore {
         if policy == SeedPolicy::Off {
             return None;
         }
-        self.hint_on(point, &PreparedFabric::borrowed(arch), dfg)
+        self.hint_on(point, &PreparedFabric::new(arch.clone()), dfg)
     }
 
     /// Builds the seed hint for a point about to compile on `fabric`, or
@@ -226,7 +226,7 @@ impl SeedStore {
     pub fn hint_on(
         &self,
         point: &SweepPoint,
-        fabric: &PreparedFabric<'_>,
+        fabric: &PreparedFabric,
         dfg: u64,
     ) -> Option<MapSeed> {
         let nocap = fabric.signature_nocap();

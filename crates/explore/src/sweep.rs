@@ -178,14 +178,14 @@ pub(crate) fn design_family(design: &DesignPoint) -> DesignPoint {
 /// fabrics of the families it is working on.
 #[derive(Debug, Default)]
 pub(crate) struct FabricCell {
-    fabrics: Mutex<Vec<(DesignPoint, Arc<PreparedFabric<'static>>)>>,
+    fabrics: Mutex<Vec<(DesignPoint, Arc<PreparedFabric>)>>,
     /// Points of the family not yet completed.
     pending: AtomicUsize,
 }
 
 impl FabricCell {
     /// The prepared fabric of `design`, built on the design's first call.
-    fn get(&self, design: &DesignPoint) -> Arc<PreparedFabric<'static>> {
+    fn get(&self, design: &DesignPoint) -> Arc<PreparedFabric> {
         let mut fabrics = self.fabrics.lock().expect("fabric cell lock poisoned");
         if let Some((_, fabric)) = fabrics.iter().find(|(d, _)| d == design) {
             return Arc::clone(fabric);
@@ -255,7 +255,7 @@ pub(crate) fn evaluate_point(
     };
     let before = WorkCounts::thread_total();
     let result = prepared.and_then(|prepared| {
-        compile_workload(prepared, &*fabric, point.mapper, hint.as_ref()).map_err(|e| e.to_string())
+        compile_workload(prepared, &fabric, point.mapper, hint.as_ref()).map_err(|e| e.to_string())
     });
     let work = WorkCounts::thread_total() - before;
     let hit = match &result {
@@ -570,13 +570,13 @@ mod tests {
             let (good_records, bad_records) = outcome.records.split_at(alone.len());
             assert_eq!(good_records, reference.records.as_slice(), "{policy:?}");
             assert_eq!(bad_records.len(), spec.enumerate().len());
-            for (record, point) in bad_records.iter().zip(&mixed.points[alone.len()..]) {
-                let per_point = compile_workload(&bad, &point.design.build(), point.mapper, None)
-                    .expect_err("the workload does not lower")
-                    .to_string();
-                assert!(per_point.starts_with("lowering failed: "), "{per_point}");
+            let lowering = PreparedWorkload::new(&bad)
+                .expect_err("the workload does not lower")
+                .to_string();
+            assert!(lowering.starts_with("lowering failed: "), "{lowering}");
+            for record in bad_records {
                 assert!(!record.ok);
-                assert_eq!(record.error.as_deref(), Some(per_point.as_str()));
+                assert_eq!(record.error.as_deref(), Some(lowering.as_str()));
             }
         }
     }

@@ -11,8 +11,8 @@
 use std::process::Command;
 
 use plaid_explore::{
-    merge_outcomes, run_sweep, run_sweep_sharded, EvalRecord, FrontierReport, ResultCache,
-    SeedPolicy, ShardSpec, SweepPlan,
+    run_sweep, run_sweep_sharded, EvalRecord, FrontierReport, ResultCache, SeedPolicy, ShardSpec,
+    SweepPlan, SweepStats,
 };
 use plaid_workloads::table2_workloads;
 
@@ -36,14 +36,17 @@ fn four_way_sharded_default_sweep_merges_bit_identically() {
     std::fs::create_dir_all(&scratch).unwrap();
 
     // Single-process reference, computed independently of the shards.
-    let whole = run_sweep(&plan, &ResultCache::new());
+    let whole_cache = ResultCache::new();
+    let whole = run_sweep(&plan, &whole_cache);
     let whole_frontier = FrontierReport::from_records(&whole.records);
     let whole_frontier_json = serde_json::to_string_pretty(&whole_frontier).unwrap();
 
     // Four shard runs, each with its own cache file and seed store —
-    // exactly what four `plaid-dse --shard i/4` processes would do.
+    // exactly what four `plaid-dse --shard i/4` processes would do. Their
+    // caches union into one, as `plaid-dse merge` unions the files.
     const SHARDS: u32 = 4;
-    let mut shard_outcomes = Vec::new();
+    let mut shard_stats = Vec::new();
+    let merged = ResultCache::new();
     let mut shard_cache_paths = Vec::new();
     for index in 0..SHARDS {
         let cache = ResultCache::new();
@@ -64,21 +67,27 @@ fn four_way_sharded_default_sweep_merges_bit_identically() {
         let path = scratch.join(format!("shard-{index}.json"));
         cache.save(&path).unwrap();
         shard_cache_paths.push(path);
-        shard_outcomes.push(outcome);
+        assert_eq!(
+            merged.union_merge(&cache),
+            cache.len(),
+            "shards are disjoint"
+        );
+        shard_stats.push(outcome.stats);
     }
 
-    // Library-level merge: records reorder into plan order, stats totals
-    // match the single-process pass (seeding counters are intra-shard and
-    // wall time is aggregate, so only the deterministic totals compare).
-    let merged = merge_outcomes(&plan, &shard_outcomes).expect("shards partition the plan");
-    assert_eq!(merged.stats.points, whole.stats.points);
-    assert_eq!(merged.stats.compiled, whole.stats.compiled);
-    assert_eq!(merged.stats.cache_hits, whole.stats.cache_hits);
-    assert_eq!(merged.stats.failures, whole.stats.failures);
+    // Library-level merge: the union of the shard caches holds the
+    // single-process cache's records, and the shard totals sum to the
+    // single-process pass's (seeding counters are intra-shard and wall time
+    // is per shard, so only the deterministic totals compare).
+    let total = |count: fn(&SweepStats) -> usize| shard_stats.iter().map(count).sum::<usize>();
+    assert_eq!(total(|s| s.points), whole.stats.points);
+    assert_eq!(total(|s| s.compiled), whole.stats.compiled);
+    assert_eq!(total(|s| s.cache_hits), whole.stats.cache_hits);
+    assert_eq!(total(|s| s.failures), whole.stats.failures);
     assert_eq!(
-        strip_seeds(&merged.records),
-        strip_seeds(&whole.records),
-        "merged records are the single-process records, in plan order"
+        strip_seeds(&merged.canonical_records()),
+        strip_seeds(&whole_cache.canonical_records()),
+        "merged records are the single-process records"
     );
 
     // Binary-level merge: `plaid-dse merge` unions the four shard caches

@@ -7,7 +7,7 @@
 //! them at most once, on first use, and every ladder run on it shares them.
 //! A sweep that maps many workloads onto one design point prepares the
 //! design once. The mapper entry points that take a plain `&Architecture`
-//! prepare a one-off fabric that borrows it.
+//! prepare a one-off fabric from a clone of it.
 //!
 //! The reachability reads only the fabric's topology: which resources are
 //! functional units, and the links. Design points that differ only in
@@ -18,7 +18,6 @@
 //! Only the capacity certificate stays per ladder: it records the probes of
 //! one ladder's search.
 
-use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
 
 use plaid_arch::Architecture;
@@ -31,8 +30,8 @@ use crate::seed::{fabric_signature, fabric_signature_nocap};
 ///
 /// It is `Sync`: many threads may map onto one prepared fabric at once.
 #[derive(Debug, Clone)]
-pub struct PreparedFabric<'a> {
-    arch: Cow<'a, Architecture>,
+pub struct PreparedFabric {
+    arch: Architecture,
     signatures: OnceLock<Signatures>,
     /// Shared with this fabric's siblings of the same topology.
     reach: Arc<OnceLock<Arc<Reach>>>,
@@ -46,20 +45,9 @@ struct Signatures {
     capacities: Vec<u32>,
 }
 
-impl PreparedFabric<'static> {
-    /// Prepares a fabric that owns `arch`.
+impl PreparedFabric {
+    /// Prepares `arch`.
     pub fn new(arch: Architecture) -> Self {
-        Self::with(Cow::Owned(arch))
-    }
-}
-
-impl<'a> PreparedFabric<'a> {
-    /// Prepares a fabric that borrows `arch`, for the runs of one call.
-    pub fn borrowed(arch: &'a Architecture) -> Self {
-        Self::with(Cow::Borrowed(arch))
-    }
-
-    fn with(arch: Cow<'a, Architecture>) -> Self {
         PreparedFabric {
             arch,
             signatures: OnceLock::new(),
@@ -72,14 +60,14 @@ impl<'a> PreparedFabric<'a> {
     /// same links), as design points that differ only in configuration
     /// depth and bandwidth do, they share one reachability, built once for
     /// both. Otherwise the new fabric builds its own.
-    pub fn sibling(&self, arch: Architecture) -> PreparedFabric<'static> {
+    pub fn sibling(&self, arch: Architecture) -> PreparedFabric {
         let reach = if same_topology(&self.arch, &arch) {
             Arc::clone(&self.reach)
         } else {
             Arc::default()
         };
         PreparedFabric {
-            arch: Cow::Owned(arch),
+            arch,
             signatures: OnceLock::new(),
             reach,
         }
@@ -145,7 +133,7 @@ mod tests {
     #[test]
     fn derived_parts_match_the_free_functions_and_are_built_once() {
         let arch = plaid::build(2, 2);
-        let fabric = PreparedFabric::borrowed(&arch);
+        let fabric = PreparedFabric::new(arch.clone());
         assert_eq!(fabric.signature(), fabric_signature(&arch));
         assert_eq!(fabric.signature_nocap(), fabric_signature_nocap(&arch));
         let capacities: Vec<u32> = arch.resources().iter().map(|r| r.kind.capacity()).collect();

@@ -82,7 +82,7 @@ impl PathFinderMapper {
         arch: &Architecture,
         hint: Option<&MapSeed>,
     ) -> Result<SeededMapping, MapError> {
-        self.map_prepared(dfg, &PreparedFabric::borrowed(arch), hint)
+        self.map_prepared(dfg, &PreparedFabric::new(arch.clone()), hint)
     }
 
     /// [`Self::map_with_seed`] on a prepared fabric, whose signatures and
@@ -94,7 +94,7 @@ impl PathFinderMapper {
     pub fn map_prepared(
         &self,
         dfg: &Dfg,
-        fabric: &PreparedFabric<'_>,
+        fabric: &PreparedFabric,
         hint: Option<&MapSeed>,
     ) -> Result<SeededMapping, MapError> {
         map_seeded(self, dfg, fabric, hint)
@@ -110,7 +110,7 @@ impl LadderSearch for PathFinderMapper {
 
     const SETTINGS: u64 = 0x47d6_2018_1148_1cab;
 
-    fn prepare(&self, _dfg: &Dfg, fabric: &PreparedFabric<'_>) -> LadderShared {
+    fn prepare(&self, _dfg: &Dfg, fabric: &PreparedFabric) -> LadderShared {
         LadderShared::of(fabric)
     }
 

@@ -92,7 +92,7 @@ pub(crate) struct LadderShared {
 impl LadderShared {
     /// The shared state of one search on `fabric`: a fresh certificate and
     /// the fabric's reachability.
-    pub fn of(fabric: &PreparedFabric<'_>) -> Self {
+    pub fn of(fabric: &PreparedFabric) -> Self {
         LadderShared {
             cert: Arc::new(crate::state::CapacityCert::new(
                 fabric.arch().resources().len(),
@@ -191,7 +191,7 @@ impl<'a> MapState<'a> {
     /// Creates an empty state for the given II, with its own certificate
     /// and reachability.
     pub fn new(dfg: &'a Dfg, arch: &'a Architecture, ii: u32) -> Self {
-        let shared = LadderShared::of(&PreparedFabric::borrowed(arch));
+        let shared = LadderShared::of(&PreparedFabric::new(arch.clone()));
         Self::for_ladder(dfg, arch, ii, &shared)
     }
 
@@ -1060,7 +1060,7 @@ mod tests {
         // functional unit: routes run through switches only.
         let dfg = small_dfg();
         let arch = spatio_temporal::build(4, 4);
-        let shared = LadderShared::of(&PreparedFabric::borrowed(&arch));
+        let shared = LadderShared::of(&PreparedFabric::new(arch.clone()));
         let mut state = MapState::for_ladder(&dfg, &arch, 2, &shared);
         assert!(greedy_place(&mut state, &HardCapacityCost));
         let before = (shared.cert.need(), shared.cert.ceil());

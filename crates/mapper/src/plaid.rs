@@ -393,7 +393,7 @@ impl PlaidMapper {
         hint: Option<&MapSeed>,
     ) -> Result<SeededMapping, MapError> {
         let motifs = identify_motifs(dfg, &IdentifyOptions::default());
-        self.map_with_motifs(dfg, &motifs, &PreparedFabric::borrowed(arch), hint)
+        self.map_with_motifs(dfg, &motifs, &PreparedFabric::new(arch.clone()), hint)
     }
 
     /// [`Self::map_with_seed`] with the motifs identified by the caller, on
@@ -412,7 +412,7 @@ impl PlaidMapper {
         &self,
         dfg: &Dfg,
         motifs: &HierarchicalDfg,
-        fabric: &PreparedFabric<'_>,
+        fabric: &PreparedFabric,
         hint: Option<&MapSeed>,
     ) -> Result<SeededMapping, MapError> {
         map_seeded(
@@ -443,7 +443,7 @@ impl<'m> LadderSearch for MotifLadder<'m> {
 
     const SETTINGS: u64 = 0xb1ac_ba4b_8c80_ff2a;
 
-    fn prepare(&self, dfg: &Dfg, fabric: &PreparedFabric<'_>) -> Self::Shared {
+    fn prepare(&self, dfg: &Dfg, fabric: &PreparedFabric) -> Self::Shared {
         let hdfg = if fabric.arch().class() == ArchClass::Plaid {
             Cow::Borrowed(self.motifs)
         } else {

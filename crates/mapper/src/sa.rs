@@ -211,7 +211,7 @@ impl SaMapper {
         arch: &Architecture,
         hint: Option<&MapSeed>,
     ) -> Result<SeededMapping, MapError> {
-        self.map_prepared(dfg, &PreparedFabric::borrowed(arch), hint)
+        self.map_prepared(dfg, &PreparedFabric::new(arch.clone()), hint)
     }
 
     /// [`Self::map_with_seed`] on a prepared fabric, whose signatures and
@@ -223,7 +223,7 @@ impl SaMapper {
     pub fn map_prepared(
         &self,
         dfg: &Dfg,
-        fabric: &PreparedFabric<'_>,
+        fabric: &PreparedFabric,
         hint: Option<&MapSeed>,
     ) -> Result<SeededMapping, MapError> {
         map_seeded(self, dfg, fabric, hint)
@@ -241,7 +241,7 @@ impl LadderSearch for SaMapper {
 
     const SETTINGS: u64 = 0x6fbd_94f7_0d05_5256;
 
-    fn prepare(&self, _dfg: &Dfg, fabric: &PreparedFabric<'_>) -> LadderShared {
+    fn prepare(&self, _dfg: &Dfg, fabric: &PreparedFabric) -> LadderShared {
         LadderShared::of(fabric)
     }
 

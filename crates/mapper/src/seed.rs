@@ -198,28 +198,6 @@ pub struct PlacementSeed {
 }
 
 impl PlacementSeed {
-    /// Captures a seed from a finished mapping on the architecture it was
-    /// produced for, without a capacity certificate (the seed replays only
-    /// on fabrics with an identical full signature).
-    pub fn capture(dfg: &Dfg, mapping: &Mapping, arch: &Architecture, options: u64) -> Self {
-        Self::capture_with_cert(dfg, mapping, arch, options, None)
-    }
-
-    /// Captures a seed carrying the capacity certificate of the ladder run
-    /// that produced the mapping, making it transferable to fabrics that
-    /// differ only in switch capacities within the certified bounds.
-    pub fn capture_with_cert(
-        dfg: &Dfg,
-        mapping: &Mapping,
-        arch: &Architecture,
-        options: u64,
-        cert: Option<&CapacityCert>,
-    ) -> Self {
-        let window = cert.map(|c| (c.need(), c.ceil())).unwrap_or_default();
-        let fabric = PreparedFabric::borrowed(arch);
-        Self::snapshot(mapping, &SeedContext::of(dfg, &fabric), options, window)
-    }
-
     /// The seed of `mapping` on the graph and fabric `ctx` hashes, with the
     /// capacity window `(cap_need, cap_ceil)` (both empty: no certificate).
     fn snapshot(
@@ -426,7 +404,7 @@ pub(crate) struct SeedContext<'f> {
 }
 
 impl<'f> SeedContext<'f> {
-    pub fn of(dfg: &Dfg, fabric: &'f PreparedFabric<'_>) -> Self {
+    pub fn of(dfg: &Dfg, fabric: &'f PreparedFabric) -> Self {
         SeedContext {
             dfg: dfg_fingerprint(dfg),
             fabric: fabric.signature(),
@@ -512,7 +490,7 @@ pub(crate) trait LadderSearch {
     const SETTINGS: u64;
 
     /// Builds the ladder's shared state on `fabric`.
-    fn prepare(&self, dfg: &Dfg, fabric: &PreparedFabric<'_>) -> Self::Shared;
+    fn prepare(&self, dfg: &Dfg, fabric: &PreparedFabric) -> Self::Shared;
 
     /// One attempt at `ii`: a complete mapping, or `None` to climb the
     /// ladder. Each attempt must be a pure function of `(dfg, fabric, ii)`
@@ -539,7 +517,7 @@ pub(crate) trait LadderSearch {
 pub(crate) fn map_seeded<S: LadderSearch>(
     search: &S,
     dfg: &Dfg,
-    fabric: &PreparedFabric<'_>,
+    fabric: &PreparedFabric,
     hint: Option<&MapSeed>,
 ) -> Result<SeededMapping, MapError> {
     let arch = fabric.arch();
@@ -678,7 +656,7 @@ mod tests {
             seed: Some(seed.clone()),
             infeasible: None,
         };
-        let fabric = PreparedFabric::borrowed(arch);
+        let fabric = PreparedFabric::new(arch.clone());
         let ctx = SeedContext::of(dfg, &fabric);
         let mii = crate::mii::mii(dfg, arch);
         match plan_ladder(
@@ -698,15 +676,29 @@ mod tests {
         }
     }
 
+    /// A PathFinder mapping of `dfg` on `arch` and its seed, which carries
+    /// no capacity certificate.
+    fn pathfinder_seed(dfg: &Dfg, arch: &Architecture) -> (Mapping, PlacementSeed) {
+        let mapped = PathFinderMapper::default()
+            .map_with_seed(dfg, arch, None)
+            .unwrap();
+        assert!(
+            mapped.seed.cap_need.is_empty(),
+            "PathFinder certifies nothing"
+        );
+        (mapped.mapping, mapped.seed)
+    }
+
+    const PF: u64 = PathFinderMapper::SETTINGS;
+
     #[test]
     fn capture_replay_round_trip() {
         let dfg = small_dfg();
         let arch = spatio_temporal::build(4, 4);
-        let mapping = PathFinderMapper::default().map(&dfg, &arch).unwrap();
-        let seed = PlacementSeed::capture(&dfg, &mapping, &arch, 7);
+        let (mapping, seed) = pathfinder_seed(&dfg, &arch);
         assert_eq!(seed.ii, mapping.ii);
         assert!(seed.canonical, "every capture is canonical");
-        assert!(replays(&seed, &dfg, &arch, "pathfinder", 7));
+        assert!(replays(&seed, &dfg, &arch, "pathfinder", PF));
         let replayed = seed.replay(&dfg, &arch).expect("seed replays");
         assert_eq!(replayed.ii, mapping.ii);
         assert_eq!(replayed.placements, mapping.placements);
@@ -717,15 +709,14 @@ mod tests {
     fn replay_rejects_wrong_fabric_mapper_options_and_dfg() {
         let dfg = small_dfg();
         let arch = spatio_temporal::build(4, 4);
-        let mapping = PathFinderMapper::default().map(&dfg, &arch).unwrap();
-        let seed = PlacementSeed::capture(&dfg, &mapping, &arch, 7);
+        let (_, seed) = pathfinder_seed(&dfg, &arch);
         let other = spatio_temporal::build(3, 3);
-        assert!(!replays(&seed, &dfg, &other, "pathfinder", 7));
-        assert!(!replays(&seed, &dfg, &arch, "sa", 7));
-        assert!(!replays(&seed, &dfg, &arch, "pathfinder", 8));
+        assert!(!replays(&seed, &dfg, &other, "pathfinder", PF));
+        assert!(!replays(&seed, &dfg, &arch, "sa", PF));
+        assert!(!replays(&seed, &dfg, &arch, "pathfinder", PF + 1));
         let mut foreign_dfg = seed.clone();
         foreign_dfg.dfg ^= 1;
-        assert!(!replays(&foreign_dfg, &dfg, &arch, "pathfinder", 7));
+        assert!(!replays(&foreign_dfg, &dfg, &arch, "pathfinder", PF));
         // Validation also refuses to materialize the seed on the wrong
         // fabric (resource ids out of range or links missing).
         assert!(seed.replay(&dfg, &other).is_none());
@@ -737,10 +728,9 @@ mod tests {
         // files on disk, so the flag is still checked.
         let dfg = small_dfg();
         let arch = spatio_temporal::build(4, 4);
-        let mapping = PathFinderMapper::default().map(&dfg, &arch).unwrap();
-        let mut seed = PlacementSeed::capture(&dfg, &mapping, &arch, 7);
+        let (_, mut seed) = pathfinder_seed(&dfg, &arch);
         seed.canonical = false;
-        assert!(!replays(&seed, &dfg, &arch, "pathfinder", 7));
+        assert!(!replays(&seed, &dfg, &arch, "pathfinder", PF));
     }
 
     #[test]
@@ -801,10 +791,12 @@ mod tests {
         use crate::state::CapacityCert;
         let dfg = small_dfg();
         let arch = spatio_temporal::build(4, 4);
-        let mapping = PathFinderMapper::default().map(&dfg, &arch).unwrap();
+        let (_, bare) = pathfinder_seed(&dfg, &arch);
         let n = arch.resources().len();
         let cert = CapacityCert::new(n);
-        let seed = PlacementSeed::capture_with_cert(&dfg, &mapping, &arch, 1, Some(&cert));
+        let mut seed = bare.clone();
+        seed.cap_need = cert.need();
+        seed.cap_ceil = cert.ceil();
         let nocap = fabric_signature_nocap(&arch);
         // Same full signature always transfers.
         assert!(seed.transfers_to(fabric_signature(&arch), nocap, &vec![4; n]));
@@ -814,7 +806,6 @@ mod tests {
         // Wrong no-capacity signature never transfers.
         assert!(!seed.transfers_to(0, nocap ^ 1, &vec![1; n]));
         // A seed without a certificate only transfers on exact signature.
-        let bare = PlacementSeed::capture(&dfg, &mapping, &arch, 1);
         assert!(bare.transfers_to(fabric_signature(&arch), nocap, &vec![4; n]));
         assert!(!bare.transfers_to(0, nocap, &vec![4; n]));
     }
@@ -899,8 +890,7 @@ mod tests {
     fn seed_json_round_trip() {
         let dfg = small_dfg();
         let arch = spatio_temporal::build(4, 4);
-        let mapping = PathFinderMapper::default().map(&dfg, &arch).unwrap();
-        let seed = PlacementSeed::capture(&dfg, &mapping, &arch, 1);
+        let (_, seed) = pathfinder_seed(&dfg, &arch);
         let json = serde_json::to_string(&seed).unwrap();
         let back: PlacementSeed = serde_json::from_str(&json).unwrap();
         assert_eq!(back, seed);

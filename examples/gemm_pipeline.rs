@@ -4,7 +4,9 @@
 //!
 //! Run with `cargo run --example gemm_pipeline [kernel-name]`.
 
-use plaid::pipeline::{compile_workload, ArchChoice, MapperChoice};
+use plaid::pipeline::{
+    compile_workload, ArchChoice, MapperChoice, PreparedFabric, PreparedWorkload,
+};
 use plaid::report::render_table;
 use plaid_workloads::find_workload;
 
@@ -22,10 +24,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         (ArchChoice::Plaid2x2, MapperChoice::Plaid),
     ];
 
+    let prepared = PreparedWorkload::new(&workload)?;
     let mut rows = Vec::new();
     let mut baseline_cycles = None;
     for (arch, mapper) in configs {
-        let result = compile_workload(&workload, &arch.build(), mapper, None)?;
+        let fabric = PreparedFabric::new(arch.build());
+        let result = compile_workload(&prepared, &fabric, mapper, None)?;
         let cycles = result.metrics.cycles;
         let baseline = *baseline_cycles.get_or_insert(cycles);
         rows.push(vec![

@@ -2,7 +2,9 @@
 //!
 //! Run with `cargo run --example quickstart`.
 
-use plaid::pipeline::{compile_workload, ArchChoice, MapperChoice};
+use plaid::pipeline::{
+    compile_workload, ArchChoice, MapperChoice, PreparedFabric, PreparedWorkload,
+};
 use plaid_workloads::find_workload;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -15,8 +17,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         workload.iterations()
     );
 
-    let arch = ArchChoice::Plaid2x2.build();
-    let result = compile_workload(&workload, &arch, MapperChoice::Plaid, None)?;
+    let prepared = PreparedWorkload::new(&workload)?;
+    let fabric = PreparedFabric::new(ArchChoice::Plaid2x2.build());
+    let result = compile_workload(&prepared, &fabric, MapperChoice::Plaid, None)?;
 
     println!(
         "DFG: {} nodes ({} compute, {} memory), {} edges",

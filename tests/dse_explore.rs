@@ -1,7 +1,9 @@
 //! Cross-crate integration tests of the design-space exploration subsystem:
 //! Pareto-frontier invariants, cache behaviour and JSON round-tripping.
 
-use plaid::pipeline::{compile_workload, ArchChoice, CompileSummary, MapperChoice};
+use plaid::pipeline::{
+    compile_workload, ArchChoice, CompileSummary, MapperChoice, PreparedFabric, PreparedWorkload,
+};
 use plaid_arch::{ArchClass, BwClass, CommSpec, DesignPoint, SpaceSpec, Topology};
 use plaid_explore::{
     cache_key, run_sweep, run_sweep_with, EvalRecord, FrontierReport, Objectives, ResultCache,
@@ -163,9 +165,9 @@ fn sweep_outcome_round_trips_through_json() {
 
 #[test]
 fn compile_summary_round_trips_through_json() {
-    let w = find_workload("dwconv").unwrap();
-    let compiled =
-        compile_workload(&w, &ArchChoice::Plaid2x2.build(), MapperChoice::Plaid, None).unwrap();
+    let w = PreparedWorkload::new(&find_workload("dwconv").unwrap()).unwrap();
+    let fabric = PreparedFabric::new(ArchChoice::Plaid2x2.build());
+    let compiled = compile_workload(&w, &fabric, MapperChoice::Plaid, None).unwrap();
     let summary = compiled.summary();
     let json = serde_json::to_string(&summary).unwrap();
     let back: CompileSummary = serde_json::from_str(&json).unwrap();

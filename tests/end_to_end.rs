@@ -1,7 +1,9 @@
 //! Cross-crate integration tests: every registered workload flows through the
 //! full pipeline, and mappings are validated and functionally verified.
 
-use plaid::pipeline::{compile_workload, ArchChoice, MapperChoice, PipelineError};
+use plaid::pipeline::{
+    compile_workload, ArchChoice, MapperChoice, PipelineError, PreparedFabric, PreparedWorkload,
+};
 use plaid_dfg::interp::MemoryImage;
 use plaid_mapper::MapError;
 use plaid_sim::engine::execute_mapping;
@@ -12,6 +14,10 @@ fn workload(name: &str) -> Workload {
         .into_iter()
         .find(|w| w.name == name)
         .unwrap_or_else(|| panic!("workload {name} missing from registry"))
+}
+
+fn prepare(w: &Workload) -> PreparedWorkload {
+    PreparedWorkload::new(w).unwrap_or_else(|e| panic!("{}: {e}", w.name))
 }
 
 /// A deterministic, non-trivial initial memory image for `w`'s arrays.
@@ -39,18 +45,18 @@ fn representative_workloads_map_on_all_architectures() {
     // One workload per domain keeps the integration test fast while touching
     // every architecture and mapper combination used in the evaluation.
     for name in ["atax_u2", "conv2x2", "jacobi_u2"] {
-        let w = workload(name);
+        let w = prepare(&workload(name));
         for (arch, mapper) in [
             (ArchChoice::SpatioTemporal4x4, MapperChoice::Sa),
             (ArchChoice::Spatial4x4, MapperChoice::Spatial),
             (ArchChoice::Plaid2x2, MapperChoice::Plaid),
         ] {
-            let built = arch.build();
+            let built = PreparedFabric::new(arch.build());
             let compiled = compile_workload(&w, &built, mapper, None)
                 .unwrap_or_else(|e| panic!("{name} on {arch:?}: {e}"));
             assert!(compiled.metrics.cycles > 0);
             if let Some(mapping) = &compiled.mapping {
-                mapping.validate(&compiled.dfg, &built).unwrap();
+                mapping.validate(&compiled.dfg, built.arch()).unwrap();
             }
         }
     }
@@ -58,13 +64,13 @@ fn representative_workloads_map_on_all_architectures() {
 
 #[test]
 fn mapped_execution_matches_reference_semantics() {
-    let arch = ArchChoice::Plaid2x2.build();
+    let fabric = PreparedFabric::new(ArchChoice::Plaid2x2.build());
     for name in ["dwconv", "gesumm_u2", "fc"] {
         let w = workload(name);
-        let compiled = compile_workload(&w, &arch, MapperChoice::Plaid, None)
+        let compiled = compile_workload(&prepare(&w), &fabric, MapperChoice::Plaid, None)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         let mapping = compiled.mapping.as_ref().unwrap();
-        let report = execute_mapping(&compiled.dfg, &arch, mapping, &memory_for(&w))
+        let report = execute_mapping(&compiled.dfg, fabric.arch(), mapping, &memory_for(&w))
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         assert!(report.verified, "{name}: mapped execution diverged");
         assert_eq!(report.cycles, compiled.metrics.cycles);
@@ -79,16 +85,17 @@ fn every_plaid_mapping_of_the_suite_executes_correctly() {
     // that silently loses or gains a mapping fails here; the misses are
     // heuristic misses (SA and PathFinder map them), not infeasible points.
     for (choice, expected) in [(ArchChoice::Plaid2x2, 23), (ArchChoice::Plaid3x3, 21)] {
-        let arch = choice.build();
+        let fabric = PreparedFabric::new(choice.build());
         let mut mapped = 0;
         for w in table2_workloads() {
-            let compiled = match compile_workload(&w, &arch, MapperChoice::Plaid, None) {
+            let compiled = match compile_workload(&prepare(&w), &fabric, MapperChoice::Plaid, None)
+            {
                 Ok(compiled) => compiled,
                 Err(PipelineError::Mapping(MapError::NoValidMapping { .. })) => continue,
                 Err(e) => panic!("{} on {choice:?}: {e}", w.name),
             };
             let mapping = compiled.mapping.as_ref().unwrap();
-            let report = execute_mapping(&compiled.dfg, &arch, mapping, &memory_for(&w))
+            let report = execute_mapping(&compiled.dfg, fabric.arch(), mapping, &memory_for(&w))
                 .unwrap_or_else(|e| panic!("{} on {choice:?}: {e}", w.name));
             assert!(
                 report.verified,
@@ -109,9 +116,9 @@ fn plaid_mapper_is_competitive_with_generic_mappers_on_plaid() {
     // search procedures. Here we only require that the motif-aware mapper
     // stays within a factor of two of the SA baseline on a couple of kernels;
     // the suite-level comparison lives in the fig18_mappers bench.
-    let arch = ArchChoice::Plaid2x2.build();
+    let arch = PreparedFabric::new(ArchChoice::Plaid2x2.build());
     for name in ["gemm_u2", "bicg_u2"] {
-        let w = workload(name);
+        let w = prepare(&workload(name));
         let plaid = compile_workload(&w, &arch, MapperChoice::Plaid, None).unwrap();
         if let Ok(sa) = compile_workload(&w, &arch, MapperChoice::Sa, None) {
             assert!(
@@ -126,9 +133,9 @@ fn plaid_mapper_is_competitive_with_generic_mappers_on_plaid() {
 
 #[test]
 fn spatial_partitioning_pays_for_large_unrolled_kernels() {
-    let small = workload("atax_u2");
-    let large = workload("atax_u4");
-    let arch = ArchChoice::Spatial4x4.build();
+    let small = prepare(&workload("atax_u2"));
+    let large = prepare(&workload("atax_u4"));
+    let arch = PreparedFabric::new(ArchChoice::Spatial4x4.build());
     let small_sp = compile_workload(&small, &arch, MapperChoice::Spatial, None).unwrap();
     let large_sp = compile_workload(&large, &arch, MapperChoice::Spatial, None).unwrap();
     let small_parts = small_sp.spatial.as_ref().unwrap().partition_count();

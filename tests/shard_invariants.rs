@@ -1,12 +1,14 @@
-//! Property tests for the sweep-sharding layer: `partition_plan` is a true
-//! partition (disjoint, covering, stable under point permutation) and
+//! Property tests for the sweep-sharding layer: the shard plans of an
+//! `N`-way split (`shard_plan` for every index, membership by
+//! `ShardSpec::contains`) are a true partition (disjoint, covering, stable
+//! under point permutation) and
 //! `ResultCache::union_merge` of arbitrarily split caches reconstructs the
 //! unsplit cache — including colliding-key buckets, where two records of
 //! different identity share one 64-bit key (the PR 2 bucket format).
 
 use plaid_arch::{ArchClass, CommSpec, SpaceSpec};
 use plaid_explore::{
-    cache_key, partition_plan, shard_of, EvalRecord, ResultCache, SweepPlan, SweepPoint,
+    cache_key, shard_plan, EvalRecord, ResultCache, ShardSpec, SweepPlan, SweepPoint,
 };
 use plaid_workloads::find_workload;
 use proptest::prelude::*;
@@ -43,6 +45,13 @@ fn shuffle<T>(items: &mut [T], mut seed: u64) {
     }
 }
 
+/// The `count` shard plans of `plan`, by index.
+fn split_plan(plan: &SweepPlan, count: u32) -> Vec<SweepPlan> {
+    (0..count)
+        .map(|index| shard_plan(plan, ShardSpec { index, count }))
+        .collect()
+}
+
 /// Selects a subset of the pool from a bitmask seed (always non-empty).
 fn subset(pool: &[SweepPoint], mask: u64) -> Vec<SweepPoint> {
     let picked: Vec<SweepPoint> = pool
@@ -70,15 +79,16 @@ proptest! {
         let pool = point_pool();
         let points = subset(&pool, mask);
         let plan = SweepPlan { points: points.clone() };
-        let shards = partition_plan(&plan, count);
+        let shards = split_plan(&plan, count);
 
         // Disjoint and covering: every point appears in exactly one shard,
-        // and in the shard its content hash names.
-        prop_assert_eq!(shards.len(), count as usize);
+        // and only that shard's spec contains it.
         let mut seen = std::collections::HashMap::new();
-        for (i, shard) in shards.iter().enumerate() {
+        for (i, shard) in (0..count).zip(&shards) {
             for point in &shard.points {
-                prop_assert_eq!(shard_of(point, count) as usize, i);
+                for index in 0..count {
+                    prop_assert_eq!(ShardSpec { index, count }.contains(point), index == i);
+                }
                 prop_assert!(
                     seen.insert(cache_key(point), i).is_none(),
                     "point assigned to two shards"
@@ -91,7 +101,7 @@ proptest! {
         // order, never membership.
         let mut permuted_points = points;
         shuffle(&mut permuted_points, perm_seed);
-        let permuted = partition_plan(&SweepPlan { points: permuted_points }, count);
+        let permuted = split_plan(&SweepPlan { points: permuted_points }, count);
         for (a, b) in shards.iter().zip(permuted.iter()) {
             let mut ka: Vec<String> = a.points.iter().map(cache_key).collect();
             let mut kb: Vec<String> = b.points.iter().map(cache_key).collect();
