@@ -192,11 +192,6 @@ impl Architecture {
         self.out_links(id).any(|l| l.to == id && l.latency == 1)
     }
 
-    /// Total number of switch resources (routers, holds, bypasses).
-    pub fn switch_count(&self) -> usize {
-        self.resources.len() - self.functional_units().count()
-    }
-
     /// Checks internal consistency: link endpoints exist, no link joins two
     /// functional units (values travel between units through switches only,
     /// which the router's first-hop and reachability tables rely on), every
@@ -571,7 +566,6 @@ mod tests {
         let arch = tiny_arch();
         assert_eq!(arch.resources().len(), 4);
         assert_eq!(arch.functional_units().count(), 2);
-        assert_eq!(arch.switch_count(), 2);
         assert_eq!(arch.clusters().len(), 2);
     }
 

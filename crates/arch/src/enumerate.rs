@@ -85,18 +85,22 @@ impl DesignPoint {
 
     /// Whether the point is structurally meaningful: non-zero array and
     /// configuration depth, a valid comm spec, and — for express
-    /// topologies — a stride that actually fits the array. An express link
-    /// spanning past both dimensions would build a plain mesh while still
-    /// paying the express select-bit overhead, so such degenerate points
-    /// are rejected rather than mispriced. (A torus on a 2-wide array also
-    /// degenerates to the mesh, but at *zero* extra cost — its wraparound
-    /// deduplicates and it carries no bit overhead — so it stays valid.)
+    /// topologies — a stride that adds a link the torus lacks. Along a
+    /// dimension of size `d`, stride `s` links `x` to `x + s` wherever
+    /// `x + s < d`, and that link is a torus wraparound only for `x = 0`,
+    /// `s = d − 1`; so a stride adds a new link exactly when
+    /// `stride + 1 < rows.max(cols)`. A longer stride would build the mesh
+    /// or the torus while still paying the express select-bit overhead, so
+    /// such degenerate points are rejected rather than mispriced. (A torus
+    /// on a 2-wide array also degenerates to the mesh, but at *zero* extra
+    /// cost — its wraparound deduplicates and it carries no bit overhead —
+    /// so it stays valid.)
     pub fn is_valid(&self) -> bool {
         if self.rows == 0 || self.cols == 0 || self.config_entries == 0 || !self.comm.is_valid() {
             return false;
         }
         match self.comm.topology {
-            crate::comm::Topology::Express { stride } => stride < self.rows.max(self.cols),
+            crate::comm::Topology::Express { stride } => stride + 1 < self.rows.max(self.cols),
             _ => true,
         }
     }
@@ -320,7 +324,7 @@ mod tests {
         assert_eq!(points[0].rows, 2);
         assert_eq!(points[0].config_entries, 16);
         assert_eq!(points[0].comm, CommSpec::ALIGNED);
-        // The same stride fits a wider array.
+        // The same stride adds links the torus lacks on a 4-wide array.
         let wide = DesignPoint {
             class: ArchClass::Plaid,
             rows: 2,

@@ -143,19 +143,9 @@ impl ArchParams {
         self.tile_count() * self.config.total_bits()
     }
 
-    /// Total configuration memory capacity of the fabric in bits.
-    pub fn config_memory_bits(&self) -> u64 {
-        u64::from(self.fabric_config_bits()) * u64::from(self.config_entries)
-    }
-
     /// Maximum initiation interval supported by the configuration memory.
     pub fn max_ii(&self) -> u32 {
         self.config_entries
-    }
-
-    /// Total scratch-pad capacity in KiB.
-    pub fn spm_total_kib(&self) -> u32 {
-        self.spm_banks * self.spm_bank_kib
     }
 }
 
@@ -197,15 +187,5 @@ mod tests {
         let plaid = ArchParams::plaid(2, 2);
         assert!(plaid.fabric_config_bits() < st.fabric_config_bits());
         assert_eq!(st.max_ii(), 16);
-        assert_eq!(plaid.spm_total_kib(), 16);
-    }
-
-    #[test]
-    fn config_memory_scales_with_entries() {
-        let p = ArchParams::plaid(2, 2);
-        assert_eq!(
-            p.config_memory_bits(),
-            u64::from(p.fabric_config_bits()) * 16
-        );
     }
 }

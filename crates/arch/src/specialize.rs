@@ -9,7 +9,7 @@
 //!   two fan-in PCUs, one unicast PCU and one fan-out PCU for the 2×2 array,
 //!   exactly as described in Section 7.3.
 
-use crate::architecture::{ArchClass, Architecture};
+use crate::architecture::Architecture;
 use crate::params::{ConfigBudget, Domain, HardwiredPattern};
 use crate::plaid::{build_specialized, SpecializationPlan};
 use crate::spatio_temporal;
@@ -80,17 +80,6 @@ fn rebuild_with_params(
     crate::architecture::rebuild_provisioned(&arch, name, params, |c| c)
 }
 
-/// Convenience: returns the class label of a specialized variant for reports.
-pub fn variant_label(arch: &Architecture) -> String {
-    match (arch.class(), arch.params().domain) {
-        (ArchClass::SpatioTemporal, Some(Domain::MachineLearning)) => "ST-ML".to_string(),
-        (ArchClass::SpatioTemporal, None) => "ST".to_string(),
-        (ArchClass::Spatial, _) => "Spatial".to_string(),
-        (ArchClass::Plaid, Some(Domain::MachineLearning)) => "Plaid-ML".to_string(),
-        (ArchClass::Plaid, None) => "Plaid".to_string(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,8 +94,6 @@ mod tests {
             st.functional_units().count()
         );
         assert_eq!(st_ml.params().domain, Some(Domain::MachineLearning));
-        assert_eq!(variant_label(&st_ml), "ST-ML");
-        assert_eq!(variant_label(&st), "ST");
     }
 
     #[test]
@@ -135,7 +122,6 @@ mod tests {
                 .count(),
             1
         );
-        assert_eq!(variant_label(&arch), "Plaid-ML");
     }
 
     #[test]

@@ -19,7 +19,7 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use plaid::experiments::{self, ExperimentScope};
+use plaid::experiments;
 use plaid::pipeline::WorkCounts;
 use plaid_arch::SpaceSpec;
 use plaid_explore::{run_sweep_with, ResultCache, SeedPolicy, SweepPlan};
@@ -29,18 +29,17 @@ use plaid_workloads::table2_workloads;
 /// followed by its coverage line and, where the paper states one, its
 /// target.
 pub fn figures() -> String {
-    let scope = ExperimentScope::FULL;
-    let comparison = experiments::architecture_comparison(scope);
+    let comparison = experiments::architecture_comparison();
     let sections = [
         experiments::power_breakdown(),
-        experiments::table2_characteristics(scope).1,
+        experiments::table2_characteristics().1,
         comparison.render_performance(),
         experiments::area_breakdown(),
         comparison.render_energy(),
         comparison.render_perf_per_area(),
         experiments::dnn_comparison().1,
-        experiments::scalability(scope).2,
-        experiments::mapper_comparison(scope).2,
+        experiments::scalability().2,
+        experiments::mapper_comparison().2,
         experiments::domain_specialization().1,
         experiments::headline_summary(&comparison),
     ];

@@ -17,34 +17,6 @@ use crate::pipeline::{
 };
 use crate::report::{geomean, ratio, render_table};
 
-/// Selects how many of the 30 workloads an experiment runs over (useful to
-/// keep unit tests fast while `plaid-bench figures` runs everything).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExperimentScope {
-    /// Number of workloads, in registry order; `None` keeps all.
-    pub workload_limit: Option<usize>,
-}
-
-impl ExperimentScope {
-    /// Full evaluation (all 30 workloads).
-    pub const FULL: ExperimentScope = ExperimentScope {
-        workload_limit: None,
-    };
-
-    /// Reduced evaluation used by unit tests.
-    pub const SMOKE: ExperimentScope = ExperimentScope {
-        workload_limit: Some(4),
-    };
-
-    fn workloads(&self) -> Vec<Workload> {
-        let mut all = table2_workloads();
-        if let Some(limit) = self.workload_limit {
-            all.truncate(limit);
-        }
-        all
-    }
-}
-
 /// Why an experiment left a workload out of its table (or one row's sum).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DropReason {
@@ -344,11 +316,11 @@ impl ComparisonResult {
 }
 
 /// Runs the three-way architecture comparison (Figures 12, 14, 15).
-pub fn architecture_comparison(scope: ExperimentScope) -> ComparisonResult {
+pub fn architecture_comparison() -> ComparisonResult {
     let st_arch = PreparedFabric::new(ArchChoice::SpatioTemporal4x4.build());
     let spatial_arch = PreparedFabric::new(ArchChoice::Spatial4x4.build());
     let plaid_arch = PreparedFabric::new(ArchChoice::Plaid2x2.build());
-    let workloads = scope.workloads();
+    let workloads = table2_workloads();
     let mut rows = Vec::new();
     let mut coverage = Coverage::over(workloads.len());
     for workload in &workloads {
@@ -450,8 +422,8 @@ pub fn area_breakdown() -> String {
 
 /// Table 2: workload characteristics (nodes, compute nodes, motif-covered
 /// nodes).
-pub fn table2_characteristics(scope: ExperimentScope) -> (Coverage, String) {
-    let workloads = scope.workloads();
+pub fn table2_characteristics() -> (Coverage, String) {
+    let workloads = table2_workloads();
     let mut rows = Vec::new();
     let mut coverage = Coverage::over(workloads.len());
     for workload in &workloads {
@@ -492,9 +464,9 @@ pub struct MapperRow {
 /// Figure 18: mapper comparison on the Plaid architecture. A workload is
 /// dropped only when the Plaid mapper fails; the generic mappers' failures
 /// are charged a bound instead.
-pub fn mapper_comparison(scope: ExperimentScope) -> (Vec<MapperRow>, Coverage, String) {
+pub fn mapper_comparison() -> (Vec<MapperRow>, Coverage, String) {
     let fabric = PreparedFabric::new(ArchChoice::Plaid2x2.build());
-    let workloads = scope.workloads();
+    let workloads = table2_workloads();
     let mut rows = Vec::new();
     let mut coverage = Coverage::over(workloads.len());
     for workload in &workloads {
@@ -570,10 +542,10 @@ pub struct ScalabilityRow {
 /// As in the paper, workloads whose performance is limited by inter-iteration
 /// dependencies (RecMII ≥ ResMII on the 2×2 array) are excluded, because a
 /// larger array cannot help them.
-pub fn scalability(scope: ExperimentScope) -> (Vec<ScalabilityRow>, Coverage, String) {
+pub fn scalability() -> (Vec<ScalabilityRow>, Coverage, String) {
     let small_arch = PreparedFabric::new(ArchChoice::Plaid2x2.build());
     let large_arch = PreparedFabric::new(ArchChoice::Plaid3x3.build());
-    let workloads = scope.workloads();
+    let workloads = table2_workloads();
     let mut rows = Vec::new();
     let mut coverage = Coverage::over(workloads.len());
     for workload in &workloads {
@@ -887,17 +859,17 @@ mod tests {
     }
 
     #[test]
-    fn table2_renders_rows_for_the_scope() {
-        let (coverage, t) = table2_characteristics(ExperimentScope::SMOKE);
+    fn table2_renders_a_row_per_workload() {
+        let (coverage, t) = table2_characteristics();
         assert!(t.contains("atax_u2"));
         assert!(t.contains("covered"));
         assert!(coverage.dropped.is_empty());
-        assert!(t.contains("coverage: 4/4 workloads"));
+        assert!(t.contains("coverage: 30/30 workloads"));
     }
 
     #[test]
     fn architecture_comparison_preserves_the_papers_shape() {
-        let result = architecture_comparison(ExperimentScope::SMOKE);
+        let result = architecture_comparison();
         assert!(!result.rows.is_empty());
         // Plaid tracks the spatio-temporal baseline closely...
         let plaid_vs_st = result.plaid_vs_st_cycles();
@@ -912,17 +884,14 @@ mod tests {
 
     #[test]
     fn architecture_comparison_names_every_dropped_workload() {
-        let scope = ExperimentScope {
-            workload_limit: Some(5),
-        };
-        let result = architecture_comparison(scope);
+        let result = architecture_comparison();
         let mut covered: Vec<&str> = result.rows.iter().map(|r| r.kernel.as_str()).collect();
         covered.extend(result.coverage.dropped.iter().map(|d| d.workload.as_str()));
         covered.sort_unstable();
-        let mut expected: Vec<String> = scope.workloads().into_iter().map(|w| w.name).collect();
+        let mut expected: Vec<String> = table2_workloads().into_iter().map(|w| w.name).collect();
         expected.sort_unstable();
         assert_eq!(covered, expected);
-        assert_eq!(result.coverage.total, 5);
+        assert_eq!(result.coverage.total, 30);
         // The Plaid mapper fails on gemver_u2, so the comparison drops it
         // and says which compile failed.
         let gemver = result
@@ -936,15 +905,13 @@ mod tests {
             DropReason::Compile(vec![(ArchChoice::Plaid2x2, MapperChoice::Plaid)])
         );
         let text = result.render_performance();
-        assert!(text.contains(&format!("coverage: {}/5 workloads", result.rows.len())));
+        assert!(text.contains(&format!("coverage: {}/30 workloads", result.rows.len())));
         assert!(text.contains("gemver_u2 (Plaid 2x2 / Plaid mapper)"));
     }
 
     #[test]
-    fn mapper_comparison_runs_on_a_subset() {
-        let (rows, _, text) = mapper_comparison(ExperimentScope {
-            workload_limit: Some(2),
-        });
+    fn mapper_comparison_reports_every_mapper() {
+        let (rows, _, text) = mapper_comparison();
         assert!(!rows.is_empty());
         assert!(text.contains("Figure 18"));
         for r in &rows {

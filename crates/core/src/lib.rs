@@ -35,6 +35,6 @@ pub mod pipeline;
 pub mod report;
 
 pub use pipeline::{
-    compile_workload, default_mapper_for, ArchChoice, CompileSummary, CompiledWorkload,
-    MapperChoice, PipelineError, PreparedWorkload,
+    compile_workload, ArchChoice, CompileSummary, CompiledWorkload, MapperChoice, PipelineError,
+    PreparedWorkload,
 };

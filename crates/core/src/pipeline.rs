@@ -39,8 +39,6 @@ use plaid_workloads::Workload;
 pub enum ArchChoice {
     /// 4×4 high-performance spatio-temporal CGRA.
     SpatioTemporal4x4,
-    /// 6×6 spatio-temporal CGRA (used in the scalability study).
-    SpatioTemporal6x6,
     /// 4×4 energy-minimal spatial CGRA.
     Spatial4x4,
     /// 2×2 Plaid PCU array (16 functional units).
@@ -58,7 +56,6 @@ impl ArchChoice {
     pub fn build(self) -> Architecture {
         match self {
             ArchChoice::SpatioTemporal4x4 => spatio_temporal::build(4, 4),
-            ArchChoice::SpatioTemporal6x6 => spatio_temporal::build(6, 6),
             ArchChoice::Spatial4x4 => spatial::build(4, 4),
             ArchChoice::Plaid2x2 => plaid::build(2, 2),
             ArchChoice::Plaid3x3 => plaid::build(3, 3),
@@ -71,7 +68,6 @@ impl ArchChoice {
     pub fn label(self) -> &'static str {
         match self {
             ArchChoice::SpatioTemporal4x4 => "Spatio-temporal",
-            ArchChoice::SpatioTemporal6x6 => "Spatio-temporal 6x6",
             ArchChoice::Spatial4x4 => "Spatial",
             ArchChoice::Plaid2x2 => "Plaid 2x2",
             ArchChoice::Plaid3x3 => "Plaid 3x3",
@@ -359,17 +355,6 @@ pub fn compile_workload(
     })
 }
 
-/// Default mapper used for an architecture in the paper's main comparison:
-/// the Plaid mapper on Plaid fabrics, the better of the two generic mappers
-/// on the spatio-temporal baseline, and the partitioner on spatial fabrics.
-pub fn default_mapper_for(arch_choice: ArchChoice) -> MapperChoice {
-    match arch_choice {
-        ArchChoice::Plaid2x2 | ArchChoice::Plaid3x3 | ArchChoice::PlaidMl => MapperChoice::Plaid,
-        ArchChoice::Spatial4x4 => MapperChoice::Spatial,
-        _ => MapperChoice::Sa,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -423,22 +408,6 @@ mod tests {
         assert!(ratio <= 1.5, "plaid/st cycle ratio {ratio}");
         // And Plaid consumes less power for the same work.
         assert!(pl.metrics.power_uw < st.metrics.power_uw);
-    }
-
-    #[test]
-    fn default_mappers_match_architectures() {
-        assert_eq!(
-            default_mapper_for(ArchChoice::Plaid2x2),
-            MapperChoice::Plaid
-        );
-        assert_eq!(
-            default_mapper_for(ArchChoice::Spatial4x4),
-            MapperChoice::Spatial
-        );
-        assert_eq!(
-            default_mapper_for(ArchChoice::SpatioTemporal4x4),
-            MapperChoice::Sa
-        );
     }
 
     #[test]

@@ -226,12 +226,6 @@ impl Dfg {
         &self.name
     }
 
-    /// Renames the DFG (used when deriving unrolled variants).
-    pub fn set_name(&mut self, name: impl Into<String>) {
-        self.fingerprint.take();
-        self.name = name.into();
-    }
-
     /// Iteration space (outermost loop first) of the originating loop nest.
     pub fn iteration_space(&self) -> &[IterationDim] {
         &self.iteration_space
@@ -434,11 +428,6 @@ impl Dfg {
         &self.nodes[id.0 as usize]
     }
 
-    /// Returns the node with the given id, or `None` if out of range.
-    pub fn try_node(&self, id: NodeId) -> Option<&DfgNode> {
-        self.nodes.get(id.0 as usize)
-    }
-
     /// Returns the edge with the given id.
     pub fn edge(&self, id: EdgeId) -> &DfgEdge {
         &self.edges[id.0 as usize]
@@ -538,34 +527,6 @@ impl Dfg {
         } else {
             Err(DfgError::DataCycle)
         }
-    }
-
-    /// As-soon-as-possible level of every node (unit latency per node),
-    /// computed over same-iteration edges only.
-    pub fn asap_levels(&self) -> Result<HashMap<NodeId, u32>, DfgError> {
-        let order = self.topological_order()?;
-        let mut level: HashMap<NodeId, u32> = HashMap::new();
-        for id in order {
-            let l = self
-                .in_edges(id)
-                .filter(|e| !e.kind.is_recurrence())
-                .map(|e| level.get(&e.src).copied().unwrap_or(0) + 1)
-                .max()
-                .unwrap_or(0);
-            level.insert(id, l);
-        }
-        Ok(level)
-    }
-
-    /// Length (in nodes) of the longest same-iteration dependency chain.
-    pub fn critical_path_length(&self) -> Result<u32, DfgError> {
-        Ok(self
-            .asap_levels()?
-            .values()
-            .copied()
-            .max()
-            .map(|l| l + 1)
-            .unwrap_or(0))
     }
 
     /// Checks structural invariants of the graph.
@@ -725,8 +686,7 @@ mod tests {
     fn every_mutator_clears_the_fingerprint_memo() {
         let (mut dfg, a, b, ..) = diamond();
         let sink = dfg.add_compute_node("sink", Op::Add);
-        let mutators: [&dyn Fn(&mut Dfg); 8] = [
-            &|g| g.set_name("renamed"),
+        let mutators: [&dyn Fn(&mut Dfg); 7] = [
             &|g| {
                 g.set_iteration_space(vec![IterationDim {
                     name: "i".into(),
@@ -852,21 +812,6 @@ mod tests {
             .unwrap();
         assert!(dfg.validate_structure().is_ok());
         assert_eq!(dfg.recurrence_edges().count(), 1);
-    }
-
-    #[test]
-    fn critical_path_of_diamond_is_three() {
-        let (dfg, ..) = diamond();
-        // load -> a -> b/c -> d  gives 4 levels.
-        assert_eq!(dfg.critical_path_length().unwrap(), 4);
-    }
-
-    #[test]
-    fn asap_levels_start_at_zero() {
-        let (dfg, a, ..) = diamond();
-        let levels = dfg.asap_levels().unwrap();
-        assert_eq!(levels[&a], 1); // fed by the load at level 0
-        assert_eq!(levels.values().copied().min().unwrap(), 0);
     }
 
     #[test]

@@ -55,13 +55,6 @@ impl MemoryImage {
         self.arrays.get(name).map(|v| v.as_slice())
     }
 
-    /// Names of all allocated arrays, sorted for deterministic iteration.
-    pub fn array_names(&self) -> Vec<&str> {
-        let mut names: Vec<&str> = self.arrays.keys().map(|s| s.as_str()).collect();
-        names.sort_unstable();
-        names
-    }
-
     fn wrap_index(len: usize, index: i64) -> usize {
         let len = len as i64;
         (((index % len) + len) % len) as usize

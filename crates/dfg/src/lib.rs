@@ -14,7 +14,6 @@
 //! * [`lower`] — DFG generation from the kernel IR, including loop unrolling.
 //! * [`interp`] — reference interpreters for both the kernel IR and the DFG,
 //!   used to functionally verify mappings produced further up the stack.
-//! * [`dot`] — Graphviz export for debugging and documentation.
 //! * [`fnv`] — the stable content hash behind [`Dfg::fingerprint`].
 //!
 //! # Example
@@ -44,7 +43,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod dot;
 pub mod error;
 pub mod fnv;
 pub mod graph;

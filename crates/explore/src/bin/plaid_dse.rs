@@ -222,13 +222,14 @@ fn parse_args(args: Vec<String>) -> Result<Option<Options>, String> {
     if let Some(dims) = dims {
         grid.dims = dims;
     }
-    // A grid whose every point is invalid (say, an express stride that no
-    // array of the grid fits) would sweep nothing and write an empty
-    // frontier. An empty shard of a non-empty plan is still a valid run.
+    // A grid whose every point is invalid (say, an express stride that adds
+    // no link the torus lacks on any array of the grid) would sweep nothing
+    // and write an empty frontier. An empty shard of a non-empty plan is
+    // still a valid run.
     if grid.enumerate().is_empty() {
         return Err(format!(
             "`{}` selects no valid architecture point (an express stride \
-             must be below the larger array dimension)",
+             plus one must be below the larger array dimension)",
             space_flags.join(" ")
         ));
     }

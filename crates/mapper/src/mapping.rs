@@ -85,15 +85,6 @@ impl Mapping {
         (iterations - 1) * u64::from(self.ii) + u64::from(self.schedule_length())
     }
 
-    /// Fraction of functional-unit issue slots used, in `[0, 1]`.
-    pub fn fu_utilization(&self, arch: &Architecture) -> f64 {
-        let fu_count = arch.functional_units().count() as f64;
-        if fu_count == 0.0 || self.ii == 0 {
-            return 0.0;
-        }
-        self.placements.len() as f64 / (fu_count * f64::from(self.ii))
-    }
-
     /// Total number of switch hops across all routes (a proxy for routing
     /// energy / wire activity).
     pub fn total_route_hops(&self) -> usize {

@@ -21,10 +21,6 @@ impl MotifKind {
     /// Number of DFG nodes in a motif of any kind.
     pub const NODE_COUNT: usize = 3;
 
-    /// Number of internal edges of a motif of any kind, routed collectively
-    /// by the local router.
-    pub const INTERNAL_EDGE_COUNT: usize = 2;
-
     /// Short label used in reports.
     pub fn label(self) -> &'static str {
         match self {
@@ -137,7 +133,7 @@ mod tests {
         assert_eq!(MotifKind::THREE_NODE.len(), 3);
         for kind in MotifKind::THREE_NODE {
             let motif = Motif::new(kind, vec![NodeId(0), NodeId(1), NodeId(2)]);
-            assert_eq!(motif.internal_edges().len(), MotifKind::INTERNAL_EDGE_COUNT);
+            assert_eq!(motif.internal_edges().len(), 2);
         }
         assert_eq!(MotifKind::FanOut.label(), "fan-out");
     }

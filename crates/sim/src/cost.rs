@@ -179,8 +179,6 @@ pub struct CostModel {
     /// Area per tile-unit of NoC wire length beyond the mesh baseline (wire
     /// track plus repeater; see [`CostModel::noc_wire_power_per_unit`]).
     pub noc_wire_area_per_unit: f64,
-    /// Scratch-pad area per KiB.
-    pub spm_area_per_kib: f64,
     /// Factor applied to compute datapaths of ML-pruned variants.
     pub ml_compute_scale: f64,
     /// Factor applied to hardwired local routers (Plaid-ML).
@@ -212,7 +210,6 @@ impl Default for CostModel {
             config_bit_area: 0.95,
             misc_tile_area: 410.0,
             noc_wire_area_per_unit: 85.0,
-            spm_area_per_kib: 1_875.0,
             ml_compute_scale: 0.78,
             hardwired_router_scale: 0.35,
         }
@@ -354,11 +351,6 @@ impl CostModel {
         a
     }
 
-    /// Scratch-pad memory area in µm².
-    pub fn spm_area(&self, arch: &Architecture) -> f64 {
-        f64::from(arch.params().spm_total_kib()) * self.spm_area_per_kib
-    }
-
     /// Energy in nJ to execute `cycles` cycles on `arch` at [`CLOCK_HZ`].
     pub fn energy_nj(&self, arch: &Architecture, cycles: u64) -> f64 {
         let power_uw = self.fabric_power(arch).total();
@@ -431,8 +423,6 @@ mod tests {
         let a = model().fabric_area(&pl).total();
         // Section 7: the 2x2 prototype's fabric occupies 33,366 µm².
         assert_near(a / 33_366.0, 1.0, 0.2, "plaid fabric area vs prototype");
-        let spm = model().spm_area(&pl);
-        assert_near(spm / 30_000.0, 1.0, 0.2, "scratch-pad area vs prototype");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use plaid_arch::Architecture;
 use serde::{Deserialize, Serialize};
 
-use crate::cost::{CostModel, CLOCK_HZ};
+use crate::cost::CostModel;
 
 /// Evaluation record for one (kernel, architecture) pair.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -50,33 +50,12 @@ impl EvalMetrics {
         }
     }
 
-    /// Execution time in microseconds at the modelled clock.
-    pub fn runtime_us(&self) -> f64 {
-        self.cycles as f64 / CLOCK_HZ * 1.0e6
-    }
-
     /// Performance (1/cycles) per unit area, scaled for readability.
     pub fn perf_per_area(&self) -> f64 {
         if self.cycles == 0 || self.area_um2 == 0.0 {
             return 0.0;
         }
         1.0e9 / (self.cycles as f64 * self.area_um2)
-    }
-
-    /// Ratio of this record's cycles to a baseline's (>1 means slower).
-    pub fn normalized_cycles(&self, baseline: &EvalMetrics) -> f64 {
-        self.cycles as f64 / baseline.cycles as f64
-    }
-
-    /// Ratio of this record's energy to a baseline's (<1 means more
-    /// efficient).
-    pub fn normalized_energy(&self, baseline: &EvalMetrics) -> f64 {
-        self.energy_nj / baseline.energy_nj
-    }
-
-    /// Ratio of this record's performance-per-area to a baseline's.
-    pub fn normalized_perf_per_area(&self, baseline: &EvalMetrics) -> f64 {
-        self.perf_per_area() / baseline.perf_per_area()
     }
 }
 
@@ -95,10 +74,6 @@ mod tests {
         assert!(a.power_uw > b.power_uw);
         assert!(a.energy_nj > b.energy_nj);
         assert!(b.perf_per_area() > a.perf_per_area());
-        assert!(a.runtime_us() > 0.0);
-        assert!((b.normalized_cycles(&a) - 1.0).abs() < 1e-12);
-        assert!(b.normalized_energy(&a) < 1.0);
-        assert!(b.normalized_perf_per_area(&a) > 1.0);
     }
 
     #[test]

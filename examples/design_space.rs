@@ -6,7 +6,7 @@
 //!
 //! Run with `cargo run --example design_space`.
 
-use plaid::experiments::{scalability, ExperimentScope};
+use plaid::experiments::scalability;
 use plaid::pipeline::ArchChoice;
 use plaid::report::render_table;
 use plaid_sim::cost::CostModel;
@@ -56,8 +56,6 @@ fn main() {
         )
     );
 
-    let (_, _, text) = scalability(ExperimentScope {
-        workload_limit: Some(6),
-    });
+    let (_, _, text) = scalability();
     println!("{text}");
 }

@@ -13,7 +13,10 @@
 //! Run with `PLAID_PIN_PRINT=1` to print the current table instead of
 //! asserting (the capture mode used to generate it).
 
-use plaid_arch::{ArchClass, ArchParams, BwClass, CommSpec, DesignPoint, Topology};
+use plaid_arch::{
+    plaid, rebuild_with_comm, spatial, spatio_temporal, ArchClass, ArchParams, Architecture,
+    BwClass, CommSpec, DesignPoint, Topology,
+};
 use plaid_mapper::fabric_signature;
 
 const TOPOLOGIES: [Topology; 4] = [
@@ -33,7 +36,7 @@ fn specs() -> Vec<CommSpec> {
 }
 
 /// The fabric signature of a 16-deep point, or `-` for a point the spec
-/// makes invalid (an express stride that does not fit the array).
+/// makes invalid (an express stride that adds no link the torus lacks).
 fn signature(class: ArchClass, rows: u32, cols: u32, comm: CommSpec) -> String {
     let point = DesignPoint {
         class,
@@ -91,14 +94,14 @@ torus-hh {"global_bw":"half","local_bw":"half","select":"proportional","topology
 torus {"global_bw":"base","local_bw":"base","select":"proportional","topology":"torus"} 60 29 8b67bd4ef1c09536 2116a81e842659a8
 torus-rr {"global_bw":"boost","local_bw":"boost","select":"proportional","topology":"torus"} 90 44 1f71869324cf7e7e b6c60f8e324835a8
 torus-dd {"global_bw":"double","local_bw":"double","select":"proportional","topology":"torus"} 120 58 e0fb61babbb236e7 0c8e1b752e1275a8
-xp2-hh {"global_bw":"half","local_bw":"half","select":"proportional","topology":"xp2"} 34 18 3756a16744bf5c3e 1cd218d4cbb8cba8
-xp2 {"global_bw":"base","local_bw":"base","select":"proportional","topology":"xp2"} 64 33 8b67bd4ef1c09536 c3c689d1c16e17a8
-xp2-rr {"global_bw":"boost","local_bw":"boost","select":"proportional","topology":"xp2"} 94 48 1f71869324cf7e7e d6002b5b5cb7f3a8
-xp2-dd {"global_bw":"double","local_bw":"double","select":"proportional","topology":"xp2"} 124 62 e0fb61babbb236e7 75dd2342f60233a8
-xp3-hh {"global_bw":"half","local_bw":"half","select":"proportional","topology":"xp3"} 34 18 - 946c8c70c8390da8
-xp3 {"global_bw":"base","local_bw":"base","select":"proportional","topology":"xp3"} 64 33 - 2116a81e842659a8
-xp3-rr {"global_bw":"boost","local_bw":"boost","select":"proportional","topology":"xp3"} 94 48 - b6c60f8e324835a8
-xp3-dd {"global_bw":"double","local_bw":"double","select":"proportional","topology":"xp3"} 124 62 - 0c8e1b752e1275a8
+xp2-hh {"global_bw":"half","local_bw":"half","select":"proportional","topology":"xp2"} 34 18 - 1cd218d4cbb8cba8
+xp2 {"global_bw":"base","local_bw":"base","select":"proportional","topology":"xp2"} 64 33 - c3c689d1c16e17a8
+xp2-rr {"global_bw":"boost","local_bw":"boost","select":"proportional","topology":"xp2"} 94 48 - d6002b5b5cb7f3a8
+xp2-dd {"global_bw":"double","local_bw":"double","select":"proportional","topology":"xp2"} 124 62 - 75dd2342f60233a8
+xp3-hh {"global_bw":"half","local_bw":"half","select":"proportional","topology":"xp3"} 34 18 - -
+xp3 {"global_bw":"base","local_bw":"base","select":"proportional","topology":"xp3"} 64 33 - -
+xp3-rr {"global_bw":"boost","local_bw":"boost","select":"proportional","topology":"xp3"} 94 48 - -
+xp3-dd {"global_bw":"double","local_bw":"double","select":"proportional","topology":"xp3"} 124 62 - -
 order: aligned aligned lean lean rich rich mesh-dd torus-hh torus torus-rr torus-dd xp2-hh xp2 xp2-rr xp2-dd xp3-hh xp3 xp3-rr xp3-dd
 distance lean: 0 2 4 0 2 4 6 24 26 28 30 24 26 28 30 24 26 28 30
 distance aligned: 2 0 2 2 0 2 4 26 24 26 28 26 24 26 28 26 24 26 28
@@ -132,4 +135,56 @@ fn comm_axis_derivations_are_pinned() {
         assert_eq!(got, want, "line {} of the comm-axis table moved", i + 1);
     }
     assert_eq!(table.lines().count(), PINNED.lines().count());
+}
+
+/// `point`'s fabric, built whether or not the point is valid.
+fn fabric(point: &DesignPoint) -> Architecture {
+    let base = match point.class {
+        ArchClass::SpatioTemporal => spatio_temporal::build(point.rows, point.cols),
+        ArchClass::Spatial => spatial::build(point.rows, point.cols),
+        ArchClass::Plaid => plaid::build(point.rows, point.cols),
+    };
+    rebuild_with_comm(&base, point.label(), point.params(), &point.comm)
+}
+
+#[test]
+fn express_points_are_valid_exactly_when_they_add_a_link() {
+    for class in [
+        ArchClass::SpatioTemporal,
+        ArchClass::Spatial,
+        ArchClass::Plaid,
+    ] {
+        for rows in 2..=6 {
+            for cols in 2..=6 {
+                let point = |topology| DesignPoint {
+                    class,
+                    rows,
+                    cols,
+                    config_entries: 16,
+                    comm: CommSpec::uniform(topology, BwClass::Base),
+                };
+                let torus = point(Topology::Torus).build();
+                let mesh = point(Topology::Mesh).build();
+                for stride in 2..=5 {
+                    let express = point(Topology::Express { stride });
+                    let label = express.label();
+                    if express.is_valid() {
+                        let built = express.build();
+                        let signature = fabric_signature(&built);
+                        assert_ne!(signature, fabric_signature(&torus), "{label}");
+                        assert_ne!(signature, fabric_signature(&mesh), "{label}");
+                        assert!(
+                            built.links().iter().any(|l| !torus.links().contains(l)),
+                            "{label} adds no link the torus lacks"
+                        );
+                    } else {
+                        let built = fabric(&express);
+                        for link in built.links() {
+                            assert!(torus.links().contains(link), "{label}: {link:?}");
+                        }
+                    }
+                }
+            }
+        }
+    }
 }

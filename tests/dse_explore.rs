@@ -226,10 +226,11 @@ fn topology_sweep_covers_non_mesh_points() {
     // wraparound links: the half-bandwidth torus achieves a lower II (288
     // cycles vs. 320 for every mesh variant), so it is non-dominated despite
     // its wiring premium — the BandMap-style trade the structured axis
-    // exists to expose.
+    // exists to expose. A stride-2 express adds no link the 3x3 torus
+    // lacks, so the express points come from the 4x4 array.
     let spec = SpaceSpec {
         classes: vec![ArchClass::Plaid],
-        dims: vec![(3, 3)],
+        dims: vec![(3, 3), (4, 4)],
         config_entries: vec![16],
         comm_specs: CommSpec::presets(),
     }
@@ -241,8 +242,12 @@ fn topology_sweep_covers_non_mesh_points() {
         ],
         &[BwClass::Half, BwClass::Base],
     );
-    assert_eq!(spec.cardinality(), 6);
+    assert_eq!(spec.cardinality(), 12);
     let designs = spec.enumerate();
+    assert_eq!(designs.len(), 10);
+    assert!(designs
+        .iter()
+        .all(|d| d.rows == 4 || !matches!(d.comm.topology, Topology::Express { .. })));
     // Labels and cache keys are unique across the structured axis; the
     // uniform mesh specs collapse onto the legacy presets.
     let workload = find_workload("atax_u2").unwrap();
@@ -258,11 +263,11 @@ fn topology_sweep_covers_non_mesh_points() {
     keys.dedup();
     assert_eq!(keys.len(), plan.len(), "comm specs alias cache keys");
     // Non-mesh fabrics are structurally richer than their mesh siblings.
-    let link_count = |comm: CommSpec| {
+    let link_count = |n: u32, comm: CommSpec| {
         DesignPoint {
             class: ArchClass::Plaid,
-            rows: 3,
-            cols: 3,
+            rows: n,
+            cols: n,
             config_entries: 16,
             comm,
         }
@@ -270,17 +275,19 @@ fn topology_sweep_covers_non_mesh_points() {
         .links()
         .len()
     };
-    let mesh_links = link_count(CommSpec::ALIGNED);
-    assert!(link_count(CommSpec::uniform(Topology::Torus, BwClass::Base)) > mesh_links);
     assert!(
-        link_count(CommSpec::uniform(
-            Topology::Express { stride: 2 },
-            BwClass::Base
-        )) > mesh_links
+        link_count(3, CommSpec::uniform(Topology::Torus, BwClass::Base))
+            > link_count(3, CommSpec::ALIGNED)
+    );
+    assert!(
+        link_count(
+            4,
+            CommSpec::uniform(Topology::Express { stride: 2 }, BwClass::Base)
+        ) > link_count(4, CommSpec::ALIGNED)
     );
 
     let outcome = run_sweep(&plan, &ResultCache::new());
-    assert_eq!(outcome.stats.points, 6);
+    assert_eq!(outcome.stats.points, 10);
     let succeeded: Vec<&EvalRecord> = outcome.records.iter().filter(|r| r.ok).collect();
     assert!(
         succeeded

@@ -138,7 +138,7 @@ fn spatial_partitioning_pays_for_large_unrolled_kernels() {
     let arch = PreparedFabric::new(ArchChoice::Spatial4x4.build());
     let small_sp = compile_workload(&small, &arch, MapperChoice::Spatial, None).unwrap();
     let large_sp = compile_workload(&large, &arch, MapperChoice::Spatial, None).unwrap();
-    let small_parts = small_sp.spatial.as_ref().unwrap().partition_count();
-    let large_parts = large_sp.spatial.as_ref().unwrap().partition_count();
+    let small_parts = small_sp.spatial.as_ref().unwrap().partitions.len();
+    let large_parts = large_sp.spatial.as_ref().unwrap().partitions.len();
     assert!(large_parts >= small_parts);
 }

@@ -2,7 +2,7 @@
 //! tolerances (our substrate is an analytical model plus portable mappers,
 //! not the authors' RTL flow and testbed).
 
-use plaid::experiments::{architecture_comparison, domain_specialization, ExperimentScope};
+use plaid::experiments::{architecture_comparison, domain_specialization};
 use plaid_arch::plaid as plaid_fabric;
 use plaid_arch::{spatial, spatio_temporal};
 use plaid_sim::cost::CostModel;
@@ -45,7 +45,7 @@ fn plaid_saves_area_versus_the_spatial_baseline_at_similar_power() {
 
 #[test]
 fn plaid_tracks_spatio_temporal_performance_and_beats_spatial() {
-    let result = architecture_comparison(ExperimentScope::FULL);
+    let result = architecture_comparison();
     assert!(result.rows.len() >= 4);
     let plaid_vs_st = result.plaid_vs_st_cycles();
     // Paper: average performance is almost the same (Plaid within a few
