@@ -13,9 +13,9 @@ USAGE:
 
 Neither command takes options, and both print deterministic text to stdout.
 
-`figures` runs every experiment of the paper's evaluation once, over all 30
-workloads and the 3 DNN applications, and prints the tables. The output is
-committed as FIGURES.txt.
+`figures` runs the paper's evaluation over all 30 workloads and the 3 DNN
+applications as one parallel sweep, and prints the tables. The output is
+committed as FIGURES.txt; it is the same on any thread count.
 
 `counts` sweeps the default plan and all 30 workloads on the full grid,
 under seeding off and exact, and prints the mappers' work counts (II rungs,

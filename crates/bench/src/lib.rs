@@ -1,10 +1,10 @@
 //! The repository's two deterministic text artefacts, each committed and
 //! compared byte for byte by CI with a fresh run.
 //!
-//! [`figures`] runs every experiment in `plaid::experiments` once over all
-//! 30 Table 2 workloads and the three DNN applications, and renders the
-//! tables in paper order. `plaid-bench figures` prints it; the output is
-//! committed as `FIGURES.txt`.
+//! [`figures`] renders every table of the paper's evaluation in paper order,
+//! each a query over one sweep ([`evaluation`]). `plaid-bench figures`
+//! prints it; the output is committed as `FIGURES.txt`, and depends neither
+//! on the thread count nor on the build profile.
 //!
 //! [`counts`] sweeps the default plan and the whole suite's full grid under
 //! both seed policies and renders the mappers' exact work counts
@@ -19,29 +19,33 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use plaid::experiments;
 use plaid::pipeline::WorkCounts;
 use plaid_arch::SpaceSpec;
 use plaid_explore::{run_sweep_with, ResultCache, SeedPolicy, SweepPlan};
 use plaid_workloads::table2_workloads;
 
+pub mod evaluation;
+
+use evaluation::{area_breakdown, headline_summary, power_breakdown, Evaluation};
+
 /// Every table and figure of the paper's evaluation, in paper order, each
 /// followed by its coverage line and, where the paper states one, its
 /// target.
 pub fn figures() -> String {
-    let comparison = experiments::architecture_comparison();
+    let evaluation = Evaluation::run();
+    let comparison = evaluation.architecture_comparison();
     let sections = [
-        experiments::power_breakdown(),
-        experiments::table2_characteristics().1,
+        power_breakdown(),
+        evaluation.table2_characteristics().1,
         comparison.render_performance(),
-        experiments::area_breakdown(),
+        area_breakdown(),
         comparison.render_energy(),
         comparison.render_perf_per_area(),
-        experiments::dnn_comparison().1,
-        experiments::scalability().2,
-        experiments::mapper_comparison().2,
-        experiments::domain_specialization().1,
-        experiments::headline_summary(&comparison),
+        evaluation.dnn_comparison().1,
+        evaluation.scalability(),
+        evaluation.mapper_comparison().2,
+        evaluation.domain_specialization().1,
+        headline_summary(&comparison),
     ];
     let mut out = String::from(
         "Plaid evaluation: all 30 Table 2 workloads and the 3 DNN applications.\n\

@@ -6,10 +6,7 @@
 //! * [`pipeline`] — compile a kernel (or a Table 2 workload) onto any of the
 //!   modelled architectures with any of the mappers, obtaining a validated
 //!   mapping, a configuration image and evaluation metrics.
-//! * [`experiments`] — one runner per table/figure of the paper's evaluation
-//!   (performance, energy, performance/area, DNN applications, scalability,
-//!   mapper ablation, domain specialization, power/area breakdowns).
-//! * [`report`] — plain-text table rendering used by the benches and
+//! * [`report`] — plain-text table rendering used by `plaid-bench` and the
 //!   examples to print the same rows the paper reports.
 //!
 //! # Quickstart
@@ -30,7 +27,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod experiments;
 pub mod pipeline;
 pub mod report;
 

@@ -231,11 +231,6 @@ impl PreparedWorkload {
         })
     }
 
-    /// Workload name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// The lowered DFG.
     pub fn dfg(&self) -> &Dfg {
         &self.dfg

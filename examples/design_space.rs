@@ -2,13 +2,14 @@
 //!
 //! Prints the fabric power/area of every modelled architecture instance and
 //! the scalability comparison between the 2×2 and 3×3 Plaid arrays
-//! (Figures 17 and 19 territory).
+//! (Figures 17 and 19 territory), read from the paper's evaluation swept
+//! once.
 //!
 //! Run with `cargo run --example design_space`.
 
-use plaid::experiments::scalability;
 use plaid::pipeline::ArchChoice;
 use plaid::report::render_table;
+use plaid_bench::evaluation::Evaluation;
 use plaid_sim::cost::CostModel;
 
 fn main() {
@@ -56,6 +57,5 @@ fn main() {
         )
     );
 
-    let (_, _, text) = scalability();
-    println!("{text}");
+    println!("{}", Evaluation::run().scalability());
 }
