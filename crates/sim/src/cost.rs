@@ -543,4 +543,98 @@ mod tests {
             assert_near(area_share, 1.0, 1e-9, "area shares");
         }
     }
+
+    /// Bit patterns of every breakdown field, in declaration order.
+    macro_rules! field_bits {
+        ($b:expr) => {
+            [
+                $b.local_routers,
+                $b.global_routers,
+                $b.noc_wiring,
+                $b.comm_config,
+                $b.compute_config,
+                $b.compute,
+                $b.others,
+            ]
+            .map(f64::to_bits)
+        };
+    }
+
+    /// Pins the exact bits of every power and area component on the six
+    /// paper fabrics and on the 4×4 spatio-temporal fabric under the torus
+    /// and stride-2 express topologies, so a refactor of the cost walk that
+    /// reorders a floating-point sum fails here rather than in a sweep
+    /// digest.
+    #[test]
+    fn breakdowns_are_bit_pinned() {
+        use plaid_arch::{BwClass, CommSpec, DesignPoint, Topology};
+        let comm_point = |topology| {
+            DesignPoint {
+                class: ArchClass::SpatioTemporal,
+                rows: 4,
+                cols: 4,
+                config_entries: 16,
+                comm: CommSpec::uniform(topology, BwClass::Base),
+            }
+            .build()
+        };
+        #[rustfmt::skip]
+        let pins: [(Architecture, [u64; 7], [u64; 7]); 8] = [
+            (
+                spatio_temporal::build(4, 4),
+                [0x0000000000000000, 0x405f99999999999c, 0x0000000000000000, 0x406af5c28f5c28f6, 0x4063c28f5c28f5c3, 0x406d666666666667, 0x4052cccccccccccd],
+                [0x0000000000000000, 0x40c3100000000000, 0x0000000000000000, 0x40d991999999999a, 0x40d4d1999999999a, 0x40ae780000000000, 0x40b9a00000000000],
+            ),
+            (
+                spatial::build(4, 4),
+                [0x0000000000000000, 0x405f99999999999c, 0x0000000000000000, 0x4039e1b089a02752, 0x4032f837b4a2339c, 0x406d666666666667, 0x4052cccccccccccd],
+                [0x0000000000000000, 0x40c3100000000000, 0x0000000000000000, 0x40d991999999999a, 0x40d4d1999999999a, 0x40ae780000000000, 0x40b9a00000000000],
+            ),
+            (
+                plaid::build(2, 2),
+                [0x402d99999999999b, 0x4038666666666666, 0x0000000000000000, 0x40519eb851eb851f, 0x4050ae147ae147ae, 0x406d666666666667, 0x4032cccccccccccd],
+                [0x40a8900000000000, 0x40c3600000000000, 0x0000000000000000, 0x40c10f3333333333, 0x40be51999999999a, 0x40ae780000000000, 0x4099a00000000000],
+            ),
+            (
+                plaid::build(3, 3),
+                [0x4040a66666666664, 0x404b733333333334, 0x0000000000000000, 0x4063d28f5c28f5c3, 0x4062c3d70a3d70a4, 0x4080733333333334, 0x4045266666666667],
+                [0x40bba20000000000, 0x40d5cc0000000000, 0x0000000000000000, 0x40d3311999999999, 0x40d10de666666667, 0x40c0fe0000000000, 0x40acd40000000000],
+            ),
+            (
+                specialize::spatio_temporal_ml(4, 4),
+                [0x0000000000000000, 0x405f99999999999c, 0x0000000000000000, 0x406959999999999a, 0x4062bd70a3d70a3e, 0x4066ee978d4fdf3b, 0x4052cccccccccccd],
+                [0x0000000000000000, 0x40c3100000000000, 0x0000000000000000, 0x40d7e80000000000, 0x40d41b3333333333, 0x40a7c40000000000, 0x40b9a00000000000],
+            ),
+            (
+                specialize::plaid_ml_2x2(),
+                [0x4017d70a3d70a3d8, 0x4038666666666666, 0x0000000000000000, 0x404db851eb851eb9, 0x4050ae147ae147ae, 0x4066ee978d4fdf3b, 0x4032cccccccccccd],
+                [0x4092a80000000000, 0x40c3600000000000, 0x0000000000000000, 0x40bc6b3333333333, 0x40be51999999999a, 0x40a7c40000000000, 0x4099a00000000000],
+            ),
+            (
+                comm_point(Topology::Torus),
+                [0x0000000000000000, 0x405f99999999999c, 0x403999999999999a, 0x406af5c28f5c28f6, 0x4063c28f5c28f5c3, 0x406d666666666667, 0x4052cccccccccccd],
+                [0x0000000000000000, 0x40c3100000000000, 0x40a5400000000000, 0x40d991999999999a, 0x40d4d1999999999a, 0x40ae780000000000, 0x40b9a00000000000],
+            ),
+            (
+                comm_point(Topology::Express { stride: 2 }),
+                [0x0000000000000000, 0x405f99999999999c, 0x403999999999999a, 0x406be147ae147ae2, 0x4063c28f5c28f5c3, 0x406d666666666667, 0x4052cccccccccccd],
+                [0x0000000000000000, 0x40c3100000000000, 0x40a5400000000000, 0x40da84cccccccccc, 0x40d4d1999999999a, 0x40ae780000000000, 0x40b9a00000000000],
+            ),
+        ];
+        let m = model();
+        for (arch, power, area) in &pins {
+            assert_eq!(
+                field_bits!(m.fabric_power(arch)),
+                *power,
+                "{} power",
+                arch.name()
+            );
+            assert_eq!(
+                field_bits!(m.fabric_area(arch)),
+                *area,
+                "{} area",
+                arch.name()
+            );
+        }
+    }
 }
