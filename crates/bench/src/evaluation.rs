@@ -319,7 +319,7 @@ impl ComparisonResult {
 
 /// Figure 2: fabric power breakdown of the spatio-temporal baseline and Plaid.
 pub fn power_breakdown() -> String {
-    let model = CostModel::default();
+    let model = CostModel;
     let st = ArchChoice::SpatioTemporal4x4.build();
     let pl = ArchChoice::Plaid2x2.build();
     let rows = |arch: &Architecture| {
@@ -357,7 +357,7 @@ pub fn power_breakdown() -> String {
 
 /// Figure 13: area breakdown of the Plaid fabric.
 pub fn area_breakdown() -> String {
-    let model = CostModel::default();
+    let model = CostModel;
     let pl = ArchChoice::Plaid2x2.build();
     let a = model.fabric_area(&pl);
     let rows = vec![vec![
@@ -426,7 +426,7 @@ pub struct SpecializationRow {
 /// The metrics of `cycles` summed over a row's workloads, costed on the
 /// target's fabric like one compile's (an II of 0: a sum has none).
 fn total(label: &str, (arch, mapper): Target, cycles: u64) -> EvalMetrics {
-    let model = CostModel::default();
+    let model = CostModel;
     EvalMetrics::from_cycles(label, mapper.label(), &arch.build(), &model, 0, cycles)
 }
 
@@ -783,7 +783,7 @@ impl Evaluation {
 /// Section 7 headline numbers: power/area/performance of Plaid versus both
 /// baselines, the latter from the Figure 12/14 `comparison`.
 pub fn headline_summary(comparison: &ComparisonResult) -> String {
-    let model = CostModel::default();
+    let model = CostModel;
     let st = ArchChoice::SpatioTemporal4x4.build();
     let sp = ArchChoice::Spatial4x4.build();
     let pl = ArchChoice::Plaid2x2.build();
@@ -856,7 +856,7 @@ mod tests {
 
     #[test]
     fn swept_paper_fabrics_build_like_their_presets() {
-        let model = CostModel::default();
+        let model = CostModel;
         for (choice, label) in [
             (
                 ArchChoice::SpatioTemporal4x4,

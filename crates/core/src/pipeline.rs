@@ -282,71 +282,73 @@ pub fn compile_workload(
     mapper_choice: MapperChoice,
     hint: Option<&MapSeed>,
 ) -> Result<CompiledWorkload, PipelineError> {
-    let model = CostModel::default();
     let dfg = workload.dfg();
     let iterations = dfg.total_iterations();
     let arch = fabric.arch();
 
-    if mapper_choice == MapperChoice::Spatial {
-        let schedule = SpatialMapper::default()
-            .map_spatial(dfg, arch)
-            .map_err(PipelineError::Mapping)?;
-        let cycles = schedule.total_cycles(iterations);
-        let ii = schedule.partitions.iter().map(|p| p.ii).max().unwrap_or(1);
-        let metrics = EvalMetrics::from_cycles(
-            workload.name.clone(),
-            mapper_choice.label(),
-            arch,
-            &model,
-            ii,
-            cycles,
-        );
-        return Ok(CompiledWorkload {
-            name: workload.name.clone(),
-            dfg: Arc::clone(&workload.dfg),
-            coverage: workload.coverage.clone(),
-            mapping: None,
-            spatial: Some(schedule),
-            config: None,
-            metrics,
-            placement_seed: None,
-            seed_outcome: SeedOutcome::Scratch,
-        });
-    }
-
-    let seeded = match mapper_choice {
-        MapperChoice::Sa => SaMapper::default().map_prepared(dfg, fabric, hint),
-        MapperChoice::PathFinder => PathFinderMapper::default().map_prepared(dfg, fabric, hint),
-        MapperChoice::Plaid => {
-            PlaidMapper::default().map_with_motifs(dfg, workload.motifs(), fabric, hint)
+    let (ii, cycles, mapping, spatial, config, placement_seed, seed_outcome) = match mapper_choice {
+        MapperChoice::Spatial => {
+            let schedule = SpatialMapper::default()
+                .map_spatial(dfg, arch)
+                .map_err(PipelineError::Mapping)?;
+            let cycles = schedule.total_cycles(iterations);
+            let ii = schedule.partitions.iter().map(|p| p.ii).max().unwrap_or(1);
+            (
+                ii,
+                cycles,
+                None,
+                Some(schedule),
+                None,
+                None,
+                SeedOutcome::Scratch,
+            )
         }
-        MapperChoice::Spatial => unreachable!("handled above"),
-    }?;
-    let SeededMapping {
-        mapping,
-        outcome,
-        seed,
-    } = seeded;
-    let config = generate_config(dfg, arch, &mapping).map_err(PipelineError::Config)?;
-    let cycles = mapping.total_cycles(iterations);
+        modulo => {
+            let SeededMapping {
+                mapping,
+                outcome,
+                seed,
+            } = match modulo {
+                MapperChoice::Sa => SaMapper::default().map_prepared(dfg, fabric, hint),
+                MapperChoice::PathFinder => {
+                    PathFinderMapper::default().map_prepared(dfg, fabric, hint)
+                }
+                MapperChoice::Plaid => {
+                    PlaidMapper::default().map_with_motifs(dfg, workload.motifs(), fabric, hint)
+                }
+                MapperChoice::Spatial => unreachable!("handled above"),
+            }?;
+            let config = generate_config(dfg, arch, &mapping).map_err(PipelineError::Config)?;
+            let cycles = mapping.total_cycles(iterations);
+            (
+                mapping.ii,
+                cycles,
+                Some(mapping),
+                None,
+                Some(config),
+                Some(seed),
+                outcome,
+            )
+        }
+    };
     let metrics = EvalMetrics::from_cycles(
         workload.name.clone(),
         mapper_choice.label(),
         arch,
-        &model,
-        mapping.ii,
+        &CostModel,
+        ii,
         cycles,
     );
     Ok(CompiledWorkload {
         name: workload.name.clone(),
         dfg: Arc::clone(&workload.dfg),
         coverage: workload.coverage.clone(),
-        mapping: Some(mapping),
-        spatial: None,
-        config: Some(config),
+        mapping,
+        spatial,
+        config,
         metrics,
-        placement_seed: Some(seed),
-        seed_outcome: outcome,
+        placement_seed,
+        seed_outcome,
     })
 }
 

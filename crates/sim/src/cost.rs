@@ -14,6 +14,10 @@
 //!   global routers ~30 %, compute configuration ~24 %, communication
 //!   configuration ~21 %, compute ~11 %, others ~5 %; total 33,366 µm²).
 //!
+//! The constants are fixed. Power and area share one walk over the fabric's
+//! resources, priced from a table of unit costs each; a switch's role comes
+//! from the cluster that owns it.
+//!
 //! Configuration memory is modelled as a per-tile peripheral overhead plus a
 //! per-bit cost, which is what makes consolidating sixteen small PE
 //! configuration memories into four PCU memories profitable — the effect the
@@ -26,16 +30,15 @@ use plaid_arch::{ArchClass, Architecture, Domain, ResourceKind};
 /// 100 MHz.
 pub const CLOCK_HZ: f64 = 100_000_000.0;
 
-/// Fabric power broken down per component class, in µW.
+/// Fabric power (µW) or area (µm²) broken down per component class.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct PowerBreakdown {
-    /// Local routers (Plaid) — zero for the baselines.
+pub struct Breakdown {
+    /// Local routers and bypass paths (Plaid) — zero for the baselines.
     pub local_routers: f64,
     /// Global routers / PE crossbars.
     pub global_routers: f64,
     /// NoC wiring beyond the mesh baseline (torus wraparound, express
-    /// links), charged per tile-unit of extra wire length — zero on the
-    /// published mesh fabrics.
+    /// links) — zero on the published mesh fabrics.
     pub noc_wiring: f64,
     /// Communication configuration memory.
     pub comm_config: f64,
@@ -47,8 +50,8 @@ pub struct PowerBreakdown {
     pub others: f64,
 }
 
-impl PowerBreakdown {
-    /// Total fabric power in µW.
+impl Breakdown {
+    /// Total fabric power or area.
     pub fn total(&self) -> f64 {
         self.local_routers
             + self.global_routers
@@ -59,7 +62,7 @@ impl PowerBreakdown {
             + self.others
     }
 
-    /// All router power (local + global).
+    /// All router power or area (local + global).
     pub fn routers(&self) -> f64 {
         self.local_routers + self.global_routers
     }
@@ -74,288 +77,183 @@ impl PowerBreakdown {
     }
 }
 
-/// Fabric area broken down per component class, in µm².
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct AreaBreakdown {
-    /// Local routers (Plaid) — zero for the baselines.
-    pub local_routers: f64,
-    /// Global routers / PE crossbars.
-    pub global_routers: f64,
-    /// NoC wiring beyond the mesh baseline (torus wraparound, express
-    /// links), charged per tile-unit of extra wire length — zero on the
-    /// published mesh fabrics.
-    pub noc_wiring: f64,
-    /// Communication configuration memory.
-    pub comm_config: f64,
-    /// Compute configuration memory.
-    pub compute_config: f64,
-    /// Functional units.
-    pub compute: f64,
-    /// Register files, clocking and miscellaneous.
-    pub others: f64,
+/// Cost of one instance of each fabric component: µW in [`POWER`], µm² in
+/// [`AREA`].
+struct UnitCosts {
+    /// One 16-bit ALU.
+    alu: f64,
+    /// One ALSU (ALU plus scratch-pad port and AGU).
+    alsu: f64,
+    /// One baseline PE crossbar router.
+    pe_crossbar: f64,
+    /// One Plaid local (8×8) router.
+    local_router: f64,
+    /// One Plaid global (7×9) router.
+    global_router: f64,
+    /// One registered ALU-to-ALU bypass path.
+    bypass: f64,
+    /// Configuration-memory peripherals per tile and configuration class.
+    config_tile: f64,
+    /// Miscellany per tile (clock tree, registers).
+    misc_tile: f64,
+    /// One tile-unit of NoC wire beyond the mesh (torus wraparound, express
+    /// links); the mesh links are folded into the router costs.
+    noc_wire: f64,
 }
 
-impl AreaBreakdown {
-    /// Total fabric area in µm².
-    pub fn total(&self) -> f64 {
-        self.local_routers
-            + self.global_routers
-            + self.noc_wiring
-            + self.comm_config
-            + self.compute_config
-            + self.compute
-            + self.others
-    }
+/// Power of each component, in µW.
+const POWER: UnitCosts = UnitCosts {
+    alu: 14.0,
+    alsu: 16.8,
+    pe_crossbar: 7.9,
+    local_router: 3.4,
+    global_router: 6.1,
+    bypass: 0.15,
+    config_tile: 9.8,
+    misc_tile: 4.7,
+    noc_wire: 0.8,
+};
 
-    /// All router area (local + global).
-    pub fn routers(&self) -> f64 {
-        self.local_routers + self.global_routers
-    }
+/// Area of each component, in µm².
+const AREA: UnitCosts = UnitCosts {
+    alu: 225.0,
+    alsu: 300.0,
+    pe_crossbar: 610.0,
+    local_router: 750.0,
+    global_router: 2_480.0,
+    bypass: 18.0,
+    config_tile: 1_150.0,
+    misc_tile: 410.0,
+    noc_wire: 85.0,
+};
 
-    /// Fraction of the total attributable to a component value.
-    pub fn share(&self, component: f64) -> f64 {
-        if self.total() == 0.0 {
-            0.0
-        } else {
-            component / self.total()
+/// Per-bit power of communication configuration read every cycle (µW).
+const COMM_CONFIG_BIT_POWER: f64 = 0.115;
+/// Per-bit power of compute configuration read every cycle (µW).
+const COMPUTE_CONFIG_BIT_POWER: f64 = 0.17;
+/// Per-bit configuration memory area (bit-cells, µm²).
+const CONFIG_BIT_AREA: f64 = 0.95;
+/// Share of configuration power left when it is clock-gated (spatial CGRAs).
+const CLOCK_GATED_FRACTION: f64 = 0.12;
+/// Factor applied to compute datapaths of ML-pruned variants.
+const ML_COMPUTE_SCALE: f64 = 0.78;
+/// Factor applied to hardwired local routers (Plaid-ML).
+const HARDWIRED_ROUTER_SCALE: f64 = 0.35;
+
+/// The calibrated 22 nm-like cost model. Its constants are fixed, so the
+/// handle carries no state.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CostModel;
+
+/// What a switch is, as the clusters that own it say.
+#[derive(Debug, Clone, Copy)]
+enum SwitchRole {
+    /// The only router of a baseline PE.
+    PeCrossbar,
+    /// The global router of a Plaid PCU.
+    GlobalRouter,
+    /// The local router of a Plaid PCU, hardwired on Plaid-ML (Section 4.4).
+    LocalRouter { hardwired: bool },
+    /// A switch no cluster names: a registered ALU-to-ALU bypass path.
+    Bypass,
+}
+
+/// The role of every resource, indexed by resource id (functional units
+/// read [`SwitchRole::Bypass`] and are never asked).
+fn switch_roles(arch: &Architecture) -> Vec<SwitchRole> {
+    let mut roles = vec![SwitchRole::Bypass; arch.resources().len()];
+    for c in arch.clusters() {
+        roles[c.global_router.0 as usize] = match c.local_router {
+            Some(local) => {
+                let hardwired = c.hardwired.is_some();
+                roles[local.0 as usize] = SwitchRole::LocalRouter { hardwired };
+                SwitchRole::GlobalRouter
+            }
+            None => SwitchRole::PeCrossbar,
+        };
+    }
+    roles
+}
+
+/// Prices everything but configuration memory at `unit`: functional units,
+/// routers and bypass paths (summed in resource order), per-tile miscellany
+/// and NoC wire beyond the mesh.
+fn price_components(arch: &Architecture, unit: &UnitCosts) -> Breakdown {
+    let mut b = Breakdown::default();
+    let ml = arch.params().domain == Some(Domain::MachineLearning);
+    let compute_scale = if ml { ML_COMPUTE_SCALE } else { 1.0 };
+    let roles = switch_roles(arch);
+    for r in arch.resources() {
+        match r.kind {
+            ResourceKind::FuncUnit(caps) => {
+                let base = if caps.memory { unit.alsu } else { unit.alu };
+                b.compute += base * compute_scale;
+            }
+            ResourceKind::Switch { .. } => match roles[r.id.0 as usize] {
+                SwitchRole::PeCrossbar => b.global_routers += unit.pe_crossbar,
+                SwitchRole::GlobalRouter => b.global_routers += unit.global_router,
+                SwitchRole::LocalRouter { hardwired: false } => {
+                    b.local_routers += unit.local_router
+                }
+                SwitchRole::LocalRouter { hardwired: true } => {
+                    b.local_routers += unit.local_router * HARDWIRED_ROUTER_SCALE;
+                }
+                SwitchRole::Bypass => b.local_routers += unit.bypass,
+            },
         }
     }
-}
-
-/// Per-component constants of the cost model. Construct via
-/// [`CostModel::default`] (the calibrated 22 nm-like values) unless a test
-/// needs to explore sensitivity.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CostModel {
-    // ---- power, µW ----
-    /// Power of one 16-bit ALU.
-    pub alu_power: f64,
-    /// Power of one ALSU (ALU plus scratch-pad port and AGU).
-    pub alsu_power: f64,
-    /// Power of one baseline PE crossbar router.
-    pub pe_crossbar_power: f64,
-    /// Power of one Plaid local (8×8) router.
-    pub local_router_power: f64,
-    /// Power of one Plaid global (7×9) router.
-    pub global_router_power: f64,
-    /// Power of one registered ALU-to-ALU bypass path.
-    pub bypass_power: f64,
-    /// Per-tile configuration-memory peripheral power (decoder, sense amps),
-    /// charged once per tile per configuration class.
-    pub config_tile_power: f64,
-    /// Per-bit power of communication configuration read every cycle.
-    pub comm_config_bit_power: f64,
-    /// Per-bit power of compute configuration read every cycle.
-    pub compute_config_bit_power: f64,
-    /// Fraction of configuration power remaining when the configuration
-    /// memory is clock-gated (spatial CGRAs).
-    pub clock_gated_fraction: f64,
-    /// Miscellaneous power per tile (clock tree, registers).
-    pub misc_tile_power: f64,
-    /// Power per tile-unit of NoC wire length *beyond* the mesh baseline
-    /// (registered repeaters on torus wraparound and express links). The
-    /// mesh links themselves are already folded into the router constants
-    /// the model was calibrated with, so mesh fabrics are charged nothing.
-    pub noc_wire_power_per_unit: f64,
-    // ---- area, µm² ----
-    /// Area of one 16-bit ALU.
-    pub alu_area: f64,
-    /// Area of one ALSU.
-    pub alsu_area: f64,
-    /// Area of one baseline PE crossbar router.
-    pub pe_crossbar_area: f64,
-    /// Area of one Plaid local router.
-    pub local_router_area: f64,
-    /// Area of one Plaid global router.
-    pub global_router_area: f64,
-    /// Area of one bypass path.
-    pub bypass_area: f64,
-    /// Per-tile configuration-memory peripheral area, per configuration class.
-    pub config_tile_area: f64,
-    /// Per-bit configuration memory area (bit-cells).
-    pub config_bit_area: f64,
-    /// Miscellaneous area per tile.
-    pub misc_tile_area: f64,
-    /// Area per tile-unit of NoC wire length beyond the mesh baseline (wire
-    /// track plus repeater; see [`CostModel::noc_wire_power_per_unit`]).
-    pub noc_wire_area_per_unit: f64,
-    /// Factor applied to compute datapaths of ML-pruned variants.
-    pub ml_compute_scale: f64,
-    /// Factor applied to hardwired local routers (Plaid-ML).
-    pub hardwired_router_scale: f64,
-}
-
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel {
-            alu_power: 14.0,
-            alsu_power: 16.8,
-            pe_crossbar_power: 7.9,
-            local_router_power: 3.4,
-            global_router_power: 6.1,
-            bypass_power: 0.15,
-            config_tile_power: 9.8,
-            comm_config_bit_power: 0.115,
-            compute_config_bit_power: 0.17,
-            clock_gated_fraction: 0.12,
-            misc_tile_power: 4.7,
-            noc_wire_power_per_unit: 0.8,
-            alu_area: 225.0,
-            alsu_area: 300.0,
-            pe_crossbar_area: 610.0,
-            local_router_area: 750.0,
-            global_router_area: 2_480.0,
-            bypass_area: 18.0,
-            config_tile_area: 1_150.0,
-            config_bit_area: 0.95,
-            misc_tile_area: 410.0,
-            noc_wire_area_per_unit: 85.0,
-            ml_compute_scale: 0.78,
-            hardwired_router_scale: 0.35,
-        }
-    }
-}
-
-/// Tile-units of NoC wire length in excess of the mesh baseline: the sum
-/// over inter-tile links of `manhattan_distance − 1`. Mesh links connect
-/// grid neighbours (distance 1) and contribute nothing; torus wraparound
-/// links span `cols − 1` (or `rows − 1`) tiles and express links span their
-/// stride, so richer topologies are charged the wire they actually add.
-/// Intra-tile links (distance 0) contribute nothing.
-fn extra_wire_units(arch: &Architecture) -> f64 {
-    arch.links()
+    b.others = arch.params().tile_count() as f64 * unit.misc_tile;
+    // A link adds `manhattan distance − 1` tile-units of wire beyond the
+    // mesh: none between neighbours, more on torus and express links.
+    let extra_wire: f64 = arch
+        .links()
         .iter()
         .map(|l| f64::from(arch.resource_distance(l.from, l.to).saturating_sub(1)))
-        .sum()
+        .sum();
+    b.noc_wiring = extra_wire * unit.noc_wire;
+    b
 }
 
 impl CostModel {
     /// Steady-state fabric power of an architecture in µW.
     ///
-    /// Power is determined by the architecture (all configuration memories
-    /// are read every cycle on spatio-temporal fabrics and Plaid, and
-    /// clock-gated on spatial fabrics); kernels affect *energy* through their
-    /// cycle count.
-    pub fn fabric_power(&self, arch: &Architecture) -> PowerBreakdown {
-        let mut p = PowerBreakdown::default();
-        let ml = arch.params().domain == Some(Domain::MachineLearning);
-        let compute_scale = if ml { self.ml_compute_scale } else { 1.0 };
-        for r in arch.resources() {
-            match r.kind {
-                ResourceKind::FuncUnit(caps) => {
-                    let base = if caps.memory {
-                        self.alsu_power
-                    } else {
-                        self.alu_power
-                    };
-                    p.compute += base * compute_scale;
-                }
-                ResourceKind::Switch { .. } => {
-                    let name = r.name.as_str();
-                    if name.contains(".local") {
-                        let tile_hardwired = arch
-                            .clusters()
-                            .get(r.tile)
-                            .map(|c| c.hardwired.is_some())
-                            .unwrap_or(false);
-                        let scale = if tile_hardwired {
-                            self.hardwired_router_scale
-                        } else {
-                            1.0
-                        };
-                        p.local_routers += self.local_router_power * scale;
-                    } else if name.contains(".global") {
-                        p.global_routers += self.global_router_power;
-                    } else if name.contains("bypass") {
-                        p.local_routers += self.bypass_power;
-                    } else {
-                        // Baseline PE crossbars.
-                        p.global_routers += self.pe_crossbar_power;
-                    }
-                }
-            }
-        }
+    /// Configuration memories are read every cycle, except on spatial
+    /// fabrics, which clock-gate them; kernels affect only *energy*.
+    pub fn fabric_power(&self, arch: &Architecture) -> Breakdown {
+        let mut p = price_components(arch, &POWER);
         let tiles = arch.params().tile_count() as f64;
         let budget = arch.params().config;
         let gate = if arch.class() == ArchClass::Spatial {
-            self.clock_gated_fraction
+            CLOCK_GATED_FRACTION
         } else {
             1.0
         };
         p.comm_config = gate
             * tiles
-            * (self.config_tile_power
+            * (POWER.config_tile
                 + f64::from(budget.communication_bits + budget.control_bits)
-                    * self.comm_config_bit_power);
+                    * COMM_CONFIG_BIT_POWER);
         p.compute_config = gate
             * tiles
-            * (self.config_tile_power * 0.8
-                + f64::from(budget.compute_bits()) * self.compute_config_bit_power);
-        p.others = tiles * self.misc_tile_power;
-        p.noc_wiring = extra_wire_units(arch) * self.noc_wire_power_per_unit;
+            * (POWER.config_tile * 0.8
+                + f64::from(budget.compute_bits()) * COMPUTE_CONFIG_BIT_POWER);
         p
     }
 
     /// Fabric area of an architecture in µm² (excluding the scratch-pad).
-    pub fn fabric_area(&self, arch: &Architecture) -> AreaBreakdown {
-        let mut a = AreaBreakdown::default();
-        let ml = arch.params().domain == Some(Domain::MachineLearning);
-        let compute_scale = if ml { self.ml_compute_scale } else { 1.0 };
-        for r in arch.resources() {
-            match r.kind {
-                ResourceKind::FuncUnit(caps) => {
-                    let base = if caps.memory {
-                        self.alsu_area
-                    } else {
-                        self.alu_area
-                    };
-                    a.compute += base * compute_scale;
-                }
-                ResourceKind::Switch { .. } => {
-                    let name = r.name.as_str();
-                    if name.contains(".local") {
-                        let tile_hardwired = arch
-                            .clusters()
-                            .get(r.tile)
-                            .map(|c| c.hardwired.is_some())
-                            .unwrap_or(false);
-                        let scale = if tile_hardwired {
-                            self.hardwired_router_scale
-                        } else {
-                            1.0
-                        };
-                        a.local_routers += self.local_router_area * scale;
-                    } else if name.contains(".global") {
-                        a.global_routers += self.global_router_area;
-                    } else if name.contains("bypass") {
-                        a.local_routers += self.bypass_area;
-                    } else {
-                        a.global_routers += self.pe_crossbar_area;
-                    }
-                }
-            }
-        }
+    pub fn fabric_area(&self, arch: &Architecture) -> Breakdown {
+        let mut a = price_components(arch, &AREA);
         let tiles = arch.params().tile_count() as f64;
         let budget = arch.params().config;
         let entries = f64::from(arch.params().config_entries);
         a.comm_config = tiles
-            * (self.config_tile_area
+            * (AREA.config_tile
                 + f64::from(budget.communication_bits + budget.control_bits)
                     * entries
-                    * self.config_bit_area);
+                    * CONFIG_BIT_AREA);
         a.compute_config = tiles
-            * (self.config_tile_area
-                + f64::from(budget.compute_bits()) * entries * self.config_bit_area);
-        a.others = tiles * self.misc_tile_area;
-        a.noc_wiring = extra_wire_units(arch) * self.noc_wire_area_per_unit;
+            * (AREA.config_tile + f64::from(budget.compute_bits()) * entries * CONFIG_BIT_AREA);
         a
-    }
-
-    /// Energy in nJ to execute `cycles` cycles on `arch` at [`CLOCK_HZ`].
-    pub fn energy_nj(&self, arch: &Architecture, cycles: u64) -> f64 {
-        let power_uw = self.fabric_power(arch).total();
-        // nJ = µW * s * 1e3; one cycle = 1/CLOCK_HZ s.
-        power_uw * (cycles as f64 / CLOCK_HZ) * 1.0e3
     }
 }
 
@@ -365,7 +263,7 @@ mod tests {
     use plaid_arch::{plaid, spatial, spatio_temporal, specialize};
 
     fn model() -> CostModel {
-        CostModel::default()
+        CostModel
     }
 
     fn assert_near(value: f64, target: f64, tolerance: f64, label: &str) {
@@ -496,26 +394,81 @@ mod tests {
         // 16 wraparound directed links, each spanning 3 tiles -> 2 extra
         // units apiece.
         let torus_power = m.fabric_power(&torus);
-        assert_eq!(torus_power.noc_wiring, 32.0 * m.noc_wire_power_per_unit);
+        assert_eq!(torus_power.noc_wiring, 32.0 * POWER.noc_wire);
         assert!(torus_power.total() > m.fabric_power(&mesh).total());
         assert!(m.fabric_area(&torus).total() > m.fabric_area(&mesh).total());
         // Express stride 2: 32 directed links, 1 extra unit apiece.
-        assert_eq!(
-            m.fabric_area(&express).noc_wiring,
-            32.0 * m.noc_wire_area_per_unit
-        );
+        assert_eq!(m.fabric_area(&express).noc_wiring, 32.0 * AREA.noc_wire);
         // The wiring premium stays a small fraction of the fabric.
         assert!(torus_power.share(torus_power.noc_wiring) < 0.05);
     }
 
+    /// Every switch takes exactly one role from the clusters, and the
+    /// counts follow the builders: one global router (or PE crossbar) per
+    /// cluster, one local router per cluster that has one, and bypass paths
+    /// only on Plaid, between adjacent ALUs. A builder that adds a new kind
+    /// of switch fails here instead of being priced as a bypass path.
     #[test]
-    fn energy_scales_linearly_with_cycles() {
-        let m = model();
-        let pl = plaid::build(2, 2);
-        let e1 = m.energy_nj(&pl, 1_000);
-        let e2 = m.energy_nj(&pl, 2_000);
-        assert_near(e2 / e1, 2.0, 1e-9, "energy linearity");
-        assert!(e1 > 0.0);
+    fn every_switch_takes_exactly_one_role_from_its_cluster() {
+        use plaid_arch::{BwClass, DesignPoint, SpaceSpec, Topology};
+        let grid = SpaceSpec::full_grid();
+        let variants = grid.clone().with_comm_grid(
+            &[Topology::Torus, Topology::Express { stride: 2 }],
+            &[BwClass::Base],
+        );
+        let points = [grid.enumerate(), variants.enumerate()].concat();
+        let archs = points.iter().map(DesignPoint::build).chain([
+            specialize::spatio_temporal_ml(4, 4),
+            specialize::plaid_ml_2x2(),
+        ]);
+        for arch in archs {
+            let name = arch.name();
+            let clusters = arch.clusters();
+            let mut named: Vec<_> = clusters
+                .iter()
+                .flat_map(|c| c.local_router.into_iter().chain([c.global_router]))
+                .collect();
+            let naming_count = named.len();
+            named.sort();
+            named.dedup();
+            assert_eq!(named.len(), naming_count, "{name}: a switch has two roles");
+            assert!(
+                named
+                    .iter()
+                    .all(|&id| !arch.resource(id).kind.is_func_unit()),
+                "{name}: a cluster names a functional unit as a router"
+            );
+
+            let roles = switch_roles(&arch);
+            let (mut crossbars, mut globals, mut locals, mut hardwired, mut bypasses) =
+                (0, 0, 0, 0, 0);
+            for r in arch.resources().iter().filter(|r| !r.kind.is_func_unit()) {
+                match roles[r.id.0 as usize] {
+                    SwitchRole::PeCrossbar => crossbars += 1,
+                    SwitchRole::GlobalRouter => globals += 1,
+                    SwitchRole::LocalRouter { hardwired: h } => {
+                        locals += 1;
+                        hardwired += usize::from(h);
+                    }
+                    SwitchRole::Bypass => bypasses += 1,
+                }
+            }
+            let with_local = clusters.iter().filter(|c| c.local_router.is_some()).count();
+            assert_eq!(globals, with_local, "{name}: global routers");
+            assert_eq!(crossbars, clusters.len() - with_local, "{name}: crossbars");
+            assert_eq!(locals, with_local, "{name}: local routers");
+            assert_eq!(
+                hardwired,
+                clusters.iter().filter(|c| c.hardwired.is_some()).count(),
+                "{name}: hardwired local routers"
+            );
+            let expected_bypasses = if arch.class() == ArchClass::Plaid {
+                clusters.len() * (plaid::ALUS_PER_PCU - 1)
+            } else {
+                0
+            };
+            assert_eq!(bypasses, expected_bypasses, "{name}: bypass paths");
+        }
     }
 
     #[test]

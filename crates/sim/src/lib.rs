@@ -3,7 +3,7 @@
 //! This crate plays the role of the paper's RTL synthesis flow (Cadence Genus
 //! at 22 nm) and of the Morpher cycle-accurate simulator:
 //!
-//! * [`cost`] — analytical area / power / energy models built from
+//! * [`cost`] — analytical area / power / energy models built from fixed
 //!   per-component constants. The constants are calibrated once so that the
 //!   spatio-temporal baseline reproduces the power split of Figure 2(a) and
 //!   Plaid reproduces the area split of Figure 13; every other number
@@ -26,6 +26,6 @@ pub mod engine;
 pub mod metrics;
 
 pub use config::{ConfigImage, TileConfig};
-pub use cost::{AreaBreakdown, CostModel, PowerBreakdown};
+pub use cost::{Breakdown, CostModel};
 pub use engine::{execute_mapping, ExecutionReport};
 pub use metrics::EvalMetrics;

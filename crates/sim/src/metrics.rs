@@ -3,7 +3,7 @@
 use plaid_arch::Architecture;
 use serde::{Deserialize, Serialize};
 
-use crate::cost::CostModel;
+use crate::cost::{CostModel, CLOCK_HZ};
 
 /// Evaluation record for one (kernel, architecture) pair.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -45,7 +45,8 @@ impl EvalMetrics {
             ii,
             cycles,
             power_uw,
-            energy_nj: model.energy_nj(arch, cycles),
+            // nJ = µW * s * 1e3; one cycle = 1/CLOCK_HZ s.
+            energy_nj: power_uw * (cycles as f64 / CLOCK_HZ) * 1.0e3,
             area_um2: model.fabric_area(arch).total(),
         }
     }
@@ -66,7 +67,7 @@ mod tests {
 
     #[test]
     fn metrics_derive_from_cost_model() {
-        let model = CostModel::default();
+        let model = CostModel;
         let st = spatio_temporal::build(4, 4);
         let pl = plaid::build(2, 2);
         let a = EvalMetrics::from_cycles("k", "sa", &st, &model, 3, 3000);
@@ -77,8 +78,20 @@ mod tests {
     }
 
     #[test]
+    fn energy_scales_linearly_with_cycles() {
+        let pl = plaid::build(2, 2);
+        let e1 = EvalMetrics::from_cycles("k", "plaid", &pl, &CostModel, 3, 1_000).energy_nj;
+        let e2 = EvalMetrics::from_cycles("k", "plaid", &pl, &CostModel, 3, 2_000).energy_nj;
+        assert!(
+            (e2 / e1 - 2.0).abs() <= 1e-9,
+            "energy linearity: {e1} -> {e2}"
+        );
+        assert!(e1 > 0.0);
+    }
+
+    #[test]
     fn zero_cycles_edge_cases() {
-        let model = CostModel::default();
+        let model = CostModel;
         let st = spatio_temporal::build(4, 4);
         let m = EvalMetrics::from_cycles("k", "sa", &st, &model, 1, 0);
         assert_eq!(m.perf_per_area(), 0.0);

@@ -13,7 +13,7 @@ use plaid_bench::evaluation::Evaluation;
 use plaid_sim::cost::CostModel;
 
 fn main() {
-    let model = CostModel::default();
+    let model = CostModel;
     let choices = [
         ArchChoice::SpatioTemporal4x4,
         ArchChoice::Spatial4x4,

@@ -17,7 +17,7 @@ fn evaluation() -> &'static Evaluation {
 
 #[test]
 fn plaid_reduces_power_and_area_versus_the_spatio_temporal_baseline() {
-    let model = CostModel::default();
+    let model = CostModel;
     let st = spatio_temporal::build(4, 4);
     let pl = plaid_fabric::build(2, 2);
     let power_reduction = 1.0 - model.fabric_power(&pl).total() / model.fabric_power(&st).total();
@@ -35,7 +35,7 @@ fn plaid_reduces_power_and_area_versus_the_spatio_temporal_baseline() {
 
 #[test]
 fn plaid_saves_area_versus_the_spatial_baseline_at_similar_power() {
-    let model = CostModel::default();
+    let model = CostModel;
     let sp = spatial::build(4, 4);
     let pl = plaid_fabric::build(2, 2);
     let area_reduction = 1.0 - model.fabric_area(&pl).total() / model.fabric_area(&sp).total();
