@@ -426,8 +426,7 @@ pub struct SpecializationRow {
 /// The metrics of `cycles` summed over a row's workloads, costed on the
 /// target's fabric like one compile's (an II of 0: a sum has none).
 fn total(label: &str, (arch, mapper): Target, cycles: u64) -> EvalMetrics {
-    let model = CostModel;
-    EvalMetrics::from_cycles(label, mapper.label(), &arch.build(), &model, 0, cycles)
+    EvalMetrics::from_cycles(label, mapper.label(), &arch.build(), &CostModel, 0, cycles)
 }
 
 /// Every compile the paper's figures read, and the Table 2 workloads they
