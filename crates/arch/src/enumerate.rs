@@ -481,6 +481,100 @@ mod tests {
         );
     }
 
+    /// A canonical dump of every field of `arch`, written field by field
+    /// (`{:?}` output is not a format std promises to keep).
+    fn dump(arch: &Architecture, out: &mut String) {
+        use crate::params::HardwiredPattern;
+        use crate::resource::ResourceKind;
+        use std::fmt::Write;
+        let id = |r: Option<crate::ResourceId>| r.map_or(-1, |r| i64::from(r.0));
+        let params = serde_json::to_string(arch.params()).unwrap();
+        writeln!(out, "{} {} {params}", arch.name(), arch.class().label()).unwrap();
+        for r in arch.resources() {
+            let kind = match r.kind {
+                ResourceKind::FuncUnit(caps) => format!("fu {} {}", caps.compute, caps.memory),
+                ResourceKind::Switch { capacity } => format!("sw {capacity}"),
+            };
+            writeln!(out, "r {} {} {kind} {}", r.id.0, r.name, r.tile).unwrap();
+        }
+        for l in arch.links() {
+            writeln!(out, "l {} {} {}", l.from.0, l.to.0, l.latency).unwrap();
+        }
+        for c in arch.clusters() {
+            let alus: Vec<String> = c.alus.iter().map(|a| a.0.to_string()).collect();
+            let hardwired = match c.hardwired {
+                None => "-",
+                Some(HardwiredPattern::FanIn) => "fan-in",
+                Some(HardwiredPattern::FanOut) => "fan-out",
+                Some(HardwiredPattern::Unicast) => "unicast",
+            };
+            writeln!(
+                out,
+                "c {} [{}] {} {} {} {hardwired}",
+                c.tile,
+                alus.join(","),
+                id(c.alsu),
+                id(c.local_router),
+                c.global_router.0
+            )
+            .unwrap();
+        }
+        for tile in 0..arch.params().tile_count() as usize {
+            let p = arch.tile_position(tile);
+            writeln!(out, "t {tile} {} {}", p.x, p.y).unwrap();
+        }
+    }
+
+    #[test]
+    fn every_fabric_is_pinned() {
+        // One FNV-1a digest over the canonical dump of every fabric the
+        // explorer and the figures build: the full grid, the valid
+        // communication-axis points on four array sizes, the published
+        // instances and both machine-learning fabrics. Resource, link and
+        // cluster order feed fabric signatures, seeds and record digests,
+        // so a construction refactor must leave this digest as it is.
+        let mut points = SpaceSpec::full_grid().enumerate();
+        points.extend(
+            SpaceSpec {
+                dims: vec![(2, 2), (3, 3), (4, 4), (4, 6)],
+                ..SpaceSpec::full_grid()
+            }
+            .with_comm_grid(
+                &[
+                    Topology::Mesh,
+                    Topology::Torus,
+                    Topology::Express { stride: 2 },
+                    Topology::Express { stride: 3 },
+                ],
+                &[
+                    BwClass::Half,
+                    BwClass::Base,
+                    BwClass::Boost,
+                    BwClass::Double,
+                ],
+            )
+            .enumerate(),
+        );
+        let mut fabrics: Vec<Architecture> = points.iter().map(DesignPoint::build).collect();
+        fabrics.extend([
+            spatio_temporal::build(4, 4),
+            spatial::build(4, 4),
+            plaid::build(2, 2),
+            plaid::build(3, 3),
+            crate::specialize::spatio_temporal_ml(4, 4),
+            crate::specialize::plaid_ml_2x2(),
+        ]);
+        let mut text = String::new();
+        for arch in &fabrics {
+            dump(arch, &mut text);
+        }
+        let digest = text.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!(fabrics.len(), 786);
+        assert_eq!(digest, 0x567f_91a2_7484_c705, "fabric digest moved");
+    }
+
     #[test]
     fn design_points_serialize_round_trip() {
         let mut points = SpaceSpec::default_grid().enumerate();
