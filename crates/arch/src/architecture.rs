@@ -1,7 +1,8 @@
 //! The [`Architecture`] type: a routing-resource-graph description of a CGRA.
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 
+use crate::comm::Topology;
 use crate::params::{ArchParams, HardwiredPattern};
 use crate::resource::{FuCaps, Link, Resource, ResourceId, ResourceKind};
 
@@ -198,8 +199,10 @@ impl Architecture {
     /// switch a switch links into [`holds`](Self::holds) (so a route can
     /// wait at any switch after its first, which the router's reachability
     /// latencies rely on), every functional unit has at least one incoming
-    /// and one outgoing link, every cluster references valid resources, and
-    /// capacities are non-zero.
+    /// and one outgoing link, every resource a cluster names lies on the
+    /// cluster's tile, a cluster's units are functional units and its
+    /// routers switches (the cost model reads switch roles from the
+    /// clusters), and capacities are non-zero.
     ///
     /// # Panics
     ///
@@ -254,161 +257,68 @@ impl Architecture {
             }
         }
         for c in &self.clusters {
-            for fu in c.func_units() {
-                assert!(
-                    self.resource(fu).kind.is_func_unit(),
-                    "cluster {} lists non-FU resource {}",
-                    c.tile,
-                    fu
-                );
-            }
             assert!(
                 c.tile < self.tile_positions.len(),
                 "cluster tile out of range"
             );
+            let units = c.func_units().into_iter().map(|id| (id, true));
+            let routers = c.local_router.into_iter().chain([c.global_router]);
+            for (id, unit) in units.chain(routers.map(|id| (id, false))) {
+                let role = if unit { "functional unit" } else { "switch" };
+                assert!(
+                    self.resources
+                        .get(id.0 as usize)
+                        .is_some_and(|r| r.tile == c.tile && r.kind.is_func_unit() == unit),
+                    "cluster {} names {id}, which is not a {role} on its tile",
+                    c.tile
+                );
+            }
         }
     }
 }
 
-/// Clones an architecture under a new name and parameters, passing every
-/// switch capacity through `scale_capacity`.
-///
-/// This is the shared mechanism behind domain specialization
-/// ([`crate::specialize`]) and communication re-provisioning
-/// ([`crate::enumerate`]): the fabric topology is preserved while the sizing
-/// knobs change. Rebuilding goes through [`ArchBuilder`] so the consistency
-/// checks re-run; resource ids are preserved because the original builder
-/// allocated them densely. For re-provisioning under a communication spec
-/// (torus/express topology links) see [`rebuild_with_comm`].
-pub fn rebuild_provisioned(
-    arch: &Architecture,
-    name: impl Into<String>,
-    params: ArchParams,
-    scale_capacity: impl Fn(u32) -> u32,
-) -> Architecture {
-    rebuild_scaled(arch, name, params, scale_capacity).build()
+/// Everything a class builder needs to construct one fabric: its name, its
+/// parameters (whose `rows` and `cols` size the array), the NoC topology and
+/// the provisioned capacity of each switch.
+pub struct Provision<'a> {
+    /// Architecture name.
+    pub name: String,
+    /// Structural and sizing parameters; `rows` and `cols` size the array.
+    pub params: ArchParams,
+    /// Inter-tile link structure between the tiles' global routers.
+    pub topology: Topology,
+    /// Maps a switch's published capacity to its provisioned one.
+    pub capacity: &'a dyn Fn(u32) -> u32,
 }
 
-/// Clones an architecture under a [`crate::comm::CommSpec`]: every switch
-/// capacity is scaled by the spec's bandwidth class, and the spec's
-/// [`crate::comm::Topology`] contributes its extra inter-tile links
-/// (torus wraparound closing every row and column, or express links skipping
-/// `stride` tiles) between cluster global routers, registered at one cycle
-/// like the mesh links they augment.
-///
-/// For the legacy preset specs (mesh topology) this is bit-identical to
-/// [`rebuild_provisioned`] with the scalar scaling closure: the same
-/// capacities in the same resource order, no extra links.
-pub fn rebuild_with_comm(
-    arch: &Architecture,
-    name: impl Into<String>,
-    params: ArchParams,
-    spec: &crate::comm::CommSpec,
-) -> Architecture {
-    use crate::comm::Topology;
-    let mut b = rebuild_scaled(arch, name, params, |c| spec.bw.scale_capacity(c));
-    // Topology links run between cluster global routers, addressed by grid
-    // position. Appended after the copied links so preset (mesh) rebuilds
-    // keep the exact legacy link order; the builder deduplicates, so a
-    // wraparound that coincides with an existing mesh link (2-wide arrays)
-    // adds nothing.
-    let router_at: HashMap<(u32, u32), ResourceId> = arch
-        .clusters()
-        .iter()
-        .map(|c| {
-            let p = arch.tile_position(c.tile);
-            ((p.x, p.y), c.global_router)
-        })
-        .collect();
-    let cols = arch
-        .tile_positions
-        .iter()
-        .map(|p| p.x + 1)
-        .max()
-        .unwrap_or(0);
-    let rows = arch
-        .tile_positions
-        .iter()
-        .map(|p| p.y + 1)
-        .max()
-        .unwrap_or(0);
-    let mut connect = |a: (u32, u32), z: (u32, u32)| {
-        if let (Some(&from), Some(&to)) = (router_at.get(&a), router_at.get(&z)) {
-            if from != to {
-                b.bidirectional(from, to, 1);
-            }
-        }
-    };
-    match spec.topology {
-        Topology::Mesh => {}
-        Topology::Torus => {
-            for y in 0..rows {
-                connect((0, y), (cols.saturating_sub(1), y));
-            }
-            for x in 0..cols {
-                connect((x, 0), (x, rows.saturating_sub(1)));
-            }
-        }
-        Topology::Express { stride } => {
-            for y in 0..rows {
-                for x in 0..cols.saturating_sub(stride) {
-                    connect((x, y), (x + stride, y));
-                }
-            }
-            for x in 0..cols {
-                for y in 0..rows.saturating_sub(stride) {
-                    connect((x, y), (x, y + stride));
-                }
-            }
+impl Provision<'_> {
+    /// The as-published fabric: a mesh at published switch capacities.
+    pub fn published(name: impl Into<String>, params: ArchParams) -> Self {
+        Provision {
+            name: name.into(),
+            params,
+            topology: Topology::Mesh,
+            capacity: &|c| c,
         }
     }
-    b.build()
-}
 
-/// Shared clone loop of [`rebuild_provisioned`] and [`rebuild_with_comm`]:
-/// copies tiles, resources (switch capacities through `scale_capacity`,
-/// clamped to 1), links and clusters into a fresh builder, which the caller
-/// finalizes (optionally after adding topology links).
-fn rebuild_scaled(
-    arch: &Architecture,
-    name: impl Into<String>,
-    params: ArchParams,
-    scale_capacity: impl Fn(u32) -> u32,
-) -> ArchBuilder {
-    let mut b = ArchBuilder::new(name, arch.class(), params);
-    for tile in 0..arch.tile_positions.len() {
-        let _ = b.add_tile(arch.tile_position(tile));
+    /// Capacity of a switch published at `published`, clamped to 1.
+    pub fn switch_capacity(&self, published: u32) -> u32 {
+        (self.capacity)(published).max(1)
     }
-    for r in arch.resources() {
-        match r.kind {
-            crate::resource::ResourceKind::FuncUnit(caps) => {
-                b.add_func_unit(r.tile, r.name.clone(), caps);
-            }
-            crate::resource::ResourceKind::Switch { capacity } => {
-                b.add_switch(r.tile, r.name.clone(), scale_capacity(capacity).max(1));
-            }
-        }
-    }
-    for l in arch.links() {
-        b.link(l.from, l.to, l.latency);
-    }
-    for c in arch.clusters() {
-        b.add_cluster(c.clone());
-    }
-    b
 }
 
 /// Incremental builder used by the architecture constructors in this crate.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct ArchBuilder {
     name: String,
-    class: Option<ArchClass>,
-    params: Option<ArchParams>,
+    class: ArchClass,
+    params: ArchParams,
     resources: Vec<Resource>,
     links: Vec<Link>,
     clusters: Vec<Cluster>,
     tile_positions: Vec<Position>,
-    link_keys: HashMap<(u32, u32), usize>,
+    link_keys: HashSet<(u32, u32)>,
 }
 
 impl ArchBuilder {
@@ -416,9 +326,13 @@ impl ArchBuilder {
     pub fn new(name: impl Into<String>, class: ArchClass, params: ArchParams) -> Self {
         ArchBuilder {
             name: name.into(),
-            class: Some(class),
-            params: Some(params),
-            ..Default::default()
+            class,
+            params,
+            resources: Vec::new(),
+            links: Vec::new(),
+            clusters: Vec::new(),
+            tile_positions: Vec::new(),
+            link_keys: HashSet::new(),
         }
     }
 
@@ -466,17 +380,64 @@ impl ArchBuilder {
 
     /// Adds a directed link (idempotent: duplicate links are ignored).
     pub fn link(&mut self, from: ResourceId, to: ResourceId, latency: u32) {
-        if self.link_keys.contains_key(&(from.0, to.0)) {
-            return;
+        if self.link_keys.insert((from.0, to.0)) {
+            self.links.push(Link { from, to, latency });
         }
-        self.link_keys.insert((from.0, to.0), self.links.len());
-        self.links.push(Link { from, to, latency });
     }
 
     /// Adds a pair of directed links in both directions.
     pub fn bidirectional(&mut self, a: ResourceId, b: ResourceId, latency: u32) {
         self.link(a, b, latency);
         self.link(b, a, latency);
+    }
+
+    /// Links the global routers of a `rows × cols` grid (`routers` in
+    /// row-major order), registered at one cycle: the mesh neighbours
+    /// first, then the links `topology` adds — wraparound closing every row
+    /// and column for the torus, links skipping `stride` tiles for express.
+    /// A wraparound that repeats a mesh link (2-wide arrays) is
+    /// deduplicated, and no link joins a router to itself.
+    pub fn link_grid(&mut self, routers: &[ResourceId], rows: u32, cols: u32, topology: Topology) {
+        let mut connect = |(x0, y0): (u32, u32), (x1, y1): (u32, u32)| {
+            let from = routers[(y0 * cols + x0) as usize];
+            let to = routers[(y1 * cols + x1) as usize];
+            if from != to {
+                self.bidirectional(from, to, 1);
+            }
+        };
+        for y in 0..rows {
+            for x in 0..cols {
+                if x + 1 < cols {
+                    connect((x, y), (x + 1, y));
+                }
+                if y + 1 < rows {
+                    connect((x, y), (x, y + 1));
+                }
+            }
+        }
+        match topology {
+            Topology::Mesh => {}
+            Topology::Torus => {
+                for y in 0..rows {
+                    connect((0, y), (cols - 1, y));
+                }
+                for x in 0..cols {
+                    connect((x, 0), (x, rows - 1));
+                }
+            }
+            Topology::Express { stride } => {
+                for y in 0..rows {
+                    for x in 0..cols.saturating_sub(stride) {
+                        connect((x, y), (x + stride, y));
+                    }
+                }
+                for x in 0..cols {
+                    for y in 0..rows.saturating_sub(stride) {
+                        connect((x, y), (x, y + stride));
+                    }
+                }
+            }
+        }
     }
 
     /// Registers a cluster.
@@ -504,8 +465,8 @@ impl ArchBuilder {
         let memory_units = units(|c| c.memory);
         let arch = Architecture {
             name: self.name,
-            class: self.class.expect("class set in ArchBuilder::new"),
-            params: self.params.expect("params set in ArchBuilder::new"),
+            class: self.class,
+            params: self.params,
             resources: self.resources,
             links: self.links,
             clusters: self.clusters,
@@ -638,6 +599,40 @@ mod tests {
             hardwired: None,
         });
         let _ = b.build();
+    }
+
+    /// Two tiles, the first holding an ALSU (`r0`) and a router (`r1`),
+    /// and one cluster on tile `tile` naming the ALSU and `global`.
+    fn one_cluster(global: u32, tile: usize) -> Architecture {
+        let mut b = ArchBuilder::new("cl", ArchClass::SpatioTemporal, ArchParams::baseline(1, 2));
+        let t0 = b.add_tile(Position { x: 0, y: 0 });
+        let _ = b.add_tile(Position { x: 1, y: 0 });
+        let fu = b.add_func_unit(t0, "fu", FuCaps::ALSU);
+        let r = b.add_switch(t0, "router", 2);
+        b.bidirectional(fu, r, 0);
+        b.link(r, r, 1);
+        b.add_cluster(Cluster {
+            tile,
+            alus: vec![],
+            alsu: Some(fu),
+            local_router: None,
+            global_router: ResourceId(global),
+            hardwired: None,
+        });
+        b.build()
+    }
+
+    #[test]
+    #[should_panic(expected = "cluster 0 names r0, which is not a switch on its tile")]
+    fn clusters_naming_a_functional_unit_as_a_router_are_rejected() {
+        let _ = one_cluster(1, 0);
+        let _ = one_cluster(0, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "cluster 1 names r0, which is not a functional unit on its tile")]
+    fn clusters_naming_resources_off_their_tile_are_rejected() {
+        let _ = one_cluster(1, 1);
     }
 
     #[test]

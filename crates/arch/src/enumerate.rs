@@ -24,10 +24,11 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::architecture::{rebuild_with_comm, ArchClass, Architecture};
+use crate::architecture::{ArchClass, Architecture, Provision};
 use crate::comm::CommSpec;
 use crate::params::ArchParams;
-use crate::{plaid, spatial, spatio_temporal};
+use crate::plaid::{self, SpecializationPlan};
+use crate::spatio_temporal;
 
 /// One concrete point on the provisioning grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -105,7 +106,9 @@ impl DesignPoint {
         }
     }
 
-    /// Materializes the point as a mapper-ready [`Architecture`].
+    /// Materializes the point as a mapper-ready [`Architecture`] in one pass
+    /// of its class builder: the bandwidth class scales every switch and the
+    /// topology adds its links.
     ///
     /// # Panics
     ///
@@ -114,12 +117,16 @@ impl DesignPoint {
     /// never yields them.
     pub fn build(&self) -> Architecture {
         assert!(self.is_valid(), "invalid design point {self:?}");
-        let base = match self.class {
-            ArchClass::SpatioTemporal => spatio_temporal::build(self.rows, self.cols),
-            ArchClass::Spatial => spatial::build(self.rows, self.cols),
-            ArchClass::Plaid => plaid::build(self.rows, self.cols),
+        let provision = Provision {
+            name: self.label(),
+            params: self.params(),
+            topology: self.comm.topology,
+            capacity: &|c| self.comm.bw.scale_capacity(c),
         };
-        rebuild_with_comm(&base, self.label(), self.params(), &self.comm)
+        match self.class {
+            ArchClass::Plaid => plaid::build_with(&SpecializationPlan::default(), &provision),
+            class => spatio_temporal::build_with(class, &provision),
+        }
     }
 }
 
@@ -157,7 +164,7 @@ impl SpaceSpec {
 
     /// The full grid: all three classes, seven array sizes from 2×2 up to
     /// 6×6, configuration memories of 4 to 32 entries, and the three legacy
-    /// communication presets (1008 points).
+    /// communication presets (252 designs).
     pub fn full_grid() -> Self {
         SpaceSpec {
             classes: vec![
@@ -243,6 +250,7 @@ impl SpaceSpec {
 mod tests {
     use super::*;
     use crate::comm::{BwClass, Topology};
+    use crate::spatial;
 
     #[test]
     fn default_grid_enumerates_the_full_cross_product() {
@@ -387,45 +395,6 @@ mod tests {
         // Compute provisioning is independent of the communication spec.
         assert_eq!(lean.compute_units(), rich.compute_units());
         assert_eq!(base.compute_units(), 16);
-    }
-
-    #[test]
-    fn preset_lowering_reproduces_the_scalar_fabrics() {
-        // Each preset must build the fabric its scalar level built:
-        // same resources, same capacities, same links, same parameters.
-        for (comm, bw) in [
-            (CommSpec::LEAN, BwClass::Half),
-            (CommSpec::ALIGNED, BwClass::Base),
-            (CommSpec::RICH, BwClass::Boost),
-        ] {
-            for (class, rows, cols) in [(ArchClass::SpatioTemporal, 3, 3), (ArchClass::Plaid, 2, 2)]
-            {
-                let point = DesignPoint {
-                    class,
-                    rows,
-                    cols,
-                    config_entries: 16,
-                    comm,
-                };
-                let built = point.build();
-                // Reference: the pre-refactor path — uniform capacity scale,
-                // uniform bit scale, no extra links.
-                let base = match class {
-                    ArchClass::SpatioTemporal => spatio_temporal::build(rows, cols),
-                    ArchClass::Spatial => spatial::build(rows, cols),
-                    ArchClass::Plaid => plaid::build(rows, cols),
-                };
-                let mut params = base.params().clone();
-                params.config_entries = 16;
-                params.config.communication_bits =
-                    bw.scale_capacity(params.config.communication_bits);
-                let reference =
-                    crate::architecture::rebuild_provisioned(&base, point.label(), params, |c| {
-                        bw.scale_capacity(c)
-                    });
-                assert_eq!(built, reference, "{}/{class:?} diverged", comm.label());
-            }
-        }
     }
 
     #[test]

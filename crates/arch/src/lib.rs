@@ -21,6 +21,10 @@
 //! * [`specialize`] — domain-specialized variants (ST-ML and Plaid-ML,
 //!   Section 4.4 / 7.3).
 //!
+//! Every fabric is built once, by its class builder's `build_with`, from a
+//! [`Provision`]: a name, [`ArchParams`] (which size the array), a NoC
+//! [`Topology`] and switch capacities; `build(rows, cols)` is as published.
+//!
 //! Beyond the fixed instances, [`enumerate`] exposes the provisioning space
 //! itself: [`SpaceSpec`] enumerates (class × dimensions × configuration
 //! depth × communication spec) grids and [`DesignPoint::build`] materializes
@@ -54,9 +58,7 @@ pub mod spatial;
 pub mod spatio_temporal;
 pub mod specialize;
 
-pub use architecture::{
-    rebuild_provisioned, rebuild_with_comm, ArchClass, Architecture, Cluster, Position,
-};
+pub use architecture::{ArchClass, Architecture, Cluster, Position, Provision};
 pub use comm::{BwClass, CommSpec, Topology};
 pub use enumerate::{DesignPoint, SpaceSpec};
 pub use params::{ArchParams, ConfigBudget, Domain, HardwiredPattern};

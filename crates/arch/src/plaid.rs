@@ -8,7 +8,7 @@
 //! the scratch-pad port on edge PCUs) and to the global routers of the four
 //! mesh neighbours.
 
-use crate::architecture::{ArchBuilder, ArchClass, Architecture, Cluster, Position};
+use crate::architecture::{ArchBuilder, ArchClass, Architecture, Cluster, Position, Provision};
 use crate::params::{ArchParams, HardwiredPattern};
 use crate::resource::FuCaps;
 
@@ -19,7 +19,7 @@ pub const GLOBAL_ROUTER_CAPACITY: u32 = 7;
 /// Number of ALUs per PCU (the three-node motif compute unit).
 pub const ALUS_PER_PCU: usize = 3;
 
-/// Per-PCU specialization plan used by [`build_specialized`].
+/// Per-PCU specialization plan used by [`build_with`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SpecializationPlan {
     /// `hardwired[tile]` fixes the motif pattern of that PCU's compute unit,
@@ -27,40 +27,38 @@ pub struct SpecializationPlan {
     pub hardwired: Vec<Option<HardwiredPattern>>,
 }
 
-/// Builds a `rows × cols` PCU array (the paper evaluates 2×2 and 3×3).
+/// Builds a `rows × cols` PCU array as published (the paper evaluates 2×2
+/// and 3×3).
 ///
 /// # Panics
 ///
 /// Panics if `rows` or `cols` is zero.
 pub fn build(rows: u32, cols: u32) -> Architecture {
-    build_with_plan(
-        format!("plaid-{rows}x{cols}"),
-        rows,
-        cols,
+    build_with(
         &SpecializationPlan::default(),
+        &Provision::published(
+            format!("plaid-{rows}x{cols}"),
+            ArchParams::plaid(rows, cols),
+        ),
     )
 }
 
-/// Builds a domain-specialized Plaid instance according to `plan`.
+/// Builds the PCU array `provision` describes, with the PCUs `plan`
+/// hardwires.
 ///
 /// # Panics
 ///
-/// Panics if `rows`/`cols` is zero or the plan lists more tiles than exist.
-pub fn build_specialized(rows: u32, cols: u32, plan: &SpecializationPlan) -> Architecture {
-    build_with_plan(format!("plaid-ml-{rows}x{cols}"), rows, cols, plan)
-}
-
-fn build_with_plan(name: String, rows: u32, cols: u32, plan: &SpecializationPlan) -> Architecture {
+/// Panics if the array has a zero dimension or the plan lists more tiles
+/// than the array has.
+pub fn build_with(plan: &SpecializationPlan, provision: &Provision) -> Architecture {
+    let (rows, cols) = (provision.params.rows, provision.params.cols);
     assert!(rows > 0 && cols > 0, "array dimensions must be non-zero");
     assert!(
         plan.hardwired.len() <= (rows * cols) as usize,
         "specialization plan lists more tiles than the array has"
     );
-    let mut params = ArchParams::plaid(rows, cols);
-    if plan.hardwired.iter().any(Option::is_some) {
-        params.domain = Some(crate::params::Domain::MachineLearning);
-    }
-    let mut b = ArchBuilder::new(name, ArchClass::Plaid, params);
+    let params = provision.params.clone();
+    let mut b = ArchBuilder::new(provision.name.clone(), ArchClass::Plaid, params);
 
     let mut global_routers = Vec::new();
     for y in 0..rows {
@@ -78,20 +76,18 @@ fn build_with_plan(name: String, rows: u32, cols: u32, plan: &SpecializationPlan
             // A hardwired PCU replaces the local router by fixed connections;
             // we model this as a minimal-capacity switch (it can still carry
             // the motif's internal values, but nothing else).
-            let local_capacity = if hardwired.is_some() {
-                3
-            } else {
-                LOCAL_ROUTER_CAPACITY
-            };
+            let capacity = |published| provision.switch_capacity(published);
+            let local_capacity = capacity(hardwired.map_or(LOCAL_ROUTER_CAPACITY, |_| 3));
             let local = b.add_switch(tile, format!("pcu{tile}.local"), local_capacity);
-            let global = b.add_switch(tile, format!("pcu{tile}.global"), GLOBAL_ROUTER_CAPACITY);
+            let global_capacity = capacity(GLOBAL_ROUTER_CAPACITY);
+            let global = b.add_switch(tile, format!("pcu{tile}.global"), global_capacity);
 
             for &alu in &alus {
                 b.bidirectional(alu, local, 0);
             }
             // Registered bypass paths between adjacent ALUs (left to right).
             for pair in alus.windows(2) {
-                let bypass = b.add_switch(tile, format!("pcu{tile}.bypass"), 1);
+                let bypass = b.add_switch(tile, format!("pcu{tile}.bypass"), capacity(1));
                 b.link(pair[0], bypass, 0);
                 b.link(bypass, pair[1], 1);
             }
@@ -114,18 +110,7 @@ fn build_with_plan(name: String, rows: u32, cols: u32, plan: &SpecializationPlan
             global_routers.push(global);
         }
     }
-    // Mesh links between neighbouring global routers.
-    let idx = |x: u32, y: u32| (y * cols + x) as usize;
-    for y in 0..rows {
-        for x in 0..cols {
-            if x + 1 < cols {
-                b.bidirectional(global_routers[idx(x, y)], global_routers[idx(x + 1, y)], 1);
-            }
-            if y + 1 < rows {
-                b.bidirectional(global_routers[idx(x, y)], global_routers[idx(x, y + 1)], 1);
-            }
-        }
-    }
+    b.link_grid(&global_routers, rows, cols, provision.topology);
     b.build()
 }
 
@@ -223,10 +208,9 @@ mod tests {
                 Some(HardwiredPattern::FanOut),
             ],
         };
-        let plaid_ml = build_specialized(2, 2, &plan);
-        assert_eq!(
-            plaid_ml.params().domain,
-            Some(crate::params::Domain::MachineLearning)
+        let plaid_ml = build_with(
+            &plan,
+            &Provision::published("plaid-hardwired-2x2", ArchParams::plaid(2, 2)),
         );
         let hardwired: Vec<_> = plaid_ml.clusters().iter().map(|c| c.hardwired).collect();
         assert_eq!(hardwired.iter().filter(|h| h.is_some()).count(), 4);

@@ -9,20 +9,22 @@
 //! sub-DFGs, with intermediate values spilled to the scratch-pad (handled by
 //! the spatial mapper in `plaid-mapper`).
 
-use crate::architecture::{ArchClass, Architecture};
-use crate::spatio_temporal::build_named;
+use crate::architecture::{ArchClass, Architecture, Provision};
+use crate::params::ArchParams;
+use crate::spatio_temporal::build_with;
 
-/// Builds a `rows × cols` spatial CGRA.
+/// Builds a `rows × cols` spatial CGRA as published.
 ///
 /// # Panics
 ///
 /// Panics if `rows` or `cols` is zero.
 pub fn build(rows: u32, cols: u32) -> Architecture {
-    build_named(
-        format!("spatial-{rows}x{cols}"),
-        rows,
-        cols,
+    build_with(
         ArchClass::Spatial,
+        &Provision::published(
+            format!("spatial-{rows}x{cols}"),
+            ArchParams::baseline(rows, cols),
+        ),
     )
 }
 

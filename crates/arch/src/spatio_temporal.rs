@@ -5,7 +5,7 @@
 //! a 16-entry configuration memory. PEs in the first column have a port into
 //! the scratch-pad memory and can execute loads and stores.
 
-use crate::architecture::{ArchBuilder, ArchClass, Architecture, Cluster, Position};
+use crate::architecture::{ArchBuilder, ArchClass, Architecture, Cluster, Position, Provision};
 use crate::params::ArchParams;
 use crate::resource::FuCaps;
 
@@ -13,33 +13,44 @@ use crate::resource::FuCaps;
 /// four mesh directions plus the ALU port.
 pub const PE_ROUTER_CAPACITY: u32 = 5;
 
-/// Builds a `rows × cols` spatio-temporal CGRA.
+/// Builds a `rows × cols` spatio-temporal CGRA as published.
 ///
 /// # Panics
 ///
 /// Panics if `rows` or `cols` is zero.
 pub fn build(rows: u32, cols: u32) -> Architecture {
-    build_named(
-        format!("spatio-temporal-{rows}x{cols}"),
-        rows,
-        cols,
+    build_with(
         ArchClass::SpatioTemporal,
+        &Provision::published(
+            format!("spatio-temporal-{rows}x{cols}"),
+            ArchParams::baseline(rows, cols),
+        ),
     )
 }
 
-pub(crate) fn build_named(name: String, rows: u32, cols: u32, class: ArchClass) -> Architecture {
+/// Builds the PE array `provision` describes, as a spatio-temporal or a
+/// spatial fabric (the two classes share it).
+///
+/// # Panics
+///
+/// Panics if the array has a zero dimension or `class` is Plaid.
+pub fn build_with(class: ArchClass, provision: &Provision) -> Architecture {
+    let (rows, cols) = (provision.params.rows, provision.params.cols);
     assert!(rows > 0 && cols > 0, "array dimensions must be non-zero");
-    let params = ArchParams::baseline(rows, cols);
-    let mut b = ArchBuilder::new(name, class, params);
+    assert!(
+        class != ArchClass::Plaid,
+        "a PE array is not a Plaid fabric"
+    );
+    let mut b = ArchBuilder::new(provision.name.clone(), class, provision.params.clone());
 
-    let mut fus = Vec::new();
     let mut routers = Vec::new();
     for y in 0..rows {
         for x in 0..cols {
             let tile = b.add_tile(Position { x, y });
             let caps = if x == 0 { FuCaps::ALSU } else { FuCaps::ALU };
             let fu = b.add_func_unit(tile, format!("pe{tile}.fu"), caps);
-            let router = b.add_switch(tile, format!("pe{tile}.router"), PE_ROUTER_CAPACITY);
+            let capacity = provision.switch_capacity(PE_ROUTER_CAPACITY);
+            let router = b.add_switch(tile, format!("pe{tile}.router"), capacity);
             // ALU <-> crossbar, combinational; crossbar self-loop models the
             // register file holding a value across cycles.
             b.bidirectional(fu, router, 0);
@@ -52,22 +63,10 @@ pub(crate) fn build_named(name: String, rows: u32, cols: u32, class: ArchClass) 
                 global_router: router,
                 hardwired: None,
             });
-            fus.push(fu);
             routers.push(router);
         }
     }
-    // Mesh links between neighbouring routers (registered, one cycle).
-    let idx = |x: u32, y: u32| (y * cols + x) as usize;
-    for y in 0..rows {
-        for x in 0..cols {
-            if x + 1 < cols {
-                b.bidirectional(routers[idx(x, y)], routers[idx(x + 1, y)], 1);
-            }
-            if y + 1 < rows {
-                b.bidirectional(routers[idx(x, y)], routers[idx(x, y + 1)], 1);
-            }
-        }
-    }
+    b.link_grid(&routers, rows, cols, provision.topology);
     b.build()
 }
 

@@ -9,9 +9,9 @@
 //!   two fan-in PCUs, one unicast PCU and one fan-out PCU for the 2×2 array,
 //!   exactly as described in Section 7.3.
 
-use crate::architecture::Architecture;
-use crate::params::{ConfigBudget, Domain, HardwiredPattern};
-use crate::plaid::{build_specialized, SpecializationPlan};
+use crate::architecture::{ArchClass, Architecture, Provision};
+use crate::params::{ArchParams, ConfigBudget, Domain, HardwiredPattern};
+use crate::plaid::{self, SpecializationPlan};
 use crate::spatio_temporal;
 
 /// Builds the machine-learning-optimized spatio-temporal CGRA (ST-ML).
@@ -20,23 +20,21 @@ use crate::spatio_temporal;
 ///
 /// Panics if `rows` or `cols` is zero.
 pub fn spatio_temporal_ml(rows: u32, cols: u32) -> Architecture {
-    let mut arch = spatio_temporal::build(rows, cols);
-    // Re-parameterize: the ML kernels use a small operation subset (mul, add,
-    // shift), so opcode and constant fields shrink and the crossbar control is
-    // pruned to the directions the domain actually uses.
-    let params = {
-        let mut p = arch.params().clone();
-        p.domain = Some(Domain::MachineLearning);
-        p.config = ConfigBudget {
-            compute_op_bits: 3,
-            compute_const_bits: 6,
-            communication_bits: 5 * 3 + 2 * 2 + 4,
-            control_bits: 2,
-        };
-        p
+    // The ML kernels use a small operation subset (mul, add, shift), so
+    // opcode and constant fields shrink and the crossbar control is pruned
+    // to the directions the domain actually uses.
+    let mut params = ArchParams::baseline(rows, cols);
+    params.domain = Some(Domain::MachineLearning);
+    params.config = ConfigBudget {
+        compute_op_bits: 3,
+        compute_const_bits: 6,
+        communication_bits: 5 * 3 + 2 * 2 + 4,
+        control_bits: 2,
     };
-    arch = rebuild_with_params(arch, "spatio-temporal-ml", params);
-    arch
+    spatio_temporal::build_with(
+        ArchClass::SpatioTemporal,
+        &Provision::published("spatio-temporal-ml", params),
+    )
 }
 
 /// Builds the machine-learning-optimized Plaid (Plaid-ML) on a 2×2 PCU array:
@@ -50,34 +48,12 @@ pub fn plaid_ml_2x2() -> Architecture {
             Some(HardwiredPattern::FanOut),
         ],
     };
-    let mut arch = build_specialized(2, 2, &plan);
+    let mut params = ArchParams::plaid(2, 2);
+    params.domain = Some(Domain::MachineLearning);
     // Hardwiring removes the local-router select fields from the PCU
     // configuration word.
-    let params = {
-        let mut p = arch.params().clone();
-        p.domain = Some(Domain::MachineLearning);
-        p.config = ConfigBudget {
-            compute_op_bits: p.config.compute_op_bits,
-            compute_const_bits: p.config.compute_const_bits,
-            communication_bits: 7 * 4 + 8,
-            control_bits: p.config.control_bits,
-        };
-        p
-    };
-    arch = rebuild_with_params(arch, "plaid-ml-2x2", params);
-    arch
-}
-
-/// Clones an architecture with new parameters and name, preserving the fabric.
-fn rebuild_with_params(
-    arch: Architecture,
-    name: &str,
-    params: crate::params::ArchParams,
-) -> Architecture {
-    // Architectures are immutable by design; rebuilding goes through the
-    // shared provisioning helper (identity capacity scaling) so the
-    // consistency checks re-run.
-    crate::architecture::rebuild_provisioned(&arch, name, params, |c| c)
+    params.config.communication_bits = 7 * 4 + 8;
+    plaid::build_with(&plan, &Provision::published("plaid-ml-2x2", params))
 }
 
 #[cfg(test)]
@@ -136,7 +112,7 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_preserves_fabric_structure() {
+    fn hardwiring_preserves_fabric_structure() {
         let plaid = crate::plaid::build(2, 2);
         let plaid_ml = plaid_ml_2x2();
         assert_eq!(plaid.resources().len(), plaid_ml.resources().len());

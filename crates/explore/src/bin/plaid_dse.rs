@@ -100,30 +100,45 @@ fn parse_topologies(spec: &str) -> Result<Vec<Topology>, String> {
             Topology::Express { stride: 2 },
         ]);
     }
-    spec.split(',').map(Topology::parse).collect()
+    parse_list(spec, Topology::parse)
 }
 
 fn parse_bw_classes(spec: &str) -> Result<Vec<BwClass>, String> {
     if spec == "all" {
         return Ok(BwClass::ALL.to_vec());
     }
-    spec.split(',').map(BwClass::parse).collect()
+    parse_list(spec, BwClass::parse)
+}
+
+/// Parses a comma-separated list, rejecting an entry that repeats an earlier
+/// one's value (`express,xp2` too): it would sweep the same points twice.
+fn parse_list<T: PartialEq>(
+    spec: &str,
+    parse: impl Fn(&str) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    let mut values = Vec::new();
+    for entry in spec.split(',') {
+        let value = parse(entry)?;
+        if values.contains(&value) {
+            return Err(format!("`{entry}` repeats an earlier entry of `{spec}`"));
+        }
+        values.push(value);
+    }
+    Ok(values)
 }
 
 fn parse_dims(spec: &str) -> Result<Vec<(u32, u32)>, String> {
-    spec.split(',')
-        .map(|dim| {
-            let (rows, cols) = dim
-                .split_once('x')
-                .ok_or_else(|| format!("bad dimensions `{dim}` (expected RxC, e.g. 4x4)"))?;
-            let rows: u32 = rows.parse().map_err(|_| format!("bad rows in `{dim}`"))?;
-            let cols: u32 = cols.parse().map_err(|_| format!("bad cols in `{dim}`"))?;
-            if rows == 0 || cols == 0 {
-                return Err(format!("dimensions must be non-zero in `{dim}`"));
-            }
-            Ok((rows, cols))
-        })
-        .collect()
+    parse_list(spec, |dim| {
+        let (rows, cols) = dim
+            .split_once('x')
+            .ok_or_else(|| format!("bad dimensions `{dim}` (expected RxC, e.g. 4x4)"))?;
+        let rows: u32 = rows.parse().map_err(|_| format!("bad rows in `{dim}`"))?;
+        let cols: u32 = cols.parse().map_err(|_| format!("bad cols in `{dim}`"))?;
+        if rows == 0 || cols == 0 {
+            return Err(format!("dimensions must be non-zero in `{dim}`"));
+        }
+        Ok((rows, cols))
+    })
 }
 
 fn parse_workloads(spec: &str) -> Result<Vec<Workload>, String> {
@@ -140,15 +155,13 @@ fn parse_workloads(spec: &str) -> Result<Vec<Workload>, String> {
         }
         return Ok(registry.into_iter().step_by(n).collect());
     }
-    spec.split(',')
-        .map(|name| {
-            registry
-                .iter()
-                .find(|w| w.name == name)
-                .cloned()
-                .ok_or_else(|| format!("unknown workload `{name}` (try --list)"))
-        })
-        .collect()
+    parse_list(spec, |name| {
+        registry
+            .iter()
+            .find(|w| w.name == name)
+            .cloned()
+            .ok_or_else(|| format!("unknown workload `{name}` (try --list)"))
+    })
 }
 
 fn parse_args(args: Vec<String>) -> Result<Option<Options>, String> {
@@ -497,5 +510,73 @@ fn main() -> ExitCode {
             eprintln!("plaid-dse: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use plaid_arch::CommSpec;
+
+    fn parse(args: &str) -> Result<Option<Options>, String> {
+        parse_args(args.split_whitespace().map(String::from).collect())
+    }
+
+    fn options(args: &str) -> Options {
+        parse(args).unwrap().expect("a sweep, not --help or --list")
+    }
+
+    fn error(args: &str) -> String {
+        parse(args).err().expect("the arguments are rejected")
+    }
+
+    #[test]
+    fn repeated_list_entries_are_rejected_by_value() {
+        for (args, entry, spec) in [
+            ("--workloads gemm_u2,gemm_u2", "gemm_u2", "gemm_u2,gemm_u2"),
+            ("--dims 2x2,3x3,2x2", "2x2", "2x2,3x3,2x2"),
+            ("--topology mesh,mesh", "mesh", "mesh,mesh"),
+            ("--topology express,xp2", "xp2", "express,xp2"),
+            ("--topology torus --bw boost,rich", "rich", "boost,rich"),
+        ] {
+            assert_eq!(
+                error(args),
+                format!("`{entry}` repeats an earlier entry of `{spec}`"),
+                "{args}"
+            );
+        }
+        // Distinct values are not duplicates, whatever their spelling.
+        let grid = options("--topology express,express:3 --bw b,boost").grid;
+        assert_eq!(grid.comm_specs.len(), 4);
+    }
+
+    #[test]
+    fn bandwidth_without_a_topology_crosses_with_the_mesh() {
+        let grid = options("--bw half,double").grid;
+        assert_eq!(
+            grid.comm_specs,
+            vec![
+                CommSpec::uniform(Topology::Mesh, BwClass::Half),
+                CommSpec::uniform(Topology::Mesh, BwClass::Double),
+            ]
+        );
+        assert_eq!(grid.dims, SpaceSpec::default_grid().dims);
+    }
+
+    #[test]
+    fn dims_override_the_grid() {
+        let grid = options("--grid full --dims 4x4,2x3").grid;
+        assert_eq!(grid.dims, vec![(4, 4), (2, 3)]);
+        assert_eq!(grid.comm_specs, SpaceSpec::full_grid().comm_specs);
+        assert_eq!(grid.config_entries, SpaceSpec::full_grid().config_entries);
+    }
+
+    #[test]
+    fn an_empty_design_space_is_an_error_naming_its_flags() {
+        let message = error("--topology express:3 --dims 2x2,3x3");
+        assert!(
+            message.starts_with("`--topology express:3 --dims 2x2,3x3` selects no valid"),
+            "{message}"
+        );
     }
 }

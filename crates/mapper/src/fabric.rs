@@ -128,7 +128,8 @@ fn same_topology(a: &Architecture, b: &Architecture) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use plaid_arch::{plaid, rebuild_provisioned, spatio_temporal, SpaceSpec};
+    use plaid_arch::plaid::SpecializationPlan;
+    use plaid_arch::{plaid, spatio_temporal, ArchClass, ArchParams, Provision, SpaceSpec};
 
     #[test]
     fn derived_parts_match_the_free_functions_and_are_built_once() {
@@ -139,7 +140,13 @@ mod tests {
         let capacities: Vec<u32> = arch.resources().iter().map(|r| r.kind.capacity()).collect();
         assert_eq!(fabric.capacities(), capacities.as_slice());
         assert!(Arc::ptr_eq(fabric.reach(), fabric.reach()));
-        let richer = rebuild_provisioned(&arch, "rich", arch.params().clone(), |c| c + 1);
+        let richer = plaid::build_with(
+            &SpecializationPlan::default(),
+            &Provision {
+                capacity: &|c| c + 1,
+                ..Provision::published("rich", ArchParams::plaid(2, 2))
+            },
+        );
         let owned = PreparedFabric::new(richer.clone());
         assert_eq!(owned.arch(), &richer);
         assert_ne!(owned.signature(), fabric.signature());
@@ -174,7 +181,13 @@ mod tests {
         }
         // A sibling's shared table is the one its own architecture gives.
         let a = spatio_temporal::build(3, 3);
-        let lean = rebuild_provisioned(&a, "lean", a.params().clone(), |_| 1);
+        let lean = spatio_temporal::build_with(
+            ArchClass::SpatioTemporal,
+            &Provision {
+                capacity: &|_| 1,
+                ..Provision::published("lean", ArchParams::baseline(3, 3))
+            },
+        );
         let prepared = PreparedFabric::new(a.clone());
         let sibling = prepared.sibling(lean.clone());
         assert!(Arc::ptr_eq(sibling.reach(), prepared.reach()));

@@ -126,7 +126,7 @@ fn longest_path_latency(dfg: &Dfg, from: NodeId, to: NodeId) -> Option<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use plaid_arch::{plaid, spatio_temporal};
+    use plaid_arch::{plaid, spatio_temporal, ArchClass, ArchParams, Provision};
     use plaid_dfg::kernel::{AffineExpr, Expr, KernelBuilder};
     use plaid_dfg::lower::lower_kernel;
     use plaid_dfg::Op;
@@ -221,8 +221,13 @@ mod tests {
         assert_eq!(comm_mii(&dfg, &st), 1);
         // A starved network (every switch down to capacity 1) must spread the
         // same values across II cycles.
-        let params = st.params().clone();
-        let starved = plaid_arch::rebuild_provisioned(&st, "starved", params, |_| 1);
+        let starved = spatio_temporal::build_with(
+            ArchClass::SpatioTemporal,
+            &Provision {
+                capacity: &|_| 1,
+                ..Provision::published("starved", ArchParams::baseline(4, 4))
+            },
+        );
         let routed_values = dfg
             .node_ids()
             .filter(|&n| dfg.out_edges(n).any(|e| dfg.edge_carries_data(e)))

@@ -801,8 +801,9 @@ pub fn place_node_best_effort(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::route::tests::lean_plaid_2x2;
     use crate::route::HardCapacityCost;
-    use plaid_arch::spatio_temporal;
+    use plaid_arch::{spatio_temporal, ArchClass, ArchParams, Provision};
     use plaid_dfg::kernel::{AffineExpr, Expr, KernelBuilder};
     use plaid_dfg::lower::lower_kernel;
     use plaid_dfg::Op;
@@ -959,15 +960,15 @@ mod tests {
         assert!(dfg.node_ids().any(|n| dfg.outs(n).len() >= 3));
         assert!(dfg.edges().any(|e| e.kind.is_recurrence()));
         let order = dfg.topological_order().unwrap();
-        let lean = |base: Architecture| {
-            let params = base.params().clone();
-            plaid_arch::rebuild_provisioned(&base, format!("{}-lean", base.name()), params, |_| 1)
-        };
+        let lean_st = spatio_temporal::build_with(
+            ArchClass::SpatioTemporal,
+            &Provision {
+                capacity: &|_| 1,
+                ..Provision::published("spatio-temporal-4x4-lean", ArchParams::baseline(4, 4))
+            },
+        );
         let mut rejected = 0;
-        for arch in [
-            lean(plaid_arch::plaid::build(2, 2)),
-            lean(spatio_temporal::build(4, 4)),
-        ] {
+        for arch in [lean_plaid_2x2(), lean_st] {
             for ii in 1..=3 {
                 let mut state = MapState::new(&dfg, &arch, ii);
                 for &node in &order {
@@ -1012,9 +1013,7 @@ mod tests {
         // where many candidates fail.
         let dfg = fan_out_dfg();
         let order = dfg.topological_order().unwrap();
-        let base = plaid_arch::plaid::build(2, 2);
-        let params = base.params().clone();
-        let arch = plaid_arch::rebuild_provisioned(&base, "plaid-lean", params, |_| 1);
+        let arch = lean_plaid_2x2();
         let (mut placed, mut failed) = (0, 0);
         for ii in 1..=3 {
             let mut state = MapState::new(&dfg, &arch, ii);
@@ -1259,9 +1258,7 @@ mod tests {
         // comparison of the placement and route tables answers.
         use rand::{Rng, SeedableRng};
         let dfg = fan_out_dfg();
-        let base = plaid_arch::plaid::build(2, 2);
-        let params = base.params().clone();
-        let arch = plaid_arch::rebuild_provisioned(&base, "plaid-lean", params, |_| 1);
+        let arch = lean_plaid_2x2();
         let nodes: Vec<NodeId> = dfg.node_ids().collect();
         let mut rng = rand::rngs::SmallRng::seed_from_u64(7);
         let (mut same, mut changed) = (0, 0);

@@ -653,14 +653,10 @@ mod tests {
         // consumers bound windows from above. On the hand-built bypass pair
         // a budget opens through an exact hop alone, so only soundness
         // holds there.
-        let lean = |base: Architecture| {
-            let params = base.params().clone();
-            plaid_arch::rebuild_provisioned(&base, format!("{}-lean", base.name()), params, |_| 1)
-        };
         let fabrics = [
             (plaid_fabric::build(2, 2), true),
             (plaid_fabric::build(3, 3), true),
-            (lean(plaid_fabric::build(2, 2)), true),
+            (crate::route::tests::lean_plaid_2x2(), true),
             (crate::route::tests::bypass_pair(), false),
         ];
         let (mut inside, mut outside) = (0, 0);

@@ -776,7 +776,8 @@ pub fn release_route(state: &mut RoutingState, route: &Route, value: NodeId) {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use plaid_arch::{plaid, spatio_temporal};
+    use plaid_arch::plaid::SpecializationPlan;
+    use plaid_arch::{plaid, spatio_temporal, ArchParams, Provision};
 
     #[test]
     fn routes_between_neighbouring_pes() {
@@ -1424,6 +1425,15 @@ pub(crate) mod tests {
                 && link.latency <= budget
                 && table.alive(link.to.0, budget - link.latency)
         })
+    }
+
+    /// The Plaid 2×2 fabric with every switch cut to capacity 1.
+    pub(crate) fn lean_plaid_2x2() -> Architecture {
+        let provision = Provision {
+            capacity: &|_| 1,
+            ..Provision::published("plaid-2x2-lean", ArchParams::plaid(2, 2))
+        };
+        plaid::build_with(&SpecializationPlan::default(), &provision)
     }
 
     /// Two FUs joined by a non-holding bypass (one cycle) and by a mesh

@@ -586,7 +586,8 @@ pub(crate) fn map_seeded<S: LadderSearch>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use plaid_arch::{plaid, spatio_temporal};
+    use plaid_arch::plaid::SpecializationPlan;
+    use plaid_arch::{plaid, spatio_temporal, ArchClass, ArchParams, Provision};
     use plaid_dfg::kernel::{AffineExpr, Expr, KernelBuilder};
     use plaid_dfg::lower::lower_kernel;
     use plaid_dfg::Op;
@@ -626,19 +627,26 @@ mod tests {
 
     #[test]
     fn signature_ignores_configuration_depth() {
-        use plaid_arch::rebuild_provisioned;
         let base = spatio_temporal::build(4, 4);
-        let mut params = base.params().clone();
+        let mut params = ArchParams::baseline(4, 4);
         params.config_entries = 4;
-        let shallow = rebuild_provisioned(&base, "shallow", params, |c| c);
+        let shallow = spatio_temporal::build_with(
+            ArchClass::SpatioTemporal,
+            &Provision::published("shallow", params),
+        );
         assert_eq!(fabric_signature(&base), fabric_signature(&shallow));
     }
 
     #[test]
     fn signature_tracks_switch_capacity() {
-        use plaid_arch::rebuild_provisioned;
         let base = spatio_temporal::build(4, 4);
-        let richer = rebuild_provisioned(&base, "rich", base.params().clone(), |c| c + 1);
+        let richer = spatio_temporal::build_with(
+            ArchClass::SpatioTemporal,
+            &Provision {
+                capacity: &|c| c + 1,
+                ..Provision::published("rich", ArchParams::baseline(4, 4))
+            },
+        );
         assert_ne!(fabric_signature(&base), fabric_signature(&richer));
     }
 
@@ -816,7 +824,6 @@ mod tests {
         // pruned candidates probe nothing. Whatever the certificate accepts
         // must therefore still map cold to the very same result.
         use crate::plaid::PlaidMapper;
-        use plaid_arch::rebuild_provisioned;
         let dfg = small_dfg();
         let base = plaid::build(2, 2);
         let source = PlaidMapper::default()
@@ -827,11 +834,12 @@ mod tests {
         assert!(!seed.cap_need.is_empty(), "the Plaid ladder is certified");
         let (mut transferred, mut refused) = (0, 0);
         for capacity in 1..=8 {
-            let fabric = rebuild_provisioned(
-                &base,
-                format!("cap{capacity}"),
-                base.params().clone(),
-                |_| capacity,
+            let fabric = plaid::build_with(
+                &SpecializationPlan::default(),
+                &Provision {
+                    capacity: &|_| capacity,
+                    ..Provision::published(format!("cap{capacity}"), ArchParams::plaid(2, 2))
+                },
             );
             let capacities: Vec<u32> = fabric
                 .resources()

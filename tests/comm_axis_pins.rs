@@ -13,9 +13,10 @@
 //! Run with `PLAID_PIN_PRINT=1` to print the current table instead of
 //! asserting (the capture mode used to generate it).
 
+use plaid_arch::plaid::SpecializationPlan;
 use plaid_arch::{
-    plaid, rebuild_with_comm, spatial, spatio_temporal, ArchClass, ArchParams, Architecture,
-    BwClass, CommSpec, DesignPoint, Topology,
+    plaid, spatio_temporal, ArchClass, ArchParams, Architecture, BwClass, CommSpec, DesignPoint,
+    Provision, Topology,
 };
 use plaid_mapper::fabric_signature;
 
@@ -139,12 +140,16 @@ fn comm_axis_derivations_are_pinned() {
 
 /// `point`'s fabric, built whether or not the point is valid.
 fn fabric(point: &DesignPoint) -> Architecture {
-    let base = match point.class {
-        ArchClass::SpatioTemporal => spatio_temporal::build(point.rows, point.cols),
-        ArchClass::Spatial => spatial::build(point.rows, point.cols),
-        ArchClass::Plaid => plaid::build(point.rows, point.cols),
+    let provision = Provision {
+        name: point.label(),
+        params: point.params(),
+        topology: point.comm.topology,
+        capacity: &|c| point.comm.bw.scale_capacity(c),
     };
-    rebuild_with_comm(&base, point.label(), point.params(), &point.comm)
+    match point.class {
+        ArchClass::Plaid => plaid::build_with(&SpecializationPlan::default(), &provision),
+        class => spatio_temporal::build_with(class, &provision),
+    }
 }
 
 #[test]
